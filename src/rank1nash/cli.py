@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 degenerate game detected, 3 parse error (game file
 or argument syntax), 4 precondition violation (wrong rank, bad factors, out
-of range indices).
+of range indices), 5 internal error (a solver state or result that the
+mathematics rules out on valid input, e.g. a reported equilibrium failing
+the Nash check; a bug to report).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     NotFullRank,
     NotRankOne,
     NotRowConstant,
+    Rank1NashError,
 )
 from .gamefile import format_game, load_game
 from .games import (
@@ -429,6 +432,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Rank1NashError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -72,3 +72,11 @@ class UnboundedObjective(Rank1NashError):
 
 class GameFileError(Rank1NashError):
     """Game file (or inline game text) failed to parse."""
+
+
+class InternalInvariantError(Rank1NashError):
+    """A result failed a check that the mathematics guarantees.
+
+    Raised instead of an ``assert`` so the check survives ``python -O``;
+    it always means a bug in this package, never bad input.
+    """

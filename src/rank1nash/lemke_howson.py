@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Stalled
+from .errors import InternalInvariantError, Stalled
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .polytopes import build_polyhedron, enumerate_vertices
+from .polytopes import build_polyhedron, enumerate_vertices, require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class LHPath:
 
 @lru_cache(maxsize=None)
 def build_lh_graphs(g: BimatrixGame) -> tuple[LHGraph, LHGraph]:
+    """The graphs of P and Q; raises DegenerateGame on a degenerate game,
+    where label-dropping paths are not well defined."""
+    require_nondegenerate(g)
     graphs = []
     for side, which, nshare, art_labels in (
         (1, "P", g.m, range(1, g.m + 1)),
@@ -85,12 +88,18 @@ def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
         )
         if keep <= other.labels
     ]
-    assert len(hits) == 1, f"pivot on label {drop} is not unique"
+    if len(hits) != 1:
+        raise InternalInvariantError(
+            f"pivot on label {drop} has {len(hits)} targets, not 1"
+        )
     return hits[0]
 
 
 def lh_run(g: BimatrixGame, r: int) -> LHPath:
-    """Follow the path that drops label r from the artificial pair."""
+    """Follow the path that drops label r from the artificial pair.
+
+    Raises DegenerateGame on a degenerate game.
+    """
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
     g1, g2 = build_lh_graphs(g)
@@ -108,19 +117,25 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
         if v1.labels | v2.labels == full:
             break
         dup = v1.labels & v2.labels
-        assert len(dup) == 1, "path pair must duplicate exactly one label"
+        if len(dup) != 1:
+            raise InternalInvariantError(
+                f"path pair duplicates labels {sorted(dup)}, not exactly one"
+            )
         drop = next(iter(dup))
         side = 3 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
     if v1.artificial or v2.artificial:
         # union = full with one artificial side forces the full start pair
-        assert v1.artificial and v2.artificial
+        if not (v1.artificial and v2.artificial):
+            raise InternalInvariantError(
+                "path ended with exactly one artificial node"
+            )
         return LHPath(r, tuple(steps), None, True)
     s = MixedStrategyPair(v1.point[: g.m], v2.point[: g.n])
     eq = EquilibriumPoint(s, payoff1=v2.point[g.n], payoff2=v1.point[g.m])
-    flag, _, _ = is_nash(g, s)
-    assert flag, "terminal pair failed the equilibrium check"
+    if not is_nash(g, s)[0]:
+        raise InternalInvariantError("terminal pair failed the equilibrium check")
     return LHPath(r, tuple(steps), eq, False)
 
 

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .errors import IdenticallyZero, IrrationalInteriorZero, SingularMatrix
+from .errors import (
+    IdenticallyZero,
+    InternalInvariantError,
+    IrrationalInteriorZero,
+    SingularMatrix,
+)
 
 try:
     from gmpy2 import mpq as _Q
@@ -191,7 +196,8 @@ def matrix_rank(m: RMatrix) -> int:
             for c in range(col + 1, cols):
                 num = a[r0][col] * a[r][c] - a[r][col] * a[r0][c]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division not exact"
+                if rem:
+                    raise InternalInvariantError("Bareiss division not exact")
                 a[r][c] = q
             a[r][col] = 0
         prev = a[r0][col]

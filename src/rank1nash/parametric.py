@@ -32,6 +32,7 @@ from .errors import (
     FactorizationMismatch,
     IdenticallyZero,
     Infeasible,
+    InternalInvariantError,
     NotRankOne,
     SingularBasis,
     SingularMatrix,
@@ -61,7 +62,7 @@ from .linalg import (
     solve_square,
     vdot,
 )
-from .polytopes import build_polyhedron, check_nondegenerate, enumerate_vertices
+from .polytopes import build_polyhedron, enumerate_vertices, require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,10 @@ def equilibria_on_interval(
     for xi in zeros:
         zv = iv.z.at(xi)
         s = MixedStrategyPair(zv[:m], zv[m : m + n])
-        flag, _, _ = is_nash(t.game, s)
-        assert flag, "objective zero failed the equilibrium check"
+        if not is_nash(t.game, s)[0]:
+            raise InternalInvariantError(
+                "objective zero failed the equilibrium check"
+            )
         out.append(
             EquilibriumPoint(
                 s,
@@ -506,7 +509,10 @@ def _solve_special(
     vq = _minimax_vertex(reduced, "Q")
     s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
     flag, u1, u2 = is_nash(g, s)
-    assert flag, f"{dispatch} candidate failed the equilibrium check"
+    if not flag:
+        raise InternalInvariantError(
+            f"{dispatch} candidate failed the equilibrium check"
+        )
     return EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=source_xi)
 
 
@@ -520,13 +526,7 @@ def enumerate_all(
     parametric sweep. NotRankOne is raised when rank(A+B) >= 2,
     DegenerateGame when the non-degeneracy check fails.
     """
-    ok, witness = check_nondegenerate(g)
-    if not ok:
-        pt = "(" + ", ".join(str(v) for v in witness.point) + ")"
-        raise DegenerateGame(
-            f"vertex {pt} carries labels {sorted(witness.labels)}",
-            witness=witness,
-        )
+    require_nondegenerate(g)
     cls = classify_special(g)
     if isinstance(cls, ZeroSum):
         eq = _solve_special(g, "zero-sum", rat(0))
@@ -622,7 +622,10 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
             if iv.xi1 <= xi <= iv.xi2:
                 rows |= binding_rows(t, iv.z.at(xi))
                 objs.append(iv.objective.at(xi))
-        assert objs and all(o == objs[0] for o in objs)
+        if not objs or any(o != objs[0] for o in objs):
+            raise InternalInvariantError(
+                f"bases optimal at xi = {xi} are missing or disagree"
+            )
         return rows, objs[0]
 
     out: list[TraceRow] = []
@@ -658,8 +661,8 @@ def zero_sum_dual_coincidence(t: ParametricTableau) -> bool:
     g = t.game
     m, n = t.m, t.n
     k = t.k_rows
-    assert all(v == 0 for v in t.factorization.b)
-    assert all(v == 0 for v in t.factorization.c)
+    if any(v != 0 for v in t.factorization.b + t.factorization.c):
+        raise ValueError("the tableau is not zero-sum: its factors are not 0")
 
     def dual_coeff(comp: int, l: int) -> Rational:
         # coefficient of u_l (1-based) in dual equation for z-component comp

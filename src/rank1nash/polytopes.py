@@ -5,17 +5,27 @@ marks x_i = 0 and label m+j marks column j being a best reply; in Q (over
 (y, pi1)) label i <= m marks row i being a best reply and label m+j marks
 y_j = 0. A strategy pair is a Nash equilibrium exactly when the two vertex
 label sets cover all of 1..m+n.
+
+Vertices are found on the normalised polytopes P' = {x >= 0 : B'^T x <= 1}
+and Q' = {y >= 0 : A' y <= 1}, where A' and B' are the payoffs cleared of
+denominators and shifted to positive integers. That positive affine map
+keeps every best reply, so each non-zero vertex of P' is a vertex of P with
+the same labels, after scaling x onto the simplex. The walk starts at the
+origin, a simple vertex whose dictionary is the raw integer data, and
+follows ratio-test pivots on a fraction-free tableau (Bareiss division)
+through every feasible basis, in the manner of lrs (Avis & Fukuda 1992;
+Avis, Rosenberg, Savani & von Stengel 2010).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .errors import DegenerateGame, SingularMatrix
+from .errors import DegenerateGame, InternalInvariantError
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .linalg import RMatrix, Rational, rat, solve, vdot
+from .linalg import Rational, rat, vdot
 
 
 @dataclass(frozen=True)
@@ -72,36 +82,128 @@ def build_polyhedron(g: BimatrixGame, which: str) -> LabeledPolyhedron:
     )
 
 
+def _positive_integer_rows(rows) -> list[list[int]]:
+    """Rows times the lcm of all denominators, shifted so the least entry is 1."""
+    scale = math.lcm(*(int(v.denominator) for row in rows for v in row))
+    ints = [
+        [int(v.numerator) * (scale // int(v.denominator)) for v in row]
+        for row in rows
+    ]
+    shift = 1 - min(v for row in ints for v in row)
+    return [[v + shift for v in row] for row in ints]
+
+
+def _ratio_test(tab: list[list[int]], col: int) -> list[int]:
+    """Rows that limit variable ``col`` entering; several on a tie."""
+    best: list[int] = []
+    for r, row in enumerate(tab):
+        a = row[col]
+        if a <= 0:
+            continue
+        if not best:
+            best.append(r)
+            continue
+        lead = tab[best[0]]
+        # row[-1] / a against lead[-1] / lead[col], both denominators positive
+        diff = row[-1] * lead[col] - lead[-1] * a
+        if diff < 0:
+            best = [r]
+        elif diff == 0:
+            best.append(r)
+    return best
+
+
+def _pivot(tab: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
+    """Integer pivot on (r, col); the pivot element becomes the new determinant."""
+    prow = tab[r]
+    p = prow[col]
+    out = []
+    for i, row in enumerate(tab):
+        if i == r:
+            out.append(prow)
+            continue
+        f = row[col]
+        new = []
+        for a, b in zip(row, prow):
+            q, rem = divmod(p * a - f * b, det)
+            if rem:
+                raise InternalInvariantError("integer pivot division not exact")
+            new.append(q)
+        out.append(new)
+    return out
+
+
+def _feasible_bases(mat: list[list[int]]):
+    """Every feasible basis of {z >= 0 : mat z + s = 1, s >= 0}.
+
+    ``mat`` is k x d with positive entries, so the polytope is bounded and
+    the origin (all slacks basic) is a simple vertex. Variables 0..d-1 are
+    z and d..d+k-1 the slacks. Yields (basis, rhs): ``basis[r]`` is the
+    variable of tableau row r, and its value is rhs[r] / det, with one
+    det > 0 for all rows of the basis. A tie in the ratio test branches to every tied row,
+    so degenerate vertices are reached through all of their bases.
+    """
+    k, d = len(mat), len(mat[0])
+    width = d + k
+    tab = [
+        row + [int(c == r) for c in range(k)] + [1] for r, row in enumerate(mat)
+    ]
+    basis = list(range(d, width))
+    seen = {frozenset(basis)}
+    stack = [(basis, tab, 1)]
+    while stack:
+        basis, tab, det = stack.pop()
+        yield basis, [row[-1] for row in tab]
+        inside = set(basis)
+        for col in range(width):
+            if col in inside:
+                continue
+            for r in _ratio_test(tab, col):
+                nxt = basis.copy()
+                nxt[r] = col
+                key = frozenset(nxt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                stack.append((nxt, _pivot(tab, r, col, det), tab[r][col]))
+
+
 @lru_cache(maxsize=None)
 def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
-    """All vertices, each with its complete binding-label set.
+    """All vertices, each with its complete binding-label set, sorted by point.
 
-    Exhausts the (dim-1)-subsets of inequality rows, solves each together
-    with the probability equality, and keeps feasible solutions. Label sets
-    are recomputed from the point so coincidental extra bindings (degenerate
-    inputs) are reported faithfully.
+    Walks the feasible bases of the normalised polytope (P' over x for "P",
+    Q' over y for "Q"; see the module docstring) and maps each non-zero
+    vertex z back to the point (z / sum(z), best-reply payoff). Its labels
+    are the cobasic variables plus every basic variable at zero, so extra
+    bindings on degenerate inputs are reported faithfully.
     """
-    nlab = len(p.ineq)
+    g = p.game
+    m, n = g.m, g.n
+    if p.which == "P":
+        payoffs = tuple(zip(*g.B))  # n rows of B^T, over x
+        labels = tuple(range(1, m + n + 1))  # x_1..x_m, then column slacks
+    else:
+        payoffs = g.A  # m rows, over y
+        labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
+    mat = _positive_integer_rows(payoffs)
+    d = len(mat[0])
     seen: dict[tuple, LabeledVertex] = {}
-    for subset in combinations(range(1, nlab + 1), p.dim - 1):
-        rows = [p.ineq[l - 1][0] for l in subset] + [p.eq[0]]
-        rhs = [p.ineq[l - 1][1] for l in subset] + [p.eq[1]]
-        try:
-            point = solve(RMatrix.from_rows(rows), rhs)
-        except SingularMatrix:
-            continue
-        if any(
-            vdot(coeffs, point) > rhs_l for coeffs, rhs_l in p.ineq
-        ):
-            continue
+    for basis, rhs in _feasible_bases(mat):
+        z = [0] * d
+        for var, value in zip(basis, rhs):
+            if var < d:
+                z[var] = value
+        total = sum(z)
+        if total == 0:
+            continue  # the origin: no strategy
+        strategy = tuple(rat(v, total) for v in z)
+        point = strategy + (max(vdot(row, strategy) for row in payoffs),)
         if point in seen:
             continue
-        labels = frozenset(
-            l
-            for l, (coeffs, rhs_l) in enumerate(p.ineq, start=1)
-            if vdot(coeffs, point) == rhs_l
-        )
-        seen[point] = LabeledVertex(point, labels)
+        zero = set(range(len(labels))) - set(basis)
+        zero.update(var for var, value in zip(basis, rhs) if value == 0)
+        seen[point] = LabeledVertex(point, frozenset(labels[v] for v in zero))
     return tuple(sorted(seen.values(), key=lambda v: v.point))
 
 
@@ -119,8 +221,9 @@ def check_nondegenerate(
     return True, None
 
 
-def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
-    """All Nash equilibria of a non-degenerate game, via label covering."""
+def require_nondegenerate(g: BimatrixGame) -> None:
+    """Raise DegenerateGame, with the offending vertex attached, unless g is
+    non-degenerate."""
     ok, witness = check_nondegenerate(g)
     if not ok:
         pt = "(" + ", ".join(str(v) for v in witness.point) + ")"
@@ -128,6 +231,11 @@ def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
             f"vertex {pt} carries labels {sorted(witness.labels)}",
             witness=witness,
         )
+
+
+def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
+    """All Nash equilibria of a non-degenerate game, via label covering."""
+    require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
     out = []
     pv = enumerate_vertices(build_polyhedron(g, "P"))
@@ -140,7 +248,9 @@ def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
             eq = EquilibriumPoint(
                 s, payoff1=vq.point[g.n], payoff2=vp.point[g.m]
             )
-            flag, _, _ = is_nash(g, s)
-            assert flag, "completely labeled pair failed the equilibrium check"
+            if not is_nash(g, s)[0]:
+                raise InternalInvariantError(
+                    "completely labeled pair failed the equilibrium check"
+                )
             out.append(eq)
     return tuple(sorted(out, key=lambda e: e.key()))

@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rank1nash import format_game, generate_kt
+from rank1nash import (
+    InternalInvariantError,
+    equilibria_by_labels,
+    format_game,
+    generate_kt,
+    load_game,
+    polytopes,
+)
 from rank1nash.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 @pytest.fixture
@@ -79,6 +90,41 @@ def test_enumerate_wrong_rank(demo_path):
 
 def test_enumerate_degenerate(degen_path):
     assert main(["enumerate", degen_path]) == 2
+
+
+# path commands on a degenerate game: the paths are not well defined there
+PATH_COMMANDS = (["lh", "--r", "1"], ["lh", "--all"], ["gprime"])
+
+
+def test_paths_degenerate(degen_path, capsys):
+    for cmd, *rest in PATH_COMMANDS:
+        assert main([cmd, degen_path, *rest]) == 2
+        assert capsys.readouterr().err.startswith("degenerate game: vertex")
+
+
+def test_paths_degenerate_under_optimize(degen_path):
+    # -O strips asserts: the rejection must not rest on one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    for cmd, *rest in PATH_COMMANDS:
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "rank1nash.cli", cmd, degen_path, *rest],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert out.returncode == 2, out.stdout + out.stderr
+
+
+def test_failed_equilibrium_check_exits_5(demo_path, monkeypatch, capsys):
+    monkeypatch.setattr(polytopes, "is_nash", lambda g, s: (False, None, None))
+    with pytest.raises(InternalInvariantError):
+        equilibria_by_labels(load_game(demo_path))
+    assert main(["labels", demo_path]) == 5
+    assert "InternalInvariantError" in capsys.readouterr().err
 
 
 def test_oracle_and_labels(demo_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_rank1_game
 from rank1nash import (
+    BimatrixGame,
     DegenerateGame,
     build_lh_graphs,
     equilibria_by_labels,
@@ -90,6 +91,15 @@ def test_terminals_are_nash_on_random_games():
             assert ok
             assert p.terminal.key() in keys
         done += 1
+
+
+def test_paths_reject_degenerate_game():
+    # every payoff 1: the equilibria form a continuum, so no path is defined
+    g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
+    for call in (lambda g: lh_run(g, 1), reachability, gprime_components):
+        with pytest.raises(DegenerateGame) as info:
+            call(g)
+        assert len(info.value.witness.labels) > 2
 
 
 def test_lh_run_rejects_bad_label(unreach22):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,13 +11,39 @@ from conftest import random_game
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
+    InternalInvariantError,
+    LabeledVertex,
+    SingularMatrix,
     build_polyhedron,
     check_nondegenerate,
     enumerate_vertices,
     equilibria_by_labels,
+    generate_kt,
     rat,
 )
-from rank1nash.linalg import vdot
+from rank1nash.linalg import RMatrix, solve, vdot
+from rank1nash.polytopes import _feasible_bases, _pivot
+
+
+def _subset_scan(p):
+    """Reference vertex enumeration: solve every (dim-1)-subset of the
+    inequality rows together with the equality, keep the feasible points,
+    and read each point's labels off the rows tight there."""
+    seen = {}
+    for subset in combinations(p.ineq, p.dim - 1):
+        rows = [coeffs for coeffs, _ in subset] + [p.eq[0]]
+        rhs = [r for _, r in subset] + [p.eq[1]]
+        try:
+            point = solve(RMatrix.from_rows(rows), rhs)
+        except SingularMatrix:
+            continue
+        if point in seen or any(vdot(c, point) > r for c, r in p.ineq):
+            continue
+        labels = frozenset(
+            l for l, (c, r) in enumerate(p.ineq, start=1) if vdot(c, point) == r
+        )
+        seen[point] = LabeledVertex(point, labels)
+    return tuple(sorted(seen.values(), key=lambda v: v.point))
 
 
 def _vertex_map(g, which):
@@ -120,3 +147,54 @@ def test_equilibria_by_labels_rejects_degenerate():
     g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
     with pytest.raises(DegenerateGame):
         equilibria_by_labels(g)
+
+
+def test_pivot_walk_matches_subset_scan():
+    # every shape 1x1..4x4; narrow payoff ranges make many draws degenerate,
+    # and a third of the draws have fractional payoffs
+    rng = random.Random(6113)
+    games = [generate_kt(d) for d in range(1, 5)]
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for draw in range(9):
+                span = (1, 2, 9)[draw % 3]
+                den = 1 if draw < 6 else 7
+                payoffs = [
+                    [[rat(rng.randint(-span, span), rng.randint(1, den))
+                      for _ in range(n)] for _ in range(m)]
+                    for _ in range(2)
+                ]
+                games.append(BimatrixGame.from_payoffs(*payoffs))
+    degenerate = 0
+    for g in games:
+        for which in ("P", "Q"):
+            poly = build_polyhedron(g, which)
+            assert enumerate_vertices(poly) == _subset_scan(poly), (g, which)
+        degenerate += not check_nondegenerate(g)[0]
+    assert degenerate > 0
+
+
+def test_walk_visits_every_feasible_basis():
+    # small entries force ratio-test ties; branching on every tied row must
+    # reach each feasible basis, not only one basis per vertex
+    rng = random.Random(7207)
+    for _ in range(60):
+        k, d = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[rng.randint(1, 3) for _ in range(d)] for _ in range(k)]
+        full = [row + [int(c == r) for c in range(k)] for r, row in enumerate(mat)]
+        feasible = set()
+        for cols in combinations(range(d + k), k):
+            square = RMatrix.from_rows([[row[c] for c in cols] for row in full])
+            try:
+                z = solve(square, [1] * k)
+            except SingularMatrix:
+                continue
+            if min(z) >= 0:
+                feasible.add(frozenset(cols))
+        assert {frozenset(b) for b, _ in _feasible_bases(mat)} == feasible, mat
+
+
+def test_pivot_rejects_inexact_division():
+    # a determinant that is not the previous pivot breaks Bareiss exactness
+    with pytest.raises(InternalInvariantError):
+        _pivot([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
