@@ -1,0 +1,37 @@
+"""Byte-identical CLI output of `enumerate --trace` on every corpus game.
+
+tests/golden/<game>.txt and <game>.json hold the stdout of
+`rank1nash enumerate corpus/<game>.game --trace` and of the same command
+with `--json`: the equilibria, the sweep table and the breakpoint records.
+exit_codes.json holds the exit code both commands give. A change to the
+sweep that alters any of these fails here; if the change is intended,
+regenerate a file with the command above.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from rank1nash.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+def test_golden_covers_the_corpus():
+    games = sorted(p.stem for p in (ROOT / "corpus").glob("*.game"))
+    assert games == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+@pytest.mark.parametrize("game", sorted(EXIT_CODES))
+def test_enumerate_matches_golden(game, suffix, capsys):
+    argv = ["enumerate", str(ROOT / "corpus" / f"{game}.game"), "--trace"]
+    if suffix == "json":
+        argv.append("--json")
+    assert main(argv) == EXIT_CODES[game]
+    assert capsys.readouterr().out == (GOLDEN / f"{game}.{suffix}").read_text()

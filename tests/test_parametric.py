@@ -312,3 +312,64 @@ def test_general_dispatch_never_sees_constant_c():
             continue
         if tr.dispatch == "general":
             assert tr.xi_min < tr.xi_max
+
+
+def _sweep_oracle_labels(g):
+    tr = enumerate_all(g)
+    keys = [e.key() for e in tr.equilibria]
+    assert keys == [e.key() for e in support_enumeration(g).equilibria]
+    assert keys == [e.key() for e in equilibria_by_labels(g)]
+    return tr
+
+
+def test_tied_minimum_of_c():
+    # min c = -12 is attained by columns 1 and 3, so the slice of Q at
+    # xi_min is an edge, not a vertex
+    g = random_rank1_game(random.Random(14), 4, 3)
+    tr = _sweep_oracle_labels(g)
+    assert tr.factorization.c == (-12, 6, -12)
+    assert [(bp.xi, bp.kind, bp.leaving, bp.entering) for bp in tr.breakpoints] == [
+        (rat(-54, 7), "Optimality", 1, 6),
+        (rat(-2), "Feasibility", 12, 8),
+        (rat(0), "Optimality", 3, 5),
+        (rat(6, 5), "Feasibility", 11, 14),
+        (rat(126, 53), "Optimality", 7, 4),
+        (rat(3), "Optimality", 5, 3),
+    ]
+    assert [e.source_xi for e in tr.equilibria] == [-12, -2, 6]
+
+
+@pytest.mark.parametrize(
+    "seed, m, n, kinds",
+    [
+        (19, 5, 2, ["Both", "Optimality"]),
+        (
+            173,
+            5,
+            4,
+            [
+                "Feasibility",
+                "Optimality",
+                "Feasibility",
+                "Optimality",
+                "Both",
+                "Optimality",
+                "Optimality",
+            ],
+        ),
+    ],
+)
+def test_both_breakpoint_takes_the_feasibility_pivot(seed, m, n, kinds):
+    # past a "Both" breakpoint the Q-side row that breaks feasibility
+    # enters; the next basis is optimal only at that point, and its own
+    # optimality breakpoint moves the P side
+    g = random_rank1_game(random.Random(seed), m, n)
+    tr = _sweep_oracle_labels(g)
+    assert [bp.kind for bp in tr.breakpoints] == kinds
+    both = kinds.index("Both")
+    bp, iv = tr.breakpoints[both], tr.intervals[both]
+    assert bp.entering == iv.alpha2_row
+    assert bp.leaving > m + n  # rows past m+n are the Q side
+    after = tr.intervals[both + 1]
+    assert after.xi1 == after.xi2 == bp.xi
+    assert after.case == "Optimality"
