@@ -19,12 +19,18 @@ is constant in xi while their dual multipliers are affine; Q-side rows touch
 (y, pi1), affine in xi with constant duals. Feasibility breakpoints therefore
 always name a Q-side row and optimality breakpoints a P-side row, and pivots
 stay within one side.
+
+The sweep is a parametric simplex: one pivot per breakpoint, chosen by the
+ratio test of the side the breakpoint names (a dual ratio test on Q past a
+feasibility breakpoint, a primal one on P past an optimality breakpoint),
+so each breakpoint costs one extra square solve. The first basis pairs a P
+vertex with the point where an edge of Q crosses the slice c^T y = xi_min;
+Q's vertices are already known from the non-degeneracy check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     DegenerateGame,
@@ -33,7 +39,6 @@ from .errors import (
     IdenticallyZero,
     Infeasible,
     InternalInvariantError,
-    NotRankOne,
     SingularBasis,
     SingularMatrix,
     Stalled,
@@ -42,7 +47,6 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumPoint,
-    General,
     MixedStrategyPair,
     RankOneFactorization,
     RowConstant,
@@ -180,8 +184,11 @@ class ParametricBasis:
         return cls(i_l, j_l, m, n)
 
 
-def _row_side(t: ParametricTableau, row: int) -> str:
-    return "P" if row <= t.m + t.n else "Q"
+def _basis_matrix(t: ParametricTableau, basis: ParametricBasis) -> RMatrix:
+    """The basis rows of M1, ascending, stacked on M2."""
+    return RMatrix.from_rows(
+        [t.m1.entries[r - 1] for r in basis.rows] + list(t.m2.entries)
+    )
 
 
 def solve_basis(
@@ -189,9 +196,7 @@ def solve_basis(
 ) -> tuple[AffineRVector, AffineRVector]:
     """Affine primal z(xi) and full dual u(xi) (length K+3) for one basis."""
     rows = basis.rows
-    s = RMatrix.from_rows(
-        [t.m1.entries[r - 1] for r in rows] + list(t.m2.entries)
-    )
+    s = _basis_matrix(t, basis)
     nb = len(rows)
     try:
         z = solve_square(
@@ -356,11 +361,13 @@ def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
     """An optimal basis at xi, built from the two sides independently.
 
     P side: vertices of P ranked by xi b^T x - pi2 (descending). Q side:
-    vertices of Q sliced with c^T y = xi, found by solving every (n-1)-subset
-    of Q rows against the two equalities, ranked by pi1 (ascending). The
-    first pair whose combined basis is optimal at xi (its interval contains
-    xi) is returned; ranking makes that almost always the first try, while
-    degenerate slice endpoints fall through to the next candidate.
+    vertices of Q sliced with c^T y = xi. Each lies on an edge of Q, a pair
+    of Q vertices sharing n-1 labels whose c^T y values straddle xi and
+    differ; the shared labels are its Q-side basis and pi1 is interpolated
+    along the edge. They are ranked by pi1 (ascending). The first pair whose
+    combined basis is optimal at xi (its interval contains xi) is returned;
+    ranking makes that almost always the first try, while degenerate slice
+    endpoints fall through to the next candidate.
     """
     xi = rat(xi)
     m, n = t.m, t.n
@@ -375,25 +382,22 @@ def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
         p_cands.append((value, tuple(sorted(v.labels))))
     p_cands.sort(key=lambda kv: (-kv[0], kv[1]))
 
-    q_poly = build_polyhedron(g, "Q")
+    ends: dict[frozenset[int], list] = {}
+    for v in enumerate_vertices(build_polyhedron(g, "Q")):
+        for l in v.labels:
+            ends.setdefault(v.labels - {l}, []).append(v)
     q_cands = []
-    for j_labels in combinations(range(1, m + n + 1), n - 1):
-        rows = [q_poly.ineq[l - 1][0] for l in j_labels]
-        rhs = [q_poly.ineq[l - 1][1] for l in j_labels]
-        rows.append(q_poly.eq[0])
-        rhs.append(q_poly.eq[1])
-        rows.append(tuple(c) + (rat(0),))
-        rhs.append(xi)
-        try:
-            point = solve_square(RMatrix.from_rows(rows), rhs).const
-        except SingularMatrix:
+    for j_labels, verts in ends.items():
+        if len(j_labels) != n - 1 or len(verts) != 2:
+            continue  # a ray of Q, or not an edge
+        (lo_c, lo_pi1), (hi_c, hi_pi1) = sorted(
+            (vdot(c, v.point[:n]), v.point[n]) for v in verts
+        )
+        if lo_c == hi_c or not lo_c <= xi <= hi_c:
             continue
-        if any(
-            vdot(coeffs, point) > r for coeffs, r in q_poly.ineq
-        ):
-            continue
-        q_cands.append((point[n], j_labels))
-    q_cands.sort(key=lambda kv: (kv[0], kv[1]))
+        pi1 = lo_pi1 + (xi - lo_c) / (hi_c - lo_c) * (hi_pi1 - lo_pi1)
+        q_cands.append((pi1, tuple(sorted(j_labels))))
+    q_cands.sort()
 
     for _, i_labels in p_cands:
         for _, j_labels in q_cands:
@@ -410,53 +414,53 @@ def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
 
 
 def advance(t: ParametricTableau, iv: BasisInterval) -> ParametricBasis:
-    """The basis taking over just past iv.xi2.
+    """The basis taking over just past iv.xi2: one simplex pivot.
 
-    Candidate swaps come from the breakpoint kind: past a feasibility
-    breakpoint the violated row enters and a same-side basic row leaves;
-    past an optimality breakpoint the row with the vanishing dual leaves
-    and a same-side nonbasic row enters. Each candidate is accepted only
-    if its own interval certifies optimality at xi2, strict progress
-    preferred. Exact arithmetic makes the certificate sound.
+    Let S be the basis rows of M1 stacked on M2. Past a feasibility
+    breakpoint (and past "Both") the violated row alpha2_row enters. Writing
+    it as m1[enter] = S^T lam, the leaving row is the basic M1 row l with
+    lam_l > 0 that minimises u_l(xi2) / lam_l (dual ratio test). Past an
+    optimality breakpoint the row beta2_row, whose dual vanishes, leaves. Its
+    slack grows along d = S^-1 (-e_leave), and the entering row is the
+    nonbasic row r with m1[r] . d > 0 that minimises -m1[r] . z(xi2) /
+    (m1[r] . d) (primal ratio test). Ties go to the lowest row. The caller
+    certifies the result with the new basis's own interval.
     """
     xi2 = iv.xi2
     case = iv.case
     if case is None:
         raise Stalled(f"interval of basis {iv.basis.rows} has no breakpoint")
-    basis_rows = set(iv.basis.rows)
-    cands: list[tuple[int, int]] = []  # (leaving, entering)
+    rows = iv.basis.rows
+    s = _basis_matrix(t, iv.basis)
     if case in ("Feasibility", "Both"):
         enter = iv.alpha2_row
-        side = _row_side(t, enter)
-        for leave in sorted(r for r in basis_rows if _row_side(t, r) == side):
-            cands.append((leave, enter))
-    if case in ("Optimality", "Both"):
+        lam = solve_square(s.transpose(), t.m1.entries[enter - 1]).const
+        u = iv.u.at(xi2)
+        leave = min(
+            (
+                (u[r - 1] / lam[pos], r)
+                for pos, r in enumerate(rows)
+                if lam[pos] > 0
+            ),
+            default=(None, None),
+        )[1]
+    else:
         leave = iv.beta2_row
-        side = _row_side(t, leave)
-        for enter in sorted(
-            r
-            for r in range(1, t.k_rows + 1)
-            if r not in basis_rows and _row_side(t, r) == side
-        ):
-            cands.append((leave, enter))
-
-    fallback = None
-    for leave, enter in cands:
-        rows = (basis_rows - {leave}) | {enter}
-        nb = ParametricBasis.from_rows(rows, t.m, t.n)
-        try:
-            new_iv = basis_interval(t, nb)
-        except (SingularBasis, EmptyInterval):
-            continue
-        if not (new_iv.xi1 <= xi2 <= new_iv.xi2):
-            continue
-        if new_iv.xi2 > xi2:
-            return nb
-        if fallback is None:
-            fallback = nb
-    if fallback is not None:
-        return fallback
-    raise Stalled(f"no verifiable pivot at xi = {xi2}")
+        unit = [rat(0)] * s.rows
+        unit[rows.index(leave)] = rat(-1)
+        d = solve_square(s, unit).const
+        z = iv.z.at(xi2)
+        enter = min(
+            (
+                (-vdot(row, z) / rate, r)
+                for r, row in enumerate(t.m1.entries, start=1)
+                if r not in rows and (rate := vdot(row, d)) > 0
+            ),
+            default=(None, None),
+        )[1]
+    if leave is None or enter is None:
+        raise Stalled(f"empty ratio test at xi = {xi2}")
+    return ParametricBasis.from_rows((set(rows) - {leave}) | {enter}, t.m, t.n)
 
 
 @dataclass(frozen=True)
@@ -542,31 +546,33 @@ def enumerate_all(
     f = factorization if factorization is not None else factor_rank1(g)
     t = build_tableau(g, f)
     lo, hi = xi_range(t)
-    basis = initial_basis(t, lo)
+    iv = basis_interval(t, initial_basis(t, lo))
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
     found: dict[tuple, EquilibriumPoint] = {}
     visited: set[tuple[int, ...]] = set()
     while True:
-        key = basis.rows
+        key = iv.basis.rows
         if key in visited:
             raise Stalled(f"basis {key} revisited; sweep is cycling")
         visited.add(key)
-        iv = basis_interval(t, basis)
         intervals.append(iv)
         for eq in equilibria_on_interval(t, iv):
             found.setdefault(eq.key(), eq)
         if iv.xi2 >= hi:
             break
-        nxt = advance(t, iv)
-        leaving = set(iv.basis.rows) - set(nxt.rows)
-        entering = set(nxt.rows) - set(iv.basis.rows)
+        nxt = basis_interval(t, advance(t, iv))
+        # the next basis's own interval certifies the pivot
+        if not nxt.xi1 <= iv.xi2 <= nxt.xi2:
+            raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
+        leaving = set(iv.basis.rows) - set(nxt.basis.rows)
+        entering = set(nxt.basis.rows) - set(iv.basis.rows)
         breakpoints.append(
             BreakpointRecord(
                 iv.xi2, iv.case, min(leaving), min(entering)
             )
         )
-        basis = nxt
+        iv = nxt
     return SweepTrace(
         g,
         f,

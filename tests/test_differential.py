@@ -1,0 +1,88 @@
+"""Differential fuzzing: sweep = oracle = labels on random rank-1 games.
+
+Hypothesis draws games of every shape up to 5x5, 1xn and mx1 included, with
+fractional payoffs, built as B = b c^T - A so that rank(A+B) <= 1, and hands
+the sweep the factorization rescaled to (b*lam, c/lam) for a random nonzero
+lam (negative lam reverses the sweep direction). The three methods share no
+search code, so any disagreement is a bug in one of them. Degenerate draws
+are skipped, and each test prints how many it skipped (shown under -s).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from rank1nash import (
+    BimatrixGame,
+    DegenerateGame,
+    RankOneFactorization,
+    enumerate_all,
+    equilibria_by_labels,
+    support_enumeration,
+)
+
+PAYOFF = st.fractions(-9, 9, max_denominator=6)
+
+
+@st.composite
+def rank1_games(draw, sizes_m, sizes_n):
+    m, n = draw(sizes_m), draw(sizes_n)
+    a = draw(st.lists(st.lists(PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(PAYOFF, min_size=m, max_size=m))
+    c = draw(st.lists(PAYOFF, min_size=n, max_size=n))
+    lam = draw(PAYOFF.filter(lambda v: v != 0))
+    g = BimatrixGame.from_payoffs(
+        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+    f = RankOneFactorization.for_game(g, [v * lam for v in b], [v / lam for v in c])
+    return g, f
+
+
+def _agree(g, f, tally: Counter) -> None:
+    tally["drawn"] += 1
+    try:
+        sweep = enumerate_all(g, f).equilibria
+    except DegenerateGame:
+        tally["degenerate"] += 1
+        event("degenerate draw skipped")
+        return
+    want = [(e.key(), e.payoff1, e.payoff2) for e in support_enumeration(g).equilibria]
+    assert [(e.key(), e.payoff1, e.payoff2) for e in sweep] == want
+    assert [(e.key(), e.payoff1, e.payoff2) for e in equilibria_by_labels(g)] == want
+
+
+def _run(check, label: str) -> None:
+    tally: Counter = Counter()
+    check(tally)
+    print(
+        f"{label}: {tally['degenerate']} of {tally['drawn']} draws degenerate "
+        "and skipped"
+    )
+    # a run that skipped every draw compared nothing
+    assert tally["drawn"] > tally["degenerate"]
+
+
+def test_sweep_matches_oracle_and_labels_on_thin_games():
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            rank1_games(st.just(1), st.integers(1, 5)),
+            rank1_games(st.integers(1, 5), st.just(1)),
+        )
+    )
+    def check(tally, game):
+        _agree(*game, tally)
+
+    _run(check, "1xn and mx1")
+
+
+def test_sweep_matches_oracle_and_labels_up_to_5x5():
+    @settings(max_examples=120, deadline=None)
+    @given(rank1_games(st.integers(2, 5), st.integers(2, 5)))
+    def check(tally, game):
+        _agree(*game, tally)
+
+    _run(check, "2x2 to 5x5")

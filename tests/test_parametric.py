@@ -13,6 +13,7 @@ from rank1nash import (
     FactorizationMismatch,
     ParametricBasis,
     RankOneFactorization,
+    Stalled,
     advance,
     basis_interval,
     build_tableau,
@@ -104,6 +105,9 @@ def test_advance_chain(kt2_tab):
         b = advance(t, basis_interval(t, b))
         seen.append(b.rows)
     assert seen == [(2, 3, 5), (3, 4, 5), (3, 4, 6), (1, 4, 6)]
+    # past xi_max = 4 the slice c^T y = xi is empty: no row can leave
+    with pytest.raises(Stalled, match="empty ratio test"):
+        advance(t, basis_interval(t, b))
 
 
 def test_enumerate_kt2_with_explicit_factor():
@@ -373,3 +377,62 @@ def test_both_breakpoint_takes_the_feasibility_pivot(seed, m, n, kinds):
     after = tr.intervals[both + 1]
     assert after.xi1 == after.xi2 == bp.xi
     assert after.case == "Optimality"
+
+
+def _counting_games():
+    for d in range(2, 6):
+        yield generate_kt(d)
+    rng = random.Random(6021)
+    done = 0
+    while done < 8:
+        g = random_rank1_game(rng, rng.randint(2, 5), rng.randint(2, 5))
+        try:
+            tr = enumerate_all(g)
+        except DegenerateGame:
+            continue
+        if tr.dispatch == "general":
+            done += 1
+            yield g
+
+
+def test_one_pivot_per_breakpoint(monkeypatch):
+    # each call is recorded with the names of the wrapped calls it is inside
+    from rank1nash import linalg, parametric
+
+    stack: list[str] = []
+    calls: list[tuple[str, set[str]]] = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, set(stack)))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    for name in ("basis_interval", "advance", "initial_basis", "solve_square"):
+        monkeypatch.setattr(parametric, name, counted(name, getattr(parametric, name)))
+    monkeypatch.setattr(
+        linalg, "solve_square", counted("solve_square", linalg.solve_square)
+    )
+
+    def count(name, inside=None, outside=frozenset()):
+        return sum(
+            1
+            for n, enclosing in calls
+            if n == name
+            and (inside is None or inside in enclosing)
+            and not outside & enclosing
+        )
+
+    for g in _counting_games():
+        calls.clear()
+        tr = enumerate_all(g)
+        assert count("basis_interval", inside="advance") == 0
+        sweep = count("basis_interval", outside={"advance", "initial_basis"})
+        assert sweep == len(tr.intervals)
+        assert count("solve_square", inside="advance") == len(tr.breakpoints)
+        assert count("solve_square", "initial_basis", {"basis_interval"}) == 0
