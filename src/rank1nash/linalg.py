@@ -159,7 +159,7 @@ def solve_square(
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], prow)]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], prow)]
     return AffineRVector(
         const=tuple(a[i][n] for i in range(n)),
         slope=tuple(a[i][n + 1] for i in range(n)),

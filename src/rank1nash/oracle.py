@@ -15,8 +15,13 @@ from .linalg import Rational, rat, vdot
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Equilibria found, plus a flag when the search saw signs of degeneracy
-    (zero probability on a claimed support, or an off-support best reply)."""
+    """Equilibria found, plus a flag when the search saw signs of degeneracy.
+
+    The flag is raised only by a candidate that is nonnegative and has no
+    better reply off its supports, and that also has a free variable in its
+    square indifference system, a zero probability on its support, or an
+    off-support strategy tied with the best reply.
+    """
 
     equilibria: tuple[EquilibriumPoint, ...]
     degenerate_suspect: bool
@@ -53,6 +58,14 @@ def _solve_unique(rows: list[list[Rational]], rhs: list[Rational]):
     return ("many" if len(pivots) < nc else "unique"), tuple(sol)
 
 
+def _spread(size: int, support, vals) -> tuple[Rational, ...]:
+    """A full mixed strategy from its values on a support."""
+    out = [rat(0)] * size
+    for k, p in zip(support, vals):
+        out[k] = p
+    return tuple(out)
+
+
 def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
     """Enumerate equilibria by candidate supports.
 
@@ -86,46 +99,24 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
                 if st2 == "none":
                     continue
                 xvals, v = sol[:k1], sol[k1]
-                if "many" in (st1, st2):
-                    if k1 == k2:
-                        # a square indifference system with free variables
-                        # hints at a continuum of solutions
-                        suspect = True
-                        continue
+                if "many" in (st1, st2) and k1 != k2:
                     # unequal sizes are under-determined by construction;
                     # only a fully verified basic solution means anything,
                     # and such a hit itself proves degeneracy
                     if any(p < 0 for p in xvals) or any(p < 0 for p in yvals):
                         continue
-                    x = [rat(0)] * m
-                    for i, p in zip(s1, xvals):
-                        x[i] = p
-                    y = [rat(0)] * n
-                    for j, p in zip(s2, yvals):
-                        y[j] = p
-                    ok, u1, u2 = is_nash(
-                        g, MixedStrategyPair(tuple(x), tuple(y))
-                    )
+                    x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
+                    ok, u1, u2 = is_nash(g, MixedStrategyPair(x, y))
                     if ok:
                         suspect = True
                         eq = EquilibriumPoint(
-                            MixedStrategyPair(tuple(x), tuple(y)),
-                            payoff1=u1,
-                            payoff2=u2,
+                            MixedStrategyPair(x, y), payoff1=u1, payoff2=u2
                         )
                         found.setdefault(eq.key(), eq)
                     continue
                 if any(p < 0 for p in xvals) or any(p < 0 for p in yvals):
                     continue
-                if any(p == 0 for p in xvals) or any(p == 0 for p in yvals):
-                    suspect = True
-                    continue
-                x = [rat(0)] * m
-                for i, p in zip(s1, xvals):
-                    x[i] = p
-                y = [rat(0)] * n
-                for j, p in zip(s2, yvals):
-                    y[j] = p
+                x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
                 off_rows = [vdot(g.A[i], y) for i in range(m) if i not in s1]
                 off_cols = [
                     vdot(x, [g.B[i][j] for i in range(m)])
@@ -134,10 +125,16 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
                 ]
                 if any(w > u for w in off_rows) or any(w > v for w in off_cols):
                     continue
+                # the candidate is a best reply pair; free variables in a
+                # square indifference system hint at a continuum of
+                # solutions, and a zero probability at a smaller support
+                if "many" in (st1, st2) or any(p == 0 for p in xvals + yvals):
+                    suspect = True
+                    continue
                 if any(w == u for w in off_rows) or any(w == v for w in off_cols):
                     suspect = True
                 eq = EquilibriumPoint(
-                    MixedStrategyPair(tuple(x), tuple(y)), payoff1=u, payoff2=v
+                    MixedStrategyPair(x, y), payoff1=u, payoff2=v
                 )
                 found.setdefault(eq.key(), eq)
     ordered = tuple(sorted(found.values(), key=lambda e: e.key()))

@@ -14,23 +14,30 @@ are A y <= 1 pi1, rows m+n+m+1..K are -y <= 0. M2 holds the equalities
 (1..m+n) and n-1 of the Q-side rows tight; with the three equality rows that
 is a square system in the m+n+2 unknowns.
 
-The LP decomposes: P-side rows touch (x, pi2) only, so their basis solution
-is constant in xi while their dual multipliers are affine; Q-side rows touch
-(y, pi1), affine in xi with constant duals. Feasibility breakpoints therefore
-always name a Q-side row and optimality breakpoints a P-side row, and pivots
-stay within one side.
+The LP decomposes: P-side rows and 1^T x = 1 touch (x, pi2) only, so their
+basis solution is constant in xi while their dual multipliers are affine;
+Q-side rows, 1^T y = 1 and c^T y = xi touch (y, pi1), affine in xi with
+constant duals. The square system is therefore block diagonal, and each
+block (size m+1 for P, n+1 for Q) is solved on its own. Feasibility
+breakpoints always name a Q-side row and optimality breakpoints a P-side
+row, so a pivot changes one side only; each side's block is solved once per
+set of basic rows and kept on the tableau, and the block of the side that
+did not move is reused.
 
 The sweep is a parametric simplex: one pivot per breakpoint, chosen by the
-ratio test of the side the breakpoint names (a dual ratio test on Q past a
-feasibility breakpoint, a primal one on P past an optimality breakpoint),
-so each breakpoint costs one extra square solve. The first basis pairs a P
-vertex with the point where an edge of Q crosses the slice c^T y = xi_min;
-Q's vertices are already known from the non-degeneracy check.
+ratio test of the side the breakpoint names (a dual ratio test on the Q
+block past a feasibility breakpoint, a primal one on the P block past an
+optimality breakpoint), so each breakpoint costs one square solve of that
+block plus the two solves of the moved side's new block. The first basis
+pairs a P vertex with the point where an edge of Q crosses the slice
+c^T y = xi_min; Q's vertices are already known from the non-degeneracy
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DegenerateGame,
@@ -69,6 +76,13 @@ from .linalg import (
 from .polytopes import build_polyhedron, enumerate_vertices, require_nondegenerate
 
 
+# the two sides of the basis system: P owns M1 rows 1..m+n, the M2 row
+# 1^T x = 1 and the unknowns (x, pi2); Q owns rows m+n+1..K, the M2 rows
+# 1^T y = 1 and c^T y = xi and the unknowns (y, pi1)
+P, Q = "P", "Q"
+_SIDE_EQS = {P: (0,), Q: (1, 2)}
+
+
 @dataclass(frozen=True)
 class ParametricTableau:
     game: BimatrixGame
@@ -80,6 +94,9 @@ class ParametricTableau:
     e2_slope: tuple[Rational, ...]  # (0, 0, 1)
     dual_rhs_const: tuple[Rational, ...]  # (0,...,0, -1, -1)
     dual_rhs_slope: tuple[Rational, ...]  # (b, 0,...,0, 0, 0)
+    # solved diagonal blocks of basis systems, keyed by (side, basic rows):
+    # each side's block is solved once for as long as the tableau lives
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -96,6 +113,24 @@ class ParametricTableau:
     @property
     def n_vars(self) -> int:
         return self.game.m + self.game.n + 2
+
+    def _side_of(self, row: int) -> str:
+        """The side that owns a 1-based M1 row."""
+        return P if row <= self.m + self.n else Q
+
+    @cached_property
+    def _side_cols(self) -> dict[str, tuple[int, ...]]:
+        """The unknowns (positions in z) of each side."""
+        m, n = self.m, self.n
+        return {P: (*range(m), m + n + 1), Q: tuple(range(m, m + n + 1))}
+
+    @cached_property
+    def _side_rows(self) -> tuple[tuple[Rational, ...], ...]:
+        """Each M1 row restricted to the unknowns of its own side."""
+        return tuple(
+            tuple(row[k] for k in self._side_cols[self._side_of(r)])
+            for r, row in enumerate(self.m1.entries, start=1)
+        )
 
 
 def build_tableau(
@@ -184,39 +219,83 @@ class ParametricBasis:
         return cls(i_l, j_l, m, n)
 
 
-def _basis_matrix(t: ParametricTableau, basis: ParametricBasis) -> RMatrix:
-    """The basis rows of M1, ascending, stacked on M2."""
-    return RMatrix.from_rows(
-        [t.m1.entries[r - 1] for r in basis.rows] + list(t.m2.entries)
+@dataclass(frozen=True)
+class _Block:
+    """One diagonal block of a basis system, solved.
+
+    The block holds the basic M1 rows of one side, then that side's M2 rows,
+    restricted to that side's unknowns; z solves block z = rhs and w solves
+    block^T w = dual rhs, both restricted to the side.
+    """
+
+    rows: tuple[int, ...]  # basic M1 rows of the side, 1-based, ascending
+    matrix: RMatrix
+    z: AffineRVector  # the side's unknowns, in _side_cols order
+    w: AffineRVector  # duals of the block's rows, in matrix order
+
+
+def _block(t: ParametricTableau, basis: ParametricBasis, side: str) -> _Block:
+    """The solved block of one side of a basis, memoised on the tableau."""
+    # basis rows ascend, so the m P-side rows come first
+    rows = basis.rows[: t.m] if side == P else basis.rows[t.m :]
+    key = (side, rows)
+    hit = t._solved.get(key)
+    if hit is None:
+        try:
+            hit = _solve_block(t, side, rows)
+        except SingularMatrix as exc:
+            hit = str(exc)  # a singular block is remembered by its message
+        t._solved[key] = hit
+    if isinstance(hit, str):
+        raise SingularBasis(hit)
+    return hit
+
+
+def _solve_block(t: ParametricTableau, side: str, rows: tuple[int, ...]) -> _Block:
+    cols, eqs = t._side_cols[side], _SIDE_EQS[side]
+    matrix = RMatrix(
+        len(cols),
+        len(cols),
+        tuple(t._side_rows[r - 1] for r in rows)
+        + tuple(tuple(t.m2.entries[e][k] for k in cols) for e in eqs),
     )
+    pad = (rat(0),) * len(rows)
+    z = solve_square(
+        matrix,
+        pad + tuple(t.e2_const[e] for e in eqs),
+        pad + tuple(t.e2_slope[e] for e in eqs),
+    )
+    w = solve_square(
+        matrix.transpose(),
+        tuple(t.dual_rhs_const[k] for k in cols),
+        tuple(t.dual_rhs_slope[k] for k in cols),
+    )
+    return _Block(rows, matrix, z, w)
 
 
 def solve_basis(
     t: ParametricTableau, basis: ParametricBasis
 ) -> tuple[AffineRVector, AffineRVector]:
-    """Affine primal z(xi) and full dual u(xi) (length K+3) for one basis."""
-    rows = basis.rows
-    s = _basis_matrix(t, basis)
-    nb = len(rows)
-    try:
-        z = solve_square(
-            s,
-            (rat(0),) * nb + t.e2_const,
-            (rat(0),) * nb + t.e2_slope,
-        )
-        w = solve_square(s.transpose(), t.dual_rhs_const, t.dual_rhs_slope)
-    except SingularMatrix as exc:
-        raise SingularBasis(str(exc)) from exc
+    """Affine primal z(xi) and full dual u(xi) (length K+3) for one basis.
+
+    The basis system S (the basis rows of M1 stacked on M2) is block
+    diagonal: the P block is the m basic P-side rows with 1^T x = 1 on
+    (x, pi2), the Q block the n-1 basic Q-side rows with 1^T y = 1 and
+    c^T y = xi on (y, pi1). Each block is solved on its own, and at most once
+    per tableau for a given set of rows, since a pivot changes one side only.
+    """
     k = t.k_rows
-    uc = [rat(0)] * (k + 3)
-    us = [rat(0)] * (k + 3)
-    for pos, r in enumerate(rows):
-        uc[r - 1] = w.const[pos]
-        us[r - 1] = w.slope[pos]
-    for pos in range(3):
-        uc[k + pos] = w.const[nb + pos]
-        us[k + pos] = w.slope[nb + pos]
-    return z, AffineRVector(tuple(uc), tuple(us))
+    zero = rat(0)
+    zc, zs = [zero] * t.n_vars, [zero] * t.n_vars
+    uc, us = [zero] * (k + 3), [zero] * (k + 3)
+    for side in (P, Q):
+        blk = _block(t, basis, side)
+        for pos, col in enumerate(t._side_cols[side]):
+            zc[col], zs[col] = blk.z.const[pos], blk.z.slope[pos]
+        duals = [r - 1 for r in blk.rows] + [k + e for e in _SIDE_EQS[side]]
+        for pos, l in enumerate(duals):
+            uc[l], us[l] = blk.w.const[pos], blk.w.slope[pos]
+    return AffineRVector(tuple(zc), tuple(zs)), AffineRVector(tuple(uc), tuple(us))
 
 
 @dataclass(frozen=True)
@@ -254,6 +333,11 @@ class BasisInterval:
 
 def basis_interval(t: ParametricTableau, basis: ParametricBasis) -> BasisInterval:
     z, u = solve_basis(t, basis)
+    # each side's primal, with no slope for a side constant in xi (P always)
+    side_z = {}
+    for side in (P, Q):
+        zb = _block(t, basis, side).z
+        side_z[side] = (zb.const, zb.slope if any(zb.slope) else None)
     lo = hi = None
     lo_row = hi_row = None
     a2 = a2_row = None
@@ -268,10 +352,11 @@ def basis_interval(t: ParametricTableau, basis: ParametricBasis) -> BasisInterva
             if lo is None or bound > lo:
                 lo, lo_row = bound, row
 
-    # primal rows: (M1 z)(xi) <= 0
-    for idx, row in enumerate(t.m1.entries, start=1):
-        c = vdot(row, z.const)
-        s = vdot(row, z.slope)
+    # primal rows: (M1 z)(xi) <= 0, each row on its own side's unknowns
+    for idx, row in enumerate(t._side_rows, start=1):
+        zc, zs = side_z[t._side_of(idx)]
+        c = vdot(row, zc)
+        s = vdot(row, zs) if zs else 0
         if s == 0:
             if c > 0:
                 raise EmptyInterval(f"row {idx} infeasible for every xi")
@@ -416,45 +501,55 @@ def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
 def advance(t: ParametricTableau, iv: BasisInterval) -> ParametricBasis:
     """The basis taking over just past iv.xi2: one simplex pivot.
 
-    Let S be the basis rows of M1 stacked on M2. Past a feasibility
-    breakpoint (and past "Both") the violated row alpha2_row enters. Writing
-    it as m1[enter] = S^T lam, the leaving row is the basic M1 row l with
-    lam_l > 0 that minimises u_l(xi2) / lam_l (dual ratio test). Past an
-    optimality breakpoint the row beta2_row, whose dual vanishes, leaves. Its
-    slack grows along d = S^-1 (-e_leave), and the entering row is the
-    nonbasic row r with m1[r] . d > 0 that minimises -m1[r] . z(xi2) /
-    (m1[r] . d) (primal ratio test). Ties go to the lowest row. The caller
-    certifies the result with the new basis's own interval.
+    The pivot stays on the side the breakpoint names, so it needs only that
+    side's block of the basis system (see solve_basis). Past a feasibility
+    breakpoint (and past "Both") the violated Q-side row alpha2_row enters.
+    Writing it as m1[enter] = Q^T lam over the Q block, the leaving row is the
+    basic Q-side row l with lam_l > 0 that minimises u_l(xi2) / lam_l (dual
+    ratio test). Past an optimality breakpoint the P-side row beta2_row,
+    whose dual vanishes, leaves. Its slack grows along d = P^-1 (-e_leave)
+    over the P block, and the entering row is the nonbasic P-side row r with
+    m1[r] . d > 0 that minimises -m1[r] . z(xi2) / (m1[r] . d) (primal ratio
+    test). Ties go to the lowest row. The caller certifies the result with
+    the new basis's own interval.
     """
     xi2 = iv.xi2
     case = iv.case
     if case is None:
         raise Stalled(f"interval of basis {iv.basis.rows} has no breakpoint")
     rows = iv.basis.rows
-    s = _basis_matrix(t, iv.basis)
     if case in ("Feasibility", "Both"):
-        enter = iv.alpha2_row
-        lam = solve_square(s.transpose(), t.m1.entries[enter - 1]).const
-        u = iv.u.at(xi2)
+        side, row = Q, iv.alpha2_row
+    else:
+        side, row = P, iv.beta2_row
+    if t._side_of(row) != side:
+        raise InternalInvariantError(
+            f"{case} breakpoint at xi = {xi2} names row {row} of the other side"
+        )
+    blk = _block(t, iv.basis, side)
+    if side == Q:
+        enter = row
+        lam = solve_square(blk.matrix.transpose(), t._side_rows[enter - 1]).const
+        u = blk.w.at(xi2)
         leave = min(
             (
-                (u[r - 1] / lam[pos], r)
-                for pos, r in enumerate(rows)
+                (u[pos] / lam[pos], r)
+                for pos, r in enumerate(blk.rows)
                 if lam[pos] > 0
             ),
             default=(None, None),
         )[1]
     else:
-        leave = iv.beta2_row
-        unit = [rat(0)] * s.rows
-        unit[rows.index(leave)] = rat(-1)
-        d = solve_square(s, unit).const
-        z = iv.z.at(xi2)
+        leave = row
+        unit = [rat(0)] * blk.matrix.rows
+        unit[blk.rows.index(leave)] = rat(-1)
+        d = solve_square(blk.matrix, unit).const
+        z = blk.z.at(xi2)
         enter = min(
             (
-                (-vdot(row, z) / rate, r)
-                for r, row in enumerate(t.m1.entries, start=1)
-                if r not in rows and (rate := vdot(row, d)) > 0
+                (-vdot(prow, z) / rate, r)
+                for r, prow in enumerate(t._side_rows[: t.m + t.n], start=1)
+                if r not in blk.rows and (rate := vdot(prow, d)) > 0
             ),
             default=(None, None),
         )[1]

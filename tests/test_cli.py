@@ -137,6 +137,22 @@ def test_oracle_and_labels(demo_path, capsys):
     assert "labels={2,4}|{1,3,5}" in out
 
 
+def test_oracle_no_false_degeneracy_warning(tmp_path, capsys):
+    # zero-sum 5x3 game whose four duplicate rows are never best replies:
+    # their square support systems are singular, yet the game is
+    # non-degenerate, so the oracle must not warn
+    rows = ["0 0 -1"] * 4 + ["1 1 0"]
+    neg = ["0 0 1"] * 4 + ["-1 -1 0"]
+    p = tmp_path / "zs53.game"
+    p.write_text("5 3\n" + "\n".join(rows + neg) + "\n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "non-degenerate\n"
+    assert main(["oracle", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "equilibria: 1\nx=(0, 0, 0, 0, 1) y=(0, 0, 1) payoffs=(0, 0)\n"
+    assert captured.err == ""
+
+
 def test_lh_single_and_all(unreach_path, capsys):
     assert main(["lh", unreach_path, "--r", "1"]) == 0
     out = capsys.readouterr().out

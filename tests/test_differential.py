@@ -49,7 +49,10 @@ def _agree(g, f, tally: Counter) -> None:
         tally["degenerate"] += 1
         event("degenerate draw skipped")
         return
-    want = [(e.key(), e.payoff1, e.payoff2) for e in support_enumeration(g).equilibria]
+    oracle = support_enumeration(g)
+    # the game passed the non-degeneracy check, so the oracle has no suspicion
+    assert not oracle.degenerate_suspect
+    want = [(e.key(), e.payoff1, e.payoff2) for e in oracle.equilibria]
     assert [(e.key(), e.payoff1, e.payoff2) for e in sweep] == want
     assert [(e.key(), e.payoff1, e.payoff2) for e in equilibria_by_labels(g)] == want
 

@@ -28,6 +28,7 @@ from rank1nash import (
     xi_range,
     zero_sum_dual_coincidence,
 )
+from rank1nash.linalg import AffineRVector, RMatrix, solve_square, vdot
 
 
 @pytest.fixture
@@ -379,8 +380,97 @@ def test_both_breakpoint_takes_the_feasibility_pivot(seed, m, n, kinds):
     assert after.case == "Optimality"
 
 
+def _dense_solve_basis(t, basis):
+    """Reference: the whole (m+n+2)-square basis system, solved densely."""
+    rows = basis.rows
+    s = RMatrix.from_rows([t.m1.entries[r - 1] for r in rows] + list(t.m2.entries))
+    nb = len(rows)
+    z = solve_square(s, (rat(0),) * nb + t.e2_const, (rat(0),) * nb + t.e2_slope)
+    w = solve_square(s.transpose(), t.dual_rhs_const, t.dual_rhs_slope)
+    k = t.k_rows
+    uc, us = [rat(0)] * (k + 3), [rat(0)] * (k + 3)
+    for pos, l in enumerate([r - 1 for r in rows] + [k, k + 1, k + 2]):
+        uc[l], us[l] = w.const[pos], w.slope[pos]
+    return s, z, AffineRVector(tuple(uc), tuple(us))
+
+
+def _dense_pivot(t, iv):
+    """Reference: advance's (leaving, entering) rows from the dense system."""
+    rows = iv.basis.rows
+    s, z, u = _dense_solve_basis(t, iv.basis)
+    if iv.case in ("Feasibility", "Both"):
+        enter = iv.alpha2_row
+        lam = solve_square(s.transpose(), t.m1.entries[enter - 1]).const
+        uv = u.at(iv.xi2)
+        ratios = [(uv[r - 1] / lam[p], r) for p, r in enumerate(rows) if lam[p] > 0]
+        return min(ratios)[1], enter
+    leave = iv.beta2_row
+    unit = [rat(0)] * s.rows
+    unit[rows.index(leave)] = rat(-1)
+    d = solve_square(s, unit).const
+    zv = z.at(iv.xi2)
+    ratios = [
+        (-vdot(row, zv) / rate, r)
+        for r, row in enumerate(t.m1.entries, start=1)
+        if r not in rows and (rate := vdot(row, d)) > 0
+    ]
+    return leave, min(ratios)[1]
+
+
+def _fractional_rank1_game(rng, m, n):
+    def draw():
+        return rat(rng.randint(-30, 30), rng.randint(1, 7))
+
+    a = [[draw() for _ in range(n)] for _ in range(m)]
+    b, c = [draw() for _ in range(m)], [draw() for _ in range(n)]
+    return BimatrixGame.from_payoffs(
+        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+
+
+def _differential_sweeps():
+    for d in range(2, 7):
+        yield enumerate_all(generate_kt(d))
+    rng = random.Random(3607)
+    done = 0
+    while done < 20:
+        g = _fractional_rank1_game(rng, rng.randint(2, 5), rng.randint(2, 5))
+        try:
+            tr = enumerate_all(g)
+        except DegenerateGame:
+            continue
+        if tr.dispatch != "general":
+            continue
+        done += 1
+        yield tr
+        f = tr.factorization
+        for lam in (rat(-2), rat(1, 3)):
+            yield enumerate_all(
+                g,
+                RankOneFactorization.for_game(
+                    g, [v * lam for v in f.b], [v / lam for v in f.c]
+                ),
+            )
+
+
+def test_block_solves_match_dense_reference():
+    # the sweep solves the two diagonal blocks of each basis system; the
+    # whole system solved densely must give the same z, u and pivots
+    pivots = 0
+    for tr in _differential_sweeps():
+        t = build_tableau(tr.game, tr.factorization)
+        for iv in tr.intervals:
+            _, z, u = _dense_solve_basis(t, iv.basis)
+            assert (iv.z, iv.u) == (z, u)
+            assert solve_basis(t, iv.basis) == (z, u)
+        for iv, bp in zip(tr.intervals, tr.breakpoints):
+            assert _dense_pivot(t, iv) == (bp.leaving, bp.entering)
+            pivots += 1
+    assert pivots > 100
+
+
 def _counting_games():
-    for d in range(2, 6):
+    for d in range(2, 7):
         yield generate_kt(d)
     rng = random.Random(6021)
     done = 0
@@ -400,11 +490,11 @@ def test_one_pivot_per_breakpoint(monkeypatch):
     from rank1nash import linalg, parametric
 
     stack: list[str] = []
-    calls: list[tuple[str, set[str]]] = []
+    calls: list[tuple[str, set[str], tuple]] = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, set(stack)))
+            calls.append((name, set(stack), args))
             stack.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -422,7 +512,7 @@ def test_one_pivot_per_breakpoint(monkeypatch):
     def count(name, inside=None, outside=frozenset()):
         return sum(
             1
-            for n, enclosing in calls
+            for n, enclosing, _ in calls
             if n == name
             and (inside is None or inside in enclosing)
             and not outside & enclosing
@@ -436,3 +526,10 @@ def test_one_pivot_per_breakpoint(monkeypatch):
         assert sweep == len(tr.intervals)
         assert count("solve_square", inside="advance") == len(tr.breakpoints)
         assert count("solve_square", "initial_basis", {"basis_interval"}) == 0
+        # each side's block is solved once per set of basic rows, by one
+        # primal and one dual solve, however many bases share that side
+        bases = [args[1] for n, _, args in calls if n == "basis_interval"]
+        sides = {("P", b.i_labels) for b in bases} | {("Q", b.j_labels) for b in bases}
+        assert count("solve_square", outside={"advance"}) == 2 * len(sides)
+        if g == generate_kt(6):
+            assert (len(tr.intervals), len(bases)) == (20, 25)
