@@ -11,14 +11,6 @@ class SingularMatrix(Rank1NashError):
     """Square solve attempted on a singular matrix."""
 
 
-class IrrationalInteriorZero(Rank1NashError):
-    """A quadratic has an irrational root strictly inside the query interval."""
-
-
-class IdenticallyZero(Rank1NashError):
-    """The quadratic is the zero polynomial; its zero set is not finite."""
-
-
 class NotRankOne(Rank1NashError):
     """Operation requires a payoff-sum matrix of rank exactly one."""
 

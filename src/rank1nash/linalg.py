@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: square affine solves, rank, quadratic zeros.
+"""Exact rational linear algebra: square affine solves, rank, affine functions.
 
 Everything here is pure and works on immutable values. Rationals are
 ``gmpy2.mpq`` when gmpy2 is importable and ``fractions.Fraction`` otherwise;
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .errors import (
-    IdenticallyZero,
-    InternalInvariantError,
-    IrrationalInteriorZero,
-    SingularMatrix,
-)
+from .errors import InternalInvariantError, SingularMatrix
 
 try:
     from gmpy2 import mpq as _Q
@@ -68,28 +63,8 @@ class RMatrix:
             raise ValueError("empty matrix")
         return cls(len(ent), len(ent[0]), ent)
 
-    @classmethod
-    def identity(cls, n: int) -> "RMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Rational, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "RMatrix":
         return RMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
-    def matmul(self, other: "RMatrix") -> "RMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        return RMatrix.from_rows(
-            [[vdot(r, c) for c in ot.entries] for r in self.entries]
-        )
 
     def mat_vec(self, v: Sequence[Rational]) -> tuple[Rational, ...]:
         return tuple(vdot(r, v) for r in self.entries)
@@ -115,16 +90,14 @@ class AffineRVector:
 
 
 @dataclass(frozen=True)
-class QuadraticR:
-    """Quadratic c2*xi^2 + c1*xi + c0 with rational coefficients."""
+class AffineR:
+    """Scalar affine function of one parameter: c0 + c1 * xi."""
 
     c0: Rational
     c1: Rational
-    c2: Rational
 
     def at(self, xi: Rational) -> Rational:
-        x = rat(xi)
-        return (self.c2 * x + self.c1) * x + self.c0
+        return self.c0 + self.c1 * rat(xi)
 
 
 def solve_square(
@@ -135,6 +108,8 @@ def solve_square(
     """Solve M z(xi) = rhs_const + xi * rhs_slope exactly.
 
     Raises SingularMatrix when M is singular. A None slope means zero slope.
+    The entries of M are used as given, so they must be ints or rationals;
+    the right-hand sides are converted, which makes the result rational.
     """
     n = m.rows
     if m.cols != n:
@@ -145,8 +120,7 @@ def solve_square(
         raise ValueError("rhs length mismatch")
     # augmented rows: [coefficients | const | slope]
     a = [
-        [rat(x) for x in m.entries[i]] + [rat(rhs_const[i]), rat(rhs_slope[i])]
-        for i in range(n)
+        [*m.entries[i], rat(rhs_const[i]), rat(rhs_slope[i])] for i in range(n)
     ]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -154,7 +128,7 @@ def solve_square(
             raise SingularMatrix(f"no pivot in column {col}")
         a[col], a[piv] = a[piv], a[col]
         prow = a[col]
-        inv = 1 / prow[col]
+        inv = 1 / rat(prow[col])
         a[col] = prow = [x * inv for x in prow]
         for r in range(n):
             if r != col and a[r][col] != 0:
@@ -206,70 +180,3 @@ def matrix_rank(m: RMatrix) -> int:
         if r0 == rows:
             break
     return rank
-
-
-def rational_sqrt(x: Rational) -> Rational | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    p, q = int(x.numerator), int(x.denominator)
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return _Q(rp) / _Q(rq)
-    return None
-
-
-def _irrational_root_strictly_inside(q: QuadraticR, lo, hi) -> bool:
-    # q has two distinct irrational real roots; endpoints are rational, so
-    # sign tests at lo/hi decide containment exactly.
-    flo, fhi = q.at(lo), q.at(hi)
-    if flo * fhi < 0:
-        return True
-    vx = -q.c1 / (2 * q.c2)
-    if not (lo < vx < hi):
-        return False
-    if q.c2 > 0:
-        return flo > 0 and fhi > 0
-    return flo < 0 and fhi < 0
-
-
-def quadratic_zeros_in_interval(
-    q: QuadraticR,
-    lo: Rational,
-    hi: Rational,
-    nonpositive_hint: bool = False,
-) -> list[Rational]:
-    """All rational zeros of q in [lo, hi], ascending.
-
-    ``nonpositive_hint`` records the caller's promise that q <= 0 on the whole
-    interval (interior zeros are then double roots, hence rational). The root
-    computation below is exact either way; an irrational root strictly inside
-    the interval raises IrrationalInteriorZero - without the hint it means the
-    answer would be incomplete, with it that the promise was broken.
-    """
-    lo, hi = rat(lo), rat(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if q.c0 == 0 and q.c1 == 0 and q.c2 == 0:
-        raise IdenticallyZero("zero polynomial has no finite zero set")
-    if q.c2 == 0:
-        if q.c1 == 0:
-            return []
-        roots = [-q.c0 / q.c1]
-    else:
-        disc = q.c1 * q.c1 - 4 * q.c0 * q.c2
-        if disc < 0:
-            return []
-        if disc == 0:
-            roots = [-q.c1 / (2 * q.c2)]
-        else:
-            s = rational_sqrt(disc)
-            if s is None:
-                if _irrational_root_strictly_inside(q, lo, hi):
-                    raise IrrationalInteriorZero(
-                        "irrational zero strictly inside interval"
-                        + (" (nonpositive hint violated)" if nonpositive_hint else "")
-                    )
-                return []
-            roots = [(-q.c1 - s) / (2 * q.c2), (-q.c1 + s) / (2 * q.c2)]
-    return sorted({r for r in roots if lo <= r <= hi})

@@ -2,10 +2,15 @@
 
 With A + B = b c^T the equilibrium condition becomes a one-parameter family
 of LPs: fix xi = c^T y, maximize (x^T b) xi - pi1 - pi2 over the product of
-the two best-reply polyhedra sliced at c^T y = xi. The optimal value is a
-piecewise quadratic in xi, nonpositive everywhere, and its zeros are exactly
+the two best-reply polyhedra sliced at c^T y = xi. The optimal value is
+piecewise linear in xi, nonpositive everywhere, and its zeros are exactly
 the equilibria. The sweep walks optimal bases of this LP from xi_min to
-xi_max, collecting the zeros of each basis objective.
+xi_max. A basis fixes x, so its objective is linear in xi and, being
+nonpositive on the basis's interval, vanishes only at an end of it (or on
+all of it, which a non-degenerate game rules out); the equilibria are read
+off the interval ends. When c is constant (zero-sum and row-constant games)
+the range of xi is one point, and the sweep reduces to its two extremes
+there: the P vertex maximising xi b^T x - pi2 and the Q vertex of least pi1.
 
 Constraint rows of M1 (1-based, z = (x, y, pi1, pi2), K = 2(m+n) rows):
 rows 1..m are -x <= 0, rows m+1..m+n are B^T x <= 1 pi2, rows m+n+1..m+n+m
@@ -43,7 +48,6 @@ from .errors import (
     DegenerateGame,
     EmptyInterval,
     FactorizationMismatch,
-    IdenticallyZero,
     Infeasible,
     InternalInvariantError,
     SingularBasis,
@@ -54,26 +58,21 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumPoint,
+    General,
     MixedStrategyPair,
     RankOneFactorization,
-    RowConstant,
     ZeroSum,
     classify_special,
     factor_rank1,
     is_nash,
-    reduce_row_constant,
 )
-from .linalg import (
-    AffineRVector,
-    QuadraticR,
-    RMatrix,
-    Rational,
-    quadratic_zeros_in_interval,
-    rat,
-    solve_square,
-    vdot,
+from .linalg import AffineR, AffineRVector, RMatrix, Rational, rat, solve_square, vdot
+from .polytopes import (
+    LabeledVertex,
+    build_polyhedron,
+    enumerate_vertices,
+    require_nondegenerate,
 )
-from .polytopes import build_polyhedron, enumerate_vertices, require_nondegenerate
 
 
 # the two sides of the basis system: P owns M1 rows 1..m+n, the M2 row
@@ -316,7 +315,7 @@ class BasisInterval:
     beta2: Rational | None
     alpha2_row: int | None
     beta2_row: int | None
-    objective: QuadraticR
+    objective: AffineR  # xi b^T x - pi1 - pi2 along the basis
 
     @property
     def case(self) -> str | None:
@@ -391,11 +390,11 @@ def basis_interval(t: ParametricTableau, basis: ParametricBasis) -> BasisInterva
         raise EmptyInterval(f"basis optimal on no xi (got [{lo}, {hi}])")
 
     m, n = t.m, t.n
-    pc = vdot(t.factorization.b, z.const[:m])
-    ps = vdot(t.factorization.b, z.slope[:m])
-    pi1c, pi1s = z.const[m + n], z.slope[m + n]
-    pi2c, pi2s = z.const[m + n + 1], z.slope[m + n + 1]
-    obj = QuadraticR(c0=-pi1c - pi2c, c1=pc - pi1s - pi2s, c2=ps)
+    # x and pi2 come from the P block, which is constant in xi
+    obj = AffineR(
+        c0=-z.const[m + n] - z.const[m + n + 1],
+        c1=vdot(t.factorization.b, z.const[:m]) - z.slope[m + n],
+    )
     return BasisInterval(
         basis=basis,
         z=z,
@@ -413,33 +412,43 @@ def basis_interval(t: ParametricTableau, basis: ParametricBasis) -> BasisInterva
 def equilibria_on_interval(
     t: ParametricTableau, iv: BasisInterval
 ) -> tuple[EquilibriumPoint, ...]:
-    """Zeros of the interval objective, converted to equilibria."""
-    try:
-        zeros = quadratic_zeros_in_interval(
-            iv.objective, iv.xi1, iv.xi2, nonpositive_hint=True
+    """The ends of the interval where its objective is 0, as equilibria.
+
+    The objective is affine in xi and nonpositive wherever the basis is
+    feasible, so a zero inside the interval means it is 0 on all of it: a
+    continuum of equilibria, which only a degenerate game has. The points
+    are not checked here; enumerate_all checks each distinct one once.
+    """
+    ends = (iv.xi1,) if iv.xi1 == iv.xi2 else (iv.xi1, iv.xi2)
+    values = [iv.objective.at(xi) for xi in ends]
+    if any(v > 0 for v in values):
+        raise InternalInvariantError(
+            f"objective positive at an end of [{iv.xi1}, {iv.xi2}]"
         )
-    except IdenticallyZero as exc:
+    zeros = [xi for xi, v in zip(ends, values) if v == 0]
+    if len(zeros) == 2:
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
-        ) from exc
+        )
     m, n = t.m, t.n
     out = []
     for xi in zeros:
         zv = iv.z.at(xi)
-        s = MixedStrategyPair(zv[:m], zv[m : m + n])
-        if not is_nash(t.game, s)[0]:
-            raise InternalInvariantError(
-                "objective zero failed the equilibrium check"
-            )
         out.append(
             EquilibriumPoint(
-                s,
+                MixedStrategyPair(zv[:m], zv[m : m + n]),
                 payoff1=zv[m + n],
                 payoff2=zv[m + n + 1],
                 source_xi=xi,
             )
         )
     return tuple(out)
+
+
+def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
+    """xi b^T x - pi2 at a vertex (x, pi2) of P: the P side's share of the
+    objective, maximised over P by the optimal basis."""
+    return xi * vdot(b, v.point[: len(b)]) - v.point[len(b)]
 
 
 def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
@@ -463,8 +472,7 @@ def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
     for v in enumerate_vertices(build_polyhedron(g, "P")):
         if len(v.labels) != m:
             continue
-        value = xi * vdot(b, v.point[:m]) - v.point[m]
-        p_cands.append((value, tuple(sorted(v.labels))))
+        p_cands.append((_p_value(xi, b, v), tuple(sorted(v.labels))))
     p_cands.sort(key=lambda kv: (-kv[0], kv[1]))
 
     ends: dict[frozenset[int], list] = {}
@@ -580,12 +588,10 @@ class SweepTrace:
     equilibria: tuple[EquilibriumPoint, ...]
 
 
-def _minimax_vertex(g: BimatrixGame, which: str):
-    """Unique payoff-minimizing vertex of P or Q; ties mean degeneracy."""
-    verts = enumerate_vertices(build_polyhedron(g, which))
-    last = g.m if which == "P" else g.n
-    best = min(v.point[last] for v in verts)
-    hits = [v for v in verts if v.point[last] == best]
+def _least_payoff(verts, which: str) -> LabeledVertex:
+    """The unique vertex of least last coordinate; ties mean degeneracy."""
+    best = min(v.point[-1] for v in verts)
+    hits = [v for v in verts if v.point[-1] == best]
     if len(hits) != 1:
         raise DegenerateGame(
             f"{which} has {len(hits)} payoff-minimizing vertices",
@@ -594,25 +600,34 @@ def _minimax_vertex(g: BimatrixGame, which: str):
     return hits[0]
 
 
-def _solve_special(
-    g: BimatrixGame, dispatch: str, source_xi: Rational
-) -> EquilibriumPoint:
-    """Zero-sum core: best guaranteed payoffs on both sides meet at the
-    unique equilibrium. Row-constant games reduce to this after shifting B."""
-    cls = classify_special(g)
-    if isinstance(cls, RowConstant):
-        reduced = reduce_row_constant(g, cls.u)
-    else:
-        reduced = g
-    vp = _minimax_vertex(reduced, "P")
-    vq = _minimax_vertex(reduced, "Q")
-    s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
+def _one_point_sweep(
+    g: BimatrixGame, f: RankOneFactorization | None, dispatch: str
+) -> SweepTrace:
+    """The sweep over the one-point range of a game whose c is constant.
+
+    The slice c^T y = xi is then all of Q, so the optimal pair is the P
+    vertex maximising xi b^T x - pi2 (P's vertices are shifted to
+    (x, pi2 - xi b^T x) and minimised) with the Q vertex of least pi1. A
+    zero-sum game has no factors; it is the case b = 0, xi = 0.
+    """
+    m, n = g.m, g.n
+    xi, b = (f.c[0], f.b) if f is not None else (rat(0), (rat(0),) * m)
+    vp = _least_payoff(
+        [
+            LabeledVertex((*v.point[:m], -_p_value(xi, b, v)), v.labels)
+            for v in enumerate_vertices(build_polyhedron(g, "P"))
+        ],
+        "P",
+    )
+    vq = _least_payoff(enumerate_vertices(build_polyhedron(g, "Q")), "Q")
+    s = MixedStrategyPair(vp.point[:m], vq.point[:n])
     flag, u1, u2 = is_nash(g, s)
     if not flag:
         raise InternalInvariantError(
             f"{dispatch} candidate failed the equilibrium check"
         )
-    return EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=source_xi)
+    eq = EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=xi)
+    return SweepTrace(g, f, dispatch, xi, xi, (), (), (eq,))
 
 
 def enumerate_all(
@@ -620,23 +635,18 @@ def enumerate_all(
 ) -> SweepTrace:
     """All Nash equilibria of a non-degenerate game with rank(A+B) <= 1.
 
-    Zero-sum games (A+B = 0) and row-constant games collapse to a single LP
-    and contribute their unique equilibrium; everything else runs the
-    parametric sweep. NotRankOne is raised when rank(A+B) >= 2,
-    DegenerateGame when the non-degeneracy check fails.
+    Zero-sum games (A+B = 0) and row-constant games have a constant c, so
+    the sweep's range is one point, where it reduces to its two extremes
+    and gives their unique equilibrium. NotRankOne is raised when
+    rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails.
+    Each distinct equilibrium is checked once with is_nash.
     """
     require_nondegenerate(g)
     cls = classify_special(g)
     if isinstance(cls, ZeroSum):
-        eq = _solve_special(g, "zero-sum", rat(0))
-        return SweepTrace(
-            g, None, "zero-sum", rat(0), rat(0), (), (), (eq,)
-        )
-    if isinstance(cls, RowConstant):
-        f = factor_rank1(g)
-        xi = f.c[0]
-        eq = _solve_special(g, "row-constant", xi)
-        return SweepTrace(g, f, "row-constant", xi, xi, (), (), (eq,))
+        return _one_point_sweep(g, None, "zero-sum")
+    if not isinstance(cls, General):
+        return _one_point_sweep(g, factor_rank1(g), "row-constant")
 
     f = factorization if factorization is not None else factor_rank1(g)
     t = build_tableau(g, f)
@@ -653,7 +663,13 @@ def enumerate_all(
         visited.add(key)
         intervals.append(iv)
         for eq in equilibria_on_interval(t, iv):
-            found.setdefault(eq.key(), eq)
+            if eq.key() in found:
+                continue
+            if not is_nash(g, eq.strategies)[0]:
+                raise InternalInvariantError(
+                    "objective zero failed the equilibrium check"
+                )
+            found[eq.key()] = eq
         if iv.xi2 >= hi:
             break
         nxt = basis_interval(t, advance(t, iv))

@@ -3,9 +3,12 @@
 Hypothesis draws games of every shape up to 5x5, 1xn and mx1 included, with
 fractional payoffs, built as B = b c^T - A so that rank(A+B) <= 1, and hands
 the sweep the factorization rescaled to (b*lam, c/lam) for a random nonzero
-lam (negative lam reverses the sweep direction). The three methods share no
-search code, so any disagreement is a bug in one of them. Degenerate draws
-are skipped, and each test prints how many it skipped (shown under -s).
+lam (negative lam reverses the sweep direction). Random b and c almost
+never make c constant, so zero-sum (B = -A) and row-constant (B = u 1^T - A)
+games, where the sweep's range is one point, are drawn on their own. The
+three methods share no search code, so any disagreement is a bug in one of
+them. Degenerate draws are skipped, and each test prints how many it skipped
+(shown under -s).
 """
 
 from __future__ import annotations
@@ -41,20 +44,35 @@ def rank1_games(draw, sizes_m, sizes_n):
     return g, f
 
 
-def _agree(g, f, tally: Counter) -> None:
+@st.composite
+def one_point_games(draw, sizes):
+    """Zero-sum and row-constant games: A + B = u 1^T, u = 0 for zero-sum."""
+    m, n = draw(sizes), draw(sizes)
+    a = draw(st.lists(st.lists(PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m))
+    u = draw(st.one_of(st.just([0] * m), st.lists(PAYOFF, min_size=m, max_size=m)))
+    g = BimatrixGame.from_payoffs(
+        a, [[u[i] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+    return g, None
+
+
+def _agree(g, f, tally: Counter) -> str | None:
+    """Compare the three methods on g; return the sweep's dispatch label."""
     tally["drawn"] += 1
     try:
-        sweep = enumerate_all(g, f).equilibria
+        trace = enumerate_all(g, f)
     except DegenerateGame:
         tally["degenerate"] += 1
         event("degenerate draw skipped")
-        return
+        return None
+    sweep = trace.equilibria
     oracle = support_enumeration(g)
     # the game passed the non-degeneracy check, so the oracle has no suspicion
     assert not oracle.degenerate_suspect
     want = [(e.key(), e.payoff1, e.payoff2) for e in oracle.equilibria]
     assert [(e.key(), e.payoff1, e.payoff2) for e in sweep] == want
     assert [(e.key(), e.payoff1, e.payoff2) for e in equilibria_by_labels(g)] == want
+    return trace.dispatch
 
 
 def _run(check, label: str) -> None:
@@ -89,3 +107,12 @@ def test_sweep_matches_oracle_and_labels_up_to_5x5():
         _agree(*game, tally)
 
     _run(check, "2x2 to 5x5")
+
+
+def test_sweep_matches_oracle_and_labels_on_zero_sum_and_row_constant():
+    @settings(max_examples=80, deadline=None)
+    @given(one_point_games(st.integers(1, 5)))
+    def check(tally, game):
+        assert _agree(*game, tally) in (None, "zero-sum", "row-constant")
+
+    _run(check, "zero-sum and row-constant")

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rationals, solver, rank, quadratic zeros."""
+"""Exact linear algebra: rationals, solver, rank, affine functions."""
 
 from __future__ import annotations
 
@@ -9,19 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rank1nash.errors import (
-    IdenticallyZero,
-    IrrationalInteriorZero,
-    SingularMatrix,
-)
+from rank1nash.errors import SingularMatrix
 from rank1nash.linalg import (
+    AffineR,
     AffineRVector,
-    QuadraticR,
     RMatrix,
     matrix_rank,
-    quadratic_zeros_in_interval,
     rat,
-    rational_sqrt,
     solve,
     solve_square,
     vdot,
@@ -43,17 +37,24 @@ def test_vdot():
 
 def test_rmatrix_product_golden():
     a = RMatrix.from_rows(((1, 2), (3, 4)))
-    b = RMatrix.from_rows(((0, 1), (1, 0)))
-    assert a.matmul(b).entries == ((2, 1), (4, 3))
     assert a.transpose().entries == ((1, 3), (2, 4))
     assert a.mat_vec((1, 1)) == (3, 7)
-    assert RMatrix.identity(3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_solve_known_system():
     # 2x + y = 5, x - y = 1 has the unique solution (2, 1)
     m = RMatrix.from_rows(((2, 1), (1, -1)))
     assert solve(m, (5, 1)) == (2, 1)
+
+
+def test_solve_square_int_matrix_stays_exact():
+    # matrix entries are used as given; plain ints must still solve exactly
+    m = RMatrix(3, 3, ((2, 1, 0), (1, 3, 1), (0, 1, 4)))
+    z = solve_square(m, (1, 2, 3), (0, 1, -1))
+    # every entry is the backend's rational type, so no float slipped in
+    assert {type(v) for v in z.const + z.slope} == {type(rat(0))}
+    for xi in (rat(0), rat(5, 3)):
+        assert m.mat_vec(z.at(xi)) == (1, 2 + xi, 3 - xi)
 
 
 def test_solve_singular_raises():
@@ -152,67 +153,11 @@ def test_matrix_rank_edge_cases():
     assert matrix_rank(RMatrix.from_rows(((1, 0), (0, 1)))) == 2
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(rat(9, 4)) == rat(3, 2)
-    assert rational_sqrt(rat(0)) == 0
-    assert rational_sqrt(rat(49)) == 7
-    assert rational_sqrt(rat(2)) is None
-    assert rational_sqrt(rat(1, 3)) is None
-
-
-def test_affine_and_quadratic_eval():
+def test_affine_eval():
     v = AffineRVector(const=(rat(1), rat(0)), slope=(rat(2), rat(-1)))
     assert v.at(rat(3)) == (7, -3)
     assert len(v) == 2
-    q = QuadraticR(c0=rat(1), c1=rat(-3), c2=rat(2))
-    assert q.at(rat(0)) == 1
-    assert q.at(rat(1)) == 0
-    assert q.at(rat(1, 2)) == 0
-
-
-def test_quadratic_zeros_linear_and_constant():
-    # 2 xi - 3 vanishes at 3/2
-    assert quadratic_zeros_in_interval(
-        QuadraticR(rat(-3), rat(2), rat(0)), rat(0), rat(2)
-    ) == [rat(3, 2)]
-    assert (
-        quadratic_zeros_in_interval(QuadraticR(rat(5), rat(0), rat(0)), rat(0), rat(2))
-        == []
-    )
-    with pytest.raises(IdenticallyZero):
-        quadratic_zeros_in_interval(
-            QuadraticR(rat(0), rat(0), rat(0)), rat(0), rat(2)
-        )
-
-
-def test_quadratic_zeros_rational_roots():
-    # (xi - 1)(xi - 4) = xi^2 - 5 xi + 4: only the root inside counts
-    q = QuadraticR(rat(4), rat(-5), rat(1))
-    assert quadratic_zeros_in_interval(q, rat(0), rat(2)) == [1]
-    assert quadratic_zeros_in_interval(q, rat(0), rat(6)) == [1, 4]
-    assert quadratic_zeros_in_interval(q, rat(2), rat(3)) == []
-    # interval endpoints are included
-    assert quadratic_zeros_in_interval(q, rat(1), rat(2)) == [1]
-    # double root: -(xi - 1)^2 stays nonpositive
-    q2 = QuadraticR(rat(-1), rat(2), rat(-1))
-    assert quadratic_zeros_in_interval(q2, rat(0), rat(2)) == [1]
-
-
-def test_quadratic_zeros_irrational():
-    # xi^2 - 2 changes sign inside [0, 2] at sqrt(2)
-    q = QuadraticR(rat(-2), rat(0), rat(1))
-    with pytest.raises(IrrationalInteriorZero):
-        quadratic_zeros_in_interval(q, rat(0), rat(2))
-    # both irrational roots strictly inside, no sign change at the ends:
-    # xi^2 - 6 xi + 7 has roots 3 +- sqrt(2)
-    q2 = QuadraticR(rat(7), rat(-6), rat(1))
-    with pytest.raises(IrrationalInteriorZero):
-        quadratic_zeros_in_interval(q2, rat(0), rat(6))
-    # same polynomial is zero-free on [0, 1]
-    assert quadratic_zeros_in_interval(q2, rat(0), rat(1)) == []
-
-
-def test_quadratic_zeros_bad_interval():
-    q = QuadraticR(rat(0), rat(1), rat(0))
-    with pytest.raises(ValueError):
-        quadratic_zeros_in_interval(q, rat(2), rat(1))
+    f = AffineR(c0=rat(1), c1=rat(-3))
+    assert f.at(rat(0)) == 1
+    assert f.at(rat(1, 3)) == 0
+    assert f.at(2) == -5

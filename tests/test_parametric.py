@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from rank1nash import (
     BimatrixGame,
     DegenerateGame,
     FactorizationMismatch,
+    InternalInvariantError,
     ParametricBasis,
     RankOneFactorization,
     Stalled,
@@ -19,6 +21,7 @@ from rank1nash import (
     build_tableau,
     enumerate_all,
     equilibria_by_labels,
+    equilibria_on_interval,
     generate_kt,
     initial_basis,
     rat,
@@ -28,7 +31,7 @@ from rank1nash import (
     xi_range,
     zero_sum_dual_coincidence,
 )
-from rank1nash.linalg import AffineRVector, RMatrix, solve_square, vdot
+from rank1nash.linalg import AffineR, AffineRVector, RMatrix, solve_square, vdot
 
 
 @pytest.fixture
@@ -96,6 +99,25 @@ def test_interval_of_initial_basis(kt2_tab):
     # phi(2) = 0 at the left end, negative inside
     assert iv.objective.at(rat(2)) == 0
     assert iv.objective.at(rat(9, 4)) < 0
+
+
+def test_equilibria_read_at_interval_ends(kt2_tab):
+    iv = basis_interval(kt2_tab, ParametricBasis.from_rows((2, 3, 5), 2, 2))
+    eqs = equilibria_on_interval(kt2_tab, iv)
+    assert [(e.key(), e.source_xi) for e in eqs] == [
+        (((rat(1), rat(0)), (rat(1), rat(0))), 2)
+    ]
+    # an objective that is 0 at both ends is 0 on the whole interval
+    flat = replace(iv, objective=AffineR(rat(0), rat(0)))
+    with pytest.raises(DegenerateGame, match="vanishes on a whole interval"):
+        equilibria_on_interval(kt2_tab, flat)
+    # the objective of an optimal basis is never positive
+    rising = replace(iv, objective=AffineR(rat(-4), rat(2)))  # 1 at xi = 5/2
+    with pytest.raises(InternalInvariantError, match="objective positive"):
+        equilibria_on_interval(kt2_tab, rising)
+    # on a zero-length interval one end is both ends
+    point = replace(iv, xi2=iv.xi1, objective=AffineR(rat(0), rat(0)))
+    assert [e.source_xi for e in equilibria_on_interval(kt2_tab, point)] == [2]
 
 
 def test_advance_chain(kt2_tab):
@@ -503,7 +525,8 @@ def test_one_pivot_per_breakpoint(monkeypatch):
 
         return wrapper
 
-    for name in ("basis_interval", "advance", "initial_basis", "solve_square"):
+    names = ("basis_interval", "advance", "initial_basis", "solve_square", "is_nash")
+    for name in names:
         monkeypatch.setattr(parametric, name, counted(name, getattr(parametric, name)))
     monkeypatch.setattr(
         linalg, "solve_square", counted("solve_square", linalg.solve_square)
@@ -522,6 +545,8 @@ def test_one_pivot_per_breakpoint(monkeypatch):
         calls.clear()
         tr = enumerate_all(g)
         assert count("basis_interval", inside="advance") == 0
+        # an equilibrium at an end shared by two intervals is checked once
+        assert count("is_nash") == len(tr.equilibria)
         sweep = count("basis_interval", outside={"advance", "initial_basis"})
         assert sweep == len(tr.intervals)
         assert count("solve_square", inside="advance") == len(tr.breakpoints)
