@@ -3,30 +3,28 @@
 The central entry point is :func:`enumerate_all`, which sweeps a scalar
 parameter across a one-dimensional family of linear programs whose optimal
 objective, piecewise linear in the parameter, touches zero exactly at the
-equilibria of the game.  Zero-sum and row-constant games are the sweep's
-two extremes taken at a one-point parameter range.  Two
-independent slower methods, :func:`support_enumeration` and
-:func:`equilibria_by_labels`, are provided for cross-checking, along with
-label-dropping path analysis (:func:`lh_run`, :func:`reachability`,
-:func:`gprime_components`) over the best-response polyhedra.
+equilibria of the game.  The sweep walks the vertex graphs of the two
+best-response polyhedra, one per side, and makes no linear solve.
+Zero-sum and row-constant games are the sweep's two extremes taken at a
+one-point parameter range.  Two other methods,
+:func:`support_enumeration` and :func:`equilibria_by_labels`, are provided
+for cross-checking, along with label-dropping path analysis
+(:func:`lh_run`, :func:`reachability`, :func:`gprime_components`) over the
+same vertex graphs.
 """
 
 from .errors import (
     DegenerateGame,
-    EmptyInterval,
     FactorizationMismatch,
     GameFileError,
-    Infeasible,
     InternalInvariantError,
     NonPositiveScale,
     NotFullRank,
     NotRankOne,
     NotRowConstant,
     Rank1NashError,
-    SingularBasis,
     SingularMatrix,
     Stalled,
-    UnboundedObjective,
 )
 from .linalg import rat
 from .games import (
@@ -81,14 +79,10 @@ from .parametric import (
     ParametricTableau,
     SweepTrace,
     TraceRow,
-    advance,
-    basis_interval,
     binding_rows,
     build_tableau,
     enumerate_all,
     equilibria_on_interval,
-    initial_basis,
-    solve_basis,
     sweep_table,
     xi_range,
     zero_sum_dual_coincidence,
@@ -103,13 +97,11 @@ __all__ = [
     "BimatrixGame",
     "BreakpointRecord",
     "DegenerateGame",
-    "EmptyInterval",
     "EquilibriumPoint",
     "FactorizationMismatch",
     "GPrimeReport",
     "GameFileError",
     "General",
-    "Infeasible",
     "InternalInvariantError",
     "LHGraph",
     "LHPath",
@@ -130,15 +122,11 @@ __all__ = [
     "RowConstant",
     "ScaleColumnOfA",
     "ScaleRowOfB",
-    "SingularBasis",
     "SingularMatrix",
     "Stalled",
     "SweepTrace",
     "TraceRow",
-    "UnboundedObjective",
     "ZeroSum",
-    "advance",
-    "basis_interval",
     "binding_rows",
     "best_response_values",
     "build_lh_graphs",
@@ -155,7 +143,6 @@ __all__ = [
     "game_rank",
     "generate_kt",
     "gprime_components",
-    "initial_basis",
     "is_nash",
     "lh_run",
     "load_game",
@@ -166,7 +153,6 @@ __all__ = [
     "reduce_rank",
     "reduce_row_constant",
     "require_nondegenerate",
-    "solve_basis",
     "support_enumeration",
     "sweep_table",
     "transform",

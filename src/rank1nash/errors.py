@@ -42,24 +42,8 @@ class DegenerateGame(Rank1NashError):
         self.witness = witness
 
 
-class SingularBasis(Rank1NashError):
-    """Basis rows plus equality rows form a singular square system."""
-
-
-class EmptyInterval(Rank1NashError):
-    """A basis is optimal for no parameter value."""
-
-
 class Stalled(Rank1NashError):
     """No verifiable pivot advances the sweep past the current breakpoint."""
-
-
-class Infeasible(Rank1NashError):
-    """No optimal basis exists at the requested parameter value."""
-
-
-class UnboundedObjective(Rank1NashError):
-    """The parametric objective is unbounded; signals a construction bug."""
 
 
 class GameFileError(Rank1NashError):

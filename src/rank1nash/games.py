@@ -96,18 +96,21 @@ class RankOneFactorization:
     def for_game(
         cls, g: BimatrixGame, b: Iterable[Rational], c: Iterable[Rational]
     ) -> "RankOneFactorization":
-        bt = tuple(rat(v) for v in b)
-        ct = tuple(rat(v) for v in c)
-        if len(bt) != g.m or len(ct) != g.n:
+        f = cls(tuple(rat(v) for v in b), tuple(rat(v) for v in c))
+        f.require_matches(g)
+        return f
+
+    def require_matches(self, g: BimatrixGame) -> None:
+        """Raise FactorizationMismatch unless b c^T = A + B."""
+        if len(self.b) != g.m or len(self.c) != g.n:
             raise FactorizationMismatch("factor length mismatch")
         s = g.payoff_sum()
         for i in range(g.m):
             for j in range(g.n):
-                if bt[i] * ct[j] != s[i][j]:
+                if self.b[i] * self.c[j] != s[i][j]:
                     raise FactorizationMismatch(
                         f"b[{i}]*c[{j}] != (A+B)[{i}][{j}]"
                     )
-        return cls(bt, ct)
 
 
 def best_response_values(

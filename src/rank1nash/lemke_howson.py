@@ -3,20 +3,27 @@
 The two graphs carry the polyhedron vertices plus one artificial node per
 side (all x resp. y labels, standing in for the origin); adjacency is purely
 combinatorial: nodes are neighbors when their label sets share all but one
-element. Paths that drop one label r from the artificial pair and chase the
-duplicate label alternately over the two sides terminate at equilibria; the
-product graph glues those paths over all r, and its components expose
-equilibria no such path can reach.
+element. The edges are read off the polyhedron's edge index, where an edge
+with one vertex runs to the origin, the artificial node. Paths that drop one
+label r from the artificial pair and chase the duplicate label alternately
+over the two sides terminate at equilibria; the product graph glues those
+paths over all r, and its components expose equilibria no such path can
+reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InternalInvariantError, Stalled
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .polytopes import build_polyhedron, enumerate_vertices, require_nondegenerate
+from .polytopes import (
+    build_polyhedron,
+    edge_index,
+    enumerate_vertices,
+    require_nondegenerate,
+)
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,14 @@ class LHGraph:
     side: int  # 1 over P, 2 over Q
     nodes: tuple[GraphNode, ...]  # artificial node last
     edges: tuple[tuple[int, int], ...]  # index pairs i < j
+
+    @cached_property
+    def ends(self) -> dict[frozenset[int], tuple[int, int]]:
+        """Each edge, keyed by the labels its two nodes share."""
+        return {
+            self.nodes[a].labels & self.nodes[b].labels: (a, b)
+            for a, b in self.edges
+        }
 
 
 @dataclass(frozen=True)
@@ -57,37 +72,27 @@ def build_lh_graphs(g: BimatrixGame) -> tuple[LHGraph, LHGraph]:
     where label-dropping paths are not well defined."""
     require_nondegenerate(g)
     graphs = []
-    for side, which, nshare, art_labels in (
-        (1, "P", g.m, range(1, g.m + 1)),
-        (2, "Q", g.n, range(g.m + 1, g.m + g.n + 1)),
+    for side, which, art_labels in (
+        (1, "P", range(1, g.m + 1)),
+        (2, "Q", range(g.m + 1, g.m + g.n + 1)),
     ):
-        nodes = [
-            GraphNode(v.labels, v.point)
-            for v in enumerate_vertices(build_polyhedron(g, which))
-        ]
+        verts = enumerate_vertices(build_polyhedron(g, which))
+        nodes = [GraphNode(v.labels, v.point) for v in verts]
         nodes.append(GraphNode(frozenset(art_labels), None))
+        art = len(verts)
         edges = tuple(
-            (i, j)
-            for i in range(len(nodes))
-            for j in range(i + 1, len(nodes))
-            if len(nodes[i].labels & nodes[j].labels) == nshare - 1
+            sorted(
+                ends if len(ends) == 2 else (ends[0], art)
+                for ends in edge_index(verts).values()
+            )
         )
         graphs.append(LHGraph(side, tuple(nodes), edges))
     return graphs[0], graphs[1]
 
 
 def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
-    keep = node.labels - {drop}
-    hits = [
-        other
-        for a, b in graph.edges
-        for other in (
-            (graph.nodes[b],) if graph.nodes[a] == node
-            else (graph.nodes[a],) if graph.nodes[b] == node
-            else ()
-        )
-        if keep <= other.labels
-    ]
+    ends = graph.ends.get(node.labels - {drop}, ())
+    hits = [graph.nodes[k] for k in ends if graph.nodes[k] != node]
     if len(hits) != 1:
         raise InternalInvariantError(
             f"pivot on label {drop} has {len(hits)} targets, not 1"

@@ -15,45 +15,37 @@ there: the P vertex maximising xi b^T x - pi2 and the Q vertex of least pi1.
 Constraint rows of M1 (1-based, z = (x, y, pi1, pi2), K = 2(m+n) rows):
 rows 1..m are -x <= 0, rows m+1..m+n are B^T x <= 1 pi2, rows m+n+1..m+n+m
 are A y <= 1 pi1, rows m+n+m+1..K are -y <= 0. M2 holds the equalities
-1^T x = 1, 1^T y = 1, c^T y = xi. A basis keeps m of the P-side rows
-(1..m+n) and n-1 of the Q-side rows tight; with the three equality rows that
-is a square system in the m+n+2 unknowns.
+1^T x = 1, 1^T y = 1, c^T y = xi. Row l of the P side is label l of P, and
+row m+n+l is label l of Q. A basis keeps m of the P-side rows (1..m+n) and
+n-1 of the Q-side rows tight.
 
-The LP decomposes: P-side rows and 1^T x = 1 touch (x, pi2) only, so their
-basis solution is constant in xi while their dual multipliers are affine;
-Q-side rows, 1^T y = 1 and c^T y = xi touch (y, pi1), affine in xi with
-constant duals. The square system is therefore block diagonal, and each
-block (size m+1 for P, n+1 for Q) is solved on its own. Feasibility
-breakpoints always name a Q-side row and optimality breakpoints a P-side
-row, so a pivot changes one side only; each side's block is solved once per
-set of basic rows and kept on the tableau, and the block of the side that
-did not move is reused.
-
-The sweep is a parametric simplex: one pivot per breakpoint, chosen by the
-ratio test of the side the breakpoint names (a dual ratio test on the Q
-block past a feasibility breakpoint, a primal one on the P block past an
-optimality breakpoint), so each breakpoint costs one square solve of that
-block plus the two solves of the moved side's new block. The first basis
-pairs a P vertex with the point where an edge of Q crosses the slice
-c^T y = xi_min; Q's vertices are already known from the non-degeneracy
-check.
+The LP splits into two one-dimensional problems, one per side, and the
+sweep is a shadow-vertex walk on each (Gass & Saaty 1955; Borgwardt 1987):
+- P: maximise xi b^T x - pi2, a parametric objective. Each vertex v of P
+  gives a line in xi of slope b^T x. The optimum stays at v until the line
+  of a neighbour with a steeper slope crosses v's (beta2, an optimality
+  breakpoint); the label dropped to reach that neighbour leaves, and the
+  label it adds enters.
+- Q: minimise pi1 over Q cut by the moving slice c^T y = xi. The slice
+  point runs along an edge of Q (the n-1 labels its ends share) until it
+  reaches the end of greater c^T y (alpha2, a feasibility breakpoint),
+  where the label that end adds enters. The walk then takes the edge out
+  of that end on which c^T y increases and pi1 grows least per unit of xi.
+A basis pairs a P vertex with a Q edge, so both walks read the vertices and
+the edge index (polytopes.edge_index) of the non-degeneracy check, and the
+sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
+are interpolated along the Q edge. The tableau is kept for the sweep table
+and the zero-sum duality check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateGame,
-    EmptyInterval,
-    FactorizationMismatch,
-    Infeasible,
     InternalInvariantError,
-    SingularBasis,
-    SingularMatrix,
     Stalled,
-    UnboundedObjective,
 )
 from .games import (
     BimatrixGame,
@@ -66,20 +58,15 @@ from .games import (
     factor_rank1,
     is_nash,
 )
-from .linalg import AffineR, AffineRVector, RMatrix, Rational, rat, solve_square, vdot
+from .linalg import AffineR, AffineRVector, RMatrix, Rational, rat, vdot
 from .polytopes import (
     LabeledVertex,
     build_polyhedron,
+    edge_index,
     enumerate_vertices,
+    neighbour,
     require_nondegenerate,
 )
-
-
-# the two sides of the basis system: P owns M1 rows 1..m+n, the M2 row
-# 1^T x = 1 and the unknowns (x, pi2); Q owns rows m+n+1..K, the M2 rows
-# 1^T y = 1 and c^T y = xi and the unknowns (y, pi1)
-P, Q = "P", "Q"
-_SIDE_EQS = {P: (0,), Q: (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -93,9 +80,6 @@ class ParametricTableau:
     e2_slope: tuple[Rational, ...]  # (0, 0, 1)
     dual_rhs_const: tuple[Rational, ...]  # (0,...,0, -1, -1)
     dual_rhs_slope: tuple[Rational, ...]  # (b, 0,...,0, 0, 0)
-    # solved diagonal blocks of basis systems, keyed by (side, basic rows):
-    # each side's block is solved once for as long as the tableau lives
-    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -113,24 +97,6 @@ class ParametricTableau:
     def n_vars(self) -> int:
         return self.game.m + self.game.n + 2
 
-    def _side_of(self, row: int) -> str:
-        """The side that owns a 1-based M1 row."""
-        return P if row <= self.m + self.n else Q
-
-    @cached_property
-    def _side_cols(self) -> dict[str, tuple[int, ...]]:
-        """The unknowns (positions in z) of each side."""
-        m, n = self.m, self.n
-        return {P: (*range(m), m + n + 1), Q: tuple(range(m, m + n + 1))}
-
-    @cached_property
-    def _side_rows(self) -> tuple[tuple[Rational, ...], ...]:
-        """Each M1 row restricted to the unknowns of its own side."""
-        return tuple(
-            tuple(row[k] for k in self._side_cols[self._side_of(r)])
-            for r, row in enumerate(self.m1.entries, start=1)
-        )
-
 
 def build_tableau(
     g: BimatrixGame, factorization: RankOneFactorization | None = None
@@ -143,12 +109,8 @@ def build_tableau(
             f = RankOneFactorization((rat(0),) * g.m, (rat(0),) * g.n)
         else:
             f = factor_rank1(g)
-    for i in range(g.m):
-        for j in range(g.n):
-            if f.b[i] * f.c[j] != s[i][j]:
-                raise FactorizationMismatch("b c^T != A + B")
+    f.require_matches(g)
     m, n = g.m, g.n
-    nv = m + n + 2
     rows = []
     for i in range(m):  # -x_i <= 0
         rows.append([-1 if k == i else 0 for k in range(m)] + [0] * (n + 2))
@@ -219,96 +181,19 @@ class ParametricBasis:
 
 
 @dataclass(frozen=True)
-class _Block:
-    """One diagonal block of a basis system, solved.
-
-    The block holds the basic M1 rows of one side, then that side's M2 rows,
-    restricted to that side's unknowns; z solves block z = rhs and w solves
-    block^T w = dual rhs, both restricted to the side.
-    """
-
-    rows: tuple[int, ...]  # basic M1 rows of the side, 1-based, ascending
-    matrix: RMatrix
-    z: AffineRVector  # the side's unknowns, in _side_cols order
-    w: AffineRVector  # duals of the block's rows, in matrix order
-
-
-def _block(t: ParametricTableau, basis: ParametricBasis, side: str) -> _Block:
-    """The solved block of one side of a basis, memoised on the tableau."""
-    # basis rows ascend, so the m P-side rows come first
-    rows = basis.rows[: t.m] if side == P else basis.rows[t.m :]
-    key = (side, rows)
-    hit = t._solved.get(key)
-    if hit is None:
-        try:
-            hit = _solve_block(t, side, rows)
-        except SingularMatrix as exc:
-            hit = str(exc)  # a singular block is remembered by its message
-        t._solved[key] = hit
-    if isinstance(hit, str):
-        raise SingularBasis(hit)
-    return hit
-
-
-def _solve_block(t: ParametricTableau, side: str, rows: tuple[int, ...]) -> _Block:
-    cols, eqs = t._side_cols[side], _SIDE_EQS[side]
-    matrix = RMatrix(
-        len(cols),
-        len(cols),
-        tuple(t._side_rows[r - 1] for r in rows)
-        + tuple(tuple(t.m2.entries[e][k] for k in cols) for e in eqs),
-    )
-    pad = (rat(0),) * len(rows)
-    z = solve_square(
-        matrix,
-        pad + tuple(t.e2_const[e] for e in eqs),
-        pad + tuple(t.e2_slope[e] for e in eqs),
-    )
-    w = solve_square(
-        matrix.transpose(),
-        tuple(t.dual_rhs_const[k] for k in cols),
-        tuple(t.dual_rhs_slope[k] for k in cols),
-    )
-    return _Block(rows, matrix, z, w)
-
-
-def solve_basis(
-    t: ParametricTableau, basis: ParametricBasis
-) -> tuple[AffineRVector, AffineRVector]:
-    """Affine primal z(xi) and full dual u(xi) (length K+3) for one basis.
-
-    The basis system S (the basis rows of M1 stacked on M2) is block
-    diagonal: the P block is the m basic P-side rows with 1^T x = 1 on
-    (x, pi2), the Q block the n-1 basic Q-side rows with 1^T y = 1 and
-    c^T y = xi on (y, pi1). Each block is solved on its own, and at most once
-    per tableau for a given set of rows, since a pivot changes one side only.
-    """
-    k = t.k_rows
-    zero = rat(0)
-    zc, zs = [zero] * t.n_vars, [zero] * t.n_vars
-    uc, us = [zero] * (k + 3), [zero] * (k + 3)
-    for side in (P, Q):
-        blk = _block(t, basis, side)
-        for pos, col in enumerate(t._side_cols[side]):
-            zc[col], zs[col] = blk.z.const[pos], blk.z.slope[pos]
-        duals = [r - 1 for r in blk.rows] + [k + e for e in _SIDE_EQS[side]]
-        for pos, l in enumerate(duals):
-            uc[l], us[l] = blk.w.const[pos], blk.w.slope[pos]
-    return AffineRVector(tuple(zc), tuple(zs)), AffineRVector(tuple(uc), tuple(us))
-
-
-@dataclass(frozen=True)
 class BasisInterval:
     """One maximal xi-interval on which a basis stays optimal.
 
-    alpha2 is the first xi where primal feasibility breaks (alpha2_row names
-    the violated M1 row), beta2 the first where a basic dual multiplier goes
-    negative (beta2_row names it); xi2 = min of the two.
+    alpha2 is the first xi where primal feasibility breaks: c^T y at the far
+    end of the Q edge, and alpha2_row is the row of the label that end adds.
+    beta2 is the first xi where a basic dual multiplier goes negative: where
+    the line of a steeper neighbour of the P vertex crosses the vertex's
+    own, and beta2_row is the label dropped to reach it (None when no
+    neighbour is steeper). xi2 = min of the two.
     """
 
     basis: ParametricBasis
     z: AffineRVector
-    u: AffineRVector
     xi1: Rational
     xi2: Rational
     alpha2: Rational | None
@@ -330,88 +215,7 @@ class BasisInterval:
         return None
 
 
-def basis_interval(t: ParametricTableau, basis: ParametricBasis) -> BasisInterval:
-    z, u = solve_basis(t, basis)
-    # each side's primal, with no slope for a side constant in xi (P always)
-    side_z = {}
-    for side in (P, Q):
-        zb = _block(t, basis, side).z
-        side_z[side] = (zb.const, zb.slope if any(zb.slope) else None)
-    lo = hi = None
-    lo_row = hi_row = None
-    a2 = a2_row = None
-    b2 = b2_row = None
-
-    def push(bound, row, upper):
-        nonlocal lo, hi, lo_row, hi_row
-        if upper:
-            if hi is None or bound < hi:
-                hi, hi_row = bound, row
-        else:
-            if lo is None or bound > lo:
-                lo, lo_row = bound, row
-
-    # primal rows: (M1 z)(xi) <= 0, each row on its own side's unknowns
-    for idx, row in enumerate(t._side_rows, start=1):
-        zc, zs = side_z[t._side_of(idx)]
-        c = vdot(row, zc)
-        s = vdot(row, zs) if zs else 0
-        if s == 0:
-            if c > 0:
-                raise EmptyInterval(f"row {idx} infeasible for every xi")
-            continue
-        bound = -c / s
-        if s > 0:
-            if a2 is None or bound < a2 or (bound == a2 and idx < a2_row):
-                a2, a2_row = bound, idx
-            push(bound, idx, upper=True)
-        else:
-            push(bound, idx, upper=False)
-    # dual rows: u_l(xi) >= 0 on basic rows
-    for r in basis.rows:
-        c, s = u.const[r - 1], u.slope[r - 1]
-        if s == 0:
-            if c < 0:
-                raise EmptyInterval(f"dual of row {r} negative for every xi")
-            continue
-        bound = -c / s
-        if s < 0:
-            if b2 is None or bound < b2 or (bound == b2 and r < b2_row):
-                b2, b2_row = bound, r
-            push(bound, r, upper=True)
-        else:
-            push(bound, r, upper=False)
-
-    if hi is None:
-        raise UnboundedObjective("no upper bound on the optimality interval")
-    if lo is None:
-        raise UnboundedObjective("no lower bound on the optimality interval")
-    if lo > hi:
-        raise EmptyInterval(f"basis optimal on no xi (got [{lo}, {hi}])")
-
-    m, n = t.m, t.n
-    # x and pi2 come from the P block, which is constant in xi
-    obj = AffineR(
-        c0=-z.const[m + n] - z.const[m + n + 1],
-        c1=vdot(t.factorization.b, z.const[:m]) - z.slope[m + n],
-    )
-    return BasisInterval(
-        basis=basis,
-        z=z,
-        u=u,
-        xi1=lo,
-        xi2=hi,
-        alpha2=a2,
-        beta2=b2,
-        alpha2_row=a2_row,
-        beta2_row=b2_row,
-        objective=obj,
-    )
-
-
-def equilibria_on_interval(
-    t: ParametricTableau, iv: BasisInterval
-) -> tuple[EquilibriumPoint, ...]:
+def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
     """The ends of the interval where its objective is 0, as equilibria.
 
     The objective is affine in xi and nonpositive wherever the basis is
@@ -430,7 +234,7 @@ def equilibria_on_interval(
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
         )
-    m, n = t.m, t.n
+    m, n = iv.basis.m, iv.basis.n
     out = []
     for xi in zeros:
         zv = iv.z.at(xi)
@@ -451,119 +255,106 @@ def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
     return xi * vdot(b, v.point[: len(b)]) - v.point[len(b)]
 
 
-def initial_basis(t: ParametricTableau, xi: Rational) -> ParametricBasis:
-    """An optimal basis at xi, built from the two sides independently.
+class _Walk:
+    """The two vertex walks of a general sweep, over P's vertices and edges
+    and Q's; P vertices and Q vertices are named by their indices."""
 
-    P side: vertices of P ranked by xi b^T x - pi2 (descending). Q side:
-    vertices of Q sliced with c^T y = xi. Each lies on an edge of Q, a pair
-    of Q vertices sharing n-1 labels whose c^T y values straddle xi and
-    differ; the shared labels are its Q-side basis and pi1 is interpolated
-    along the edge. They are ranked by pi1 (ascending). The first pair whose
-    combined basis is optimal at xi (its interval contains xi) is returned;
-    ranking makes that almost always the first try, while degenerate slice
-    endpoints fall through to the next candidate.
-    """
-    xi = rat(xi)
-    m, n = t.m, t.n
-    g = t.game
-    b, c = t.factorization.b, t.factorization.c
+    def __init__(self, g: BimatrixGame, f: RankOneFactorization):
+        self.m, self.n = g.m, g.n
+        self.pv = enumerate_vertices(build_polyhedron(g, "P"))
+        self.qv = enumerate_vertices(build_polyhedron(g, "Q"))
+        self.p_edges, self.q_edges = edge_index(self.pv), edge_index(self.qv)
+        # the slope b^T x of each P vertex's line, and c^T y at each Q vertex
+        self.bx = [vdot(f.b, v.point[: g.m]) for v in self.pv]
+        self.cy = [vdot(f.c, w.point[: g.n]) for w in self.qv]
 
-    p_cands = []
-    for v in enumerate_vertices(build_polyhedron(g, "P")):
-        if len(v.labels) != m:
-            continue
-        p_cands.append((_p_value(xi, b, v), tuple(sorted(v.labels))))
-    p_cands.sort(key=lambda kv: (-kv[0], kv[1]))
+    def start(self, xi: Rational) -> tuple[int, int, int]:
+        """(P vertex, Q edge ends lo, hi) of the first basis, optimal at xi.
 
-    ends: dict[frozenset[int], list] = {}
-    for v in enumerate_vertices(build_polyhedron(g, "Q")):
-        for l in v.labels:
-            ends.setdefault(v.labels - {l}, []).append(v)
-    q_cands = []
-    for j_labels, verts in ends.items():
-        if len(j_labels) != n - 1 or len(verts) != 2:
-            continue  # a ray of Q, or not an edge
-        (lo_c, lo_pi1), (hi_c, hi_pi1) = sorted(
-            (vdot(c, v.point[:n]), v.point[n]) for v in verts
+        The P vertex has the greatest value at xi, ties broken by sorted
+        labels. The Q edge straddles xi with distinct c^T y at its ends and
+        has the least pi1 there, then the least slope, then sorted labels.
+        """
+        pv, qv, cy, n = self.pv, self.qv, self.cy, self.n
+        # the greatest value xi b^T x - pi2 is the least pi2 - xi b^T x
+        k = min(
+            range(len(pv)),
+            key=lambda k: (pv[k].point[self.m] - xi * self.bx[k], sorted(pv[k].labels)),
         )
-        if lo_c == hi_c or not lo_c <= xi <= hi_c:
-            continue
-        pi1 = lo_pi1 + (xi - lo_c) / (hi_c - lo_c) * (hi_pi1 - lo_pi1)
-        q_cands.append((pi1, tuple(sorted(j_labels))))
-    q_cands.sort()
-
-    for _, i_labels in p_cands:
-        for _, j_labels in q_cands:
-            basis = ParametricBasis(
-                frozenset(i_labels), frozenset(j_labels), m, n
-            )
-            try:
-                iv = basis_interval(t, basis)
-            except (SingularBasis, EmptyInterval):
+        edges = []
+        for key, ends in self.q_edges.items():
+            if len(ends) != 2:
+                continue  # a ray of Q
+            lo, hi = sorted(ends, key=lambda j: cy[j])
+            if cy[lo] == cy[hi] or not cy[lo] <= xi <= cy[hi]:
                 continue
-            if iv.xi1 <= xi <= iv.xi2:
-                return basis
-    raise Infeasible(f"no optimal basis found at xi = {xi}")
+            slope = self.pi1_slope(lo, hi)
+            pi1 = qv[lo].point[n] + (xi - cy[lo]) * slope
+            edges.append(((pi1, slope, sorted(key)), lo, hi))
+        if not edges:
+            raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
+        _, lo, hi = min(edges)
+        return k, lo, hi
 
-
-def advance(t: ParametricTableau, iv: BasisInterval) -> ParametricBasis:
-    """The basis taking over just past iv.xi2: one simplex pivot.
-
-    The pivot stays on the side the breakpoint names, so it needs only that
-    side's block of the basis system (see solve_basis). Past a feasibility
-    breakpoint (and past "Both") the violated Q-side row alpha2_row enters.
-    Writing it as m1[enter] = Q^T lam over the Q block, the leaving row is the
-    basic Q-side row l with lam_l > 0 that minimises u_l(xi2) / lam_l (dual
-    ratio test). Past an optimality breakpoint the P-side row beta2_row,
-    whose dual vanishes, leaves. Its slack grows along d = P^-1 (-e_leave)
-    over the P block, and the entering row is the nonbasic P-side row r with
-    m1[r] . d > 0 that minimises -m1[r] . z(xi2) / (m1[r] . d) (primal ratio
-    test). Ties go to the lowest row. The caller certifies the result with
-    the new basis's own interval.
-    """
-    xi2 = iv.xi2
-    case = iv.case
-    if case is None:
-        raise Stalled(f"interval of basis {iv.basis.rows} has no breakpoint")
-    rows = iv.basis.rows
-    if case in ("Feasibility", "Both"):
-        side, row = Q, iv.alpha2_row
-    else:
-        side, row = P, iv.beta2_row
-    if t._side_of(row) != side:
-        raise InternalInvariantError(
-            f"{case} breakpoint at xi = {xi2} names row {row} of the other side"
+    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
+        """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
+        m, n, pv, qv, cy, bx = self.m, self.n, self.pv, self.qv, self.cy, self.bx
+        v, w_lo, w_hi = pv[k], qv[lo], qv[hi]
+        # P: crossings of v's line with its neighbours' lines; a steeper line
+        # bounds the interval above, a shallower one below
+        p_lo = beta2 = beta2_row = None
+        for l in sorted(v.labels):
+            j = neighbour(self.p_edges, pv, k, l)
+            if j is None or bx[j] == bx[k]:
+                continue  # a ray, or a parallel line, never crosses v's
+            xi = (pv[j].point[m] - v.point[m]) / (bx[j] - bx[k])
+            if bx[j] > bx[k]:
+                if beta2 is None or xi < beta2:
+                    beta2, beta2_row = xi, l
+            elif p_lo is None or xi > p_lo:
+                p_lo = xi
+        # Q: (y, pi1) moves along the edge, per unit of xi = c^T y
+        step = [(b - a) / (cy[hi] - cy[lo]) for a, b in zip(w_lo.point, w_hi.point)]
+        at0 = [a - cy[lo] * d for a, d in zip(w_lo.point, step)]
+        key = w_lo.labels & w_hi.labels
+        (added,) = w_hi.labels - key
+        zero = rat(0)
+        z = AffineRVector(
+            (*v.point[:m], *at0, v.point[m]), (zero,) * m + tuple(step) + (zero,)
         )
-    blk = _block(t, iv.basis, side)
-    if side == Q:
-        enter = row
-        lam = solve_square(blk.matrix.transpose(), t._side_rows[enter - 1]).const
-        u = blk.w.at(xi2)
-        leave = min(
-            (
-                (u[pos] / lam[pos], r)
-                for pos, r in enumerate(blk.rows)
-                if lam[pos] > 0
-            ),
-            default=(None, None),
-        )[1]
-    else:
-        leave = row
-        unit = [rat(0)] * blk.matrix.rows
-        unit[blk.rows.index(leave)] = rat(-1)
-        d = solve_square(blk.matrix, unit).const
-        z = blk.z.at(xi2)
-        enter = min(
-            (
-                (-vdot(prow, z) / rate, r)
-                for r, prow in enumerate(t._side_rows[: t.m + t.n], start=1)
-                if r not in blk.rows and (rate := vdot(prow, d)) > 0
-            ),
-            default=(None, None),
-        )[1]
-    if leave is None or enter is None:
-        raise Stalled(f"empty ratio test at xi = {xi2}")
-    return ParametricBasis.from_rows((set(rows) - {leave}) | {enter}, t.m, t.n)
+        return BasisInterval(
+            basis=ParametricBasis(v.labels, key, m, n),
+            z=z,
+            xi1=cy[lo] if p_lo is None else max(cy[lo], p_lo),
+            xi2=cy[hi] if beta2 is None else min(cy[hi], beta2),
+            alpha2=cy[hi],
+            beta2=beta2,
+            alpha2_row=m + n + added,
+            beta2_row=beta2_row,
+            objective=AffineR(c0=-at0[n] - v.point[m], c1=bx[k] - step[n]),
+        )
+
+    def pi1_slope(self, a: int, b: int) -> Rational:
+        """The growth of pi1 per unit of c^T y from Q vertex a to Q vertex b."""
+        n = self.n
+        return (self.qv[b].point[n] - self.qv[a].point[n]) / (self.cy[b] - self.cy[a])
+
+    def next_edge(self, hi: int) -> int:
+        """The far end of the edge out of Q vertex hi that continues the
+        slice: c^T y increases along it and pi1 grows least per unit; ties go
+        to the lowest label dropped."""
+        qv, cy = self.qv, self.cy
+        best = None
+        for l in sorted(qv[hi].labels):
+            j = neighbour(self.q_edges, qv, hi, l)
+            if j is None or cy[j] <= cy[hi]:
+                continue  # a ray, or an edge the slice does not move along
+            slope = self.pi1_slope(hi, j)
+            if best is None or slope < best[0]:
+                best = (slope, j)
+        if best is None:
+            raise Stalled(f"no edge of Q continues the slice past {cy[hi]}")
+        return best[1]
 
 
 @dataclass(frozen=True)
@@ -638,20 +429,24 @@ def enumerate_all(
     Zero-sum games (A+B = 0) and row-constant games have a constant c, so
     the sweep's range is one point, where it reduces to its two extremes
     and gives their unique equilibrium. NotRankOne is raised when
-    rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails.
+    rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails,
+    and FactorizationMismatch when a given factorization is not A + B.
     Each distinct equilibrium is checked once with is_nash.
     """
     require_nondegenerate(g)
+    if factorization is not None:
+        factorization.require_matches(g)
     cls = classify_special(g)
     if isinstance(cls, ZeroSum):
         return _one_point_sweep(g, None, "zero-sum")
-    if not isinstance(cls, General):
-        return _one_point_sweep(g, factor_rank1(g), "row-constant")
-
     f = factorization if factorization is not None else factor_rank1(g)
-    t = build_tableau(g, f)
-    lo, hi = xi_range(t)
-    iv = basis_interval(t, initial_basis(t, lo))
+    if not isinstance(cls, General):
+        return _one_point_sweep(g, f, "row-constant")
+
+    walk = _Walk(g, f)
+    lo, hi = min(f.c), max(f.c)
+    k, q_lo, q_hi = walk.start(lo)
+    iv = walk.interval(k, q_lo, q_hi)
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
     found: dict[tuple, EquilibriumPoint] = {}
@@ -662,7 +457,7 @@ def enumerate_all(
             raise Stalled(f"basis {key} revisited; sweep is cycling")
         visited.add(key)
         intervals.append(iv)
-        for eq in equilibria_on_interval(t, iv):
+        for eq in equilibria_on_interval(iv):
             if eq.key() in found:
                 continue
             if not is_nash(g, eq.strategies)[0]:
@@ -672,8 +467,15 @@ def enumerate_all(
             found[eq.key()] = eq
         if iv.xi2 >= hi:
             break
-        nxt = basis_interval(t, advance(t, iv))
-        # the next basis's own interval certifies the pivot
+        # past a feasibility (or "Both") breakpoint the Q walk steps to the
+        # next edge; past an optimality breakpoint the P walk steps across
+        # the dropped label
+        if iv.case == "Optimality":
+            k = neighbour(walk.p_edges, walk.pv, k, iv.beta2_row)
+        else:
+            q_lo, q_hi = q_hi, walk.next_edge(q_hi)
+        nxt = walk.interval(k, q_lo, q_hi)
+        # the next basis's own interval certifies the step
         if not nxt.xi1 <= iv.xi2 <= nxt.xi2:
             raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
         leaving = set(iv.basis.rows) - set(nxt.basis.rows)

@@ -207,6 +207,35 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     return tuple(sorted(seen.values(), key=lambda v: v.point))
 
 
+def edge_index(
+    vertices: tuple[LabeledVertex, ...],
+) -> dict[frozenset[int], tuple[int, ...]]:
+    """The edges of a non-degenerate polyhedron, keyed by the labels they keep.
+
+    Maps each set ``labels - {l}`` of a vertex to the indices (into
+    ``vertices``) of the one or two vertices that carry it. Two vertices are
+    the ends of an edge; one vertex means the edge runs to the origin of the
+    normalised polytope, which is a ray of P or Q.
+    """
+    index: dict[frozenset[int], tuple[int, ...]] = {}
+    for k, v in enumerate(vertices):
+        for l in v.labels:
+            key = v.labels - {l}
+            index[key] = index.get(key, ()) + (k,)
+    return index
+
+
+def neighbour(
+    index: dict[frozenset[int], tuple[int, ...]],
+    vertices: tuple[LabeledVertex, ...],
+    k: int,
+    drop: int,
+) -> int | None:
+    """The vertex reached from vertex k by dropping label ``drop``; None on a
+    ray."""
+    return next((j for j in index[vertices[k].labels - {drop}] if j != k), None)
+
+
 def check_nondegenerate(
     g: BimatrixGame,
 ) -> tuple[bool, LabeledVertex | None]:

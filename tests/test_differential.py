@@ -6,8 +6,11 @@ the sweep the factorization rescaled to (b*lam, c/lam) for a random nonzero
 lam (negative lam reverses the sweep direction). Random b and c almost
 never make c constant, so zero-sum (B = -A) and row-constant (B = u 1^T - A)
 games, where the sweep's range is one point, are drawn on their own. The
-three methods share no search code, so any disagreement is a bug in one of
-them. Degenerate draws are skipped, and each test prints how many it skipped
+sweep and the label method read the same vertex enumeration and edge index,
+so the oracle (support enumeration) is the independent method here, and
+every draw also checks Shapley's index theorem, which uses none of the
+three: the indices of the equilibria of a non-degenerate game sum to 1.
+Degenerate draws are skipped, and each test prints how many it skipped
 (shown under -s).
 """
 
@@ -24,6 +27,7 @@ from rank1nash import (
     RankOneFactorization,
     enumerate_all,
     equilibria_by_labels,
+    generate_kt,
     support_enumeration,
 )
 
@@ -56,6 +60,56 @@ def one_point_games(draw, sizes):
     return g, None
 
 
+def _det(rows):
+    """Determinant by exact Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = 1
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _index_sum(g, equilibria) -> int:
+    """The sum of the Shapley indices of the given equilibria.
+
+    With A and B shifted so that every entry is positive, an equilibrium of
+    a non-degenerate game with supports I, J (|I| = |J| = k) has index
+    (-1)^(k+1) sign(det A_IJ det B_IJ) (Shapley 1974; von Stengel 2002).
+    The indices of all equilibria sum to 1, so a missing or spurious
+    equilibrium changes the sum.
+    """
+    shift_a = 1 - min(min(r) for r in g.A)
+    shift_b = 1 - min(min(r) for r in g.B)
+    total = 0
+    for e in equilibria:
+        rows = [i for i, p in enumerate(e.strategies.x) if p > 0]
+        cols = [j for j, q in enumerate(e.strategies.y) if q > 0]
+        assert len(rows) == len(cols)
+        d = _det([[g.A[i][j] + shift_a for j in cols] for i in rows]) * _det(
+            [[g.B[i][j] + shift_b for j in cols] for i in rows]
+        )
+        assert d != 0
+        total += (-1) ** (len(rows) + 1) * (1 if d > 0 else -1)
+    return total
+
+
+def test_index_sum_on_kt_family():
+    for d in range(1, 11):
+        g = generate_kt(d)
+        eqs = enumerate_all(g).equilibria
+        assert len(eqs) == 2 * d - 1
+        assert _index_sum(g, eqs) == 1
+
+
 def _agree(g, f, tally: Counter) -> str | None:
     """Compare the three methods on g; return the sweep's dispatch label."""
     tally["drawn"] += 1
@@ -72,6 +126,7 @@ def _agree(g, f, tally: Counter) -> str | None:
     want = [(e.key(), e.payoff1, e.payoff2) for e in oracle.equilibria]
     assert [(e.key(), e.payoff1, e.payoff2) for e in sweep] == want
     assert [(e.key(), e.payoff1, e.payoff2) for e in equilibria_by_labels(g)] == want
+    assert _index_sum(g, sweep) == 1
     return trace.dispatch
 
 

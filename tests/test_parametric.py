@@ -15,17 +15,12 @@ from rank1nash import (
     InternalInvariantError,
     ParametricBasis,
     RankOneFactorization,
-    Stalled,
-    advance,
-    basis_interval,
     build_tableau,
     enumerate_all,
     equilibria_by_labels,
     equilibria_on_interval,
     generate_kt,
-    initial_basis,
     rat,
-    solve_basis,
     support_enumeration,
     sweep_table,
     xi_range,
@@ -39,6 +34,11 @@ def kt2_tab():
     g = generate_kt(2)
     f = RankOneFactorization.for_game(g, (2, 4), (2, 4))
     return build_tableau(g, f)
+
+
+@pytest.fixture
+def kt2_trace(kt2_tab):
+    return enumerate_all(kt2_tab.game, kt2_tab.factorization)
 
 
 def test_tableau_shape(kt2_tab):
@@ -68,16 +68,16 @@ def test_tableau_default_factor_is_canonical():
     assert xi_range(t) == (4, 8)
 
 
-def test_initial_basis_at_left_end(kt2_tab):
-    b = initial_basis(kt2_tab, rat(2))
-    assert b.rows == (2, 3, 5)
+def test_initial_basis_at_left_end(kt2_trace):
+    iv = kt2_trace.intervals[0]
+    assert iv.basis.rows == (2, 3, 5)
+    assert iv.basis == ParametricBasis.from_rows((2, 3, 5), 2, 2)
     # the same basis is optimal a bit further in
-    assert initial_basis(kt2_tab, rat(9, 4)).rows == (2, 3, 5)
+    assert iv.xi1 == 2 and rat(9, 4) <= iv.xi2
 
 
-def test_solve_basis_values(kt2_tab):
-    b = ParametricBasis.from_rows((2, 3, 5), 2, 2)
-    z, u = solve_basis(kt2_tab, b)
+def test_solve_basis_values(kt2_trace):
+    z = kt2_trace.intervals[0].z
     # worked by hand: x = e1 and y puts (2 - xi/2, xi/2 - 1) on the columns
     for xi in (rat(2), rat(9, 4), rat(5, 2)):
         x1, x2, y1, y2, pi1, pi2 = z.at(xi)
@@ -90,8 +90,9 @@ def test_solve_basis_values(kt2_tab):
     assert pi1 == rat(13, 4)
 
 
-def test_interval_of_initial_basis(kt2_tab):
-    iv = basis_interval(kt2_tab, ParametricBasis.from_rows((2, 3, 5), 2, 2))
+def test_interval_of_initial_basis(kt2_trace):
+    iv = kt2_trace.intervals[0]
+    assert iv.basis.rows == (2, 3, 5)
     assert (iv.xi1, iv.xi2) == (2, rat(5, 2))
     assert iv.case == "Optimality"
     assert (iv.beta2, iv.beta2_row) == (rat(5, 2), 2)
@@ -101,36 +102,33 @@ def test_interval_of_initial_basis(kt2_tab):
     assert iv.objective.at(rat(9, 4)) < 0
 
 
-def test_equilibria_read_at_interval_ends(kt2_tab):
-    iv = basis_interval(kt2_tab, ParametricBasis.from_rows((2, 3, 5), 2, 2))
-    eqs = equilibria_on_interval(kt2_tab, iv)
+def test_equilibria_read_at_interval_ends(kt2_trace):
+    iv = kt2_trace.intervals[0]
+    assert iv.basis.rows == (2, 3, 5)
+    eqs = equilibria_on_interval(iv)
     assert [(e.key(), e.source_xi) for e in eqs] == [
         (((rat(1), rat(0)), (rat(1), rat(0))), 2)
     ]
     # an objective that is 0 at both ends is 0 on the whole interval
     flat = replace(iv, objective=AffineR(rat(0), rat(0)))
     with pytest.raises(DegenerateGame, match="vanishes on a whole interval"):
-        equilibria_on_interval(kt2_tab, flat)
+        equilibria_on_interval(flat)
     # the objective of an optimal basis is never positive
     rising = replace(iv, objective=AffineR(rat(-4), rat(2)))  # 1 at xi = 5/2
     with pytest.raises(InternalInvariantError, match="objective positive"):
-        equilibria_on_interval(kt2_tab, rising)
+        equilibria_on_interval(rising)
     # on a zero-length interval one end is both ends
     point = replace(iv, xi2=iv.xi1, objective=AffineR(rat(0), rat(0)))
-    assert [e.source_xi for e in equilibria_on_interval(kt2_tab, point)] == [2]
+    assert [e.source_xi for e in equilibria_on_interval(point)] == [2]
 
 
-def test_advance_chain(kt2_tab):
-    t = kt2_tab
-    b = ParametricBasis.from_rows((2, 3, 5), 2, 2)
-    seen = [b.rows]
-    for _ in range(3):
-        b = advance(t, basis_interval(t, b))
-        seen.append(b.rows)
-    assert seen == [(2, 3, 5), (3, 4, 5), (3, 4, 6), (1, 4, 6)]
-    # past xi_max = 4 the slice c^T y = xi is empty: no row can leave
-    with pytest.raises(Stalled, match="empty ratio test"):
-        advance(t, basis_interval(t, b))
+def test_advance_chain(kt2_trace):
+    ivs = kt2_trace.intervals
+    assert [iv.basis.rows for iv in ivs] == [(2, 3, 5), (3, 4, 5), (3, 4, 6), (1, 4, 6)]
+    # the last basis's Q edge ends at xi_max = 4, where the slice c^T y = xi
+    # leaves Q, so the sweep takes no step past it
+    assert (ivs[-1].xi2, ivs[-1].case) == (4, "Feasibility")
+    assert len(kt2_trace.breakpoints) == len(ivs) - 1
 
 
 def test_enumerate_kt2_with_explicit_factor():
@@ -251,6 +249,32 @@ def test_row_constant_dispatch():
         assert e.payoff1 + e.payoff2 == sum(
             u[i] * xv for i, xv in enumerate(e.strategies.x)
         )
+
+
+def test_special_dispatch_checks_and_keeps_the_factorization():
+    a = ((1, 4), (2, 0))
+    row_constant = BimatrixGame.from_payoffs(
+        a, tuple(tuple(u - v for v in r) for u, r in zip((5, 3), a))
+    )
+    zero_sum = BimatrixGame.from_payoffs(a, tuple(tuple(-v for v in r) for r in a))
+    # a factorization that is not A + B is refused on every dispatch
+    for g in (row_constant, zero_sum):
+        with pytest.raises(FactorizationMismatch):
+            enumerate_all(g, RankOneFactorization((1, 1), (5, 5)))
+    with pytest.raises(FactorizationMismatch):
+        enumerate_all(row_constant, RankOneFactorization((1,), (5, 5)))
+    # a valid rescaled factorization is the one the trace reports
+    base = enumerate_all(row_constant)
+    assert base.factorization.c == (5, 5)
+    f = RankOneFactorization(
+        tuple(2 * v for v in base.factorization.b), (rat(5, 2), rat(5, 2))
+    )
+    tr = enumerate_all(row_constant, f)
+    assert tr.factorization == f
+    assert (tr.xi_min, tr.xi_max) == (rat(5, 2), rat(5, 2))
+    assert [(e.key(), e.source_xi) for e in tr.equilibria] == [
+        (e.key(), rat(5, 2)) for e in base.equilibria
+    ]
 
 
 def test_factor_rescaling_leaves_equilibria_alone(unreach22):
@@ -416,8 +440,35 @@ def _dense_solve_basis(t, basis):
     return s, z, AffineRVector(tuple(uc), tuple(us))
 
 
+def _dense_interval(t, basis):
+    """Reference: the LP interval of a basis, by scanning every primal row
+    and every basic dual; returns (xi1, xi2, alpha2, alpha2_row, beta2,
+    beta2_row), ties to the lowest row."""
+    _, z, u = _dense_solve_basis(t, basis)
+    lows, highs, alpha, beta = [], [], [], []
+    for r, row in enumerate(t.m1.entries, start=1):  # (M1 z)(xi) <= 0
+        c, s = vdot(row, z.const), vdot(row, z.slope)
+        assert s != 0 or c <= 0
+        if s:
+            (highs if s > 0 else lows).append(-c / s)
+            if s > 0:
+                alpha.append((-c / s, r))
+    for r in basis.rows:  # u_r(xi) >= 0
+        c, s = u.const[r - 1], u.slope[r - 1]
+        assert s != 0 or c >= 0
+        if s:
+            (highs if s < 0 else lows).append(-c / s)
+            if s < 0:
+                beta.append((-c / s, r))
+    a2, a2_row = min(alpha, default=(None, None))
+    b2, b2_row = min(beta, default=(None, None))
+    return max(lows), min(highs), a2, a2_row, b2, b2_row
+
+
 def _dense_pivot(t, iv):
-    """Reference: advance's (leaving, entering) rows from the dense system."""
+    """Reference: the LP's (leaving, entering) rows from the dense system,
+    by the dual ratio test past a feasibility breakpoint and the primal one
+    past an optimality breakpoint."""
     rows = iv.basis.rows
     s, z, u = _dense_solve_basis(t, iv.basis)
     if iv.case in ("Feasibility", "Both"):
@@ -475,20 +526,45 @@ def _differential_sweeps():
             )
 
 
-def test_block_solves_match_dense_reference():
-    # the sweep solves the two diagonal blocks of each basis system; the
-    # whole system solved densely must give the same z, u and pivots
-    pivots = 0
-    for tr in _differential_sweeps():
-        t = build_tableau(tr.game, tr.factorization)
-        for iv in tr.intervals:
-            _, z, u = _dense_solve_basis(t, iv.basis)
-            assert (iv.z, iv.u) == (z, u)
-            assert solve_basis(t, iv.basis) == (z, u)
-        for iv, bp in zip(tr.intervals, tr.breakpoints):
-            assert _dense_pivot(t, iv) == (bp.leaving, bp.entering)
-            pivots += 1
-    assert pivots > 100
+def _assert_trace_is_lp(tr) -> int:
+    """Assert that the dense LP gives the trace's z, bounds, rows, objective
+    and pivots; return the number of pivots checked."""
+    t = build_tableau(tr.game, tr.factorization)
+    m, n = t.m, t.n
+    assert tr.intervals[0].xi1 == tr.xi_min
+    for iv in tr.intervals:
+        _, z, _ = _dense_solve_basis(t, iv.basis)
+        assert iv.z == z
+        assert _dense_interval(t, iv.basis) == (
+            iv.xi1, iv.xi2, iv.alpha2, iv.alpha2_row, iv.beta2, iv.beta2_row
+        )
+        b_x = vdot(t.factorization.b, z.const[:m])
+        assert iv.objective == AffineR(
+            -z.const[m + n] - z.const[m + n + 1], b_x - z.slope[m + n]
+        )
+    for iv, bp in zip(tr.intervals, tr.breakpoints):
+        assert _dense_pivot(t, iv) == (bp.leaving, bp.entering)
+    return len(tr.breakpoints)
+
+
+def test_trace_matches_dense_lp_reference():
+    # the sweep reads each basis off a P vertex and a Q edge; the LP's
+    # dense basis system, interval scan and ratio tests must give the same
+    # z, bounds, rows, objective and pivots
+    assert sum(_assert_trace_is_lp(tr) for tr in _differential_sweeps()) > 100
+
+
+def test_tied_q_step_takes_the_lowest_leaving_row():
+    # at xi = -5/3 two edges out of the Q vertex raise pi1 at the same rate;
+    # the LP's dual ratio test, and so the walk, drops the lower row
+    g = BimatrixGame.from_payoffs(
+        ((0, -2, 3, 2), (-1, 0, 2, 0)), ((-2, 1, -5, -3), (1, 0, -2, 0))
+    )
+    tr = _sweep_oracle_labels(g)
+    assert [(bp.xi, bp.kind, bp.leaving, bp.entering) for bp in tr.breakpoints] == [
+        (rat(-5, 3), "Feasibility", 7, 8)
+    ]
+    assert _assert_trace_is_lp(tr) == 1
 
 
 def _counting_games():
@@ -508,53 +584,30 @@ def _counting_games():
 
 
 def test_one_pivot_per_breakpoint(monkeypatch):
-    # each call is recorded with the names of the wrapped calls it is inside
+    # the sweep steps along P's and Q's edges, one step per breakpoint, and
+    # makes no linear solve; each distinct equilibrium is checked once
+    import rank1nash
     from rank1nash import linalg, parametric
 
-    stack: list[str] = []
-    calls: list[tuple[str, set[str], tuple]] = []
+    calls = {"solve_square": 0, "is_nash": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, set(stack), args))
-            stack.append(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stack.pop()
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    names = ("basis_interval", "advance", "initial_basis", "solve_square", "is_nash")
-    for name in names:
-        monkeypatch.setattr(parametric, name, counted(name, getattr(parametric, name)))
-    monkeypatch.setattr(
-        linalg, "solve_square", counted("solve_square", linalg.solve_square)
-    )
-
-    def count(name, inside=None, outside=frozenset()):
-        return sum(
-            1
-            for n, enclosing, _ in calls
-            if n == name
-            and (inside is None or inside in enclosing)
-            and not outside & enclosing
-        )
+    for name in calls:
+        original = getattr(linalg if name == "solve_square" else parametric, name)
+        for mod in vars(rank1nash).values():
+            if getattr(mod, name, None) is original and hasattr(mod, "__file__"):
+                monkeypatch.setattr(mod, name, counted(name, original))
 
     for g in _counting_games():
-        calls.clear()
+        calls.update(solve_square=0, is_nash=0)
         tr = enumerate_all(g)
-        assert count("basis_interval", inside="advance") == 0
-        # an equilibrium at an end shared by two intervals is checked once
-        assert count("is_nash") == len(tr.equilibria)
-        sweep = count("basis_interval", outside={"advance", "initial_basis"})
-        assert sweep == len(tr.intervals)
-        assert count("solve_square", inside="advance") == len(tr.breakpoints)
-        assert count("solve_square", "initial_basis", {"basis_interval"}) == 0
-        # each side's block is solved once per set of basic rows, by one
-        # primal and one dual solve, however many bases share that side
-        bases = [args[1] for n, _, args in calls if n == "basis_interval"]
-        sides = {("P", b.i_labels) for b in bases} | {("Q", b.j_labels) for b in bases}
-        assert count("solve_square", outside={"advance"}) == 2 * len(sides)
+        assert calls == {"solve_square": 0, "is_nash": len(tr.equilibria)}
+        assert len(tr.breakpoints) == len(tr.intervals) - 1
         if g == generate_kt(6):
-            assert (len(tr.intervals), len(bases)) == (20, 25)
+            assert len(tr.intervals) == 20
