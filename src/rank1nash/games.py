@@ -125,11 +125,15 @@ def best_response_values(
 def is_nash(
     g: BimatrixGame, s: MixedStrategyPair
 ) -> tuple[bool, Rational, Rational]:
-    """Whether s is a Nash equilibrium, plus the realized payoffs (x^T A y, x^T B y)."""
-    u1 = vdot(s.x, tuple(vdot(row, s.y) for row in g.A))
-    u2 = vdot(s.x, tuple(vdot(row, s.y) for row in g.B))
-    b1, b2 = best_response_values(g, s)
-    return (u1 == b1 and u2 == b2), u1, u2
+    """Whether s is a Nash equilibrium, plus the realized payoffs (x^T A y, x^T B y).
+
+    A y and x^T B are formed once each: the realized payoffs are x . (A y)
+    and (x^T B) . y, and the best-reply payoffs are their largest entries.
+    """
+    ay = tuple(vdot(row, s.y) for row in g.A)
+    xb = tuple(vdot(s.x, col) for col in zip(*g.B))
+    u1, u2 = vdot(s.x, ay), vdot(xb, s.y)
+    return (u1 == max(ay) and u2 == max(xb)), u1, u2
 
 
 def loss(g: BimatrixGame, s: MixedStrategyPair) -> Rational:

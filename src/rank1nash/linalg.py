@@ -27,10 +27,11 @@ except ImportError:  # pragma: no cover - exercised only where gmpy2 is absent
 Rational = Any
 
 
-def rat(value: Rational | str = 0, den: Rational | None = None) -> Rational:
-    """Build a rational from an int, a string like ``-3`` or ``5/7``, or a pair."""
+def rat(value: Rational | str = 0, den: int | None = None) -> Rational:
+    """Build a rational from an int, a string like ``-3`` or ``5/7``, or a
+    pair of ints (numerator, denominator), each in one construction."""
     if den is not None:
-        return _Q(value) / _Q(den)
+        return _Q(value, den)
     if isinstance(value, str):
         return _Q(value.strip())
     return _Q(value)

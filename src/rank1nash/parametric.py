@@ -34,8 +34,9 @@ sweep is a shadow-vertex walk on each (Gass & Saaty 1955; Borgwardt 1987):
 A basis pairs a P vertex with a Q edge, so both walks read the vertices and
 the edge index (polytopes.edge_index) of the non-degeneracy check, and the
 sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
-are interpolated along the Q edge. The tableau is kept for the sweep table
-and the zero-sum duality check.
+are interpolated along the Q edge. The sweep table reads its binding rows
+off the same labels; the dense tableau is kept for the zero-sum duality
+check and as the row numbering of M1.
 """
 
 from __future__ import annotations
@@ -523,11 +524,20 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
 
     Point rows carry the union of binding rows over every basis optimal
     there (adjacent bases both contribute at a breakpoint); interval rows
-    carry the rows tight throughout the open interval.
+    carry the rows tight throughout the open interval. The rows are read
+    off labels, not dotted with z: a basis's x is its P vertex, whose labels
+    are its P-side rows, and its (y, pi1) lies on a Q edge, tight on the
+    labels the edge's ends share, plus the label an end adds when xi is
+    that end's c^T y.
     """
     ivs = trace.intervals
     if not ivs:
         return ()
+    g = t.game
+    off = g.m + g.n
+    qv = enumerate_vertices(build_polyhedron(g, "Q"))
+    q_edges = edge_index(qv)
+    cy = [vdot(t.factorization.c, w.point[: g.n]) for w in qv]
     points: list[Rational] = []
     for iv in ivs:
         for v in (iv.xi1, iv.xi2):
@@ -535,17 +545,20 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
                 points.append(v)
 
     def binding_at(xi):
-        rows: frozenset[int] = frozenset()
+        rows: set[int] = set()
         objs = []
         for iv in ivs:
             if iv.xi1 <= xi <= iv.xi2:
-                rows |= binding_rows(t, iv.z.at(xi))
+                rows.update(iv.basis.rows)
+                for w in q_edges[iv.basis.j_labels]:
+                    if cy[w] == xi:
+                        rows.update(off + l for l in qv[w].labels)
                 objs.append(iv.objective.at(xi))
         if not objs or any(o != objs[0] for o in objs):
             raise InternalInvariantError(
                 f"bases optimal at xi = {xi} are missing or disagree"
             )
-        return rows, objs[0]
+        return frozenset(rows), objs[0]
 
     out: list[TraceRow] = []
     for idx, xi in enumerate(points):
@@ -553,18 +566,9 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
         out.append(TraceRow("point", xi, None, obj, rows))
         if idx + 1 < len(points):
             nxt = points[idx + 1]
-            mid = (xi + nxt) / 2
-            iv = next(
-                v for v in ivs if v.xi1 <= xi and nxt <= v.xi2
-            )
+            iv = next(v for v in ivs if v.xi1 <= xi and nxt <= v.xi2)
             out.append(
-                TraceRow(
-                    "interval",
-                    None,
-                    (xi, nxt),
-                    None,
-                    binding_rows(t, iv.z.at(mid)),
-                )
+                TraceRow("interval", None, (xi, nxt), None, frozenset(iv.basis.rows))
             )
     return tuple(out)
 

@@ -15,32 +15,71 @@ origin, a simple vertex whose dictionary is the raw integer data, and
 follows ratio-test pivots on a fraction-free tableau (Bareiss division)
 through every feasible basis, in the manner of lrs (Avis & Fukuda 1992;
 Avis, Rosenberg, Savani & von Stengel 2010).
+
+Each vertex is read off the integer tableau. With A' = scale * A + shift
+(likewise B'), a basis of determinant det puts P' or Q' at z = r / det,
+where the integer vector r holds the tableau's right-hand side on the
+basic z variables and 0 elsewhere. At a non-zero vertex some row of A' is
+tight, so the best-reply payoff of the strategy z / sum(z) is
+(det - shift * S) / (scale * S) with S = sum(r): one rational, with no dot
+product. The bases of a degenerate vertex are merged on an integer key,
+the primitive vector r / gcd(r), so a repeated basis costs no rational
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .linalg import Rational, rat, vdot
+from .linalg import Rational, rat
 
 
 @dataclass(frozen=True)
 class LabeledPolyhedron:
     """One of the two best-reply polyhedra, as labeled inequality rows.
 
-    Row l-1 of ``ineq`` carries label l; each row is (coeffs, rhs) with the
-    convention coeffs . point <= rhs. ``eq`` is the probability constraint.
+    It compares and hashes as (game, which). Row l-1 of ``ineq`` carries
+    label l; each row is (coeffs, rhs) with the convention
+    coeffs . point <= rhs. ``eq`` is the probability constraint. The rows
+    are built on first use: the vertex walk reads the payoffs from the game.
     """
 
     game: BimatrixGame
     which: str  # "P" or "Q"
-    dim: int
-    ineq: tuple[tuple[tuple[Rational, ...], Rational], ...]
-    eq: tuple[tuple[Rational, ...], Rational]
+
+    def __post_init__(self):
+        if self.which not in ("P", "Q"):
+            raise ValueError("which must be 'P' or 'Q'")
+
+    @property
+    def dim(self) -> int:
+        """m + 1 for P, over (x, pi2); n + 1 for Q, over (y, pi1)."""
+        return (self.game.m if self.which == "P" else self.game.n) + 1
+
+    @cached_property
+    def ineq(self) -> tuple[tuple[tuple[Rational, ...], Rational], ...]:
+        g = self.game
+        m, n = g.m, g.n
+        rows = []
+        if self.which == "P":  # over (x_1..x_m, pi2)
+            for i in range(m):
+                rows.append(tuple(-1 if k == i else 0 for k in range(m)) + (0,))
+            for j in range(n):
+                rows.append(tuple(g.B[i][j] for i in range(m)) + (-1,))
+        else:  # over (y_1..y_n, pi1)
+            for i in range(m):
+                rows.append(tuple(g.A[i]) + (-1,))
+            for j in range(n):
+                rows.append(tuple(-1 if k == j else 0 for k in range(n)) + (0,))
+        return tuple((tuple(rat(v) for v in row), rat(0)) for row in rows)
+
+    @cached_property
+    def eq(self) -> tuple[tuple[Rational, ...], Rational]:
+        return (rat(1),) * (self.dim - 1) + (rat(0),), rat(1)
 
 
 @dataclass(frozen=True)
@@ -49,48 +88,21 @@ class LabeledVertex:
     labels: frozenset[int]
 
 
-@lru_cache(maxsize=None)
 def build_polyhedron(g: BimatrixGame, which: str) -> LabeledPolyhedron:
-    m, n = g.m, g.n
-    if which == "P":
-        dim = m + 1  # (x_1..x_m, pi2)
-        rows = []
-        for i in range(m):
-            coeffs = tuple(-1 if k == i else 0 for k in range(m)) + (0,)
-            rows.append((coeffs, 0))
-        for j in range(n):
-            coeffs = tuple(g.B[i][j] for i in range(m)) + (-1,)
-            rows.append((coeffs, 0))
-        eq = ((1,) * m + (0,), 1)
-    elif which == "Q":
-        dim = n + 1  # (y_1..y_n, pi1)
-        rows = []
-        for i in range(m):
-            coeffs = tuple(g.A[i]) + (-1,)
-            rows.append((coeffs, 0))
-        for j in range(n):
-            coeffs = tuple(-1 if k == j else 0 for k in range(n)) + (0,)
-            rows.append((coeffs, 0))
-        eq = ((1,) * n + (0,), 1)
-    else:
-        raise ValueError("which must be 'P' or 'Q'")
-    norm = tuple(
-        (tuple(rat(v) for v in coeffs), rat(rhs)) for coeffs, rhs in rows
-    )
-    return LabeledPolyhedron(
-        g, which, dim, norm, (tuple(rat(v) for v in eq[0]), rat(eq[1]))
-    )
+    """P (which="P") or Q (which="Q") of g."""
+    return LabeledPolyhedron(g, which)
 
 
-def _positive_integer_rows(rows) -> list[list[int]]:
-    """Rows times the lcm of all denominators, shifted so the least entry is 1."""
+def _positive_integer_rows(rows) -> tuple[list[list[int]], int, int]:
+    """(rows * scale + shift, scale, shift): scale is the lcm of all
+    denominators, and shift makes the least entry 1."""
     scale = math.lcm(*(int(v.denominator) for row in rows for v in row))
     ints = [
         [int(v.numerator) * (scale // int(v.denominator)) for v in row]
         for row in rows
     ]
     shift = 1 - min(v for row in ints for v in row)
-    return [[v + shift for v in row] for row in ints]
+    return [[v + shift for v in row] for row in ints], scale, shift
 
 
 def _ratio_test(tab: list[list[int]], col: int) -> list[int]:
@@ -138,10 +150,11 @@ def _feasible_bases(mat: list[list[int]]):
 
     ``mat`` is k x d with positive entries, so the polytope is bounded and
     the origin (all slacks basic) is a simple vertex. Variables 0..d-1 are
-    z and d..d+k-1 the slacks. Yields (basis, rhs): ``basis[r]`` is the
-    variable of tableau row r, and its value is rhs[r] / det, with one
-    det > 0 for all rows of the basis. A tie in the ratio test branches to every tied row,
-    so degenerate vertices are reached through all of their bases.
+    z and d..d+k-1 the slacks. Yields (basis, rhs, det): ``basis[r]`` is
+    the variable of tableau row r, and its value is rhs[r] / det, where the
+    integer det > 0 is |det| of the basis's columns of [mat | I]. A tie in the ratio test
+    branches to every tied row, so degenerate vertices are reached through
+    all of their bases.
     """
     k, d = len(mat), len(mat[0])
     width = d + k
@@ -153,7 +166,7 @@ def _feasible_bases(mat: list[list[int]]):
     stack = [(basis, tab, 1)]
     while stack:
         basis, tab, det = stack.pop()
-        yield basis, [row[-1] for row in tab]
+        yield basis, [row[-1] for row in tab], det
         inside = set(basis)
         for col in range(width):
             if col in inside:
@@ -174,9 +187,10 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
     Q' over y for "Q"; see the module docstring) and maps each non-zero
-    vertex z back to the point (z / sum(z), best-reply payoff). Its labels
-    are the cobasic variables plus every basic variable at zero, so extra
-    bindings on degenerate inputs are reported faithfully.
+    vertex z back to the point (z / sum(z), best-reply payoff), read off the
+    integer tableau. Its labels are the cobasic variables plus every basic
+    variable at zero, so extra bindings on degenerate inputs are reported
+    faithfully.
     """
     g = p.game
     m, n = g.m, g.n
@@ -186,10 +200,11 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     else:
         payoffs = g.A  # m rows, over y
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
-    mat = _positive_integer_rows(payoffs)
+    mat, scale, shift = _positive_integer_rows(payoffs)
     d = len(mat[0])
-    seen: dict[tuple, LabeledVertex] = {}
-    for basis, rhs in _feasible_bases(mat):
+    every = set(range(len(labels)))
+    found: dict[tuple[int, ...], LabeledVertex] = {}
+    for basis, rhs, det in _feasible_bases(mat):
         z = [0] * d
         for var, value in zip(basis, rhs):
             if var < d:
@@ -197,14 +212,22 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
         total = sum(z)
         if total == 0:
             continue  # the origin: no strategy
-        strategy = tuple(rat(v, total) for v in z)
-        point = strategy + (max(vdot(row, strategy) for row in payoffs),)
-        if point in seen:
+        # the vertex's direction as a primitive integer vector: the bases of
+        # a degenerate vertex all give the same key
+        common = math.gcd(*z)
+        key = tuple(v // common for v in z)
+        if key in found:
             continue
-        zero = set(range(len(labels))) - set(basis)
+        # some row of mat is tight at z / det, so the best-reply payoff of
+        # the strategy z / total is (det - shift * total) / (scale * total)
+        den = total // common
+        point = tuple(rat(v, den) for v in key) + (
+            rat(det - shift * total, scale * total),
+        )
+        zero = every - set(basis)
         zero.update(var for var, value in zip(basis, rhs) if value == 0)
-        seen[point] = LabeledVertex(point, frozenset(labels[v] for v in zero))
-    return tuple(sorted(seen.values(), key=lambda v: v.point))
+        found[key] = LabeledVertex(point, frozenset(labels[v] for v in zero))
+    return tuple(sorted(found.values(), key=lambda v: v.point))
 
 
 def edge_index(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_game, random_rank1_game, reweight
 from rank1nash import (
@@ -36,6 +38,7 @@ from rank1nash import (
     support_enumeration,
     transform,
 )
+from rank1nash.linalg import vdot
 
 
 def pair(x, y) -> MixedStrategyPair:
@@ -70,6 +73,49 @@ def test_is_nash_and_loss_on_demo(demo23):
     ok, _, _ = is_nash(demo23, bad)
     assert not ok
     assert loss(demo23, bad) > 0
+
+
+def _is_nash_reference(g, s):
+    """is_nash as first written: A y and x^T B formed twice each."""
+    u1 = vdot(s.x, tuple(vdot(row, s.y) for row in g.A))
+    u2 = vdot(s.x, tuple(vdot(row, s.y) for row in g.B))
+    b1, b2 = best_response_values(g, s)
+    return (u1 == b1 and u2 == b2), u1, u2
+
+
+PAYOFF = st.fractions(-5, 5, max_denominator=4)
+
+
+@st.composite
+def games_and_pairs(draw):
+    """A game, its oracle equilibria and a random strategy pair."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m)
+    g = BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
+    weights = [
+        draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+        for k in (m, n)
+    ]
+    x, y = ([rat(w, sum(ws)) for w in ws] for ws in weights)
+    pairs = [e.strategies for e in support_enumeration(g).equilibria]
+    return g, pairs + [pair(x, y)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(games_and_pairs())
+def test_is_nash_matches_the_reference(drawn):
+    g, pairs = drawn
+    for s in pairs:
+        assert is_nash(g, s) == _is_nash_reference(g, s)
+
+
+def test_is_nash_length_errors_match_the_reference(demo23):
+    for s in (pair((1,), (0, 1, 0)), pair((1, 0), (0, 1)), pair((1, 0, 0), (1,))):
+        with pytest.raises(ValueError) as want:
+            _is_nash_reference(demo23, s)
+        with pytest.raises(ValueError) as got:
+            is_nash(demo23, s)
+        assert str(got.value) == str(want.value)
 
 
 def test_best_response_values(demo23):

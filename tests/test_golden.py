@@ -1,10 +1,13 @@
-"""Byte-identical CLI output of `enumerate --trace` on every corpus game.
+"""Byte-identical CLI output on every corpus game.
 
 tests/golden/<game>.txt and <game>.json hold the stdout of
 `rank1nash enumerate corpus/<game>.game --trace` and of the same command
 with `--json`: the equilibria, the sweep table and the breakpoint records.
-exit_codes.json holds the exit code both commands give. A change to the
-sweep that alters any of these fails here; if the change is intended,
+exit_codes.json holds the exit code both commands give. The other readers
+of the vertex enumeration are pinned too: <game>.labels.json,
+<game>.lh.json and <game>.gprime.json hold the stdout of `labels --json`,
+`lh --all --json` and `gprime --json`, which exit 0 on every corpus game.
+A change that alters any of these fails here; if the change is intended,
 regenerate a file with the command above.
 """
 
@@ -35,3 +38,14 @@ def test_enumerate_matches_golden(game, suffix, capsys):
         argv.append("--json")
     assert main(argv) == EXIT_CODES[game]
     assert capsys.readouterr().out == (GOLDEN / f"{game}.{suffix}").read_text()
+
+
+READERS = {"labels": ["labels"], "lh": ["lh", "--all"], "gprime": ["gprime"]}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("game", sorted(EXIT_CODES))
+def test_vertex_readers_match_golden(game, reader, capsys):
+    argv = READERS[reader] + [str(ROOT / "corpus" / f"{game}.game"), "--json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{game}.{reader}.json").read_text()

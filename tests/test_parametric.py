@@ -15,6 +15,7 @@ from rank1nash import (
     InternalInvariantError,
     ParametricBasis,
     RankOneFactorization,
+    binding_rows,
     build_tableau,
     enumerate_all,
     equilibria_by_labels,
@@ -552,6 +553,43 @@ def test_trace_matches_dense_lp_reference():
     # dense basis system, interval scan and ratio tests must give the same
     # z, bounds, rows, objective and pivots
     assert sum(_assert_trace_is_lp(tr) for tr in _differential_sweeps()) > 100
+
+
+def _dense_sweep_table(t, trace):
+    """Reference sweep table: dot every row of M1 with z at each point and
+    at each interval's midpoint (binding_rows)."""
+    ivs = trace.intervals
+    points = []
+    for iv in ivs:
+        for v in (iv.xi1, iv.xi2):
+            if not points or v != points[-1]:
+                points.append(v)
+    out = []
+    for idx, xi in enumerate(points):
+        here = [iv for iv in ivs if iv.xi1 <= xi <= iv.xi2]
+        rows = frozenset().union(*(binding_rows(t, iv.z.at(xi)) for iv in here))
+        out.append(("point", xi, here[0].objective.at(xi), rows))
+        if idx + 1 < len(points):
+            nxt = points[idx + 1]
+            iv = next(v for v in ivs if v.xi1 <= xi and nxt <= v.xi2)
+            mid = iv.z.at((xi + nxt) / 2)
+            out.append(("interval", (xi, nxt), None, binding_rows(t, mid)))
+    return out
+
+
+def test_sweep_table_matches_dense_binding_rows():
+    # the table reads binding rows off the P vertex's and Q edge's labels;
+    # dotting every row of M1 with z must find the same rows
+    count = 0
+    for tr in _differential_sweeps():
+        t = build_tableau(tr.game, tr.factorization)
+        got = [
+            (r.kind, r.xi if r.kind == "point" else r.span, r.objective, r.binding)
+            for r in sweep_table(t, tr)
+        ]
+        assert got == _dense_sweep_table(t, tr)
+        count += len(got)
+    assert count > 200
 
 
 def test_tied_q_step_takes_the_lowest_leaving_row():

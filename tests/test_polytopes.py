@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_game
 from rank1nash import (
@@ -22,7 +24,7 @@ from rank1nash import (
     rat,
 )
 from rank1nash.linalg import RMatrix, solve, vdot
-from rank1nash.polytopes import _feasible_bases, _pivot
+from rank1nash.polytopes import _feasible_bases, _pivot, _positive_integer_rows
 
 
 def _subset_scan(p):
@@ -191,10 +193,87 @@ def test_walk_visits_every_feasible_basis():
                 continue
             if min(z) >= 0:
                 feasible.add(frozenset(cols))
-        assert {frozenset(b) for b, _ in _feasible_bases(mat)} == feasible, mat
+        assert {frozenset(b) for b, _, _ in _feasible_bases(mat)} == feasible, mat
 
 
 def test_pivot_rejects_inexact_division():
     # a determinant that is not the previous pivot breaks Bareiss exactness
     with pytest.raises(InternalInvariantError):
         _pivot([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
+
+
+def _best_reply_payoff(g, which, strategy):
+    """Reference payoff: the largest entry of B^T x (P) or of A y (Q)."""
+    rows = zip(*g.B) if which == "P" else g.A
+    return max(vdot(row, strategy) for row in rows)
+
+
+def _assert_payoffs_are_best_replies(g):
+    for which in ("P", "Q"):
+        for v in enumerate_vertices(build_polyhedron(g, which)):
+            assert v.point[-1] == _best_reply_payoff(g, which, v.point[:-1]), (g, v)
+
+
+def test_vertex_payoff_is_the_best_reply_on_kt():
+    for d in range(1, 10):
+        _assert_payoffs_are_best_replies(generate_kt(d))
+
+
+# payoffs in halves from -2 to 2: many draws are degenerate, so the walk
+# meets ratio-test ties and vertices reached through several bases
+SMALL_PAYOFF = st.fractions(-2, 2, max_denominator=2)
+
+
+@st.composite
+def small_games(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(
+        st.lists(SMALL_PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m
+    )
+    return BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_games())
+def test_vertex_payoff_is_the_best_reply(g):
+    _assert_payoffs_are_best_replies(g)
+
+
+def _det(rows):
+    """Determinant by exact Gaussian elimination."""
+    a = [[rat(v) for v in r] for r in rows]
+    det = rat(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            return rat(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_games(), st.sampled_from("PQ"))
+def test_basis_determinant_gives_the_returned_vertex(g, which):
+    # each basis's det is |det| of its columns of [mat | I], and rhs / det
+    # is the normalised vertex whose point enumerate_vertices returns
+    payoffs = tuple(zip(*g.B)) if which == "P" else g.A
+    mat, _, _ = _positive_integer_rows(payoffs)
+    d = len(mat[0])
+    full = [row + [int(c == r) for c in range(len(mat))] for r, row in enumerate(mat)]
+    points = {v.point for v in enumerate_vertices(build_polyhedron(g, which))}
+    for basis, rhs, det in _feasible_bases(mat):
+        assert abs(_det([[row[c] for c in basis] for row in full])) == det
+        z = [rat(0)] * d
+        for var, value in zip(basis, rhs):
+            if var < d:
+                z[var] = rat(value) / det
+        if sum(z) == 0:
+            continue
+        x = tuple(v / sum(z) for v in z)
+        assert x + (_best_reply_payoff(g, which, x),) in points
