@@ -9,6 +9,13 @@ label r from the artificial pair and chase the duplicate label alternately
 over the two sides terminate at equilibria; the product graph glues those
 paths over all r, and its components expose equilibria no such path can
 reach.
+
+Non-degeneracy, which every function here requires, gives each node a label
+set of its own, so partners are found by looking up a label set, never by
+scanning the other graph. ``reachability`` verifies each distinct
+equilibrium once, through ``equilibria_by_labels``, and matches every path
+terminal (a completely labeled pair) to one of those by key; ``lh_run``
+verifies its single terminal itself.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .polytopes import (
     build_polyhedron,
     edge_index,
     enumerate_vertices,
+    equilibria_by_labels,
     require_nondegenerate,
 )
 
@@ -100,14 +108,10 @@ def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
     return hits[0]
 
 
-def lh_run(g: BimatrixGame, r: int) -> LHPath:
-    """Follow the path that drops label r from the artificial pair.
-
-    Raises DegenerateGame on a degenerate game.
-    """
-    if not 1 <= r <= g.m + g.n:
-        raise ValueError(f"label {r} out of range")
-    g1, g2 = build_lh_graphs(g)
+def _walk(
+    g: BimatrixGame, g1: LHGraph, g2: LHGraph, r: int
+) -> tuple[tuple[PathStep, ...], GraphNode, GraphNode]:
+    """The steps of the path that drops label r, and its terminal pair."""
     full = frozenset(range(1, g.m + g.n + 1))
     v1, v2 = g1.nodes[-1], g2.nodes[-1]
     steps = [PathStep(v1, v2, None)]
@@ -130,18 +134,27 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
         side = 3 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
-    if v1.artificial or v2.artificial:
+    if v1.artificial != v2.artificial:
         # union = full with one artificial side forces the full start pair
-        if not (v1.artificial and v2.artificial):
-            raise InternalInvariantError(
-                "path ended with exactly one artificial node"
-            )
-        return LHPath(r, tuple(steps), None, True)
+        raise InternalInvariantError("path ended with exactly one artificial node")
+    return tuple(steps), v1, v2
+
+
+def lh_run(g: BimatrixGame, r: int) -> LHPath:
+    """Follow the path that drops label r from the artificial pair.
+
+    Raises DegenerateGame on a degenerate game.
+    """
+    if not 1 <= r <= g.m + g.n:
+        raise ValueError(f"label {r} out of range")
+    steps, v1, v2 = _walk(g, *build_lh_graphs(g), r)
+    if v1.artificial:
+        return LHPath(r, steps, None, True)
     s = MixedStrategyPair(v1.point[: g.m], v2.point[: g.n])
     eq = EquilibriumPoint(s, payoff1=v2.point[g.n], payoff2=v1.point[g.m])
     if not is_nash(g, s)[0]:
         raise InternalInvariantError("terminal pair failed the equilibrium check")
-    return LHPath(r, tuple(steps), eq, False)
+    return LHPath(r, steps, eq, False)
 
 
 @dataclass(frozen=True)
@@ -152,15 +165,31 @@ class ReachabilityReport:
 
 
 def reachability(g: BimatrixGame) -> ReachabilityReport:
-    """Run every label drop; report which equilibria no run terminates at."""
-    from .polytopes import equilibria_by_labels
+    """Run every label drop; report which equilibria no run terminates at.
 
-    paths = tuple(lh_run(g, r) for r in range(1, g.m + g.n + 1))
-    hit_keys = {p.terminal.key() for p in paths if p.terminal is not None}
+    Each terminal is a completely labeled pair, so it is one of the
+    equilibria ``equilibria_by_labels`` has verified; it is matched to that
+    equilibrium by key rather than checked again.
+    """
+    g1, g2 = build_lh_graphs(g)
+    walks = [_walk(g, g1, g2, r) for r in range(1, g.m + g.n + 1)]
     all_eq = equilibria_by_labels(g)
+    by_key = {e.key(): e for e in all_eq}
+    paths = []
+    for r, (steps, v1, v2) in enumerate(walks, start=1):
+        if v1.artificial:
+            paths.append(LHPath(r, steps, None, True))
+            continue
+        eq = by_key.get((v1.point[: g.m], v2.point[: g.n]))
+        if eq is None:
+            raise InternalInvariantError(
+                "terminal pair failed the equilibrium check"
+            )
+        paths.append(LHPath(r, steps, eq, False))
+    hit_keys = {p.terminal.key() for p in paths if p.terminal is not None}
     reached = tuple(e for e in all_eq if e.key() in hit_keys)
     unreached = tuple(e for e in all_eq if e.key() not in hit_keys)
-    return ReachabilityReport(paths, reached, unreached)
+    return ReachabilityReport(tuple(paths), reached, unreached)
 
 
 @dataclass(frozen=True)
@@ -185,9 +214,20 @@ class GPrimeReport:
 
 
 def gprime_components(g: BimatrixGame) -> GPrimeReport:
+    """The components of G', over all pairs of a G1 node and a G2 node.
+
+    An edge (a, b) of G1 joins the pairs (a, j) and (b, j) that miss exactly
+    one label, and likewise an edge of G2. Non-degeneracy gives every G1
+    node m labels and every G2 node n labels, each set carried by one node.
+    So if the edge shares the labels S, its partners j are the G2 nodes
+    labeled (full - S) - {l}, one lookup for each l in full - S. The
+    equilibrium pairs are looked up the same way, by complementary labels.
+    """
     g1, g2 = build_lh_graphs(g)
     full = frozenset(range(1, g.m + g.n + 1))
     n1, n2 = len(g1.nodes), len(g2.nodes)
+    at1 = {v.labels: i for i, v in enumerate(g1.nodes)}
+    at2 = {v.labels: j for j, v in enumerate(g2.nodes)}
 
     parent: dict[tuple[int, int], tuple[int, int]] = {
         (i, j): (i, j) for i in range(n1) for j in range(n2)
@@ -204,37 +244,41 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
         if rp != rq:
             parent[rp] = rq
 
-    for a, b in g1.edges:
-        shared = g1.nodes[a].labels & g1.nodes[b].labels
-        for j in range(n2):
-            if len(full - (shared | g2.nodes[j].labels)) == 1:
-                union((a, j), (b, j))
-    for a, b in g2.edges:
-        shared = g2.nodes[a].labels & g2.nodes[b].labels
-        for i in range(n1):
-            if len(full - (g1.nodes[i].labels | shared)) == 1:
-                union((i, a), (i, b))
+    def partners(shared, at):
+        rest = full - shared
+        for l in rest:
+            k = at.get(rest - {l})
+            if k is not None:
+                yield k
 
+    for shared, (a, b) in g1.ends.items():
+        for j in partners(shared, at2):
+            union((a, j), (b, j))
+    for shared, (a, b) in g2.ends.items():
+        for i in partners(shared, at1):
+            union((i, a), (i, b))
+
+    # pairs come in increasing order, so the groups come in the order of
+    # their least pairs
     groups: dict[tuple[int, int], set] = {}
     for p in parent:
         groups.setdefault(find(p), set()).add(p)
-    components = tuple(
-        frozenset(c) for c in sorted(groups.values(), key=lambda c: min(c))
-    )
+    components = tuple(frozenset(c) for c in groups.values())
+    index = {r: k for k, r in enumerate(groups)}
     art = (n1 - 1, n2 - 1)
-    art_comp = next(k for k, c in enumerate(components) if art in c)
 
     eq_pairs = []
     for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            if g1.nodes[i].labels | g2.nodes[j].labels != full:
-                continue
-            s = MixedStrategyPair(g1.nodes[i].point[: g.m], g2.nodes[j].point[: g.n])
-            eq = EquilibriumPoint(
-                s,
-                payoff1=g2.nodes[j].point[g.n],
-                payoff2=g1.nodes[i].point[g.m],
-            )
-            comp = next(k for k, c in enumerate(components) if (i, j) in c)
-            eq_pairs.append(((i, j), comp, eq))
-    return GPrimeReport(components, art, art_comp, tuple(eq_pairs))
+        # a vertex of P has some x_i > 0, so no real node completes G2's
+        # artificial node
+        j = at2.get(full - g1.nodes[i].labels)
+        if j is None:
+            continue
+        s = MixedStrategyPair(g1.nodes[i].point[: g.m], g2.nodes[j].point[: g.n])
+        eq = EquilibriumPoint(
+            s,
+            payoff1=g2.nodes[j].point[g.n],
+            payoff2=g1.nodes[i].point[g.m],
+        )
+        eq_pairs.append(((i, j), index[find((i, j))], eq))
+    return GPrimeReport(components, art, index[find(art)], tuple(eq_pairs))

@@ -286,23 +286,26 @@ def require_nondegenerate(g: BimatrixGame) -> None:
 
 
 def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
-    """All Nash equilibria of a non-degenerate game, via label covering."""
+    """All Nash equilibria of a non-degenerate game, via label covering.
+
+    In a non-degenerate game a P vertex carries m labels and a Q vertex n,
+    and no two vertices of one polytope share a label set, so the one Q
+    vertex that completes a P vertex is looked up by the labels it lacks.
+    """
     require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
     out = []
     pv = enumerate_vertices(build_polyhedron(g, "P"))
-    qv = enumerate_vertices(build_polyhedron(g, "Q"))
+    qv = {v.labels: v for v in enumerate_vertices(build_polyhedron(g, "Q"))}
     for vp in pv:
-        for vq in qv:
-            if vp.labels | vq.labels != full:
-                continue
-            s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
-            eq = EquilibriumPoint(
-                s, payoff1=vq.point[g.n], payoff2=vp.point[g.m]
+        vq = qv.get(full - vp.labels)
+        if vq is None:
+            continue
+        s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
+        eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
+        if not is_nash(g, s)[0]:
+            raise InternalInvariantError(
+                "completely labeled pair failed the equilibrium check"
             )
-            if not is_nash(g, s)[0]:
-                raise InternalInvariantError(
-                    "completely labeled pair failed the equilibrium check"
-                )
-            out.append(eq)
+        out.append(eq)
     return tuple(sorted(out, key=lambda e: e.key()))

@@ -1,4 +1,5 @@
-"""Differential fuzzing: sweep = oracle = labels on random rank-1 games.
+"""Differential fuzzing: sweep = oracle = labels = lh --all = gprime on
+random rank-1 games.
 
 Hypothesis draws games of every shape up to 5x5, 1xn and mx1 included, with
 fractional payoffs, built as B = b c^T - A so that rank(A+B) <= 1, and hands
@@ -10,6 +11,10 @@ sweep and the label method read the same vertex enumeration and edge index,
 so the oracle (support enumeration) is the independent method here, and
 every draw also checks Shapley's index theorem, which uses none of the
 three: the indices of the equilibria of a non-degenerate game sum to 1.
+The path methods must find the same set: the reached and unreached
+equilibria of ``reachability`` and the equilibrium pairs of
+``gprime_components``. A label-dropping path is a path in G' from the
+artificial pair, so every reached equilibrium lies in its component.
 Degenerate draws are skipped, and each test prints how many it skipped
 (shown under -s).
 """
@@ -28,6 +33,8 @@ from rank1nash import (
     enumerate_all,
     equilibria_by_labels,
     generate_kt,
+    gprime_components,
+    reachability,
     support_enumeration,
 )
 
@@ -127,7 +134,23 @@ def _agree(g, f, tally: Counter) -> str | None:
     assert [(e.key(), e.payoff1, e.payoff2) for e in sweep] == want
     assert [(e.key(), e.payoff1, e.payoff2) for e in equilibria_by_labels(g)] == want
     assert _index_sum(g, sweep) == 1
+    _paths_agree(g, set(want))
     return trace.dispatch
+
+
+def _paths_agree(g, want: set) -> None:
+    """lh --all and gprime find the oracle's equilibria, and every reached
+    equilibrium lies in the artificial pair's component of G'."""
+    rep = reachability(g)
+    assert {(e.key(), e.payoff1, e.payoff2) for e in rep.reached + rep.unreached} == want
+    for p in rep.paths:
+        if p.terminal is not None:
+            assert (p.terminal.key(), p.terminal.payoff1, p.terminal.payoff2) in want
+    gp = gprime_components(g)
+    assert {(e.key(), e.payoff1, e.payoff2) for _, _, e in gp.equilibrium_pairs} == want
+    component = {e.key(): comp for _, comp, e in gp.equilibrium_pairs}
+    for e in rep.reached:
+        assert component[e.key()] == gp.artificial_component
 
 
 def _run(check, label: str) -> None:

@@ -6,7 +6,8 @@ with `--json`: the equilibria, the sweep table and the breakpoint records.
 exit_codes.json holds the exit code both commands give. The other readers
 of the vertex enumeration are pinned too: <game>.labels.json,
 <game>.lh.json and <game>.gprime.json hold the stdout of `labels --json`,
-`lh --all --json` and `gprime --json`, which exit 0 on every corpus game.
+`lh --all --json` and `gprime --json`, which exit 0 on every corpus game;
+`lh --r r --json` must print entry r of the paths in <game>.lh.json.
 A change that alters any of these fails here; if the change is intended,
 regenerate a file with the command above.
 """
@@ -49,3 +50,13 @@ def test_vertex_readers_match_golden(game, reader, capsys):
     argv = READERS[reader] + [str(ROOT / "corpus" / f"{game}.game"), "--json"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{game}.{reader}.json").read_text()
+
+
+@pytest.mark.parametrize("game", sorted(EXIT_CODES))
+def test_lh_run_matches_golden_paths(game, capsys):
+    # lh --r r walks the same path that lh --all reports as entry r
+    paths = json.loads((GOLDEN / f"{game}.lh.json").read_text())["paths"]
+    for r, want in enumerate(paths, start=1):
+        argv = ["lh", str(ROOT / "corpus" / f"{game}.game"), "--r", str(r), "--json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(want) + "\n"

@@ -3,21 +3,34 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import random_rank1_game
+from conftest import random_game, random_rank1_game
 from rank1nash import (
     BimatrixGame,
     DegenerateGame,
+    EquilibriumPoint,
+    GPrimeReport,
+    MixedStrategyPair,
+    ReachabilityReport,
     build_lh_graphs,
+    build_polyhedron,
+    check_nondegenerate,
+    enumerate_vertices,
     equilibria_by_labels,
+    generate_kt,
     gprime_components,
     is_nash,
     lh_run,
+    load_game,
     rat,
     reachability,
+    require_nondegenerate,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_graph_shapes(unreach22):
@@ -157,3 +170,153 @@ def test_components_partition_the_pairs(unreach22):
     assert seen == {
         (i, j) for i in range(len(g1.nodes)) for j in range(len(g2.nodes))
     }
+
+
+def _pair_scan(g):
+    """Reference label covering: test every P vertex against every Q vertex."""
+    require_nondegenerate(g)
+    full = frozenset(range(1, g.m + g.n + 1))
+    out = []
+    for vp in enumerate_vertices(build_polyhedron(g, "P")):
+        for vq in enumerate_vertices(build_polyhedron(g, "Q")):
+            if vp.labels | vq.labels != full:
+                continue
+            s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
+            assert is_nash(g, s)[0]
+            out.append(EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m]))
+    return tuple(sorted(out, key=lambda e: e.key()))
+
+
+def _reachability_scan(g):
+    """Reference reachability: one checked lh_run per label, then the scan."""
+    paths = tuple(lh_run(g, r) for r in range(1, g.m + g.n + 1))
+    hit = {p.terminal.key() for p in paths if p.terminal is not None}
+    eqs = _pair_scan(g)
+    return ReachabilityReport(
+        paths,
+        tuple(e for e in eqs if e.key() in hit),
+        tuple(e for e in eqs if e.key() not in hit),
+    )
+
+
+def _gprime_scan(g):
+    """Reference G': test every edge of one graph against every node of the
+    other, and find each equilibrium pair's component by a linear scan."""
+    g1, g2 = build_lh_graphs(g)
+    full = frozenset(range(1, g.m + g.n + 1))
+    n1, n2 = len(g1.nodes), len(g2.nodes)
+    parent = {(i, j): (i, j) for i in range(n1) for j in range(n2)}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rp] = rq
+
+    for a, b in g1.edges:
+        shared = g1.nodes[a].labels & g1.nodes[b].labels
+        for j in range(n2):
+            if len(full - (shared | g2.nodes[j].labels)) == 1:
+                union((a, j), (b, j))
+    for a, b in g2.edges:
+        shared = g2.nodes[a].labels & g2.nodes[b].labels
+        for i in range(n1):
+            if len(full - (g1.nodes[i].labels | shared)) == 1:
+                union((i, a), (i, b))
+    groups = {}
+    for p in parent:
+        groups.setdefault(find(p), set()).add(p)
+    components = tuple(frozenset(c) for c in sorted(groups.values(), key=min))
+    art = (n1 - 1, n2 - 1)
+    eq_pairs = []
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            if g1.nodes[i].labels | g2.nodes[j].labels != full:
+                continue
+            s = MixedStrategyPair(g1.nodes[i].point[: g.m], g2.nodes[j].point[: g.n])
+            eq = EquilibriumPoint(
+                s, payoff1=g2.nodes[j].point[g.n], payoff2=g1.nodes[i].point[g.m]
+            )
+            comp = next(k for k, c in enumerate(components) if (i, j) in c)
+            eq_pairs.append(((i, j), comp, eq))
+    art_comp = next(k for k, c in enumerate(components) if art in c)
+    return GPrimeReport(components, art, art_comp, tuple(eq_pairs))
+
+
+def _outcome(fn, g):
+    """The result of fn(g), or the type and message of what it raised."""
+    try:
+        return fn(g)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _reference_games():
+    for path in sorted(CORPUS.glob("*.game")):
+        yield load_game(str(path))
+    for d in range(1, 8):
+        yield generate_kt(d)
+    rng = random.Random(90210)
+    for k in range(320):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        lo, hi = rng.choice([(-2, 2), (-9, 9)])
+        make = random_rank1_game if k % 4 else random_game
+        yield make(rng, m, n, lo, hi)
+
+
+def test_lookups_match_reference_scans():
+    # the label-set lookups give exactly the results, or exactly the
+    # rejections, of the V_P * V_Q pairing and the edge-by-node G' scan
+    degenerate = 0
+    for g in _reference_games():
+        for fn, ref in (
+            (equilibria_by_labels, _pair_scan),
+            (reachability, _reachability_scan),
+            (gprime_components, _gprime_scan),
+        ):
+            got, want = _outcome(fn, g), _outcome(ref, g)
+            assert got == want, (g, fn.__name__)
+            assert repr(got) == repr(want)
+        degenerate += not check_nondegenerate(g)[0]
+    # both kinds of game were compared
+    assert 50 < degenerate < 250, degenerate
+
+
+def test_is_nash_once_per_equilibrium(monkeypatch):
+    # reachability verifies each distinct equilibrium once, in the label
+    # covering, and matches path terminals to those; lh_run on its own
+    # verifies its terminal
+    import rank1nash
+    from rank1nash import games
+
+    calls = 0
+    original = games.is_nash
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for mod in vars(rank1nash).values():
+        if getattr(mod, "is_nash", None) is original and hasattr(mod, "__file__"):
+            monkeypatch.setattr(mod, "is_nash", counted)
+
+    rng = random.Random(6021)
+    cases = [generate_kt(d) for d in range(2, 7)]
+    while len(cases) < 13:
+        g = random_rank1_game(rng, rng.randint(2, 5), rng.randint(2, 5))
+        if check_nondegenerate(g)[0]:
+            cases.append(g)
+    for g in cases:
+        calls = 0
+        rep = reachability(g)
+        assert calls == len(rep.reached) + len(rep.unreached)
+        terminals = 0
+        calls = 0
+        for r in range(1, g.m + g.n + 1):
+            terminals += lh_run(g, r).terminal is not None
+        assert calls == terminals > 0
