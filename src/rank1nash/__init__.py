@@ -55,6 +55,7 @@ from .gamefile import format_game, load_game, parse_game
 from .polytopes import (
     LabeledPolyhedron,
     LabeledVertex,
+    VertexGraph,
     build_polyhedron,
     check_nondegenerate,
     enumerate_vertices,
@@ -126,6 +127,7 @@ __all__ = [
     "Stalled",
     "SweepTrace",
     "TraceRow",
+    "VertexGraph",
     "ZeroSum",
     "binding_rows",
     "best_response_values",

@@ -33,12 +33,7 @@ from .games import (
 from .lemke_howson import lh_run, reachability, gprime_components
 from .oracle import support_enumeration
 from .parametric import build_tableau, enumerate_all, sweep_table
-from .polytopes import (
-    build_polyhedron,
-    check_nondegenerate,
-    enumerate_vertices,
-    equilibria_by_labels,
-)
+from .polytopes import _labeled_equilibria, check_nondegenerate, require_nondegenerate
 from .linalg import rat
 
 
@@ -193,30 +188,19 @@ def cmd_oracle(args) -> int:
 
 def cmd_labels(args) -> int:
     g = load_game(args.game)
-    eqs = equilibria_by_labels(g)
-    pv = {
-        v.point[: g.m]: v.labels
-        for v in enumerate_vertices(build_polyhedron(g, "P"))
-    }
-    qv = {
-        v.point[: g.n]: v.labels
-        for v in enumerate_vertices(build_polyhedron(g, "Q"))
-    }
+    eqs = _labeled_equilibria(g, *require_nondegenerate(g))
     if args.json:
         out = []
-        for e in eqs:
+        for e, vp, vq in eqs:
             d = _eq_json(e)
-            d["labels_p"] = sorted(pv[e.strategies.x])
-            d["labels_q"] = sorted(qv[e.strategies.y])
+            d["labels_p"] = sorted(vp.labels)
+            d["labels_q"] = sorted(vq.labels)
             out.append(d)
         print(json.dumps({"equilibria": out}))
         return 0
     print(f"equilibria: {len(eqs)}")
-    for e in eqs:
-        print(
-            _eq_line(e)
-            + f" labels={_labels(pv[e.strategies.x])}|{_labels(qv[e.strategies.y])}"
-        )
+    for e, vp, vq in eqs:
+        print(_eq_line(e) + f" labels={_labels(vp.labels)}|{_labels(vq.labels)}")
     return 0
 
 

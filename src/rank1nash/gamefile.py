@@ -53,7 +53,7 @@ def load_game(path: str) -> BimatrixGame:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
     return parse_game(text)
 

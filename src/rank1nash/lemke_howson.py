@@ -3,35 +3,30 @@
 The two graphs carry the polyhedron vertices plus one artificial node per
 side (all x resp. y labels, standing in for the origin); adjacency is purely
 combinatorial: nodes are neighbors when their label sets share all but one
-element. The edges are read off the polyhedron's edge index, where an edge
-with one vertex runs to the origin, the artificial node. Paths that drop one
-label r from the artificial pair and chase the duplicate label alternately
-over the two sides terminate at equilibria; the product graph glues those
-paths over all r, and its components expose equilibria no such path can
-reach.
+element. Nodes and edges are read off the vertex graphs that
+``require_nondegenerate`` returns, where an edge with one vertex runs to the
+origin, the artificial node; each public call builds them once and caches
+nothing. Paths that drop one label r from the artificial pair and chase the
+duplicate label alternately over the two sides terminate at equilibria; the
+product graph glues those paths over all r, and its components expose
+equilibria no such path can reach.
 
 Non-degeneracy, which every function here requires, gives each node a label
 set of its own, so partners are found by looking up a label set, never by
 scanning the other graph. ``reachability`` verifies each distinct
-equilibrium once, through ``equilibria_by_labels``, and matches every path
-terminal (a completely labeled pair) to one of those by key; ``lh_run``
-verifies its single terminal itself.
+equilibrium once, in the label covering over the same vertex graphs, and
+matches every path terminal (a completely labeled pair) to one of those by
+key; ``lh_run`` verifies its single terminal itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InternalInvariantError, Stalled
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .polytopes import (
-    build_polyhedron,
-    edge_index,
-    enumerate_vertices,
-    equilibria_by_labels,
-    require_nondegenerate,
-)
+from .polytopes import VertexGraph, _labeled_equilibria, require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -74,28 +69,31 @@ class LHPath:
     artificial_loop: bool
 
 
-@lru_cache(maxsize=None)
-def build_lh_graphs(g: BimatrixGame) -> tuple[LHGraph, LHGraph]:
-    """The graphs of P and Q; raises DegenerateGame on a degenerate game,
-    where label-dropping paths are not well defined."""
-    require_nondegenerate(g)
+def _lh_graphs(
+    g: BimatrixGame, p: VertexGraph, q: VertexGraph
+) -> tuple[LHGraph, LHGraph]:
     graphs = []
-    for side, which, art_labels in (
-        (1, "P", range(1, g.m + 1)),
-        (2, "Q", range(g.m + 1, g.m + g.n + 1)),
+    for side, vg, art_labels in (
+        (1, p, range(1, g.m + 1)),
+        (2, q, range(g.m + 1, g.m + g.n + 1)),
     ):
-        verts = enumerate_vertices(build_polyhedron(g, which))
-        nodes = [GraphNode(v.labels, v.point) for v in verts]
+        nodes = [GraphNode(v.labels, v.point) for v in vg.vertices]
         nodes.append(GraphNode(frozenset(art_labels), None))
-        art = len(verts)
+        art = len(vg.vertices)
         edges = tuple(
             sorted(
                 ends if len(ends) == 2 else (ends[0], art)
-                for ends in edge_index(verts).values()
+                for ends in vg.edges.values()
             )
         )
         graphs.append(LHGraph(side, tuple(nodes), edges))
     return graphs[0], graphs[1]
+
+
+def build_lh_graphs(g: BimatrixGame) -> tuple[LHGraph, LHGraph]:
+    """The graphs of P and Q; raises DegenerateGame on a degenerate game,
+    where label-dropping paths are not well defined."""
+    return _lh_graphs(g, *require_nondegenerate(g))
 
 
 def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
@@ -168,12 +166,13 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     """Run every label drop; report which equilibria no run terminates at.
 
     Each terminal is a completely labeled pair, so it is one of the
-    equilibria ``equilibria_by_labels`` has verified; it is matched to that
+    equilibria the label covering has verified; it is matched to that
     equilibrium by key rather than checked again.
     """
-    g1, g2 = build_lh_graphs(g)
+    p, q = require_nondegenerate(g)
+    g1, g2 = _lh_graphs(g, p, q)
     walks = [_walk(g, g1, g2, r) for r in range(1, g.m + g.n + 1)]
-    all_eq = equilibria_by_labels(g)
+    all_eq = [e for e, _, _ in _labeled_equilibria(g, p, q)]
     by_key = {e.key(): e for e in all_eq}
     paths = []
     for r, (steps, v1, v2) in enumerate(walks, start=1):

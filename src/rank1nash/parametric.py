@@ -31,11 +31,12 @@ sweep is a shadow-vertex walk on each (Gass & Saaty 1955; Borgwardt 1987):
   reaches the end of greater c^T y (alpha2, a feasibility breakpoint),
   where the label that end adds enters. The walk then takes the edge out
   of that end on which c^T y increases and pi1 grows least per unit of xi.
-A basis pairs a P vertex with a Q edge, so both walks read the vertices and
-the edge index (polytopes.edge_index) of the non-degeneracy check, and the
+A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
+(polytopes.VertexGraph) that the non-degeneracy check returns, and the
 sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
 are interpolated along the Q edge. The sweep table reads its binding rows
-off the same labels; the dense tableau is kept for the zero-sum duality
+off the same labels, from a Q graph it enumerates itself, as nothing is
+cached between calls; the dense tableau is kept for the zero-sum duality
 check and as the row numbering of M1.
 """
 
@@ -62,10 +63,9 @@ from .games import (
 from .linalg import AffineR, AffineRVector, RMatrix, Rational, rat, vdot
 from .polytopes import (
     LabeledVertex,
+    VertexGraph,
     build_polyhedron,
-    edge_index,
     enumerate_vertices,
-    neighbour,
     require_nondegenerate,
 )
 
@@ -257,14 +257,13 @@ def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
 
 
 class _Walk:
-    """The two vertex walks of a general sweep, over P's vertices and edges
-    and Q's; P vertices and Q vertices are named by their indices."""
+    """The two vertex walks of a general sweep, over the vertex graphs p of P
+    and q of Q; P vertices and Q vertices are named by their indices."""
 
-    def __init__(self, g: BimatrixGame, f: RankOneFactorization):
+    def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
-        self.pv = enumerate_vertices(build_polyhedron(g, "P"))
-        self.qv = enumerate_vertices(build_polyhedron(g, "Q"))
-        self.p_edges, self.q_edges = edge_index(self.pv), edge_index(self.qv)
+        self.p, self.q = p, q
+        self.pv, self.qv = p.vertices, q.vertices
         # the slope b^T x of each P vertex's line, and c^T y at each Q vertex
         self.bx = [vdot(f.b, v.point[: g.m]) for v in self.pv]
         self.cy = [vdot(f.c, w.point[: g.n]) for w in self.qv]
@@ -283,7 +282,7 @@ class _Walk:
             key=lambda k: (pv[k].point[self.m] - xi * self.bx[k], sorted(pv[k].labels)),
         )
         edges = []
-        for key, ends in self.q_edges.items():
+        for key, ends in self.q.edges.items():
             if len(ends) != 2:
                 continue  # a ray of Q
             lo, hi = sorted(ends, key=lambda j: cy[j])
@@ -305,7 +304,7 @@ class _Walk:
         # bounds the interval above, a shallower one below
         p_lo = beta2 = beta2_row = None
         for l in sorted(v.labels):
-            j = neighbour(self.p_edges, pv, k, l)
+            j = self.p.neighbour(k, l)
             if j is None or bx[j] == bx[k]:
                 continue  # a ray, or a parallel line, never crosses v's
             xi = (pv[j].point[m] - v.point[m]) / (bx[j] - bx[k])
@@ -347,7 +346,7 @@ class _Walk:
         qv, cy = self.qv, self.cy
         best = None
         for l in sorted(qv[hi].labels):
-            j = neighbour(self.q_edges, qv, hi, l)
+            j = self.q.neighbour(hi, l)
             if j is None or cy[j] <= cy[hi]:
                 continue  # a ray, or an edge the slice does not move along
             slope = self.pi1_slope(hi, j)
@@ -393,25 +392,25 @@ def _least_payoff(verts, which: str) -> LabeledVertex:
 
 
 def _one_point_sweep(
-    g: BimatrixGame, f: RankOneFactorization | None, dispatch: str
+    g: BimatrixGame, f: RankOneFactorization | None, dispatch: str, p, q
 ) -> SweepTrace:
     """The sweep over the one-point range of a game whose c is constant.
 
-    The slice c^T y = xi is then all of Q, so the optimal pair is the P
-    vertex maximising xi b^T x - pi2 (P's vertices are shifted to
-    (x, pi2 - xi b^T x) and minimised) with the Q vertex of least pi1. A
-    zero-sum game has no factors; it is the case b = 0, xi = 0.
+    The slice c^T y = xi is then all of Q, so the optimal pair is the vertex
+    of the P graph p maximising xi b^T x - pi2 (P's vertices are shifted to
+    (x, pi2 - xi b^T x) and minimised) with the vertex of least pi1 in the
+    Q graph q. A zero-sum game has no factors; it is the case b = 0, xi = 0.
     """
     m, n = g.m, g.n
     xi, b = (f.c[0], f.b) if f is not None else (rat(0), (rat(0),) * m)
     vp = _least_payoff(
         [
             LabeledVertex((*v.point[:m], -_p_value(xi, b, v)), v.labels)
-            for v in enumerate_vertices(build_polyhedron(g, "P"))
+            for v in p.vertices
         ],
         "P",
     )
-    vq = _least_payoff(enumerate_vertices(build_polyhedron(g, "Q")), "Q")
+    vq = _least_payoff(q.vertices, "Q")
     s = MixedStrategyPair(vp.point[:m], vq.point[:n])
     flag, u1, u2 = is_nash(g, s)
     if not flag:
@@ -434,17 +433,17 @@ def enumerate_all(
     and FactorizationMismatch when a given factorization is not A + B.
     Each distinct equilibrium is checked once with is_nash.
     """
-    require_nondegenerate(g)
+    p, q = require_nondegenerate(g)
     if factorization is not None:
         factorization.require_matches(g)
     cls = classify_special(g)
     if isinstance(cls, ZeroSum):
-        return _one_point_sweep(g, None, "zero-sum")
+        return _one_point_sweep(g, None, "zero-sum", p, q)
     f = factorization if factorization is not None else factor_rank1(g)
     if not isinstance(cls, General):
-        return _one_point_sweep(g, f, "row-constant")
+        return _one_point_sweep(g, f, "row-constant", p, q)
 
-    walk = _Walk(g, f)
+    walk = _Walk(g, f, p, q)
     lo, hi = min(f.c), max(f.c)
     k, q_lo, q_hi = walk.start(lo)
     iv = walk.interval(k, q_lo, q_hi)
@@ -472,7 +471,7 @@ def enumerate_all(
         # next edge; past an optimality breakpoint the P walk steps across
         # the dropped label
         if iv.case == "Optimality":
-            k = neighbour(walk.p_edges, walk.pv, k, iv.beta2_row)
+            k = walk.p.neighbour(k, iv.beta2_row)
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
         nxt = walk.interval(k, q_lo, q_hi)
@@ -535,9 +534,8 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
         return ()
     g = t.game
     off = g.m + g.n
-    qv = enumerate_vertices(build_polyhedron(g, "Q"))
-    q_edges = edge_index(qv)
-    cy = [vdot(t.factorization.c, w.point[: g.n]) for w in qv]
+    q = VertexGraph(enumerate_vertices(build_polyhedron(g, "Q")))
+    cy = [vdot(t.factorization.c, w.point[: g.n]) for w in q.vertices]
     points: list[Rational] = []
     for iv in ivs:
         for v in (iv.xi1, iv.xi2):
@@ -550,9 +548,9 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
         for iv in ivs:
             if iv.xi1 <= xi <= iv.xi2:
                 rows.update(iv.basis.rows)
-                for w in q_edges[iv.basis.j_labels]:
+                for w in q.edges[iv.basis.j_labels]:
                     if cy[w] == xi:
-                        rows.update(off + l for l in qv[w].labels)
+                        rows.update(off + l for l in q.vertices[w].labels)
                 objs.append(iv.objective.at(xi))
         if not objs or any(o != objs[0] for o in objs):
             raise InternalInvariantError(

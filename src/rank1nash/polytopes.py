@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
@@ -181,7 +181,6 @@ def _feasible_bases(mat: list[list[int]]):
                 stack.append((nxt, _pivot(tab, r, col, det), tab[r][col]))
 
 
-@lru_cache(maxsize=None)
 def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     """All vertices, each with its complete binding-label set, sorted by point.
 
@@ -230,33 +229,56 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     return tuple(sorted(found.values(), key=lambda v: v.point))
 
 
-def edge_index(
-    vertices: tuple[LabeledVertex, ...],
-) -> dict[frozenset[int], tuple[int, ...]]:
-    """The edges of a non-degenerate polyhedron, keyed by the labels they keep.
+@dataclass(frozen=True)
+class VertexGraph:
+    """The vertices of P or Q of a non-degenerate game, sorted by point.
 
-    Maps each set ``labels - {l}`` of a vertex to the indices (into
-    ``vertices``) of the one or two vertices that carry it. Two vertices are
-    the ends of an edge; one vertex means the edge runs to the origin of the
-    normalised polytope, which is a ray of P or Q.
+    ``require_nondegenerate`` returns one per side, and every method reads
+    vertices, edges and label sets from these. The indices are built on
+    first use and go with the graph: nothing is cached between calls.
     """
-    index: dict[frozenset[int], tuple[int, ...]] = {}
-    for k, v in enumerate(vertices):
-        for l in v.labels:
-            key = v.labels - {l}
-            index[key] = index.get(key, ()) + (k,)
-    return index
+
+    vertices: tuple[LabeledVertex, ...]
+
+    @cached_property
+    def edges(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """Each edge, keyed by the labels it keeps, as the indices of its one
+        or two vertices; an edge with one vertex runs to the origin of the
+        normalised polytope, which is a ray of P or Q."""
+        index: dict[frozenset[int], tuple[int, ...]] = {}
+        for k, v in enumerate(self.vertices):
+            for l in v.labels:
+                key = v.labels - {l}
+                index[key] = index.get(key, ()) + (k,)
+        return index
+
+    @cached_property
+    def at(self) -> dict[frozenset[int], LabeledVertex]:
+        """Each vertex, keyed by its label set."""
+        return {v.labels: v for v in self.vertices}
+
+    def neighbour(self, k: int, drop: int) -> int | None:
+        """The vertex reached from vertex k by dropping label ``drop``; None
+        on a ray."""
+        ends = self.edges[self.vertices[k].labels - {drop}]
+        return next((j for j in ends if j != k), None)
 
 
-def neighbour(
-    index: dict[frozenset[int], tuple[int, ...]],
-    vertices: tuple[LabeledVertex, ...],
-    k: int,
-    drop: int,
-) -> int | None:
-    """The vertex reached from vertex k by dropping label ``drop``; None on a
-    ray."""
-    return next((j for j in index[vertices[k].labels - {drop}] if j != k), None)
+def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
+    """The vertex graphs of P and Q, once no P-vertex exceeds m labels and no
+    Q-vertex exceeds n; DegenerateGame, with the offending vertex attached,
+    otherwise."""
+    graphs = []
+    for which, bound in (("P", g.m), ("Q", g.n)):
+        verts = enumerate_vertices(build_polyhedron(g, which))
+        for v in verts:
+            if len(v.labels) != bound:
+                pt = "(" + ", ".join(str(x) for x in v.point) + ")"
+                raise DegenerateGame(
+                    f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
+                )
+        graphs.append(VertexGraph(verts))
+    return graphs[0], graphs[1]
 
 
 def check_nondegenerate(
@@ -266,39 +288,22 @@ def check_nondegenerate(
 
     On failure the offending vertex is returned as witness.
     """
-    for which, bound in (("P", g.m), ("Q", g.n)):
-        for v in enumerate_vertices(build_polyhedron(g, which)):
-            if len(v.labels) != bound:
-                return False, v
+    try:
+        require_nondegenerate(g)
+    except DegenerateGame as exc:
+        return False, exc.witness
     return True, None
 
 
-def require_nondegenerate(g: BimatrixGame) -> None:
-    """Raise DegenerateGame, with the offending vertex attached, unless g is
-    non-degenerate."""
-    ok, witness = check_nondegenerate(g)
-    if not ok:
-        pt = "(" + ", ".join(str(v) for v in witness.point) + ")"
-        raise DegenerateGame(
-            f"vertex {pt} carries labels {sorted(witness.labels)}",
-            witness=witness,
-        )
-
-
-def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
-    """All Nash equilibria of a non-degenerate game, via label covering.
-
-    In a non-degenerate game a P vertex carries m labels and a Q vertex n,
-    and no two vertices of one polytope share a label set, so the one Q
-    vertex that completes a P vertex is looked up by the labels it lacks.
-    """
-    require_nondegenerate(g)
+def _labeled_equilibria(
+    g: BimatrixGame, p: VertexGraph, q: VertexGraph
+) -> tuple[tuple[EquilibriumPoint, LabeledVertex, LabeledVertex], ...]:
+    """Each equilibrium, checked once with is_nash, with its P vertex and the
+    Q vertex labeled by the labels that P vertex lacks; sorted by key."""
     full = frozenset(range(1, g.m + g.n + 1))
     out = []
-    pv = enumerate_vertices(build_polyhedron(g, "P"))
-    qv = {v.labels: v for v in enumerate_vertices(build_polyhedron(g, "Q"))}
-    for vp in pv:
-        vq = qv.get(full - vp.labels)
+    for vp in p.vertices:
+        vq = q.at.get(full - vp.labels)
         if vq is None:
             continue
         s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
@@ -307,5 +312,11 @@ def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
             raise InternalInvariantError(
                 "completely labeled pair failed the equilibrium check"
             )
-        out.append(eq)
-    return tuple(sorted(out, key=lambda e: e.key()))
+        out.append((eq, vp, vq))
+    return tuple(sorted(out, key=lambda t: t[0].key()))
+
+
+def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
+    """All Nash equilibria of a non-degenerate game, via label covering: a P
+    vertex and a Q vertex whose label sets cover 1..m+n."""
+    return tuple(e for e, _, _ in _labeled_equilibria(g, *require_nondegenerate(g)))

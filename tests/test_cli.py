@@ -222,6 +222,13 @@ def test_parse_failures(tmp_path, capsys):
     assert main([]) == 3
 
 
+def test_non_utf8_game_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.game"
+    bad.write_bytes(b"2 2\n1 2\n3 4\n\xff\xfe 1\n1 1\n")
+    assert main(["check", str(bad)]) == 3
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "enumerate" in capsys.readouterr().out

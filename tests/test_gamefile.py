@@ -69,6 +69,14 @@ def test_load_game_missing_file(tmp_path):
         load_game(str(tmp_path / "nope.game"))
 
 
+def test_load_game_not_utf8(tmp_path):
+    # a decoding failure is unreadable input, not a bad argument
+    p = tmp_path / "bad.game"
+    p.write_bytes(b"2 2\n1 2\n3 4\n\xff\xfe 1\n1 1\n")
+    with pytest.raises(GameFileError):
+        load_game(str(p))
+
+
 def test_load_game_reads_file(tmp_path, unreach22):
     p = tmp_path / "g.game"
     p.write_text(format_game(unreach22))

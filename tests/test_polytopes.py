@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game
+from conftest import random_game, random_rank1_game
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
@@ -18,10 +22,16 @@ from rank1nash import (
     SingularMatrix,
     build_polyhedron,
     check_nondegenerate,
+    enumerate_all,
     enumerate_vertices,
     equilibria_by_labels,
     generate_kt,
+    gprime_components,
+    lh_run,
+    load_game,
+    polytopes,
     rat,
+    reachability,
 )
 from rank1nash.linalg import RMatrix, solve, vdot
 from rank1nash.polytopes import _feasible_bases, _pivot, _positive_integer_rows
@@ -277,3 +287,72 @@ def test_basis_determinant_gives_the_returned_vertex(g, which):
             continue
         x = tuple(v / sum(z) for v in z)
         assert x + (_best_reply_payoff(g, which, x),) in points
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("name", ["kt3", "zero-sum-2x2", "row-constant-2x2"])
+def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
+    # every method reads P and Q from the graphs require_nondegenerate
+    # returns; only the sweep table enumerates Q once more
+    import rank1nash.cli as cli
+
+    calls = 0
+    original = polytopes.enumerate_vertices
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return original(p)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rank1nash":
+            if getattr(mod, "enumerate_vertices", None) is original:
+                monkeypatch.setattr(mod, "enumerate_vertices", counted)
+
+    path = str(CORPUS / f"{name}.game")
+    g = load_game(path)
+    runs = [
+        lambda: check_nondegenerate(g),
+        lambda: enumerate_all(g),
+        lambda: equilibria_by_labels(g),
+        lambda: lh_run(g, 1),
+        lambda: reachability(g),
+        lambda: gprime_components(g),
+        lambda: cli.main(["labels", path]),
+    ]
+    for run in runs:
+        calls = 0
+        run()
+        assert calls == 2
+    # only a general sweep has a table
+    want = 3 if enumerate_all(g).dispatch == "general" else 2
+    calls = 0
+    assert cli.main(["enumerate", path, "--trace"]) == 0
+    assert calls == want
+    capsys.readouterr()
+
+
+def test_memory_stays_flat_over_many_games():
+    # nothing outlives a call: solving more games keeps no more memory
+    rng = random.Random(8101)
+    solved = 0
+    tracemalloc.start()
+    try:
+        while solved < 110:
+            g = random_rank1_game(rng, 3, 3)
+            try:
+                enumerate_all(g)
+                reachability(g)
+            except DegenerateGame:
+                continue
+            solved += 1
+            if solved == 10:
+                gc.collect()
+                early = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - early
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024, growth
