@@ -65,10 +65,8 @@ from .polytopes import (
 from .oracle import OracleResult, support_enumeration
 from .lemke_howson import (
     GPrimeReport,
-    LHGraph,
     LHPath,
     ReachabilityReport,
-    build_lh_graphs,
     gprime_components,
     lh_run,
     reachability,
@@ -104,7 +102,6 @@ __all__ = [
     "GameFileError",
     "General",
     "InternalInvariantError",
-    "LHGraph",
     "LHPath",
     "LabeledPolyhedron",
     "LabeledVertex",
@@ -131,7 +128,6 @@ __all__ = [
     "ZeroSum",
     "binding_rows",
     "best_response_values",
-    "build_lh_graphs",
     "build_polyhedron",
     "build_tableau",
     "check_nondegenerate",

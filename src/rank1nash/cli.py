@@ -266,7 +266,7 @@ def cmd_gprime(args) -> int:
         print(
             json.dumps(
                 {
-                    "components": len(rep.components),
+                    "components": rep.n_components,
                     "artificial_component": rep.artificial_component,
                     "equilibria": [
                         dict(
@@ -280,7 +280,7 @@ def cmd_gprime(args) -> int:
             )
         )
         return 0
-    print(f"components: {len(rep.components)}")
+    print(f"components: {rep.n_components}")
     print(f"artificial pair component: {rep.artificial_component}")
     for _, comp, e in rep.equilibrium_pairs:
         tag = "yes" if comp == rep.artificial_component else "no"

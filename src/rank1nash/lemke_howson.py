@@ -1,15 +1,15 @@
 """Label-pivoting paths over the best-reply graphs, and the product graph.
 
-The two graphs carry the polyhedron vertices plus one artificial node per
-side (all x resp. y labels, standing in for the origin); adjacency is purely
-combinatorial: nodes are neighbors when their label sets share all but one
-element. Nodes and edges are read off the vertex graphs that
-``require_nondegenerate`` returns, where an edge with one vertex runs to the
-origin, the artificial node; each public call builds them once and caches
-nothing. Paths that drop one label r from the artificial pair and chase the
-duplicate label alternately over the two sides terminate at equilibria; the
-product graph glues those paths over all r, and its components expose
-equilibria no such path can reach.
+Both walk the vertex graphs that ``require_nondegenerate`` returns, which
+each public call builds once; nothing is cached. Each side has one more
+node, the artificial one: the origin of the normalised polytope, carrying
+the x labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after
+the V vertices, and an edge of the vertex graph with one vertex runs to it.
+Adjacency is purely combinatorial: nodes are neighbors when their label sets
+share all but one element. Paths that drop one label r from the artificial
+pair and chase the duplicate label alternately over the two sides terminate
+at equilibria; the product graph glues those paths over all r, and its
+components expose equilibria no such path can reach.
 
 Non-degeneracy, which every function here requires, gives each node a label
 set of its own, so partners are found by looking up a label set, never by
@@ -22,7 +22,6 @@ key; ``lh_run`` verifies its single terminal itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InternalInvariantError, Stalled
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
@@ -40,21 +39,6 @@ class GraphNode:
 
 
 @dataclass(frozen=True)
-class LHGraph:
-    side: int  # 1 over P, 2 over Q
-    nodes: tuple[GraphNode, ...]  # artificial node last
-    edges: tuple[tuple[int, int], ...]  # index pairs i < j
-
-    @cached_property
-    def ends(self) -> dict[frozenset[int], tuple[int, int]]:
-        """Each edge, keyed by the labels its two nodes share."""
-        return {
-            self.nodes[a].labels & self.nodes[b].labels: (a, b)
-            for a, b in self.edges
-        }
-
-
-@dataclass(frozen=True)
 class PathStep:
     node1: GraphNode
     node2: GraphNode
@@ -69,36 +53,21 @@ class LHPath:
     artificial_loop: bool
 
 
-def _lh_graphs(
-    g: BimatrixGame, p: VertexGraph, q: VertexGraph
-) -> tuple[LHGraph, LHGraph]:
-    graphs = []
-    for side, vg, art_labels in (
-        (1, p, range(1, g.m + 1)),
-        (2, q, range(g.m + 1, g.m + g.n + 1)),
-    ):
-        nodes = [GraphNode(v.labels, v.point) for v in vg.vertices]
-        nodes.append(GraphNode(frozenset(art_labels), None))
-        art = len(vg.vertices)
-        edges = tuple(
-            sorted(
-                ends if len(ends) == 2 else (ends[0], art)
-                for ends in vg.edges.values()
-            )
-        )
-        graphs.append(LHGraph(side, tuple(nodes), edges))
-    return graphs[0], graphs[1]
+def _artificial_labels(g: BimatrixGame) -> tuple[frozenset[int], frozenset[int]]:
+    """The labels of the artificial node of P and of Q."""
+    return frozenset(range(1, g.m + 1)), frozenset(range(g.m + 1, g.m + g.n + 1))
 
 
-def build_lh_graphs(g: BimatrixGame) -> tuple[LHGraph, LHGraph]:
-    """The graphs of P and Q; raises DegenerateGame on a degenerate game,
-    where label-dropping paths are not well defined."""
-    return _lh_graphs(g, *require_nondegenerate(g))
+def _edge_ends(vg: VertexGraph, ends: tuple[int, ...]) -> tuple[int, ...]:
+    """The two nodes of an edge of vg: a lone vertex pairs with the artificial
+    node."""
+    return ends if len(ends) != 1 else ends + (len(vg.vertices),)
 
 
-def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
-    ends = graph.ends.get(node.labels - {drop}, ())
-    hits = [graph.nodes[k] for k in ends if graph.nodes[k] != node]
+def _pivot(vg: VertexGraph, k: int, labels: frozenset[int], drop: int) -> int:
+    """The node reached from node k, labeled ``labels``, by dropping ``drop``."""
+    ends = _edge_ends(vg, vg.edges.get(labels - {drop}, ()))
+    hits = [j for j in ends if j != k]
     if len(hits) != 1:
         raise InternalInvariantError(
             f"pivot on label {drop} has {len(hits)} targets, not 1"
@@ -107,20 +76,26 @@ def _pivot(graph: LHGraph, node: GraphNode, drop: int) -> GraphNode:
 
 
 def _walk(
-    g: BimatrixGame, g1: LHGraph, g2: LHGraph, r: int
+    g: BimatrixGame, p: VertexGraph, q: VertexGraph, r: int
 ) -> tuple[tuple[PathStep, ...], GraphNode, GraphNode]:
     """The steps of the path that drops label r, and its terminal pair."""
     full = frozenset(range(1, g.m + g.n + 1))
-    v1, v2 = g1.nodes[-1], g2.nodes[-1]
-    steps = [PathStep(v1, v2, None)]
-    side, drop = (1, r) if r <= g.m else (2, r)
-    limit = len(g1.nodes) * len(g2.nodes) + 1
+    graphs = (p, q)
+    art = _artificial_labels(g)
+    at = [len(p.vertices), len(q.vertices)]
+    nodes = [GraphNode(art[0], None), GraphNode(art[1], None)]
+    steps = [PathStep(nodes[0], nodes[1], None)]
+    side, drop = (0 if r <= g.m else 1), r
+    limit = (at[0] + 1) * (at[1] + 1) + 1
     for _ in range(limit):
-        if side == 1:
-            v1 = _pivot(g1, v1, drop)
+        vg = graphs[side]
+        k = at[side] = _pivot(vg, at[side], nodes[side].labels, drop)
+        if k == len(vg.vertices):
+            nodes[side] = GraphNode(art[side], None)
         else:
-            v2 = _pivot(g2, v2, drop)
-        steps.append(PathStep(v1, v2, side))
+            nodes[side] = GraphNode(vg.vertices[k].labels, vg.vertices[k].point)
+        v1, v2 = nodes
+        steps.append(PathStep(v1, v2, side + 1))
         if v1.labels | v2.labels == full:
             break
         dup = v1.labels & v2.labels
@@ -129,7 +104,7 @@ def _walk(
                 f"path pair duplicates labels {sorted(dup)}, not exactly one"
             )
         drop = next(iter(dup))
-        side = 3 - side
+        side = 1 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
     if v1.artificial != v2.artificial:
@@ -145,7 +120,7 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     """
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
-    steps, v1, v2 = _walk(g, *build_lh_graphs(g), r)
+    steps, v1, v2 = _walk(g, *require_nondegenerate(g), r)
     if v1.artificial:
         return LHPath(r, steps, None, True)
     s = MixedStrategyPair(v1.point[: g.m], v2.point[: g.n])
@@ -170,8 +145,7 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     equilibrium by key rather than checked again.
     """
     p, q = require_nondegenerate(g)
-    g1, g2 = _lh_graphs(g, p, q)
-    walks = [_walk(g, g1, g2, r) for r in range(1, g.m + g.n + 1)]
+    walks = [_walk(g, p, q, r) for r in range(1, g.m + g.n + 1)]
     all_eq = [e for e, _, _ in _labeled_equilibria(g, p, q)]
     by_key = {e.key(): e for e in all_eq}
     paths = []
@@ -195,53 +169,77 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
 class GPrimeReport:
     """Connected components of the union of almost-completely-labeled edges.
 
-    Pairs are (index into G1 nodes, index into G2 nodes); the artificial pair
-    is the last index on both sides. ``equilibrium_pairs`` maps completely
-    labeled non-artificial pairs to equilibria and their component index.
+    Pairs are (index into P's nodes, index into Q's nodes); the artificial
+    node is index V on each side, after the V vertices, so the artificial
+    pair is the greatest pair. The components are numbered 0..n_components-1
+    in the order of their least pairs. Most are single pairs that no edge
+    touches: ``components`` holds only those with two or more pairs, in that
+    order, and ``component_of`` numbers any pair. ``equilibrium_pairs`` maps
+    completely labeled non-artificial pairs to equilibria and their
+    component number.
     """
 
+    n_components: int
     components: tuple[frozenset[tuple[int, int]], ...]
     artificial_pair: tuple[int, int]
     artificial_component: int
     equilibrium_pairs: tuple[tuple[tuple[int, int], int, EquilibriumPoint], ...]
 
     def component_of(self, pair: tuple[int, int]) -> int:
-        for k, comp in enumerate(self.components):
-            if pair in comp:
-                return k
+        return _component_number(self.components, self.artificial_pair, pair)
+
+
+def _component_number(
+    components: tuple[frozenset[tuple[int, int]], ...],
+    last: tuple[int, int],
+    pair: tuple[int, int],
+) -> int:
+    """The number of pair's component among all components ordered by least
+    pair, given the multi-pair ``components`` in that order and the greatest
+    pair ``last``: the place of the component's least pair among all pairs,
+    less the pairs before it that are not the least of their component."""
+    i, j = pair
+    if not (0 <= i <= last[0] and 0 <= j <= last[1]):
         raise KeyError(pair)
+    lead = next((min(c) for c in components if pair in c), pair)
+    skipped = sum(
+        sum(x < lead for x in c) - 1 for c in components if min(c) < lead
+    )
+    return lead[0] * (last[1] + 1) + lead[1] - skipped
 
 
 def gprime_components(g: BimatrixGame) -> GPrimeReport:
-    """The components of G', over all pairs of a G1 node and a G2 node.
+    """The components of G', over all pairs of a P node and a Q node.
 
-    An edge (a, b) of G1 joins the pairs (a, j) and (b, j) that miss exactly
-    one label, and likewise an edge of G2. Non-degeneracy gives every G1
-    node m labels and every G2 node n labels, each set carried by one node.
-    So if the edge shares the labels S, its partners j are the G2 nodes
-    labeled (full - S) - {l}, one lookup for each l in full - S. The
-    equilibrium pairs are looked up the same way, by complementary labels.
+    An edge (a, b) of P joins the pairs (a, j) and (b, j) that miss exactly
+    one label, and likewise an edge of Q. Non-degeneracy gives every P
+    node m labels and every Q node n labels, each set carried by one node.
+    So if the edge keeps the labels S, its partners j are the Q nodes
+    labeled (full - S) - {l}, one lookup for each l in full - S. Only the
+    pairs these edges touch enter the union-find; every other pair is a
+    component of its own. The equilibrium pairs are looked up the same way,
+    by complementary labels.
     """
-    g1, g2 = build_lh_graphs(g)
+    p, q = require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
-    n1, n2 = len(g1.nodes), len(g2.nodes)
-    at1 = {v.labels: i for i, v in enumerate(g1.nodes)}
-    at2 = {v.labels: j for j, v in enumerate(g2.nodes)}
+    art1, art2 = _artificial_labels(g)
+    n1, n2 = len(p.vertices), len(q.vertices)
+    at1 = {v.labels: i for i, v in enumerate(p.vertices)} | {art1: n1}
+    at2 = {v.labels: j for j, v in enumerate(q.vertices)} | {art2: n2}
 
-    parent: dict[tuple[int, int], tuple[int, int]] = {
-        (i, j): (i, j) for i in range(n1) for j in range(n2)
-    }
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
 
     def partners(shared, at):
         rest = full - shared
@@ -250,34 +248,39 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             if k is not None:
                 yield k
 
-    for shared, (a, b) in g1.ends.items():
+    for shared, ends in p.edges.items():
+        a, b = _edge_ends(p, ends)
         for j in partners(shared, at2):
             union((a, j), (b, j))
-    for shared, (a, b) in g2.ends.items():
+    for shared, ends in q.edges.items():
+        a, b = _edge_ends(q, ends)
         for i in partners(shared, at1):
             union((i, a), (i, b))
 
-    # pairs come in increasing order, so the groups come in the order of
+    # touched pairs in increasing order, so the groups come in the order of
     # their least pairs
     groups: dict[tuple[int, int], set] = {}
-    for p in parent:
-        groups.setdefault(find(p), set()).add(p)
+    for x in sorted(parent):
+        groups.setdefault(find(x), set()).add(x)
     components = tuple(frozenset(c) for c in groups.values())
-    index = {r: k for k, r in enumerate(groups)}
-    art = (n1 - 1, n2 - 1)
+    art = (n1, n2)
 
     eq_pairs = []
-    for i in range(n1 - 1):
-        # a vertex of P has some x_i > 0, so no real node completes G2's
+    for i, vp in enumerate(p.vertices):
+        # a vertex of P has some x_i > 0, so no real node completes Q's
         # artificial node
-        j = at2.get(full - g1.nodes[i].labels)
+        j = at2.get(full - vp.labels)
         if j is None:
             continue
-        s = MixedStrategyPair(g1.nodes[i].point[: g.m], g2.nodes[j].point[: g.n])
-        eq = EquilibriumPoint(
-            s,
-            payoff1=g2.nodes[j].point[g.n],
-            payoff2=g1.nodes[i].point[g.m],
-        )
-        eq_pairs.append(((i, j), index[find((i, j))], eq))
-    return GPrimeReport(components, art, index[find(art)], tuple(eq_pairs))
+        vq = q.vertices[j]
+        s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
+        eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
+        eq_pairs.append(((i, j), _component_number(components, art, (i, j)), eq))
+    # each union of two touched groups takes one component off the count
+    return GPrimeReport(
+        (n1 + 1) * (n2 + 1) - len(parent) + len(groups),
+        components,
+        art,
+        _component_number(components, art, art),
+        tuple(eq_pairs),
+    )

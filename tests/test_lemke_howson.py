@@ -15,7 +15,6 @@ from rank1nash import (
     GPrimeReport,
     MixedStrategyPair,
     ReachabilityReport,
-    build_lh_graphs,
     build_polyhedron,
     check_nondegenerate,
     enumerate_vertices,
@@ -34,17 +33,26 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_graph_shapes(unreach22):
-    g1, g2 = build_lh_graphs(unreach22)
-    # three polyhedron vertices plus the artificial node on each side
-    assert len(g1.nodes) == 4 and len(g2.nodes) == 4
-    assert g1.nodes[-1].artificial and g2.nodes[-1].artificial
-    assert g1.nodes[-1].labels == {1, 2}
-    assert g2.nodes[-1].labels == {3, 4}
-    # adjacency: label sets agree in all but one member
-    for graph in (g1, g2):
-        for i, j in graph.edges:
-            a, b = graph.nodes[i].labels, graph.nodes[j].labels
-            assert len(a & b) == len(a) - 1
+    p, q = require_nondegenerate(unreach22)
+    # three polyhedron vertices on each side
+    assert len(p.vertices) == 3 and len(q.vertices) == 3
+    # an edge with one vertex runs to the artificial node, the origin, which
+    # carries the x labels on P and the y labels on Q
+    for graph, artificial in ((p, {1, 2}), (q, {3, 4})):
+        lone = 0
+        for shared, ends in graph.edges.items():
+            labels = [graph.vertices[k].labels for k in ends]
+            if len(ends) == 1:
+                labels.append(artificial)
+                lone += 1
+            # adjacency: label sets agree in all but one member, and the
+            # edge keeps those
+            a, b = labels
+            assert a & b == shared and len(shared) == len(a) - 1
+        assert lone > 0
+    start = lh_run(unreach22, 1).steps[0]
+    assert start.node1.artificial and start.node1.labels == {1, 2}
+    assert start.node2.artificial and start.node2.labels == {3, 4}
 
 
 def test_drop_label_one_trace(unreach22):
@@ -137,7 +145,7 @@ def test_gprime_disconnected_component(disconnected33):
     # together in a component that does not contain the artificial pair
     rep = gprime_components(disconnected33)
     assert rep.artificial_component == 0
-    assert len(rep.components) == 34
+    assert rep.n_components == 34
     by_key = {
         e.key(): comp for _, comp, e in rep.equilibrium_pairs
     }
@@ -160,16 +168,30 @@ def test_gprime_covers_all_equilibria(disconnected33):
     }
 
 
-def test_components_partition_the_pairs(unreach22):
-    rep = gprime_components(unreach22)
-    seen = set()
-    for comp in rep.components:
-        assert not (comp & seen)
-        seen |= comp
-    g1, g2 = build_lh_graphs(unreach22)
-    assert seen == {
-        (i, j) for i in range(len(g1.nodes)) for j in range(len(g2.nodes))
-    }
+def test_components_partition_the_pairs(unreach22, disconnected33):
+    for g in (unreach22, disconnected33):
+        rep = gprime_components(g)
+        seen = set()
+        for comp in rep.components:
+            assert len(comp) > 1 and not (comp & seen)
+            seen |= comp
+        p, q = require_nondegenerate(g)
+        n1, n2 = len(p.vertices) + 1, len(q.vertices) + 1
+        numbers = {rep.component_of((i, j)) for i in range(n1) for j in range(n2)}
+        assert numbers == set(range(rep.n_components))
+        for pair in ((n1, 0), (0, n2), (-1, 0)):
+            with pytest.raises(KeyError):
+                rep.component_of(pair)
+
+
+def test_gprime_shape_on_kt():
+    # the artificial pair's component is the only one with more than one
+    # pair; measured before G' stopped listing single pairs
+    for d, n_components, size in ((6, 1641, 124), (9, 16609, 292)):
+        rep = gprime_components(generate_kt(d))
+        assert rep.n_components == n_components
+        assert [len(c) for c in rep.components] == [size]
+        assert rep.artificial_component == 0
 
 
 def _pair_scan(g):
@@ -201,10 +223,16 @@ def _reachability_scan(g):
 
 def _gprime_scan(g):
     """Reference G': test every edge of one graph against every node of the
-    other, and find each equilibrium pair's component by a linear scan."""
-    g1, g2 = build_lh_graphs(g)
+    other, over node lists with the artificial node last, and number every
+    pair's component by a linear scan. Returns the report and the numbers of
+    all pairs, in order."""
+    p, q = require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
-    n1, n2 = len(g1.nodes), len(g2.nodes)
+    nodes1 = [(v.labels, v.point) for v in p.vertices]
+    nodes1.append((frozenset(range(1, g.m + 1)), None))
+    nodes2 = [(v.labels, v.point) for v in q.vertices]
+    nodes2.append((frozenset(range(g.m + 1, g.m + g.n + 1)), None))
+    n1, n2 = len(nodes1), len(nodes2)
     parent = {(i, j): (i, j) for i in range(n1) for j in range(n2)}
 
     def find(p):
@@ -217,34 +245,57 @@ def _gprime_scan(g):
         if rp != rq:
             parent[rp] = rq
 
-    for a, b in g1.edges:
-        shared = g1.nodes[a].labels & g1.nodes[b].labels
+    def edges(nodes):
+        # nodes are adjacent when their label sets share all but one member
+        for a in range(len(nodes)):
+            for b in range(a + 1, len(nodes)):
+                shared = nodes[a][0] & nodes[b][0]
+                if len(shared) == len(nodes[a][0]) - 1:
+                    yield a, b, shared
+
+    for a, b, shared in edges(nodes1):
         for j in range(n2):
-            if len(full - (shared | g2.nodes[j].labels)) == 1:
+            if len(full - (shared | nodes2[j][0])) == 1:
                 union((a, j), (b, j))
-    for a, b in g2.edges:
-        shared = g2.nodes[a].labels & g2.nodes[b].labels
+    for a, b, shared in edges(nodes2):
         for i in range(n1):
-            if len(full - (g1.nodes[i].labels | shared)) == 1:
+            if len(full - (nodes1[i][0] | shared)) == 1:
                 union((i, a), (i, b))
     groups = {}
-    for p in parent:
-        groups.setdefault(find(p), set()).add(p)
-    components = tuple(frozenset(c) for c in sorted(groups.values(), key=min))
+    for x in parent:
+        groups.setdefault(find(x), set()).add(x)
+    components = sorted(groups.values(), key=min)
+
+    def number(pair):
+        return next(k for k, c in enumerate(components) if pair in c)
+
     art = (n1 - 1, n2 - 1)
     eq_pairs = []
     for i in range(n1 - 1):
         for j in range(n2 - 1):
-            if g1.nodes[i].labels | g2.nodes[j].labels != full:
+            if nodes1[i][0] | nodes2[j][0] != full:
                 continue
-            s = MixedStrategyPair(g1.nodes[i].point[: g.m], g2.nodes[j].point[: g.n])
+            s = MixedStrategyPair(nodes1[i][1][: g.m], nodes2[j][1][: g.n])
             eq = EquilibriumPoint(
-                s, payoff1=g2.nodes[j].point[g.n], payoff2=g1.nodes[i].point[g.m]
+                s, payoff1=nodes2[j][1][g.n], payoff2=nodes1[i][1][g.m]
             )
-            comp = next(k for k, c in enumerate(components) if (i, j) in c)
-            eq_pairs.append(((i, j), comp, eq))
-    art_comp = next(k for k, c in enumerate(components) if art in c)
-    return GPrimeReport(components, art, art_comp, tuple(eq_pairs))
+            eq_pairs.append(((i, j), number((i, j)), eq))
+    report = GPrimeReport(
+        len(components),
+        tuple(frozenset(c) for c in components if len(c) > 1),
+        art,
+        number(art),
+        tuple(eq_pairs),
+    )
+    return report, tuple(number(x) for x in sorted(parent))
+
+
+def _gprime_numbered(g):
+    """gprime_components, and component_of of every pair, in order."""
+    rep = gprime_components(g)
+    n1, n2 = rep.artificial_pair
+    pairs = [(i, j) for i in range(n1 + 1) for j in range(n2 + 1)]
+    return rep, tuple(rep.component_of(x) for x in pairs)
 
 
 def _outcome(fn, g):
@@ -270,13 +321,14 @@ def _reference_games():
 
 def test_lookups_match_reference_scans():
     # the label-set lookups give exactly the results, or exactly the
-    # rejections, of the V_P * V_Q pairing and the edge-by-node G' scan
+    # rejections, of the V_P * V_Q pairing and the edge-by-node G' scan,
+    # down to the component number of every pair
     degenerate = 0
     for g in _reference_games():
         for fn, ref in (
             (equilibria_by_labels, _pair_scan),
             (reachability, _reachability_scan),
-            (gprime_components, _gprime_scan),
+            (_gprime_numbered, _gprime_scan),
         ):
             got, want = _outcome(fn, g), _outcome(ref, g)
             assert got == want, (g, fn.__name__)
