@@ -33,6 +33,7 @@ from .games import (
     BimatrixGame,
     EquilibriumPoint,
     General,
+    IntegerPayoffs,
     MixedStrategyPair,
     RankOneFactorization,
     RankReduction,
@@ -101,6 +102,7 @@ __all__ = [
     "GPrimeReport",
     "GameFileError",
     "General",
+    "IntegerPayoffs",
     "InternalInvariantError",
     "LHPath",
     "LabeledPolyhedron",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -12,7 +13,16 @@ from .errors import (
     NotRankOne,
     NotRowConstant,
 )
-from .linalg import RMatrix, Rational, matrix_rank, rat, solve, vdot
+from .linalg import (
+    RMatrix,
+    Rational,
+    clear_denominators,
+    clear_rows,
+    matrix_rank,
+    rat,
+    solve,
+    vdot,
+)
 
 Matrix = tuple[tuple[Rational, ...], ...]
 
@@ -122,18 +132,54 @@ def best_response_values(
     return p1, p2
 
 
+@dataclass(frozen=True)
+class IntegerPayoffs:
+    """A = a / a_scale and B^T = bt / b_scale, each cleared of denominators
+    by one positive integer. A caller that checks several strategy pairs of
+    one game builds this once per call and hands it to ``is_nash``; it is
+    never kept beyond the call."""
+
+    a: tuple[tuple[int, ...], ...]
+    a_scale: int
+    bt: tuple[tuple[int, ...], ...]
+    b_scale: int
+
+    @classmethod
+    def of(cls, g: BimatrixGame) -> "IntegerPayoffs":
+        a, a_scale = clear_rows(g.A)
+        bt, b_scale = clear_rows(zip(*g.B))
+        return cls(tuple(map(tuple, a)), a_scale, tuple(map(tuple, bt)), b_scale)
+
+
 def is_nash(
-    g: BimatrixGame, s: MixedStrategyPair
+    g: BimatrixGame, s: MixedStrategyPair, payoffs: IntegerPayoffs | None = None
 ) -> tuple[bool, Rational, Rational]:
     """Whether s is a Nash equilibrium, plus the realized payoffs (x^T A y, x^T B y).
 
-    A y and x^T B are formed once each: the realized payoffs are x . (A y)
-    and (x^T B) . y, and the best-reply payoffs are their largest entries.
+    The check runs on integers: with x, y, A and B cleared of denominators,
+    A y and x^T B are formed once each, the realized payoffs are x . (A y)
+    and (x^T B) . y, and the best-reply payoffs are the largest entries of
+    A y and x^T B. Only the two returned payoffs are built as rationals.
+    ``payoffs``, when given, must be ``IntegerPayoffs.of(g)``.
     """
-    ay = tuple(vdot(row, s.y) for row in g.A)
-    xb = tuple(vdot(s.x, col) for col in zip(*g.B))
-    u1, u2 = vdot(s.x, ay), vdot(xb, s.y)
-    return (u1 == max(ay) and u2 == max(xb)), u1, u2
+    if len(s.y) != g.n:
+        raise ValueError(f"dot of lengths {g.n} and {len(s.y)}")
+    if len(s.x) != g.m:
+        raise ValueError(f"dot of lengths {len(s.x)} and {g.m}")
+    ip = payoffs if payoffs is not None else IntegerPayoffs.of(g)
+    x, x_scale = clear_denominators(s.x)
+    y, y_scale = clear_denominators(s.y)
+    ay = [sum(map(mul, row, y)) for row in ip.a]
+    xb = [sum(map(mul, x, col)) for col in ip.bt]
+    u1, u2 = sum(map(mul, x, ay)), sum(map(mul, xb, y))
+    # A y = ay / (a_scale * y_scale) and u1 carries one more factor x_scale;
+    # likewise for B
+    ok = u1 == x_scale * max(ay) and u2 == y_scale * max(xb)
+    return (
+        ok,
+        rat(u1, x_scale * ip.a_scale * y_scale),
+        rat(u2, x_scale * ip.b_scale * y_scale),
+    )
 
 
 def loss(g: BimatrixGame, s: MixedStrategyPair) -> Rational:
@@ -148,19 +194,24 @@ def game_rank(g: BimatrixGame) -> int:
     return matrix_rank(RMatrix.from_rows(g.payoff_sum()))
 
 
-def factor_rank1(g: BimatrixGame) -> RankOneFactorization:
+def factor_rank1(
+    g: BimatrixGame, total: Matrix | None = None
+) -> RankOneFactorization:
     """Canonical factorization b * c^T of A + B for a rank-1 game.
 
     c is the first nonzero row of A + B; b_i = (A+B)[i][j0] / c[j0] for the
-    first j0 with c[j0] != 0. Raises NotRankOne unless rank(A+B) == 1.
+    first j0 with c[j0] != 0. Raises NotRankOne unless rank(A+B) == 1, which
+    holds exactly when c exists and b c^T = A + B. ``total``, when given,
+    must be ``g.payoff_sum()``.
     """
-    if game_rank(g) != 1:
-        raise NotRankOne(f"rank(A+B) = {game_rank(g)}, need 1")
-    s = g.payoff_sum()
-    c = next(row for row in s if any(v != 0 for v in row))
-    j0 = next(j for j, v in enumerate(c) if v != 0)
-    b = tuple(row[j0] / c[j0] for row in s)
-    return RankOneFactorization(b, c)
+    s = total if total is not None else g.payoff_sum()
+    c = next((row for row in s if any(v != 0 for v in row)), None)
+    if c is not None:
+        j0 = next(j for j, v in enumerate(c) if v != 0)
+        b = tuple(row[j0] / c[j0] for row in s)
+        if all(bi * cj == v for bi, row in zip(b, s) for cj, v in zip(c, row)):
+            return RankOneFactorization(b, c)
+    raise NotRankOne(f"rank(A+B) = {game_rank(g)}, need 1")
 
 
 @dataclass(frozen=True)
@@ -214,8 +265,12 @@ class General:
     """Neither zero-sum nor row-constant."""
 
 
-def classify_special(g: BimatrixGame) -> ZeroSum | RowConstant | General:
-    s = g.payoff_sum()
+def classify_special(
+    g: BimatrixGame, total: Matrix | None = None
+) -> ZeroSum | RowConstant | General:
+    """Which special class A + B falls in; ``total``, when given, must be
+    ``g.payoff_sum()``."""
+    s = total if total is not None else g.payoff_sum()
     if all(v == 0 for row in s for v in row):
         return ZeroSum()
     if all(all(v == row[0] for v in row) for row in s):

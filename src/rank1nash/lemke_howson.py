@@ -13,10 +13,11 @@ components expose equilibria no such path can reach.
 
 Non-degeneracy, which every function here requires, gives each node a label
 set of its own, so partners are found by looking up a label set, never by
-scanning the other graph. ``reachability`` verifies each distinct
-equilibrium once, in the label covering over the same vertex graphs, and
-matches every path terminal (a completely labeled pair) to one of those by
-key; ``lh_run`` verifies its single terminal itself.
+scanning the other graph. ``reachability`` and ``gprime_components``
+verify each distinct equilibrium once, in the label covering over the same
+vertex graphs; ``reachability`` matches every path terminal (a completely
+labeled pair) to one of those by key. ``lh_run`` verifies its single
+terminal itself.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     So if the edge keeps the labels S, its partners j are the Q nodes
     labeled (full - S) - {l}, one lookup for each l in full - S. Only the
     pairs these edges touch enter the union-find; every other pair is a
-    component of its own. The equilibrium pairs are looked up the same way,
-    by complementary labels.
+    component of its own. The equilibrium pairs are those of the label
+    covering over the same vertex graphs, each checked once with is_nash.
     """
     p, q = require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
@@ -265,17 +266,12 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     components = tuple(frozenset(c) for c in groups.values())
     art = (n1, n2)
 
+    # the P vertices are sorted by x, so the equilibria, sorted by (x, y),
+    # come in the order of their P nodes
     eq_pairs = []
-    for i, vp in enumerate(p.vertices):
-        # a vertex of P has some x_i > 0, so no real node completes Q's
-        # artificial node
-        j = at2.get(full - vp.labels)
-        if j is None:
-            continue
-        vq = q.vertices[j]
-        s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
-        eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
-        eq_pairs.append(((i, j), _component_number(components, art, (i, j)), eq))
+    for eq, vp, vq in _labeled_equilibria(g, p, q):
+        pair = (at1[vp.labels], at2[vq.labels])
+        eq_pairs.append((pair, _component_number(components, art, pair), eq))
     # each union of two touched groups takes one component off the count
     return GPrimeReport(
         (n1 + 1) * (n2 + 1) - len(parent) + len(groups),

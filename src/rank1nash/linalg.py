@@ -146,18 +146,31 @@ def solve(m: RMatrix, rhs: Sequence[Rational]) -> tuple[Rational, ...]:
     return solve_square(m, rhs).const
 
 
-def _integer_rows(m: RMatrix) -> list[list[int]]:
-    # scaling a row by a positive integer leaves the rank unchanged
-    out = []
-    for row in m.entries:
-        scale = math.lcm(*(int(x.denominator) for x in row)) if row else 1
-        out.append([int(x.numerator) * (scale // int(x.denominator)) for x in row])
-    return out
+def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """(ints, scale): scale is the lcm of the denominators, and value i is
+    ints[i] / scale."""
+    dens = [int(v.denominator) for v in values]
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return [int(v.numerator) for v in values], 1
+    return [int(v.numerator) * (scale // d) for v, d in zip(values, dens)], scale
+
+
+def clear_rows(
+    rows: Iterable[Sequence[Rational]],
+) -> tuple[list[list[int]], int]:
+    """(int_rows, scale): every row times one scale, the lcm of all the
+    denominators."""
+    rows = list(rows)
+    flat, scale = clear_denominators([v for row in rows for v in row])
+    w = len(rows[0])
+    return [flat[i : i + w] for i in range(0, len(flat), w)], scale
 
 
 def matrix_rank(m: RMatrix) -> int:
     """Rank via fraction-free (Bareiss) elimination after clearing denominators."""
-    a = _integer_rows(m)
+    # scaling a row by a positive integer leaves the rank unchanged
+    a = [clear_denominators(row)[0] for row in m.entries]
     rows, cols = m.rows, m.cols
     rank = 0
     prev = 1

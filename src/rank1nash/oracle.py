@@ -9,7 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
+from .games import (
+    BimatrixGame,
+    EquilibriumPoint,
+    IntegerPayoffs,
+    MixedStrategyPair,
+    is_nash,
+)
 from .linalg import Rational, rat, vdot
 
 
@@ -78,6 +84,8 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
         size_pairs = [(k1, k2) for k1 in range(1, m + 1) for k2 in range(1, n + 1)]
     else:
         size_pairs = [(k, k) for k in range(1, min(m, n) + 1)]
+    # only the unequal sizes of a strict scan call is_nash
+    payoffs = IntegerPayoffs.of(g) if strict else None
     found: dict[tuple, EquilibriumPoint] = {}
     suspect = False
     for k1, k2 in size_pairs:
@@ -106,7 +114,7 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
                     if any(p < 0 for p in xvals) or any(p < 0 for p in yvals):
                         continue
                     x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
-                    ok, u1, u2 = is_nash(g, MixedStrategyPair(x, y))
+                    ok, u1, u2 = is_nash(g, MixedStrategyPair(x, y), payoffs)
                     if ok:
                         suspect = True
                         eq = EquilibriumPoint(

@@ -53,6 +53,7 @@ from .games import (
     BimatrixGame,
     EquilibriumPoint,
     General,
+    IntegerPayoffs,
     MixedStrategyPair,
     RankOneFactorization,
     ZeroSum,
@@ -436,10 +437,11 @@ def enumerate_all(
     p, q = require_nondegenerate(g)
     if factorization is not None:
         factorization.require_matches(g)
-    cls = classify_special(g)
+    total = g.payoff_sum()
+    cls = classify_special(g, total)
     if isinstance(cls, ZeroSum):
         return _one_point_sweep(g, None, "zero-sum", p, q)
-    f = factorization if factorization is not None else factor_rank1(g)
+    f = factorization if factorization is not None else factor_rank1(g, total)
     if not isinstance(cls, General):
         return _one_point_sweep(g, f, "row-constant", p, q)
 
@@ -450,6 +452,7 @@ def enumerate_all(
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
     found: dict[tuple, EquilibriumPoint] = {}
+    payoffs = IntegerPayoffs.of(g)
     visited: set[tuple[int, ...]] = set()
     while True:
         key = iv.basis.rows
@@ -460,7 +463,7 @@ def enumerate_all(
         for eq in equilibria_on_interval(iv):
             if eq.key() in found:
                 continue
-            if not is_nash(g, eq.strategies)[0]:
+            if not is_nash(g, eq.strategies, payoffs)[0]:
                 raise InternalInvariantError(
                     "objective zero failed the equilibrium check"
                 )

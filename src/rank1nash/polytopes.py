@@ -12,19 +12,30 @@ denominators and shifted to positive integers. That positive affine map
 keeps every best reply, so each non-zero vertex of P' is a vertex of P with
 the same labels, after scaling x onto the simplex. The walk starts at the
 origin, a simple vertex whose dictionary is the raw integer data, and
-follows ratio-test pivots on a fraction-free tableau (Bareiss division)
-through every feasible basis, in the manner of lrs (Avis & Fukuda 1992;
-Avis, Rosenberg, Savani & von Stengel 2010).
+follows ratio-test pivots through every feasible basis, in the manner of
+lrs (Avis & Fukuda 1992; Avis, Rosenberg, Savani & von Stengel 2010). As in
+lrs, the walk keeps a dictionary: the integer columns of the d cobasic
+variables and the right-hand side, all scaled by the basis determinant det
+(Bareiss division keeps them integral). The k basic columns always read
+det * e_r, so they are not stored: a pivot turns the leaving variable's
+column into det in the pivot row and minus the entering column elsewhere.
 
-Each vertex is read off the integer tableau. With A' = scale * A + shift
+Each vertex is read off the integer dictionary. With A' = scale * A + shift
 (likewise B'), a basis of determinant det puts P' or Q' at z = r / det,
-where the integer vector r holds the tableau's right-hand side on the
-basic z variables and 0 elsewhere. At a non-zero vertex some row of A' is
-tight, so the best-reply payoff of the strategy z / sum(z) is
+where the integer vector r holds the right-hand side on the basic z
+variables and 0 elsewhere. At a non-zero vertex some row of A' is tight, so
+the best-reply payoff of the strategy z / sum(z) is
 (det - shift * S) / (scale * S) with S = sum(r): one rational, with no dot
-product. The bases of a degenerate vertex are merged on an integer key,
-the primitive vector r / gcd(r), so a repeated basis costs no rational
+product. The bases of a degenerate vertex are merged on an integer key, the
+primitive vector r / gcd(r), so a repeated basis costs no rational
 arithmetic.
+
+Vertices stay in integers until a caller reads a rational. Each keeps its
+key, the key's sum (the denominator of the strategy) and the payoff's
+numerator and denominator, and builds ``point`` on first read. They are
+sorted by their keys scaled to a common denominator, which orders them as
+their points would be ordered. A caller that reads only label sets, such as
+the non-degeneracy check, builds no rational at all.
 """
 
 from __future__ import annotations
@@ -34,8 +45,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateGame, InternalInvariantError
-from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .linalg import Rational, rat
+from .games import (
+    BimatrixGame,
+    EquilibriumPoint,
+    IntegerPayoffs,
+    MixedStrategyPair,
+    is_nash,
+)
+from .linalg import Rational, clear_rows, rat
 
 
 @dataclass(frozen=True)
@@ -82,10 +99,49 @@ class LabeledPolyhedron:
         return (rat(1),) * (self.dim - 1) + (rat(0),), rat(1)
 
 
-@dataclass(frozen=True)
 class LabeledVertex:
-    point: tuple[Rational, ...]
-    labels: frozenset[int]
+    """A vertex of P or Q, as its point and its binding labels.
+
+    ``LabeledVertex(point, labels)`` keeps the point it is given; the vertex
+    walk makes its vertices with ``_from_integers``, and those build
+    ``point`` on first read. Vertices compare and hash as (point, labels).
+    """
+
+    __slots__ = ("labels", "_point", "_integers")
+
+    def __init__(self, point: tuple[Rational, ...], labels: frozenset[int]):
+        self.labels = labels
+        self._point = point
+        self._integers = None
+
+    @classmethod
+    def _from_integers(
+        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, labels
+    ) -> "LabeledVertex":
+        """The vertex (key / den, num / pay_den); no rational is built yet."""
+        v = cls.__new__(cls)
+        v.labels = labels
+        v._point = None
+        v._integers = (key, den, num, pay_den)
+        return v
+
+    @property
+    def point(self) -> tuple[Rational, ...]:
+        if self._point is None:
+            key, den, num, pay_den = self._integers
+            self._point = tuple(rat(v, den) for v in key) + (rat(num, pay_den),)
+        return self._point
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledVertex):
+            return NotImplemented
+        return self.labels == other.labels and self.point == other.point
+
+    def __hash__(self):
+        return hash((self.point, self.labels))
+
+    def __repr__(self):
+        return f"LabeledVertex(point={self.point!r}, labels={self.labels!r})"
 
 
 def build_polyhedron(g: BimatrixGame, which: str) -> LabeledPolyhedron:
@@ -96,26 +152,23 @@ def build_polyhedron(g: BimatrixGame, which: str) -> LabeledPolyhedron:
 def _positive_integer_rows(rows) -> tuple[list[list[int]], int, int]:
     """(rows * scale + shift, scale, shift): scale is the lcm of all
     denominators, and shift makes the least entry 1."""
-    scale = math.lcm(*(int(v.denominator) for row in rows for v in row))
-    ints = [
-        [int(v.numerator) * (scale // int(v.denominator)) for v in row]
-        for row in rows
-    ]
-    shift = 1 - min(v for row in ints for v in row)
+    ints, scale = clear_rows(rows)
+    shift = 1 - min(min(row) for row in ints)
     return [[v + shift for v in row] for row in ints], scale, shift
 
 
-def _ratio_test(tab: list[list[int]], col: int) -> list[int]:
-    """Rows that limit variable ``col`` entering; several on a tie."""
+def _ratio_test(dic: list[list[int]], col: int) -> list[int]:
+    """Rows that limit the variable of column ``col`` entering; several on a
+    tie."""
     best: list[int] = []
-    for r, row in enumerate(tab):
+    for r, row in enumerate(dic):
         a = row[col]
         if a <= 0:
             continue
         if not best:
             best.append(r)
             continue
-        lead = tab[best[0]]
+        lead = dic[best[0]]
         # row[-1] / a against lead[-1] / lead[col], both denominators positive
         diff = row[-1] * lead[col] - lead[-1] * a
         if diff < 0:
@@ -125,22 +178,26 @@ def _ratio_test(tab: list[list[int]], col: int) -> list[int]:
     return best
 
 
-def _pivot(tab: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
-    """Integer pivot on (r, col); the pivot element becomes the new determinant."""
-    prow = tab[r]
+def _pivot(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
+    """Integer pivot of the dictionary on (r, col); the pivot element becomes
+    the new determinant. Column ``col`` then holds the leaving variable,
+    whose old column was det * e_r."""
+    prow = dic[r]
     p = prow[col]
     out = []
-    for i, row in enumerate(tab):
-        if i == r:
-            out.append(prow)
-            continue
+    for i, row in enumerate(dic):
         f = row[col]
-        new = []
-        for a, b in zip(row, prow):
-            q, rem = divmod(p * a - f * b, det)
-            if rem:
-                raise InternalInvariantError("integer pivot division not exact")
-            new.append(q)
+        if i == r:
+            new = prow.copy()
+            new[col] = det
+        else:
+            new = []
+            for a, b in zip(row, prow):
+                q, rem = divmod(p * a - f * b, det)
+                if rem:
+                    raise InternalInvariantError("integer pivot division not exact")
+                new.append(q)
+            new[col] = -f
         out.append(new)
     return out
 
@@ -151,34 +208,31 @@ def _feasible_bases(mat: list[list[int]]):
     ``mat`` is k x d with positive entries, so the polytope is bounded and
     the origin (all slacks basic) is a simple vertex. Variables 0..d-1 are
     z and d..d+k-1 the slacks. Yields (basis, rhs, det): ``basis[r]`` is
-    the variable of tableau row r, and its value is rhs[r] / det, where the
-    integer det > 0 is |det| of the basis's columns of [mat | I]. A tie in the ratio test
-    branches to every tied row, so degenerate vertices are reached through
-    all of their bases.
+    the variable of dictionary row r, and its value is rhs[r] / det, where
+    the integer det > 0 is |det| of the basis's columns of [mat | I]. The
+    entering variables are tried in increasing order. A tie in the ratio
+    test branches to every tied row, so degenerate vertices are reached
+    through all of their bases.
     """
     k, d = len(mat), len(mat[0])
-    width = d + k
-    tab = [
-        row + [int(c == r) for c in range(k)] + [1] for r, row in enumerate(mat)
-    ]
-    basis = list(range(d, width))
+    basis = list(range(d, d + k))
     seen = {frozenset(basis)}
-    stack = [(basis, tab, 1)]
+    # cobasis[c] is the variable of dictionary column c
+    stack = [(basis, list(range(d)), [row + [1] for row in mat], 1)]
     while stack:
-        basis, tab, det = stack.pop()
-        yield basis, [row[-1] for row in tab], det
-        inside = set(basis)
-        for col in range(width):
-            if col in inside:
-                continue
-            for r in _ratio_test(tab, col):
+        basis, cobasis, dic, det = stack.pop()
+        yield basis, [row[-1] for row in dic], det
+        for col in sorted(range(d), key=cobasis.__getitem__):
+            for r in _ratio_test(dic, col):
                 nxt = basis.copy()
-                nxt[r] = col
+                nxt[r] = cobasis[col]
                 key = frozenset(nxt)
                 if key in seen:
                     continue
                 seen.add(key)
-                stack.append((nxt, _pivot(tab, r, col, det), tab[r][col]))
+                co = cobasis.copy()
+                co[col] = basis[r]
+                stack.append((nxt, co, _pivot(dic, r, col, det), dic[r][col]))
 
 
 def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
@@ -187,9 +241,9 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     Walks the feasible bases of the normalised polytope (P' over x for "P",
     Q' over y for "Q"; see the module docstring) and maps each non-zero
     vertex z back to the point (z / sum(z), best-reply payoff), read off the
-    integer tableau. Its labels are the cobasic variables plus every basic
-    variable at zero, so extra bindings on degenerate inputs are reported
-    faithfully.
+    integer dictionary and built on first read. Its labels are the cobasic
+    variables plus every basic variable at zero, so extra bindings on
+    degenerate inputs are reported faithfully.
     """
     g = p.game
     m, n = g.m, g.n
@@ -217,16 +271,22 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
         key = tuple(v // common for v in z)
         if key in found:
             continue
-        # some row of mat is tight at z / det, so the best-reply payoff of
-        # the strategy z / total is (det - shift * total) / (scale * total)
-        den = total // common
-        point = tuple(rat(v, den) for v in key) + (
-            rat(det - shift * total, scale * total),
-        )
         zero = every - set(basis)
         zero.update(var for var, value in zip(basis, rhs) if value == 0)
-        found[key] = LabeledVertex(point, frozenset(labels[v] for v in zero))
-    return tuple(sorted(found.values(), key=lambda v: v.point))
+        # some row of mat is tight at z / det, so the best-reply payoff of
+        # the strategy z / total is (det - shift * total) / (scale * total)
+        found[key] = LabeledVertex._from_integers(
+            key,
+            total // common,
+            det - shift * total,
+            scale * total,
+            frozenset(labels[v] for v in zero),
+        )
+    # the strategy is key / sum(key): scaled to the common denominator, the
+    # keys sort as the points do, and distinct keys give distinct strategies
+    lcm = math.lcm(*(sum(key) for key in found))
+    order = sorted(found, key=lambda key: [v * (lcm // sum(key)) for v in key])
+    return tuple(found[key] for key in order)
 
 
 @dataclass(frozen=True)
@@ -301,6 +361,7 @@ def _labeled_equilibria(
     """Each equilibrium, checked once with is_nash, with its P vertex and the
     Q vertex labeled by the labels that P vertex lacks; sorted by key."""
     full = frozenset(range(1, g.m + g.n + 1))
+    payoffs = IntegerPayoffs.of(g)
     out = []
     for vp in p.vertices:
         vq = q.at.get(full - vp.labels)
@@ -308,7 +369,7 @@ def _labeled_equilibria(
             continue
         s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
         eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
-        if not is_nash(g, s)[0]:
+        if not is_nash(g, s, payoffs)[0]:
             raise InternalInvariantError(
                 "completely labeled pair failed the equilibrium check"
             )

@@ -15,7 +15,10 @@ from rank1nash import (
     equilibria_by_labels,
     format_game,
     generate_kt,
+    gprime_components,
+    lemke_howson,
     load_game,
+    parametric,
     polytopes,
 )
 from rank1nash.cli import main
@@ -119,12 +122,24 @@ def test_paths_degenerate_under_optimize(degen_path):
         assert out.returncode == 2, out.stdout + out.stderr
 
 
-def test_failed_equilibrium_check_exits_5(demo_path, monkeypatch, capsys):
-    monkeypatch.setattr(polytopes, "is_nash", lambda g, s: (False, None, None))
+def test_failed_equilibrium_check_exits_5(demo_path, unreach_path, monkeypatch, capsys):
+    # every module that checks equilibria; is_nash takes the game's cleared
+    # payoffs as an optional third argument
+    for mod in (polytopes, lemke_howson, parametric):
+        monkeypatch.setattr(mod, "is_nash", lambda *args: (False, None, None))
     with pytest.raises(InternalInvariantError):
         equilibria_by_labels(load_game(demo_path))
-    assert main(["labels", demo_path]) == 5
-    assert "InternalInvariantError" in capsys.readouterr().err
+    with pytest.raises(InternalInvariantError):
+        gprime_components(load_game(demo_path))
+    for args in (
+        ["labels", demo_path],
+        ["gprime", demo_path],
+        ["lh", demo_path, "--r", "1"],
+        ["lh", demo_path, "--all"],
+        ["enumerate", unreach_path],
+    ):
+        assert main(args) == 5, args
+        assert "InternalInvariantError" in capsys.readouterr().err
 
 
 def test_oracle_and_labels(demo_path, capsys):

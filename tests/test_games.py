@@ -15,6 +15,7 @@ from rank1nash import (
     BimatrixGame,
     FactorizationMismatch,
     General,
+    IntegerPayoffs,
     MixedStrategyPair,
     NonPositiveScale,
     NotFullRank,
@@ -84,16 +85,18 @@ def _is_nash_reference(g, s):
 
 
 PAYOFF = st.fractions(-5, 5, max_denominator=4)
+# numerators up to 10**6 over denominators up to 10**3, as in rank1-bigrat
+WIDE_PAYOFF = st.builds(rat, st.integers(-(10**6), 10**6), st.integers(1, 10**3))
 
 
 @st.composite
-def games_and_pairs(draw):
+def games_and_pairs(draw, payoff=PAYOFF, weight=6):
     """A game, its oracle equilibria and a random strategy pair."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    matrix = st.lists(st.lists(PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m)
+    matrix = st.lists(st.lists(payoff, min_size=n, max_size=n), min_size=m, max_size=m)
     g = BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
     weights = [
-        draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+        draw(st.lists(st.integers(0, weight), min_size=k, max_size=k).filter(any))
         for k in (m, n)
     ]
     x, y = ([rat(w, sum(ws)) for w in ws] for ws in weights)
@@ -102,11 +105,18 @@ def games_and_pairs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(games_and_pairs())
+@given(
+    st.one_of(
+        games_and_pairs(), games_and_pairs(payoff=WIDE_PAYOFF, weight=10**4)
+    )
+)
 def test_is_nash_matches_the_reference(drawn):
     g, pairs = drawn
+    payoffs = IntegerPayoffs.of(g)
     for s in pairs:
-        assert is_nash(g, s) == _is_nash_reference(g, s)
+        want = _is_nash_reference(g, s)
+        assert is_nash(g, s) == want
+        assert is_nash(g, s, payoffs) == want
 
 
 def test_is_nash_length_errors_match_the_reference(demo23):
@@ -156,6 +166,27 @@ def test_factor_rank1_canonical(unreach22):
 def test_factor_rank1_rejects_higher_rank(demo23):
     with pytest.raises(NotRankOne):
         factor_rank1(demo23)
+
+
+def test_factor_rank1_agrees_with_the_rank():
+    # b c^T = A + B is the rank-1 test; a rejection still reports the rank.
+    # Rank-1 draws with zero rows and columns, rank-0 and full-rank draws
+    rng = random.Random(7717)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_rank1_game(rng, m, n, -2, 2)
+        if rng.random() < 0.3:
+            g = random_game(rng, m, n, -1, 1)
+        total = g.payoff_sum()
+        if game_rank(g) == 1:
+            f = factor_rank1(g)
+            assert f == factor_rank1(g, total)
+            f.require_matches(g)
+            continue
+        for args in ((g,), (g, total)):
+            with pytest.raises(NotRankOne) as err:
+                factor_rank1(*args)
+            assert str(err.value) == f"rank(A+B) = {game_rank(g)}, need 1"
 
 
 def test_factorization_for_game(unreach22):

@@ -339,9 +339,9 @@ def test_lookups_match_reference_scans():
 
 
 def test_is_nash_once_per_equilibrium(monkeypatch):
-    # reachability verifies each distinct equilibrium once, in the label
-    # covering, and matches path terminals to those; lh_run on its own
-    # verifies its terminal
+    # reachability and gprime_components verify each distinct equilibrium
+    # once, in the label covering, and reachability matches path terminals
+    # to those; lh_run on its own verifies its terminal
     import rank1nash
     from rank1nash import games
 
@@ -367,6 +367,8 @@ def test_is_nash_once_per_equilibrium(monkeypatch):
         calls = 0
         rep = reachability(g)
         assert calls == len(rep.reached) + len(rep.unreached)
+        calls = 0
+        assert len(gprime_components(g).equilibrium_pairs) == calls > 0
         terminals = 0
         calls = 0
         for r in range(1, g.m + g.n + 1):

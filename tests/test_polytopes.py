@@ -212,6 +212,137 @@ def test_pivot_rejects_inexact_division():
         _pivot([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
 
 
+def _full_tableau_bases(mat):
+    """Reference walk over the full fraction-free tableau [mat | I | 1]:
+    every pivot recomputes all d + k columns, basic ones included."""
+    k, d = len(mat), len(mat[0])
+    tab = [row + [int(c == r) for c in range(k)] + [1] for r, row in enumerate(mat)]
+    basis = list(range(d, d + k))
+    seen, stack = {frozenset(basis)}, [(basis, tab, 1)]
+    while stack:
+        basis, tab, det = stack.pop()
+        yield basis, [row[-1] for row in tab], det
+        for col in (c for c in range(d + k) if c not in basis):
+            ratios = {
+                r: rat(row[-1], row[col]) for r, row in enumerate(tab) if row[col] > 0
+            }
+            for r in (r for r, v in ratios.items() if v == min(ratios.values())):
+                nxt = basis.copy()
+                nxt[r] = col
+                if frozenset(nxt) in seen:
+                    continue
+                seen.add(frozenset(nxt))
+                p, prow = tab[r][col], tab[r]
+                new = [
+                    [(p * a - row[col] * b) // det for a, b in zip(row, prow)]
+                    for row in tab
+                ]
+                new[r] = prow
+                stack.append((nxt, new, p))
+
+
+def _bases(walk):
+    return [(tuple(b), tuple(rhs), det) for b, rhs, det in walk]
+
+
+def test_dictionary_walk_matches_the_full_tableau():
+    # small entries tie the ratio test; the kt polytopes are large and simple
+    rng = random.Random(4409)
+    mats = []
+    for _ in range(80):
+        k, d = rng.randint(1, 5), rng.randint(1, 5)
+        mats.append([[rng.randint(1, 3) for _ in range(d)] for _ in range(k)])
+    for d in range(1, 9):
+        g = generate_kt(d)
+        mats += [_positive_integer_rows(rows)[0] for rows in (tuple(zip(*g.B)), g.A)]
+    for mat in mats:
+        want = _bases(_full_tableau_bases(mat))
+        got = _bases(_feasible_bases(mat))
+        assert len(set(want)) == len(want) == len(got)
+        assert set(got) == set(want), mat
+
+
+def _eager_vertices(p):
+    """Reference: every vertex point built as rationals at once, merged and
+    sorted by that point."""
+    g = p.game
+    payoffs = tuple(zip(*g.B)) if p.which == "P" else g.A
+    labels = (
+        tuple(range(1, g.m + g.n + 1))
+        if p.which == "P"
+        else tuple(range(g.m + 1, g.m + g.n + 1)) + tuple(range(1, g.m + 1))
+    )
+    mat, scale, shift = _positive_integer_rows(payoffs)
+    d = len(mat[0])
+    found = {}
+    for basis, rhs, det in _feasible_bases(mat):
+        z = [rat(0)] * d
+        for var, value in zip(basis, rhs):
+            if var < d:
+                z[var] = rat(value, det)
+        if sum(z) == 0:
+            continue
+        # a row of mat is tight: scale * payoff + shift * sum(z) = 1
+        total = sum(z)
+        point = tuple(v / total for v in z) + ((1 - shift * total) / (scale * total),)
+        zero = {v for v in range(len(labels)) if v not in basis}
+        zero.update(var for var, value in zip(basis, rhs) if value == 0)
+        vertex = LabeledVertex(point, frozenset(labels[v] for v in zero))
+        found.setdefault(point, vertex)
+    return tuple(sorted(found.values(), key=lambda v: v.point))
+
+
+def _bigrat_game(rng, m, n):
+    """A random rank-1 game with payoffs of numerators up to 10**6 and
+    denominators up to 10**3."""
+    def draw():
+        return rat(rng.randint(-(10**6), 10**6), rng.randint(1, 10**3))
+
+    a = [[draw() for _ in range(n)] for _ in range(m)]
+    b, c = [draw() for _ in range(m)], [draw() for _ in range(n)]
+    return BimatrixGame.from_payoffs(
+        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+
+
+def test_enumerate_vertices_matches_the_eager_reference():
+    # points, labels and order, with every point built only when read
+    rng = random.Random(5527)
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 9)]
+    for _ in range(12):
+        games.append(_bigrat_game(rng, rng.randint(2, 5), rng.randint(2, 5)))
+    for g in games:
+        for which in ("P", "Q"):
+            poly = build_polyhedron(g, which)
+            got, want = enumerate_vertices(poly), _eager_vertices(poly)
+            assert [v.point for v in got] == [v.point for v in want], (g, which)
+            assert [v.labels for v in got] == [v.labels for v in want], (g, which)
+            assert got == want
+
+
+def test_check_builds_no_vertex_point(monkeypatch):
+    # the check reads label sets only; a point is built when it is read
+    built = 0
+    original = polytopes.rat
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return original(*args)
+
+    monkeypatch.setattr(polytopes, "rat", counted)
+    rng = random.Random(5531)
+    games = [generate_kt(d) for d in range(1, 9)]
+    games += [_bigrat_game(rng, 5, 5) for _ in range(3)]
+    for g in games:
+        check_nondegenerate(g)
+    p, q = polytopes.require_nondegenerate(generate_kt(5))
+    assert built == 0
+    assert len(p.vertices[0].point) == 6
+    assert built == 6
+
+
 def _best_reply_payoff(g, which, strategy):
     """Reference payoff: the largest entry of B^T x (P) or of A y (Q)."""
     rows = zip(*g.B) if which == "P" else g.A
