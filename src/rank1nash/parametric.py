@@ -34,15 +34,23 @@ sweep is a shadow-vertex walk on each (Gass & Saaty 1955; Borgwardt 1987):
 A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
 (polytopes.VertexGraph) that the non-degeneracy check returns, and the
 sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
-are interpolated along the Q edge. The sweep table reads its binding rows
-off the same labels, from a Q graph it enumerates itself, as nothing is
-cached between calls; the dense tableau is kept for the zero-sum duality
-check and as the row numbering of M1.
+are interpolated along the Q edge. Once the graphs exist, the sweep's cost
+follows the intervals it crosses, not the vertices: b^T x, c^T y and the
+payoffs are read off the integer keys of the vertices the walks visit, each
+vertex's crossings and each edge's slope are computed once, the first
+basis is found by climbing P and by leaving the Q vertex y = e_j of the
+least c_j, and an equilibrium is a vertex pair, so only the vertices of
+equilibria build their rationals. The sweep table reads its binding rows
+off the labels of each interval's P vertex and Q edge ends; the dense
+tableau is kept for the zero-sum duality check and as the row numbering of
+M1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .errors import (
     DegenerateGame,
@@ -61,14 +69,16 @@ from .games import (
     factor_rank1,
     is_nash,
 )
-from .linalg import AffineR, AffineRVector, RMatrix, Rational, rat, vdot
-from .polytopes import (
-    LabeledVertex,
-    VertexGraph,
-    build_polyhedron,
-    enumerate_vertices,
-    require_nondegenerate,
+from .linalg import (
+    AffineR,
+    AffineRVector,
+    RMatrix,
+    Rational,
+    clear_denominators,
+    rat,
+    vdot,
 )
+from .polytopes import LabeledVertex, VertexGraph, require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -191,11 +201,12 @@ class BasisInterval:
     beta2 is the first xi where a basic dual multiplier goes negative: where
     the line of a steeper neighbour of the P vertex crosses the vertex's
     own, and beta2_row is the label dropped to reach it (None when no
-    neighbour is steeper). xi2 = min of the two.
+    neighbour is steeper). xi2 = min of the two. The basis's P vertex, its
+    Q edge's two ends in increasing c^T y and their c^T y are kept, and z
+    is built from them on first read.
     """
 
     basis: ParametricBasis
-    z: AffineRVector
     xi1: Rational
     xi2: Rational
     alpha2: Rational | None
@@ -203,6 +214,9 @@ class BasisInterval:
     alpha2_row: int | None
     beta2_row: int | None
     objective: AffineR  # xi b^T x - pi1 - pi2 along the basis
+    p_vertex: LabeledVertex
+    q_edge: tuple[LabeledVertex, LabeledVertex]
+    q_xi: tuple[Rational, Rational]  # c^T y at the ends of q_edge
 
     @property
     def case(self) -> str | None:
@@ -216,14 +230,26 @@ class BasisInterval:
             return "Optimality"
         return None
 
+    @cached_property
+    def z(self) -> AffineRVector:
+        """(x, y, pi1, pi2) as an affine function of xi: x and pi2 from the
+        P vertex, (y, pi1) moving along the Q edge per unit of xi = c^T y."""
+        m = self.basis.m
+        v, (w_lo, w_hi), (c_lo, c_hi) = self.p_vertex, self.q_edge, self.q_xi
+        step = [(b - a) / (c_hi - c_lo) for a, b in zip(w_lo.point, w_hi.point)]
+        at0 = [a - c_lo * d for a, d in zip(w_lo.point, step)]
+        zero = rat(0)
+        return AffineRVector(
+            (*v.point[:m], *at0, v.point[m]), (zero,) * m + tuple(step) + (zero,)
+        )
 
-def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
-    """The ends of the interval where its objective is 0, as equilibria.
+
+def _objective_zeros(iv: BasisInterval) -> list[Rational]:
+    """The ends of the interval where its objective is 0.
 
     The objective is affine in xi and nonpositive wherever the basis is
     feasible, so a zero inside the interval means it is 0 on all of it: a
-    continuum of equilibria, which only a degenerate game has. The points
-    are not checked here; enumerate_all checks each distinct one once.
+    continuum of equilibria, which only a degenerate game has.
     """
     ends = (iv.xi1,) if iv.xi1 == iv.xi2 else (iv.xi1, iv.xi2)
     values = [iv.objective.at(xi) for xi in ends]
@@ -236,19 +262,32 @@ def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
         )
+    return zeros
+
+
+def _q_end(iv: BasisInterval, xi: Rational) -> int:
+    """0 or 1: the end of the interval's Q edge where c^T y = xi. In a
+    non-degenerate game an equilibrium is a pair of vertices, so an
+    objective zero lies at an end of the Q edge."""
+    if xi in iv.q_xi:
+        return iv.q_xi.index(xi)
+    raise InternalInvariantError(f"objective zero at xi = {xi} inside a Q edge")
+
+
+def _vertex_pair(iv: BasisInterval, end: int, xi: Rational) -> EquilibriumPoint:
+    """The equilibrium at the interval's P vertex and Q edge end ``end``."""
     m, n = iv.basis.m, iv.basis.n
-    out = []
-    for xi in zeros:
-        zv = iv.z.at(xi)
-        out.append(
-            EquilibriumPoint(
-                MixedStrategyPair(zv[:m], zv[m : m + n]),
-                payoff1=zv[m + n],
-                payoff2=zv[m + n + 1],
-                source_xi=xi,
-            )
-        )
-    return tuple(out)
+    v, w = iv.p_vertex.point, iv.q_edge[end].point
+    return EquilibriumPoint(
+        MixedStrategyPair(v[:m], w[:n]), payoff1=w[n], payoff2=v[m], source_xi=xi
+    )
+
+
+def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
+    """The ends of the interval where its objective is 0, as equilibria: each
+    the interval's P vertex with the end of its Q edge at that xi. The points
+    are not checked here; enumerate_all checks each distinct one once."""
+    return tuple(_vertex_pair(iv, _q_end(iv, xi), xi) for xi in _objective_zeros(iv))
 
 
 def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
@@ -257,17 +296,43 @@ def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
     return xi * vdot(b, v.point[: len(b)]) - v.point[len(b)]
 
 
+class _Line:
+    """w^T s and the payoff at each vertex of one graph, for a weight vector
+    w over its strategies s: (b^T x, pi2) on P, (c^T y, pi1) on Q. Each is
+    read off the vertex's integers, (w' . key) / (scale * den) with w = w' /
+    scale, and kept by vertex index, so only the vertices a walk visits
+    build rationals."""
+
+    def __init__(self, graph: VertexGraph, weights):
+        self.vertices = graph.vertices
+        self.w, self.scale = clear_denominators(weights)
+        self.memo: dict[int, tuple[Rational, Rational]] = {}
+
+    def __getitem__(self, k: int) -> tuple[Rational, Rational]:
+        got = self.memo.get(k)
+        if got is None:
+            key, den, num, pay_den = self.vertices[k]._integers
+            got = self.memo[k] = (
+                rat(sum(map(mul, self.w, key)), self.scale * den),
+                rat(num, pay_den),
+            )
+        return got
+
+
 class _Walk:
     """The two vertex walks of a general sweep, over the vertex graphs p of P
-    and q of Q; P vertices and Q vertices are named by their indices."""
+    and q of Q; P vertices and Q vertices are named by their indices. Each
+    P vertex's crossings and each Q edge's slope are computed once."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
         self.p, self.q = p, q
-        self.pv, self.qv = p.vertices, q.vertices
-        # the slope b^T x of each P vertex's line, and c^T y at each Q vertex
-        self.bx = [vdot(f.b, v.point[: g.m]) for v in self.pv]
-        self.cy = [vdot(f.c, w.point[: g.n]) for w in self.qv]
+        self.c = f.c
+        self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
+        self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
+        self._bounds: dict[int, tuple] = {}
+        self._slopes: dict[tuple[int, int], Rational] = {}
+        self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
         """(P vertex, Q edge ends lo, hi) of the first basis, optimal at xi.
@@ -276,86 +341,159 @@ class _Walk:
         labels. The Q edge straddles xi with distinct c^T y at its ends and
         has the least pi1 there, then the least slope, then sorted labels.
         """
-        pv, qv, cy, n = self.pv, self.qv, self.cy, self.n
-        # the greatest value xi b^T x - pi2 is the least pi2 - xi b^T x
-        k = min(
-            range(len(pv)),
-            key=lambda k: (pv[k].point[self.m] - xi * self.bx[k], sorted(pv[k].labels)),
+        return self._p_start(xi), *self._q_start(xi)
+
+    def _p_start(self, xi: Rational) -> int:
+        """Climb P's graph to a vertex of greatest value at xi, from the best
+        of the m vertices x = e_i (each the one vertex of the m-1 labels
+        x_l = 0, l != i). A vertex no neighbour beats is optimal, as the
+        value is linear and a ray of P only raises pi2. When a neighbour
+        ties, the optimum is a face, and every vertex is scanned for the
+        least sorted labels."""
+        m, p, px = self.m, self.p, self.px
+        value: dict[int, Rational] = {}
+
+        def at(k: int) -> Rational:
+            if k not in value:
+                bx, pi2 = px[k]
+                value[k] = xi * bx - pi2
+            return value[k]
+
+        pure = [p.edges[frozenset(range(1, m + 1)) - {i}][0] for i in range(1, m + 1)]
+        k = max(pure, key=at)
+        while True:
+            near = [j for l in sorted(p.vertices[k].labels)
+                    if (j := p.neighbour(k, l)) is not None]
+            best = max(near, key=at, default=None)
+            if best is None or at(best) < at(k):
+                return k
+            if at(best) == at(k):
+                break
+            k = best
+        return min(
+            range(len(p.vertices)),
+            key=lambda k: (-at(k), sorted(p.vertices[k].labels)),
         )
+
+    def _q_start(self, xi: Rational) -> tuple[int, int]:
+        """The first Q edge. When one c_j is least, the slice at xi is the Q
+        vertex y = e_j, the one vertex of the n-1 labels y_i = 0 (i != j),
+        and the edge leaves it. Otherwise every edge of Q is scanned."""
+        m, n, q, qy = self.m, self.n, self.q, self.qy
+        least = [j for j, v in enumerate(self.c) if v == xi]
+        if len(least) == 1:
+            (j,) = least
+            w = q.edges[frozenset(m + 1 + i for i in range(n) if i != j)][0]
+            # all edges out of w give pi1(w) at xi: least slope, then the
+            # least sorted labels kept, which drop the greatest label
+            ups = self._up_edges(w)
+            if not ups:
+                raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
+            return w, min(ups, key=lambda e: (e[0], -e[1]))[2]
         edges = []
-        for key, ends in self.q.edges.items():
+        for key, ends in q.edges.items():
             if len(ends) != 2:
                 continue  # a ray of Q
-            lo, hi = sorted(ends, key=lambda j: cy[j])
-            if cy[lo] == cy[hi] or not cy[lo] <= xi <= cy[hi]:
+            lo, hi = sorted(ends, key=lambda j: qy[j][0])
+            (c_lo, pi1), c_hi = qy[lo], qy[hi][0]
+            if c_lo == c_hi or not c_lo <= xi <= c_hi:
                 continue
-            slope = self.pi1_slope(lo, hi)
-            pi1 = qv[lo].point[n] + (xi - cy[lo]) * slope
-            edges.append(((pi1, slope, sorted(key)), lo, hi))
+            slope = self._slope(lo, hi)
+            edges.append(((pi1 + (xi - c_lo) * slope, slope, sorted(key)), lo, hi))
         if not edges:
             raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
         _, lo, hi = min(edges)
-        return k, lo, hi
+        return lo, hi
 
-    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
-        """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
-        m, n, pv, qv, cy, bx = self.m, self.n, self.pv, self.qv, self.cy, self.bx
-        v, w_lo, w_hi = pv[k], qv[lo], qv[hi]
-        # P: crossings of v's line with its neighbours' lines; a steeper line
-        # bounds the interval above, a shallower one below
+    def _p_bounds(self, k: int) -> tuple:
+        """(p_lo, beta2, beta2_row) of P vertex k: the crossings of its line
+        with its neighbours' lines; a steeper line bounds the interval
+        above, a shallower one below."""
+        got = self._bounds.get(k)
+        if got is not None:
+            return got
+        p, px = self.p, self.px
+        bx, pi2 = px[k]
         p_lo = beta2 = beta2_row = None
-        for l in sorted(v.labels):
-            j = self.p.neighbour(k, l)
-            if j is None or bx[j] == bx[k]:
-                continue  # a ray, or a parallel line, never crosses v's
-            xi = (pv[j].point[m] - v.point[m]) / (bx[j] - bx[k])
-            if bx[j] > bx[k]:
+        for l in sorted(p.vertices[k].labels):
+            j = p.neighbour(k, l)
+            if j is None:
+                continue  # a ray never crosses v's line
+            bj, pj = px[j]
+            if bj == bx:
+                continue  # a parallel line never crosses v's
+            xi = (pj - pi2) / (bj - bx)
+            if bj > bx:
                 if beta2 is None or xi < beta2:
                     beta2, beta2_row = xi, l
             elif p_lo is None or xi > p_lo:
                 p_lo = xi
-        # Q: (y, pi1) moves along the edge, per unit of xi = c^T y
-        step = [(b - a) / (cy[hi] - cy[lo]) for a, b in zip(w_lo.point, w_hi.point)]
-        at0 = [a - cy[lo] * d for a, d in zip(w_lo.point, step)]
-        key = w_lo.labels & w_hi.labels
-        (added,) = w_hi.labels - key
-        zero = rat(0)
-        z = AffineRVector(
-            (*v.point[:m], *at0, v.point[m]), (zero,) * m + tuple(step) + (zero,)
-        )
+        got = self._bounds[k] = (p_lo, beta2, beta2_row)
+        return got
+
+    def _slope(self, a: int, b: int) -> Rational:
+        """The growth of pi1 per unit of c^T y from Q vertex a to Q vertex b."""
+        got = self._slopes.get((a, b))
+        if got is None:
+            (ca, pa), (cb, pb) = self.qy[a], self.qy[b]
+            got = self._slopes[a, b] = (pb - pa) / (cb - ca)
+        return got
+
+    def _q_edge(self, lo: int, hi: int) -> tuple:
+        """(the labels kept, pi1 slope, pi1 at xi = 0, the label hi adds) of
+        the Q edge from lo to hi."""
+        got = self._edges.get((lo, hi))
+        if got is None:
+            w_lo, w_hi = self.q.vertices[lo].labels, self.q.vertices[hi].labels
+            key = w_lo & w_hi
+            (added,) = w_hi - key
+            slope = self._slope(lo, hi)
+            c_lo, pi1 = self.qy[lo]
+            got = self._edges[lo, hi] = (key, slope, pi1 - c_lo * slope, added)
+        return got
+
+    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
+        """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
+        m, n = self.m, self.n
+        p_lo, beta2, beta2_row = self._p_bounds(k)
+        key, slope, at0, added = self._q_edge(lo, hi)
+        bx, pi2 = self.px[k]
+        c_lo, c_hi = self.qy[lo][0], self.qy[hi][0]
+        v = self.p.vertices[k]
         return BasisInterval(
             basis=ParametricBasis(v.labels, key, m, n),
-            z=z,
-            xi1=cy[lo] if p_lo is None else max(cy[lo], p_lo),
-            xi2=cy[hi] if beta2 is None else min(cy[hi], beta2),
-            alpha2=cy[hi],
+            xi1=c_lo if p_lo is None else max(c_lo, p_lo),
+            xi2=c_hi if beta2 is None else min(c_hi, beta2),
+            alpha2=c_hi,
             beta2=beta2,
             alpha2_row=m + n + added,
             beta2_row=beta2_row,
-            objective=AffineR(c0=-at0[n] - v.point[m], c1=bx[k] - step[n]),
+            objective=AffineR(c0=-at0 - pi2, c1=bx - slope),
+            p_vertex=v,
+            q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
+            q_xi=(c_lo, c_hi),
         )
 
-    def pi1_slope(self, a: int, b: int) -> Rational:
-        """The growth of pi1 per unit of c^T y from Q vertex a to Q vertex b."""
-        n = self.n
-        return (self.qv[b].point[n] - self.qv[a].point[n]) / (self.cy[b] - self.cy[a])
+    def _up_edges(self, a: int) -> list[tuple[Rational, int, int]]:
+        """(pi1 slope, label dropped, far end) of each edge out of Q vertex a
+        along which c^T y increases, by increasing label."""
+        q, qy = self.q, self.qy
+        c_a = qy[a][0]
+        out = []
+        for l in sorted(q.vertices[a].labels):
+            j = q.neighbour(a, l)
+            if j is not None and qy[j][0] > c_a:
+                out.append((self._slope(a, j), l, j))
+        return out
 
     def next_edge(self, hi: int) -> int:
         """The far end of the edge out of Q vertex hi that continues the
         slice: c^T y increases along it and pi1 grows least per unit; ties go
         to the lowest label dropped."""
-        qv, cy = self.qv, self.cy
-        best = None
-        for l in sorted(qv[hi].labels):
-            j = self.q.neighbour(hi, l)
-            if j is None or cy[j] <= cy[hi]:
-                continue  # a ray, or an edge the slice does not move along
-            slope = self.pi1_slope(hi, j)
-            if best is None or slope < best[0]:
-                best = (slope, j)
-        if best is None:
-            raise Stalled(f"no edge of Q continues the slice past {cy[hi]}")
-        return best[1]
+        ups = self._up_edges(hi)
+        if not ups:
+            raise Stalled(f"no edge of Q continues the slice past {self.qy[hi][0]}")
+        return min(ups)[2]
 
 
 @dataclass(frozen=True)
@@ -451,7 +589,8 @@ def enumerate_all(
     iv = walk.interval(k, q_lo, q_hi)
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
-    found: dict[tuple, EquilibriumPoint] = {}
+    # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
+    found: dict[tuple[int, int], EquilibriumPoint] = {}
     payoffs = IntegerPayoffs.of(g)
     visited: set[tuple[int, ...]] = set()
     while True:
@@ -460,14 +599,17 @@ def enumerate_all(
             raise Stalled(f"basis {key} revisited; sweep is cycling")
         visited.add(key)
         intervals.append(iv)
-        for eq in equilibria_on_interval(iv):
-            if eq.key() in found:
+        for xi in _objective_zeros(iv):
+            end = _q_end(iv, xi)
+            pair = (k, (q_lo, q_hi)[end])
+            if pair in found:
                 continue
+            eq = _vertex_pair(iv, end, xi)
             if not is_nash(g, eq.strategies, payoffs)[0]:
                 raise InternalInvariantError(
                     "objective zero failed the equilibrium check"
                 )
-            found[eq.key()] = eq
+            found[pair] = eq
         if iv.xi2 >= hi:
             break
         # past a feasibility (or "Both") breakpoint the Q walk steps to the
@@ -530,15 +672,12 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
     off labels, not dotted with z: a basis's x is its P vertex, whose labels
     are its P-side rows, and its (y, pi1) lies on a Q edge, tight on the
     labels the edge's ends share, plus the label an end adds when xi is
-    that end's c^T y.
+    that end's c^T y; the interval keeps both ends and their c^T y.
     """
     ivs = trace.intervals
     if not ivs:
         return ()
-    g = t.game
-    off = g.m + g.n
-    q = VertexGraph(enumerate_vertices(build_polyhedron(g, "Q")))
-    cy = [vdot(t.factorization.c, w.point[: g.n]) for w in q.vertices]
+    off = t.m + t.n
     points: list[Rational] = []
     for iv in ivs:
         for v in (iv.xi1, iv.xi2):
@@ -551,9 +690,9 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
         for iv in ivs:
             if iv.xi1 <= xi <= iv.xi2:
                 rows.update(iv.basis.rows)
-                for w in q.edges[iv.basis.j_labels]:
-                    if cy[w] == xi:
-                        rows.update(off + l for l in q.vertices[w].labels)
+                for w, cy in zip(iv.q_edge, iv.q_xi):
+                    if cy == xi:
+                        rows.update(off + l for l in w.labels)
                 objs.append(iv.objective.at(xi))
         if not objs or any(o != objs[0] for o in objs):
             raise InternalInvariantError(

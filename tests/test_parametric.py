@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_game, random_rank1_game
 from rank1nash import (
@@ -13,6 +16,7 @@ from rank1nash import (
     DegenerateGame,
     FactorizationMismatch,
     InternalInvariantError,
+    NotRankOne,
     ParametricBasis,
     RankOneFactorization,
     binding_rows,
@@ -21,13 +25,19 @@ from rank1nash import (
     equilibria_by_labels,
     equilibria_on_interval,
     generate_kt,
+    load_game,
     rat,
+    require_nondegenerate,
     support_enumeration,
     sweep_table,
     xi_range,
     zero_sum_dual_coincidence,
 )
+from rank1nash import parametric
 from rank1nash.linalg import AffineR, AffineRVector, RMatrix, solve_square, vdot
+from test_differential import rank1_games
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.fixture
@@ -121,6 +131,118 @@ def test_equilibria_read_at_interval_ends(kt2_trace):
     # on a zero-length interval one end is both ends
     point = replace(iv, xi2=iv.xi1, objective=AffineR(rat(0), rat(0)))
     assert [e.source_xi for e in equilibria_on_interval(point)] == [2]
+
+
+def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
+    # an equilibrium of a non-degenerate game is a vertex pair, so a zero
+    # of the objective must sit at an end of the basis's Q edge
+    iv = kt2_trace.intervals[0]
+    assert iv.q_xi == (2, 3) and iv.xi2 == rat(5, 2)
+    inside = replace(iv, objective=AffineR(rat(-5), rat(2)))  # 0 at xi = 5/2
+    with pytest.raises(InternalInvariantError, match="inside a Q edge"):
+        equilibria_on_interval(inside)
+
+
+@pytest.mark.parametrize(
+    "g, built",
+    [
+        (generate_kt(6), (11, 11)),
+        (random_rank1_game(random.Random(1), 10, 10, -99, 99), (5, 5)),
+    ],
+    ids=["kt6", "random-10x10"],
+)
+def test_sweep_builds_points_of_equilibrium_vertices_only(g, built, monkeypatch):
+    # the walks read b^T x, c^T y and the payoffs off the vertices'
+    # integers; only the vertices of an equilibrium build their point
+    graphs = []
+    original = parametric.require_nondegenerate
+
+    def kept(game):
+        graphs.append(original(game))
+        return graphs[-1]
+
+    monkeypatch.setattr(parametric, "require_nondegenerate", kept)
+    tr = enumerate_all(g)
+    (p, q), = graphs
+    counts = tuple(
+        sum(v._point is not None for v in side.vertices) for side in (p, q)
+    )
+    assert counts == built == (len(tr.equilibria),) * 2
+    assert counts[0] < len(p.vertices) and counts[1] < len(q.vertices)
+
+
+def _full_scan_start(p, q, f):
+    """Reference: the first basis by scanning every P vertex for the greatest
+    value at xi_min, ties to sorted labels, and every Q edge straddling
+    xi_min for the least pi1 there, then the least slope, then sorted labels."""
+    m, n, xi = len(f.b), len(f.c), min(f.c)
+    pv, qv = p.vertices, q.vertices
+    cy = [vdot(f.c, w.point[:n]) for w in qv]
+    k = min(
+        range(len(pv)),
+        key=lambda k: (
+            pv[k].point[m] - xi * vdot(f.b, pv[k].point[:m]),
+            sorted(pv[k].labels),
+        ),
+    )
+    edges = []
+    for key, ends in q.edges.items():
+        if len(ends) != 2:
+            continue
+        lo, hi = sorted(ends, key=lambda j: cy[j])
+        if cy[lo] == cy[hi] or not cy[lo] <= xi <= cy[hi]:
+            continue
+        slope = (qv[hi].point[n] - qv[lo].point[n]) / (cy[hi] - cy[lo])
+        edges.append(((qv[lo].point[n] + (xi - cy[lo]) * slope, slope, sorted(key)), lo, hi))
+    return (k, *min(edges)[1:])
+
+
+def _start_matches_full_scan(g, f=None) -> tuple[bool, bool] | None:
+    """Assert that the sweep's start is the full scan's; return whether the
+    P optimum and the least c_j were tied, or None off the general sweep."""
+    try:
+        tr = enumerate_all(g, f)
+    except DegenerateGame:
+        return None
+    if tr.dispatch != "general":
+        return None
+    f = tr.factorization
+    p, q = require_nondegenerate(g)
+    xi = min(f.c)
+    assert parametric._Walk(g, f, p, q).start(xi) == _full_scan_start(p, q, f)
+    values = [xi * vdot(f.b, v.point[: g.m]) - v.point[g.m] for v in p.vertices]
+    return values.count(max(values)) > 1, list(f.c).count(xi) > 1
+
+
+def test_start_matches_the_full_scan():
+    # the sweep climbs P and leaves the Q vertex of the least c_j; on every
+    # corpus game, kt1..kt10 and two draws it must pick the basis the scan
+    # of every P vertex and every Q edge picks. In draw 218 two P vertices
+    # tie at xi_min and the climb reaches the one of greater sorted labels;
+    # in draw 30 two edges out of Q's start vertex raise pi1 at one rate.
+    tied_p, tied_slope = (
+        random_rank1_game(rng, rng.randint(2, 4), rng.randint(2, 4))
+        for rng in (random.Random(218), random.Random(30))
+    )
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)] + [tied_p, tied_slope]
+    ties = {}
+    for g in games:
+        try:
+            ties[g] = _start_matches_full_scan(g)
+        except NotRankOne:  # the corpus's demo game has rank(A+B) = 2
+            continue
+    assert ties[tied_p] == (True, False)
+    assert ties[tied_slope] == (False, False)
+    assert ties[load_game(str(CORPUS / "tied-min-c-2x3.game"))] == (False, True)
+    # kt1..kt5 are also corpus games; zero-sum and row-constant have no walk
+    assert sum(t is not None for t in ties.values()) == 16
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank1_games(st.integers(2, 5), st.integers(2, 5)))
+def test_start_matches_the_full_scan_on_draws(game):
+    _start_matches_full_scan(*game)
 
 
 def test_advance_chain(kt2_trace):

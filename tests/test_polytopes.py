@@ -426,7 +426,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 @pytest.mark.parametrize("name", ["kt3", "zero-sum-2x2", "row-constant-2x2"])
 def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     # every method reads P and Q from the graphs require_nondegenerate
-    # returns; only the sweep table enumerates Q once more
+    # returns, and the sweep table reads the Q edges its intervals keep
     import rank1nash.cli as cli
 
     calls = 0
@@ -457,11 +457,9 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
         calls = 0
         run()
         assert calls == 2
-    # only a general sweep has a table
-    want = 3 if enumerate_all(g).dispatch == "general" else 2
     calls = 0
     assert cli.main(["enumerate", path, "--trace"]) == 0
-    assert calls == want
+    assert calls == 2
     capsys.readouterr()
 
 
