@@ -23,7 +23,7 @@ from .errors import (
     NotRowConstant,
     Rank1NashError,
 )
-from .gamefile import format_game, load_game
+from .gamefile import format_game, load_game, parse_entry
 from .games import (
     RankOneFactorization,
     game_rank,
@@ -34,7 +34,6 @@ from .lemke_howson import lh_run, reachability, gprime_components
 from .oracle import support_enumeration
 from .parametric import build_tableau, enumerate_all, sweep_table
 from .polytopes import _labeled_equilibria, check_nondegenerate, require_nondegenerate
-from .linalg import rat
 
 
 def _vec(v) -> str:
@@ -72,7 +71,7 @@ def _parse_factor(parts) -> tuple[tuple, tuple]:
         if name not in ("b", "c") or not body:
             raise GameFileError(f"factor must look like b=1,2 or c=3,4; got {part!r}")
         try:
-            spec[name] = tuple(rat(x) for x in body.split(","))
+            spec[name] = tuple(parse_entry(x.strip()) for x in body.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFileError(f"bad factor entry in {part!r}") from exc
     if set(spec) != {"b", "c"}:

@@ -1,13 +1,28 @@
 """Plain-text game format: header "m n", then m rows of A, then m rows of B.
 
-Entries are integers or fractions like ``-3/4``; ``#`` starts a comment.
+m and n are positive integers and entries are integers or fractions like
+``-3/4``, all in ASCII digits; ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import GameFileError
 from .games import BimatrixGame
-from .linalg import rat
+from .linalg import Rational, rat
+
+# The one spelling of an entry, in ASCII digits: the rational constructors
+# would also take other Unicode digits, underscores, decimals and exponents.
+ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_entry(token: str) -> Rational:
+    """The rational an entry spells; ValueError unless it matches ENTRY,
+    ZeroDivisionError on a zero denominator."""
+    if ENTRY.fullmatch(token) is None:
+        raise ValueError(f"not an integer or fraction: {token!r}")
+    return rat(token)
 
 
 def parse_game(text: str) -> BimatrixGame:
@@ -21,10 +36,9 @@ def parse_game(text: str) -> BimatrixGame:
     head = lines[0].split()
     if len(head) != 2:
         raise GameFileError(f"header must be 'm n', got {lines[0]!r}")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GameFileError(f"bad header {lines[0]!r}") from exc
+    if not all(h.isascii() and h.isdigit() for h in head):
+        raise GameFileError(f"bad header {lines[0]!r}")
+    m, n = int(head[0]), int(head[1])
     if m < 1 or n < 1:
         raise GameFileError("m and n must be positive")
     if len(lines) != 1 + 2 * m:
@@ -39,7 +53,7 @@ def parse_game(text: str) -> BimatrixGame:
         row = []
         for p in parts:
             try:
-                row.append(rat(p))
+                row.append(parse_entry(p))
             except (ValueError, ZeroDivisionError) as exc:
                 raise GameFileError(f"{label}: bad entry {p!r}") from exc
         return row

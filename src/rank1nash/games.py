@@ -69,9 +69,11 @@ class MixedStrategyPair:
 
     def __post_init__(self):
         for v in (self.x, self.y):
-            if any(p < 0 for p in v):
+            # v = ints / scale with scale > 0
+            ints, scale = clear_denominators(v)
+            if any(p < 0 for p in ints):
                 raise ValueError("negative probability")
-            if sum(v) != 1:
+            if sum(ints) != scale:
                 raise ValueError("probabilities must sum to 1")
 
     @classmethod
@@ -201,16 +203,23 @@ def factor_rank1(
 
     c is the first nonzero row of A + B; b_i = (A+B)[i][j0] / c[j0] for the
     first j0 with c[j0] != 0. Raises NotRankOne unless rank(A+B) == 1, which
-    holds exactly when c exists and b c^T = A + B. ``total``, when given,
-    must be ``g.payoff_sum()``.
+    holds exactly when c exists and b c^T = A + B, that is when every 2x2
+    minor of a row with c's row in columns j0 and j vanishes. The test runs
+    on A + B cleared of denominators. ``total``, when given, must be
+    ``g.payoff_sum()``.
     """
     s = total if total is not None else g.payoff_sum()
-    c = next((row for row in s if any(v != 0 for v in row)), None)
-    if c is not None:
-        j0 = next(j for j, v in enumerate(c) if v != 0)
-        b = tuple(row[j0] / c[j0] for row in s)
-        if all(bi * cj == v for bi, row in zip(b, s) for cj, v in zip(c, row)):
-            return RankOneFactorization(b, c)
+    ints, _ = clear_rows(s)
+    r0 = next((r for r, row in enumerate(ints) if any(row)), None)
+    if r0 is not None:
+        piv = ints[r0]
+        j0 = next(j for j, v in enumerate(piv) if v != 0)
+        p0 = piv[j0]
+        if all(
+            v * p0 == row[j0] * pj for row in ints for v, pj in zip(row, piv)
+        ):
+            b = tuple(rat(row[j0], p0) for row in ints)
+            return RankOneFactorization(b, s[r0])
     raise NotRankOne(f"rank(A+B) = {game_rank(g)}, need 1")
 
 

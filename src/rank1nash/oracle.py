@@ -1,7 +1,12 @@
 """Support enumeration: an independent equilibrium solver for cross-checks.
 
-Deliberately shares no machinery with the polyhedron or parametric paths
-beyond the rational type, so agreement between the three is meaningful.
+Deliberately shares no search machinery with the polyhedron or parametric
+paths, so agreement between the three is meaningful. What it shares with
+them is the rational type, the game and strategy types of ``games``, and,
+in a strict scan only, ``games.is_nash`` with its ``IntegerPayoffs``: the
+check of a candidate on supports of unequal sizes, the one equilibrium test
+the sweep and the label paths also run on what they report. Every other
+candidate is checked by the scan's own best-reply comparisons.
 """
 
 from __future__ import annotations

@@ -40,10 +40,17 @@ payoffs are read off the integer keys of the vertices the walks visit, each
 vertex's crossings and each edge's slope are computed once, the first
 basis is found by climbing P and by leaving the Q vertex y = e_j of the
 least c_j, and an equilibrium is a vertex pair, so only the vertices of
-equilibria build their rationals. The sweep table reads its binding rows
-off the labels of each interval's P vertex and Q edge ends; the dense
-tableau is kept for the zero-sum duality check and as the row numbering of
-M1.
+equilibria build their rationals. The walks decide in integers: a vertex's
+point (w^T s, payoff) is a triple (s, o, d) over one denominator, a
+crossing or a slope is the chord between two such points as a pair
+(num, den), and crossings, slopes, the climb's values and the objective's
+sign at an interval end are compared by cross-multiplication. The
+rationals built are the values the trace reports: per P vertex visited
+its crossings p_lo and beta2, per Q vertex visited its c^T y, and per
+interval its objective's two coefficients, besides the points of the
+equilibria. The sweep table reads its binding rows off the labels of each
+interval's P vertex and Q edge ends; the dense tableau is kept for the
+zero-sum duality check and as the row numbering of M1.
 """
 
 from __future__ import annotations
@@ -252,12 +259,17 @@ def _objective_zeros(iv: BasisInterval) -> list[Rational]:
     continuum of equilibria, which only a degenerate game has.
     """
     ends = (iv.xi1,) if iv.xi1 == iv.xi2 else (iv.xi1, iv.xi2)
-    values = [iv.objective.at(xi) for xi in ends]
-    if any(v > 0 for v in values):
+    c0, c1 = iv.objective.c0, iv.objective.c1
+    # with c0 = n0 / d0, c1 = n1 / d1 and xi = p / q, every denominator
+    # positive, c0 + c1 xi has the sign of n0 d1 q + n1 d0 p
+    u = c0.numerator * c1.denominator
+    v = c1.numerator * c0.denominator
+    signs = [u * xi.denominator + v * xi.numerator for xi in ends]
+    if any(sign > 0 for sign in signs):
         raise InternalInvariantError(
             f"objective positive at an end of [{iv.xi1}, {iv.xi2}]"
         )
-    zeros = [xi for xi, v in zip(ends, values) if v == 0]
+    zeros = [xi for xi, sign in zip(ends, signs) if sign == 0]
     if len(zeros) == 2:
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
@@ -297,41 +309,77 @@ def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
 
 
 class _Line:
-    """w^T s and the payoff at each vertex of one graph, for a weight vector
-    w over its strategies s: (b^T x, pi2) on P, (c^T y, pi1) on Q. Each is
-    read off the vertex's integers, (w' . key) / (scale * den) with w = w' /
-    scale, and kept by vertex index, so only the vertices a walk visits
-    build rationals."""
+    """The point (w^T s, payoff) of each vertex of one graph, for a weight
+    vector w over its strategies s: (b^T x, pi2) on P, (c^T y, pi1) on Q.
+    A vertex's point is kept as integers (s, o, d), the point (s / d, o / d),
+    read off the vertex's integers (w' . key, scale * den, num, pay_den) with
+    w = w' / scale; only the vertices a walk visits are read. Rationals are
+    built only by ``x``, once per vertex, and by ``__getitem__``, which the
+    scans of a tied start read."""
 
     def __init__(self, graph: VertexGraph, weights):
         self.vertices = graph.vertices
         self.w, self.scale = clear_denominators(weights)
-        self.memo: dict[int, tuple[Rational, Rational]] = {}
+        self._ints: dict[int, tuple[int, int, int]] = {}
+        self._x: dict[int, Rational] = {}
 
-    def __getitem__(self, k: int) -> tuple[Rational, Rational]:
-        got = self.memo.get(k)
+    def ints(self, k: int) -> tuple[int, int, int]:
+        """(s, o, d) of vertex k, with d > 0."""
+        got = self._ints.get(k)
         if got is None:
             key, den, num, pay_den = self.vertices[k]._integers
-            got = self.memo[k] = (
-                rat(sum(map(mul, self.w, key)), self.scale * den),
-                rat(num, pay_den),
+            den *= self.scale
+            got = self._ints[k] = (
+                sum(map(mul, self.w, key)) * pay_den, num * den, den * pay_den
             )
         return got
+
+    def chord(self, k: int, j: int) -> tuple[int, int]:
+        """(num, den): the slope num / den of the chord from the point of
+        vertex k to that of vertex j, the payoff's change over w^T s's; den
+        has the sign of w^T s's change, and is 0 when it does not change."""
+        sk, ok, dk = self.ints(k)
+        sj, oj, dj = self.ints(j)
+        return oj * dk - ok * dj, sj * dk - sk * dj
+
+    def x(self, k: int) -> Rational:
+        """w^T s at vertex k."""
+        got = self._x.get(k)
+        if got is None:
+            s, _, d = self.ints(k)
+            got = self._x[k] = rat(s, d)
+        return got
+
+    def __getitem__(self, k: int) -> tuple[Rational, Rational]:
+        """(w^T s, payoff) at vertex k."""
+        _, o, d = self.ints(k)
+        return self.x(k), rat(o, d)
+
+
+def _first_least(fractions):
+    """The tag of the first of the (num, den, tag) triples, den > 0, of least
+    num / den, compared by cross-multiplication; None when there is none."""
+    best = None
+    for num, den, tag in fractions:
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den, tag
+    return None if best is None else best[2]
 
 
 class _Walk:
     """The two vertex walks of a general sweep, over the vertex graphs p of P
-    and q of Q; P vertices and Q vertices are named by their indices. Each
-    P vertex's crossings and each Q edge's slope are computed once."""
+    and q of Q; P vertices and Q vertices are named by their indices. Every
+    decision is made on integers: each P vertex's crossings and each Q
+    edge's slope are computed once, as fractions num / den compared by
+    cross-multiplication."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
         self.p, self.q = p, q
-        self.c = f.c
         self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
         self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
         self._bounds: dict[int, tuple] = {}
-        self._slopes: dict[tuple[int, int], Rational] = {}
+        self._slopes: dict[tuple[int, int], tuple[int, int]] = {}
         self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
@@ -351,28 +399,35 @@ class _Walk:
         ties, the optimum is a face, and every vertex is scanned for the
         least sorted labels."""
         m, p, px = self.m, self.p, self.px
-        value: dict[int, Rational] = {}
+        xn, xd = xi.numerator, xi.denominator
+        costs: dict[int, tuple[int, int, int]] = {}
 
-        def at(k: int) -> Rational:
-            if k not in value:
-                bx, pi2 = px[k]
-                value[k] = xi * bx - pi2
-            return value[k]
+        def cost(k: int) -> tuple[int, int, int]:
+            # minus the value, pi2 - xi b^T x = (xd o - xn s) / (xd d) with
+            # b^T x = s / d and pi2 = o / d, as (xd o - xn s, d, k)
+            got = costs.get(k)
+            if got is None:
+                s, o, d = px.ints(k)
+                got = costs[k] = (xd * o - xn * s, d, k)
+            return got
 
         pure = [p.edges[frozenset(range(1, m + 1)) - {i}][0] for i in range(1, m + 1)]
-        k = max(pure, key=at)
+        k = _first_least(map(cost, pure))
         while True:
-            near = [j for l in sorted(p.vertices[k].labels)
+            near = [cost(j) for l in sorted(p.vertices[k].labels)
                     if (j := p.neighbour(k, l)) is not None]
-            best = max(near, key=at, default=None)
-            if best is None or at(best) < at(k):
+            best = _first_least(near)
+            if best is None:
                 return k
-            if at(best) == at(k):
+            (bn, bd, _), (kn, kd, _) = cost(best), cost(k)
+            if bn * kd > kn * bd:
+                return k
+            if bn * kd == kn * bd:
                 break
             k = best
         return min(
             range(len(p.vertices)),
-            key=lambda k: (-at(k), sorted(p.vertices[k].labels)),
+            key=lambda k: (px[k][1] - xi * px[k][0], sorted(p.vertices[k].labels)),
         )
 
     def _q_start(self, xi: Rational) -> tuple[int, int]:
@@ -380,7 +435,9 @@ class _Walk:
         vertex y = e_j, the one vertex of the n-1 labels y_i = 0 (i != j),
         and the edge leaves it. Otherwise every edge of Q is scanned."""
         m, n, q, qy = self.m, self.n, self.q, self.qy
-        least = [j for j, v in enumerate(self.c) if v == xi]
+        # c_j = w_j / scale equals xi = p / q when w_j q = p scale
+        at = xi.numerator * qy.scale
+        least = [j for j, v in enumerate(qy.w) if v * xi.denominator == at]
         if len(least) == 1:
             (j,) = least
             w = q.edges[frozenset(m + 1 + i for i in range(n) if i != j)][0]
@@ -389,16 +446,16 @@ class _Walk:
             ups = self._up_edges(w)
             if not ups:
                 raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
-            return w, min(ups, key=lambda e: (e[0], -e[1]))[2]
+            return w, _first_least(reversed(ups))
         edges = []
         for key, ends in q.edges.items():
             if len(ends) != 2:
                 continue  # a ray of Q
-            lo, hi = sorted(ends, key=lambda j: qy[j][0])
-            (c_lo, pi1), c_hi = qy[lo], qy[hi][0]
+            lo, hi = sorted(ends, key=qy.x)
+            (c_lo, pi1), c_hi = qy[lo], qy.x(hi)
             if c_lo == c_hi or not c_lo <= xi <= c_hi:
                 continue
-            slope = self._slope(lo, hi)
+            slope = rat(*self._slope(lo, hi))
             edges.append(((pi1 + (xi - c_lo) * slope, slope, sorted(key)), lo, hi))
         if not edges:
             raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
@@ -408,57 +465,62 @@ class _Walk:
     def _p_bounds(self, k: int) -> tuple:
         """(p_lo, beta2, beta2_row) of P vertex k: the crossings of its line
         with its neighbours' lines; a steeper line bounds the interval
-        above, a shallower one below."""
+        above, a shallower one below. The line of neighbour j crosses k's
+        where xi is the slope of the chord from k's point (b^T x, pi2) to
+        j's, and is steeper when that chord's b^T x increases."""
         got = self._bounds.get(k)
         if got is not None:
             return got
         p, px = self.p, self.px
-        bx, pi2 = px[k]
-        p_lo = beta2 = beta2_row = None
+        lo = hi = beta2_row = None  # (num, den) with den > 0
         for l in sorted(p.vertices[k].labels):
             j = p.neighbour(k, l)
             if j is None:
                 continue  # a ray never crosses v's line
-            bj, pj = px[j]
-            if bj == bx:
-                continue  # a parallel line never crosses v's
-            xi = (pj - pi2) / (bj - bx)
-            if bj > bx:
-                if beta2 is None or xi < beta2:
-                    beta2, beta2_row = xi, l
-            elif p_lo is None or xi > p_lo:
-                p_lo = xi
-        got = self._bounds[k] = (p_lo, beta2, beta2_row)
+            num, den = px.chord(k, j)
+            if den > 0:
+                if hi is None or num * hi[1] < hi[0] * den:
+                    hi, beta2_row = (num, den), l
+            elif den < 0:  # den == 0: a parallel line never crosses v's
+                if lo is None or num * lo[1] < lo[0] * den:  # -num/-den > lo
+                    lo = -num, -den
+        got = self._bounds[k] = (
+            None if lo is None else rat(*lo),
+            None if hi is None else rat(*hi),
+            beta2_row,
+        )
         return got
 
-    def _slope(self, a: int, b: int) -> Rational:
-        """The growth of pi1 per unit of c^T y from Q vertex a to Q vertex b."""
+    def _slope(self, a: int, b: int) -> tuple[int, int]:
+        """(num, den): the growth num / den of pi1 per unit of c^T y from Q
+        vertex a to Q vertex b; den > 0 exactly when c^T y increases."""
         got = self._slopes.get((a, b))
         if got is None:
-            (ca, pa), (cb, pb) = self.qy[a], self.qy[b]
-            got = self._slopes[a, b] = (pb - pa) / (cb - ca)
+            got = self._slopes[a, b] = self.qy.chord(a, b)
         return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the labels kept, pi1 slope, pi1 at xi = 0, the label hi adds) of
-        the Q edge from lo to hi."""
+        the Q edge from lo to hi, the two as (num, den) with den > 0."""
         got = self._edges.get((lo, hi))
         if got is None:
             w_lo, w_hi = self.q.vertices[lo].labels, self.q.vertices[hi].labels
             key = w_lo & w_hi
             (added,) = w_hi - key
-            slope = self._slope(lo, hi)
-            c_lo, pi1 = self.qy[lo]
-            got = self._edges[lo, hi] = (key, slope, pi1 - c_lo * slope, added)
+            num, den = slope = self._slope(lo, hi)
+            s, o, d = self.qy.ints(lo)
+            # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
+            at0 = (o * den - s * num, d * den)
+            got = self._edges[lo, hi] = (key, slope, at0, added)
         return got
 
     def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
         """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
         m, n = self.m, self.n
         p_lo, beta2, beta2_row = self._p_bounds(k)
-        key, slope, at0, added = self._q_edge(lo, hi)
-        bx, pi2 = self.px[k]
-        c_lo, c_hi = self.qy[lo][0], self.qy[hi][0]
+        key, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
+        s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
+        c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
         v = self.p.vertices[k]
         return BasisInterval(
             basis=ParametricBasis(v.labels, key, m, n),
@@ -468,22 +530,27 @@ class _Walk:
             beta2=beta2,
             alpha2_row=m + n + added,
             beta2_row=beta2_row,
-            objective=AffineR(c0=-at0 - pi2, c1=bx - slope),
+            # c0 = -at0 - pi2 and c1 = b^T x - slope
+            objective=AffineR(
+                c0=rat(-(an * d + o * ad), ad * d), c1=rat(s * sd - sn * d, d * sd)
+            ),
             p_vertex=v,
             q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
             q_xi=(c_lo, c_hi),
         )
 
-    def _up_edges(self, a: int) -> list[tuple[Rational, int, int]]:
-        """(pi1 slope, label dropped, far end) of each edge out of Q vertex a
-        along which c^T y increases, by increasing label."""
-        q, qy = self.q, self.qy
-        c_a = qy[a][0]
+    def _up_edges(self, a: int) -> list[tuple[int, int, int]]:
+        """(num, den, far end) of each edge out of Q vertex a along which
+        c^T y increases, by increasing label dropped; num / den is the edge's
+        pi1 slope, den > 0."""
+        q = self.q
         out = []
         for l in sorted(q.vertices[a].labels):
             j = q.neighbour(a, l)
-            if j is not None and qy[j][0] > c_a:
-                out.append((self._slope(a, j), l, j))
+            if j is not None:
+                num, den = self._slope(a, j)
+                if den > 0:
+                    out.append((num, den, j))
         return out
 
     def next_edge(self, hi: int) -> int:
@@ -492,8 +559,8 @@ class _Walk:
         to the lowest label dropped."""
         ups = self._up_edges(hi)
         if not ups:
-            raise Stalled(f"no edge of Q continues the slice past {self.qy[hi][0]}")
-        return min(ups)[2]
+            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)}")
+        return _first_least(ups)
 
 
 @dataclass(frozen=True)
@@ -593,11 +660,11 @@ def enumerate_all(
     found: dict[tuple[int, int], EquilibriumPoint] = {}
     payoffs = IntegerPayoffs.of(g)
     visited: set[tuple[int, ...]] = set()
+    rows = iv.basis.rows
     while True:
-        key = iv.basis.rows
-        if key in visited:
-            raise Stalled(f"basis {key} revisited; sweep is cycling")
-        visited.add(key)
+        if rows in visited:
+            raise Stalled(f"basis {rows} revisited; sweep is cycling")
+        visited.add(rows)
         intervals.append(iv)
         for xi in _objective_zeros(iv):
             end = _q_end(iv, xi)
@@ -615,7 +682,8 @@ def enumerate_all(
         # past a feasibility (or "Both") breakpoint the Q walk steps to the
         # next edge; past an optimality breakpoint the P walk steps across
         # the dropped label
-        if iv.case == "Optimality":
+        case = iv.case
+        if case == "Optimality":
             k = walk.p.neighbour(k, iv.beta2_row)
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
@@ -623,14 +691,13 @@ def enumerate_all(
         # the next basis's own interval certifies the step
         if not nxt.xi1 <= iv.xi2 <= nxt.xi2:
             raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
-        leaving = set(iv.basis.rows) - set(nxt.basis.rows)
-        entering = set(nxt.basis.rows) - set(iv.basis.rows)
+        nxt_rows = nxt.basis.rows
+        leaving = set(rows).difference(nxt_rows)
+        entering = set(nxt_rows).difference(rows)
         breakpoints.append(
-            BreakpointRecord(
-                iv.xi2, iv.case, min(leaving), min(entering)
-            )
+            BreakpointRecord(iv.xi2, case, min(leaving), min(entering))
         )
-        iv = nxt
+        iv, rows = nxt, nxt_rows
     return SweepTrace(
         g,
         f,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from rank1nash import (
@@ -12,6 +14,13 @@ from rank1nash import (
     parse_game,
     rat,
 )
+from rank1nash.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# spellings the rational constructors take but the format does not: other
+# Unicode digits (full-width, Arabic-Indic), underscores, decimals, exponents
+OFF_GRAMMAR = ("１２", "٣", "1_000", "0.5", "1e-1", "3/-4", "1/2/3", "+-1", "½")
 
 
 def test_parse_basic():
@@ -58,6 +67,10 @@ def test_parse_errors():
         "2 2\n1 x\n3 4\n5 6\n7 8\n",
         "2 2\n1 2 3\n3 4\n5 6\n7 8\n",
         "0 2\n",
+        "-1 2\n",
+        "+1 1\n1\n1\n",
+        "１ 1\n1\n1\n",
+        "1_0 1\n" + "1\n" * 20,
         "2 2\n1 1/0\n3 4\n5 6\n7 8\n",
     ):
         with pytest.raises(GameFileError):
@@ -81,3 +94,29 @@ def test_load_game_reads_file(tmp_path, unreach22):
     p = tmp_path / "g.game"
     p.write_text(format_game(unreach22))
     assert load_game(str(p)) == unreach22
+
+
+def test_corpus_parses():
+    paths = sorted(CORPUS.glob("*.game"))
+    assert paths
+    for path in paths:
+        g = load_game(str(path))
+        assert parse_game(format_game(g)) == g
+
+
+def test_signed_and_padded_entries_parse():
+    g = parse_game("1 3\n+3 -0 007/014\n1 1 1\n")
+    assert g.A == ((3, 0, rat(1, 2)),)
+
+
+@pytest.mark.parametrize("entry", OFF_GRAMMAR)
+def test_entries_off_the_grammar_are_refused(entry, tmp_path):
+    text = f"1 2\n{entry} 1\n0 0\n"
+    with pytest.raises(GameFileError, match="A row 1: bad entry"):
+        parse_game(text)
+    path = tmp_path / "g.game"
+    path.write_text(text, encoding="utf-8")
+    assert main(["labels", str(path)]) == 3
+    good = tmp_path / "ok.game"
+    good.write_text("1 2\n1 1\n0 0\n", encoding="utf-8")
+    assert main(["enumerate", str(good), "--factor", f"b={entry}", "c=1,1"]) == 3

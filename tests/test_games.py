@@ -58,6 +58,13 @@ def test_mixed_strategy_validation():
         pair((rat(1, 3), rat(1, 3)), (1, 0))
     p = pair(("1/2", "1/2"), (0, 1, 0))
     assert sum(p.x) == 1 and sum(p.y) == 1
+    # the checks run on the entries cleared of denominators
+    with pytest.raises(ValueError, match="must sum to 1"):
+        pair((1, 0), (rat(1, 3), rat(1, 3), rat(1, 4)))
+    with pytest.raises(ValueError, match="negative probability"):
+        pair((rat(1, 2), rat(-1, 6), rat(2, 3)), (1,))
+    p = pair((rat(1, 3), rat(1, 4), rat(5, 12)), (rat(5, 7), rat(2, 7)))
+    assert sum(p.x) == 1 and sum(p.y) == 1
 
 
 def test_is_nash_and_loss_on_demo(demo23):
@@ -187,6 +194,50 @@ def test_factor_rank1_agrees_with_the_rank():
             with pytest.raises(NotRankOne) as err:
                 factor_rank1(*args)
             assert str(err.value) == f"rank(A+B) = {game_rank(g)}, need 1"
+
+
+def _factor_rank1_reference(s):
+    """factor_rank1 as first written, in rationals: (b, c), or None when
+    b c^T != A + B."""
+    c = next((row for row in s if any(v != 0 for v in row)), None)
+    if c is None:
+        return None
+    j0 = next(j for j, v in enumerate(c) if v != 0)
+    b = tuple(row[j0] / c[j0] for row in s)
+    if all(bi * cj == v for bi, row in zip(b, s) for cj, v in zip(c, row)):
+        return b, c
+    return None
+
+
+def test_factor_rank1_matches_the_rational_formula():
+    # fractional totals with zero rows (b_i = 0), zero leading columns
+    # (c_j = 0) and negative entries, some made rank 2 by one changed entry
+    rng = random.Random(9151)
+
+    def draw():
+        return rat(rng.randint(-40, 40), rng.randint(1, 9))
+
+    kinds = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        b = [draw() if rng.random() < 0.6 else rat(0) for _ in range(m)]
+        c = [draw() if rng.random() < 0.6 else rat(0) for _ in range(n)]
+        a = [[draw() for _ in range(n)] for _ in range(m)]
+        bm = [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+        if rng.random() < 0.3:
+            bm[rng.randrange(m)][rng.randrange(n)] += draw()
+        g = BimatrixGame.from_payoffs(a, bm)
+        want = _factor_rank1_reference(g.payoff_sum())
+        if want is None:
+            with pytest.raises(NotRankOne) as err:
+                factor_rank1(g)
+            assert str(err.value) == f"rank(A+B) = {game_rank(g)}, need 1"
+            kinds.add(game_rank(g))
+            continue
+        f = factor_rank1(g)
+        assert (f.b, f.c) == want
+        kinds.add((want[1][0] == 0, any(v == 0 for v in want[0])))
+    assert kinds >= {0, 2, (True, True), (False, False)}
 
 
 def test_factorization_for_game(unreach22):

@@ -171,6 +171,27 @@ def test_sweep_builds_points_of_equilibrium_vertices_only(g, built, monkeypatch)
     assert counts[0] < len(p.vertices) and counts[1] < len(q.vertices)
 
 
+def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
+    # the walks compare crossings, slopes and objective signs as integers;
+    # past the check the sweep builds a rational only for a value the trace
+    # reports: per interval its objective's c0 and c1, per P vertex visited
+    # its crossings p_lo and beta2 where they exist, per Q vertex visited its
+    # c^T y. On kt6 that is 2 * 20 + 20 + 11.
+    built = []
+    original = parametric.rat
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(parametric, "rat", counted)
+    tr = enumerate_all(generate_kt(6))
+    q_vertices = {w for iv in tr.intervals for w in iv.q_edge}
+    p_vertices = {iv.p_vertex for iv in tr.intervals}
+    assert (len(tr.intervals), len(p_vertices), len(q_vertices)) == (20, 11, 11)
+    assert len(built) == 71
+
+
 def _full_scan_start(p, q, f):
     """Reference: the first basis by scanning every P vertex for the greatest
     value at xi_min, ties to sorted labels, and every Q edge straddling
@@ -613,9 +634,9 @@ def _dense_pivot(t, iv):
     return leave, min(ratios)[1]
 
 
-def _fractional_rank1_game(rng, m, n):
+def _fractional_rank1_game(rng, m, n, num=30, den=7):
     def draw():
-        return rat(rng.randint(-30, 30), rng.randint(1, 7))
+        return rat(rng.randint(-num, num), rng.randint(1, den))
 
     a = [[draw() for _ in range(n)] for _ in range(m)]
     b, c = [draw() for _ in range(m)], [draw() for _ in range(n)]
@@ -624,13 +645,12 @@ def _fractional_rank1_game(rng, m, n):
     )
 
 
-def _differential_sweeps():
-    for d in range(2, 7):
-        yield enumerate_all(generate_kt(d))
-    rng = random.Random(3607)
+def _refactored_sweeps(rng, count, draw):
+    """The sweeps of ``count`` general, non-degenerate draws, each also under
+    the factorizations (lam b, c / lam) for lam = -2 and 1/3."""
     done = 0
-    while done < 20:
-        g = _fractional_rank1_game(rng, rng.randint(2, 5), rng.randint(2, 5))
+    while done < count:
+        g = draw(rng)
         try:
             tr = enumerate_all(g)
         except DegenerateGame:
@@ -647,6 +667,23 @@ def _differential_sweeps():
                     g, [v * lam for v in f.b], [v / lam for v in f.c]
                 ),
             )
+
+
+def _differential_sweeps():
+    for d in range(2, 7):
+        yield enumerate_all(generate_kt(d))
+    yield from _refactored_sweeps(
+        random.Random(3607),
+        20,
+        lambda rng: _fractional_rank1_game(rng, rng.randint(2, 5), rng.randint(2, 5)),
+    )
+    # numerators up to 10^6 over denominators up to 10^3, as in the
+    # rank1-bigrat workload: the walk's cross-multiplications on wide integers
+    yield from _refactored_sweeps(
+        random.Random(3617),
+        3,
+        lambda rng: _fractional_rank1_game(rng, 5, 5, 10**6, 10**3),
+    )
 
 
 def _assert_trace_is_lp(tr) -> int:
