@@ -5,7 +5,7 @@ parameter across a one-dimensional family of linear programs whose optimal
 objective, piecewise linear in the parameter, touches zero exactly at the
 equilibria of the game.  The sweep walks the vertex graphs of the two
 best-response polyhedra, one per side, and makes no linear solve.
-Zero-sum and row-constant games are the sweep's two extremes taken at a
+Zero-sum and row-constant games are the sweep's start taken at a
 one-point parameter range.  Two other methods,
 :func:`support_enumeration` and :func:`equilibria_by_labels`, are provided
 for cross-checking, along with label-dropping path analysis

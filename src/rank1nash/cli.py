@@ -32,7 +32,7 @@ from .games import (
 )
 from .lemke_howson import lh_run, reachability, gprime_components
 from .oracle import support_enumeration
-from .parametric import build_tableau, enumerate_all, sweep_table
+from .parametric import enumerate_all, sweep_table
 from .polytopes import _labeled_equilibria, check_nondegenerate, require_nondegenerate
 
 
@@ -88,7 +88,7 @@ def cmd_enumerate(args) -> int:
     trace = enumerate_all(g, fact)
     table = ()
     if args.trace and trace.dispatch == "general":
-        table = sweep_table(build_tableau(g, trace.factorization), trace)
+        table = sweep_table(trace)
     if args.json:
         obj = {
             "dispatch": trace.dispatch,

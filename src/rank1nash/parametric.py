@@ -8,9 +8,10 @@ the equilibria. The sweep walks optimal bases of this LP from xi_min to
 xi_max. A basis fixes x, so its objective is linear in xi and, being
 nonpositive on the basis's interval, vanishes only at an end of it (or on
 all of it, which a non-degenerate game rules out); the equilibria are read
-off the interval ends. When c is constant (zero-sum and row-constant games)
-the range of xi is one point, and the sweep reduces to its two extremes
-there: the P vertex maximising xi b^T x - pi2 and the Q vertex of least pi1.
+off the interval ends. When c is constant (zero-sum games, swept with
+b = 0 and c = 0, and row-constant games) the range of xi is one point, and
+the sweep is its start there: the P vertex maximising xi b^T x - pi2 and
+the Q vertex of least pi1, each of which must be unique.
 
 Constraint rows of M1 (1-based, z = (x, y, pi1, pi2), K = 2(m+n) rows):
 rows 1..m are -x <= 0, rows m+1..m+n are B^T x <= 1 pi2, rows m+n+1..m+n+m
@@ -37,20 +38,25 @@ sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
 are interpolated along the Q edge. Once the graphs exist, the sweep's cost
 follows the intervals it crosses, not the vertices: b^T x, c^T y and the
 payoffs are read off the integer keys of the vertices the walks visit, each
-vertex's crossings and each edge's slope are computed once, the first
-basis is found by climbing P and by leaving the Q vertex y = e_j of the
-least c_j, and an equilibrium is a vertex pair, so only the vertices of
-equilibria build their rationals. The walks decide in integers: a vertex's
+vertex's crossings and each edge's slope are computed once, and an
+equilibrium is a vertex pair, so only the vertices of equilibria build
+their rationals. The start is one routine on each side (_optimal_face):
+descend the vertex graph from a vertex x = e_i of P, or from the vertex
+y = e_j of Q of the first least c_j keeping y_l = 0 for every c_l > xi_min,
+to a vertex no neighbour beats, then flood the neighbours of equal cost.
+The optimal vertices of a linear function over a pointed polyhedron span a
+face whose graph is connected (Balinski 1961), so the flood finds all of a
+tied optimum without a scan. The walks decide in integers: a vertex's
 point (w^T s, payoff) is a triple (s, o, d) over one denominator, a
 crossing or a slope is the chord between two such points as a pair
-(num, den), and crossings, slopes, the climb's values and the objective's
+(num, den), and crossings, slopes, the start's costs and the objective's
 sign at an interval end are compared by cross-multiplication. The
 rationals built are the values the trace reports: per P vertex visited
 its crossings p_lo and beta2, per Q vertex visited its c^T y, and per
 interval its objective's two coefficients, besides the points of the
 equilibria. The sweep table reads its binding rows off the labels of each
-interval's P vertex and Q edge ends; the dense tableau is kept for the
-zero-sum duality check and as the row numbering of M1.
+interval's P vertex and Q edge ends, without the dense tableau, which is
+kept for the zero-sum duality check and as the tests' LP reference.
 """
 
 from __future__ import annotations
@@ -67,12 +73,9 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumPoint,
-    General,
     IntegerPayoffs,
     MixedStrategyPair,
     RankOneFactorization,
-    ZeroSum,
-    classify_special,
     factor_rank1,
     is_nash,
 )
@@ -302,20 +305,13 @@ def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
     return tuple(_vertex_pair(iv, _q_end(iv, xi), xi) for xi in _objective_zeros(iv))
 
 
-def _p_value(xi: Rational, b, v: LabeledVertex) -> Rational:
-    """xi b^T x - pi2 at a vertex (x, pi2) of P: the P side's share of the
-    objective, maximised over P by the optimal basis."""
-    return xi * vdot(b, v.point[: len(b)]) - v.point[len(b)]
-
-
 class _Line:
     """The point (w^T s, payoff) of each vertex of one graph, for a weight
     vector w over its strategies s: (b^T x, pi2) on P, (c^T y, pi1) on Q.
     A vertex's point is kept as integers (s, o, d), the point (s / d, o / d),
     read off the vertex's integers (w' . key, scale * den, num, pay_den) with
     w = w' / scale; only the vertices a walk visits are read. Rationals are
-    built only by ``x``, once per vertex, and by ``__getitem__``, which the
-    scans of a tied start read."""
+    built only by ``x``, once per vertex."""
 
     def __init__(self, graph: VertexGraph, weights):
         self.vertices = graph.vertices
@@ -350,11 +346,6 @@ class _Line:
             got = self._x[k] = rat(s, d)
         return got
 
-    def __getitem__(self, k: int) -> tuple[Rational, Rational]:
-        """(w^T s, payoff) at vertex k."""
-        _, o, d = self.ints(k)
-        return self.x(k), rat(o, d)
-
 
 def _first_least(fractions):
     """The tag of the first of the (num, den, tag) triples, den > 0, of least
@@ -366,8 +357,42 @@ def _first_least(fractions):
     return None if best is None else best[2]
 
 
+def _optimal_face(graph: VertexGraph, cost, start: int, fixed=frozenset()) -> set[int]:
+    """The vertices of least cost on the face of the graph's polyhedron that
+    keeps the labels ``fixed`` and holds vertex ``start``; cost(k) is a
+    fraction (num, den), den > 0, compared by cross-multiplication.
+
+    The walk descends to a vertex that no neighbour beats, stepping only
+    across labels outside ``fixed``, and floods the neighbours of equal cost.
+    That vertex is optimal, as the cost is linear and a ray of P or Q only
+    raises it; the optimal vertices span a face, whose graph is connected
+    (Balinski 1961), so the flood finds all of them.
+    """
+
+    def near(k: int):
+        for l in sorted(graph.vertices[k].labels - fixed):
+            j = graph.neighbour(k, l)
+            if j is not None:
+                yield (*cost(j), j)
+
+    k = start
+    while (j := _first_least(near(k))) is not None:
+        (jn, jd), (kn, kd) = cost(j), cost(k)
+        if jn * kd >= kn * jd:
+            break
+        k = j
+    kn, kd = cost(k)
+    face, todo = {k}, [k]
+    while todo:
+        for num, den, j in near(todo.pop()):
+            if num * kd == kn * den and j not in face:
+                face.add(j)
+                todo.append(j)
+    return face
+
+
 class _Walk:
-    """The two vertex walks of a general sweep, over the vertex graphs p of P
+    """The two vertex walks of a sweep, over the vertex graphs p of P
     and q of Q; P vertices and Q vertices are named by their indices. Every
     decision is made on integers: each P vertex's crossings and each Q
     edge's slope are computed once, as fractions num / den compared by
@@ -383,84 +408,75 @@ class _Walk:
         self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
-        """(P vertex, Q edge ends lo, hi) of the first basis, optimal at xi.
+        """(P vertex, Q edge ends lo, hi) of the first basis, optimal at
+        xi = xi_min.
 
         The P vertex has the greatest value at xi, ties broken by sorted
-        labels. The Q edge straddles xi with distinct c^T y at its ends and
-        has the least pi1 there, then the least slope, then sorted labels.
+        labels. The Q edge leaves a vertex of least pi1 on the slice at xi,
+        raising c^T y; of those, it has the least slope, then sorted labels.
+        Every vertex of the slice has such an edge, as a ray of Q only
+        raises pi1.
         """
-        return self._p_start(xi), *self._q_start(xi)
+        p, q = self.p, self.q
+        k = min(self._p_face(xi), key=lambda k: sorted(p.vertices[k].labels))
+        ups = sorted(
+            (sorted(q.vertices[a].labels & q.vertices[j].labels), num, den, a, j)
+            for a in self._q_face(xi)
+            for num, den, j in self._up_edges(a)
+        )
+        if not ups:
+            raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
+        return k, *_first_least((num, den, (a, j)) for _, num, den, a, j in ups)
 
-    def _p_start(self, xi: Rational) -> int:
-        """Climb P's graph to a vertex of greatest value at xi, from the best
-        of the m vertices x = e_i (each the one vertex of the m-1 labels
-        x_l = 0, l != i). A vertex no neighbour beats is optimal, as the
-        value is linear and a ray of P only raises pi2. When a neighbour
-        ties, the optimum is a face, and every vertex is scanned for the
-        least sorted labels."""
+    def one_point(self, xi: Rational) -> tuple[LabeledVertex, LabeledVertex]:
+        """The P vertex and the Q vertex optimal at xi, when the range of xi
+        is that one point and the slice at xi is all of Q. DegenerateGame
+        when either optimum is a face of several vertices; its first vertex
+        is the witness, P's as (x, pi2 - xi b^T x)."""
+        m, p, q = self.m, self.p, self.q
+        sides = [("P", p, self._p_face(xi)), ("Q", q, self._q_face(xi))]
+        for which, graph, face in sides:
+            if len(face) > 1:
+                k = min(face)
+                v = graph.vertices[k]
+                if graph is p:
+                    shifted = v.point[m] - xi * self.px.x(k)
+                    v = LabeledVertex((*v.point[:m], shifted), v.labels)
+                raise DegenerateGame(
+                    f"{which} has {len(face)} payoff-minimizing vertices", witness=v
+                )
+        return tuple(graph.vertices[min(face)] for _, graph, face in sides)
+
+    def _p_face(self, xi: Rational) -> set[int]:
+        """The P vertices of greatest value xi b^T x - pi2 at xi, found from
+        the best of the m vertices x = e_i (each the one vertex of the m-1
+        labels x_l = 0, l != i)."""
         m, p, px = self.m, self.p, self.px
         xn, xd = xi.numerator, xi.denominator
-        costs: dict[int, tuple[int, int, int]] = {}
 
-        def cost(k: int) -> tuple[int, int, int]:
+        def cost(k: int) -> tuple[int, int]:
             # minus the value, pi2 - xi b^T x = (xd o - xn s) / (xd d) with
-            # b^T x = s / d and pi2 = o / d, as (xd o - xn s, d, k)
-            got = costs.get(k)
-            if got is None:
-                s, o, d = px.ints(k)
-                got = costs[k] = (xd * o - xn * s, d, k)
-            return got
+            # b^T x = s / d and pi2 = o / d; xd is the same for every vertex
+            s, o, d = px.ints(k)
+            return xd * o - xn * s, d
 
         pure = [p.edges[frozenset(range(1, m + 1)) - {i}][0] for i in range(1, m + 1)]
-        k = _first_least(map(cost, pure))
-        while True:
-            near = [cost(j) for l in sorted(p.vertices[k].labels)
-                    if (j := p.neighbour(k, l)) is not None]
-            best = _first_least(near)
-            if best is None:
-                return k
-            (bn, bd, _), (kn, kd, _) = cost(best), cost(k)
-            if bn * kd > kn * bd:
-                return k
-            if bn * kd == kn * bd:
-                break
-            k = best
-        return min(
-            range(len(p.vertices)),
-            key=lambda k: (px[k][1] - xi * px[k][0], sorted(p.vertices[k].labels)),
-        )
+        return _optimal_face(p, cost, _first_least((*cost(k), k) for k in pure))
 
-    def _q_start(self, xi: Rational) -> tuple[int, int]:
-        """The first Q edge. When one c_j is least, the slice at xi is the Q
-        vertex y = e_j, the one vertex of the n-1 labels y_i = 0 (i != j),
-        and the edge leaves it. Otherwise every edge of Q is scanned."""
+    def _q_face(self, xi: Rational) -> set[int]:
+        """The Q vertices of least pi1 on the slice c^T y = xi = xi_min: the
+        face where y_j = 0 for every c_j > xi, found from its vertex y = e_j
+        of the first least c_j (the one vertex of the n-1 labels y_i = 0,
+        i != j)."""
         m, n, q, qy = self.m, self.n, self.q, self.qy
         # c_j = w_j / scale equals xi = p / q when w_j q = p scale
         at = xi.numerator * qy.scale
-        least = [j for j, v in enumerate(qy.w) if v * xi.denominator == at]
-        if len(least) == 1:
-            (j,) = least
-            w = q.edges[frozenset(m + 1 + i for i in range(n) if i != j)][0]
-            # all edges out of w give pi1(w) at xi: least slope, then the
-            # least sorted labels kept, which drop the greatest label
-            ups = self._up_edges(w)
-            if not ups:
-                raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
-            return w, _first_least(reversed(ups))
-        edges = []
-        for key, ends in q.edges.items():
-            if len(ends) != 2:
-                continue  # a ray of Q
-            lo, hi = sorted(ends, key=qy.x)
-            (c_lo, pi1), c_hi = qy[lo], qy.x(hi)
-            if c_lo == c_hi or not c_lo <= xi <= c_hi:
-                continue
-            slope = rat(*self._slope(lo, hi))
-            edges.append(((pi1 + (xi - c_lo) * slope, slope, sorted(key)), lo, hi))
-        if not edges:
-            raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
-        _, lo, hi = min(edges)
-        return lo, hi
+        fixed = frozenset(
+            m + 1 + j for j, v in enumerate(qy.w) if v * xi.denominator != at
+        )
+        j = next(j for j in range(n) if m + 1 + j not in fixed)
+        w = q.edges[frozenset(m + 1 + i for i in range(n) if i != j)][0]
+        return _optimal_face(q, lambda k: qy.ints(k)[1:], w, fixed)
 
     def _p_bounds(self, k: int) -> tuple:
         """(p_lo, beta2, beta2_row) of P vertex k: the crossings of its line
@@ -585,56 +601,14 @@ class SweepTrace:
     equilibria: tuple[EquilibriumPoint, ...]
 
 
-def _least_payoff(verts, which: str) -> LabeledVertex:
-    """The unique vertex of least last coordinate; ties mean degeneracy."""
-    best = min(v.point[-1] for v in verts)
-    hits = [v for v in verts if v.point[-1] == best]
-    if len(hits) != 1:
-        raise DegenerateGame(
-            f"{which} has {len(hits)} payoff-minimizing vertices",
-            witness=hits[0],
-        )
-    return hits[0]
-
-
-def _one_point_sweep(
-    g: BimatrixGame, f: RankOneFactorization | None, dispatch: str, p, q
-) -> SweepTrace:
-    """The sweep over the one-point range of a game whose c is constant.
-
-    The slice c^T y = xi is then all of Q, so the optimal pair is the vertex
-    of the P graph p maximising xi b^T x - pi2 (P's vertices are shifted to
-    (x, pi2 - xi b^T x) and minimised) with the vertex of least pi1 in the
-    Q graph q. A zero-sum game has no factors; it is the case b = 0, xi = 0.
-    """
-    m, n = g.m, g.n
-    xi, b = (f.c[0], f.b) if f is not None else (rat(0), (rat(0),) * m)
-    vp = _least_payoff(
-        [
-            LabeledVertex((*v.point[:m], -_p_value(xi, b, v)), v.labels)
-            for v in p.vertices
-        ],
-        "P",
-    )
-    vq = _least_payoff(q.vertices, "Q")
-    s = MixedStrategyPair(vp.point[:m], vq.point[:n])
-    flag, u1, u2 = is_nash(g, s)
-    if not flag:
-        raise InternalInvariantError(
-            f"{dispatch} candidate failed the equilibrium check"
-        )
-    eq = EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=xi)
-    return SweepTrace(g, f, dispatch, xi, xi, (), (), (eq,))
-
-
 def enumerate_all(
     g: BimatrixGame, factorization: RankOneFactorization | None = None
 ) -> SweepTrace:
     """All Nash equilibria of a non-degenerate game with rank(A+B) <= 1.
 
-    Zero-sum games (A+B = 0) and row-constant games have a constant c, so
-    the sweep's range is one point, where it reduces to its two extremes
-    and gives their unique equilibrium. NotRankOne is raised when
+    Zero-sum games (A+B = 0, swept with b = 0 and c = 0) and row-constant
+    games have a constant c, so the sweep's range is one point, where its
+    start gives the unique equilibrium. NotRankOne is raised when
     rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails,
     and FactorizationMismatch when a given factorization is not A + B.
     Each distinct equilibrium is checked once with is_nash.
@@ -643,15 +617,25 @@ def enumerate_all(
     if factorization is not None:
         factorization.require_matches(g)
     total = g.payoff_sum()
-    cls = classify_special(g, total)
-    if isinstance(cls, ZeroSum):
-        return _one_point_sweep(g, None, "zero-sum", p, q)
-    f = factorization if factorization is not None else factor_rank1(g, total)
-    if not isinstance(cls, General):
-        return _one_point_sweep(g, f, "row-constant", p, q)
+    if any(map(any, total)):
+        f = factorization if factorization is not None else factor_rank1(g, total)
+        swept = f
+    else:  # zero-sum: the trace has no factors, and the sweep runs on b = c = 0
+        f, swept = None, RankOneFactorization((rat(0),) * g.m, (rat(0),) * g.n)
+    walk = _Walk(g, swept, p, q)
+    lo, hi = min(swept.c), max(swept.c)
+    if lo == hi:
+        dispatch = "zero-sum" if f is None else "row-constant"
+        v, w = walk.one_point(lo)
+        s = MixedStrategyPair(v.point[: g.m], w.point[: g.n])
+        flag, u1, u2 = is_nash(g, s)
+        if not flag:
+            raise InternalInvariantError(
+                f"{dispatch} candidate failed the equilibrium check"
+            )
+        eq = EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=lo)
+        return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
-    walk = _Walk(g, f, p, q)
-    lo, hi = min(f.c), max(f.c)
     k, q_lo, q_hi = walk.start(lo)
     iv = walk.interval(k, q_lo, q_hi)
     intervals: list[BasisInterval] = []
@@ -730,7 +714,7 @@ class TraceRow:
     binding: frozenset[int]
 
 
-def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]:
+def sweep_table(trace: SweepTrace) -> tuple[TraceRow, ...]:
     """The breakpoint/interval table for a general sweep.
 
     Point rows carry the union of binding rows over every basis optimal
@@ -744,7 +728,7 @@ def sweep_table(t: ParametricTableau, trace: SweepTrace) -> tuple[TraceRow, ...]
     ivs = trace.intervals
     if not ivs:
         return ()
-    off = t.m + t.n
+    off = trace.game.m + trace.game.n
     points: list[Rational] = []
     for iv in ivs:
         for v in (iv.xi1, iv.xi2):

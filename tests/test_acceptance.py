@@ -162,8 +162,7 @@ def test_criterion_3_sweep_trace():
     g = generate_kt(2)
     f = RankOneFactorization.for_game(g, (2, 4), (2, 4))
     tr = enumerate_all(g, f)
-    tab = build_tableau(g, f)
-    rows = sweep_table(tab, tr)
+    rows = sweep_table(tr)
     points = [(r.xi, r.objective, set(r.binding)) for r in rows if r.kind == "point"]
     chk(
         [p[0] for p in points] == [2, rat(5, 2), 3, rat(7, 2), 4],

@@ -42,12 +42,18 @@ PAYOFF = st.fractions(-9, 9, max_denominator=6)
 
 
 @st.composite
-def rank1_games(draw, sizes_m, sizes_n):
+def rank1_games(draw, sizes_m, sizes_n, tied=False):
+    """(game, factorization); with ``tied``, the factor's least c_j is
+    repeated on 2..n columns."""
     m, n = draw(sizes_m), draw(sizes_n)
     a = draw(st.lists(st.lists(PAYOFF, min_size=n, max_size=n), min_size=m, max_size=m))
     b = draw(st.lists(PAYOFF, min_size=m, max_size=m))
     c = draw(st.lists(PAYOFF, min_size=n, max_size=n))
     lam = draw(PAYOFF.filter(lambda v: v != 0))
+    if tied:
+        cols = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+        least = min(c, key=lambda v: v / lam)
+        c = [least if j in cols else v for j, v in enumerate(c)]
     g = BimatrixGame.from_payoffs(
         a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
     )

@@ -143,17 +143,27 @@ def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
         equilibria_on_interval(inside)
 
 
+def _one_point_game(rng, m, n, row_constant):
+    """Random game with A + B = u 1^T, u = 0 unless ``row_constant``."""
+    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    u = [rng.randint(-9, 9) if row_constant else 0 for _ in range(m)]
+    return BimatrixGame.from_payoffs(a, [[ui - v for v in r] for ui, r in zip(u, a)])
+
+
 @pytest.mark.parametrize(
     "g, built",
     [
         (generate_kt(6), (11, 11)),
         (random_rank1_game(random.Random(1), 10, 10, -99, 99), (5, 5)),
+        (_one_point_game(random.Random(0), 5, 5, False), (1, 1)),
+        (_one_point_game(random.Random(2), 5, 5, True), (1, 1)),
     ],
-    ids=["kt6", "random-10x10"],
+    ids=["kt6", "random-10x10", "zero-sum-5x5", "row-constant-5x5"],
 )
 def test_sweep_builds_points_of_equilibrium_vertices_only(g, built, monkeypatch):
     # the walks read b^T x, c^T y and the payoffs off the vertices'
-    # integers; only the vertices of an equilibrium build their point
+    # integers; only the vertices of an equilibrium build their point, on
+    # the one-point range of a zero-sum or row-constant game too
     graphs = []
     original = parametric.require_nondegenerate
 
@@ -236,11 +246,12 @@ def _start_matches_full_scan(g, f=None) -> tuple[bool, bool] | None:
 
 
 def test_start_matches_the_full_scan():
-    # the sweep climbs P and leaves the Q vertex of the least c_j; on every
-    # corpus game, kt1..kt10 and two draws it must pick the basis the scan
-    # of every P vertex and every Q edge picks. In draw 218 two P vertices
-    # tie at xi_min and the climb reaches the one of greater sorted labels;
-    # in draw 30 two edges out of Q's start vertex raise pi1 at one rate.
+    # the sweep descends P, and Q's slice at xi_min, to their optimal faces;
+    # on every corpus game, kt1..kt10 and two draws it must pick the basis
+    # the scan of every P vertex and every Q edge picks. In draw 218 two P
+    # vertices tie at xi_min and the descent reaches the one of greater
+    # sorted labels; in draw 30 two edges out of Q's start vertex raise pi1
+    # at one rate.
     tied_p, tied_slope = (
         random_rank1_game(rng, rng.randint(2, 4), rng.randint(2, 4))
         for rng in (random.Random(218), random.Random(30))
@@ -256,12 +267,18 @@ def test_start_matches_the_full_scan():
     assert ties[tied_p] == (True, False)
     assert ties[tied_slope] == (False, False)
     assert ties[load_game(str(CORPUS / "tied-min-c-2x3.game"))] == (False, True)
-    # kt1..kt5 are also corpus games; zero-sum and row-constant have no walk
+    # kt1..kt5 are also corpus games; zero-sum and row-constant games have
+    # no first basis
     assert sum(t is not None for t in ties.values()) == 16
 
 
 @settings(max_examples=80, deadline=None)
-@given(rank1_games(st.integers(2, 5), st.integers(2, 5)))
+@given(
+    st.one_of(
+        rank1_games(st.integers(2, 5), st.integers(2, 5)),
+        rank1_games(st.integers(2, 5), st.integers(2, 5), tied=True),
+    )
+)
 def test_start_matches_the_full_scan_on_draws(game):
     _start_matches_full_scan(*game)
 
@@ -301,7 +318,7 @@ def test_enumerate_kt2_with_explicit_factor():
 
 def test_sweep_table_golden(kt2_tab):
     tr = enumerate_all(generate_kt(2), kt2_tab.factorization)
-    rows = sweep_table(kt2_tab, tr)
+    rows = sweep_table(tr)
     flat = [
         (r.kind, r.xi if r.kind == "point" else r.span, r.objective, set(r.binding))
         for r in rows
@@ -744,7 +761,7 @@ def test_sweep_table_matches_dense_binding_rows():
         t = build_tableau(tr.game, tr.factorization)
         got = [
             (r.kind, r.xi if r.kind == "point" else r.span, r.objective, r.binding)
-            for r in sweep_table(t, tr)
+            for r in sweep_table(tr)
         ]
         assert got == _dense_sweep_table(t, tr)
         count += len(got)
