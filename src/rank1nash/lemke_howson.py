@@ -4,20 +4,22 @@ Both walk the vertex graphs that ``require_nondegenerate`` returns, which
 each public call builds once; nothing is cached. Each side has one more
 node, the artificial one: the origin of the normalised polytope, carrying
 the x labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after
-the V vertices, and an edge of the vertex graph with one vertex runs to it.
-Adjacency is purely combinatorial: nodes are neighbors when their label sets
-share all but one element. Paths that drop one label r from the artificial
-pair and chase the duplicate label alternately over the two sides terminate
-at equilibria; the product graph glues those paths over all r, and its
-components expose equilibria no such path can reach.
+the V vertices, and its edges run to the pure strategies. Paths that drop
+one label r from the artificial pair and chase the duplicate label
+alternately over the two sides terminate at equilibria; the product graph
+glues those paths over all r, and its components expose equilibria no such
+path can reach.
 
-Non-degeneracy, which every function here requires, gives each node a label
-set of its own, so partners are found by looking up a label set, never by
-scanning the other graph. ``reachability`` and ``gprime_components``
-verify each distinct equilibrium once, in the label covering over the same
-vertex graphs; ``reachability`` matches every path terminal (a completely
-labeled pair) to one of those by key. ``lh_run`` verifies its single
-terminal itself.
+Non-degeneracy, which every function here requires, makes each node one
+basis of the vertex walk and each edge one of the walk's pivots. A path
+steps from a node by dropping a label, which reads the pivot the walk
+recorded for it, and G' takes every edge from that record. It also gives
+each node a label set of its own, so G' finds the partners of an edge on
+the other side by looking up a label set, never by scanning the other
+graph. ``reachability`` and ``gprime_components`` verify each distinct
+equilibrium once, in the label covering over the same vertex graphs;
+``reachability`` matches every path terminal (a completely labeled pair)
+to one of those by key. ``lh_run`` verifies its single terminal itself.
 """
 
 from __future__ import annotations
@@ -59,21 +61,20 @@ def _artificial_labels(g: BimatrixGame) -> tuple[frozenset[int], frozenset[int]]
     return frozenset(range(1, g.m + 1)), frozenset(range(g.m + 1, g.m + g.n + 1))
 
 
-def _edge_ends(vg: VertexGraph, ends: tuple[int, ...]) -> tuple[int, ...]:
-    """The two nodes of an edge of vg: a lone vertex pairs with the artificial
-    node."""
-    return ends if len(ends) != 1 else ends + (len(vg.vertices),)
+def _pivot(vg: VertexGraph, k: int, drop: int) -> int:
+    """The node reached from node k by dropping label ``drop``."""
+    j = vg.near(k).get(drop)
+    if j is None:
+        raise InternalInvariantError(f"pivot on label {drop}: node {k} lacks it")
+    return j
 
 
-def _pivot(vg: VertexGraph, k: int, labels: frozenset[int], drop: int) -> int:
-    """The node reached from node k, labeled ``labels``, by dropping ``drop``."""
-    ends = _edge_ends(vg, vg.edges.get(labels - {drop}, ()))
-    hits = [j for j in ends if j != k]
-    if len(hits) != 1:
-        raise InternalInvariantError(
-            f"pivot on label {drop} has {len(hits)} targets, not 1"
-        )
-    return hits[0]
+def _edges(vg: VertexGraph):
+    """Each edge of vg once, as (a, b, the labels it keeps) with a < b."""
+    for a, v in enumerate(vg.vertices):
+        for l, b in vg.edges_of(a):
+            if b > a:
+                yield a, b, v.labels - {l}
 
 
 def _walk(
@@ -90,7 +91,7 @@ def _walk(
     limit = (at[0] + 1) * (at[1] + 1) + 1
     for _ in range(limit):
         vg = graphs[side]
-        k = at[side] = _pivot(vg, at[side], nodes[side].labels, drop)
+        k = at[side] = _pivot(vg, at[side], drop)
         if k == len(vg.vertices):
             nodes[side] = GraphNode(art[side], None)
         else:
@@ -249,12 +250,10 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             if k is not None:
                 yield k
 
-    for shared, ends in p.edges.items():
-        a, b = _edge_ends(p, ends)
+    for a, b, shared in _edges(p):
         for j in partners(shared, at2):
             union((a, j), (b, j))
-    for shared, ends in q.edges.items():
-        a, b = _edge_ends(q, ends)
+    for a, b, shared in _edges(q):
         for i in partners(shared, at1):
             union((i, a), (i, b))
 

@@ -449,8 +449,7 @@ class _Walk:
 
     def _p_face(self, xi: Rational) -> set[int]:
         """The P vertices of greatest value xi b^T x - pi2 at xi, found from
-        the best of the m vertices x = e_i (each the one vertex of the m-1
-        labels x_l = 0, l != i)."""
+        the best of the m vertices x = e_i, the origin's neighbours."""
         m, p, px = self.m, self.p, self.px
         xn, xd = xi.numerator, xi.denominator
 
@@ -460,14 +459,14 @@ class _Walk:
             s, o, d = px.ints(k)
             return xd * o - xn * s, d
 
-        pure = [p.edges[frozenset(range(1, m + 1)) - {i}][0] for i in range(1, m + 1)]
+        # the origin, node V, carries the labels 1..m; dropping i reaches e_i
+        pure = [p.neighbour(len(p.vertices), i) for i in range(1, m + 1)]
         return _optimal_face(p, cost, _first_least((*cost(k), k) for k in pure))
 
     def _q_face(self, xi: Rational) -> set[int]:
         """The Q vertices of least pi1 on the slice c^T y = xi = xi_min: the
         face where y_j = 0 for every c_j > xi, found from its vertex y = e_j
-        of the first least c_j (the one vertex of the n-1 labels y_i = 0,
-        i != j)."""
+        of the first least c_j, a neighbour of the origin."""
         m, n, q, qy = self.m, self.n, self.q, self.qy
         # c_j = w_j / scale equals xi = p / q when w_j q = p scale
         at = xi.numerator * qy.scale
@@ -475,7 +474,9 @@ class _Walk:
             m + 1 + j for j, v in enumerate(qy.w) if v * xi.denominator != at
         )
         j = next(j for j in range(n) if m + 1 + j not in fixed)
-        w = q.edges[frozenset(m + 1 + i for i in range(n) if i != j)][0]
+        # the origin, node V, carries the labels m+1..m+n; dropping m+1+j
+        # reaches e_j
+        w = q.neighbour(len(q.vertices), m + 1 + j)
         return _optimal_face(q, lambda k: qy.ints(k)[1:], w, fixed)
 
     def _p_bounds(self, k: int) -> tuple:

@@ -33,16 +33,26 @@ arithmetic.
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
 numerator and denominator, and builds ``point`` on first read. They are
-sorted by their keys scaled to a common denominator, which orders them as
-their points would be ordered. A caller that reads only label sets, such as
-the non-degeneracy check, builds no rational at all.
+sorted by cross-multiplication: key a comes before key b when, at the first
+i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
+the order of their strategies a / sum(a), so of their points. A caller that
+reads only label sets, such as the non-degeneracy check, builds no rational
+at all.
+
+The walk pivots on pop: its stack keeps, for each basis found but not yet
+visited, the parent's dictionary and the pivot's row and column, so
+siblings share one dictionary and a dictionary lives only while a child of
+it waits. A basis is known by its mask, the bits of its variables. The walk
+also records every ratio-test step it takes, and in a non-degenerate game,
+where each basis is one vertex and each step is one edge, that record is the
+vertex graph: ``VertexGraph`` reads it node by node, on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, cmp_to_key
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import (
@@ -202,7 +212,7 @@ def _pivot(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
     return out
 
 
-def _feasible_bases(mat: list[list[int]]):
+def _feasible_bases(mat: list[list[int]], steps: list | None = None):
     """Every feasible basis of {z >= 0 : mat z + s = 1, s >= 0}.
 
     ``mat`` is k x d with positive entries, so the polytope is bounded and
@@ -212,31 +222,55 @@ def _feasible_bases(mat: list[list[int]]):
     the integer det > 0 is |det| of the basis's columns of [mat | I]. The
     entering variables are tried in increasing order. A tie in the ratio
     test branches to every tied row, so degenerate vertices are reached
-    through all of their bases.
+    through all of their bases. When ``steps`` is a list, the walk appends
+    to it, for each basis in the order yielded, the basis's mask followed by
+    each ratio-test step out of that basis as a pair: the variable entering,
+    then the variable leaving.
     """
     k, d = len(mat), len(mat[0])
-    basis = list(range(d, d + k))
-    seen = {frozenset(basis)}
+    mask = ((1 << k) - 1) << d
+    seen = {mask}
     # cobasis[c] is the variable of dictionary column c
-    stack = [(basis, list(range(d)), [row + [1] for row in mat], 1)]
+    origin = (list(range(d, d + k)), list(range(d)), [row + [1] for row in mat], 1)
+    stack = [(origin, None, None, mask)]
     while stack:
-        basis, cobasis, dic, det = stack.pop()
+        state, r, col, mask = stack.pop()
+        if r is not None:  # pivot the parent's dictionary into this basis
+            basis, cobasis, dic, det = state
+            nxt, co = basis.copy(), cobasis.copy()
+            nxt[r], co[col] = cobasis[col], basis[r]
+            state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
+        basis, cobasis, dic, det = state
         yield basis, [row[-1] for row in dic], det
+        out = [mask]
         for col in sorted(range(d), key=cobasis.__getitem__):
+            enter = cobasis[col]
             for r in _ratio_test(dic, col):
-                nxt = basis.copy()
-                nxt[r] = cobasis[col]
-                key = frozenset(nxt)
-                if key in seen:
-                    continue
-                seen.add(key)
-                co = cobasis.copy()
-                co[col] = basis[r]
-                stack.append((nxt, co, _pivot(dic, r, col, det), dic[r][col]))
+                leave = basis[r]
+                out += enter, leave
+                nxt = mask ^ 1 << enter ^ 1 << leave
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((state, r, col, nxt))
+        if steps is not None:
+            steps.append(out)
 
 
-def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
-    """All vertices, each with its complete binding-label set, sorted by point.
+def _point_order(a: tuple, b: tuple) -> int:
+    """Negative when the strategy a[0] / a[1] comes before b[0] / b[1], for
+    integer keys a[0], b[0] of sums a[1], b[1] > 0: compared at the first
+    coordinate where they differ, by cross-multiplication."""
+    sa, sb = a[1], b[1]
+    for x, y in zip(a[0], b[0]):
+        diff = x * sb - y * sa
+        if diff:
+            return diff
+    return 0
+
+
+def _vertex_graph(g: BimatrixGame, which: str) -> "VertexGraph":
+    """The vertices of P (which="P") or Q, each with its complete
+    binding-label set, sorted by point, and the steps of the walk.
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
     Q' over y for "Q"; see the module docstring) and maps each non-zero
@@ -245,9 +279,8 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     variables plus every basic variable at zero, so extra bindings on
     degenerate inputs are reported faithfully.
     """
-    g = p.game
     m, n = g.m, g.n
-    if p.which == "P":
+    if which == "P":
         payoffs = tuple(zip(*g.B))  # n rows of B^T, over x
         labels = tuple(range(1, m + n + 1))  # x_1..x_m, then column slacks
     else:
@@ -256,8 +289,10 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
     mat, scale, shift = _positive_integer_rows(payoffs)
     d = len(mat[0])
     every = set(range(len(labels)))
-    found: dict[tuple[int, ...], LabeledVertex] = {}
-    for basis, rhs, det in _feasible_bases(mat):
+    steps: list[list[int]] = []
+    # key -> (key, sum(key), vertex, number of the vertex's first basis)
+    found: dict[tuple[int, ...], tuple] = {}
+    for number, (basis, rhs, det) in enumerate(_feasible_bases(mat, steps)):
         z = [0] * d
         for var, value in zip(basis, rhs):
             if var < d:
@@ -275,53 +310,88 @@ def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
         zero.update(var for var, value in zip(basis, rhs) if value == 0)
         # some row of mat is tight at z / det, so the best-reply payoff of
         # the strategy z / total is (det - shift * total) / (scale * total)
-        found[key] = LabeledVertex._from_integers(
+        vertex = LabeledVertex._from_integers(
             key,
             total // common,
             det - shift * total,
             scale * total,
             frozenset(labels[v] for v in zero),
         )
-    # the strategy is key / sum(key): scaled to the common denominator, the
-    # keys sort as the points do, and distinct keys give distinct strategies
-    lcm = math.lcm(*(sum(key) for key in found))
-    order = sorted(found, key=lambda key: [v * (lcm // sum(key)) for v in key])
-    return tuple(found[key] for key in order)
+        found[key] = (key, total // common, vertex, number)
+    # distinct keys give distinct strategies, so no two compare equal
+    ordered = sorted(found.values(), key=cmp_to_key(_point_order))
+    return VertexGraph(
+        tuple(t[2] for t in ordered), steps, tuple(t[3] for t in ordered), labels
+    )
+
+
+def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
+    """All vertices, each with its complete binding-label set, sorted by
+    point: the vertices of the walk over ``p`` (see _vertex_graph)."""
+    return _vertex_graph(p.game, p.which).vertices
 
 
 @dataclass(frozen=True)
 class VertexGraph:
-    """The vertices of P or Q of a non-degenerate game, sorted by point.
+    """The vertices of P or Q, sorted by point, with the steps of the walk
+    that found them.
 
-    ``require_nondegenerate`` returns one per side, and every method reads
-    vertices, edges and label sets from these. The indices are built on
-    first use and go with the graph: nothing is cached between calls.
+    ``require_nondegenerate`` returns one per side of a non-degenerate game,
+    and every method reads vertices, edges and label sets from these. The
+    nodes of the graph are the V vertices and, as node V, the origin of the
+    normalised polytope, which carries the x labels on P and the y labels on
+    Q. In a non-degenerate game each node is one basis of the walk,
+    ``steps[bases[k]]`` for vertex k and ``steps[0]`` for the origin, and
+    each step of the walk out of that basis is one edge, keyed by the label
+    of the variable entering: the label the step drops. The lookups are
+    built on first use and go with the graph: nothing is cached between
+    calls.
     """
 
     vertices: tuple[LabeledVertex, ...]
-
-    @cached_property
-    def edges(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Each edge, keyed by the labels it keeps, as the indices of its one
-        or two vertices; an edge with one vertex runs to the origin of the
-        normalised polytope, which is a ray of P or Q."""
-        index: dict[frozenset[int], tuple[int, ...]] = {}
-        for k, v in enumerate(self.vertices):
-            for l in v.labels:
-                key = v.labels - {l}
-                index[key] = index.get(key, ()) + (k,)
-        return index
+    steps: list[list[int]] = field(compare=False, repr=False)
+    bases: tuple[int, ...] = field(compare=False, repr=False)
+    labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
 
     @cached_property
     def at(self) -> dict[frozenset[int], LabeledVertex]:
         """Each vertex, keyed by its label set."""
         return {v.labels: v for v in self.vertices}
 
+    @cached_property
+    def _node(self) -> dict[int, int]:
+        """The node of each basis the vertices were read from, by mask."""
+        steps = self.steps
+        node = {steps[n][0]: k for k, n in enumerate(self.bases)}
+        node[steps[0][0]] = len(self.vertices)
+        return node
+
+    def edges_of(self, k: int):
+        """(label dropped, node reached) for each edge of node k; node V is
+        the origin, and a step to it is a ray of P or Q."""
+        it = iter(self.steps[0 if k == len(self.vertices) else self.bases[k]])
+        mask = next(it)
+        node, labels = self._node, self.labels
+        for enter, leave in zip(it, it):
+            yield labels[enter], node[mask ^ 1 << enter ^ 1 << leave]
+
+    @cached_property
+    def _near(self) -> dict[int, dict[int, int]]:
+        return {}
+
+    def near(self, k: int) -> dict[int, int]:
+        """The node reached from node k by dropping each of its labels, read
+        off the walk's steps on the first call for node k."""
+        got = self._near.get(k)
+        if got is None:
+            got = self._near[k] = dict(self.edges_of(k))
+        return got
+
     def neighbour(self, k: int, drop: int) -> int | None:
-        """The vertex reached from vertex k by dropping label ``drop``; None
-        on a ray."""
-        ends = self.edges[self.vertices[k].labels - {drop}]
-        return next((j for j in ends if j != k), None)
+        """The vertex reached from node k by dropping label ``drop``; None on
+        a ray."""
+        j = self.near(k)[drop]
+        return None if j == len(self.vertices) else j
 
 
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
@@ -330,14 +400,14 @@ def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
     otherwise."""
     graphs = []
     for which, bound in (("P", g.m), ("Q", g.n)):
-        verts = enumerate_vertices(build_polyhedron(g, which))
-        for v in verts:
+        graph = _vertex_graph(g, which)
+        for v in graph.vertices:
             if len(v.labels) != bound:
                 pt = "(" + ", ".join(str(x) for x in v.point) + ")"
                 raise DegenerateGame(
                     f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
                 )
-        graphs.append(VertexGraph(verts))
+        graphs.append(graph)
     return graphs[0], graphs[1]
 
 

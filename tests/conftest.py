@@ -41,6 +41,31 @@ def random_rank1_game(
     return BimatrixGame.from_payoffs(a, bm)
 
 
+def baseline_game(d: int, seed: int) -> BimatrixGame:
+    """The random rank-1 d x d game of a seed: with rng = random.Random(seed),
+    draw b, then c, then the rows of A, each entry uniform in -9999..9999,
+    and set B = b c^T - A."""
+    rng = random.Random(seed)
+    b = [rng.randint(-9999, 9999) for _ in range(d)]
+    c = [rng.randint(-9999, 9999) for _ in range(d)]
+    a = [[rng.randint(-9999, 9999) for _ in range(d)] for _ in range(d)]
+    bm = [[b[i] * c[j] - a[i][j] for j in range(d)] for i in range(d)]
+    return BimatrixGame.from_payoffs(a, bm)
+
+
+def label_set_edges(graph) -> dict[frozenset[int], tuple[int, ...]]:
+    """Reference edge index of a vertex graph of a non-degenerate game: each
+    edge, keyed by the labels it keeps, as the indices of its one or two
+    vertices. An edge with one vertex runs to the origin of the normalised
+    polytope."""
+    index: dict[frozenset[int], tuple[int, ...]] = {}
+    for k, v in enumerate(graph.vertices):
+        for l in v.labels:
+            key = v.labels - {l}
+            index[key] = index.get(key, ()) + (k,)
+    return index
+
+
 def random_game(
     rng: random.Random, m: int, n: int, lo: int = -9, hi: int = 9
 ) -> BimatrixGame:

@@ -36,19 +36,20 @@ def test_graph_shapes(unreach22):
     p, q = require_nondegenerate(unreach22)
     # three polyhedron vertices on each side
     assert len(p.vertices) == 3 and len(q.vertices) == 3
-    # an edge with one vertex runs to the artificial node, the origin, which
-    # carries the x labels on P and the y labels on Q
+    # a step to None runs to the artificial node, the origin, which carries
+    # the x labels on P and the y labels on Q
     for graph, artificial in ((p, {1, 2}), (q, {3, 4})):
         lone = 0
-        for shared, ends in graph.edges.items():
-            labels = [graph.vertices[k].labels for k in ends]
-            if len(ends) == 1:
-                labels.append(artificial)
-                lone += 1
-            # adjacency: label sets agree in all but one member, and the
-            # edge keeps those
-            a, b = labels
-            assert a & b == shared and len(shared) == len(a) - 1
+        for k, v in enumerate(graph.vertices):
+            for l in v.labels:
+                j = graph.neighbour(k, l)
+                if j is None:
+                    far = artificial
+                    lone += 1
+                else:
+                    far = graph.vertices[j].labels
+                # adjacency: label sets agree in all but the dropped label
+                assert v.labels & far == v.labels - {l}
         assert lone > 0
     start = lh_run(unreach22, 1).steps[0]
     assert start.node1.artificial and start.node1.labels == {1, 2}

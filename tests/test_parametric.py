@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game, random_rank1_game
+from conftest import label_set_edges, random_game, random_rank1_game
 from rank1nash import (
     BimatrixGame,
     DegenerateGame,
@@ -217,7 +217,7 @@ def _full_scan_start(p, q, f):
         ),
     )
     edges = []
-    for key, ends in q.edges.items():
+    for key, ends in label_set_edges(q).items():
         if len(ends) != 2:
             continue
         lo, hi = sorted(ends, key=lambda j: cy[j])

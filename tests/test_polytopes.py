@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game, random_rank1_game
+from conftest import baseline_game, label_set_edges, random_game, random_rank1_game
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
@@ -32,6 +32,7 @@ from rank1nash import (
     polytopes,
     rat,
     reachability,
+    require_nondegenerate,
 )
 from rank1nash.linalg import RMatrix, solve, vdot
 from rank1nash.polytopes import _feasible_bases, _pivot, _positive_integer_rows
@@ -426,21 +427,22 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 @pytest.mark.parametrize("name", ["kt3", "zero-sum-2x2", "row-constant-2x2"])
 def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     # every method reads P and Q from the graphs require_nondegenerate
-    # returns, and the sweep table reads the Q edges its intervals keep
+    # returns, one vertex walk per side, and the sweep table reads the Q
+    # edges its intervals keep
     import rank1nash.cli as cli
 
     calls = 0
-    original = polytopes.enumerate_vertices
+    original = polytopes._vertex_graph
 
-    def counted(p):
+    def counted(g, which):
         nonlocal calls
         calls += 1
-        return original(p)
+        return original(g, which)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rank1nash":
-            if getattr(mod, "enumerate_vertices", None) is original:
-                monkeypatch.setattr(mod, "enumerate_vertices", counted)
+            if getattr(mod, "_vertex_graph", None) is original:
+                monkeypatch.setattr(mod, "_vertex_graph", counted)
 
     path = str(CORPUS / f"{name}.game")
     g = load_game(path)
@@ -485,3 +487,78 @@ def test_memory_stays_flat_over_many_games():
     finally:
         tracemalloc.stop()
     assert growth < 64 * 1024, growth
+
+
+def _assert_neighbours_match_label_sets(g):
+    """Every step of the walk's record, from every vertex across every label,
+    against the edge index keyed by label sets; and the origin's neighbours
+    are the vertices x = e_i of P and y = e_j of Q."""
+    try:
+        p, q = require_nondegenerate(g)
+    except DegenerateGame:
+        return False
+    for graph, labels, size in (
+        (p, range(1, g.m + 1), g.m),
+        (q, range(g.m + 1, g.m + g.n + 1), g.n),
+    ):
+        index = label_set_edges(graph)
+        for k, v in enumerate(graph.vertices):
+            for l in v.labels:
+                ends = index[v.labels - {l}]
+                assert graph.neighbour(k, l) == next((j for j in ends if j != k), None)
+        origin = len(graph.vertices)
+        pure = [graph.neighbour(origin, l) for l in labels]
+        assert sorted(pure) == sorted(e[0] for e in index.values() if len(e) == 1)
+        for i, j in enumerate(pure):
+            assert graph.vertices[j].point[:size] == tuple(int(t == i) for t in range(size))
+    return True
+
+
+def test_neighbours_match_the_label_set_index():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    assert all(_assert_neighbours_match_label_sets(g) for g in games)
+
+
+@st.composite
+def wide_games(draw):
+    # payoffs in -50..50: most draws are non-degenerate
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    matrix = st.lists(
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=m, max_size=m
+    )
+    return BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_games())
+def test_neighbours_match_the_label_set_index_on_draws(g):
+    _assert_neighbours_match_label_sets(g)
+
+
+def test_scale_guard_on_a_12x12_game():
+    # a random 12x12 game, seed 2 of tests/scale_report.py: the check sorts
+    # 9,333 vertices by cross-multiplication, and the sweep agrees with the
+    # label covering
+    g = baseline_game(12, 2)
+    p, q = require_nondegenerate(g)
+    assert (len(p.vertices), len(q.vertices)) == (7359, 1974)
+    tr = enumerate_all(g)
+    assert (len(tr.intervals), len(tr.equilibria)) == (40, 5)
+    assert [e.key() for e in tr.equilibria] == [e.key() for e in equilibria_by_labels(g)]
+
+
+def test_one_side_walk_memory_is_bounded():
+    # the walk pivots on pop, so a dictionary lives only while a child of it
+    # waits on the stack: one side of a random 10x10 game peaks under 3 MB,
+    # its 1,163 vertices and the walk's record included
+    g = baseline_game(10, 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = polytopes._vertex_graph(g, "P")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.vertices) == 1163
+    assert peak < 3 * 2**20, peak
