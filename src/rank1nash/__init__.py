@@ -5,10 +5,10 @@ parameter across a one-dimensional family of linear programs whose optimal
 objective, piecewise linear in the parameter, touches zero exactly at the
 equilibria of the game.  The sweep walks the vertex graphs of the two
 best-response polyhedra, one per side, and makes no linear solve.
-Zero-sum and row-constant games are the sweep's start taken at a
-one-point parameter range.  Two other methods,
-:func:`support_enumeration` and :func:`equilibria_by_labels`, are provided
-for cross-checking, along with label-dropping path analysis
+Zero-sum and row-constant games need no special-class handling: for them
+the sweep is its start, taken at a one-point parameter range.  Two other
+methods, :func:`support_enumeration` and :func:`equilibria_by_labels`, are
+provided for cross-checking, along with label-dropping path analysis
 (:func:`lh_run`, :func:`reachability`, :func:`gprime_components`) over the
 same vertex graphs.
 """
@@ -32,17 +32,13 @@ from .games import (
     AddToRowOfB,
     BimatrixGame,
     EquilibriumPoint,
-    General,
     IntegerPayoffs,
     MixedStrategyPair,
     RankOneFactorization,
     RankReduction,
-    RowConstant,
     ScaleColumnOfA,
     ScaleRowOfB,
-    ZeroSum,
     best_response_values,
-    classify_special,
     factor_rank1,
     game_rank,
     generate_kt,
@@ -54,10 +50,8 @@ from .games import (
 )
 from .gamefile import format_game, load_game, parse_game
 from .polytopes import (
-    LabeledPolyhedron,
     LabeledVertex,
     VertexGraph,
-    build_polyhedron,
     check_nondegenerate,
     enumerate_vertices,
     equilibria_by_labels,
@@ -76,16 +70,11 @@ from .parametric import (
     BasisInterval,
     BreakpointRecord,
     ParametricBasis,
-    ParametricTableau,
     SweepTrace,
     TraceRow,
-    binding_rows,
-    build_tableau,
     enumerate_all,
     equilibria_on_interval,
     sweep_table,
-    xi_range,
-    zero_sum_dual_coincidence,
 )
 
 __version__ = "1.0.0"
@@ -101,11 +90,9 @@ __all__ = [
     "FactorizationMismatch",
     "GPrimeReport",
     "GameFileError",
-    "General",
     "IntegerPayoffs",
     "InternalInvariantError",
     "LHPath",
-    "LabeledPolyhedron",
     "LabeledVertex",
     "MixedStrategyPair",
     "NonPositiveScale",
@@ -114,12 +101,10 @@ __all__ = [
     "NotRowConstant",
     "OracleResult",
     "ParametricBasis",
-    "ParametricTableau",
     "Rank1NashError",
     "RankOneFactorization",
     "RankReduction",
     "ReachabilityReport",
-    "RowConstant",
     "ScaleColumnOfA",
     "ScaleRowOfB",
     "SingularMatrix",
@@ -127,13 +112,8 @@ __all__ = [
     "SweepTrace",
     "TraceRow",
     "VertexGraph",
-    "ZeroSum",
-    "binding_rows",
     "best_response_values",
-    "build_polyhedron",
-    "build_tableau",
     "check_nondegenerate",
-    "classify_special",
     "enumerate_all",
     "equilibria_on_interval",
     "enumerate_vertices",
@@ -156,6 +136,4 @@ __all__ = [
     "support_enumeration",
     "sweep_table",
     "transform",
-    "xi_range",
-    "zero_sum_dual_coincidence",
 ]

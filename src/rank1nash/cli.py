@@ -300,22 +300,23 @@ def cmd_rank(args) -> int:
 def cmd_reduce_rank(args) -> int:
     g = load_game(args.game)
     red = reduce_rank(g)
-    comment = (
-        f"rank reduced from {g.m} to {game_rank(red.game)}: "
-        f"added {red.lam} to column {red.column + 1} of A"
-    )
+    rank = game_rank(red.game)
     if args.json:
         print(
             json.dumps(
                 {
                     "column": red.column,
                     "lam": str(red.lam),
-                    "rank": game_rank(red.game),
+                    "rank": rank,
                     "game": format_game(red.game),
                 }
             )
         )
         return 0
+    comment = (
+        f"rank reduced from {g.m} to {rank}: "
+        f"added {red.lam} to column {red.column + 1} of A"
+    )
     sys.stdout.write(format_game(red.game, comment=comment))
     return 0
 

@@ -1,4 +1,4 @@
-"""Bimatrix games: model types, rank tools, special-class handling, transforms."""
+"""Bimatrix games: model types, rank tools and reductions, transforms."""
 
 from __future__ import annotations
 
@@ -255,36 +255,6 @@ def reduce_rank(g: BimatrixGame) -> RankReduction:
         tuple(v + lam if jj == j else v for jj, v in enumerate(row)) for row in g.A
     )
     return RankReduction(BimatrixGame(g.m, g.n, a2, g.B), j, lam)
-
-
-@dataclass(frozen=True)
-class ZeroSum:
-    """A + B = 0."""
-
-
-@dataclass(frozen=True)
-class RowConstant:
-    """Every row of A + B is constant; u holds the per-row constants."""
-
-    u: tuple[Rational, ...]
-
-
-@dataclass(frozen=True)
-class General:
-    """Neither zero-sum nor row-constant."""
-
-
-def classify_special(
-    g: BimatrixGame, total: Matrix | None = None
-) -> ZeroSum | RowConstant | General:
-    """Which special class A + B falls in; ``total``, when given, must be
-    ``g.payoff_sum()``."""
-    s = total if total is not None else g.payoff_sum()
-    if all(v == 0 for row in s for v in row):
-        return ZeroSum()
-    if all(all(v == row[0] for v in row) for row in s):
-        return RowConstant(tuple(row[0] for row in s))
-    return General()
 
 
 def reduce_row_constant(g: BimatrixGame, u: Sequence[Rational]) -> BimatrixGame:

@@ -65,50 +65,6 @@ from .games import (
 from .linalg import Rational, clear_rows, rat
 
 
-@dataclass(frozen=True)
-class LabeledPolyhedron:
-    """One of the two best-reply polyhedra, as labeled inequality rows.
-
-    It compares and hashes as (game, which). Row l-1 of ``ineq`` carries
-    label l; each row is (coeffs, rhs) with the convention
-    coeffs . point <= rhs. ``eq`` is the probability constraint. The rows
-    are built on first use: the vertex walk reads the payoffs from the game.
-    """
-
-    game: BimatrixGame
-    which: str  # "P" or "Q"
-
-    def __post_init__(self):
-        if self.which not in ("P", "Q"):
-            raise ValueError("which must be 'P' or 'Q'")
-
-    @property
-    def dim(self) -> int:
-        """m + 1 for P, over (x, pi2); n + 1 for Q, over (y, pi1)."""
-        return (self.game.m if self.which == "P" else self.game.n) + 1
-
-    @cached_property
-    def ineq(self) -> tuple[tuple[tuple[Rational, ...], Rational], ...]:
-        g = self.game
-        m, n = g.m, g.n
-        rows = []
-        if self.which == "P":  # over (x_1..x_m, pi2)
-            for i in range(m):
-                rows.append(tuple(-1 if k == i else 0 for k in range(m)) + (0,))
-            for j in range(n):
-                rows.append(tuple(g.B[i][j] for i in range(m)) + (-1,))
-        else:  # over (y_1..y_n, pi1)
-            for i in range(m):
-                rows.append(tuple(g.A[i]) + (-1,))
-            for j in range(n):
-                rows.append(tuple(-1 if k == j else 0 for k in range(n)) + (0,))
-        return tuple((tuple(rat(v) for v in row), rat(0)) for row in rows)
-
-    @cached_property
-    def eq(self) -> tuple[tuple[Rational, ...], Rational]:
-        return (rat(1),) * (self.dim - 1) + (rat(0),), rat(1)
-
-
 class LabeledVertex:
     """A vertex of P or Q, as its point and its binding labels.
 
@@ -152,11 +108,6 @@ class LabeledVertex:
 
     def __repr__(self):
         return f"LabeledVertex(point={self.point!r}, labels={self.labels!r})"
-
-
-def build_polyhedron(g: BimatrixGame, which: str) -> LabeledPolyhedron:
-    """P (which="P") or Q (which="Q") of g."""
-    return LabeledPolyhedron(g, which)
 
 
 def _positive_integer_rows(rows) -> tuple[list[list[int]], int, int]:
@@ -325,10 +276,13 @@ def _vertex_graph(g: BimatrixGame, which: str) -> "VertexGraph":
     )
 
 
-def enumerate_vertices(p: LabeledPolyhedron) -> tuple[LabeledVertex, ...]:
-    """All vertices, each with its complete binding-label set, sorted by
-    point: the vertices of the walk over ``p`` (see _vertex_graph)."""
-    return _vertex_graph(p.game, p.which).vertices
+def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]:
+    """All vertices of P (which="P") or Q (which="Q"), each with its complete
+    binding-label set, sorted by point: the vertices of the walk (see
+    _vertex_graph)."""
+    if which not in ("P", "Q"):
+        raise ValueError("which must be 'P' or 'Q'")
+    return _vertex_graph(g, which).vertices
 
 
 @dataclass(frozen=True)

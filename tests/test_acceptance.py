@@ -13,6 +13,7 @@ import random
 import time
 
 from conftest import random_game, random_rank1_game, reweight
+from dense_lp import build_tableau, zero_sum_dual_coincidence
 from rank1nash import (
     AddToColumnOfA,
     AddToRowOfB,
@@ -22,8 +23,6 @@ from rank1nash import (
     RankOneFactorization,
     ScaleColumnOfA,
     ScaleRowOfB,
-    build_polyhedron,
-    build_tableau,
     enumerate_all,
     enumerate_vertices,
     equilibria_by_labels,
@@ -38,7 +37,6 @@ from rank1nash import (
     support_enumeration,
     sweep_table,
     transform,
-    zero_sum_dual_coincidence,
 )
 
 
@@ -428,8 +426,8 @@ def test_criterion_8_structural():
                 max(iv.objective.at(p) for p in (iv.xi1, mid, iv.xi2)) <= 0,
                 "objective went positive on an optimal interval",
             )
-        f0p = len(enumerate_vertices(build_polyhedron(g, "P")))
-        f0q = len(enumerate_vertices(build_polyhedron(g, "Q")))
+        f0p = len(enumerate_vertices(g, "P"))
+        f0q = len(enumerate_vertices(g, "Q"))
         chk(
             len(ivs) <= f0p * f0q,
             f"{len(ivs)} intervals exceeds the vertex product {f0p * f0q}",

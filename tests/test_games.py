@@ -14,7 +14,6 @@ from rank1nash import (
     AddToRowOfB,
     BimatrixGame,
     FactorizationMismatch,
-    General,
     IntegerPayoffs,
     MixedStrategyPair,
     NonPositiveScale,
@@ -22,12 +21,9 @@ from rank1nash import (
     NotRankOne,
     NotRowConstant,
     RankOneFactorization,
-    RowConstant,
     ScaleColumnOfA,
     ScaleRowOfB,
-    ZeroSum,
     best_response_values,
-    classify_special,
     factor_rank1,
     game_rank,
     generate_kt,
@@ -296,20 +292,10 @@ def test_reduce_rank_twice_reaches_rank_one():
         reduce_rank(r1.game)
 
 
-def test_classify_special():
-    zs = BimatrixGame.from_payoffs(((1, -2), (0, 3)), ((-1, 2), (0, -3)))
-    assert classify_special(zs) == ZeroSum()
-    a = ((1, 2), (3, 4))
-    b = ((4, 3), (-1, -2))  # A + B = ((5, 5), (2, 2))
-    rc = BimatrixGame.from_payoffs(a, b)
-    assert classify_special(rc) == RowConstant((5, 2))
-    assert classify_special(generate_kt(2)) == General()
-
-
 def test_reduce_row_constant():
     g = BimatrixGame.from_payoffs(((1, 2), (3, 4)), ((4, 3), (-1, -2)))
     z = reduce_row_constant(g, (5, 2))
-    assert classify_special(z) == ZeroSum()
+    assert all(v == 0 for row in z.payoff_sum() for v in row)
     assert z.A == g.A
     with pytest.raises(NotRowConstant):
         reduce_row_constant(g, (5, 3))

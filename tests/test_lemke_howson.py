@@ -15,7 +15,6 @@ from rank1nash import (
     GPrimeReport,
     MixedStrategyPair,
     ReachabilityReport,
-    build_polyhedron,
     check_nondegenerate,
     enumerate_vertices,
     equilibria_by_labels,
@@ -200,8 +199,8 @@ def _pair_scan(g):
     require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
     out = []
-    for vp in enumerate_vertices(build_polyhedron(g, "P")):
-        for vq in enumerate_vertices(build_polyhedron(g, "Q")):
+    for vp in enumerate_vertices(g, "P"):
+        for vq in enumerate_vertices(g, "Q"):
             if vp.labels | vq.labels != full:
                 continue
             s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])

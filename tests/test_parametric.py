@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import label_set_edges, random_game, random_rank1_game
+from conftest import label_set_edges, random_rank1_game
+from dense_lp import binding_rows, build_tableau, zero_sum_dual_coincidence
 from rank1nash import (
     BimatrixGame,
     DegenerateGame,
@@ -19,8 +20,6 @@ from rank1nash import (
     NotRankOne,
     ParametricBasis,
     RankOneFactorization,
-    binding_rows,
-    build_tableau,
     enumerate_all,
     equilibria_by_labels,
     equilibria_on_interval,
@@ -30,8 +29,6 @@ from rank1nash import (
     require_nondegenerate,
     support_enumeration,
     sweep_table,
-    xi_range,
-    zero_sum_dual_coincidence,
 )
 from rank1nash import parametric
 from rank1nash.linalg import AffineR, AffineRVector, RMatrix, solve_square, vdot
@@ -59,7 +56,7 @@ def test_tableau_shape(kt2_tab):
     assert t.n_vars == 6
     assert t.m1.rows == 8 and t.m1.cols == 6
     assert t.m2.rows == 3 and t.m2.cols == 6
-    assert xi_range(t) == (2, 4)
+    assert (min(t.factorization.c), max(t.factorization.c)) == (2, 4)
     # first block: -x <= 0
     assert t.m1.entries[0] == (-1, 0, 0, 0, 0, 0)
     assert t.e1 == (0,) * 8
@@ -76,13 +73,14 @@ def test_tableau_default_factor_is_canonical():
     t = build_tableau(generate_kt(2))
     assert t.factorization.b == (1, 2)
     assert t.factorization.c == (4, 8)
-    assert xi_range(t) == (4, 8)
+    tr = enumerate_all(t.game)
+    assert tr.factorization == t.factorization and (tr.xi_min, tr.xi_max) == (4, 8)
 
 
 def test_initial_basis_at_left_end(kt2_trace):
     iv = kt2_trace.intervals[0]
     assert iv.basis.rows == (2, 3, 5)
-    assert iv.basis == ParametricBasis.from_rows((2, 3, 5), 2, 2)
+    assert iv.basis == ParametricBasis(frozenset({2, 3}), frozenset({1}), 2, 2)
     # the same basis is optimal a bit further in
     assert iv.xi1 == 2 and rat(9, 4) <= iv.xi2
 
@@ -475,7 +473,7 @@ def test_intervals_tile_the_range():
 
 
 def test_interval_count_bounded_by_vertex_product():
-    from rank1nash import build_polyhedron, enumerate_vertices
+    from rank1nash import enumerate_vertices
 
     rng = random.Random(5150)
     done = 0
@@ -487,8 +485,8 @@ def test_interval_count_bounded_by_vertex_product():
             continue
         if tr.dispatch != "general":
             continue
-        f0p = len(enumerate_vertices(build_polyhedron(g, "P")))
-        f0q = len(enumerate_vertices(build_polyhedron(g, "Q")))
+        f0p = len(enumerate_vertices(g, "P"))
+        f0q = len(enumerate_vertices(g, "Q"))
         assert len(tr.intervals) <= f0p * f0q
         done += 1
 

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import baseline_game, label_set_edges, random_game, random_rank1_game
+from dense_lp import polyhedron_rows
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
     InternalInvariantError,
     LabeledVertex,
     SingularMatrix,
-    build_polyhedron,
     check_nondegenerate,
     enumerate_all,
     enumerate_vertices,
@@ -38,32 +38,30 @@ from rank1nash.linalg import RMatrix, solve, vdot
 from rank1nash.polytopes import _feasible_bases, _pivot, _positive_integer_rows
 
 
-def _subset_scan(p):
+def _subset_scan(g, which):
     """Reference vertex enumeration: solve every (dim-1)-subset of the
     inequality rows together with the equality, keep the feasible points,
     and read each point's labels off the rows tight there."""
+    ineq, eq = polyhedron_rows(g, which)
     seen = {}
-    for subset in combinations(p.ineq, p.dim - 1):
-        rows = [coeffs for coeffs, _ in subset] + [p.eq[0]]
-        rhs = [r for _, r in subset] + [p.eq[1]]
+    for subset in combinations(ineq, len(eq[0]) - 1):
+        rows = [coeffs for coeffs, _ in subset] + [eq[0]]
+        rhs = [r for _, r in subset] + [eq[1]]
         try:
             point = solve(RMatrix.from_rows(rows), rhs)
         except SingularMatrix:
             continue
-        if point in seen or any(vdot(c, point) > r for c, r in p.ineq):
+        if point in seen or any(vdot(c, point) > r for c, r in ineq):
             continue
         labels = frozenset(
-            l for l, (c, r) in enumerate(p.ineq, start=1) if vdot(c, point) == r
+            l for l, (c, r) in enumerate(ineq, start=1) if vdot(c, point) == r
         )
         seen[point] = LabeledVertex(point, labels)
     return tuple(sorted(seen.values(), key=lambda v: v.point))
 
 
 def _vertex_map(g, which):
-    return {
-        v.point: set(v.labels)
-        for v in enumerate_vertices(build_polyhedron(g, which))
-    }
+    return {v.point: set(v.labels) for v in enumerate_vertices(g, which)}
 
 
 def test_vertices_of_unreachable_game(unreach22):
@@ -106,22 +104,26 @@ def test_vertices_satisfy_all_inequalities():
     for _ in range(15):
         g = random_game(rng, rng.randint(2, 3), rng.randint(2, 3))
         for which in ("P", "Q"):
-            poly = build_polyhedron(g, which)
-            verts = enumerate_vertices(poly)
-            for v in verts:
-                for coeffs, rhs in poly.ineq:
+            ineq, (ceq, req) = polyhedron_rows(g, which)
+            for v in enumerate_vertices(g, which):
+                for coeffs, rhs in ineq:
                     assert vdot(coeffs, v.point) <= rhs
-                ceq, req = poly.eq
                 assert vdot(ceq, v.point) == req
+
+
+def test_enumerate_vertices_refuses_an_unknown_side(demo23):
+    # the walk reads every side other than "P" as Q
+    with pytest.raises(ValueError, match="which must be 'P' or 'Q'"):
+        enumerate_vertices(demo23, "X")
 
 
 def test_label_bound_on_nondegenerate_games(unreach22, demo23, disconnected33):
     for g in (unreach22, demo23, disconnected33):
         ok, witness = check_nondegenerate(g)
         assert ok and witness is None
-        for v in enumerate_vertices(build_polyhedron(g, "P")):
+        for v in enumerate_vertices(g, "P"):
             assert len(v.labels) == g.m
-        for v in enumerate_vertices(build_polyhedron(g, "Q")):
+        for v in enumerate_vertices(g, "Q"):
             assert len(v.labels) == g.n
 
 
@@ -181,8 +183,7 @@ def test_pivot_walk_matches_subset_scan():
     degenerate = 0
     for g in games:
         for which in ("P", "Q"):
-            poly = build_polyhedron(g, which)
-            assert enumerate_vertices(poly) == _subset_scan(poly), (g, which)
+            assert enumerate_vertices(g, which) == _subset_scan(g, which), (g, which)
         degenerate += not check_nondegenerate(g)[0]
     assert degenerate > 0
 
@@ -263,14 +264,13 @@ def test_dictionary_walk_matches_the_full_tableau():
         assert set(got) == set(want), mat
 
 
-def _eager_vertices(p):
+def _eager_vertices(g, which):
     """Reference: every vertex point built as rationals at once, merged and
     sorted by that point."""
-    g = p.game
-    payoffs = tuple(zip(*g.B)) if p.which == "P" else g.A
+    payoffs = tuple(zip(*g.B)) if which == "P" else g.A
     labels = (
         tuple(range(1, g.m + g.n + 1))
-        if p.which == "P"
+        if which == "P"
         else tuple(range(g.m + 1, g.m + g.n + 1)) + tuple(range(1, g.m + 1))
     )
     mat, scale, shift = _positive_integer_rows(payoffs)
@@ -315,8 +315,7 @@ def test_enumerate_vertices_matches_the_eager_reference():
         games.append(_bigrat_game(rng, rng.randint(2, 5), rng.randint(2, 5)))
     for g in games:
         for which in ("P", "Q"):
-            poly = build_polyhedron(g, which)
-            got, want = enumerate_vertices(poly), _eager_vertices(poly)
+            got, want = enumerate_vertices(g, which), _eager_vertices(g, which)
             assert [v.point for v in got] == [v.point for v in want], (g, which)
             assert [v.labels for v in got] == [v.labels for v in want], (g, which)
             assert got == want
@@ -352,7 +351,7 @@ def _best_reply_payoff(g, which, strategy):
 
 def _assert_payoffs_are_best_replies(g):
     for which in ("P", "Q"):
-        for v in enumerate_vertices(build_polyhedron(g, which)):
+        for v in enumerate_vertices(g, which):
             assert v.point[-1] == _best_reply_payoff(g, which, v.point[:-1]), (g, v)
 
 
@@ -408,7 +407,7 @@ def test_basis_determinant_gives_the_returned_vertex(g, which):
     mat, _, _ = _positive_integer_rows(payoffs)
     d = len(mat[0])
     full = [row + [int(c == r) for c in range(len(mat))] for r, row in enumerate(mat)]
-    points = {v.point for v in enumerate_vertices(build_polyhedron(g, which))}
+    points = {v.point for v in enumerate_vertices(g, which)}
     for basis, rhs, det in _feasible_bases(mat):
         assert abs(_det([[row[c] for c in basis] for row in full])) == det
         z = [rat(0)] * d
