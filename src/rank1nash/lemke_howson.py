@@ -122,12 +122,13 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     """
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
-    steps, v1, v2 = _walk(g, *require_nondegenerate(g), r)
+    p, q = require_nondegenerate(g)
+    steps, v1, v2 = _walk(g, p, q, r)
     if v1.artificial:
         return LHPath(r, steps, None, True)
     s = MixedStrategyPair(v1.point[: g.m], v2.point[: g.n])
     eq = EquilibriumPoint(s, payoff1=v2.point[g.n], payoff2=v1.point[g.m])
-    if not is_nash(g, s)[0]:
+    if not is_nash(g, s, p.payoffs)[0]:
         raise InternalInvariantError("terminal pair failed the equilibrium check")
     return LHPath(r, steps, eq, False)
 

@@ -72,7 +72,6 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumPoint,
-    IntegerPayoffs,
     MixedStrategyPair,
     RankOneFactorization,
     factor_rank1,
@@ -540,7 +539,7 @@ def enumerate_all(
         dispatch = "zero-sum" if f is None else "row-constant"
         v, w = walk.one_point(lo)
         s = MixedStrategyPair(v.point[: g.m], w.point[: g.n])
-        flag, u1, u2 = is_nash(g, s)
+        flag, u1, u2 = is_nash(g, s, p.payoffs)
         if not flag:
             raise InternalInvariantError(
                 f"{dispatch} candidate failed the equilibrium check"
@@ -554,7 +553,6 @@ def enumerate_all(
     breakpoints: list[BreakpointRecord] = []
     # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
     found: dict[tuple[int, int], EquilibriumPoint] = {}
-    payoffs = IntegerPayoffs.of(g)
     visited: set[tuple[int, ...]] = set()
     rows = iv.basis.rows
     while True:
@@ -568,7 +566,7 @@ def enumerate_all(
             if pair in found:
                 continue
             eq = _vertex_pair(iv, end, xi)
-            if not is_nash(g, eq.strategies, payoffs)[0]:
+            if not is_nash(g, eq.strategies, p.payoffs)[0]:
                 raise InternalInvariantError(
                     "objective zero failed the equilibrium check"
                 )

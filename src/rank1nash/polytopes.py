@@ -10,15 +10,18 @@ Vertices are found on the normalised polytopes P' = {x >= 0 : B'^T x <= 1}
 and Q' = {y >= 0 : A' y <= 1}, where A' and B' are the payoffs cleared of
 denominators and shifted to positive integers. That positive affine map
 keeps every best reply, so each non-zero vertex of P' is a vertex of P with
-the same labels, after scaling x onto the simplex. The walk starts at the
-origin, a simple vertex whose dictionary is the raw integer data, and
-follows ratio-test pivots through every feasible basis, in the manner of
-lrs (Avis & Fukuda 1992; Avis, Rosenberg, Savani & von Stengel 2010). As in
-lrs, the walk keeps a dictionary: the integer columns of the d cobasic
-variables and the right-hand side, all scaled by the basis determinant det
-(Bareiss division keeps them integral). The k basic columns always read
-det * e_r, so they are not stored: a pivot turns the leaving variable's
-column into det in the pivot row and minus the entering column elsewhere.
+the same labels, after scaling x onto the simplex. ``require_nondegenerate``
+clears A and B^T once, into one ``IntegerPayoffs``: both walks shift it,
+and the graphs carry it to every ``is_nash`` check of the call. The walk
+starts at the origin, a simple vertex whose dictionary is the raw integer
+data, and follows ratio-test pivots through every feasible basis, in the
+manner of lrs (Avis & Fukuda 1992; Avis, Rosenberg, Savani & von Stengel
+2010). As in lrs, the walk keeps a dictionary: the integer columns of the d
+cobasic variables and the right-hand side, all scaled by the basis
+determinant det (Bareiss division keeps them integral). The k basic columns
+always read det * e_r, so they are not stored: a pivot turns the leaving
+variable's column into det in the pivot row and minus the entering column
+elsewhere.
 
 Each vertex is read off the integer dictionary. With A' = scale * A + shift
 (likewise B'), a basis of determinant det puts P' or Q' at z = r / det,
@@ -27,8 +30,11 @@ variables and 0 elsewhere. At a non-zero vertex some row of A' is tight, so
 the best-reply payoff of the strategy z / sum(z) is
 (det - shift * S) / (scale * S) with S = sum(r): one rational, with no dot
 product. The bases of a degenerate vertex are merged on an integer key, the
-primitive vector r / gcd(r), so a repeated basis costs no rational
-arithmetic.
+primitive vector r / gcd(r) (r itself when the gcd is 1), so a repeated
+basis costs no rational arithmetic. A vertex's labels are its cobasic
+variables, plus the basic variables at zero. A basis whose basic variables
+are all positive is the only basis of its vertex, so only a basis with a
+basic variable at zero looks its key up among the vertices found before it.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
@@ -42,9 +48,11 @@ at all.
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
 siblings share one dictionary and a dictionary lives only while a child of
-it waits. A basis is known by its mask, the bits of its variables. The walk
-also records every ratio-test step it takes, and in a non-degenerate game,
-where each basis is one vertex and each step is one edge, that record is the
+it waits. It hands each basis over as its own state (basis, cobasis,
+dictionary, det) and tries the entering variables in dictionary order. A
+basis is known by its mask, the bits of its variables. The walk also
+records every ratio-test step it takes, and in a non-degenerate game, where
+each basis is one vertex and each step is one edge, that record is the
 vertex graph: ``VertexGraph`` reads it node by node, on first use.
 """
 
@@ -62,7 +70,7 @@ from .games import (
     MixedStrategyPair,
     is_nash,
 )
-from .linalg import Rational, clear_rows, rat
+from .linalg import Rational, rat
 
 
 class LabeledVertex:
@@ -108,14 +116,6 @@ class LabeledVertex:
 
     def __repr__(self):
         return f"LabeledVertex(point={self.point!r}, labels={self.labels!r})"
-
-
-def _positive_integer_rows(rows) -> tuple[list[list[int]], int, int]:
-    """(rows * scale + shift, scale, shift): scale is the lcm of all
-    denominators, and shift makes the least entry 1."""
-    ints, scale = clear_rows(rows)
-    shift = 1 - min(min(row) for row in ints)
-    return [[v + shift for v in row] for row in ints], scale, shift
 
 
 def _ratio_test(dic: list[list[int]], col: int) -> list[int]:
@@ -168,20 +168,21 @@ def _feasible_bases(mat: list[list[int]], steps: list | None = None):
 
     ``mat`` is k x d with positive entries, so the polytope is bounded and
     the origin (all slacks basic) is a simple vertex. Variables 0..d-1 are
-    z and d..d+k-1 the slacks. Yields (basis, rhs, det): ``basis[r]`` is
-    the variable of dictionary row r, and its value is rhs[r] / det, where
-    the integer det > 0 is |det| of the basis's columns of [mat | I]. The
-    entering variables are tried in increasing order. A tie in the ratio
-    test branches to every tied row, so degenerate vertices are reached
-    through all of their bases. When ``steps`` is a list, the walk appends
-    to it, for each basis in the order yielded, the basis's mask followed by
-    each ratio-test step out of that basis as a pair: the variable entering,
-    then the variable leaving.
+    z and d..d+k-1 the slacks. Yields the walk's own state for each basis,
+    (basis, cobasis, dic, det), to be read and not changed: ``basis[r]`` is
+    the variable of dictionary row r, ``cobasis[c]`` that of column c, and
+    the basic variable of row r has the value dic[r][-1] / det, where the
+    integer det > 0 is |det| of the basis's columns of [mat | I]. The
+    entering variables are tried in dictionary order, column by column. A
+    tie in the ratio test branches to every tied row, so degenerate vertices
+    are reached through all of their bases. When ``steps`` is a list, the
+    walk appends to it, for each basis in the order yielded, the basis's
+    mask followed by each ratio-test step out of that basis as a pair: the
+    variable entering, then the variable leaving.
     """
     k, d = len(mat), len(mat[0])
     mask = ((1 << k) - 1) << d
     seen = {mask}
-    # cobasis[c] is the variable of dictionary column c
     origin = (list(range(d, d + k)), list(range(d)), [row + [1] for row in mat], 1)
     stack = [(origin, None, None, mask)]
     while stack:
@@ -191,11 +192,10 @@ def _feasible_bases(mat: list[list[int]], steps: list | None = None):
             nxt, co = basis.copy(), cobasis.copy()
             nxt[r], co[col] = cobasis[col], basis[r]
             state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
+        yield state
         basis, cobasis, dic, det = state
-        yield basis, [row[-1] for row in dic], det
         out = [mask]
-        for col in sorted(range(d), key=cobasis.__getitem__):
-            enter = cobasis[col]
+        for col, enter in enumerate(cobasis):
             for r in _ratio_test(dic, col):
                 leave = basis[r]
                 out += enter, leave
@@ -219,34 +219,39 @@ def _point_order(a: tuple, b: tuple) -> int:
     return 0
 
 
-def _vertex_graph(g: BimatrixGame, which: str) -> "VertexGraph":
+def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     """The vertices of P (which="P") or Q, each with its complete
     binding-label set, sorted by point, and the steps of the walk.
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
-    Q' over y for "Q"; see the module docstring) and maps each non-zero
-    vertex z back to the point (z / sum(z), best-reply payoff), read off the
-    integer dictionary and built on first read. Its labels are the cobasic
+    Q' over y for "Q"; see the module docstring), shifting the game's
+    payoffs as ``payoffs`` clears them, and maps each non-zero vertex z back
+    to the point (z / sum(z), best-reply payoff), read off the integer
+    dictionary and built on first read. Its labels are the cobasic
     variables plus every basic variable at zero, so extra bindings on
     degenerate inputs are reported faithfully.
     """
-    m, n = g.m, g.n
+    m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
-        payoffs = tuple(zip(*g.B))  # n rows of B^T, over x
+        ints, scale = payoffs.bt, payoffs.b_scale  # n rows of B^T, over x
         labels = tuple(range(1, m + n + 1))  # x_1..x_m, then column slacks
     else:
-        payoffs = g.A  # m rows, over y
+        ints, scale = payoffs.a, payoffs.a_scale  # m rows, over y
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
-    mat, scale, shift = _positive_integer_rows(payoffs)
+    shift = 1 - min(map(min, ints))  # the least entry becomes 1
+    mat = [[v + shift for v in row] for row in ints]
     d = len(mat[0])
-    every = set(range(len(labels)))
     steps: list[list[int]] = []
     # key -> (key, sum(key), vertex, number of the vertex's first basis)
     found: dict[tuple[int, ...], tuple] = {}
-    for number, (basis, rhs, det) in enumerate(_feasible_bases(mat, steps)):
+    for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(mat, steps)):
         z = [0] * d
-        for var, value in zip(basis, rhs):
-            if var < d:
+        tight = []  # the basic variables at zero
+        for var, row in zip(basis, dic):
+            value = row[-1]
+            if not value:
+                tight.append(var)
+            elif var < d:
                 z[var] = value
         total = sum(z)
         if total == 0:
@@ -254,11 +259,17 @@ def _vertex_graph(g: BimatrixGame, which: str) -> "VertexGraph":
         # the vertex's direction as a primitive integer vector: the bases of
         # a degenerate vertex all give the same key
         common = math.gcd(*z)
-        key = tuple(v // common for v in z)
-        if key in found:
-            continue
-        zero = every - set(basis)
-        zero.update(var for var, value in zip(basis, rhs) if value == 0)
+        key = tuple(z) if common == 1 else tuple(v // common for v in z)
+        if tight:
+            # a vertex with more zeros than cobasic variables: other bases
+            # may share it, and the first one found stands for them all
+            if key in found:
+                continue
+            zero = cobasis + tight
+        else:
+            # every basic variable is positive, so no other basis has this
+            # vertex, and its labels are exactly the cobasic variables
+            zero = cobasis
         # some row of mat is tight at z / det, so the best-reply payoff of
         # the strategy z / total is (det - shift * total) / (scale * total)
         vertex = LabeledVertex._from_integers(
@@ -266,13 +277,17 @@ def _vertex_graph(g: BimatrixGame, which: str) -> "VertexGraph":
             total // common,
             det - shift * total,
             scale * total,
-            frozenset(labels[v] for v in zero),
+            frozenset([labels[v] for v in zero]),
         )
         found[key] = (key, total // common, vertex, number)
     # distinct keys give distinct strategies, so no two compare equal
     ordered = sorted(found.values(), key=cmp_to_key(_point_order))
     return VertexGraph(
-        tuple(t[2] for t in ordered), steps, tuple(t[3] for t in ordered), labels
+        tuple(t[2] for t in ordered),
+        steps,
+        tuple(t[3] for t in ordered),
+        labels,
+        payoffs,
     )
 
 
@@ -282,7 +297,7 @@ def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]
     _vertex_graph)."""
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    return _vertex_graph(g, which).vertices
+    return _vertex_graph(IntegerPayoffs.of(g), which).vertices
 
 
 @dataclass(frozen=True)
@@ -297,15 +312,17 @@ class VertexGraph:
     Q. In a non-degenerate game each node is one basis of the walk,
     ``steps[bases[k]]`` for vertex k and ``steps[0]`` for the origin, and
     each step of the walk out of that basis is one edge, keyed by the label
-    of the variable entering: the label the step drops. The lookups are
-    built on first use and go with the graph: nothing is cached between
-    calls.
+    of the variable entering: the label the step drops. ``payoffs`` is the
+    game's ``IntegerPayoffs`` the walk shifted, one object shared by the two
+    graphs of a call. The lookups are built on first use and go with the
+    graph: nothing is cached between calls.
     """
 
     vertices: tuple[LabeledVertex, ...]
     steps: list[list[int]] = field(compare=False, repr=False)
     bases: tuple[int, ...] = field(compare=False, repr=False)
     labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
+    payoffs: IntegerPayoffs = field(compare=False, repr=False)
 
     @cached_property
     def at(self) -> dict[frozenset[int], LabeledVertex]:
@@ -352,9 +369,10 @@ def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
     """The vertex graphs of P and Q, once no P-vertex exceeds m labels and no
     Q-vertex exceeds n; DegenerateGame, with the offending vertex attached,
     otherwise."""
+    payoffs = IntegerPayoffs.of(g)
     graphs = []
     for which, bound in (("P", g.m), ("Q", g.n)):
-        graph = _vertex_graph(g, which)
+        graph = _vertex_graph(payoffs, which)
         for v in graph.vertices:
             if len(v.labels) != bound:
                 pt = "(" + ", ".join(str(x) for x in v.point) + ")"
@@ -385,7 +403,6 @@ def _labeled_equilibria(
     """Each equilibrium, checked once with is_nash, with its P vertex and the
     Q vertex labeled by the labels that P vertex lacks; sorted by key."""
     full = frozenset(range(1, g.m + g.n + 1))
-    payoffs = IntegerPayoffs.of(g)
     out = []
     for vp in p.vertices:
         vq = q.at.get(full - vp.labels)
@@ -393,7 +410,7 @@ def _labeled_equilibria(
             continue
         s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
         eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
-        if not is_nash(g, s, payoffs)[0]:
+        if not is_nash(g, s, p.payoffs)[0]:
             raise InternalInvariantError(
                 "completely labeled pair failed the equilibrium check"
             )

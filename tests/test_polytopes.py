@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from dense_lp import polyhedron_rows
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
+    IntegerPayoffs,
     InternalInvariantError,
     LabeledVertex,
     SingularMatrix,
@@ -34,8 +36,23 @@ from rank1nash import (
     reachability,
     require_nondegenerate,
 )
-from rank1nash.linalg import RMatrix, solve, vdot
-from rank1nash.polytopes import _feasible_bases, _pivot, _positive_integer_rows
+from rank1nash.linalg import RMatrix, clear_rows, solve, vdot
+from rank1nash.polytopes import _feasible_bases, _pivot
+
+
+def _positive_integer_rows(rows):
+    """(mat, scale, shift): the walk's matrix for the payoff rows, which
+    are ints / scale, each entry ints + shift with the least entry 1."""
+    ints, scale = clear_rows(rows)
+    shift = 1 - min(map(min, ints))
+    return [[v + shift for v in row] for row in ints], scale, shift
+
+
+def _rhs_bases(mat):
+    """(basis, rhs, det) for each basis the walk yields: basis[r] has the
+    value rhs[r] / det."""
+    for basis, _, dic, det in _feasible_bases(mat):
+        yield basis, [row[-1] for row in dic], det
 
 
 def _subset_scan(g, which):
@@ -188,13 +205,19 @@ def test_pivot_walk_matches_subset_scan():
     assert degenerate > 0
 
 
-def test_walk_visits_every_feasible_basis():
-    # small entries force ratio-test ties; branching on every tied row must
-    # reach each feasible basis, not only one basis per vertex
+def _tied_matrices():
+    """Small positive matrices whose entries 1..3 force ratio-test ties."""
     rng = random.Random(7207)
     for _ in range(60):
         k, d = rng.randint(1, 4), rng.randint(1, 4)
-        mat = [[rng.randint(1, 3) for _ in range(d)] for _ in range(k)]
+        yield [[rng.randint(1, 3) for _ in range(d)] for _ in range(k)]
+
+
+def test_walk_visits_every_feasible_basis():
+    # small entries force ratio-test ties; branching on every tied row must
+    # reach each feasible basis, not only one basis per vertex
+    for mat in _tied_matrices():
+        k, d = len(mat), len(mat[0])
         full = [row + [int(c == r) for c in range(k)] for r, row in enumerate(mat)]
         feasible = set()
         for cols in combinations(range(d + k), k):
@@ -205,7 +228,55 @@ def test_walk_visits_every_feasible_basis():
                 continue
             if min(z) >= 0:
                 feasible.add(frozenset(cols))
-        assert {frozenset(b) for b, _, _ in _feasible_bases(mat)} == feasible, mat
+        assert {frozenset(b) for b, _, _, _ in _feasible_bases(mat)} == feasible, mat
+
+
+def test_labels_read_off_the_cobasis():
+    # the walk reads a vertex's labels off its first basis: the cobasis, plus
+    # the basic variables at zero when there are any. Every basis of a vertex
+    # must give that set, and a basis with no basic variable at zero must be
+    # the only basis with its key, so that no set algebra is needed there
+    rng = random.Random(7211)
+    cases = [(mat, None, None, None) for mat in _tied_matrices()]
+    for _ in range(80):
+        g = random_game(rng, rng.randint(1, 4), rng.randint(1, 4), -2, 2)
+        names = {
+            "P": tuple(range(1, g.m + g.n + 1)),
+            "Q": tuple(range(g.m + 1, g.m + g.n + 1)) + tuple(range(1, g.m + 1)),
+        }
+        for which, rows in (("P", tuple(zip(*g.B))), ("Q", g.A)):
+            cases.append((_positive_integer_rows(rows)[0], g, which, names[which]))
+    shared = 0
+    for mat, g, which, names in cases:
+        k, d = len(mat), len(mat[0])
+        every = set(range(d + k))
+        by_key: dict[tuple, list] = {}
+        for basis, cobasis, dic, det in _feasible_bases(mat):
+            zero = [var for var, row in zip(basis, dic) if row[-1] == 0]
+            # the old readout: every variable outside the basis, and the
+            # basic ones at zero
+            assert set(cobasis) | set(zero) == (every - set(basis)) | set(zero)
+            z = [0] * d
+            for var, row in zip(basis, dic):
+                if var < d:
+                    z[var] = row[-1]
+            if not any(z):
+                continue
+            common = math.gcd(*z)
+            key = tuple(v // common for v in z)
+            by_key.setdefault(key, []).append((frozenset(cobasis + zero), not zero))
+        for key, seen in by_key.items():
+            assert len({labels for labels, _ in seen}) == 1, (mat, key)
+            if any(simple for _, simple in seen):
+                assert len(seen) == 1, (mat, key)
+            shared += len(seen) > 1
+        if g is not None:
+            got = {v.labels for v in enumerate_vertices(g, which)}
+            want = {
+                frozenset(names[v] for v in seen[0][0]) for seen in by_key.values()
+            }
+            assert got == want, (g, which)
+    assert shared > 0
 
 
 def test_pivot_rejects_inexact_division():
@@ -244,7 +315,9 @@ def _full_tableau_bases(mat):
 
 
 def _bases(walk):
-    return [(tuple(b), tuple(rhs), det) for b, rhs, det in walk]
+    """Each basis as its (variable, rhs) pairs in variable order, and det:
+    the row a variable sits in depends on the path the walk took to it."""
+    return [(tuple(sorted(zip(b, rhs))), det) for b, rhs, det in walk]
 
 
 def test_dictionary_walk_matches_the_full_tableau():
@@ -259,7 +332,7 @@ def test_dictionary_walk_matches_the_full_tableau():
         mats += [_positive_integer_rows(rows)[0] for rows in (tuple(zip(*g.B)), g.A)]
     for mat in mats:
         want = _bases(_full_tableau_bases(mat))
-        got = _bases(_feasible_bases(mat))
+        got = _bases(_rhs_bases(mat))
         assert len(set(want)) == len(want) == len(got)
         assert set(got) == set(want), mat
 
@@ -276,7 +349,7 @@ def _eager_vertices(g, which):
     mat, scale, shift = _positive_integer_rows(payoffs)
     d = len(mat[0])
     found = {}
-    for basis, rhs, det in _feasible_bases(mat):
+    for basis, rhs, det in _rhs_bases(mat):
         z = [rat(0)] * d
         for var, value in zip(basis, rhs):
             if var < d:
@@ -408,7 +481,7 @@ def test_basis_determinant_gives_the_returned_vertex(g, which):
     d = len(mat[0])
     full = [row + [int(c == r) for c in range(len(mat))] for r, row in enumerate(mat)]
     points = {v.point for v in enumerate_vertices(g, which)}
-    for basis, rhs, det in _feasible_bases(mat):
+    for basis, rhs, det in _rhs_bases(mat):
         assert abs(_det([[row[c] for c in basis] for row in full])) == det
         z = [rat(0)] * d
         for var, value in zip(basis, rhs):
@@ -462,6 +535,43 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     assert cli.main(["enumerate", path, "--trace"]) == 0
     assert calls == 2
     capsys.readouterr()
+
+
+def test_walk_work_on_kt6(monkeypatch):
+    # kt6's P and Q each have 42 feasible bases, the origin and 41 vertices,
+    # and the walk reaches the 41 by one pivot each. A call clears A and B^T
+    # of denominators once, for both walks and every equilibrium check;
+    # enumerate_all also clears A + B to factor it
+    counts = {"pivot": 0, "clear_rows": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return run
+
+    monkeypatch.setattr(polytopes, "_pivot", counted("pivot", _pivot))
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rank1nash":
+            if getattr(mod, "clear_rows", None) is clear_rows:
+                monkeypatch.setattr(mod, "clear_rows", counted("clear_rows", clear_rows))
+
+    g = generate_kt(6)
+    p, q = require_nondegenerate(g)
+    assert (len(p.steps), len(q.steps)) == (42, 42)
+    runs = [
+        (check_nondegenerate, 2),
+        (equilibria_by_labels, 2),
+        (lambda g: lh_run(g, 1), 2),
+        (reachability, 2),
+        (gprime_components, 2),
+        (enumerate_all, 3),
+    ]
+    for run, clears in runs:
+        counts.update(pivot=0, clear_rows=0)
+        run(g)
+        assert counts == {"pivot": 2 * 41, "clear_rows": clears}, run
 
 
 def test_memory_stays_flat_over_many_games():
@@ -555,7 +665,7 @@ def test_one_side_walk_memory_is_bounded():
     gc.collect()
     tracemalloc.start()
     try:
-        graph = polytopes._vertex_graph(g, "P")
+        graph = polytopes._vertex_graph(IntegerPayoffs.of(g), "P")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
