@@ -60,6 +60,15 @@ class BimatrixGame:
         )
 
 
+def _require_distribution(ints: Sequence[int], scale: int) -> None:
+    """ValueError unless ints / scale, with scale > 0, is a probability
+    vector."""
+    if any(p < 0 for p in ints):
+        raise ValueError("negative probability")
+    if sum(ints) != scale:
+        raise ValueError("probabilities must sum to 1")
+
+
 @dataclass(frozen=True)
 class MixedStrategyPair:
     """A pair of mixed strategies; entries nonnegative, each summing to one."""
@@ -69,12 +78,27 @@ class MixedStrategyPair:
 
     def __post_init__(self):
         for v in (self.x, self.y):
-            # v = ints / scale with scale > 0
-            ints, scale = clear_denominators(v)
-            if any(p < 0 for p in ints):
-                raise ValueError("negative probability")
-            if sum(ints) != scale:
-                raise ValueError("probabilities must sum to 1")
+            _require_distribution(*clear_denominators(v))
+
+    @classmethod
+    def _of_integers(
+        cls,
+        x: tuple[Rational, ...],
+        y: tuple[Rational, ...],
+        x_ints: Sequence[int],
+        x_scale: int,
+        y_ints: Sequence[int],
+        y_scale: int,
+    ) -> "MixedStrategyPair":
+        """The pair (x, y), validated on integers with x = x_ints / x_scale
+        and y = y_ints / y_scale, where each scale is the least common
+        denominator: the integers ``__post_init__`` would clear them to."""
+        _require_distribution(x_ints, x_scale)
+        _require_distribution(y_ints, y_scale)
+        s = cls.__new__(cls)
+        object.__setattr__(s, "x", x)
+        object.__setattr__(s, "y", y)
+        return s
 
     @classmethod
     def from_vectors(
@@ -158,11 +182,9 @@ def is_nash(
 ) -> tuple[bool, Rational, Rational]:
     """Whether s is a Nash equilibrium, plus the realized payoffs (x^T A y, x^T B y).
 
-    The check runs on integers: with x, y, A and B cleared of denominators,
-    A y and x^T B are formed once each, the realized payoffs are x . (A y)
-    and (x^T B) . y, and the best-reply payoffs are the largest entries of
-    A y and x^T B. Only the two returned payoffs are built as rationals.
-    ``payoffs``, when given, must be ``IntegerPayoffs.of(g)``.
+    Clears x and y of denominators and runs ``_integer_nash_test``; only
+    the two returned payoffs are built as rationals. ``payoffs``, when
+    given, must be ``IntegerPayoffs.of(g)``.
     """
     if len(s.y) != g.n:
         raise ValueError(f"dot of lengths {g.n} and {len(s.y)}")
@@ -171,17 +193,35 @@ def is_nash(
     ip = payoffs if payoffs is not None else IntegerPayoffs.of(g)
     x, x_scale = clear_denominators(s.x)
     y, y_scale = clear_denominators(s.y)
-    ay = [sum(map(mul, row, y)) for row in ip.a]
-    xb = [sum(map(mul, x, col)) for col in ip.bt]
-    u1, u2 = sum(map(mul, x, ay)), sum(map(mul, xb, y))
-    # A y = ay / (a_scale * y_scale) and u1 carries one more factor x_scale;
-    # likewise for B
-    ok = u1 == x_scale * max(ay) and u2 == y_scale * max(xb)
+    ok, u1, u2 = _integer_nash_test(ip, x, x_scale, y, y_scale)
     return (
         ok,
         rat(u1, x_scale * ip.a_scale * y_scale),
         rat(u2, x_scale * ip.b_scale * y_scale),
     )
+
+
+def _integer_nash_test(
+    ip: IntegerPayoffs,
+    x: Sequence[int],
+    x_scale: int,
+    y: Sequence[int],
+    y_scale: int,
+) -> tuple[bool, int, int]:
+    """The Nash test of (x / x_scale, y / y_scale), all on integers.
+
+    A y and x^T B are formed once each, the realized payoffs are x . (A y)
+    and (x^T B) . y, and the best-reply payoffs are the largest entries of
+    A y and x^T B. Returns the verdict and the realized payoffs'
+    numerators u1 and u2, over x_scale * ip.a_scale * y_scale and
+    x_scale * ip.b_scale * y_scale.
+    """
+    ay = [sum(map(mul, row, y)) for row in ip.a]
+    xb = [sum(map(mul, x, col)) for col in ip.bt]
+    u1, u2 = sum(map(mul, x, ay)), sum(map(mul, xb, y))
+    # A y = ay / (a_scale * y_scale) and u1 carries one more factor x_scale;
+    # likewise for B
+    return u1 == x_scale * max(ay) and u2 == y_scale * max(xb), u1, u2
 
 
 def loss(g: BimatrixGame, s: MixedStrategyPair) -> Rational:

@@ -16,10 +16,13 @@ steps from a node by dropping a label, which reads the pivot the walk
 recorded for it, and G' takes every edge from that record. It also gives
 each node a label set of its own, so G' finds the partners of an edge on
 the other side by looking up a label set, never by scanning the other
-graph. ``reachability`` and ``gprime_components`` verify each distinct
-equilibrium once, in the label covering over the same vertex graphs;
-``reachability`` matches every path terminal (a completely labeled pair)
-to one of those by key. ``lh_run`` verifies its single terminal itself.
+graph. Past the walk an equilibrium is a pair of vertex indices:
+``reachability`` and ``gprime_components`` verify each completely labeled
+(P vertex, Q vertex) pair once, on the vertices' integers, and
+``reachability`` matches every path terminal to one of those by its pair
+of indices. ``lh_run`` verifies its single terminal itself. A path's nodes
+keep their vertices and build a point only when it is read, so the
+rationals built are those of the equilibria reported.
 """
 
 from __future__ import annotations
@@ -27,18 +30,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, Stalled
-from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair, is_nash
-from .polytopes import VertexGraph, _labeled_equilibria, require_nondegenerate
+from .games import BimatrixGame, EquilibriumPoint
+from .polytopes import (
+    LabeledVertex,
+    VertexGraph,
+    _complementary_pairs,
+    _equilibrium,
+    require_nondegenerate,
+)
 
 
-@dataclass(frozen=True)
 class GraphNode:
-    labels: frozenset[int]
-    point: tuple | None  # None marks the artificial node
+    """A node of a path: a vertex's label set and point, or the artificial
+    node's label set with point None. The node keeps its vertex and reads
+    the point on first use. Nodes compare and hash as (labels, point)."""
+
+    __slots__ = ("labels", "_vertex")
+
+    def __init__(self, labels: frozenset[int], vertex: LabeledVertex | None):
+        self.labels = labels
+        self._vertex = vertex
+
+    @property
+    def point(self) -> tuple | None:
+        return None if self._vertex is None else self._vertex.point
 
     @property
     def artificial(self) -> bool:
-        return self.point is None
+        return self._vertex is None
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphNode):
+            return NotImplemented
+        return self.labels == other.labels and self.point == other.point
+
+    def __hash__(self):
+        return hash((self.labels, self.point))
+
+    def __repr__(self):
+        return f"GraphNode(labels={self.labels!r}, point={self.point!r})"
 
 
 @dataclass(frozen=True)
@@ -79,8 +109,9 @@ def _edges(vg: VertexGraph):
 
 def _walk(
     g: BimatrixGame, p: VertexGraph, q: VertexGraph, r: int
-) -> tuple[tuple[PathStep, ...], GraphNode, GraphNode]:
-    """The steps of the path that drops label r, and its terminal pair."""
+) -> tuple[tuple[PathStep, ...], tuple[int, int] | None]:
+    """The steps of the path that drops label r, and its terminal pair of
+    vertex indices; None when the path returns to the artificial pair."""
     full = frozenset(range(1, g.m + g.n + 1))
     graphs = (p, q)
     art = _artificial_labels(g)
@@ -95,7 +126,8 @@ def _walk(
         if k == len(vg.vertices):
             nodes[side] = GraphNode(art[side], None)
         else:
-            nodes[side] = GraphNode(vg.vertices[k].labels, vg.vertices[k].point)
+            v = vg.vertices[k]
+            nodes[side] = GraphNode(v.labels, v)
         v1, v2 = nodes
         steps.append(PathStep(v1, v2, side + 1))
         if v1.labels | v2.labels == full:
@@ -112,7 +144,7 @@ def _walk(
     if v1.artificial != v2.artificial:
         # union = full with one artificial side forces the full start pair
         raise InternalInvariantError("path ended with exactly one artificial node")
-    return tuple(steps), v1, v2
+    return tuple(steps), None if v1.artificial else (at[0], at[1])
 
 
 def lh_run(g: BimatrixGame, r: int) -> LHPath:
@@ -123,13 +155,11 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
     p, q = require_nondegenerate(g)
-    steps, v1, v2 = _walk(g, p, q, r)
-    if v1.artificial:
+    steps, end = _walk(g, p, q, r)
+    if end is None:
         return LHPath(r, steps, None, True)
-    s = MixedStrategyPair(v1.point[: g.m], v2.point[: g.n])
-    eq = EquilibriumPoint(s, payoff1=v2.point[g.n], payoff2=v1.point[g.m])
-    if not is_nash(g, s, p.payoffs)[0]:
-        raise InternalInvariantError("terminal pair failed the equilibrium check")
+    i, j = end
+    eq = _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
     return LHPath(r, steps, eq, False)
 
 
@@ -143,28 +173,32 @@ class ReachabilityReport:
 def reachability(g: BimatrixGame) -> ReachabilityReport:
     """Run every label drop; report which equilibria no run terminates at.
 
-    Each terminal is a completely labeled pair, so it is one of the
-    equilibria the label covering has verified; it is matched to that
-    equilibrium by key rather than checked again.
+    The equilibria are the completely labeled (P vertex, Q vertex) pairs,
+    each checked once. Each path terminal is such a pair, so it is matched
+    to its equilibrium by its pair of vertex indices rather than checked
+    again, and the reached equilibria are those whose pair some path ends
+    at.
     """
     p, q = require_nondegenerate(g)
     walks = [_walk(g, p, q, r) for r in range(1, g.m + g.n + 1)]
-    all_eq = [e for e, _, _ in _labeled_equilibria(g, p, q)]
-    by_key = {e.key(): e for e in all_eq}
+    eqs = {
+        (i, j): _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
+        for i, j in _complementary_pairs(g, p, q)
+    }
     paths = []
-    for r, (steps, v1, v2) in enumerate(walks, start=1):
-        if v1.artificial:
+    for r, (steps, end) in enumerate(walks, start=1):
+        if end is None:
             paths.append(LHPath(r, steps, None, True))
             continue
-        eq = by_key.get((v1.point[: g.m], v2.point[: g.n]))
+        eq = eqs.get(end)
         if eq is None:
             raise InternalInvariantError(
-                "terminal pair failed the equilibrium check"
+                "terminal pair is not a completely labeled pair"
             )
         paths.append(LHPath(r, steps, eq, False))
-    hit_keys = {p.terminal.key() for p in paths if p.terminal is not None}
-    reached = tuple(e for e in all_eq if e.key() in hit_keys)
-    unreached = tuple(e for e in all_eq if e.key() not in hit_keys)
+    hit = {end for _, end in walks}
+    reached = tuple(e for pair, e in eqs.items() if pair in hit)
+    unreached = tuple(e for pair, e in eqs.items() if pair not in hit)
     return ReachabilityReport(tuple(paths), reached, unreached)
 
 
@@ -220,15 +254,15 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     So if the edge keeps the labels S, its partners j are the Q nodes
     labeled (full - S) - {l}, one lookup for each l in full - S. Only the
     pairs these edges touch enter the union-find; every other pair is a
-    component of its own. The equilibrium pairs are those of the label
-    covering over the same vertex graphs, each checked once with is_nash.
+    component of its own. The equilibrium pairs are the completely labeled
+    (P vertex, Q vertex) pairs, each checked once.
     """
     p, q = require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
     art1, art2 = _artificial_labels(g)
     n1, n2 = len(p.vertices), len(q.vertices)
-    at1 = {v.labels: i for i, v in enumerate(p.vertices)} | {art1: n1}
-    at2 = {v.labels: j for j, v in enumerate(q.vertices)} | {art2: n2}
+    at1 = p.at | {art1: n1}
+    at2 = q.at | {art2: n2}
 
     parent: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -269,9 +303,9 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     # the P vertices are sorted by x, so the equilibria, sorted by (x, y),
     # come in the order of their P nodes
     eq_pairs = []
-    for eq, vp, vq in _labeled_equilibria(g, p, q):
-        pair = (at1[vp.labels], at2[vq.labels])
-        eq_pairs.append((pair, _component_number(components, art, pair), eq))
+    for i, j in _complementary_pairs(g, p, q):
+        eq = _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
+        eq_pairs.append(((i, j), _component_number(components, art, (i, j)), eq))
     # each union of two touched groups takes one component off the count
     return GPrimeReport(
         (n1 + 1) * (n2 + 1) - len(parent) + len(groups),

@@ -75,7 +75,6 @@ from .games import (
     MixedStrategyPair,
     RankOneFactorization,
     factor_rank1,
-    is_nash,
 )
 from .linalg import (
     AffineR,
@@ -84,7 +83,12 @@ from .linalg import (
     clear_denominators,
     rat,
 )
-from .polytopes import LabeledVertex, VertexGraph, require_nondegenerate
+from .polytopes import (
+    LabeledVertex,
+    VertexGraph,
+    _equilibrium,
+    require_nondegenerate,
+)
 
 
 @dataclass(frozen=True)
@@ -522,7 +526,7 @@ def enumerate_all(
     start gives the unique equilibrium. NotRankOne is raised when
     rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails,
     and FactorizationMismatch when a given factorization is not A + B.
-    Each distinct equilibrium is checked once with is_nash.
+    Each distinct equilibrium is checked once, on its vertices' integers.
     """
     p, q = require_nondegenerate(g)
     if factorization is not None:
@@ -537,14 +541,7 @@ def enumerate_all(
     lo, hi = min(swept.c), max(swept.c)
     if lo == hi:
         dispatch = "zero-sum" if f is None else "row-constant"
-        v, w = walk.one_point(lo)
-        s = MixedStrategyPair(v.point[: g.m], w.point[: g.n])
-        flag, u1, u2 = is_nash(g, s, p.payoffs)
-        if not flag:
-            raise InternalInvariantError(
-                f"{dispatch} candidate failed the equilibrium check"
-            )
-        eq = EquilibriumPoint(s, payoff1=u1, payoff2=u2, source_xi=lo)
+        eq = _equilibrium(p.payoffs, *walk.one_point(lo), source_xi=lo)
         return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
     k, q_lo, q_hi = walk.start(lo)
@@ -563,14 +560,10 @@ def enumerate_all(
         for xi in _objective_zeros(iv):
             end = _q_end(iv, xi)
             pair = (k, (q_lo, q_hi)[end])
-            if pair in found:
-                continue
-            eq = _vertex_pair(iv, end, xi)
-            if not is_nash(g, eq.strategies, p.payoffs)[0]:
-                raise InternalInvariantError(
-                    "objective zero failed the equilibrium check"
+            if pair not in found:
+                found[pair] = _equilibrium(
+                    p.payoffs, iv.p_vertex, iv.q_edge[end], source_xi=xi
                 )
-            found[pair] = eq
         if iv.xi2 >= hi:
             break
         # past a feasibility (or "Both") breakpoint the Q walk steps to the

@@ -12,7 +12,7 @@ denominators and shifted to positive integers. That positive affine map
 keeps every best reply, so each non-zero vertex of P' is a vertex of P with
 the same labels, after scaling x onto the simplex. ``require_nondegenerate``
 clears A and B^T once, into one ``IntegerPayoffs``: both walks shift it,
-and the graphs carry it to every ``is_nash`` check of the call. The walk
+and the graphs carry it to every equilibrium check of the call. The walk
 starts at the origin, a simple vertex whose dictionary is the raw integer
 data, and follows ratio-test pivots through every feasible basis, in the
 manner of lrs (Avis & Fukuda 1992; Avis, Rosenberg, Savani & von Stengel
@@ -43,7 +43,10 @@ sorted by cross-multiplication: key a comes before key b when, at the first
 i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
 the order of their strategies a / sum(a), so of their points. A caller that
 reads only label sets, such as the non-degeneracy check, builds no rational
-at all.
+at all. Past the walk an equilibrium is a pair of vertices: ``_equilibrium``
+validates it and runs the Nash test on the two keys, which are exactly the
+integers ``is_nash`` would clear the strategies to, and builds only the two
+points it reports.
 
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
@@ -68,7 +71,7 @@ from .games import (
     EquilibriumPoint,
     IntegerPayoffs,
     MixedStrategyPair,
-    is_nash,
+    _integer_nash_test,
 )
 from .linalg import Rational, rat
 
@@ -325,9 +328,9 @@ class VertexGraph:
     payoffs: IntegerPayoffs = field(compare=False, repr=False)
 
     @cached_property
-    def at(self) -> dict[frozenset[int], LabeledVertex]:
-        """Each vertex, keyed by its label set."""
-        return {v.labels: v for v in self.vertices}
+    def at(self) -> dict[frozenset[int], int]:
+        """The index of each vertex, keyed by its label set."""
+        return {v.labels: k for k, v in enumerate(self.vertices)}
 
     @cached_property
     def _node(self) -> dict[int, int]:
@@ -397,25 +400,54 @@ def check_nondegenerate(
     return True, None
 
 
+def _equilibrium(
+    payoffs: IntegerPayoffs,
+    vp: LabeledVertex,
+    vq: LabeledVertex,
+    source_xi: Rational | None = None,
+) -> EquilibriumPoint:
+    """The equilibrium at the P vertex vp and the Q vertex vq of a walk,
+    checked; InternalInvariantError if the pair is not one.
+
+    A walk vertex keeps its strategy as a key of gcd 1 over den = sum(key),
+    so the keys are exactly the integers ``clear_denominators`` would derive
+    from the strategies: the strategy pair is validated, and the Nash test
+    run, on them, as ``is_nash`` would after clearing. The payoffs are the
+    vertices' best-reply payoffs, which at an equilibrium are the realized
+    ones. Only the two vertices' points are built as rationals.
+    """
+    x, x_den = vp._integers[:2]
+    y, y_den = vq._integers[:2]
+    v, w = vp.point, vq.point
+    m, n = len(x), len(y)
+    s = MixedStrategyPair._of_integers(v[:m], w[:n], x, x_den, y, y_den)
+    if not _integer_nash_test(payoffs, x, x_den, y, y_den)[0]:
+        raise InternalInvariantError("vertex pair failed the equilibrium check")
+    return EquilibriumPoint(s, payoff1=w[n], payoff2=v[m], source_xi=source_xi)
+
+
+def _complementary_pairs(g: BimatrixGame, p: VertexGraph, q: VertexGraph):
+    """(i, j) for each P vertex i and the Q vertex j labeled by the labels i
+    lacks: the completely labeled pairs, in the order of the P vertices."""
+    full = frozenset(range(1, g.m + g.n + 1))
+    at = q.at
+    for i, vp in enumerate(p.vertices):
+        j = at.get(full - vp.labels)
+        if j is not None:
+            yield i, j
+
+
 def _labeled_equilibria(
     g: BimatrixGame, p: VertexGraph, q: VertexGraph
 ) -> tuple[tuple[EquilibriumPoint, LabeledVertex, LabeledVertex], ...]:
-    """Each equilibrium, checked once with is_nash, with its P vertex and the
-    Q vertex labeled by the labels that P vertex lacks; sorted by key."""
-    full = frozenset(range(1, g.m + g.n + 1))
+    """Each equilibrium, checked once, with its P vertex and the Q vertex
+    labeled by the labels that P vertex lacks; sorted by key, since the P
+    vertices come sorted by point and each has at most one partner."""
     out = []
-    for vp in p.vertices:
-        vq = q.at.get(full - vp.labels)
-        if vq is None:
-            continue
-        s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
-        eq = EquilibriumPoint(s, payoff1=vq.point[g.n], payoff2=vp.point[g.m])
-        if not is_nash(g, s, p.payoffs)[0]:
-            raise InternalInvariantError(
-                "completely labeled pair failed the equilibrium check"
-            )
-        out.append((eq, vp, vq))
-    return tuple(sorted(out, key=lambda t: t[0].key()))
+    for i, j in _complementary_pairs(g, p, q):
+        vp, vq = p.vertices[i], q.vertices[j]
+        out.append((_equilibrium(p.payoffs, vp, vq), vp, vq))
+    return tuple(out)
 
 
 def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:

@@ -14,11 +14,10 @@ from rank1nash import (
     InternalInvariantError,
     equilibria_by_labels,
     format_game,
+    games,
     generate_kt,
     gprime_components,
-    lemke_howson,
     load_game,
-    parametric,
     polytopes,
 )
 from rank1nash.cli import main
@@ -123,10 +122,11 @@ def test_paths_degenerate_under_optimize(degen_path):
 
 
 def test_failed_equilibrium_check_exits_5(demo_path, unreach_path, monkeypatch, capsys):
-    # every module that checks equilibria; is_nash takes the game's cleared
-    # payoffs as an optional third argument
-    for mod in (polytopes, lemke_howson, parametric):
-        monkeypatch.setattr(mod, "is_nash", lambda *args: (False, None, None))
+    # every equilibrium check runs the one integer Nash test: is_nash after
+    # clearing its arguments, and polytopes' vertex-pair helper on the
+    # vertices' keys, for labels, lh, gprime and the sweep alike
+    for mod in (games, polytopes):
+        monkeypatch.setattr(mod, "_integer_nash_test", lambda *args: (False, 0, 0))
     with pytest.raises(InternalInvariantError):
         equilibria_by_labels(load_game(demo_path))
     with pytest.raises(InternalInvariantError):

@@ -340,13 +340,14 @@ def test_lookups_match_reference_scans():
 
 def test_is_nash_once_per_equilibrium(monkeypatch):
     # reachability and gprime_components verify each distinct equilibrium
-    # once, in the label covering, and reachability matches path terminals
-    # to those; lh_run on its own verifies its terminal
+    # once, by the integer Nash test on its vertex pair, and reachability
+    # matches path terminals to those; lh_run on its own verifies its
+    # terminal
     import rank1nash
     from rank1nash import games
 
     calls = 0
-    original = games.is_nash
+    original = games._integer_nash_test
 
     def counted(*args, **kwargs):
         nonlocal calls
@@ -354,8 +355,10 @@ def test_is_nash_once_per_equilibrium(monkeypatch):
         return original(*args, **kwargs)
 
     for mod in vars(rank1nash).values():
-        if getattr(mod, "is_nash", None) is original and hasattr(mod, "__file__"):
-            monkeypatch.setattr(mod, "is_nash", counted)
+        if getattr(mod, "_integer_nash_test", None) is original and hasattr(
+            mod, "__file__"
+        ):
+            monkeypatch.setattr(mod, "_integer_nash_test", counted)
 
     rng = random.Random(6021)
     cases = [generate_kt(d) for d in range(2, 7)]

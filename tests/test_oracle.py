@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-import pytest
-
 from rank1nash import (
     BimatrixGame,
     MixedStrategyPair,

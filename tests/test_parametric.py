@@ -24,13 +24,16 @@ from rank1nash import (
     equilibria_by_labels,
     equilibria_on_interval,
     generate_kt,
+    gprime_components,
+    lh_run,
     load_game,
     rat,
+    reachability,
     require_nondegenerate,
     support_enumeration,
     sweep_table,
 )
-from rank1nash import parametric
+from rank1nash import lemke_howson, parametric, polytopes
 from rank1nash.linalg import AffineR, AffineRVector, RMatrix, solve_square, vdot
 from test_differential import rank1_games
 
@@ -177,6 +180,41 @@ def test_sweep_builds_points_of_equilibrium_vertices_only(g, built, monkeypatch)
     )
     assert counts == built == (len(tr.equilibria),) * 2
     assert counts[0] < len(p.vertices) and counts[1] < len(q.vertices)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_kt(6), random_rank1_game(random.Random(1), 10, 10, -99, 99)],
+    ids=["kt6", "random-10x10"],
+)
+def test_label_methods_build_points_of_reported_vertices_only(g, monkeypatch):
+    # labels, lh and gprime match vertices by label set and by index and
+    # check each equilibrium on its vertices' integers; a path's nodes read
+    # no point, so per side only the vertices of a reported equilibrium
+    # build theirs. Every call gets the same two graphs, their points
+    # dropped after each call, so the 10x10 game is enumerated once.
+    graphs = require_nondegenerate(g)
+    for module in (polytopes, lemke_howson):
+        monkeypatch.setattr(module, "require_nondegenerate", lambda game: graphs)
+
+    def built():
+        counts = []
+        for side in graphs:
+            counts.append(sum(v._point is not None for v in side.vertices))
+            assert counts[-1] < len(side.vertices)
+            for v in side.vertices:
+                v._point = None
+        return tuple(counts)
+
+    labeled = equilibria_by_labels(g)
+    assert built() == (len(labeled),) * 2
+    rep = reachability(g)
+    assert built() == (len(rep.reached) + len(rep.unreached),) * 2
+    gp = gprime_components(g)
+    assert built() == (len(gp.equilibrium_pairs),) * 2
+    for r in range(1, g.m + g.n + 1):
+        path = lh_run(g, r)
+        assert built() == (int(path.terminal is not None),) * 2
 
 
 def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
@@ -797,11 +835,16 @@ def _counting_games():
 
 def test_one_pivot_per_breakpoint(monkeypatch):
     # the sweep steps along P's and Q's edges, one step per breakpoint, and
-    # makes no linear solve; each distinct equilibrium is checked once
+    # makes no linear solve; each distinct equilibrium is checked once, by
+    # the integer Nash test on its vertex pair
     import rank1nash
-    from rank1nash import linalg, parametric
+    from rank1nash import games, linalg
 
     calls = {"solve_square": 0, "is_nash": 0}
+    seams = {
+        "solve_square": (linalg, "solve_square"),
+        "is_nash": (games, "_integer_nash_test"),
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -810,11 +853,11 @@ def test_one_pivot_per_breakpoint(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        original = getattr(linalg if name == "solve_square" else parametric, name)
+    for name, (home, attr) in seams.items():
+        original = getattr(home, attr)
         for mod in vars(rank1nash).values():
-            if getattr(mod, name, None) is original and hasattr(mod, "__file__"):
-                monkeypatch.setattr(mod, name, counted(name, original))
+            if getattr(mod, attr, None) is original and hasattr(mod, "__file__"):
+                monkeypatch.setattr(mod, attr, counted(name, original))
 
     for g in _counting_games():
         calls.update(solve_square=0, is_nash=0)

@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from conftest import baseline_game, label_set_edges, random_game, random_rank1_game
 from dense_lp import polyhedron_rows
+from test_differential import rank1_games
 from rank1nash import (
     DegenerateGame,
     BimatrixGame,
+    EquilibriumPoint,
     IntegerPayoffs,
     InternalInvariantError,
     LabeledVertex,
+    MixedStrategyPair,
     SingularMatrix,
     check_nondegenerate,
     enumerate_all,
@@ -29,6 +32,7 @@ from rank1nash import (
     equilibria_by_labels,
     generate_kt,
     gprime_components,
+    is_nash,
     lh_run,
     load_game,
     polytopes,
@@ -451,6 +455,46 @@ def small_games(draw):
 @given(small_games())
 def test_vertex_payoff_is_the_best_reply(g):
     _assert_payoffs_are_best_replies(g)
+
+
+def _assert_vertex_pairs_check_as_is_nash(g):
+    # every walk vertex keeps its strategy as a key of gcd 1 over its sum,
+    # and on every vertex pair, complementary or not, the check on those
+    # keys gives is_nash's verdict, strategies and payoffs
+    payoffs = IntegerPayoffs.of(g)
+    ps, qs = enumerate_vertices(g, "P"), enumerate_vertices(g, "Q")
+    for v in ps + qs:
+        key, den = v._integers[:2]
+        assert math.gcd(*key) == 1 and den == sum(key), v
+    for vp in ps:
+        for vq in qs:
+            s = MixedStrategyPair(vp.point[: g.m], vq.point[: g.n])
+            ok, u1, u2 = is_nash(g, s)
+            try:
+                eq = polytopes._equilibrium(payoffs, vp, vq)
+            except InternalInvariantError:
+                assert not ok, (g, vp, vq)
+            else:
+                want = EquilibriumPoint(s, payoff1=u1, payoff2=u2)
+                assert ok and eq == want and repr(eq) == repr(want), (g, vp, vq)
+
+
+def test_vertex_pairs_check_as_is_nash():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 6)]
+    for g in games:
+        _assert_vertex_pairs_check_as_is_nash(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        small_games(),
+        rank1_games(st.integers(1, 4), st.integers(1, 4)).map(lambda gf: gf[0]),
+    )
+)
+def test_vertex_pairs_check_as_is_nash_on_draws(g):
+    _assert_vertex_pairs_check_as_is_nash(g)
 
 
 def _det(rows):
