@@ -14,7 +14,6 @@ from .errors import (
     NotRowConstant,
 )
 from .linalg import (
-    RMatrix,
     Rational,
     clear_denominators,
     clear_rows,
@@ -233,7 +232,7 @@ def loss(g: BimatrixGame, s: MixedStrategyPair) -> Rational:
 
 def game_rank(g: BimatrixGame) -> int:
     """Rank of A + B."""
-    return matrix_rank(RMatrix.from_rows(g.payoff_sum()))
+    return matrix_rank(g.payoff_sum())
 
 
 def factor_rank1(
@@ -285,10 +284,10 @@ def reduce_rank(g: BimatrixGame) -> RankReduction:
         raise NotFullRank("rank reduction needs a square game")
     if g.m < 2:
         raise NotFullRank("need d >= 2")
-    if game_rank(g) != g.m:
-        raise NotFullRank(f"rank(A+B) = {game_rank(g)}, need {g.m}")
-    c = RMatrix.from_rows(g.payoff_sum())
-    w = solve(c, (1,) * g.m)
+    rank = game_rank(g)
+    if rank != g.m:
+        raise NotFullRank(f"rank(A+B) = {rank}, need {g.m}")
+    w = solve(g.payoff_sum(), (1,) * g.m)
     j = next(i for i, v in enumerate(w) if v != 0)
     lam = -1 / w[j]
     a2 = tuple(

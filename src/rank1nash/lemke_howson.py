@@ -91,7 +91,7 @@ def _artificial_labels(g: BimatrixGame) -> tuple[frozenset[int], frozenset[int]]
     return frozenset(range(1, g.m + 1)), frozenset(range(g.m + 1, g.m + g.n + 1))
 
 
-def _pivot(vg: VertexGraph, k: int, drop: int) -> int:
+def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
     """The node reached from node k by dropping label ``drop``."""
     j = vg.near(k).get(drop)
     if j is None:
@@ -122,7 +122,7 @@ def _walk(
     limit = (at[0] + 1) * (at[1] + 1) + 1
     for _ in range(limit):
         vg = graphs[side]
-        k = at[side] = _pivot(vg, at[side], drop)
+        k = at[side] = _drop_label(vg, at[side], drop)
         if k == len(vg.vertices):
             nodes[side] = GraphNode(art[side], None)
         else:

@@ -1,9 +1,17 @@
-"""Exact rational linear algebra: square affine solves, rank, affine functions.
+"""Exact linear algebra: rationals, the integer pivot, solves, rank, affine
+functions.
 
-Everything here is pure and works on immutable values. Rationals are
-``gmpy2.mpq`` when gmpy2 is importable and ``fractions.Fraction`` otherwise;
-both expose ``numerator``/``denominator`` and interoperate with ints, so the
-rest of the package never needs to know which backend is active.
+Rationals are ``gmpy2.mpq`` when gmpy2 is importable and
+``fractions.Fraction`` otherwise; both expose ``numerator``/``denominator``
+and interoperate with ints, so the rest of the package never needs to know
+which backend is active.
+
+``_pivot`` is the package's one elimination step: the integer pivot of lrs
+(Avis & Fukuda 1992) on a dictionary scaled by its determinant, whose
+divisions are exact as in Bareiss (1968). The vertex walk of ``polytopes``
+runs it, and ``row_reduce`` builds ``solve`` and ``matrix_rank`` on it. The
+oracle keeps its own rational elimination, so that it stays an independent
+check.
 """
 
 from __future__ import annotations
@@ -44,34 +52,6 @@ def vdot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
 
 
 @dataclass(frozen=True)
-class RMatrix:
-    """Immutable rational matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Rational, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "RMatrix":
-        ent = tuple(tuple(rat(x) for x in row) for row in rows)
-        if not ent:
-            raise ValueError("empty matrix")
-        return cls(len(ent), len(ent[0]), ent)
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
-    def mat_vec(self, v: Sequence[Rational]) -> tuple[Rational, ...]:
-        return tuple(vdot(r, v) for r in self.entries)
-
-
-@dataclass(frozen=True)
 class AffineRVector:
     """Vector-valued affine function of one parameter: const + xi * slope."""
 
@@ -101,51 +81,6 @@ class AffineR:
         return self.c0 + self.c1 * rat(xi)
 
 
-def solve_square(
-    m: RMatrix,
-    rhs_const: Sequence[Rational],
-    rhs_slope: Sequence[Rational] | None = None,
-) -> AffineRVector:
-    """Solve M z(xi) = rhs_const + xi * rhs_slope exactly.
-
-    Raises SingularMatrix when M is singular. A None slope means zero slope.
-    The entries of M are used as given, so they must be ints or rationals;
-    the right-hand sides are converted, which makes the result rational.
-    """
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("solve_square needs a square matrix")
-    if rhs_slope is None:
-        rhs_slope = (0,) * n
-    if len(rhs_const) != n or len(rhs_slope) != n:
-        raise ValueError("rhs length mismatch")
-    # augmented rows: [coefficients | const | slope]
-    a = [
-        [*m.entries[i], rat(rhs_const[i]), rat(rhs_slope[i])] for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        prow = a[col]
-        inv = 1 / rat(prow[col])
-        a[col] = prow = [x * inv for x in prow]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], prow)]
-    return AffineRVector(
-        const=tuple(a[i][n] for i in range(n)),
-        slope=tuple(a[i][n + 1] for i in range(n)),
-    )
-
-
-def solve(m: RMatrix, rhs: Sequence[Rational]) -> tuple[Rational, ...]:
-    """Constant-RHS convenience wrapper around solve_square."""
-    return solve_square(m, rhs).const
-
-
 def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """(ints, scale): scale is the lcm of the denominators, and value i is
     ints[i] / scale."""
@@ -167,30 +102,66 @@ def clear_rows(
     return [flat[i : i + w] for i in range(0, len(flat), w)], scale
 
 
-def matrix_rank(m: RMatrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination after clearing denominators."""
-    # scaling a row by a positive integer leaves the rank unchanged
-    a = [clear_denominators(row)[0] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    r0 = 0
-    for col in range(cols):
-        piv = next((r for r in range(r0, rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[r0], a[piv] = a[piv], a[r0]
-        for r in range(r0 + 1, rows):
-            for c in range(col + 1, cols):
-                num = a[r0][col] * a[r][c] - a[r][col] * a[r0][c]
-                q, rem = divmod(num, prev)
+def _pivot(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
+    """Integer pivot of the dictionary on (r, col); the pivot element becomes
+    the new determinant. Column ``col`` then holds the leaving variable,
+    whose old column was det * e_r."""
+    prow = dic[r]
+    p = prow[col]
+    out = []
+    for i, row in enumerate(dic):
+        f = row[col]
+        if i == r:
+            new = prow.copy()
+            new[col] = det
+        else:
+            new = []
+            for a, b in zip(row, prow):
+                q, rem = divmod(p * a - f * b, det)
                 if rem:
-                    raise InternalInvariantError("Bareiss division not exact")
-                a[r][c] = q
-            a[r][col] = 0
-        prev = a[r0][col]
-        r0 += 1
-        rank += 1
-        if r0 == rows:
-            break
-    return rank
+                    raise InternalInvariantError("integer pivot division not exact")
+                new.append(q)
+            new[col] = -f
+        out.append(new)
+    return out
+
+
+def row_reduce(
+    rows: Iterable[Sequence[Rational]], ncols: int
+) -> tuple[list[list[int]], dict[int, int], int]:
+    """(dic, row_of, det): the rows, each cleared of denominators, with each
+    of the first ``ncols`` columns pivoted by ``_pivot`` on the first unused
+    row that has a nonzero entry there. ``row_of`` maps each pivot column to
+    its row. Any other column then holds det times its coordinates over the
+    pivot columns, and it is zero in every unused row."""
+    dic = [clear_denominators(row)[0] for row in rows]
+    free = list(range(len(dic)))  # the rows no pivot has used
+    row_of: dict[int, int] = {}
+    det = 1
+    for col in range(ncols):
+        r = next((r for r in free if dic[r][col]), None)
+        if r is not None:
+            free.remove(r)
+            row_of[col] = r
+            dic, det = _pivot(dic, r, col, det), dic[r][col]
+    return dic, row_of, det
+
+
+def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """The rank: the number of pivot columns."""
+    return len(row_reduce(rows, len(rows[0]))[1])
+
+
+def solve(
+    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
+) -> tuple[Rational, ...]:
+    """The z with rows z = rhs, for n rows of n entries; SingularMatrix names
+    the first column with no pivot."""
+    n = len(rows)
+    if len(rhs) != n or any(len(row) != n for row in rows):
+        raise ValueError("solve needs n rows of n entries and n right-hand sides")
+    dic, row_of, det = row_reduce([[*row, b] for row, b in zip(rows, rhs)], n)
+    col = next((c for c in range(n) if c not in row_of), None)
+    if col is not None:
+        raise SingularMatrix(f"no pivot in column {col}")
+    return tuple(rat(dic[row_of[c]][n], det) for c in range(n))

@@ -21,7 +21,8 @@ cobasic variables and the right-hand side, all scaled by the basis
 determinant det (Bareiss division keeps them integral). The k basic columns
 always read det * e_r, so they are not stored: a pivot turns the leaving
 variable's column into det in the pivot row and minus the entering column
-elsewhere.
+elsewhere. That pivot is ``linalg._pivot``, the one the package's solves
+and ranks also run.
 
 Each vertex is read off the integer dictionary. With A' = scale * A + shift
 (likewise B'), a basis of determinant det puts P' or Q' at z = r / det,
@@ -73,7 +74,7 @@ from .games import (
     MixedStrategyPair,
     _integer_nash_test,
 )
-from .linalg import Rational, rat
+from .linalg import Rational, _pivot, rat
 
 
 class LabeledVertex:
@@ -140,30 +141,6 @@ def _ratio_test(dic: list[list[int]], col: int) -> list[int]:
         elif diff == 0:
             best.append(r)
     return best
-
-
-def _pivot(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
-    """Integer pivot of the dictionary on (r, col); the pivot element becomes
-    the new determinant. Column ``col`` then holds the leaving variable,
-    whose old column was det * e_r."""
-    prow = dic[r]
-    p = prow[col]
-    out = []
-    for i, row in enumerate(dic):
-        f = row[col]
-        if i == r:
-            new = prow.copy()
-            new[col] = det
-        else:
-            new = []
-            for a, b in zip(row, prow):
-                q, rem = divmod(p * a - f * b, det)
-                if rem:
-                    raise InternalInvariantError("integer pivot division not exact")
-                new.append(q)
-            new[col] = -f
-        out.append(new)
-    return out
 
 
 def _feasible_bases(mat: list[list[int]], steps: list | None = None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from rank1nash import BimatrixGame, RankOneFactorization, factor_rank1, rat
-from rank1nash.linalg import RMatrix, Rational, vdot
+from rank1nash.linalg import Rational, vdot
 
 
 def polyhedron_rows(g: BimatrixGame, which: str):
@@ -39,9 +39,9 @@ def polyhedron_rows(g: BimatrixGame, which: str):
 class ParametricTableau:
     game: BimatrixGame
     factorization: RankOneFactorization
-    m1: RMatrix  # K x N
+    m1: tuple[tuple[Rational, ...], ...]  # K rows of N
     e1: tuple[Rational, ...]  # K zeros
-    m2: RMatrix  # 3 x N
+    m2: tuple[tuple[Rational, ...], ...]  # 3 rows of N
     e2_const: tuple[Rational, ...]  # (1, 1, 0)
     e2_slope: tuple[Rational, ...]  # (0, 0, 1)
     dual_rhs_const: tuple[Rational, ...]  # (0,...,0, -1, -1)
@@ -64,6 +64,10 @@ class ParametricTableau:
         return self.game.m + self.game.n + 2
 
 
+def _rational_rows(rows) -> tuple[tuple[Rational, ...], ...]:
+    return tuple(tuple(rat(v) for v in row) for row in rows)
+
+
 def build_tableau(
     g: BimatrixGame, factorization: RankOneFactorization | None = None
 ) -> ParametricTableau:
@@ -78,11 +82,11 @@ def build_tableau(
     f.require_matches(g)
     m, n = g.m, g.n
     (p_rows, _), (q_rows, _) = polyhedron_rows(g, "P"), polyhedron_rows(g, "Q")
-    m1 = RMatrix.from_rows(
+    m1 = _rational_rows(
         [c[:m] + (0,) * (n + 1) + c[m:] for c, _ in p_rows]
         + [(0,) * m + c + (0,) for c, _ in q_rows]
     )
-    m2 = RMatrix.from_rows(
+    m2 = _rational_rows(
         [
             [1] * m + [0] * n + [0, 0],
             [0] * m + [1] * n + [0, 0],
@@ -106,7 +110,7 @@ def binding_rows(t: ParametricTableau, zvals) -> frozenset[int]:
     """1-based M1 rows tight at the given primal point."""
     return frozenset(
         idx
-        for idx, row in enumerate(t.m1.entries, start=1)
+        for idx, row in enumerate(t.m1, start=1)
         if vdot(row, zvals) == 0
     )
 
@@ -127,12 +131,12 @@ def zero_sum_dual_coincidence(t: ParametricTableau) -> bool:
     def dual_coeff(comp: int, l: int) -> Rational:
         # coefficient of u_l (1-based) in dual equation for z-component comp
         if l <= k:
-            return t.m1.entries[l - 1][comp]
-        return t.m2.entries[l - k - 1][comp]
+            return t.m1[l - 1][comp]
+        return t.m2[l - k - 1][comp]
 
     # x_i equations ~ primal rows m+n+i (A y <= 1 pi1), slack u_i
     for i in range(m):
-        prim = t.m1.entries[m + n + i]
+        prim = t.m1[m + n + i]
         for j in range(n):
             if dual_coeff(i, m + 1 + j) != -prim[m + j]:
                 return False
@@ -148,7 +152,7 @@ def zero_sum_dual_coincidence(t: ParametricTableau) -> bool:
     # y_j equations ~ primal rows m+j (B^T x <= 1 pi2), slack u_{2m+n+j}
     for j in range(n):
         comp = m + j
-        prim = t.m1.entries[m + j]
+        prim = t.m1[m + j]
         for i in range(m):
             if dual_coeff(comp, m + n + 1 + i) != -prim[i]:
                 return False

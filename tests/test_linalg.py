@@ -1,4 +1,5 @@
-"""Exact linear algebra: rationals, solver, rank, affine functions."""
+"""Exact linear algebra: rationals, the shared integer elimination, solver,
+rank, affine functions."""
 
 from __future__ import annotations
 
@@ -13,13 +14,16 @@ from rank1nash.errors import SingularMatrix
 from rank1nash.linalg import (
     AffineR,
     AffineRVector,
-    RMatrix,
     matrix_rank,
     rat,
+    row_reduce,
     solve,
-    solve_square,
     vdot,
 )
+
+
+def _times(rows, z):
+    return tuple(vdot(row, z) for row in rows)
 
 
 def test_rat_accepts_ints_strings_and_pairs():
@@ -35,32 +39,30 @@ def test_vdot():
     assert vdot((), ()) == 0
 
 
-def test_rmatrix_product_golden():
-    a = RMatrix.from_rows(((1, 2), (3, 4)))
-    assert a.transpose().entries == ((1, 3), (2, 4))
-    assert a.mat_vec((1, 1)) == (3, 7)
-
-
 def test_solve_known_system():
     # 2x + y = 5, x - y = 1 has the unique solution (2, 1)
-    m = RMatrix.from_rows(((2, 1), (1, -1)))
-    assert solve(m, (5, 1)) == (2, 1)
+    assert solve(((2, 1), (1, -1)), (5, 1)) == (2, 1)
 
 
-def test_solve_square_int_matrix_stays_exact():
-    # matrix entries are used as given; plain ints must still solve exactly
-    m = RMatrix(3, 3, ((2, 1, 0), (1, 3, 1), (0, 1, 4)))
-    z = solve_square(m, (1, 2, 3), (0, 1, -1))
+def test_solve_int_matrix_stays_exact():
+    # plain ints in, and the solution still comes out exact
+    m = ((2, 1, 0), (1, 3, 1), (0, 1, 4))
+    z = solve(m, (1, 2, 3))
     # every entry is the backend's rational type, so no float slipped in
-    assert {type(v) for v in z.const + z.slope} == {type(rat(0))}
-    for xi in (rat(0), rat(5, 3)):
-        assert m.mat_vec(z.at(xi)) == (1, 2 + xi, 3 - xi)
+    assert {type(v) for v in z} == {type(rat(0))}
+    assert _times(m, z) == (1, 2, 3)
 
 
 def test_solve_singular_raises():
-    m = RMatrix.from_rows(((1, 2), (2, 4)))
     with pytest.raises(SingularMatrix):
-        solve(m, (1, 1))
+        solve(((1, 2), (2, 4)), (1, 1))
+
+
+def test_solve_singular_names_the_first_column_without_a_pivot():
+    # column 0 pivots on row 0; row 1 is twice row 0, so column 1 finds no
+    # pivot in the unused rows, although column 2 would
+    with pytest.raises(SingularMatrix, match=r"^no pivot in column 1$"):
+        solve(((1, 2, 3), (2, 4, 6), (0, 0, 1)), (1, 2, 3))
 
 
 def test_solve_random_residuals():
@@ -68,50 +70,15 @@ def test_solve_random_residuals():
     solved = 0
     for _ in range(60):
         n = rng.randint(1, 5)
-        m = RMatrix.from_rows(
-            tuple(tuple(rat(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n))
-        )
+        m = tuple(tuple(rat(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n))
         rhs = tuple(rat(rng.randint(-9, 9)) for _ in range(n))
         try:
             z = solve(m, rhs)
         except SingularMatrix:
             continue
-        assert m.mat_vec(z) == rhs
+        assert _times(m, z) == rhs
         solved += 1
     assert solved >= 40
-
-
-def test_solve_square_affine_rhs():
-    # rhs = const + slope * xi must carry through the solver exactly
-    m = RMatrix.from_rows(((2, 0), (1, 1)))
-    z = solve_square(m, (4, 1), (2, 0))
-    for xi in (rat(0), rat(1), rat(-7, 3)):
-        zv = z.at(xi)
-        want = (4 + 2 * xi, rat(1))
-        assert m.mat_vec(zv) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.lists(
-                st.lists(st.integers(-20, 20), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            ),
-            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
-        )
-    )
-)
-def test_solve_property(data):
-    rows, rhs = data
-    m = RMatrix.from_rows(tuple(tuple(rat(v) for v in r) for r in rows))
-    try:
-        z = solve(m, tuple(rat(v) for v in rhs))
-    except SingularMatrix:
-        return
-    assert m.mat_vec(z) == tuple(rat(v) for v in rhs)
 
 
 def _rank_by_elimination(rows: list[list[Fraction]]) -> int:
@@ -143,14 +110,71 @@ def test_matrix_rank_against_elimination():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(m)
         ]
-        got = matrix_rank(RMatrix.from_rows(tuple(tuple(rat(v) for v in r) for r in rows)))
+        got = matrix_rank(tuple(tuple(rat(v) for v in r) for r in rows))
         assert got == _rank_by_elimination(rows)
 
 
 def test_matrix_rank_edge_cases():
-    assert matrix_rank(RMatrix.from_rows(((0, 0), (0, 0)))) == 0
-    assert matrix_rank(RMatrix.from_rows(((1, 2), (2, 4)))) == 1
-    assert matrix_rank(RMatrix.from_rows(((1, 0), (0, 1)))) == 2
+    assert matrix_rank(((0, 0), (0, 0))) == 0
+    assert matrix_rank(((1, 2), (2, 4))) == 1
+    assert matrix_rank(((1, 0), (0, 1))) == 2
+
+
+_fractions = st.builds(
+    lambda num, den: rat(num, den), st.integers(-20, 20), st.integers(1, 4)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n
+            ),
+            st.lists(_fractions, min_size=n, max_size=n),
+        )
+    )
+)
+def test_solve_property(data):
+    # entries of both signs and several denominators: pivots of both signs,
+    # and rows cleared by different scales; singular exactly when the plain
+    # elimination finds a rank below n
+    rows, rhs = data
+    singular = _rank_by_elimination(rows) < len(rows)
+    try:
+        z = solve(rows, rhs)
+    except SingularMatrix:
+        assert singular
+        return
+    assert not singular
+    assert _times(rows, z) == tuple(rhs)
+
+
+def test_row_reduce_determinant():
+    # det is the last pivot element of the fraction-free elimination: on a
+    # full-rank integer matrix it is the determinant, up to sign
+    rng = random.Random(2007)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        want = Fraction(1)
+        a = [[Fraction(v) for v in row] for row in rows]
+        for c in range(n):  # the determinant by plain elimination
+            r = next((r for r in range(c, n) if a[r][c]), None)
+            if r is None:
+                want = Fraction(0)
+                break
+            a[c], a[r] = a[r], a[c]
+            want *= a[c][c]
+            for i in range(c + 1, n):
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        _, row_of, det = row_reduce(rows, n)
+        if want:
+            assert sorted(row_of) == list(range(n)) and abs(det) == abs(want)
+        else:
+            assert len(row_of) < n
 
 
 def test_affine_eval():

@@ -34,7 +34,7 @@ from rank1nash import (
     sweep_table,
 )
 from rank1nash import lemke_howson, parametric, polytopes
-from rank1nash.linalg import AffineR, AffineRVector, RMatrix, solve_square, vdot
+from rank1nash.linalg import AffineR, AffineRVector, solve, vdot
 from test_differential import rank1_games
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -57,11 +57,11 @@ def test_tableau_shape(kt2_tab):
     assert (t.m, t.n) == (2, 2)
     assert t.k_rows == 8
     assert t.n_vars == 6
-    assert t.m1.rows == 8 and t.m1.cols == 6
-    assert t.m2.rows == 3 and t.m2.cols == 6
+    assert len(t.m1) == 8 and {len(row) for row in t.m1} == {6}
+    assert len(t.m2) == 3 and {len(row) for row in t.m2} == {6}
     assert (min(t.factorization.c), max(t.factorization.c)) == (2, 4)
     # first block: -x <= 0
-    assert t.m1.entries[0] == (-1, 0, 0, 0, 0, 0)
+    assert t.m1[0] == (-1, 0, 0, 0, 0, 0)
     assert t.e1 == (0,) * 8
     assert t.e2_const == (1, 1, 0) and t.e2_slope == (0, 0, 1)
 
@@ -624,12 +624,14 @@ def test_both_breakpoint_takes_the_feasibility_pivot(seed, m, n, kinds):
 
 
 def _dense_solve_basis(t, basis):
-    """Reference: the whole (m+n+2)-square basis system, solved densely."""
+    """Reference: the whole (m+n+2)-square basis system, solved densely; an
+    affine right-hand side by two solves, by linearity."""
     rows = basis.rows
-    s = RMatrix.from_rows([t.m1.entries[r - 1] for r in rows] + list(t.m2.entries))
-    nb = len(rows)
-    z = solve_square(s, (rat(0),) * nb + t.e2_const, (rat(0),) * nb + t.e2_slope)
-    w = solve_square(s.transpose(), t.dual_rhs_const, t.dual_rhs_slope)
+    s = [t.m1[r - 1] for r in rows] + list(t.m2)
+    st = list(zip(*s))
+    zero = (rat(0),) * len(rows)
+    z = AffineRVector(solve(s, zero + t.e2_const), solve(s, zero + t.e2_slope))
+    w = AffineRVector(solve(st, t.dual_rhs_const), solve(st, t.dual_rhs_slope))
     k = t.k_rows
     uc, us = [rat(0)] * (k + 3), [rat(0)] * (k + 3)
     for pos, l in enumerate([r - 1 for r in rows] + [k, k + 1, k + 2]):
@@ -643,7 +645,7 @@ def _dense_interval(t, basis):
     beta2_row), ties to the lowest row."""
     _, z, u = _dense_solve_basis(t, basis)
     lows, highs, alpha, beta = [], [], [], []
-    for r, row in enumerate(t.m1.entries, start=1):  # (M1 z)(xi) <= 0
+    for r, row in enumerate(t.m1, start=1):  # (M1 z)(xi) <= 0
         c, s = vdot(row, z.const), vdot(row, z.slope)
         assert s != 0 or c <= 0
         if s:
@@ -670,18 +672,18 @@ def _dense_pivot(t, iv):
     s, z, u = _dense_solve_basis(t, iv.basis)
     if iv.case in ("Feasibility", "Both"):
         enter = iv.alpha2_row
-        lam = solve_square(s.transpose(), t.m1.entries[enter - 1]).const
+        lam = solve(list(zip(*s)), t.m1[enter - 1])
         uv = u.at(iv.xi2)
         ratios = [(uv[r - 1] / lam[p], r) for p, r in enumerate(rows) if lam[p] > 0]
         return min(ratios)[1], enter
     leave = iv.beta2_row
-    unit = [rat(0)] * s.rows
+    unit = [rat(0)] * len(s)
     unit[rows.index(leave)] = rat(-1)
-    d = solve_square(s, unit).const
+    d = solve(s, unit)
     zv = z.at(iv.xi2)
     ratios = [
         (-vdot(row, zv) / rate, r)
-        for r, row in enumerate(t.m1.entries, start=1)
+        for r, row in enumerate(t.m1, start=1)
         if r not in rows and (rate := vdot(row, d)) > 0
     ]
     return leave, min(ratios)[1]
@@ -840,9 +842,9 @@ def test_one_pivot_per_breakpoint(monkeypatch):
     import rank1nash
     from rank1nash import games, linalg
 
-    calls = {"solve_square": 0, "is_nash": 0}
+    calls = {"row_reduce": 0, "is_nash": 0}
     seams = {
-        "solve_square": (linalg, "solve_square"),
+        "row_reduce": (linalg, "row_reduce"),
         "is_nash": (games, "_integer_nash_test"),
     }
 
@@ -860,9 +862,9 @@ def test_one_pivot_per_breakpoint(monkeypatch):
                 monkeypatch.setattr(mod, attr, counted(name, original))
 
     for g in _counting_games():
-        calls.update(solve_square=0, is_nash=0)
+        calls.update(row_reduce=0, is_nash=0)
         tr = enumerate_all(g)
-        assert calls == {"solve_square": 0, "is_nash": len(tr.equilibria)}
+        assert calls == {"row_reduce": 0, "is_nash": len(tr.equilibria)}
         assert len(tr.breakpoints) == len(tr.intervals) - 1
         if g == generate_kt(6):
             assert len(tr.intervals) == 20

@@ -40,8 +40,8 @@ from rank1nash import (
     reachability,
     require_nondegenerate,
 )
-from rank1nash.linalg import RMatrix, clear_rows, solve, vdot
-from rank1nash.polytopes import _feasible_bases, _pivot
+from rank1nash.linalg import _pivot, clear_rows, solve, vdot
+from rank1nash.polytopes import _feasible_bases
 
 
 def _positive_integer_rows(rows):
@@ -69,7 +69,7 @@ def _subset_scan(g, which):
         rows = [coeffs for coeffs, _ in subset] + [eq[0]]
         rhs = [r for _, r in subset] + [eq[1]]
         try:
-            point = solve(RMatrix.from_rows(rows), rhs)
+            point = solve(rows, rhs)
         except SingularMatrix:
             continue
         if point in seen or any(vdot(c, point) > r for c, r in ineq):
@@ -225,7 +225,7 @@ def test_walk_visits_every_feasible_basis():
         full = [row + [int(c == r) for c in range(k)] for r, row in enumerate(mat)]
         feasible = set()
         for cols in combinations(range(d + k), k):
-            square = RMatrix.from_rows([[row[c] for c in cols] for row in full])
+            square = [[row[c] for c in cols] for row in full]
             try:
                 z = solve(square, [1] * k)
             except SingularMatrix:
