@@ -73,11 +73,10 @@ from .parametric import (
     SweepTrace,
     TraceRow,
     enumerate_all,
-    equilibria_on_interval,
     sweep_table,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AddToColumnOfA",
@@ -115,7 +114,6 @@ __all__ = [
     "best_response_values",
     "check_nondegenerate",
     "enumerate_all",
-    "equilibria_on_interval",
     "enumerate_vertices",
     "equilibria_by_labels",
     "factor_rank1",

@@ -187,19 +187,23 @@ def cmd_oracle(args) -> int:
 
 def cmd_labels(args) -> int:
     g = load_game(args.game)
-    eqs = _labeled_equilibria(g, *require_nondegenerate(g))
+    p, q = require_nondegenerate(g)
+    eqs = [
+        (e, p.vertices[i].labels, q.vertices[j].labels)
+        for (i, j), e in _labeled_equilibria(p, q).items()
+    ]
     if args.json:
         out = []
-        for e, vp, vq in eqs:
+        for e, lp, lq in eqs:
             d = _eq_json(e)
-            d["labels_p"] = sorted(vp.labels)
-            d["labels_q"] = sorted(vq.labels)
+            d["labels_p"] = sorted(lp)
+            d["labels_q"] = sorted(lq)
             out.append(d)
         print(json.dumps({"equilibria": out}))
         return 0
     print(f"equilibria: {len(eqs)}")
-    for e, vp, vq in eqs:
-        print(_eq_line(e) + f" labels={_labels(vp.labels)}|{_labels(vq.labels)}")
+    for e, lp, lq in eqs:
+        print(_eq_line(e) + f" labels={_labels(lp)}|{_labels(lq)}")
     return 0
 
 

@@ -17,12 +17,13 @@ recorded for it, and G' takes every edge from that record. It also gives
 each node a label set of its own, so G' finds the partners of an edge on
 the other side by looking up a label set, never by scanning the other
 graph. Past the walk an equilibrium is a pair of vertex indices:
-``reachability`` and ``gprime_components`` verify each completely labeled
-(P vertex, Q vertex) pair once, on the vertices' integers, and
-``reachability`` matches every path terminal to one of those by its pair
-of indices. ``lh_run`` verifies its single terminal itself. A path's nodes
-keep their vertices and build a point only when it is read, so the
-rationals built are those of the equilibria reported.
+``reachability`` and ``gprime_components`` take the completely labeled
+(P vertex, Q vertex) pairs, each verified once on the vertices' integers,
+from ``polytopes._labeled_equilibria``, and ``reachability`` matches every
+path terminal to one of those by its pair of indices. ``lh_run`` verifies
+its single terminal itself. A path's nodes keep their vertices and build a
+point only when it is read, so the rationals built are those of the
+equilibria reported.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .games import BimatrixGame, EquilibriumPoint
 from .polytopes import (
     LabeledVertex,
     VertexGraph,
-    _complementary_pairs,
     _equilibrium,
+    _labeled_equilibria,
     require_nondegenerate,
 )
 
@@ -181,10 +182,7 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     """
     p, q = require_nondegenerate(g)
     walks = [_walk(g, p, q, r) for r in range(1, g.m + g.n + 1)]
-    eqs = {
-        (i, j): _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
-        for i, j in _complementary_pairs(g, p, q)
-    }
+    eqs = _labeled_equilibria(p, q)
     paths = []
     for r, (steps, end) in enumerate(walks, start=1):
         if end is None:
@@ -300,17 +298,15 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     components = tuple(frozenset(c) for c in groups.values())
     art = (n1, n2)
 
-    # the P vertices are sorted by x, so the equilibria, sorted by (x, y),
-    # come in the order of their P nodes
-    eq_pairs = []
-    for i, j in _complementary_pairs(g, p, q):
-        eq = _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
-        eq_pairs.append(((i, j), _component_number(components, art, (i, j)), eq))
+    eq_pairs = tuple(
+        (pair, _component_number(components, art, pair), eq)
+        for pair, eq in _labeled_equilibria(p, q).items()
+    )
     # each union of two touched groups takes one component off the count
     return GPrimeReport(
         (n1 + 1) * (n2 + 1) - len(parent) + len(groups),
         components,
         art,
         _component_number(components, art, art),
-        tuple(eq_pairs),
+        eq_pairs,
     )

@@ -1,5 +1,5 @@
-"""Exact linear algebra: rationals, the integer pivot, solves, rank, affine
-functions.
+"""Exact linear algebra: rationals, the integer pivot, solves, rank, and the
+scalar affine function that is a sweep interval's objective.
 
 Rationals are ``gmpy2.mpq`` when gmpy2 is importable and
 ``fractions.Fraction`` otherwise; both expose ``numerator``/``denominator``
@@ -49,25 +49,6 @@ def vdot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     if len(u) != len(v):
         raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), _Q(0))
-
-
-@dataclass(frozen=True)
-class AffineRVector:
-    """Vector-valued affine function of one parameter: const + xi * slope."""
-
-    const: tuple[Rational, ...]
-    slope: tuple[Rational, ...]
-
-    def __post_init__(self):
-        if len(self.const) != len(self.slope):
-            raise ValueError("const/slope length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.const)
-
-    def at(self, xi: Rational) -> tuple[Rational, ...]:
-        x = rat(xi)
-        return tuple(c + x * s for c, s in zip(self.const, self.slope))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ interval's P vertex and Q edge ends; no dense tableau is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .errors import (
@@ -72,13 +71,11 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumPoint,
-    MixedStrategyPair,
     RankOneFactorization,
     factor_rank1,
 )
 from .linalg import (
     AffineR,
-    AffineRVector,
     Rational,
     clear_denominators,
     rat,
@@ -126,8 +123,9 @@ class BasisInterval:
     the line of a steeper neighbour of the P vertex crosses the vertex's
     own, and beta2_row is the label dropped to reach it (None when no
     neighbour is steeper). xi2 = min of the two. The basis's P vertex, its
-    Q edge's two ends in increasing c^T y and their c^T y are kept, and z
-    is built from them on first read.
+    Q edge's two ends in increasing c^T y and their c^T y are kept: x and
+    pi2 are the P vertex's, and (y, pi1) moves along the Q edge, so an
+    equilibrium at an interval end is the P vertex with an end of the edge.
     """
 
     basis: ParametricBasis
@@ -153,19 +151,6 @@ class BasisInterval:
         if hits_b:
             return "Optimality"
         return None
-
-    @cached_property
-    def z(self) -> AffineRVector:
-        """(x, y, pi1, pi2) as an affine function of xi: x and pi2 from the
-        P vertex, (y, pi1) moving along the Q edge per unit of xi = c^T y."""
-        m = self.basis.m
-        v, (w_lo, w_hi), (c_lo, c_hi) = self.p_vertex, self.q_edge, self.q_xi
-        step = [(b - a) / (c_hi - c_lo) for a, b in zip(w_lo.point, w_hi.point)]
-        at0 = [a - c_lo * d for a, d in zip(w_lo.point, step)]
-        zero = rat(0)
-        return AffineRVector(
-            (*v.point[:m], *at0, v.point[m]), (zero,) * m + tuple(step) + (zero,)
-        )
 
 
 def _objective_zeros(iv: BasisInterval) -> list[Rational]:
@@ -201,22 +186,6 @@ def _q_end(iv: BasisInterval, xi: Rational) -> int:
     if xi in iv.q_xi:
         return iv.q_xi.index(xi)
     raise InternalInvariantError(f"objective zero at xi = {xi} inside a Q edge")
-
-
-def _vertex_pair(iv: BasisInterval, end: int, xi: Rational) -> EquilibriumPoint:
-    """The equilibrium at the interval's P vertex and Q edge end ``end``."""
-    m, n = iv.basis.m, iv.basis.n
-    v, w = iv.p_vertex.point, iv.q_edge[end].point
-    return EquilibriumPoint(
-        MixedStrategyPair(v[:m], w[:n]), payoff1=w[n], payoff2=v[m], source_xi=xi
-    )
-
-
-def equilibria_on_interval(iv: BasisInterval) -> tuple[EquilibriumPoint, ...]:
-    """The ends of the interval where its objective is 0, as equilibria: each
-    the interval's P vertex with the end of its Q edge at that xi. The points
-    are not checked here; enumerate_all checks each distinct one once."""
-    return tuple(_vertex_pair(iv, _q_end(iv, xi), xi) for xi in _objective_zeros(iv))
 
 
 class _Line:

@@ -47,7 +47,8 @@ reads only label sets, such as the non-degeneracy check, builds no rational
 at all. Past the walk an equilibrium is a pair of vertices: ``_equilibrium``
 validates it and runs the Nash test on the two keys, which are exactly the
 integers ``is_nash`` would clear the strategies to, and builds only the two
-points it reports.
+points it reports. ``_labeled_equilibria`` is the one readout of every
+completely labeled pair, for ``labels``, ``reachability`` and ``gprime``.
 
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
@@ -403,31 +404,23 @@ def _equilibrium(
     return EquilibriumPoint(s, payoff1=w[n], payoff2=v[m], source_xi=source_xi)
 
 
-def _complementary_pairs(g: BimatrixGame, p: VertexGraph, q: VertexGraph):
-    """(i, j) for each P vertex i and the Q vertex j labeled by the labels i
-    lacks: the completely labeled pairs, in the order of the P vertices."""
-    full = frozenset(range(1, g.m + g.n + 1))
-    at = q.at
+def _labeled_equilibria(
+    p: VertexGraph, q: VertexGraph
+) -> dict[tuple[int, int], EquilibriumPoint]:
+    """The equilibrium of each completely labeled pair (i, j), checked once:
+    P vertex i and the Q vertex j labeled by the labels i lacks. The pairs
+    come in the order of the P vertices, which are sorted by point and each
+    have at most one partner, so the equilibria come sorted by key."""
+    full, at = frozenset(p.labels), q.at
+    out = {}
     for i, vp in enumerate(p.vertices):
         j = at.get(full - vp.labels)
         if j is not None:
-            yield i, j
-
-
-def _labeled_equilibria(
-    g: BimatrixGame, p: VertexGraph, q: VertexGraph
-) -> tuple[tuple[EquilibriumPoint, LabeledVertex, LabeledVertex], ...]:
-    """Each equilibrium, checked once, with its P vertex and the Q vertex
-    labeled by the labels that P vertex lacks; sorted by key, since the P
-    vertices come sorted by point and each has at most one partner."""
-    out = []
-    for i, j in _complementary_pairs(g, p, q):
-        vp, vq = p.vertices[i], q.vertices[j]
-        out.append((_equilibrium(p.payoffs, vp, vq), vp, vq))
-    return tuple(out)
+            out[i, j] = _equilibrium(p.payoffs, vp, q.vertices[j])
+    return out
 
 
 def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:
     """All Nash equilibria of a non-degenerate game, via label covering: a P
     vertex and a Q vertex whose label sets cover 1..m+n."""
-    return tuple(e for e, _, _ in _labeled_equilibria(g, *require_nondegenerate(g)))
+    return tuple(_labeled_equilibria(*require_nondegenerate(g)).values())

@@ -10,6 +10,9 @@ z = (x, y, pi1, pi2): P's rows, embedded over (x, ., ., pi2), are rows
 1..m+n, and Q's, embedded over (., y, pi1, .), are rows m+n+1..2(m+n), so
 row l is label l of P and row m+n+l is label l of Q. M2 holds the
 equalities 1^T x = 1, 1^T y = 1, c^T y = xi.
+
+``interval_z(iv)`` is a sweep interval's z as an ``AffineRVector`` in xi,
+the basis's solution that the dense model is compared against.
 """
 
 from __future__ import annotations
@@ -18,6 +21,39 @@ from dataclasses import dataclass
 
 from rank1nash import BimatrixGame, RankOneFactorization, factor_rank1, rat
 from rank1nash.linalg import Rational, vdot
+
+
+@dataclass(frozen=True)
+class AffineRVector:
+    """Vector-valued affine function of one parameter: const + xi * slope."""
+
+    const: tuple[Rational, ...]
+    slope: tuple[Rational, ...]
+
+    def __post_init__(self):
+        if len(self.const) != len(self.slope):
+            raise ValueError("const/slope length mismatch")
+
+    def __len__(self) -> int:
+        return len(self.const)
+
+    def at(self, xi: Rational) -> tuple[Rational, ...]:
+        x = rat(xi)
+        return tuple(c + x * s for c, s in zip(self.const, self.slope))
+
+
+def interval_z(iv) -> AffineRVector:
+    """(x, y, pi1, pi2) of a sweep interval as an affine function of xi: x
+    and pi2 from its P vertex, (y, pi1) moving along its Q edge per unit of
+    xi = c^T y."""
+    m = iv.basis.m
+    v, (w_lo, w_hi), (c_lo, c_hi) = iv.p_vertex, iv.q_edge, iv.q_xi
+    step = [(b - a) / (c_hi - c_lo) for a, b in zip(w_lo.point, w_hi.point)]
+    at0 = [a - c_lo * d for a, d in zip(w_lo.point, step)]
+    zero = rat(0)
+    return AffineRVector(
+        (*v.point[:m], *at0, v.point[m]), (zero,) * m + tuple(step) + (zero,)
+    )
 
 
 def polyhedron_rows(g: BimatrixGame, which: str):

@@ -13,7 +13,7 @@ import random
 import time
 
 from conftest import random_game, random_rank1_game, reweight
-from dense_lp import build_tableau, zero_sum_dual_coincidence
+from dense_lp import build_tableau, interval_z, zero_sum_dual_coincidence
 from rank1nash import (
     AddToColumnOfA,
     AddToRowOfB,
@@ -188,7 +188,7 @@ def test_criterion_3_sweep_trace():
     half = rat(5, 2)
     chk(iv0.xi2 == half == iv1.xi1, "the two bases do not meet at xi=5/2")
     for iv, want_pt in ((iv0, (1, 2)), (iv1, (rat(1, 2), rat(9, 2)))):
-        x1, x2, y1, y2, pi1, pi2 = iv.z.at(half)
+        x1, x2, y1, y2, pi1, pi2 = interval_z(iv).at(half)
         chk((y1, y2) == (rat(3, 4), rat(1, 4)), f"y at xi=5/2 is ({y1}, {y2})")
         chk(pi1 == rat(13, 4), f"pi1 at xi=5/2 is {pi1}")
         chk(

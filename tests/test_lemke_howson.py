@@ -16,6 +16,7 @@ from rank1nash import (
     MixedStrategyPair,
     ReachabilityReport,
     check_nondegenerate,
+    enumerate_all,
     enumerate_vertices,
     equilibria_by_labels,
     generate_kt,
@@ -339,10 +340,10 @@ def test_lookups_match_reference_scans():
 
 
 def test_is_nash_once_per_equilibrium(monkeypatch):
-    # reachability and gprime_components verify each distinct equilibrium
-    # once, by the integer Nash test on its vertex pair, and reachability
-    # matches path terminals to those; lh_run on its own verifies its
-    # terminal
+    # equilibria_by_labels, reachability, gprime_components and the sweep
+    # verify each distinct equilibrium once, by the integer Nash test on its
+    # vertex pair, and reachability matches path terminals to those; lh_run
+    # on its own verifies its terminal
     import rank1nash
     from rank1nash import games
 
@@ -377,3 +378,7 @@ def test_is_nash_once_per_equilibrium(monkeypatch):
         for r in range(1, g.m + g.n + 1):
             terminals += lh_run(g, r).terminal is not None
         assert calls == terminals > 0
+        calls = 0
+        assert len(equilibria_by_labels(g)) == calls > 0
+        calls = 0
+        assert len(enumerate_all(g).equilibria) == calls > 0

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_lp import AffineRVector
 from rank1nash.errors import SingularMatrix
 from rank1nash.linalg import (
     AffineR,
-    AffineRVector,
     matrix_rank,
     rat,
     row_reduce,

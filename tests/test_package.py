@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import rank1nash
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves_once():
@@ -15,3 +21,24 @@ def test_star_import_binds_every_exported_name():
     ns: dict = {}
     exec("from rank1nash import *", ns)
     assert set(rank1nash.__all__) <= ns.keys()
+
+
+def test_every_imported_public_name_is_exported():
+    # the package root's imports are its re-exports, so a public name it
+    # imports and leaves out of __all__ is a half-removed export
+    tree = ast.parse(Path(rank1nash.__file__).read_text())
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    public = {n for n in bound if not n.startswith("_")}
+    assert sorted(public - set(rank1nash.__all__)) == []
+
+
+def test_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert rank1nash.__version__ == version

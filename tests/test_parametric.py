@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import label_set_edges, random_rank1_game
-from dense_lp import binding_rows, build_tableau, zero_sum_dual_coincidence
+from dense_lp import (
+    AffineRVector,
+    binding_rows,
+    build_tableau,
+    interval_z,
+    zero_sum_dual_coincidence,
+)
 from rank1nash import (
     BimatrixGame,
     DegenerateGame,
@@ -22,7 +28,6 @@ from rank1nash import (
     RankOneFactorization,
     enumerate_all,
     equilibria_by_labels,
-    equilibria_on_interval,
     generate_kt,
     gprime_components,
     lh_run,
@@ -34,7 +39,7 @@ from rank1nash import (
     sweep_table,
 )
 from rank1nash import lemke_howson, parametric, polytopes
-from rank1nash.linalg import AffineR, AffineRVector, solve, vdot
+from rank1nash.linalg import AffineR, solve, vdot
 from test_differential import rank1_games
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -89,7 +94,7 @@ def test_initial_basis_at_left_end(kt2_trace):
 
 
 def test_solve_basis_values(kt2_trace):
-    z = kt2_trace.intervals[0].z
+    z = interval_z(kt2_trace.intervals[0])
     # worked by hand: x = e1 and y puts (2 - xi/2, xi/2 - 1) on the columns
     for xi in (rat(2), rat(9, 4), rat(5, 2)):
         x1, x2, y1, y2, pi1, pi2 = z.at(xi)
@@ -117,21 +122,25 @@ def test_interval_of_initial_basis(kt2_trace):
 def test_equilibria_read_at_interval_ends(kt2_trace):
     iv = kt2_trace.intervals[0]
     assert iv.basis.rows == (2, 3, 5)
-    eqs = equilibria_on_interval(iv)
-    assert [(e.key(), e.source_xi) for e in eqs] == [
-        (((rat(1), rat(0)), (rat(1), rat(0))), 2)
-    ]
+    # the objective vanishes at xi = 2, the lower end of the Q edge, and
+    # the trace's equilibrium there is the P vertex with that end
+    assert parametric._objective_zeros(iv) == [2]
+    assert parametric._q_end(iv, rat(2)) == 0
+    eqs = [e for e in kt2_trace.equilibria if e.source_xi == 2]
+    assert [e.key() for e in eqs] == [((rat(1), rat(0)), (rat(1), rat(0)))]
+    m, n = iv.basis.m, iv.basis.n
+    assert eqs[0].key() == (iv.p_vertex.point[:m], iv.q_edge[0].point[:n])
     # an objective that is 0 at both ends is 0 on the whole interval
     flat = replace(iv, objective=AffineR(rat(0), rat(0)))
     with pytest.raises(DegenerateGame, match="vanishes on a whole interval"):
-        equilibria_on_interval(flat)
+        parametric._objective_zeros(flat)
     # the objective of an optimal basis is never positive
     rising = replace(iv, objective=AffineR(rat(-4), rat(2)))  # 1 at xi = 5/2
     with pytest.raises(InternalInvariantError, match="objective positive"):
-        equilibria_on_interval(rising)
+        parametric._objective_zeros(rising)
     # on a zero-length interval one end is both ends
     point = replace(iv, xi2=iv.xi1, objective=AffineR(rat(0), rat(0)))
-    assert [e.source_xi for e in equilibria_on_interval(point)] == [2]
+    assert parametric._objective_zeros(point) == [2]
 
 
 def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
@@ -140,8 +149,9 @@ def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
     iv = kt2_trace.intervals[0]
     assert iv.q_xi == (2, 3) and iv.xi2 == rat(5, 2)
     inside = replace(iv, objective=AffineR(rat(-5), rat(2)))  # 0 at xi = 5/2
+    assert parametric._objective_zeros(inside) == [rat(5, 2)]
     with pytest.raises(InternalInvariantError, match="inside a Q edge"):
-        equilibria_on_interval(inside)
+        parametric._q_end(inside, rat(5, 2))
 
 
 def _one_point_game(rng, m, n, row_constant):
@@ -749,7 +759,7 @@ def _assert_trace_is_lp(tr) -> int:
     assert tr.intervals[0].xi1 == tr.xi_min
     for iv in tr.intervals:
         _, z, _ = _dense_solve_basis(t, iv.basis)
-        assert iv.z == z
+        assert interval_z(iv) == z
         assert _dense_interval(t, iv.basis) == (
             iv.xi1, iv.xi2, iv.alpha2, iv.alpha2_row, iv.beta2, iv.beta2_row
         )
@@ -781,12 +791,13 @@ def _dense_sweep_table(t, trace):
     out = []
     for idx, xi in enumerate(points):
         here = [iv for iv in ivs if iv.xi1 <= xi <= iv.xi2]
-        rows = frozenset().union(*(binding_rows(t, iv.z.at(xi)) for iv in here))
+        zs = [interval_z(iv).at(xi) for iv in here]
+        rows = frozenset().union(*(binding_rows(t, z) for z in zs))
         out.append(("point", xi, here[0].objective.at(xi), rows))
         if idx + 1 < len(points):
             nxt = points[idx + 1]
             iv = next(v for v in ivs if v.xi1 <= xi and nxt <= v.xi2)
-            mid = iv.z.at((xi + nxt) / 2)
+            mid = interval_z(iv).at((xi + nxt) / 2)
             out.append(("interval", (xi, nxt), None, binding_rows(t, mid)))
     return out
 
