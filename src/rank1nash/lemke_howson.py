@@ -14,16 +14,19 @@ Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
 steps from a node by dropping a label, which reads the pivot the walk
 recorded for it, and G' takes every edge from that record. It also gives
-each node a label set of its own, so G' finds the partners of an edge on
-the other side by looking up a label set, never by scanning the other
-graph. Past the walk an equilibrium is a pair of vertex indices:
-``reachability`` and ``gprime_components`` take the completely labeled
-(P vertex, Q vertex) pairs, each verified once on the vertices' integers,
-from ``polytopes._labeled_equilibria``, and ``reachability`` matches every
-path terminal to one of those by its pair of indices. ``lh_run`` verifies
-its single terminal itself. A path's nodes keep their vertices and build a
-point only when it is read, so the rationals built are those of the
-equilibria reported.
+each node a label set of its own, kept as an integer mask (label l is bit
+l): a path finds its duplicate label as the one bit two masks share, and
+G' finds the partners of an edge on the other side by looking up a mask,
+never by scanning the other graph. G' joins pairs (i, j) as the integers
+i * (V_Q + 1) + j and builds no label set. Past the walk an equilibrium is
+a pair of vertex indices: ``reachability`` and ``gprime_components`` take
+the completely labeled (P vertex, Q vertex) pairs, each verified once on
+the vertices' integers, from ``polytopes._labeled_equilibria``, and
+``reachability`` matches every path terminal to one of those by its pair
+of indices. ``lh_run`` verifies its single terminal itself. A path's nodes
+keep their vertices and build a vertex's label set and point only when
+they are read, so the rationals built are those of the equilibria
+reported.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .polytopes import (
     LabeledVertex,
     VertexGraph,
     _equilibrium,
+    _mask,
     _labeled_equilibria,
     require_nondegenerate,
 )
@@ -44,13 +48,18 @@ from .polytopes import (
 class GraphNode:
     """A node of a path: a vertex's label set and point, or the artificial
     node's label set with point None. The node keeps its vertex and reads
-    the point on first use. Nodes compare and hash as (labels, point)."""
+    its labels and point on first use; ``labels`` None stands for the
+    vertex's. Nodes compare and hash as (labels, point)."""
 
-    __slots__ = ("labels", "_vertex")
+    __slots__ = ("_labels", "_vertex")
 
-    def __init__(self, labels: frozenset[int], vertex: LabeledVertex | None):
-        self.labels = labels
+    def __init__(self, labels: frozenset[int] | None, vertex: LabeledVertex | None):
+        self._labels = labels
         self._vertex = vertex
+
+    @property
+    def labels(self) -> frozenset[int]:
+        return self._vertex.labels if self._labels is None else self._labels
 
     @property
     def point(self) -> tuple | None:
@@ -101,11 +110,12 @@ def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
 
 
 def _edges(vg: VertexGraph):
-    """Each edge of vg once, as (a, b, the labels it keeps) with a < b."""
+    """Each edge of vg once, as (a, b, the mask of the labels it keeps) with
+    a < b."""
     for a, v in enumerate(vg.vertices):
         for l, b in vg.edges_of(a):
             if b > a:
-                yield a, b, v.labels - {l}
+                yield a, b, v.mask ^ 1 << l
 
 
 def _walk(
@@ -113,10 +123,12 @@ def _walk(
 ) -> tuple[tuple[PathStep, ...], tuple[int, int] | None]:
     """The steps of the path that drops label r, and its terminal pair of
     vertex indices; None when the path returns to the artificial pair."""
-    full = frozenset(range(1, g.m + g.n + 1))
+    full = _mask(range(1, g.m + g.n + 1))
     graphs = (p, q)
     art = _artificial_labels(g)
+    art_masks = tuple(map(_mask, art))
     at = [len(p.vertices), len(q.vertices)]
+    masks = list(art_masks)
     nodes = [GraphNode(art[0], None), GraphNode(art[1], None)]
     steps = [PathStep(nodes[0], nodes[1], None)]
     side, drop = (0 if r <= g.m else 1), r
@@ -125,27 +137,29 @@ def _walk(
         vg = graphs[side]
         k = at[side] = _drop_label(vg, at[side], drop)
         if k == len(vg.vertices):
+            masks[side] = art_masks[side]
             nodes[side] = GraphNode(art[side], None)
         else:
             v = vg.vertices[k]
-            nodes[side] = GraphNode(v.labels, v)
-        v1, v2 = nodes
-        steps.append(PathStep(v1, v2, side + 1))
-        if v1.labels | v2.labels == full:
+            masks[side] = v.mask
+            nodes[side] = GraphNode(None, v)
+        steps.append(PathStep(nodes[0], nodes[1], side + 1))
+        if masks[0] | masks[1] == full:
             break
-        dup = v1.labels & v2.labels
-        if len(dup) != 1:
+        dup = masks[0] & masks[1]
+        if not (dup and not dup & (dup - 1)):
             raise InternalInvariantError(
-                f"path pair duplicates labels {sorted(dup)}, not exactly one"
+                "path pair duplicates labels "
+                f"{sorted(nodes[0].labels & nodes[1].labels)}, not exactly one"
             )
-        drop = next(iter(dup))
+        drop = dup.bit_length() - 1
         side = 1 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
-    if v1.artificial != v2.artificial:
+    if nodes[0].artificial != nodes[1].artificial:
         # union = full with one artificial side forces the full start pair
         raise InternalInvariantError("path ended with exactly one artificial node")
-    return tuple(steps), None if v1.artificial else (at[0], at[1])
+    return tuple(steps), None if nodes[0].artificial else (at[0], at[1])
 
 
 def lh_run(g: BimatrixGame, r: int) -> LHPath:
@@ -250,19 +264,23 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     one label, and likewise an edge of Q. Non-degeneracy gives every P
     node m labels and every Q node n labels, each set carried by one node.
     So if the edge keeps the labels S, its partners j are the Q nodes
-    labeled (full - S) - {l}, one lookup for each l in full - S. Only the
-    pairs these edges touch enter the union-find; every other pair is a
-    component of its own. The equilibrium pairs are the completely labeled
-    (P vertex, Q vertex) pairs, each checked once.
+    labeled (full - S) - {l}, one mask lookup for each l in full - S. Only
+    the pairs these edges touch enter the union-find, each pair (i, j) as
+    the integer i * (V_Q + 1) + j, whose order is that of the pairs; every
+    other pair is a component of its own. The equilibrium pairs are the
+    completely labeled (P vertex, Q vertex) pairs, each checked once.
     """
     p, q = require_nondegenerate(g)
-    full = frozenset(range(1, g.m + g.n + 1))
-    art1, art2 = _artificial_labels(g)
+    full = _mask(range(1, g.m + g.n + 1))
+    art1, art2 = map(_mask, _artificial_labels(g))
     n1, n2 = len(p.vertices), len(q.vertices)
     at1 = p.at | {art1: n1}
     at2 = q.at | {art2: n2}
+    width = n2 + 1
 
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    # a dict over the touched pairs only: a 12 x 12 game has millions of
+    # pairs, and its edges touch a few hundred
+    parent: dict[int, int] = {}
 
     def find(x):
         parent.setdefault(x, x)
@@ -277,36 +295,53 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             parent[rx] = ry
 
     def partners(shared, at):
-        rest = full - shared
-        for l in rest:
-            k = at.get(rest - {l})
+        rest = bits = full ^ shared
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            k = at.get(rest ^ bit)
             if k is not None:
                 yield k
 
     for a, b, shared in _edges(p):
         for j in partners(shared, at2):
-            union((a, j), (b, j))
+            union(a * width + j, b * width + j)
     for a, b, shared in _edges(q):
         for i in partners(shared, at1):
-            union((i, a), (i, b))
+            union(i * width + a, i * width + b)
 
     # touched pairs in increasing order, so the groups come in the order of
-    # their least pairs
-    groups: dict[tuple[int, int], set] = {}
+    # their least pairs. A group's number is the place of its least pair
+    # among all pairs, less the touched pairs before it that are not the
+    # least of their group.
+    groups: dict[int, list[int]] = {}
+    number: dict[int, int] = {}
+    skipped = 0
     for x in sorted(parent):
-        groups.setdefault(find(x), set()).add(x)
-    components = tuple(frozenset(c) for c in groups.values())
-    art = (n1, n2)
-
+        root = find(x)
+        group = groups.get(root)
+        if group is None:
+            groups[root] = [x]
+            number[root] = x - skipped
+        else:
+            group.append(x)
+            skipped += 1
+    # each group's pairs go into a set in increasing order, and the set is
+    # copied: that fixes the order in which the frozenset iterates and prints
+    components = tuple(
+        frozenset({divmod(x, width) for x in group}) for group in groups.values()
+    )
+    # every completely labeled pair, the artificial one too, is touched: an
+    # edge of its P node keeps all but one of the labels its Q node lacks
     eq_pairs = tuple(
-        (pair, _component_number(components, art, pair), eq)
+        (pair, number[find(pair[0] * width + pair[1])], eq)
         for pair, eq in _labeled_equilibria(p, q).items()
     )
     # each union of two touched groups takes one component off the count
     return GPrimeReport(
-        (n1 + 1) * (n2 + 1) - len(parent) + len(groups),
+        (n1 + 1) * width - len(parent) + len(groups),
         components,
-        art,
-        _component_number(components, art, art),
+        (n1, n2),
+        number[find(n1 * width + n2)],
         eq_pairs,
     )

@@ -252,10 +252,11 @@ def _optimal_face(graph: VertexGraph, cost, start: int, fixed=frozenset()) -> se
     (Balinski 1961), so the flood finds all of them.
     """
 
+    ray = len(graph.vertices)
+
     def near(k: int):
-        for l in sorted(graph.vertices[k].labels - fixed):
-            j = graph.neighbour(k, l)
-            if j is not None:
+        for l, j in sorted(graph.near(k).items()):
+            if j != ray and l not in fixed:
                 yield (*cost(j), j)
 
     k = start
@@ -373,9 +374,9 @@ class _Walk:
             return got
         p, px = self.p, self.px
         lo = hi = beta2_row = None  # (num, den) with den > 0
-        for l in sorted(p.vertices[k].labels):
-            j = p.neighbour(k, l)
-            if j is None:
+        ray = len(p.vertices)
+        for l, j in sorted(p.near(k).items()):
+            if j == ray:
                 continue  # a ray never crosses v's line
             num, den = px.chord(k, j)
             if den > 0:
@@ -445,9 +446,9 @@ class _Walk:
         pi1 slope, den > 0."""
         q = self.q
         out = []
-        for l in sorted(q.vertices[a].labels):
-            j = q.neighbour(a, l)
-            if j is not None:
+        ray = len(q.vertices)
+        for l, j in sorted(q.near(a).items()):
+            if j != ray:
                 num, den = self._slope(a, j)
                 if den > 0:
                     out.append((num, den, j))

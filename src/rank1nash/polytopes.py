@@ -36,6 +36,12 @@ basis costs no rational arithmetic. A vertex's labels are its cobasic
 variables, plus the basic variables at zero. A basis whose basic variables
 are all positive is the only basis of its vertex, so only a basis with a
 basic variable at zero looks its key up among the vertices found before it.
+The labels are kept as one integer mask, label l as bit l, summed through
+the graph's table of label bits; the frozenset ``labels`` is built only
+when read. Every lookup by label set is a lookup by mask: the label count
+of the non-degeneracy check is the mask's bit count, ``VertexGraph.at``
+is keyed by mask, and a P vertex's complementary partner is the Q vertex
+at ``full ^ mask``.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
@@ -43,12 +49,13 @@ numerator and denominator, and builds ``point`` on first read. They are
 sorted by cross-multiplication: key a comes before key b when, at the first
 i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
 the order of their strategies a / sum(a), so of their points. A caller that
-reads only label sets, such as the non-degeneracy check, builds no rational
-at all. Past the walk an equilibrium is a pair of vertices: ``_equilibrium``
-validates it and runs the Nash test on the two keys, which are exactly the
-integers ``is_nash`` would clear the strategies to, and builds only the two
-points it reports. ``_labeled_equilibria`` is the one readout of every
-completely labeled pair, for ``labels``, ``reachability`` and ``gprime``.
+reads only label masks, such as the non-degeneracy check, builds no rational
+and no label set at all. Past the walk an equilibrium is a pair of
+vertices: ``_equilibrium`` validates it and runs the Nash test on the two
+keys, which are exactly the integers ``is_nash`` would clear the strategies
+to, and builds only the two points it reports. ``_labeled_equilibria`` is
+the one readout of every completely labeled pair, for ``labels``,
+``reachability`` and ``gprime``.
 
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
@@ -78,31 +85,53 @@ from .games import (
 from .linalg import Rational, _pivot, rat
 
 
+def _mask(labels) -> int:
+    """The label mask of a set of labels: label l is bit l."""
+    return sum(1 << l for l in labels)
+
+
 class LabeledVertex:
     """A vertex of P or Q, as its point and its binding labels.
 
-    ``LabeledVertex(point, labels)`` keeps the point it is given; the vertex
-    walk makes its vertices with ``_from_integers``, and those build
-    ``point`` on first read. Vertices compare and hash as (point, labels).
+    ``mask`` holds the labels as bits, label l as bit l, and every label
+    lookup of the package is keyed by it. ``LabeledVertex(point, labels)``
+    keeps the point and the label set it is given. The vertex walk makes its
+    vertices with ``_from_integers``, and those build ``point`` and the
+    frozenset ``labels`` on first read. Vertices compare and hash as
+    (point, labels).
     """
 
-    __slots__ = ("labels", "_point", "_integers")
+    __slots__ = ("mask", "_labels", "_zero", "_point", "_integers")
 
     def __init__(self, point: tuple[Rational, ...], labels: frozenset[int]):
-        self.labels = labels
+        self.mask = _mask(labels)
+        self._labels = labels
+        self._zero = None
         self._point = point
         self._integers = None
 
     @classmethod
     def _from_integers(
-        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, labels
+        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, mask: int, zero
     ) -> "LabeledVertex":
-        """The vertex (key / den, num / pay_den); no rational is built yet."""
+        """The vertex (key / den, num / pay_den) with the label mask ``mask``;
+        no rational and no label set is built yet. ``zero`` is (the variables
+        at zero, in the walk's order, the label of each variable): the label
+        set is built in that order, which fixes the order it iterates in."""
         v = cls.__new__(cls)
-        v.labels = labels
+        v.mask = mask
+        v._labels = None
+        v._zero = zero
         v._point = None
         v._integers = (key, den, num, pay_den)
         return v
+
+    @property
+    def labels(self) -> frozenset[int]:
+        if self._labels is None:
+            variables, names = self._zero
+            self._labels = frozenset(map(names.__getitem__, variables))
+        return self._labels
 
     @property
     def point(self) -> tuple[Rational, ...]:
@@ -114,7 +143,7 @@ class LabeledVertex:
     def __eq__(self, other):
         if not isinstance(other, LabeledVertex):
             return NotImplemented
-        return self.labels == other.labels and self.point == other.point
+        return self.mask == other.mask and self.point == other.point
 
     def __hash__(self):
         return hash((self.point, self.labels))
@@ -202,7 +231,7 @@ def _point_order(a: tuple, b: tuple) -> int:
 
 def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     """The vertices of P (which="P") or Q, each with its complete
-    binding-label set, sorted by point, and the steps of the walk.
+    binding-label mask, sorted by point, and the steps of the walk.
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
     Q' over y for "Q"; see the module docstring), shifting the game's
@@ -210,7 +239,8 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     to the point (z / sum(z), best-reply payoff), read off the integer
     dictionary and built on first read. Its labels are the cobasic
     variables plus every basic variable at zero, so extra bindings on
-    degenerate inputs are reported faithfully.
+    degenerate inputs are reported faithfully; ``labels[v]`` is the label
+    of variable v, and its bit is the variable's term of the mask.
     """
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
@@ -222,6 +252,7 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     shift = 1 - min(map(min, ints))  # the least entry becomes 1
     mat = [[v + shift for v in row] for row in ints]
     d = len(mat[0])
+    bits = [1 << l for l in labels]  # the label bit of each variable
     steps: list[list[int]] = []
     # key -> (key, sum(key), vertex, number of the vertex's first basis)
     found: dict[tuple[int, ...], tuple] = {}
@@ -241,16 +272,14 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
         # a degenerate vertex all give the same key
         common = math.gcd(*z)
         key = tuple(z) if common == 1 else tuple(v // common for v in z)
-        if tight:
+        if tight and key in found:
             # a vertex with more zeros than cobasic variables: other bases
-            # may share it, and the first one found stands for them all
-            if key in found:
-                continue
-            zero = cobasis + tight
-        else:
-            # every basic variable is positive, so no other basis has this
-            # vertex, and its labels are exactly the cobasic variables
-            zero = cobasis
+            # may share it, and the first one found stands for them all.
+            # When every basic variable is positive, no other basis has it.
+            continue
+        # its labels: the cobasic variables, plus the basic variables at
+        # zero; the walk never changes a cobasis list it has handed over
+        zero = cobasis + tight if tight else cobasis
         # some row of mat is tight at z / det, so the best-reply payoff of
         # the strategy z / total is (det - shift * total) / (scale * total)
         vertex = LabeledVertex._from_integers(
@@ -258,7 +287,8 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
             total // common,
             det - shift * total,
             scale * total,
-            frozenset([labels[v] for v in zero]),
+            sum(map(bits.__getitem__, zero)),
+            (zero, labels),
         )
         found[key] = (key, total // common, vertex, number)
     # distinct keys give distinct strategies, so no two compare equal
@@ -287,7 +317,7 @@ class VertexGraph:
     that found them.
 
     ``require_nondegenerate`` returns one per side of a non-degenerate game,
-    and every method reads vertices, edges and label sets from these. The
+    and every method reads vertices, edges and label masks from these. The
     nodes of the graph are the V vertices and, as node V, the origin of the
     normalised polytope, which carries the x labels on P and the y labels on
     Q. In a non-degenerate game each node is one basis of the walk,
@@ -306,9 +336,9 @@ class VertexGraph:
     payoffs: IntegerPayoffs = field(compare=False, repr=False)
 
     @cached_property
-    def at(self) -> dict[frozenset[int], int]:
-        """The index of each vertex, keyed by its label set."""
-        return {v.labels: k for k, v in enumerate(self.vertices)}
+    def at(self) -> dict[int, int]:
+        """The index of each vertex, keyed by its label mask."""
+        return {v.mask: k for k, v in enumerate(self.vertices)}
 
     @cached_property
     def _node(self) -> dict[int, int]:
@@ -355,7 +385,7 @@ def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
     for which, bound in (("P", g.m), ("Q", g.n)):
         graph = _vertex_graph(payoffs, which)
         for v in graph.vertices:
-            if len(v.labels) != bound:
+            if v.mask.bit_count() != bound:
                 pt = "(" + ", ".join(str(x) for x in v.point) + ")"
                 raise DegenerateGame(
                     f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
@@ -408,13 +438,14 @@ def _labeled_equilibria(
     p: VertexGraph, q: VertexGraph
 ) -> dict[tuple[int, int], EquilibriumPoint]:
     """The equilibrium of each completely labeled pair (i, j), checked once:
-    P vertex i and the Q vertex j labeled by the labels i lacks. The pairs
+    P vertex i and the Q vertex j labeled by the labels i lacks, found at
+    the mask ``full ^ mask``. The pairs
     come in the order of the P vertices, which are sorted by point and each
     have at most one partner, so the equilibria come sorted by key."""
-    full, at = frozenset(p.labels), q.at
+    full, at = _mask(p.labels), q.at
     out = {}
     for i, vp in enumerate(p.vertices):
-        j = at.get(full - vp.labels)
+        j = at.get(full ^ vp.mask)
         if j is not None:
             out[i, j] = _equilibrium(p.payoffs, vp, q.vertices[j])
     return out

@@ -198,7 +198,7 @@ def test_sweep_builds_points_of_equilibrium_vertices_only(g, built, monkeypatch)
     ids=["kt6", "random-10x10"],
 )
 def test_label_methods_build_points_of_reported_vertices_only(g, monkeypatch):
-    # labels, lh and gprime match vertices by label set and by index and
+    # labels, lh and gprime match vertices by label mask and by index and
     # check each equilibrium on its vertices' integers; a path's nodes read
     # no point, so per side only the vertices of a reported equilibrium
     # build theirs. Every call gets the same two graphs, their points
@@ -216,11 +216,18 @@ def test_label_methods_build_points_of_reported_vertices_only(g, monkeypatch):
                 v._point = None
         return tuple(counts)
 
+    def no_label_set():
+        # labels and G' match vertices by label mask and build no label set
+        return all(v._labels is None for side in graphs for v in side.vertices)
+
+    assert no_label_set()
     labeled = equilibria_by_labels(g)
+    assert no_label_set()
     assert built() == (len(labeled),) * 2
     rep = reachability(g)
     assert built() == (len(rep.reached) + len(rep.unreached),) * 2
     gp = gprime_components(g)
+    assert no_label_set()
     assert built() == (len(gp.equilibrium_pairs),) * 2
     for r in range(1, g.m + g.n + 1):
         path = lh_run(g, r)

@@ -409,11 +409,23 @@ def test_check_builds_no_vertex_point(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(polytopes, "rat", counted)
+    # nor a label set: the check counts the bits of each vertex's mask
+    graphs = []
+    original_graph = polytopes._vertex_graph
+
+    def kept(payoffs, which):
+        graphs.append(original_graph(payoffs, which))
+        return graphs[-1]
+
+    monkeypatch.setattr(polytopes, "_vertex_graph", kept)
     rng = random.Random(5531)
     games = [generate_kt(d) for d in range(1, 9)]
     games += [_bigrat_game(rng, 5, 5) for _ in range(3)]
+    games.append(random_rank1_game(random.Random(1), 10, 10, -99, 99))
     for g in games:
         check_nondegenerate(g)
+    assert len(graphs) == 2 * len(games)
+    assert all(v._labels is None for graph in graphs for v in graph.vertices)
     p, q = polytopes.require_nondegenerate(generate_kt(5))
     assert built == 0
     assert len(p.vertices[0].point) == 6
@@ -671,6 +683,42 @@ def test_neighbours_match_the_label_set_index():
     games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
     games += [generate_kt(d) for d in range(1, 11)]
     assert all(_assert_neighbours_match_label_sets(g) for g in games)
+
+
+def _assert_masks_match_label_sets(g) -> int:
+    """Every vertex the walk finds on either side, degenerate games
+    included: its label mask and its label set name the same labels, a
+    vertex made from its point and label set gets the same mask, and the
+    graph's lookup by mask finds it. Returns the number of vertices with
+    more labels than the side's dimension: those with a basic variable at
+    zero."""
+    payoffs = IntegerPayoffs.of(g)
+    extra = 0
+    for which, size in (("P", g.m), ("Q", g.n)):
+        graph = polytopes._vertex_graph(payoffs, which)
+        for k, v in enumerate(graph.vertices):
+            bits = {l for l in range(v.mask.bit_length()) if v.mask >> l & 1}
+            assert v.labels == bits, (g, which, v)
+            assert v.mask.bit_count() == len(v.labels)
+            assert LabeledVertex(v.point, v.labels).mask == v.mask
+            assert graph.at[v.mask] == k
+            extra += len(v.labels) > size
+    return extra
+
+
+def test_masks_match_label_sets():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 9)]
+    # duplicate columns of B: x = e2 is a double best reply
+    games.append(BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1))))
+    assert len(games) == 23
+    assert sum(map(_assert_masks_match_label_sets, games)) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_games())
+def test_masks_match_label_sets_on_draws(g):
+    _assert_masks_match_label_sets(g)
 
 
 @st.composite
