@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import partial
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -356,40 +357,33 @@ TransformOp = AddToColumnOfA | AddToRowOfB | ScaleColumnOfA | ScaleRowOfB
 
 
 def transform(g: BimatrixGame, op: TransformOp) -> BimatrixGame:
-    """Apply one payoff transform, returning the modified game."""
-    if isinstance(op, AddToColumnOfA):
-        lam = rat(op.lam)
-        a2 = tuple(
-            tuple(v + lam if j == op.column else v for j, v in enumerate(row))
-            for row in g.A
-        )
-        return BimatrixGame(g.m, g.n, a2, g.B)
-    if isinstance(op, AddToRowOfB):
-        lam = rat(op.lam)
-        b2 = tuple(
-            tuple(v + lam for v in row) if i == op.row else row
-            for i, row in enumerate(g.B)
-        )
-        return BimatrixGame(g.m, g.n, g.A, b2)
-    if isinstance(op, ScaleColumnOfA):
+    """Apply one payoff transform, returning the modified game; ValueError
+    when the op names a row or column the game lacks."""
+    if isinstance(op, (AddToColumnOfA, ScaleColumnOfA)):
+        kind, index, size = "column", op.column, g.n
+    elif isinstance(op, (AddToRowOfB, ScaleRowOfB)):
+        kind, index, size = "row", op.row, g.m
+    else:
+        raise TypeError(f"unknown transform {op!r}")
+    if not 0 <= index < size:
+        raise ValueError(f"{kind} {index} out of range 0..{size - 1}")
+    if isinstance(op, (ScaleColumnOfA, ScaleRowOfB)):
         f = rat(op.factor)
         if f <= 0:
             raise NonPositiveScale(f"scale factor {f} must be positive")
+        change = partial(mul, f)
+    else:
+        change = partial(add, rat(op.lam))
+    if kind == "column":
         a2 = tuple(
-            tuple(v * f if j == op.column else v for j, v in enumerate(row))
+            tuple(change(v) if j == index else v for j, v in enumerate(row))
             for row in g.A
         )
         return BimatrixGame(g.m, g.n, a2, g.B)
-    if isinstance(op, ScaleRowOfB):
-        f = rat(op.factor)
-        if f <= 0:
-            raise NonPositiveScale(f"scale factor {f} must be positive")
-        b2 = tuple(
-            tuple(v * f for v in row) if i == op.row else row
-            for i, row in enumerate(g.B)
-        )
-        return BimatrixGame(g.m, g.n, g.A, b2)
-    raise TypeError(f"unknown transform {op!r}")
+    b2 = tuple(
+        tuple(map(change, row)) if i == index else row for i, row in enumerate(g.B)
+    )
+    return BimatrixGame(g.m, g.n, g.A, b2)
 
 
 def generate_kt(d: int) -> BimatrixGame:

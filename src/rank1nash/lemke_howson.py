@@ -14,19 +14,18 @@ Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
 steps from a node by dropping a label, which reads the pivot the walk
 recorded for it, and G' takes every edge from that record. It also gives
-each node a label set of its own, kept as an integer mask (label l is bit
-l): a path finds its duplicate label as the one bit two masks share, and
-G' finds the partners of an edge on the other side by looking up a mask,
-never by scanning the other graph. G' joins pairs (i, j) as the integers
-i * (V_Q + 1) + j and builds no label set. Past the walk an equilibrium is
-a pair of vertex indices: ``reachability`` and ``gprime_components`` take
-the completely labeled (P vertex, Q vertex) pairs, each verified once on
-the vertices' integers, from ``polytopes._labeled_equilibria``, and
-``reachability`` matches every path terminal to one of those by its pair
-of indices. ``lh_run`` verifies its single terminal itself. A path's nodes
-keep their vertices and build a vertex's label set and point only when
-they are read, so the rationals built are those of the equilibria
-reported.
+each node a label set of its own, kept only as an integer mask (label l
+is bit l): a path finds its duplicate label as the one bit two masks
+share, and G' finds the partners of an edge on the other side by looking
+up a mask, never by scanning the other graph. G' joins pairs (i, j) as
+the integers i * (V_Q + 1) + j and builds no label set. Past the walk an
+equilibrium is a pair of vertex indices: ``reachability`` and
+``gprime_components`` take the completely labeled (P vertex, Q vertex)
+pairs, each verified once on the vertices' integers, from
+``polytopes._labeled_equilibria``, and ``reachability`` matches every path
+terminal to one of those by its pair of indices. ``lh_run`` verifies its
+single terminal itself. A path's node keeps its mask and vertex, and
+decodes its labels (in increasing order) and reads its point only on use.
 """
 
 from __future__ import annotations
@@ -39,27 +38,28 @@ from .polytopes import (
     LabeledVertex,
     VertexGraph,
     _equilibrium,
-    _mask,
+    _label_set,
     _labeled_equilibria,
+    _mask,
     require_nondegenerate,
 )
 
 
 class GraphNode:
-    """A node of a path: a vertex's label set and point, or the artificial
-    node's label set with point None. The node keeps its vertex and reads
-    its labels and point on first use; ``labels`` None stands for the
-    vertex's. Nodes compare and hash as (labels, point)."""
+    """A node of a path: its label mask and its vertex, None for the
+    artificial node. ``labels`` decodes the mask, in increasing label
+    order, and ``point`` reads the vertex's (None on the artificial node),
+    each on use. Nodes compare and hash as (mask, point)."""
 
-    __slots__ = ("_labels", "_vertex")
+    __slots__ = ("mask", "_vertex")
 
-    def __init__(self, labels: frozenset[int] | None, vertex: LabeledVertex | None):
-        self._labels = labels
+    def __init__(self, mask: int, vertex: LabeledVertex | None):
+        self.mask = mask
         self._vertex = vertex
 
     @property
     def labels(self) -> frozenset[int]:
-        return self._vertex.labels if self._labels is None else self._labels
+        return _label_set(self.mask)
 
     @property
     def point(self) -> tuple | None:
@@ -72,10 +72,10 @@ class GraphNode:
     def __eq__(self, other):
         if not isinstance(other, GraphNode):
             return NotImplemented
-        return self.labels == other.labels and self.point == other.point
+        return self.mask == other.mask and self.point == other.point
 
     def __hash__(self):
-        return hash((self.labels, self.point))
+        return hash((self.mask, self.point))
 
     def __repr__(self):
         return f"GraphNode(labels={self.labels!r}, point={self.point!r})"
@@ -96,9 +96,10 @@ class LHPath:
     artificial_loop: bool
 
 
-def _artificial_labels(g: BimatrixGame) -> tuple[frozenset[int], frozenset[int]]:
-    """The labels of the artificial node of P and of Q."""
-    return frozenset(range(1, g.m + 1)), frozenset(range(g.m + 1, g.m + g.n + 1))
+def _artificial_masks(g: BimatrixGame) -> tuple[int, int]:
+    """The label masks of the artificial node of P, labels 1..m, and of Q,
+    labels m+1..m+n."""
+    return _mask(range(1, g.m + 1)), _mask(range(g.m + 1, g.m + g.n + 1))
 
 
 def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
@@ -123,12 +124,8 @@ def _walk(
 ) -> tuple[tuple[PathStep, ...], tuple[int, int] | None]:
     """The steps of the path that drops label r, and its terminal pair of
     vertex indices; None when the path returns to the artificial pair."""
-    full = _mask(range(1, g.m + g.n + 1))
-    graphs = (p, q)
-    art = _artificial_labels(g)
-    art_masks = tuple(map(_mask, art))
+    full, graphs, art = p.full, (p, q), _artificial_masks(g)
     at = [len(p.vertices), len(q.vertices)]
-    masks = list(art_masks)
     nodes = [GraphNode(art[0], None), GraphNode(art[1], None)]
     steps = [PathStep(nodes[0], nodes[1], None)]
     side, drop = (0 if r <= g.m else 1), r
@@ -137,20 +134,18 @@ def _walk(
         vg = graphs[side]
         k = at[side] = _drop_label(vg, at[side], drop)
         if k == len(vg.vertices):
-            masks[side] = art_masks[side]
             nodes[side] = GraphNode(art[side], None)
         else:
             v = vg.vertices[k]
-            masks[side] = v.mask
-            nodes[side] = GraphNode(None, v)
+            nodes[side] = GraphNode(v.mask, v)
         steps.append(PathStep(nodes[0], nodes[1], side + 1))
-        if masks[0] | masks[1] == full:
+        if nodes[0].mask | nodes[1].mask == full:
             break
-        dup = masks[0] & masks[1]
+        dup = nodes[0].mask & nodes[1].mask
         if not (dup and not dup & (dup - 1)):
             raise InternalInvariantError(
                 "path pair duplicates labels "
-                f"{sorted(nodes[0].labels & nodes[1].labels)}, not exactly one"
+                f"{sorted(_label_set(dup))}, not exactly one"
             )
         drop = dup.bit_length() - 1
         side = 1 - side
@@ -271,8 +266,8 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     completely labeled (P vertex, Q vertex) pairs, each checked once.
     """
     p, q = require_nondegenerate(g)
-    full = _mask(range(1, g.m + g.n + 1))
-    art1, art2 = map(_mask, _artificial_labels(g))
+    full = p.full
+    art1, art2 = _artificial_masks(g)
     n1, n2 = len(p.vertices), len(q.vertices)
     at1 = p.at | {art1: n1}
     at2 = q.at | {art2: n2}

@@ -84,6 +84,7 @@ from .polytopes import (
     LabeledVertex,
     VertexGraph,
     _equilibrium,
+    _label_set,
     require_nondegenerate,
 )
 
@@ -301,10 +302,10 @@ class _Walk:
         Every vertex of the slice has such an edge, as a ray of Q only
         raises pi1.
         """
-        p, q = self.p, self.q
-        k = min(self._p_face(xi), key=lambda k: sorted(p.vertices[k].labels))
+        pv, qv = self.p.vertices, self.q.vertices
+        k = min(self._p_face(xi), key=lambda k: sorted(pv[k].labels))
         ups = sorted(
-            (sorted(q.vertices[a].labels & q.vertices[j].labels), num, den, a, j)
+            (sorted(_label_set(qv[a].mask & qv[j].mask)), num, den, a, j)
             for a in self._q_face(xi)
             for num, den, j in self._up_edges(a)
         )
@@ -401,30 +402,31 @@ class _Walk:
         return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
-        """(the labels kept, pi1 slope, pi1 at xi = 0, the label hi adds) of
-        the Q edge from lo to hi, the two as (num, den) with den > 0."""
+        """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
+        hi adds) of the Q edge from lo to hi, the two as (num, den) with
+        den > 0."""
         got = self._edges.get((lo, hi))
         if got is None:
-            w_lo, w_hi = self.q.vertices[lo].labels, self.q.vertices[hi].labels
-            key = w_lo & w_hi
-            (added,) = w_hi - key
+            hi_mask = self.q.vertices[hi].mask
+            shared = self.q.vertices[lo].mask & hi_mask
+            added = (hi_mask ^ shared).bit_length() - 1
             num, den = slope = self._slope(lo, hi)
             s, o, d = self.qy.ints(lo)
             # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
             at0 = (o * den - s * num, d * den)
-            got = self._edges[lo, hi] = (key, slope, at0, added)
+            got = self._edges[lo, hi] = (shared, slope, at0, added)
         return got
 
     def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
         """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
         m, n = self.m, self.n
         p_lo, beta2, beta2_row = self._p_bounds(k)
-        key, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
+        shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
         v = self.p.vertices[k]
         return BasisInterval(
-            basis=ParametricBasis(v.labels, key, m, n),
+            basis=ParametricBasis(v.labels, _label_set(shared), m, n),
             xi1=c_lo if p_lo is None else max(c_lo, p_lo),
             xi2=c_hi if beta2 is None else min(c_hi, beta2),
             alpha2=c_hi,

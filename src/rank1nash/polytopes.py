@@ -36,12 +36,11 @@ basis costs no rational arithmetic. A vertex's labels are its cobasic
 variables, plus the basic variables at zero. A basis whose basic variables
 are all positive is the only basis of its vertex, so only a basis with a
 basic variable at zero looks its key up among the vertices found before it.
-The labels are kept as one integer mask, label l as bit l, summed through
-the graph's table of label bits; the frozenset ``labels`` is built only
-when read. Every lookup by label set is a lookup by mask: the label count
-of the non-degeneracy check is the mask's bit count, ``VertexGraph.at``
-is keyed by mask, and a P vertex's complementary partner is the Q vertex
-at ``full ^ mask``.
+The labels are kept only as one integer mask, label l as bit l, summed
+through the graph's table of label bits; ``_label_set`` decodes a mask
+into a frozenset in increasing label order. Every lookup by label set is
+a lookup by mask: the check counts the mask's bits, ``VertexGraph.at`` is
+keyed by mask, and a P vertex's partner is the Q vertex at ``full ^ mask``.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
@@ -73,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
+from itertools import compress, count
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import (
@@ -90,48 +90,46 @@ def _mask(labels) -> int:
     return sum(1 << l for l in labels)
 
 
+def _label_set(mask: int) -> frozenset[int]:
+    """The labels of a mask, added to the set in increasing order, so that
+    the set's iteration order depends on its labels alone."""
+    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+
+
 class LabeledVertex:
     """A vertex of P or Q, as its point and its binding labels.
 
-    ``mask`` holds the labels as bits, label l as bit l, and every label
-    lookup of the package is keyed by it. ``LabeledVertex(point, labels)``
-    keeps the point and the label set it is given. The vertex walk makes its
-    vertices with ``_from_integers``, and those build ``point`` and the
-    frozenset ``labels`` on first read. Vertices compare and hash as
-    (point, labels).
+    ``mask``, label l as bit l, is the only form in which a vertex keeps
+    its labels, and every label lookup of the package is keyed by it;
+    ``labels`` decodes it on each read, in increasing label order.
+    ``LabeledVertex(point, labels)`` keeps the point and the labels' mask.
+    The vertex walk makes its vertices with ``_from_integers``, and those
+    build ``point`` on first read. Vertices compare and hash as (point,
+    mask).
     """
 
-    __slots__ = ("mask", "_labels", "_zero", "_point", "_integers")
+    __slots__ = ("mask", "_point", "_integers")
 
     def __init__(self, point: tuple[Rational, ...], labels: frozenset[int]):
         self.mask = _mask(labels)
-        self._labels = labels
-        self._zero = None
         self._point = point
         self._integers = None
 
     @classmethod
     def _from_integers(
-        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, mask: int, zero
+        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, mask: int
     ) -> "LabeledVertex":
         """The vertex (key / den, num / pay_den) with the label mask ``mask``;
-        no rational and no label set is built yet. ``zero`` is (the variables
-        at zero, in the walk's order, the label of each variable): the label
-        set is built in that order, which fixes the order it iterates in."""
+        no rational is built yet."""
         v = cls.__new__(cls)
         v.mask = mask
-        v._labels = None
-        v._zero = zero
         v._point = None
         v._integers = (key, den, num, pay_den)
         return v
 
     @property
     def labels(self) -> frozenset[int]:
-        if self._labels is None:
-            variables, names = self._zero
-            self._labels = frozenset(map(names.__getitem__, variables))
-        return self._labels
+        return _label_set(self.mask)
 
     @property
     def point(self) -> tuple[Rational, ...]:
@@ -146,7 +144,7 @@ class LabeledVertex:
         return self.mask == other.mask and self.point == other.point
 
     def __hash__(self):
-        return hash((self.point, self.labels))
+        return hash((self.point, self.mask))
 
     def __repr__(self):
         return f"LabeledVertex(point={self.point!r}, labels={self.labels!r})"
@@ -277,18 +275,12 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
             # may share it, and the first one found stands for them all.
             # When every basic variable is positive, no other basis has it.
             continue
-        # its labels: the cobasic variables, plus the basic variables at
-        # zero; the walk never changes a cobasis list it has handed over
-        zero = cobasis + tight if tight else cobasis
+        # its labels: the cobasic variables, plus the basic variables at zero
+        mask = sum(map(bits.__getitem__, cobasis + tight))
         # some row of mat is tight at z / det, so the best-reply payoff of
         # the strategy z / total is (det - shift * total) / (scale * total)
         vertex = LabeledVertex._from_integers(
-            key,
-            total // common,
-            det - shift * total,
-            scale * total,
-            sum(map(bits.__getitem__, zero)),
-            (zero, labels),
+            key, total // common, det - shift * total, scale * total, mask
         )
         found[key] = (key, total // common, vertex, number)
     # distinct keys give distinct strategies, so no two compare equal
@@ -334,6 +326,11 @@ class VertexGraph:
     bases: tuple[int, ...] = field(compare=False, repr=False)
     labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
     payoffs: IntegerPayoffs = field(compare=False, repr=False)
+
+    @property
+    def full(self) -> int:
+        """The mask of every label, 1..m+n."""
+        return _mask(self.labels)
 
     @cached_property
     def at(self) -> dict[int, int]:
@@ -442,7 +439,7 @@ def _labeled_equilibria(
     the mask ``full ^ mask``. The pairs
     come in the order of the P vertices, which are sorted by point and each
     have at most one partner, so the equilibria come sorted by key."""
-    full, at = _mask(p.labels), q.at
+    full, at = p.full, q.at
     out = {}
     for i, vp in enumerate(p.vertices):
         j = at.get(full ^ vp.mask)

@@ -361,6 +361,21 @@ def test_scale_rejects_nonpositive(unreach22):
         transform(unreach22, ScaleRowOfB(1, rat(-1, 2)))
 
 
+def test_transform_rejects_an_index_out_of_range():
+    # a 2 x 3 game, so a column index of 2 is in range and a row index is not
+    g = BimatrixGame.from_payoffs(((1, 2, 3), (4, 5, 6)), ((6, 5, 4), (3, 2, 1)))
+    for op, size in (
+        (AddToColumnOfA, 3),
+        (ScaleColumnOfA, 3),
+        (AddToRowOfB, 2),
+        (ScaleRowOfB, 2),
+    ):
+        for index in (-1, size, 5):
+            with pytest.raises(ValueError, match=f"{index} out of range"):
+                transform(g, op(index, 2))
+        assert transform(g, op(size - 1, 2)) != g
+
+
 def test_generate_kt_goldens():
     g1 = generate_kt(1)
     assert g1.A == ((2,),) and g1.B == ((2,),)

@@ -216,22 +216,29 @@ def test_label_methods_build_points_of_reported_vertices_only(g, monkeypatch):
                 v._point = None
         return tuple(counts)
 
-    def no_label_set():
-        # labels and G' match vertices by label mask and build no label set
-        return all(v._labels is None for side in graphs for v in side.vertices)
+    # labels, lh and G' match vertices by label mask and decode no label set
+    decoded = []
+    original_decode = polytopes._label_set
 
-    assert no_label_set()
+    def counted_decode(mask):
+        decoded.append(mask)
+        return original_decode(mask)
+
+    for module in (polytopes, lemke_howson):
+        monkeypatch.setattr(module, "_label_set", counted_decode)
+
     labeled = equilibria_by_labels(g)
-    assert no_label_set()
+    assert not decoded
     assert built() == (len(labeled),) * 2
     rep = reachability(g)
     assert built() == (len(rep.reached) + len(rep.unreached),) * 2
     gp = gprime_components(g)
-    assert no_label_set()
+    assert not decoded
     assert built() == (len(gp.equilibrium_pairs),) * 2
     for r in range(1, g.m + g.n + 1):
         path = lh_run(g, r)
         assert built() == (int(path.terminal is not None),) * 2
+    assert not decoded
 
 
 def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):

@@ -410,6 +410,15 @@ def test_check_builds_no_vertex_point(monkeypatch):
 
     monkeypatch.setattr(polytopes, "rat", counted)
     # nor a label set: the check counts the bits of each vertex's mask
+    decoded = 0
+    original_decode = polytopes._label_set
+
+    def counted_decode(mask):
+        nonlocal decoded
+        decoded += 1
+        return original_decode(mask)
+
+    monkeypatch.setattr(polytopes, "_label_set", counted_decode)
     graphs = []
     original_graph = polytopes._vertex_graph
 
@@ -425,7 +434,7 @@ def test_check_builds_no_vertex_point(monkeypatch):
     for g in games:
         check_nondegenerate(g)
     assert len(graphs) == 2 * len(games)
-    assert all(v._labels is None for graph in graphs for v in graph.vertices)
+    assert decoded == 0
     p, q = polytopes.require_nondegenerate(generate_kt(5))
     assert built == 0
     assert len(p.vertices[0].point) == 6
@@ -687,7 +696,8 @@ def test_neighbours_match_the_label_set_index():
 
 def _assert_masks_match_label_sets(g) -> int:
     """Every vertex the walk finds on either side, degenerate games
-    included: its label mask and its label set name the same labels, a
+    included: its label mask and its label set name the same labels, the
+    set iterates in the order of a set built from its sorted labels, a
     vertex made from its point and label set gets the same mask, and the
     graph's lookup by mask finds it. Returns the number of vertices with
     more labels than the side's dimension: those with a basic variable at
@@ -699,6 +709,7 @@ def _assert_masks_match_label_sets(g) -> int:
         for k, v in enumerate(graph.vertices):
             bits = {l for l in range(v.mask.bit_length()) if v.mask >> l & 1}
             assert v.labels == bits, (g, which, v)
+            assert repr(v.labels) == repr(frozenset(sorted(v.labels))), (g, which, v)
             assert v.mask.bit_count() == len(v.labels)
             assert LabeledVertex(v.point, v.labels).mask == v.mask
             assert graph.at[v.mask] == k
@@ -711,7 +722,10 @@ def test_masks_match_label_sets():
     games += [generate_kt(d) for d in range(1, 9)]
     # duplicate columns of B: x = e2 is a double best reply
     games.append(BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1))))
-    assert len(games) == 23
+    # labels 1..9 over Q's sets of four: label 9 shares a hash slot with
+    # label 1, so a set's order depends on the order its labels were added
+    games.append(random_rank1_game(random.Random(1), 5, 4))
+    assert len(games) == 24
     assert sum(map(_assert_masks_match_label_sets, games)) > 0
 
 
