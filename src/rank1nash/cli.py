@@ -141,21 +141,14 @@ def cmd_enumerate(args) -> int:
     for e in trace.equilibria:
         print(_eq_line(e, with_xi=True))
     if args.trace and table:
-        inner_zero_xis = {
-            e.source_xi for e in trace.equilibria if e.source_xi is not None
-        }
         print("trace:")
         for r in table:
             if r.kind == "point":
                 print(f"xi={r.xi} objective={r.objective} binding={_labels(r.binding)}")
             else:
+                # every zero of the objective is a point of the table
                 a, b = r.span
-                rel = (
-                    "<=0"
-                    if any(a < x < b for x in inner_zero_xis)
-                    else "<0"
-                )
-                print(f"({a}, {b}) objective{rel} binding={_labels(r.binding)}")
+                print(f"({a}, {b}) objective<0 binding={_labels(r.binding)}")
         for bp in trace.breakpoints:
             print(
                 f"pivot at xi={bp.xi}: {bp.kind.lower()}, "

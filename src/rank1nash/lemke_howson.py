@@ -2,9 +2,10 @@
 
 Both walk the vertex graphs that ``require_nondegenerate`` returns, which
 each public call builds once; nothing is cached. Each side has one more
-node, the artificial one: the origin of the normalised polytope, carrying
-the x labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after
-the V vertices, and its edges run to the pure strategies. Paths that drop
+node, the artificial one: the graph's ``origin``, the origin of the
+normalised polytope, a ``LabeledVertex`` with no point that carries the x
+labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after the V
+vertices, and its edges run to the pure strategies. Paths that drop
 one label r from the artificial pair and chase the duplicate label
 alternately over the two sides terminate at equilibria; the product graph
 glues those paths over all r, and its components expose equilibria no such
@@ -24,8 +25,9 @@ equilibrium is a pair of vertex indices: ``reachability`` and
 pairs, each verified once on the vertices' integers, from
 ``polytopes._labeled_equilibria``, and ``reachability`` matches every path
 terminal to one of those by its pair of indices. ``lh_run`` verifies its
-single terminal itself. A path's node keeps its mask and vertex, and
-decodes its labels (in increasing order) and reads its point only on use.
+single terminal itself. A path's nodes are the graphs' own vertices and
+origins, so a path builds no node: each decodes its labels (in increasing
+order) and reads its point only on use.
 """
 
 from __future__ import annotations
@@ -40,51 +42,14 @@ from .polytopes import (
     _equilibrium,
     _label_set,
     _labeled_equilibria,
-    _mask,
     require_nondegenerate,
 )
 
 
-class GraphNode:
-    """A node of a path: its label mask and its vertex, None for the
-    artificial node. ``labels`` decodes the mask, in increasing label
-    order, and ``point`` reads the vertex's (None on the artificial node),
-    each on use. Nodes compare and hash as (mask, point)."""
-
-    __slots__ = ("mask", "_vertex")
-
-    def __init__(self, mask: int, vertex: LabeledVertex | None):
-        self.mask = mask
-        self._vertex = vertex
-
-    @property
-    def labels(self) -> frozenset[int]:
-        return _label_set(self.mask)
-
-    @property
-    def point(self) -> tuple | None:
-        return None if self._vertex is None else self._vertex.point
-
-    @property
-    def artificial(self) -> bool:
-        return self._vertex is None
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphNode):
-            return NotImplemented
-        return self.mask == other.mask and self.point == other.point
-
-    def __hash__(self):
-        return hash((self.mask, self.point))
-
-    def __repr__(self):
-        return f"GraphNode(labels={self.labels!r}, point={self.point!r})"
-
-
 @dataclass(frozen=True)
 class PathStep:
-    node1: GraphNode
-    node2: GraphNode
+    node1: LabeledVertex  # a node of P's graph, its origin or a vertex
+    node2: LabeledVertex  # a node of Q's graph
     pivoted: int | None  # None on the start pair
 
 
@@ -94,12 +59,6 @@ class LHPath:
     steps: tuple[PathStep, ...]
     terminal: EquilibriumPoint | None
     artificial_loop: bool
-
-
-def _artificial_masks(g: BimatrixGame) -> tuple[int, int]:
-    """The label masks of the artificial node of P, labels 1..m, and of Q,
-    labels m+1..m+n."""
-    return _mask(range(1, g.m + 1)), _mask(range(g.m + 1, g.m + g.n + 1))
 
 
 def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
@@ -120,24 +79,21 @@ def _edges(vg: VertexGraph):
 
 
 def _walk(
-    g: BimatrixGame, p: VertexGraph, q: VertexGraph, r: int
+    p: VertexGraph, q: VertexGraph, r: int
 ) -> tuple[tuple[PathStep, ...], tuple[int, int] | None]:
     """The steps of the path that drops label r, and its terminal pair of
     vertex indices; None when the path returns to the artificial pair."""
-    full, graphs, art = p.full, (p, q), _artificial_masks(g)
+    full, graphs = p.full, (p, q)
     at = [len(p.vertices), len(q.vertices)]
-    nodes = [GraphNode(art[0], None), GraphNode(art[1], None)]
-    steps = [PathStep(nodes[0], nodes[1], None)]
-    side, drop = (0 if r <= g.m else 1), r
+    nodes = [p.origin, q.origin]
+    steps = [PathStep(*nodes, None)]
+    # r is a label of P's origin, an x label, or else of Q's
+    side, drop = (0 if p.origin.mask >> r & 1 else 1), r
     limit = (at[0] + 1) * (at[1] + 1) + 1
     for _ in range(limit):
         vg = graphs[side]
-        k = at[side] = _drop_label(vg, at[side], drop)
-        if k == len(vg.vertices):
-            nodes[side] = GraphNode(art[side], None)
-        else:
-            v = vg.vertices[k]
-            nodes[side] = GraphNode(v.mask, v)
+        at[side] = _drop_label(vg, at[side], drop)
+        nodes[side] = vg.node(at[side])
         steps.append(PathStep(nodes[0], nodes[1], side + 1))
         if nodes[0].mask | nodes[1].mask == full:
             break
@@ -151,10 +107,11 @@ def _walk(
         side = 1 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
-    if nodes[0].artificial != nodes[1].artificial:
+    artificial = nodes[0] is p.origin
+    if artificial != (nodes[1] is q.origin):
         # union = full with one artificial side forces the full start pair
         raise InternalInvariantError("path ended with exactly one artificial node")
-    return tuple(steps), None if nodes[0].artificial else (at[0], at[1])
+    return tuple(steps), None if artificial else (at[0], at[1])
 
 
 def lh_run(g: BimatrixGame, r: int) -> LHPath:
@@ -165,7 +122,7 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
     p, q = require_nondegenerate(g)
-    steps, end = _walk(g, p, q, r)
+    steps, end = _walk(p, q, r)
     if end is None:
         return LHPath(r, steps, None, True)
     i, j = end
@@ -190,7 +147,7 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     at.
     """
     p, q = require_nondegenerate(g)
-    walks = [_walk(g, p, q, r) for r in range(1, g.m + g.n + 1)]
+    walks = [_walk(p, q, r) for r in range(1, g.m + g.n + 1)]
     eqs = _labeled_equilibria(p, q)
     paths = []
     for r, (steps, end) in enumerate(walks, start=1):
@@ -267,10 +224,9 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     """
     p, q = require_nondegenerate(g)
     full = p.full
-    art1, art2 = _artificial_masks(g)
     n1, n2 = len(p.vertices), len(q.vertices)
-    at1 = p.at | {art1: n1}
-    at2 = q.at | {art2: n2}
+    at1 = p.at | {p.origin.mask: n1}
+    at2 = q.at | {q.origin.mask: n2}
     width = n2 + 1
 
     # a dict over the touched pairs only: a 12 x 12 game has millions of

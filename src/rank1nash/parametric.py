@@ -345,7 +345,7 @@ class _Walk:
             return xd * o - xn * s, d
 
         # the origin, node V, carries the labels 1..m; dropping i reaches e_i
-        pure = [p.neighbour(len(p.vertices), i) for i in range(1, m + 1)]
+        pure = [p.near(len(p.vertices))[i] for i in range(1, m + 1)]
         return _optimal_face(p, cost, _first_least((*cost(k), k) for k in pure))
 
     def _q_face(self, xi: Rational) -> set[int]:
@@ -361,7 +361,7 @@ class _Walk:
         j = next(j for j in range(n) if m + 1 + j not in fixed)
         # the origin, node V, carries the labels m+1..m+n; dropping m+1+j
         # reaches e_j
-        w = q.neighbour(len(q.vertices), m + 1 + j)
+        w = q.near(len(q.vertices))[m + 1 + j]
         return _optimal_face(q, lambda k: qy.ints(k)[1:], w, fixed)
 
     def _p_bounds(self, k: int) -> tuple:
@@ -543,7 +543,7 @@ def enumerate_all(
         # the dropped label
         case = iv.case
         if case == "Optimality":
-            k = walk.p.neighbour(k, iv.beta2_row)
+            k = walk.p.near(k)[iv.beta2_row]
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
         nxt = walk.interval(k, q_lo, q_hi)

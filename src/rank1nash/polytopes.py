@@ -64,7 +64,9 @@ dictionary, det) and tries the entering variables in dictionary order. A
 basis is known by its mask, the bits of its variables. The walk also
 records every ratio-test step it takes, and in a non-degenerate game, where
 each basis is one vertex and each step is one edge, that record is the
-vertex graph: ``VertexGraph`` reads it node by node, on first use.
+vertex graph: ``VertexGraph`` reads it node by node, on first use. Its
+nodes are the vertices and its ``origin``, the walk's first basis, which is
+a ``LabeledVertex`` with no point: the origin is not a strategy.
 """
 
 from __future__ import annotations
@@ -97,20 +99,21 @@ def _label_set(mask: int) -> frozenset[int]:
 
 
 class LabeledVertex:
-    """A vertex of P or Q, as its point and its binding labels.
+    """A node of the graph of P or Q, as its point and its binding labels.
 
-    ``mask``, label l as bit l, is the only form in which a vertex keeps
-    its labels, and every label lookup of the package is keyed by it;
+    ``mask``, label l as bit l, is the only form in which a node keeps its
+    labels, and every label lookup of the package is keyed by it;
     ``labels`` decodes it on each read, in increasing label order.
     ``LabeledVertex(point, labels)`` keeps the point and the labels' mask.
     The vertex walk makes its vertices with ``_from_integers``, and those
-    build ``point`` on first read. Vertices compare and hash as (point,
-    mask).
+    build ``point`` on first read. The origin of each graph is a
+    ``LabeledVertex`` too, with no point: it is not a strategy, so its
+    ``point`` is None. Nodes compare and hash as (point, mask).
     """
 
     __slots__ = ("mask", "_point", "_integers")
 
-    def __init__(self, point: tuple[Rational, ...], labels: frozenset[int]):
+    def __init__(self, point: tuple[Rational, ...] | None, labels: frozenset[int]):
         self.mask = _mask(labels)
         self._point = point
         self._integers = None
@@ -132,8 +135,8 @@ class LabeledVertex:
         return _label_set(self.mask)
 
     @property
-    def point(self) -> tuple[Rational, ...]:
-        if self._point is None:
+    def point(self) -> tuple[Rational, ...] | None:
+        if self._point is None and self._integers is not None:
             key, den, num, pay_den = self._integers
             self._point = tuple(rat(v, den) for v in key) + (rat(num, pay_den),)
         return self._point
@@ -238,7 +241,9 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     dictionary and built on first read. Its labels are the cobasic
     variables plus every basic variable at zero, so extra bindings on
     degenerate inputs are reported faithfully; ``labels[v]`` is the label
-    of variable v, and its bit is the variable's term of the mask.
+    of variable v, and its bit is the variable's term of the mask. The
+    origin, where z = 0, becomes the graph's ``origin``: a node with no
+    point, labeled by its cobasis, the d variables of z.
     """
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
@@ -287,6 +292,7 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     ordered = sorted(found.values(), key=cmp_to_key(_point_order))
     return VertexGraph(
         tuple(t[2] for t in ordered),
+        LabeledVertex(None, frozenset(labels[:d])),
         steps,
         tuple(t[3] for t in ordered),
         labels,
@@ -310,18 +316,20 @@ class VertexGraph:
 
     ``require_nondegenerate`` returns one per side of a non-degenerate game,
     and every method reads vertices, edges and label masks from these. The
-    nodes of the graph are the V vertices and, as node V, the origin of the
-    normalised polytope, which carries the x labels on P and the y labels on
-    Q. In a non-degenerate game each node is one basis of the walk,
-    ``steps[bases[k]]`` for vertex k and ``steps[0]`` for the origin, and
-    each step of the walk out of that basis is one edge, keyed by the label
-    of the variable entering: the label the step drops. ``payoffs`` is the
-    game's ``IntegerPayoffs`` the walk shifted, one object shared by the two
-    graphs of a call. The lookups are built on first use and go with the
+    nodes of the graph are the V vertices and, as node V, ``origin``: the
+    origin of the normalised polytope, a ``LabeledVertex`` with no point
+    that carries the x labels 1..m on P and the y labels m+1..m+n on Q.
+    ``node(k)`` is node k of either kind. In a non-degenerate game each
+    node is one basis of the walk, ``steps[bases[k]]`` for vertex k and
+    ``steps[0]`` for the origin, and each step of the walk out of that basis
+    is one edge, keyed by the label of the variable entering: the label the
+    step drops. ``payoffs`` is the game's ``IntegerPayoffs`` the walk
+    shifted, one object shared by the two graphs of a call. The lookups are built on first use and go with the
     graph: nothing is cached between calls.
     """
 
     vertices: tuple[LabeledVertex, ...]
+    origin: LabeledVertex = field(compare=False, repr=False)
     steps: list[list[int]] = field(compare=False, repr=False)
     bases: tuple[int, ...] = field(compare=False, repr=False)
     labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
@@ -331,6 +339,10 @@ class VertexGraph:
     def full(self) -> int:
         """The mask of every label, 1..m+n."""
         return _mask(self.labels)
+
+    def node(self, k: int) -> LabeledVertex:
+        """Vertex k, or the origin when k is V."""
+        return self.origin if k == len(self.vertices) else self.vertices[k]
 
     @cached_property
     def at(self) -> dict[int, int]:
@@ -365,12 +377,6 @@ class VertexGraph:
         if got is None:
             got = self._near[k] = dict(self.edges_of(k))
         return got
-
-    def neighbour(self, k: int, drop: int) -> int | None:
-        """The vertex reached from node k by dropping label ``drop``; None on
-        a ray."""
-        j = self.near(k)[drop]
-        return None if j == len(self.vertices) else j
 
 
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:

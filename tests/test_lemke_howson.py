@@ -36,24 +36,45 @@ def test_graph_shapes(unreach22):
     p, q = require_nondegenerate(unreach22)
     # three polyhedron vertices on each side
     assert len(p.vertices) == 3 and len(q.vertices) == 3
-    # a step to None runs to the artificial node, the origin, which carries
-    # the x labels on P and the y labels on Q
+    # a step to node V runs to the artificial node, the origin, which has no
+    # point and carries the x labels on P and the y labels on Q
     for graph, artificial in ((p, {1, 2}), (q, {3, 4})):
+        origin = len(graph.vertices)
+        assert graph.node(origin) is graph.origin
+        assert graph.origin.point is None and graph.origin.labels == artificial
         lone = 0
         for k, v in enumerate(graph.vertices):
+            assert graph.node(k) is v
             for l in v.labels:
-                j = graph.neighbour(k, l)
-                if j is None:
-                    far = artificial
-                    lone += 1
-                else:
-                    far = graph.vertices[j].labels
+                j = graph.near(k)[l]
+                lone += j == origin
+                far = graph.node(j).labels
                 # adjacency: label sets agree in all but the dropped label
                 assert v.labels & far == v.labels - {l}
         assert lone > 0
+    # lh_run builds its own graphs, so its origins equal these by value
     start = lh_run(unreach22, 1).steps[0]
-    assert start.node1.artificial and start.node1.labels == {1, 2}
-    assert start.node2.artificial and start.node2.labels == {3, 4}
+    assert start.node1 == p.origin and start.node1.point is None
+    assert start.node1.labels == {1, 2}
+    assert start.node2 == q.origin and start.node2.point is None
+    assert start.node2.labels == {3, 4}
+    # a path steps through the graphs' own nodes: on each side, no more
+    # distinct objects than the graph's V vertices and its origin
+    games = [generate_kt(2), generate_kt(3)]
+    games.append(load_game(str(CORPUS / "unreachable-2x2.game")))
+    for g in games:
+        p, q = require_nondegenerate(g)
+        steps = [s for path in reachability(g).paths for s in path.steps]
+        m, n = g.m, g.n
+        for graph, nodes, artificial in (
+            (p, [s.node1 for s in steps], range(1, m + 1)),
+            (q, [s.node2 for s in steps], range(m + 1, m + n + 1)),
+        ):
+            assert len({id(v) for v in nodes}) <= len(graph.vertices) + 1
+            assert nodes[0] not in graph.vertices  # every path starts there
+            for v in nodes:
+                if v not in graph.vertices:
+                    assert v.point is None and v.labels == set(artificial)
 
 
 def test_drop_label_one_trace(unreach22):

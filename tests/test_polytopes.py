@@ -678,10 +678,14 @@ def _assert_neighbours_match_label_sets(g):
         index = label_set_edges(graph)
         for k, v in enumerate(graph.vertices):
             for l in v.labels:
-                ends = index[v.labels - {l}]
-                assert graph.neighbour(k, l) == next((j for j in ends if j != k), None)
+                far = next((j for j in index[v.labels - {l}] if j != k), None)
+                # no other vertex keeps the labels: the step runs to the origin
+                want = graph.origin if far is None else graph.vertices[far]
+                assert graph.node(graph.near(k)[l]) is want
         origin = len(graph.vertices)
-        pure = [graph.neighbour(origin, l) for l in labels]
+        assert graph.node(origin) is graph.origin
+        assert graph.origin.point is None and graph.origin.labels == set(labels)
+        pure = [graph.near(origin)[l] for l in labels]
         assert sorted(pure) == sorted(e[0] for e in index.values() if len(e) == 1)
         for i, j in enumerate(pure):
             assert graph.vertices[j].point[:size] == tuple(int(t == i) for t in range(size))
