@@ -212,8 +212,9 @@ def _path_json(path) -> dict:
         "steps": [
             [sorted(s.node1.labels), sorted(s.node2.labels)] for s in path.steps
         ],
-        "terminal": None if path.terminal is None else _eq_json(path.terminal),
-        "artificial_loop": path.artificial_loop,
+        "terminal": _eq_json(path.terminal),
+        # kept for the output format: no path returns to the artificial pair
+        "artificial_loop": False,
     }
 
 
@@ -233,10 +234,7 @@ def cmd_lh(args) -> int:
             return 0
         for p in rep.paths:
             print(f"r={p.missing}: {_path_steps_str(p)}")
-            if p.terminal is not None:
-                print(f"  terminal: {_eq_line(p.terminal)}")
-            else:
-                print("  terminal: artificial pair")
+            print(f"  terminal: {_eq_line(p.terminal)}")
         if rep.unreached:
             for e in rep.unreached:
                 print(f"unreached: {_eq_line(e)}")
@@ -248,10 +246,7 @@ def cmd_lh(args) -> int:
         print(json.dumps(_path_json(p)))
         return 0
     print(f"r={p.missing}: {_path_steps_str(p)}")
-    if p.terminal is not None:
-        print(f"terminal: {_eq_line(p.terminal)}")
-    else:
-        print("terminal: artificial pair")
+    print(f"terminal: {_eq_line(p.terminal)}")
     return 0
 
 

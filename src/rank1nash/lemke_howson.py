@@ -7,9 +7,10 @@ normalised polytope, a ``LabeledVertex`` with no point that carries the x
 labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after the V
 vertices, and its edges run to the pure strategies. Paths that drop
 one label r from the artificial pair and chase the duplicate label
-alternately over the two sides terminate at equilibria; the product graph
-glues those paths over all r, and its components expose equilibria no such
-path can reach.
+alternately over the two sides terminate at equilibria, never back at the
+artificial pair, which is one end of its path; the product graph glues
+those paths over all r, and its components expose equilibria no such path
+can reach.
 
 Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
@@ -18,8 +19,9 @@ recorded for it, and G' takes every edge from that record. It also gives
 each node a label set of its own, kept only as an integer mask (label l
 is bit l): a path finds its duplicate label as the one bit two masks
 share, and G' finds the partners of an edge on the other side by looking
-up a mask, never by scanning the other graph. G' joins pairs (i, j) as
-the integers i * (V_Q + 1) + j and builds no label set. Past the walk an
+up a mask in ``VertexGraph.at``, which holds the origin too, never by
+scanning the other graph. G' joins pairs (i, j) as the integers
+i * (V_Q + 1) + j and builds no label set. Past the walk an
 equilibrium is a pair of vertex indices: ``reachability`` and
 ``gprime_components`` take the completely labeled (P vertex, Q vertex)
 pairs, each verified once on the vertices' integers, from
@@ -57,8 +59,7 @@ class PathStep:
 class LHPath:
     missing: int
     steps: tuple[PathStep, ...]
-    terminal: EquilibriumPoint | None
-    artificial_loop: bool
+    terminal: EquilibriumPoint
 
 
 def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
@@ -80,9 +81,12 @@ def _edges(vg: VertexGraph):
 
 def _walk(
     p: VertexGraph, q: VertexGraph, r: int
-) -> tuple[tuple[PathStep, ...], tuple[int, int] | None]:
+) -> tuple[tuple[PathStep, ...], tuple[int, int]]:
     """The steps of the path that drops label r, and its terminal pair of
-    vertex indices; None when the path returns to the artificial pair."""
+    vertex indices. The artificial pair is one end of the path (Lemke &
+    Howson 1964; Shapley 1974), so the path cannot return to it, and no
+    other completely labeled pair holds an origin: only Q's origin carries
+    the labels P's origin lacks."""
     full, graphs = p.full, (p, q)
     at = [len(p.vertices), len(q.vertices)]
     nodes = [p.origin, q.origin]
@@ -107,11 +111,9 @@ def _walk(
         side = 1 - side
     else:
         raise Stalled(f"no terminal pair within {limit} pivots")
-    artificial = nodes[0] is p.origin
-    if artificial != (nodes[1] is q.origin):
-        # union = full with one artificial side forces the full start pair
-        raise InternalInvariantError("path ended with exactly one artificial node")
-    return tuple(steps), None if artificial else (at[0], at[1])
+    if nodes[0] is p.origin or nodes[1] is q.origin:
+        raise InternalInvariantError("path ended at an artificial node")
+    return tuple(steps), (at[0], at[1])
 
 
 def lh_run(g: BimatrixGame, r: int) -> LHPath:
@@ -122,12 +124,8 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     if not 1 <= r <= g.m + g.n:
         raise ValueError(f"label {r} out of range")
     p, q = require_nondegenerate(g)
-    steps, end = _walk(p, q, r)
-    if end is None:
-        return LHPath(r, steps, None, True)
-    i, j = end
-    eq = _equilibrium(p.payoffs, p.vertices[i], q.vertices[j])
-    return LHPath(r, steps, eq, False)
+    steps, (i, j) = _walk(p, q, r)
+    return LHPath(r, steps, _equilibrium(p.payoffs, p.vertices[i], q.vertices[j]))
 
 
 @dataclass(frozen=True)
@@ -151,15 +149,12 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     eqs = _labeled_equilibria(p, q)
     paths = []
     for r, (steps, end) in enumerate(walks, start=1):
-        if end is None:
-            paths.append(LHPath(r, steps, None, True))
-            continue
         eq = eqs.get(end)
         if eq is None:
             raise InternalInvariantError(
                 "terminal pair is not a completely labeled pair"
             )
-        paths.append(LHPath(r, steps, eq, False))
+        paths.append(LHPath(r, steps, eq))
     hit = {end for _, end in walks}
     reached = tuple(e for pair, e in eqs.items() if pair in hit)
     unreached = tuple(e for pair, e in eqs.items() if pair not in hit)
@@ -172,41 +167,16 @@ class GPrimeReport:
 
     Pairs are (index into P's nodes, index into Q's nodes); the artificial
     node is index V on each side, after the V vertices, so the artificial
-    pair is the greatest pair. The components are numbered 0..n_components-1
-    in the order of their least pairs. Most are single pairs that no edge
-    touches: ``components`` holds only those with two or more pairs, in that
-    order, and ``component_of`` numbers any pair. ``equilibrium_pairs`` maps
-    completely labeled non-artificial pairs to equilibria and their
-    component number.
+    pair is the greatest pair. The components are numbered
+    0..n_components-1 in the order of their least pairs.
+    ``equilibrium_pairs`` maps completely labeled non-artificial pairs to
+    equilibria and their component number.
     """
 
     n_components: int
-    components: tuple[frozenset[tuple[int, int]], ...]
     artificial_pair: tuple[int, int]
     artificial_component: int
     equilibrium_pairs: tuple[tuple[tuple[int, int], int, EquilibriumPoint], ...]
-
-    def component_of(self, pair: tuple[int, int]) -> int:
-        return _component_number(self.components, self.artificial_pair, pair)
-
-
-def _component_number(
-    components: tuple[frozenset[tuple[int, int]], ...],
-    last: tuple[int, int],
-    pair: tuple[int, int],
-) -> int:
-    """The number of pair's component among all components ordered by least
-    pair, given the multi-pair ``components`` in that order and the greatest
-    pair ``last``: the place of the component's least pair among all pairs,
-    less the pairs before it that are not the least of their component."""
-    i, j = pair
-    if not (0 <= i <= last[0] and 0 <= j <= last[1]):
-        raise KeyError(pair)
-    lead = next((min(c) for c in components if pair in c), pair)
-    skipped = sum(
-        sum(x < lead for x in c) - 1 for c in components if min(c) < lead
-    )
-    return lead[0] * (last[1] + 1) + lead[1] - skipped
 
 
 def gprime_components(g: BimatrixGame) -> GPrimeReport:
@@ -225,8 +195,6 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     p, q = require_nondegenerate(g)
     full = p.full
     n1, n2 = len(p.vertices), len(q.vertices)
-    at1 = p.at | {p.origin.mask: n1}
-    at2 = q.at | {q.origin.mask: n2}
     width = n2 + 1
 
     # a dict over the touched pairs only: a 12 x 12 game has millions of
@@ -255,43 +223,33 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
                 yield k
 
     for a, b, shared in _edges(p):
-        for j in partners(shared, at2):
+        for j in partners(shared, q.at):
             union(a * width + j, b * width + j)
     for a, b, shared in _edges(q):
-        for i in partners(shared, at1):
+        for i in partners(shared, p.at):
             union(i * width + a, i * width + b)
 
-    # touched pairs in increasing order, so the groups come in the order of
-    # their least pairs. A group's number is the place of its least pair
-    # among all pairs, less the touched pairs before it that are not the
-    # least of their group.
-    groups: dict[int, list[int]] = {}
+    # touched pairs in increasing order, so each root is first met at its
+    # component's least pair. A component's number is the place of its
+    # least pair among all pairs, less the touched pairs before it that are
+    # not the least of their component.
     number: dict[int, int] = {}
     skipped = 0
     for x in sorted(parent):
         root = find(x)
-        group = groups.get(root)
-        if group is None:
-            groups[root] = [x]
-            number[root] = x - skipped
-        else:
-            group.append(x)
+        if root in number:
             skipped += 1
-    # each group's pairs go into a set in increasing order, and the set is
-    # copied: that fixes the order in which the frozenset iterates and prints
-    components = tuple(
-        frozenset({divmod(x, width) for x in group}) for group in groups.values()
-    )
+        else:
+            number[root] = x - skipped
     # every completely labeled pair, the artificial one too, is touched: an
     # edge of its P node keeps all but one of the labels its Q node lacks
     eq_pairs = tuple(
         (pair, number[find(pair[0] * width + pair[1])], eq)
         for pair, eq in _labeled_equilibria(p, q).items()
     )
-    # each union of two touched groups takes one component off the count
+    # each union of two touched components takes one off the count
     return GPrimeReport(
-        (n1 + 1) * width - len(parent) + len(groups),
-        components,
+        (n1 + 1) * width - len(parent) + len(number),
         (n1, n2),
         number[find(n1 * width + n2)],
         eq_pairs,

@@ -132,9 +132,9 @@ class BasisInterval:
     basis: ParametricBasis
     xi1: Rational
     xi2: Rational
-    alpha2: Rational | None
+    alpha2: Rational
     beta2: Rational | None
-    alpha2_row: int | None
+    alpha2_row: int
     beta2_row: int | None
     objective: AffineR  # xi b^T x - pi1 - pi2 along the basis
     p_vertex: LabeledVertex
@@ -142,16 +142,12 @@ class BasisInterval:
     q_xi: tuple[Rational, Rational]  # c^T y at the ends of q_edge
 
     @property
-    def case(self) -> str | None:
-        hits_a = self.alpha2 is not None and self.alpha2 == self.xi2
-        hits_b = self.beta2 is not None and self.beta2 == self.xi2
-        if hits_a and hits_b:
+    def case(self) -> str:
+        """Which breakpoint ends the interval: xi2 is alpha2, beta2 or both."""
+        hits_a = self.alpha2 == self.xi2
+        if hits_a and self.beta2 == self.xi2:
             return "Both"
-        if hits_a:
-            return "Feasibility"
-        if hits_b:
-            return "Optimality"
-        return None
+        return "Feasibility" if hits_a else "Optimality"
 
 
 def _objective_zeros(iv: BasisInterval) -> list[Rational]:
@@ -315,22 +311,21 @@ class _Walk:
 
     def one_point(self, xi: Rational) -> tuple[LabeledVertex, LabeledVertex]:
         """The P vertex and the Q vertex optimal at xi, when the range of xi
-        is that one point and the slice at xi is all of Q. DegenerateGame
-        when either optimum is a face of several vertices; its first vertex
-        is the witness, P's as (x, pi2 - xi b^T x)."""
-        m, p, q = self.m, self.p, self.q
-        sides = [("P", p, self._p_face(xi)), ("Q", q, self._q_face(xi))]
-        for which, graph, face in sides:
+        is that one point and the slice at xi is all of Q.
+
+        With c constant the game is strategically zero-sum, so each player's
+        optimal strategies form a convex set; a non-degenerate game has
+        finitely many equilibria, so each set is one point, one vertex.
+        DegenerateGame, with no witness, when an optimum is a face of
+        several vertices, which only a degenerate game has.
+        """
+        sides = [("P", self.p, self._p_face(xi)), ("Q", self.q, self._q_face(xi))]
+        for which, _, face in sides:
             if len(face) > 1:
-                k = min(face)
-                v = graph.vertices[k]
-                if graph is p:
-                    shifted = v.point[m] - xi * self.px.x(k)
-                    v = LabeledVertex((*v.point[:m], shifted), v.labels)
                 raise DegenerateGame(
-                    f"{which} has {len(face)} payoff-minimizing vertices", witness=v
+                    f"{which} has {len(face)} payoff-minimizing vertices"
                 )
-        return tuple(graph.vertices[min(face)] for _, graph, face in sides)
+        return tuple(graph.vertices[k] for _, graph, (k,) in sides)
 
     def _p_face(self, xi: Rational) -> set[int]:
         """The P vertices of greatest value xi b^T x - pi2 at xi, found from

@@ -346,8 +346,12 @@ class VertexGraph:
 
     @cached_property
     def at(self) -> dict[int, int]:
-        """The index of each vertex, keyed by its label mask."""
-        return {v.mask: k for k, v in enumerate(self.vertices)}
+        """The index of each node, keyed by its label mask, with the origin
+        as node V: each vertex has a positive coordinate, so lacks one of
+        the origin's labels."""
+        at = {v.mask: k for k, v in enumerate(self.vertices)}
+        at[self.origin.mask] = len(self.vertices)
+        return at
 
     @cached_property
     def _node(self) -> dict[int, int]:
@@ -442,9 +446,10 @@ def _labeled_equilibria(
 ) -> dict[tuple[int, int], EquilibriumPoint]:
     """The equilibrium of each completely labeled pair (i, j), checked once:
     P vertex i and the Q vertex j labeled by the labels i lacks, found at
-    the mask ``full ^ mask``. The pairs
-    come in the order of the P vertices, which are sorted by point and each
-    have at most one partner, so the equilibria come sorted by key."""
+    the mask ``full ^ mask``. That mask is never Q's origin's, as only P's
+    origin carries all of 1..m. The pairs come in the order of the P
+    vertices, which are sorted by point and each have at most one partner,
+    so the equilibria come sorted by key."""
     full, at = p.full, q.at
     out = {}
     for i, vp in enumerate(p.vertices):

@@ -128,7 +128,6 @@ def test_criterion_2_unreachable_game():
     reached_payoffs = {
         (p.terminal.payoff1, p.terminal.payoff2)
         for p in rep.paths
-        if p.terminal is not None
     }
     chk(len(rep.paths) == 4, "expected one path per label r = 1..4")
     chk(

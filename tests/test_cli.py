@@ -216,6 +216,50 @@ def test_reduce_rank_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == "rank: 1\n"
 
 
+ONES_2X2 = "2 2\n1 1\n1 1\n1 1\n1 1\n"
+
+
+@pytest.mark.parametrize(
+    "game, args, rc, stream, text",
+    [
+        ("demo-2x3", ["rank", "--json"], 0, "out", '{"m": 2, "n": 3, "rank": 2}\n'),
+        (
+            "2 2\n1 2\n3 4\n5 6\n7 8\n",
+            ["reduce-rank", "--json"],
+            0,
+            "out",
+            '"column": 0, "lam": "2", "rank": 1',
+        ),
+        ("demo-2x3", ["oracle", "--json"], 0, "out", '"degenerate_suspect": false'),
+        (ONES_2X2, ["oracle"], 0, "err", "warning: degenerate suspect\n"),
+        (
+            "unreachable-2x2",
+            ["enumerate", "--factor", "x=1", "c=2"],
+            3,
+            "err",
+            "got 'x=1'",
+        ),
+        (
+            "unreachable-2x2",
+            ["enumerate", "--factor", "b=1,2", "b=2,3"],
+            3,
+            "err",
+            "--factor needs both b=... and c=...",
+        ),
+    ],
+)
+def test_json_warning_and_factor_branches(tmp_path, capsys, game, args, rc, stream, text):
+    # a game is a corpus name or the text of a game file
+    if "\n" in game:
+        path = tmp_path / "inline.game"
+        path.write_text(game)
+    else:
+        path = CORPUS / f"{game}.game"
+    assert main([args[0], str(path), *args[1:]]) == rc
+    captured = capsys.readouterr()
+    assert text in (captured.out if stream == "out" else captured.err)
+
+
 def test_generate_matches_library(capsys):
     assert main(["generate", "--kt", "--d", "3"]) == 0
     out = capsys.readouterr().out

@@ -150,8 +150,7 @@ def _paths_agree(g, want: set) -> None:
     rep = reachability(g)
     assert {(e.key(), e.payoff1, e.payoff2) for e in rep.reached + rep.unreached} == want
     for p in rep.paths:
-        if p.terminal is not None:
-            assert (p.terminal.key(), p.terminal.payoff1, p.terminal.payoff2) in want
+        assert (p.terminal.key(), p.terminal.payoff1, p.terminal.payoff2) in want
     gp = gprime_components(g)
     assert {(e.key(), e.payoff1, e.payoff2) for _, _, e in gp.equilibrium_pairs} == want
     component = {e.key(): comp for _, comp, e in gp.equilibrium_pairs}

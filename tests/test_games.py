@@ -376,6 +376,19 @@ def test_transform_rejects_an_index_out_of_range():
         assert transform(g, op(size - 1, 2)) != g
 
 
+def test_malformed_games_and_transforms_are_rejected(unreach22):
+    good = ((1, 2), (3, 4))
+    for a, b, message in (
+        (((1, 2), (3,)), good, "shape mismatch"),  # a ragged A
+        (good, ((1, 2, 3), (4, 5, 6)), "shape mismatch"),  # B unlike A
+        ([], [], "at least one strategy"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            BimatrixGame.from_payoffs(a, b)
+    with pytest.raises(TypeError, match="unknown transform"):
+        transform(unreach22, "x")
+
+
 def test_generate_kt_goldens():
     g1 = generate_kt(1)
     assert g1.A == ((2,),) and g1.B == ((2,),)

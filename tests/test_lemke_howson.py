@@ -13,6 +13,7 @@ from rank1nash import (
     DegenerateGame,
     EquilibriumPoint,
     GPrimeReport,
+    InternalInvariantError,
     MixedStrategyPair,
     ReachabilityReport,
     check_nondegenerate,
@@ -22,6 +23,7 @@ from rank1nash import (
     generate_kt,
     gprime_components,
     is_nash,
+    lemke_howson,
     lh_run,
     load_game,
     rat,
@@ -90,11 +92,20 @@ def test_drop_label_one_trace(unreach22):
     ]
     assert path.steps[0].pivoted is None
     assert [s.pivoted for s in path.steps[1:]] == [1, 2]
-    assert path.terminal is not None
     assert path.terminal.strategies.x == (1, 0)
     assert path.terminal.strategies.y == (0, 1)
     assert (path.terminal.payoff1, path.terminal.payoff2) == (-18, 30)
-    assert not path.artificial_loop
+
+
+def test_walk_rejects_a_path_back_to_the_artificial_pair():
+    # the artificial pair is an end of its path, so no path returns to it;
+    # graphs whose origin steps across label 1 back to itself must trip the
+    # check rather than report a terminal
+    p, q = require_nondegenerate(generate_kt(1))
+    origin = len(p.vertices)
+    p.near(origin)[1] = origin
+    with pytest.raises(InternalInvariantError, match="artificial node"):
+        lemke_howson._walk(p, q, 1)
 
 
 def test_all_drops_miss_the_mixed_equilibrium(unreach22):
@@ -128,8 +139,6 @@ def test_terminals_are_nash_on_random_games():
         keys = {e.key() for e in eqs}
         for r in range(1, g.m + g.n + 1):
             p = lh_run(g, r)
-            if p.terminal is None:
-                continue
             ok, _, _ = is_nash(g, p.terminal.strategies)
             assert ok
             assert p.terminal.key() in keys
@@ -190,30 +199,13 @@ def test_gprime_covers_all_equilibria(disconnected33):
     }
 
 
-def test_components_partition_the_pairs(unreach22, disconnected33):
-    for g in (unreach22, disconnected33):
-        rep = gprime_components(g)
-        seen = set()
-        for comp in rep.components:
-            assert len(comp) > 1 and not (comp & seen)
-            seen |= comp
-        p, q = require_nondegenerate(g)
-        n1, n2 = len(p.vertices) + 1, len(q.vertices) + 1
-        numbers = {rep.component_of((i, j)) for i in range(n1) for j in range(n2)}
-        assert numbers == set(range(rep.n_components))
-        for pair in ((n1, 0), (0, n2), (-1, 0)):
-            with pytest.raises(KeyError):
-                rep.component_of(pair)
-
-
 def test_gprime_shape_on_kt():
-    # the artificial pair's component is the only one with more than one
-    # pair; measured before G' stopped listing single pairs
-    for d, n_components, size in ((6, 1641, 124), (9, 16609, 292)):
+    # every equilibrium pair shares the artificial pair's component, number 0
+    for d, n_components in ((6, 1641), (9, 16609)):
         rep = gprime_components(generate_kt(d))
         assert rep.n_components == n_components
-        assert [len(c) for c in rep.components] == [size]
         assert rep.artificial_component == 0
+        assert {comp for _, comp, _ in rep.equilibrium_pairs} == {0}
 
 
 def _pair_scan(g):
@@ -234,7 +226,7 @@ def _pair_scan(g):
 def _reachability_scan(g):
     """Reference reachability: one checked lh_run per label, then the scan."""
     paths = tuple(lh_run(g, r) for r in range(1, g.m + g.n + 1))
-    hit = {p.terminal.key() for p in paths if p.terminal is not None}
+    hit = {p.terminal.key() for p in paths}
     eqs = _pair_scan(g)
     return ReachabilityReport(
         paths,
@@ -245,9 +237,8 @@ def _reachability_scan(g):
 
 def _gprime_scan(g):
     """Reference G': test every edge of one graph against every node of the
-    other, over node lists with the artificial node last, and number every
-    pair's component by a linear scan. Returns the report and the numbers of
-    all pairs, in order."""
+    other, over node lists with the artificial node last, and number each
+    pair's component by a linear scan over the components."""
     p, q = require_nondegenerate(g)
     full = frozenset(range(1, g.m + g.n + 1))
     nodes1 = [(v.labels, v.point) for v in p.vertices]
@@ -302,22 +293,7 @@ def _gprime_scan(g):
                 s, payoff1=nodes2[j][1][g.n], payoff2=nodes1[i][1][g.m]
             )
             eq_pairs.append(((i, j), number((i, j)), eq))
-    report = GPrimeReport(
-        len(components),
-        tuple(frozenset(c) for c in components if len(c) > 1),
-        art,
-        number(art),
-        tuple(eq_pairs),
-    )
-    return report, tuple(number(x) for x in sorted(parent))
-
-
-def _gprime_numbered(g):
-    """gprime_components, and component_of of every pair, in order."""
-    rep = gprime_components(g)
-    n1, n2 = rep.artificial_pair
-    pairs = [(i, j) for i in range(n1 + 1) for j in range(n2 + 1)]
-    return rep, tuple(rep.component_of(x) for x in pairs)
+    return GPrimeReport(len(components), art, number(art), tuple(eq_pairs))
 
 
 def _outcome(fn, g):
@@ -344,13 +320,13 @@ def _reference_games():
 def test_lookups_match_reference_scans():
     # the label-set lookups give exactly the results, or exactly the
     # rejections, of the V_P * V_Q pairing and the edge-by-node G' scan,
-    # down to the component number of every pair
+    # down to the component numbers
     degenerate = 0
     for g in _reference_games():
         for fn, ref in (
             (equilibria_by_labels, _pair_scan),
             (reachability, _reachability_scan),
-            (_gprime_numbered, _gprime_scan),
+            (gprime_components, _gprime_scan),
         ):
             got, want = _outcome(fn, g), _outcome(ref, g)
             assert got == want, (g, fn.__name__)
@@ -394,11 +370,10 @@ def test_is_nash_once_per_equilibrium(monkeypatch):
         assert calls == len(rep.reached) + len(rep.unreached)
         calls = 0
         assert len(gprime_components(g).equilibrium_pairs) == calls > 0
-        terminals = 0
         calls = 0
         for r in range(1, g.m + g.n + 1):
-            terminals += lh_run(g, r).terminal is not None
-        assert calls == terminals > 0
+            lh_run(g, r)
+        assert calls == g.m + g.n
         calls = 0
         assert len(equilibria_by_labels(g)) == calls > 0
         calls = 0

@@ -705,7 +705,7 @@ def _assert_masks_match_label_sets(g) -> int:
     vertex made from its point and label set gets the same mask, and the
     graph's lookup by mask finds it. Returns the number of vertices with
     more labels than the side's dimension: those with a basic variable at
-    zero."""
+    zero. The lookup by mask finds the origin too, as node V."""
     payoffs = IntegerPayoffs.of(g)
     extra = 0
     for which, size in (("P", g.m), ("Q", g.n)):
@@ -718,6 +718,7 @@ def _assert_masks_match_label_sets(g) -> int:
             assert LabeledVertex(v.point, v.labels).mask == v.mask
             assert graph.at[v.mask] == k
             extra += len(v.labels) > size
+        assert graph.at[graph.origin.mask] == len(graph.vertices)
     return extra
 
 
