@@ -136,14 +136,21 @@ class RankOneFactorization:
         f.require_matches(g)
         return f
 
-    def require_matches(self, g: BimatrixGame) -> None:
-        """Raise FactorizationMismatch unless b c^T = A + B."""
+    def require_matches(
+        self, g: BimatrixGame, total: tuple[list[list[int]], int] | None = None
+    ) -> None:
+        """Raise FactorizationMismatch unless b c^T = A + B, tested on
+        integers: with b = bw / bs and c = cw / cs, bw_i cw_j scale must be
+        s_ij bs cs. ``total``, when given, must be
+        ``IntegerPayoffs.of(g).payoff_sum()``, the pair (s, scale)."""
         if len(self.b) != g.m or len(self.c) != g.n:
             raise FactorizationMismatch("factor length mismatch")
-        s = g.payoff_sum()
+        s, scale = total if total is not None else IntegerPayoffs.of(g).payoff_sum()
+        bw, bs = clear_denominators(self.b)
+        cw, cs = clear_denominators(self.c)
         for i in range(g.m):
             for j in range(g.n):
-                if self.b[i] * self.c[j] != s[i][j]:
+                if bw[i] * cw[j] * scale != s[i][j] * bs * cs:
                     raise FactorizationMismatch(
                         f"b[{i}]*c[{j}] != (A+B)[{i}][{j}]"
                     )
@@ -175,6 +182,15 @@ class IntegerPayoffs:
         a, a_scale = clear_rows(g.A)
         bt, b_scale = clear_rows(zip(*g.B))
         return cls(tuple(map(tuple, a)), a_scale, tuple(map(tuple, bt)), b_scale)
+
+    def payoff_sum(self) -> tuple[list[list[int]], int]:
+        """(s, scale): A + B = s / scale, with scale = a_scale * b_scale,
+        as a_ij / a_scale + bt_ji / b_scale."""
+        sa, sb = self.a_scale, self.b_scale
+        return [
+            list(map(add, map(sb.__mul__, row), map(sa.__mul__, col)))
+            for row, col in zip(self.a, zip(*self.bt))
+        ], sa * sb
 
 
 def is_nash(
@@ -237,7 +253,7 @@ def game_rank(g: BimatrixGame) -> int:
 
 
 def factor_rank1(
-    g: BimatrixGame, total: Matrix | None = None
+    g: BimatrixGame, total: tuple[list[list[int]], int] | None = None
 ) -> RankOneFactorization:
     """Canonical factorization b * c^T of A + B for a rank-1 game.
 
@@ -245,21 +261,20 @@ def factor_rank1(
     first j0 with c[j0] != 0. Raises NotRankOne unless rank(A+B) == 1, which
     holds exactly when c exists and b c^T = A + B, that is when every 2x2
     minor of a row with c's row in columns j0 and j vanishes. The test runs
-    on A + B cleared of denominators. ``total``, when given, must be
-    ``g.payoff_sum()``.
+    on A + B cleared of denominators, as the integer payoffs hold it.
+    ``total``, when given, must be ``IntegerPayoffs.of(g).payoff_sum()``.
     """
-    s = total if total is not None else g.payoff_sum()
-    ints, _ = clear_rows(s)
-    r0 = next((r for r, row in enumerate(ints) if any(row)), None)
-    if r0 is not None:
-        piv = ints[r0]
-        j0 = next(j for j, v in enumerate(piv) if v != 0)
+    s, scale = total if total is not None else IntegerPayoffs.of(g).payoff_sum()
+    piv = next(filter(any, s), None)
+    if piv is not None:
+        j0 = next(j for j, v in enumerate(piv) if v)
         p0 = piv[j0]
+        # row * p0 == piv * row[j0] for every row
         if all(
-            v * p0 == row[j0] * pj for row in ints for v, pj in zip(row, piv)
+            list(map(p0.__mul__, row)) == list(map(row[j0].__mul__, piv)) for row in s
         ):
-            b = tuple(rat(row[j0], p0) for row in ints)
-            return RankOneFactorization(b, s[r0])
+            b = tuple(rat(row[j0], p0) for row in s)
+            return RankOneFactorization(b, tuple(rat(v, scale) for v in piv))
     raise NotRankOne(f"rank(A+B) = {game_rank(g)}, need 1")
 
 

@@ -88,12 +88,12 @@ def _walk(
     other completely labeled pair holds an origin: only Q's origin carries
     the labels P's origin lacks."""
     full, graphs = p.full, (p, q)
-    at = [len(p.vertices), len(q.vertices)]
+    at = [p.origin_index, q.origin_index]
     nodes = [p.origin, q.origin]
     steps = [PathStep(*nodes, None)]
     # r is a label of P's origin, an x label, or else of Q's
     side, drop = (0 if p.origin.mask >> r & 1 else 1), r
-    limit = (at[0] + 1) * (at[1] + 1) + 1
+    limit = (len(p.vertices) + 1) * (len(q.vertices) + 1) + 1
     for _ in range(limit):
         vg = graphs[side]
         at[side] = _drop_label(vg, at[side], drop)

@@ -60,7 +60,7 @@ interval's P vertex and Q edge ends; no dense tableau is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -85,13 +85,18 @@ from .polytopes import (
     VertexGraph,
     _equilibrium,
     _label_set,
+    _mask,
     require_nondegenerate,
 )
 
 
 @dataclass(frozen=True)
 class ParametricBasis:
-    """m P-side labels and n-1 Q-side labels, each within 1..m+n."""
+    """m P-side labels and n-1 Q-side labels, each within 1..m+n.
+
+    ``mask`` holds the basis's M1 rows, row r as bit r: P label l is bit l
+    and Q label l is bit m+n+l. The labels are checked on their masks.
+    """
 
     i_labels: frozenset[int]
     j_labels: frozenset[int]
@@ -99,19 +104,44 @@ class ParametricBasis:
     n: int
 
     def __post_init__(self):
-        span = range(1, self.m + self.n + 1)
-        if not (set(self.i_labels) <= set(span) and set(self.j_labels) <= set(span)):
-            raise ValueError("labels out of range")
-        if len(self.i_labels) != self.m or len(self.j_labels) != self.n - 1:
-            raise ValueError("basis needs m P-labels and n-1 Q-labels")
+        rows = _row_mask(_mask(self.i_labels), _mask(self.j_labels), self.m, self.n)
+        object.__setattr__(self, "mask", rows)
+
+    @classmethod
+    def _of_masks(cls, i: int, j: int, m: int, n: int) -> "ParametricBasis":
+        """The basis of the P labels of mask i and the Q labels of mask j."""
+        basis = cls.__new__(cls)
+        vars(basis).update(
+            i_labels=_label_set(i),
+            j_labels=_label_set(j),
+            m=m,
+            n=n,
+            mask=_row_mask(i, j, m, n),
+        )
+        return basis
 
     @property
     def rows(self) -> tuple[int, ...]:
         """Global 1-based M1 row indices, ascending."""
-        off = self.m + self.n
-        return tuple(
-            sorted(self.i_labels | {off + l for l in self.j_labels})
-        )
+        return tuple(sorted(_label_set(self.mask)))
+
+
+def _record(cls, **fields):
+    """An instance of the frozen dataclass cls holding ``fields``, built
+    without the generated ``__init__``, which sets the fields one by one."""
+    obj = cls.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _row_mask(i: int, j: int, m: int, n: int) -> int:
+    """The row mask of the basis of the P label mask i and the Q label mask
+    j; ValueError unless i has m labels and j has n-1, all within 1..m+n."""
+    if (i | j) & 1 or (i | j) >> m + n + 1:
+        raise ValueError("labels out of range")
+    if i.bit_count() != m or j.bit_count() != n - 1:
+        raise ValueError("basis needs m P-labels and n-1 Q-labels")
+    return i | j << m + n
 
 
 @dataclass(frozen=True)
@@ -123,10 +153,13 @@ class BasisInterval:
     beta2 is the first xi where a basic dual multiplier goes negative: where
     the line of a steeper neighbour of the P vertex crosses the vertex's
     own, and beta2_row is the label dropped to reach it (None when no
-    neighbour is steeper). xi2 = min of the two. The basis's P vertex, its
-    Q edge's two ends in increasing c^T y and their c^T y are kept: x and
-    pi2 are the P vertex's, and (y, pi1) moves along the Q edge, so an
-    equilibrium at an interval end is the P vertex with an end of the edge.
+    neighbour is steeper). xi2 = min of the two, and ``case`` names the
+    breakpoint that ends the interval: "Feasibility" when xi2 is alpha2
+    alone, "Optimality" when it is beta2 alone, "Both" when it is both. The
+    basis's P vertex, its Q edge's two ends in increasing c^T y and their
+    c^T y are kept: x and pi2 are the P vertex's, and (y, pi1) moves along
+    the Q edge, so an equilibrium at an interval end is the P vertex with
+    an end of the edge.
     """
 
     basis: ParametricBasis
@@ -140,14 +173,12 @@ class BasisInterval:
     p_vertex: LabeledVertex
     q_edge: tuple[LabeledVertex, LabeledVertex]
     q_xi: tuple[Rational, Rational]  # c^T y at the ends of q_edge
+    case: str = field(repr=False, compare=False)
 
-    @property
-    def case(self) -> str:
-        """Which breakpoint ends the interval: xi2 is alpha2, beta2 or both."""
-        hits_a = self.alpha2 == self.xi2
-        if hits_a and self.beta2 == self.xi2:
-            return "Both"
-        return "Feasibility" if hits_a else "Optimality"
+
+def _ints(xi: Rational) -> tuple[int, int]:
+    """(num, den): xi in lowest terms, den > 0."""
+    return xi.numerator, xi.denominator
 
 
 def _objective_zeros(iv: BasisInterval) -> list[Rational]:
@@ -157,32 +188,41 @@ def _objective_zeros(iv: BasisInterval) -> list[Rational]:
     feasible, so a zero inside the interval means it is 0 on all of it: a
     continuum of equilibria, which only a degenerate game has.
     """
-    ends = (iv.xi1,) if iv.xi1 == iv.xi2 else (iv.xi1, iv.xi2)
-    c0, c1 = iv.objective.c0, iv.objective.c1
-    # with c0 = n0 / d0, c1 = n1 / d1 and xi = p / q, every denominator
-    # positive, c0 + c1 xi has the sign of n0 d1 q + n1 d0 p
-    u = c0.numerator * c1.denominator
-    v = c1.numerator * c0.denominator
-    signs = [u * xi.denominator + v * xi.numerator for xi in ends]
-    if any(sign > 0 for sign in signs):
+    (p1, q1), (p2, q2) = _ints(iv.xi1), _ints(iv.xi2)
+    # c0 + c1 xi at xi = p / q has the sign of n0 d1 q + n1 d0 p, with
+    # c0 = n0 / d0, c1 = n1 / d1 and every denominator positive
+    (n0, d0), (n1, d1) = _ints(iv.objective.c0), _ints(iv.objective.c1)
+    u, v = n0 * d1, n1 * d0
+    at1, at2 = u * q1 + v * p1, u * q2 + v * p2
+    if at1 > 0 or at2 > 0:
         raise InternalInvariantError(
             f"objective positive at an end of [{iv.xi1}, {iv.xi2}]"
         )
-    zeros = [xi for xi, sign in zip(ends, signs) if sign == 0]
-    if len(zeros) == 2:
+    if p1 == p2 and q1 == q2:  # a one-point interval
+        return [] if at1 else [iv.xi1]
+    if at1 == at2 == 0:
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
         )
-    return zeros
+    return [iv.xi1] if at1 == 0 else [iv.xi2] if at2 == 0 else []
 
 
 def _q_end(iv: BasisInterval, xi: Rational) -> int:
     """0 or 1: the end of the interval's Q edge where c^T y = xi. In a
     non-degenerate game an equilibrium is a pair of vertices, so an
     objective zero lies at an end of the Q edge."""
-    if xi in iv.q_xi:
-        return iv.q_xi.index(xi)
+    ends = list(map(_ints, iv.q_xi))
+    at = _ints(xi)
+    if at in ends:
+        return ends.index(at)
     raise InternalInvariantError(f"objective zero at xi = {xi} inside a Q edge")
+
+
+def _reduced(num: int, den: int) -> tuple[Rational, int, int]:
+    """The rational num / den, den != 0, with its numerator and
+    denominator in lowest terms."""
+    x = rat(num, den)
+    return x, x.numerator, x.denominator
 
 
 class _Line:
@@ -197,7 +237,7 @@ class _Line:
         self.vertices = graph.vertices
         self.w, self.scale = clear_denominators(weights)
         self._ints: dict[int, tuple[int, int, int]] = {}
-        self._x: dict[int, Rational] = {}
+        self._x: dict[int, tuple[Rational, int, int]] = {}
 
     def ints(self, k: int) -> tuple[int, int, int]:
         """(s, o, d) of vertex k, with d > 0."""
@@ -218,51 +258,68 @@ class _Line:
         sj, oj, dj = self.ints(j)
         return oj * dk - ok * dj, sj * dk - sk * dj
 
-    def x(self, k: int) -> Rational:
-        """w^T s at vertex k."""
+    def x(self, k: int) -> tuple[Rational, int, int]:
+        """w^T s at vertex k, as ``_reduced`` gives it."""
         got = self._x.get(k)
         if got is None:
             s, _, d = self.ints(k)
-            got = self._x[k] = rat(s, d)
+            got = self._x[k] = _reduced(s, d)
         return got
 
 
 def _first_least(fractions):
-    """The tag of the first of the (num, den, tag) triples, den > 0, of least
-    num / den, compared by cross-multiplication; None when there is none."""
+    """The first of the (num, den, tag) triples, den > 0, of least num / den,
+    compared by cross-multiplication; None when there is none."""
     best = None
+    for t in fractions:
+        if best is None or t[0] * best[1] < best[0] * t[1]:
+            best = t
+    return best
+
+
+def _least(fractions) -> list:
+    """The tags of all the (num, den, tag) triples, den > 0, of least
+    num / den, in order, compared by cross-multiplication."""
+    best, tags = None, []
     for num, den, tag in fractions:
-        if best is None or num * best[1] < best[0] * den:
-            best = num, den, tag
-    return None if best is None else best[2]
+        diff = 1 if best is None else best[0] * den - num * best[1]
+        if diff > 0:
+            best, tags = (num, den), [tag]
+        elif diff == 0:
+            tags.append(tag)
+    return tags
 
 
-def _optimal_face(graph: VertexGraph, cost, start: int, fixed=frozenset()) -> set[int]:
+def _optimal_face(graph: VertexGraph, cost, fixed: int = 0) -> set[int]:
     """The vertices of least cost on the face of the graph's polyhedron that
-    keeps the labels ``fixed`` and holds vertex ``start``; cost(k) is a
-    fraction (num, den), den > 0, compared by cross-multiplication.
+    keeps the labels of the mask ``fixed``; cost(k) is a fraction (num, den),
+    den > 0, compared by cross-multiplication.
 
-    The walk descends to a vertex that no neighbour beats, stepping only
-    across labels outside ``fixed``, and floods the neighbours of equal cost.
-    That vertex is optimal, as the cost is linear and a ray of P or Q only
-    raises it; the optimal vertices span a face, whose graph is connected
-    (Balinski 1961), so the flood finds all of them.
+    The walk starts at the origin, which every vertex beats, descends to a
+    vertex that no neighbour beats, stepping only across labels outside
+    ``fixed``, and floods the neighbours of equal cost. That vertex is
+    optimal, as the cost is linear and a ray of P or Q only raises it; the
+    optimal vertices span a face, whose graph is connected (Balinski 1961),
+    so the flood finds all of them, in whatever order the neighbours come.
     """
+    ray = graph.origin_index
 
-    ray = len(graph.vertices)
+    def near(k: int) -> list[tuple[int, int, int]]:
+        return [
+            (*cost(j), j)
+            for l, j in graph.near(k).items()
+            if j != ray and not fixed >> l & 1
+        ]
 
-    def near(k: int):
-        for l, j in sorted(graph.near(k).items()):
-            if j != ray and l not in fixed:
-                yield (*cost(j), j)
-
-    k = start
-    while (j := _first_least(near(k))) is not None:
-        (jn, jd), (kn, kd) = cost(j), cost(k)
-        if jn * kd >= kn * jd:
+    kn, kd, k = _first_least(near(ray))
+    while True:
+        best = _first_least(near(k))
+        diff = 1 if best is None else best[0] * kd - kn * best[1]
+        if diff > 0:  # no neighbour ties k: the face is k alone
+            return {k}
+        if diff == 0:
             break
-        k = j
-    kn, kd = cost(k)
+        kn, kd, k = best
     face, todo = {k}, [k]
     while todo:
         for num, den, j in near(todo.pop()):
@@ -277,7 +334,9 @@ class _Walk:
     and q of Q; P vertices and Q vertices are named by their indices. Every
     decision is made on integers: each P vertex's crossings and each Q
     edge's slope are computed once, as fractions num / den compared by
-    cross-multiplication."""
+    cross-multiplication, and each rational the trace reports is built once
+    with its numerator and denominator in lowest terms, on which the
+    interval ends are compared."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
@@ -285,7 +344,6 @@ class _Walk:
         self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
         self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
         self._bounds: dict[int, tuple] = {}
-        self._slopes: dict[tuple[int, int], tuple[int, int]] = {}
         self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
@@ -296,18 +354,23 @@ class _Walk:
         labels. The Q edge leaves a vertex of least pi1 on the slice at xi,
         raising c^T y; of those, it has the least slope, then sorted labels.
         Every vertex of the slice has such an edge, as a ray of Q only
-        raises pi1.
+        raises pi1. Labels are decoded only to break a tie, as sorted label
+        lists do not order like masks.
         """
         pv, qv = self.p.vertices, self.q.vertices
-        k = min(self._p_face(xi), key=lambda k: sorted(pv[k].labels))
-        ups = sorted(
-            (sorted(_label_set(qv[a].mask & qv[j].mask)), num, den, a, j)
+        face = self._p_face(xi)
+        k = face.pop() if len(face) == 1 else min(face, key=lambda k: sorted(pv[k].labels))
+        ups = _least(
+            (num, den, (a, j))
             for a in self._q_face(xi)
-            for num, den, j in self._up_edges(a)
+            for num, den, _, j in self._up_edges(a)
         )
         if not ups:
             raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
-        return k, *_first_least((num, den, (a, j)) for _, num, den, a, j in ups)
+        if len(ups) > 1:
+            ups.sort(key=lambda e: sorted(_label_set(qv[e[0]].mask & qv[e[1]].mask)))
+        return k, *ups[0]
+
 
     def one_point(self, xi: Rational) -> tuple[LabeledVertex, LabeledVertex]:
         """The P vertex and the Q vertex optimal at xi, when the range of xi
@@ -328,10 +391,9 @@ class _Walk:
         return tuple(graph.vertices[k] for _, graph, (k,) in sides)
 
     def _p_face(self, xi: Rational) -> set[int]:
-        """The P vertices of greatest value xi b^T x - pi2 at xi, found from
-        the best of the m vertices x = e_i, the origin's neighbours."""
-        m, p, px = self.m, self.p, self.px
-        xn, xd = xi.numerator, xi.denominator
+        """The P vertices of greatest value xi b^T x - pi2 at xi."""
+        px = self.px
+        xn, xd = _ints(xi)
 
         def cost(k: int) -> tuple[int, int]:
             # minus the value, pi2 - xi b^T x = (xd o - xn s) / (xd d) with
@@ -339,62 +401,50 @@ class _Walk:
             s, o, d = px.ints(k)
             return xd * o - xn * s, d
 
-        # the origin, node V, carries the labels 1..m; dropping i reaches e_i
-        pure = [p.near(len(p.vertices))[i] for i in range(1, m + 1)]
-        return _optimal_face(p, cost, _first_least((*cost(k), k) for k in pure))
+        return _optimal_face(self.p, cost)
 
     def _q_face(self, xi: Rational) -> set[int]:
         """The Q vertices of least pi1 on the slice c^T y = xi = xi_min: the
-        face where y_j = 0 for every c_j > xi, found from its vertex y = e_j
-        of the first least c_j, a neighbour of the origin."""
-        m, n, q, qy = self.m, self.n, self.q, self.qy
-        # c_j = w_j / scale equals xi = p / q when w_j q = p scale
-        at = xi.numerator * qy.scale
-        fixed = frozenset(
-            m + 1 + j for j, v in enumerate(qy.w) if v * xi.denominator != at
-        )
-        j = next(j for j in range(n) if m + 1 + j not in fixed)
-        # the origin, node V, carries the labels m+1..m+n; dropping m+1+j
-        # reaches e_j
-        w = q.near(len(q.vertices))[m + 1 + j]
-        return _optimal_face(q, lambda k: qy.ints(k)[1:], w, fixed)
+        face where y_j = 0 for every c_j > xi."""
+        m, qy = self.m, self.qy
+        # c_j = w_j / scale equals xi = xn / xd when w_j xd = xn scale
+        xn, xd = _ints(xi)
+        at = xn * qy.scale
+        fixed = sum(1 << m + 1 + j for j, v in enumerate(qy.w) if v * xd != at)
+        return _optimal_face(self.q, lambda k: qy.ints(k)[1:], fixed)
 
     def _p_bounds(self, k: int) -> tuple:
         """(p_lo, beta2, beta2_row) of P vertex k: the crossings of its line
-        with its neighbours' lines; a steeper line bounds the interval
-        above, a shallower one below. The line of neighbour j crosses k's
-        where xi is the slope of the chord from k's point (b^T x, pi2) to
-        j's, and is steeper when that chord's b^T x increases."""
+        with its neighbours' lines, each as ``_reduced`` gives it, or None;
+        a steeper line bounds the interval above, a shallower one below.
+        The line of neighbour j crosses k's where xi is the slope of the
+        chord from k's point (b^T x, pi2) to j's, and is steeper when that
+        chord's b^T x increases."""
         got = self._bounds.get(k)
         if got is not None:
             return got
         p, px = self.p, self.px
         lo = hi = beta2_row = None  # (num, den) with den > 0
-        ray = len(p.vertices)
-        for l, j in sorted(p.near(k).items()):
+        ray = p.origin_index
+        for l, j in p.near(k).items():
             if j == ray:
                 continue  # a ray never crosses v's line
             num, den = px.chord(k, j)
             if den > 0:
-                if hi is None or num * hi[1] < hi[0] * den:
+                # the least crossing, ties to the lowest label dropped
+                diff = 1 if hi is None else hi[0] * den - num * hi[1]
+                if diff > 0 or diff == 0 and l < beta2_row:
                     hi, beta2_row = (num, den), l
             elif den < 0:  # den == 0: a parallel line never crosses v's
                 if lo is None or num * lo[1] < lo[0] * den:  # -num/-den > lo
                     lo = -num, -den
         got = self._bounds[k] = (
-            None if lo is None else rat(*lo),
-            None if hi is None else rat(*hi),
+            None if lo is None else _reduced(*lo),
+            None if hi is None else _reduced(*hi),
             beta2_row,
         )
         return got
 
-    def _slope(self, a: int, b: int) -> tuple[int, int]:
-        """(num, den): the growth num / den of pi1 per unit of c^T y from Q
-        vertex a to Q vertex b; den > 0 exactly when c^T y increases."""
-        got = self._slopes.get((a, b))
-        if got is None:
-            got = self._slopes[a, b] = self.qy.chord(a, b)
-        return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
@@ -405,60 +455,78 @@ class _Walk:
             hi_mask = self.q.vertices[hi].mask
             shared = self.q.vertices[lo].mask & hi_mask
             added = (hi_mask ^ shared).bit_length() - 1
-            num, den = slope = self._slope(lo, hi)
+            # pi1 grows num / den per unit of c^T y, and den > 0
+            num, den = slope = self.qy.chord(lo, hi)
             s, o, d = self.qy.ints(lo)
             # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
             at0 = (o * den - s * num, d * den)
             got = self._edges[lo, hi] = (shared, slope, at0, added)
         return got
 
-    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
-        """The interval of the basis pairing P vertex k with Q edge (lo, hi)."""
+    def interval(self, k: int, lo: int, hi: int) -> tuple:
+        """The interval of the basis pairing P vertex k with Q edge (lo, hi),
+        and its ends xi1 and xi2 as (num, den) in lowest terms: xi1 =
+        max(c^T y at lo, p_lo) and xi2 = min(alpha2, beta2), each picked by
+        cross-multiplying those integers."""
         m, n = self.m, self.n
         p_lo, beta2, beta2_row = self._p_bounds(k)
         shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
+        xi1 = c_lo if p_lo is None or p_lo[1] * c_lo[2] <= c_lo[1] * p_lo[2] else p_lo
+        # the sign of alpha2 - beta2 names the breakpoint that ends the interval
+        diff = -1 if beta2 is None else c_hi[1] * beta2[2] - beta2[1] * c_hi[2]
+        case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
+        xi2 = c_hi if diff <= 0 else beta2
         v = self.p.vertices[k]
-        return BasisInterval(
-            basis=ParametricBasis(v.labels, _label_set(shared), m, n),
-            xi1=c_lo if p_lo is None else max(c_lo, p_lo),
-            xi2=c_hi if beta2 is None else min(c_hi, beta2),
-            alpha2=c_hi,
-            beta2=beta2,
+        iv = _record(
+            BasisInterval,
+            basis=ParametricBasis._of_masks(v.mask, shared, m, n),
+            xi1=xi1[0],
+            xi2=xi2[0],
+            alpha2=c_hi[0],
+            beta2=None if beta2 is None else beta2[0],
             alpha2_row=m + n + added,
             beta2_row=beta2_row,
             # c0 = -at0 - pi2 and c1 = b^T x - slope
-            objective=AffineR(
-                c0=rat(-(an * d + o * ad), ad * d), c1=rat(s * sd - sn * d, d * sd)
+            objective=_record(
+                AffineR,
+                c0=rat(-(an * d + o * ad), ad * d),
+                c1=rat(s * sd - sn * d, d * sd),
             ),
             p_vertex=v,
             q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
-            q_xi=(c_lo, c_hi),
+            q_xi=(c_lo[0], c_hi[0]),
+            case=case,
         )
+        return iv, xi1[1:], xi2[1:]
 
-    def _up_edges(self, a: int) -> list[tuple[int, int, int]]:
-        """(num, den, far end) of each edge out of Q vertex a along which
-        c^T y increases, by increasing label dropped; num / den is the edge's
-        pi1 slope, den > 0."""
-        q = self.q
+    def _up_edges(self, a: int) -> list[tuple[int, int, int, int]]:
+        """(num, den, label dropped, far end) of each edge out of Q vertex a
+        along which c^T y increases; num / den is the edge's pi1 slope,
+        den > 0."""
+        q, qy = self.q, self.qy
         out = []
-        ray = len(q.vertices)
-        for l, j in sorted(q.near(a).items()):
+        ray = q.origin_index
+        for l, j in q.near(a).items():
             if j != ray:
-                num, den = self._slope(a, j)
+                num, den = qy.chord(a, j)
                 if den > 0:
-                    out.append((num, den, j))
+                    out.append((num, den, l, j))
         return out
 
     def next_edge(self, hi: int) -> int:
         """The far end of the edge out of Q vertex hi that continues the
         slice: c^T y increases along it and pi1 grows least per unit; ties go
         to the lowest label dropped."""
-        ups = self._up_edges(hi)
-        if not ups:
-            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)}")
-        return _first_least(ups)
+        best = None
+        for up in self._up_edges(hi):
+            diff = 1 if best is None else best[0] * up[1] - up[0] * best[1]
+            if diff > 0 or diff == 0 and up[2] < best[2]:
+                best = up
+        if best is None:
+            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)[0]}")
+        return best[3]
 
 
 @dataclass(frozen=True)
@@ -496,32 +564,36 @@ def enumerate_all(
     Each distinct equilibrium is checked once, on its vertices' integers.
     """
     p, q = require_nondegenerate(g)
+    total = p.payoffs.payoff_sum()  # A + B on the integers the walk cleared
     if factorization is not None:
-        factorization.require_matches(g)
-    total = g.payoff_sum()
-    if any(map(any, total)):
+        factorization.require_matches(g, total)
+    if any(map(any, total[0])):
         f = factorization if factorization is not None else factor_rank1(g, total)
         swept = f
     else:  # zero-sum: the trace has no factors, and the sweep runs on b = c = 0
         f, swept = None, RankOneFactorization((rat(0),) * g.m, (rat(0),) * g.n)
     walk = _Walk(g, swept, p, q)
-    lo, hi = min(swept.c), max(swept.c)
-    if lo == hi:
+    # the first least and the first greatest c_j, picked on c's integers
+    w = walk.qy.w
+    w_lo, w_hi = min(w), max(w)
+    lo, hi = swept.c[w.index(w_lo)], swept.c[w.index(w_hi)]
+    if w_lo == w_hi:
         dispatch = "zero-sum" if f is None else "row-constant"
         eq = _equilibrium(p.payoffs, *walk.one_point(lo), source_xi=lo)
         return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
     k, q_lo, q_hi = walk.start(lo)
-    iv = walk.interval(k, q_lo, q_hi)
+    iv, _, (xn, xd) = walk.interval(k, q_lo, q_hi)
+    top = _ints(hi)
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
     # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
     found: dict[tuple[int, int], EquilibriumPoint] = {}
-    visited: set[tuple[int, ...]] = set()
-    rows = iv.basis.rows
+    visited: set[int] = set()  # the row masks of the bases
     while True:
+        rows = iv.basis.mask
         if rows in visited:
-            raise Stalled(f"basis {rows} revisited; sweep is cycling")
+            raise Stalled(f"basis {iv.basis.rows} revisited; sweep is cycling")
         visited.add(rows)
         intervals.append(iv)
         for xi in _objective_zeros(iv):
@@ -531,27 +603,34 @@ def enumerate_all(
                 found[pair] = _equilibrium(
                     p.payoffs, iv.p_vertex, iv.q_edge[end], source_xi=xi
                 )
-        if iv.xi2 >= hi:
+        if xn * top[1] >= top[0] * xd:  # xi2 >= xi_max
             break
         # past a feasibility (or "Both") breakpoint the Q walk steps to the
         # next edge; past an optimality breakpoint the P walk steps across
         # the dropped label
-        case = iv.case
-        if case == "Optimality":
+        if iv.case == "Optimality":
             k = walk.p.near(k)[iv.beta2_row]
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
-        nxt = walk.interval(k, q_lo, q_hi)
+        nxt, (n1, d1), (n2, d2) = walk.interval(k, q_lo, q_hi)
         # the next basis's own interval certifies the step
-        if not nxt.xi1 <= iv.xi2 <= nxt.xi2:
+        if not (n1 * xd <= xn * d1 and xn * d2 <= n2 * xd):
             raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
-        nxt_rows = nxt.basis.rows
-        leaving = set(rows).difference(nxt_rows)
-        entering = set(nxt_rows).difference(rows)
+        # the least row that leaves and the least that enters: the lowest
+        # bits of the two differences of the row masks
+        leaving, entering = rows & ~nxt.basis.mask, nxt.basis.mask & ~rows
         breakpoints.append(
-            BreakpointRecord(iv.xi2, case, min(leaving), min(entering))
+            _record(
+                BreakpointRecord,
+                xi=iv.xi2,
+                kind=iv.case,
+                leaving=(leaving & -leaving).bit_length() - 1,
+                entering=(entering & -entering).bit_length() - 1,
+            )
         )
-        iv, rows = nxt, nxt_rows
+        iv, xn, xd = nxt, n2, d2
+    # the P vertices are sorted by point and each has one partner at most,
+    # so the pairs come in the order of the equilibria's keys
     return SweepTrace(
         g,
         f,
@@ -560,7 +639,7 @@ def enumerate_all(
         hi,
         tuple(intervals),
         tuple(breakpoints),
-        tuple(sorted(found.values(), key=lambda e: e.key())),
+        tuple(found[pair] for pair in sorted(found)),
     )
 
 

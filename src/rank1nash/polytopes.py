@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from itertools import compress, count
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import (
@@ -95,7 +94,12 @@ def _mask(labels) -> int:
 def _label_set(mask: int) -> frozenset[int]:
     """The labels of a mask, added to the set in increasing order, so that
     the set's iteration order depends on its labels alone."""
-    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(labels)
 
 
 class LabeledVertex:
@@ -316,16 +320,17 @@ class VertexGraph:
 
     ``require_nondegenerate`` returns one per side of a non-degenerate game,
     and every method reads vertices, edges and label masks from these. The
-    nodes of the graph are the V vertices and, as node V, ``origin``: the
-    origin of the normalised polytope, a ``LabeledVertex`` with no point
-    that carries the x labels 1..m on P and the y labels m+1..m+n on Q.
-    ``node(k)`` is node k of either kind. In a non-degenerate game each
+    nodes of the graph are the V vertices and ``origin``, node V
+    (``origin_index``): the origin of the normalised polytope, a
+    ``LabeledVertex`` with no point that carries the x labels 1..m on P and
+    the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind. In a non-degenerate game each
     node is one basis of the walk, ``steps[bases[k]]`` for vertex k and
     ``steps[0]`` for the origin, and each step of the walk out of that basis
     is one edge, keyed by the label of the variable entering: the label the
     step drops. ``payoffs`` is the game's ``IntegerPayoffs`` the walk
-    shifted, one object shared by the two graphs of a call. The lookups are built on first use and go with the
-    graph: nothing is cached between calls.
+    shifted, one object shared by the two graphs of a call. The lookups
+    are built on first use and go with the graph: nothing is cached between
+    calls.
     """
 
     vertices: tuple[LabeledVertex, ...]
@@ -334,6 +339,14 @@ class VertexGraph:
     bases: tuple[int, ...] = field(compare=False, repr=False)
     labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
     payoffs: IntegerPayoffs = field(compare=False, repr=False)
+    # the origin's node number, V: a step to it is a ray of P or Q
+    origin_index: int = field(init=False, compare=False, repr=False)
+    _near: dict[int, dict[int, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin_index", len(self.vertices))
 
     @property
     def full(self) -> int:
@@ -342,7 +355,7 @@ class VertexGraph:
 
     def node(self, k: int) -> LabeledVertex:
         """Vertex k, or the origin when k is V."""
-        return self.origin if k == len(self.vertices) else self.vertices[k]
+        return self.origin if k == self.origin_index else self.vertices[k]
 
     @cached_property
     def at(self) -> dict[int, int]:
@@ -350,7 +363,7 @@ class VertexGraph:
         as node V: each vertex has a positive coordinate, so lacks one of
         the origin's labels."""
         at = {v.mask: k for k, v in enumerate(self.vertices)}
-        at[self.origin.mask] = len(self.vertices)
+        at[self.origin.mask] = self.origin_index
         return at
 
     @cached_property
@@ -358,28 +371,31 @@ class VertexGraph:
         """The node of each basis the vertices were read from, by mask."""
         steps = self.steps
         node = {steps[n][0]: k for k, n in enumerate(self.bases)}
-        node[steps[0][0]] = len(self.vertices)
+        node[steps[0][0]] = self.origin_index
         return node
+
+    def _read_edges(self, k: int) -> dict[int, int]:
+        """The node reached from node k by dropping each of its labels, read
+        off the walk's steps."""
+        it = iter(self.steps[0 if k == self.origin_index else self.bases[k]])
+        mask = next(it)
+        node, labels = self._node, self.labels
+        return {
+            labels[enter]: node[mask ^ 1 << enter ^ 1 << leave]
+            for enter, leave in zip(it, it)
+        }
 
     def edges_of(self, k: int):
         """(label dropped, node reached) for each edge of node k; node V is
         the origin, and a step to it is a ray of P or Q."""
-        it = iter(self.steps[0 if k == len(self.vertices) else self.bases[k]])
-        mask = next(it)
-        node, labels = self._node, self.labels
-        for enter, leave in zip(it, it):
-            yield labels[enter], node[mask ^ 1 << enter ^ 1 << leave]
-
-    @cached_property
-    def _near(self) -> dict[int, dict[int, int]]:
-        return {}
+        return self._read_edges(k).items()
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read
         off the walk's steps on the first call for node k."""
         got = self._near.get(k)
         if got is None:
-            got = self._near[k] = dict(self.edges_of(k))
+            got = self._near[k] = self._read_edges(k)
         return got
 
 

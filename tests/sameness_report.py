@@ -1,0 +1,95 @@
+"""One sha256 per library method over a fixed set of games, to show that a
+change leaves every output as it was.
+
+    PYTHONPATH=src python tests/sameness_report.py
+
+The games are kt1..kt6 and 1,200 seeded draws of m x n games with m and n
+in 1..5. Of the draws, 70% are rank-1, with B = b c^T - A; the others draw
+B on its own. Each draw takes its payoffs from +-6, +-27 or +-297, and 30%
+of the entries of A, B, b and c are fractional. For every game the script
+calls ``enumerate_all``, ``equilibria_by_labels``, ``reachability``,
+``gprime_components``, ``check_nondegenerate`` and ``lh_run`` for every
+label r, and hashes the repr of each result, or the type and message of
+the exception it raises. It prints one line per method: its name, the
+sha256 and the number of calls, then the number of games. Run it with
+another checkout's ``src`` on PYTHONPATH and compare the lines: equal
+hashes mean equal outputs. Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+
+import rank1nash
+from rank1nash import BimatrixGame, generate_kt, rat
+
+METHODS = (
+    "enumerate_all",
+    "equilibria_by_labels",
+    "reachability",
+    "gprime_components",
+    "check_nondegenerate",
+)
+
+
+def draw(rng: random.Random) -> BimatrixGame:
+    """One random game, as the module docstring describes."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    bound = rng.choice((6, 27, 297))
+
+    def entry():
+        v = rng.randint(-bound, bound)
+        return rat(v, rng.randint(2, 9)) if rng.random() < 0.3 else rat(v)
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.7:
+        b = [entry() for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        bm = [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    else:
+        bm = [[entry() for _ in range(n)] for _ in range(m)]
+    return BimatrixGame.from_payoffs(a, bm)
+
+
+def games(seed: int, count: int):
+    for d in range(1, 7):
+        yield generate_kt(d)
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield draw(rng)
+
+
+def outcome(fn, *args) -> bytes:
+    """The repr of fn(*args), or the type and message of what it raised."""
+    try:
+        got = repr(fn(*args))
+    except Exception as exc:  # every outcome is hashed, errors included
+        got = f"{type(exc).__name__}: {exc}"
+    return got.encode() + b"\n"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--count", type=int, default=1200)
+    args = ap.parse_args()
+    hashes = {name: hashlib.sha256() for name in (*METHODS, "lh_run")}
+    calls = dict.fromkeys(hashes, 0)
+    total = 0
+    for g in games(args.seed, args.count):
+        total += 1
+        for name in METHODS:
+            hashes[name].update(outcome(getattr(rank1nash, name), g))
+            calls[name] += 1
+        for r in range(1, g.m + g.n + 1):
+            hashes["lh_run"].update(outcome(rank1nash.lh_run, g, r))
+            calls["lh_run"] += 1
+    for name, h in hashes.items():
+        print(f"{name} {h.hexdigest()} {calls[name]}")
+    print(f"games {total}")
+
+
+if __name__ == "__main__":
+    main()

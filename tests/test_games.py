@@ -180,11 +180,12 @@ def test_factor_rank1_agrees_with_the_rank():
         g = random_rank1_game(rng, m, n, -2, 2)
         if rng.random() < 0.3:
             g = random_game(rng, m, n, -1, 1)
-        total = g.payoff_sum()
+        total = IntegerPayoffs.of(g).payoff_sum()
         if game_rank(g) == 1:
             f = factor_rank1(g)
             assert f == factor_rank1(g, total)
             f.require_matches(g)
+            f.require_matches(g, total)
             continue
         for args in ((g,), (g, total)):
             with pytest.raises(NotRankOne) as err:

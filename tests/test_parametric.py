@@ -28,6 +28,7 @@ from rank1nash import (
     RankOneFactorization,
     enumerate_all,
     equilibria_by_labels,
+    factor_rank1,
     generate_kt,
     gprime_components,
     lh_run,
@@ -341,6 +342,98 @@ def test_start_matches_the_full_scan():
 )
 def test_start_matches_the_full_scan_on_draws(game):
     _start_matches_full_scan(*game)
+
+
+def _assert_integer_decisions(g, f=None) -> int:
+    """Check every decision the sweep made on integers against plain
+    rational arithmetic; return the number of intervals checked."""
+    try:
+        tr = enumerate_all(g, f)
+    except (DegenerateGame, NotRankOne):
+        return 0
+    p, _ = require_nondegenerate(g)
+    b, m = tr.factorization.b if tr.factorization else None, g.m
+    for iv in tr.intervals:
+        # the P vertex's crossings with its neighbours' lines, as rationals
+        k = p.vertices.index(iv.p_vertex)
+        x = iv.p_vertex.point
+        below, above = [], []
+        for j in p.near(k).values():
+            if j == p.origin_index:
+                continue
+            y = p.vertices[j].point
+            rise = vdot(b, y[:m]) - vdot(b, x[:m])
+            if rise:
+                (above if rise > 0 else below).append((y[m] - x[m]) / rise)
+        p_lo = max(below, default=None)
+        beta2 = min(above, default=None)
+        assert iv.beta2 == beta2
+        assert iv.xi1 == (iv.q_xi[0] if p_lo is None else max(iv.q_xi[0], p_lo))
+        assert iv.xi2 == (iv.alpha2 if beta2 is None else min(iv.alpha2, beta2))
+        hits_a = iv.alpha2 == iv.xi2
+        want = "Both" if hits_a and beta2 == iv.xi2 else "Feasibility" if hits_a else "Optimality"
+        assert iv.case == want
+        ends = [iv.objective.at(xi) for xi in (iv.xi1, iv.xi2)]
+        assert all(v <= 0 for v in ends)
+        zeros = {xi for xi, v in zip((iv.xi1, iv.xi2), ends) if v == 0}
+        assert parametric._objective_zeros(iv) == sorted(zeros)
+    for bp, iv, nxt in zip(tr.breakpoints, tr.intervals, tr.intervals[1:]):
+        rows, nxt_rows = set(iv.basis.rows), set(nxt.basis.rows)
+        assert (bp.xi, bp.kind) == (iv.xi2, iv.case)
+        assert (bp.leaving, bp.entering) == (min(rows - nxt_rows), min(nxt_rows - rows))
+    return len(tr.intervals)
+
+
+def test_integer_decisions_match_rational_arithmetic():
+    # the sweep picks xi1, xi2 and the breakpoint kind, finds the objective's
+    # zeros and the rows that leave and enter on integers; rationals must
+    # give the same on every corpus game and on kt1..kt8
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 9)]
+    assert sum(map(_assert_integer_decisions, games)) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        rank1_games(st.integers(2, 5), st.integers(2, 5)),
+        rank1_games(st.integers(2, 5), st.integers(2, 5), tied=True),
+    )
+)
+def test_integer_decisions_match_rational_arithmetic_on_draws(game):
+    _assert_integer_decisions(*game)
+
+
+def test_sweep_decodes_labels_for_the_records_and_ties_only(monkeypatch):
+    # the start compares vertices and edges by mask and decodes a label set
+    # only to break a tie; each interval decodes its basis's two label sets
+    decoded = []
+
+    def counted(mask):
+        decoded.append(mask)
+        return original(mask)
+
+    original = polytopes._label_set
+    for module in (polytopes, parametric):
+        monkeypatch.setattr(module, "_label_set", counted)
+    g = generate_kt(6)
+    f = factor_rank1(g)
+    p, q = require_nondegenerate(g)
+    parametric._Walk(g, f, p, q).start(min(f.c))
+    assert not decoded
+    tr = enumerate_all(g)
+    assert len(decoded) == 2 * len(tr.intervals) == 40
+    # a tie in P's optimum at xi_min (draw 218) and between two edges out of
+    # Q's start vertex (draw 30) each decode, and still match the full scan
+    for seed in (218, 30):
+        rng = random.Random(seed)
+        g = random_rank1_game(rng, rng.randint(2, 4), rng.randint(2, 4))
+        f = factor_rank1(g)
+        p, q = require_nondegenerate(g)
+        decoded.clear()
+        start = parametric._Walk(g, f, p, q).start(min(f.c))
+        assert decoded
+        assert start == _full_scan_start(p, q, f)
 
 
 def test_advance_chain(kt2_trace):

@@ -605,8 +605,8 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
 def test_walk_work_on_kt6(monkeypatch):
     # kt6's P and Q each have 42 feasible bases, the origin and 41 vertices,
     # and the walk reaches the 41 by one pivot each. A call clears A and B^T
-    # of denominators once, for both walks and every equilibrium check;
-    # enumerate_all also clears A + B to factor it
+    # of denominators once, for both walks, every equilibrium check and, in
+    # enumerate_all, the factorization of A + B
     counts = {"pivot": 0, "clear_rows": 0}
 
     def counted(name, fn):
@@ -631,7 +631,7 @@ def test_walk_work_on_kt6(monkeypatch):
         (lambda g: lh_run(g, 1), 2),
         (reachability, 2),
         (gprime_components, 2),
-        (enumerate_all, 3),
+        (enumerate_all, 2),
     ]
     for run, clears in runs:
         counts.update(pivot=0, clear_rows=0)
