@@ -40,22 +40,29 @@ follows the intervals it crosses, not the vertices: b^T x, c^T y and the
 payoffs are read off the integer keys of the vertices the walks visit, each
 vertex's crossings and each edge's slope are computed once, and an
 equilibrium is a vertex pair, so only the vertices of equilibria build
-their rationals. The start is one routine on each side (_optimal_face):
-descend the vertex graph from a vertex x = e_i of P, or from the vertex
-y = e_j of Q of the first least c_j keeping y_l = 0 for every c_l > xi_min,
-to a vertex no neighbour beats, then flood the neighbours of equal cost.
-The optimal vertices of a linear function over a pointed polyhedron span a
-face whose graph is connected (Balinski 1961), so the flood finds all of a
-tied optimum without a scan. The walks decide in integers: a vertex's
-point (w^T s, payoff) is a triple (s, o, d) over one denominator, a
-crossing or a slope is the chord between two such points as a pair
-(num, den), and crossings, slopes, the start's costs and the objective's
-sign at an interval end are compared by cross-multiplication. The
-rationals built are the values the trace reports: per P vertex visited
-its crossings p_lo and beta2, per Q vertex visited its c^T y, and per
-interval its objective's two coefficients, besides the points of the
-equilibria. The sweep table reads its binding rows off the labels of each
-interval's P vertex and Q edge ends; no dense tableau is ever built.
+their rationals. A + B is factored on the integer payoffs the check
+cleared (games.factor_rank1). The start is one routine on each side
+(_optimal_face): from the graph's origin, descend the vertex graph of P,
+or of the face of Q that keeps y_l = 0 for every c_l > xi_min, to a vertex
+no neighbour beats, then flood the neighbours of equal cost. The optimal
+vertices of a linear function over a pointed polyhedron span a face whose
+graph is connected (Balinski 1961), so the flood finds all of a tied
+optimum without a scan. The start decodes label sets only to break a tie,
+as sorted label lists do not order like masks. The walks decide in
+integers: a vertex's point (w^T s, payoff) is a triple (s, o, d) over one
+denominator, a crossing or a slope is the chord between two such points as
+a pair (num, den), and crossings, slopes and the start's costs are compared
+by cross-multiplication. The rationals built are the values the trace
+reports, each once: per P vertex visited its crossings p_lo and beta2, per
+Q vertex visited its c^T y, and per interval its objective's two
+coefficients, besides the points of the equilibria. Past the start the loop
+decides on their numerators and denominators in lowest terms: each
+interval's ends and breakpoint kind, the objective's sign at its ends and
+the Q end of each zero. A basis is one row mask, P label l as bit l and Q
+label l as bit m+n+l: the loop keeps the masks it has visited, and a
+breakpoint's leaving and entering rows are the lowest bits of the masks'
+two differences. The sweep table reads its binding rows off the labels of
+each interval's P vertex and Q edge ends; no dense tableau is ever built.
 """
 
 from __future__ import annotations
@@ -110,15 +117,14 @@ class ParametricBasis:
     @classmethod
     def _of_masks(cls, i: int, j: int, m: int, n: int) -> "ParametricBasis":
         """The basis of the P labels of mask i and the Q labels of mask j."""
-        basis = cls.__new__(cls)
-        vars(basis).update(
+        return _record(
+            cls,
             i_labels=_label_set(i),
             j_labels=_label_set(j),
             m=m,
             n=n,
             mask=_row_mask(i, j, m, n),
         )
-        return basis
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -359,7 +365,10 @@ class _Walk:
         """
         pv, qv = self.p.vertices, self.q.vertices
         face = self._p_face(xi)
-        k = face.pop() if len(face) == 1 else min(face, key=lambda k: sorted(pv[k].labels))
+        if len(face) == 1:
+            (k,) = face
+        else:
+            k = min(face, key=lambda k: sorted(pv[k].labels))
         ups = _least(
             (num, den, (a, j))
             for a in self._q_face(xi)
@@ -370,7 +379,6 @@ class _Walk:
         if len(ups) > 1:
             ups.sort(key=lambda e: sorted(_label_set(qv[e[0]].mask & qv[e[1]].mask)))
         return k, *ups[0]
-
 
     def one_point(self, xi: Rational) -> tuple[LabeledVertex, LabeledVertex]:
         """The P vertex and the Q vertex optimal at xi, when the range of xi
@@ -445,7 +453,6 @@ class _Walk:
         )
         return got
 
-
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
         hi adds) of the Q edge from lo to hi, the two as (num, den) with
@@ -473,7 +480,8 @@ class _Walk:
         shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
-        xi1 = c_lo if p_lo is None or p_lo[1] * c_lo[2] <= c_lo[1] * p_lo[2] else p_lo
+        # each a triple (rational, num, den) in lowest terms
+        xi1 = p_lo if p_lo and p_lo[1] * c_lo[2] > c_lo[1] * p_lo[2] else c_lo
         # the sign of alpha2 - beta2 names the breakpoint that ends the interval
         diff = -1 if beta2 is None else c_hi[1] * beta2[2] - beta2[1] * c_hi[2]
         case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
@@ -519,14 +527,10 @@ class _Walk:
         """The far end of the edge out of Q vertex hi that continues the
         slice: c^T y increases along it and pi1 grows least per unit; ties go
         to the lowest label dropped."""
-        best = None
-        for up in self._up_edges(hi):
-            diff = 1 if best is None else best[0] * up[1] - up[0] * best[1]
-            if diff > 0 or diff == 0 and up[2] < best[2]:
-                best = up
-        if best is None:
+        ups = _least((num, den, (l, j)) for num, den, l, j in self._up_edges(hi))
+        if not ups:
             raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)[0]}")
-        return best[3]
+        return min(ups)[1]
 
 
 @dataclass(frozen=True)

@@ -323,14 +323,14 @@ class VertexGraph:
     nodes of the graph are the V vertices and ``origin``, node V
     (``origin_index``): the origin of the normalised polytope, a
     ``LabeledVertex`` with no point that carries the x labels 1..m on P and
-    the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind. In a non-degenerate game each
-    node is one basis of the walk, ``steps[bases[k]]`` for vertex k and
-    ``steps[0]`` for the origin, and each step of the walk out of that basis
-    is one edge, keyed by the label of the variable entering: the label the
-    step drops. ``payoffs`` is the game's ``IntegerPayoffs`` the walk
-    shifted, one object shared by the two graphs of a call. The lookups
-    are built on first use and go with the graph: nothing is cached between
-    calls.
+    the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind. In a
+    non-degenerate game each node is one basis of the walk,
+    ``steps[bases[k]]`` for vertex k and ``steps[0]`` for the origin, and
+    each step of the walk out of that basis is one edge, keyed by the label
+    of the variable entering: the label the step drops. ``payoffs`` is the
+    game's ``IntegerPayoffs`` the walk shifted, one object shared by the
+    two graphs of a call. The lookups are built on first use and go with
+    the graph: nothing is cached between calls.
     """
 
     vertices: tuple[LabeledVertex, ...]

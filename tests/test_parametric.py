@@ -370,9 +370,10 @@ def _assert_integer_decisions(g, f=None) -> int:
         assert iv.beta2 == beta2
         assert iv.xi1 == (iv.q_xi[0] if p_lo is None else max(iv.q_xi[0], p_lo))
         assert iv.xi2 == (iv.alpha2 if beta2 is None else min(iv.alpha2, beta2))
-        hits_a = iv.alpha2 == iv.xi2
-        want = "Both" if hits_a and beta2 == iv.xi2 else "Feasibility" if hits_a else "Optimality"
-        assert iv.case == want
+        if iv.alpha2 != iv.xi2:
+            assert iv.case == "Optimality"
+        else:
+            assert iv.case == ("Both" if beta2 == iv.xi2 else "Feasibility")
         ends = [iv.objective.at(xi) for xi in (iv.xi1, iv.xi2)]
         assert all(v <= 0 for v in ends)
         zeros = {xi for xi, v in zip((iv.xi1, iv.xi2), ends) if v == 0}
