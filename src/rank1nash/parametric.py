@@ -111,6 +111,9 @@ class ParametricBasis:
     n: int
 
     def __post_init__(self):
+        # a label below 1 has no bit in a mask
+        if min(self.i_labels | self.j_labels, default=1) < 1:
+            raise ValueError("labels out of range")
         rows = _row_mask(_mask(self.i_labels), _mask(self.j_labels), self.m, self.n)
         object.__setattr__(self, "mask", rows)
 

@@ -94,6 +94,23 @@ def test_initial_basis_at_left_end(kt2_trace):
     assert iv.xi1 == 2 and rat(9, 4) <= iv.xi2
 
 
+def test_basis_checks_its_labels():
+    # the range and size checks run on the label masks, and a label below 1,
+    # which no bit stands for, is out of range too
+    basis = ParametricBasis(frozenset({2, 3}), frozenset({1}), 2, 2)
+    assert (basis.mask, basis.rows) == (0b101100, (2, 3, 5))
+    for i, j, message in [
+        ({0, 3}, {1}, "out of range"),
+        ({-1, 3}, {1}, "out of range"),
+        ({2, 5}, {1}, "out of range"),
+        ({2, 3}, {5}, "out of range"),
+        ({2}, {1}, "m P-labels"),
+        ({2, 3}, {1, 4}, "n-1 Q-labels"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ParametricBasis(frozenset(i), frozenset(j), 2, 2)
+
+
 def test_solve_basis_values(kt2_trace):
     z = interval_z(kt2_trace.intervals[0])
     # worked by hand: x = e1 and y puts (2 - xi/2, xi/2 - 1) on the columns
