@@ -479,11 +479,12 @@ class _Walk:
         max(c^T y at lo, p_lo) and xi2 = min(alpha2, beta2), each picked by
         cross-multiplying those integers."""
         m, n = self.m, self.n
+        # p_lo and beta2 (None when missing), c_lo and c_hi are each a
+        # triple (rational, num, den), the fraction in lowest terms
         p_lo, beta2, beta2_row = self._p_bounds(k)
         shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
-        # each a triple (rational, num, den) in lowest terms
         xi1 = p_lo if p_lo and p_lo[1] * c_lo[2] > c_lo[1] * p_lo[2] else c_lo
         # the sign of alpha2 - beta2 names the breakpoint that ends the interval
         diff = -1 if beta2 is None else c_hi[1] * beta2[2] - beta2[1] * c_hi[2]

@@ -374,28 +374,21 @@ class VertexGraph:
         node[steps[0][0]] = self.origin_index
         return node
 
-    def _read_edges(self, k: int) -> dict[int, int]:
-        """The node reached from node k by dropping each of its labels, read
-        off the walk's steps."""
-        it = iter(self.steps[0 if k == self.origin_index else self.bases[k]])
-        mask = next(it)
-        node, labels = self._node, self.labels
-        return {
-            labels[enter]: node[mask ^ 1 << enter ^ 1 << leave]
-            for enter, leave in zip(it, it)
-        }
-
     def edges_of(self, k: int):
         """(label dropped, node reached) for each edge of node k; node V is
         the origin, and a step to it is a ray of P or Q."""
-        return self._read_edges(k).items()
+        it = iter(self.steps[0 if k == self.origin_index else self.bases[k]])
+        mask = next(it)
+        node, labels = self._node, self.labels
+        for enter, leave in zip(it, it):
+            yield labels[enter], node[mask ^ 1 << enter ^ 1 << leave]
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read
         off the walk's steps on the first call for node k."""
         got = self._near.get(k)
         if got is None:
-            got = self._near[k] = self._read_edges(k)
+            got = self._near[k] = dict(self.edges_of(k))
         return got
 
 
