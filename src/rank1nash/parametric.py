@@ -55,14 +55,16 @@ a pair (num, den), and crossings, slopes and the start's costs are compared
 by cross-multiplication. The rationals built are the values the trace
 reports, each once: per P vertex visited its crossings p_lo and beta2, per
 Q vertex visited its c^T y, and per interval its objective's two
-coefficients, besides the points of the equilibria. Past the start the loop
-decides on their numerators and denominators in lowest terms: each
-interval's ends and breakpoint kind, the objective's sign at its ends and
-the Q end of each zero. A basis is one row mask, P label l as bit l and Q
-label l as bit m+n+l: the loop keeps the masks it has visited, and a
-breakpoint's leaving and entering rows are the lowest bits of the masks'
-two differences. The sweep table reads its binding rows off the labels of
-each interval's P vertex and Q edge ends; no dense tableau is ever built.
+coefficients, besides the points of the equilibria. Each rational holds its
+numerator and denominator in lowest terms, and past the start the loop
+cross-multiplies those (_diff) to pick each interval's ends and breakpoint
+kind, to stop at xi_max and to certify each step; the objective's sign at
+an interval's ends is read off the same integers. A basis is one row mask,
+P label l as bit l and Q label l as bit m+n+l: the loop keeps the masks it
+has visited, and a breakpoint's leaving and entering rows are the lowest
+bits of the masks' two differences. The sweep table reads its binding rows
+off the labels of each interval's P vertex and Q edge ends; no dense
+tableau is ever built.
 """
 
 from __future__ import annotations
@@ -220,18 +222,15 @@ def _q_end(iv: BasisInterval, xi: Rational) -> int:
     """0 or 1: the end of the interval's Q edge where c^T y = xi. In a
     non-degenerate game an equilibrium is a pair of vertices, so an
     objective zero lies at an end of the Q edge."""
-    ends = list(map(_ints, iv.q_xi))
-    at = _ints(xi)
-    if at in ends:
-        return ends.index(at)
+    if xi in iv.q_xi:
+        return iv.q_xi.index(xi)
     raise InternalInvariantError(f"objective zero at xi = {xi} inside a Q edge")
 
 
-def _reduced(num: int, den: int) -> tuple[Rational, int, int]:
-    """The rational num / den, den != 0, with its numerator and
-    denominator in lowest terms."""
-    x = rat(num, den)
-    return x, x.numerator, x.denominator
+def _diff(a: Rational, b: Rational) -> int:
+    """An integer of the sign of a - b: the numerators and denominators the
+    two rationals hold, in lowest terms, cross-multiplied."""
+    return a.numerator * b.denominator - b.numerator * a.denominator
 
 
 class _Line:
@@ -246,7 +245,7 @@ class _Line:
         self.vertices = graph.vertices
         self.w, self.scale = clear_denominators(weights)
         self._ints: dict[int, tuple[int, int, int]] = {}
-        self._x: dict[int, tuple[Rational, int, int]] = {}
+        self._x: dict[int, Rational] = {}
 
     def ints(self, k: int) -> tuple[int, int, int]:
         """(s, o, d) of vertex k, with d > 0."""
@@ -267,28 +266,19 @@ class _Line:
         sj, oj, dj = self.ints(j)
         return oj * dk - ok * dj, sj * dk - sk * dj
 
-    def x(self, k: int) -> tuple[Rational, int, int]:
-        """w^T s at vertex k, as ``_reduced`` gives it."""
+    def x(self, k: int) -> Rational:
+        """w^T s at vertex k."""
         got = self._x.get(k)
         if got is None:
             s, _, d = self.ints(k)
-            got = self._x[k] = _reduced(s, d)
+            got = self._x[k] = rat(s, d)
         return got
 
 
-def _first_least(fractions):
-    """The first of the (num, den, tag) triples, den > 0, of least num / den,
-    compared by cross-multiplication; None when there is none."""
-    best = None
-    for t in fractions:
-        if best is None or t[0] * best[1] < best[0] * t[1]:
-            best = t
-    return best
-
-
-def _least(fractions) -> list:
-    """The tags of all the (num, den, tag) triples, den > 0, of least
-    num / den, in order, compared by cross-multiplication."""
+def _least(fractions) -> tuple[tuple[int, int] | None, list]:
+    """The least num / den of the (num, den, tag) triples, den > 0, as
+    (num, den), and the tags of all the triples of that value, in order,
+    compared by cross-multiplication; (None, []) when there is none."""
     best, tags = None, []
     for num, den, tag in fractions:
         diff = 1 if best is None else best[0] * den - num * best[1]
@@ -296,7 +286,7 @@ def _least(fractions) -> list:
             best, tags = (num, den), [tag]
         elif diff == 0:
             tags.append(tag)
-    return tags
+    return best, tags
 
 
 def _optimal_face(graph: VertexGraph, cost, fixed: int = 0) -> set[int]:
@@ -320,15 +310,15 @@ def _optimal_face(graph: VertexGraph, cost, fixed: int = 0) -> set[int]:
             if j != ray and not fixed >> l & 1
         ]
 
-    kn, kd, k = _first_least(near(ray))
+    best, ties = _least(near(ray))
     while True:
-        best = _first_least(near(k))
+        (kn, kd), k = best, ties[0]
+        best, ties = _least(near(k))
         diff = 1 if best is None else best[0] * kd - kn * best[1]
         if diff > 0:  # no neighbour ties k: the face is k alone
             return {k}
         if diff == 0:
             break
-        kn, kd, k = best
     face, todo = {k}, [k]
     while todo:
         for num, den, j in near(todo.pop()):
@@ -343,9 +333,9 @@ class _Walk:
     and q of Q; P vertices and Q vertices are named by their indices. Every
     decision is made on integers: each P vertex's crossings and each Q
     edge's slope are computed once, as fractions num / den compared by
-    cross-multiplication, and each rational the trace reports is built once
-    with its numerator and denominator in lowest terms, on which the
-    interval ends are compared."""
+    cross-multiplication, and each rational the trace reports is built once;
+    the interval ends are compared on the numerators and denominators it
+    holds."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
@@ -372,7 +362,7 @@ class _Walk:
             (k,) = face
         else:
             k = min(face, key=lambda k: sorted(pv[k].labels))
-        ups = _least(
+        _, ups = _least(
             (num, den, (a, j))
             for a in self._q_face(xi)
             for num, den, _, j in self._up_edges(a)
@@ -425,34 +415,33 @@ class _Walk:
         return _optimal_face(self.q, lambda k: qy.ints(k)[1:], fixed)
 
     def _p_bounds(self, k: int) -> tuple:
-        """(p_lo, beta2, beta2_row) of P vertex k: the crossings of its line
-        with its neighbours' lines, each as ``_reduced`` gives it, or None;
-        a steeper line bounds the interval above, a shallower one below.
-        The line of neighbour j crosses k's where xi is the slope of the
-        chord from k's point (b^T x, pi2) to j's, and is steeper when that
-        chord's b^T x increases."""
+        """(p_lo, beta2, beta2_row) of P vertex k: the greatest crossing of
+        its line with a shallower neighbour's line, bounding the interval
+        below, and the least with a steeper one, bounding it above, ties to
+        the lowest label dropped; None where there is none. The line of
+        neighbour j crosses k's where xi is the slope of the chord from k's
+        point (b^T x, pi2) to j's, and is steeper when that chord's b^T x
+        increases; a ray, or a parallel line, never crosses k's."""
         got = self._bounds.get(k)
         if got is not None:
             return got
         p, px = self.p, self.px
-        lo = hi = beta2_row = None  # (num, den) with den > 0
         ray = p.origin_index
+        # the crossings with steeper lines, and minus those with shallower
+        up, down = [], []
         for l, j in p.near(k).items():
-            if j == ray:
-                continue  # a ray never crosses v's line
-            num, den = px.chord(k, j)
-            if den > 0:
-                # the least crossing, ties to the lowest label dropped
-                diff = 1 if hi is None else hi[0] * den - num * hi[1]
-                if diff > 0 or diff == 0 and l < beta2_row:
-                    hi, beta2_row = (num, den), l
-            elif den < 0:  # den == 0: a parallel line never crosses v's
-                if lo is None or num * lo[1] < lo[0] * den:  # -num/-den > lo
-                    lo = -num, -den
+            if j != ray:
+                num, den = px.chord(k, j)
+                if den > 0:
+                    up.append((num, den, l))
+                elif den < 0:
+                    down.append((num, -den, l))
+        hi, rows = _least(up)
+        lo, _ = _least(down)  # p_lo is minus the least of those negated
         got = self._bounds[k] = (
-            None if lo is None else _reduced(*lo),
-            None if hi is None else _reduced(*hi),
-            beta2_row,
+            None if lo is None else rat(-lo[0], lo[1]),
+            None if hi is None else rat(*hi),
+            min(rows, default=None),
         )
         return got
 
@@ -473,31 +462,26 @@ class _Walk:
             got = self._edges[lo, hi] = (shared, slope, at0, added)
         return got
 
-    def interval(self, k: int, lo: int, hi: int) -> tuple:
-        """The interval of the basis pairing P vertex k with Q edge (lo, hi),
-        and its ends xi1 and xi2 as (num, den) in lowest terms: xi1 =
-        max(c^T y at lo, p_lo) and xi2 = min(alpha2, beta2), each picked by
-        cross-multiplying those integers."""
+    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
+        """The interval of the basis pairing P vertex k with Q edge (lo, hi):
+        xi1 = max(c^T y at lo, p_lo) and xi2 = min(alpha2, beta2)."""
         m, n = self.m, self.n
-        # p_lo and beta2 (None when missing), c_lo and c_hi are each a
-        # triple (rational, num, den), the fraction in lowest terms
         p_lo, beta2, beta2_row = self._p_bounds(k)
         shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
-        xi1 = p_lo if p_lo and p_lo[1] * c_lo[2] > c_lo[1] * p_lo[2] else c_lo
+        xi1 = p_lo if p_lo is not None and _diff(p_lo, c_lo) > 0 else c_lo
         # the sign of alpha2 - beta2 names the breakpoint that ends the interval
-        diff = -1 if beta2 is None else c_hi[1] * beta2[2] - beta2[1] * c_hi[2]
+        diff = -1 if beta2 is None else _diff(c_hi, beta2)
         case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
-        xi2 = c_hi if diff <= 0 else beta2
         v = self.p.vertices[k]
-        iv = _record(
+        return _record(
             BasisInterval,
             basis=ParametricBasis._of_masks(v.mask, shared, m, n),
-            xi1=xi1[0],
-            xi2=xi2[0],
-            alpha2=c_hi[0],
-            beta2=None if beta2 is None else beta2[0],
+            xi1=xi1,
+            xi2=c_hi if diff <= 0 else beta2,
+            alpha2=c_hi,
+            beta2=beta2,
             alpha2_row=m + n + added,
             beta2_row=beta2_row,
             # c0 = -at0 - pi2 and c1 = b^T x - slope
@@ -508,10 +492,9 @@ class _Walk:
             ),
             p_vertex=v,
             q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
-            q_xi=(c_lo[0], c_hi[0]),
+            q_xi=(c_lo, c_hi),
             case=case,
         )
-        return iv, xi1[1:], xi2[1:]
 
     def _up_edges(self, a: int) -> list[tuple[int, int, int, int]]:
         """(num, den, label dropped, far end) of each edge out of Q vertex a
@@ -531,9 +514,9 @@ class _Walk:
         """The far end of the edge out of Q vertex hi that continues the
         slice: c^T y increases along it and pi1 grows least per unit; ties go
         to the lowest label dropped."""
-        ups = _least((num, den, (l, j)) for num, den, l, j in self._up_edges(hi))
+        _, ups = _least((num, den, (l, j)) for num, den, l, j in self._up_edges(hi))
         if not ups:
-            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)[0]}")
+            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)}")
         return min(ups)[1]
 
 
@@ -569,7 +552,10 @@ def enumerate_all(
     start gives the unique equilibrium. NotRankOne is raised when
     rank(A+B) >= 2, DegenerateGame when the non-degeneracy check fails,
     and FactorizationMismatch when a given factorization is not A + B.
-    Each distinct equilibrium is checked once, on its vertices' integers.
+    A given factorization is reported as given, except on a zero-sum game:
+    there the trace's factorization is None, as the sweep runs on b = c = 0
+    at xi = 0, which a given nonzero c would contradict. Each distinct
+    equilibrium is checked once, on its vertices' integers.
     """
     p, q = require_nondegenerate(g)
     total = p.payoffs.payoff_sum()  # A + B on the integers the walk cleared
@@ -591,8 +577,7 @@ def enumerate_all(
         return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
     k, q_lo, q_hi = walk.start(lo)
-    iv, _, (xn, xd) = walk.interval(k, q_lo, q_hi)
-    top = _ints(hi)
+    iv = walk.interval(k, q_lo, q_hi)
     intervals: list[BasisInterval] = []
     breakpoints: list[BreakpointRecord] = []
     # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
@@ -611,7 +596,7 @@ def enumerate_all(
                 found[pair] = _equilibrium(
                     p.payoffs, iv.p_vertex, iv.q_edge[end], source_xi=xi
                 )
-        if xn * top[1] >= top[0] * xd:  # xi2 >= xi_max
+        if _diff(iv.xi2, hi) >= 0:  # xi2 >= xi_max
             break
         # past a feasibility (or "Both") breakpoint the Q walk steps to the
         # next edge; past an optimality breakpoint the P walk steps across
@@ -620,9 +605,9 @@ def enumerate_all(
             k = walk.p.near(k)[iv.beta2_row]
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
-        nxt, (n1, d1), (n2, d2) = walk.interval(k, q_lo, q_hi)
+        nxt = walk.interval(k, q_lo, q_hi)
         # the next basis's own interval certifies the step
-        if not (n1 * xd <= xn * d1 and xn * d2 <= n2 * xd):
+        if _diff(nxt.xi1, iv.xi2) > 0 or _diff(iv.xi2, nxt.xi2) > 0:
             raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
         # the least row that leaves and the least that enters: the lowest
         # bits of the two differences of the row masks
@@ -636,7 +621,7 @@ def enumerate_all(
                 entering=(entering & -entering).bit_length() - 1,
             )
         )
-        iv, xn, xd = nxt, n2, d2
+        iv = nxt
     # the P vertices are sorted by point and each has one partner at most,
     # so the pairs come in the order of the equilibria's keys
     return SweepTrace(

@@ -64,9 +64,10 @@ dictionary, det) and tries the entering variables in dictionary order. A
 basis is known by its mask, the bits of its variables. The walk also
 records every ratio-test step it takes, and in a non-degenerate game, where
 each basis is one vertex and each step is one edge, that record is the
-vertex graph: ``VertexGraph`` reads it node by node, on first use. Its
-nodes are the vertices and its ``origin``, the walk's first basis, which is
-a ``LabeledVertex`` with no point: the origin is not a strategy.
+vertex graph: ``VertexGraph`` reads it node by node, on first use, and
+finds the node a step reaches by its label mask. Its nodes are the
+vertices and its ``origin``, the walk's first basis, which is a
+``LabeledVertex`` with no point: the origin is not a strategy.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _ratio_test(dic: list[list[int]], col: int) -> list[int]:
     return best
 
 
-def _feasible_bases(mat: list[list[int]], steps: list | None = None):
+def _feasible_bases(mat: list[list[int]], steps: list):
     """Every feasible basis of {z >= 0 : mat z + s = 1, s >= 0}.
 
     ``mat`` is k x d with positive entries, so the polytope is bounded and
@@ -190,10 +191,10 @@ def _feasible_bases(mat: list[list[int]], steps: list | None = None):
     integer det > 0 is |det| of the basis's columns of [mat | I]. The
     entering variables are tried in dictionary order, column by column. A
     tie in the ratio test branches to every tied row, so degenerate vertices
-    are reached through all of their bases. When ``steps`` is a list, the
-    walk appends to it, for each basis in the order yielded, the basis's
-    mask followed by each ratio-test step out of that basis as a pair: the
-    variable entering, then the variable leaving.
+    are reached through all of their bases. The walk appends to ``steps``,
+    for each basis in the order yielded, the ratio-test steps out of that
+    basis as one flat list of pairs: the variable entering, then the
+    variable leaving.
     """
     k, d = len(mat), len(mat[0])
     mask = ((1 << k) - 1) << d
@@ -209,7 +210,7 @@ def _feasible_bases(mat: list[list[int]], steps: list | None = None):
             state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
         yield state
         basis, cobasis, dic, det = state
-        out = [mask]
+        out = []
         for col, enter in enumerate(cobasis):
             for r in _ratio_test(dic, col):
                 leave = basis[r]
@@ -218,8 +219,7 @@ def _feasible_bases(mat: list[list[int]], steps: list | None = None):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append((state, r, col, nxt))
-        if steps is not None:
-            steps.append(out)
+        steps.append(out)
 
 
 def _point_order(a: tuple, b: tuple) -> int:
@@ -297,8 +297,7 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     return VertexGraph(
         tuple(t[2] for t in ordered),
         LabeledVertex(None, frozenset(labels[:d])),
-        steps,
-        tuple(t[3] for t in ordered),
+        [steps[t[3]] for t in ordered] + [steps[0]],  # the origin's basis is first
         labels,
         payoffs,
     )
@@ -324,19 +323,19 @@ class VertexGraph:
     (``origin_index``): the origin of the normalised polytope, a
     ``LabeledVertex`` with no point that carries the x labels 1..m on P and
     the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind. In a
-    non-degenerate game each node is one basis of the walk,
-    ``steps[bases[k]]`` for vertex k and ``steps[0]`` for the origin, and
-    each step of the walk out of that basis is one edge, keyed by the label
-    of the variable entering: the label the step drops. ``payoffs`` is the
-    game's ``IntegerPayoffs`` the walk shifted, one object shared by the
-    two graphs of a call. The lookups are built on first use and go with
+    non-degenerate game each node is one basis of the walk, whose cobasis
+    carries the node's labels, and ``steps[k]`` holds the walk's steps out
+    of node k's basis: each is one edge, keyed by the label of the variable
+    entering, the label the step drops, and leads to the node whose mask
+    lacks that label and has the label of the variable leaving. ``payoffs``
+    is the game's ``IntegerPayoffs`` the walk shifted, one object shared by
+    the two graphs of a call. The lookups are built on first use and go with
     the graph: nothing is cached between calls.
     """
 
     vertices: tuple[LabeledVertex, ...]
     origin: LabeledVertex = field(compare=False, repr=False)
     steps: list[list[int]] = field(compare=False, repr=False)
-    bases: tuple[int, ...] = field(compare=False, repr=False)
     labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
     payoffs: IntegerPayoffs = field(compare=False, repr=False)
     # the origin's node number, V: a step to it is a ray of P or Q
@@ -366,22 +365,14 @@ class VertexGraph:
         at[self.origin.mask] = self.origin_index
         return at
 
-    @cached_property
-    def _node(self) -> dict[int, int]:
-        """The node of each basis the vertices were read from, by mask."""
-        steps = self.steps
-        node = {steps[n][0]: k for k, n in enumerate(self.bases)}
-        node[steps[0][0]] = self.origin_index
-        return node
-
     def edges_of(self, k: int):
         """(label dropped, node reached) for each edge of node k; node V is
         the origin, and a step to it is a ray of P or Q."""
-        it = iter(self.steps[0 if k == self.origin_index else self.bases[k]])
-        mask = next(it)
-        node, labels = self._node, self.labels
+        it = iter(self.steps[k])
+        mask, at, labels = self.node(k).mask, self.at, self.labels
         for enter, leave in zip(it, it):
-            yield labels[enter], node[mask ^ 1 << enter ^ 1 << leave]
+            drop = labels[enter]
+            yield drop, at[mask ^ 1 << drop ^ 1 << labels[leave]]
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read

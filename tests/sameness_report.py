@@ -14,6 +14,9 @@ the exception it raises. It prints one line per method: its name, the
 sha256 and the number of calls, then the number of games. Run it with
 another checkout's ``src`` on PYTHONPATH and compare the lines: equal
 hashes mean equal outputs. Pytest does not collect this file.
+``tests/golden/sameness.txt`` holds its output with the ``fractions``
+backend, and CI diffs a fresh run against it there; gmpy2's ``mpq`` prints
+unlike ``Fraction``, so the hashes differ with that backend.
 """
 
 from __future__ import annotations

@@ -86,6 +86,22 @@ def test_enumerate_bad_factor(unreach_path, capsys):
     assert main(["enumerate", unreach_path, "--factor", "b=1;1", "c=2,2"]) == 3
 
 
+def test_zero_sum_enumerate_checks_a_factorization_and_reports_none(capsys):
+    # A + B = 0 = b c^T for b = 0 and any c, so the factorization is accepted;
+    # the sweep runs on b = c = 0 at xi = 0, which the given c = (1, 5) would
+    # contradict, so it is not reported
+    path = str(CORPUS / "zero-sum-2x2.game")
+    args = ["enumerate", path, "--factor", "b=0,0", "c=1,5"]
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["dispatch: zero-sum", "xi range: [0, 0]", "equilibria: 1"]
+    assert not [line for line in out if line.startswith("factorization:")]
+    assert main([*args, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["dispatch"], obj["factorization"]) == ("zero-sum", None)
+    assert obj["xi_range"] == ["0", "0"]
+
+
 def test_enumerate_wrong_rank(demo_path):
     assert main(["enumerate", demo_path]) == 4
 

@@ -26,6 +26,7 @@ from rank1nash import (
     NotRankOne,
     ParametricBasis,
     RankOneFactorization,
+    Stalled,
     enumerate_all,
     equilibria_by_labels,
     factor_rank1,
@@ -170,6 +171,48 @@ def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
     assert parametric._objective_zeros(inside) == [rat(5, 2)]
     with pytest.raises(InternalInvariantError, match="inside a Q edge"):
         parametric._q_end(inside, rat(5, 2))
+
+
+class _Astray(dict):
+    """The near memo of a node, with its items left as the graph's, so the
+    crossings read off them keep their values, but with the lookup of one
+    label answering the node ``to``: only the step across it goes astray."""
+
+    def __init__(self, near, label, to):
+        super().__init__(near)
+        self.label, self.to = label, to
+
+    def __getitem__(self, label):
+        return self.to if label == self.label else super().__getitem__(label)
+
+
+def _sweep_stepping_astray(monkeypatch, to):
+    """The sweep of kt2, whose first interval ends at an optimality
+    breakpoint, with the P walk's step there sent to the P vertex of
+    interval ``to`` of the true sweep instead."""
+    g = generate_kt(2)
+    ivs = enumerate_all(g).intervals
+    assert ivs[0].case == "Optimality"
+    p, q = require_nondegenerate(g)
+    k = p.at[ivs[0].p_vertex.mask]
+    p._near[k] = _Astray(p.near(k), ivs[0].beta2_row, p.at[ivs[to].p_vertex.mask])
+    monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
+    return enumerate_all(g)
+
+
+def test_sweep_refuses_a_step_back_to_its_own_basis(monkeypatch):
+    # a step that keeps the P vertex keeps the basis: the next interval is
+    # the one just left, which certifies the step, and the loop must then
+    # see the basis again and stop
+    with pytest.raises(Stalled, match="revisited; sweep is cycling"):
+        _sweep_stepping_astray(monkeypatch, 0)
+
+
+def test_sweep_refuses_a_step_whose_interval_misses_the_breakpoint(monkeypatch):
+    # kt2's last P vertex is optimal only from xi = 7, so its interval on the
+    # first Q edge misses the first breakpoint, xi = 5
+    with pytest.raises(Stalled, match="no verifiable pivot at xi = 5"):
+        _sweep_stepping_astray(monkeypatch, -1)
 
 
 def _one_point_game(rng, m, n, row_constant):

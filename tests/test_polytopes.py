@@ -55,7 +55,7 @@ def _positive_integer_rows(rows):
 def _rhs_bases(mat):
     """(basis, rhs, det) for each basis the walk yields: basis[r] has the
     value rhs[r] / det."""
-    for basis, _, dic, det in _feasible_bases(mat):
+    for basis, _, dic, det in _feasible_bases(mat, []):
         yield basis, [row[-1] for row in dic], det
 
 
@@ -232,7 +232,7 @@ def test_walk_visits_every_feasible_basis():
                 continue
             if min(z) >= 0:
                 feasible.add(frozenset(cols))
-        assert {frozenset(b) for b, _, _, _ in _feasible_bases(mat)} == feasible, mat
+        assert {frozenset(b) for b, _, _, _ in _feasible_bases(mat, [])} == feasible, mat
 
 
 def test_labels_read_off_the_cobasis():
@@ -255,7 +255,7 @@ def test_labels_read_off_the_cobasis():
         k, d = len(mat), len(mat[0])
         every = set(range(d + k))
         by_key: dict[tuple, list] = {}
-        for basis, cobasis, dic, det in _feasible_bases(mat):
+        for basis, cobasis, dic, det in _feasible_bases(mat, []):
             zero = [var for var, row in zip(basis, dic) if row[-1] == 0]
             # the old readout: every variable outside the basis, and the
             # basic ones at zero
