@@ -168,9 +168,9 @@ def best_response_values(
 @dataclass(frozen=True)
 class IntegerPayoffs:
     """A = a / a_scale and B^T = bt / b_scale, each cleared of denominators
-    by one positive integer. A caller that checks several strategy pairs of
-    one game builds this once per call and hands it to ``is_nash``; it is
-    never kept beyond the call."""
+    by one positive integer. ``is_nash`` builds one per check, and
+    ``polytopes.require_nondegenerate`` one per call, for its two walks and
+    every equilibrium check of the call. It is never kept beyond the call."""
 
     a: tuple[tuple[int, ...], ...]
     a_scale: int
@@ -193,20 +193,17 @@ class IntegerPayoffs:
         ], sa * sb
 
 
-def is_nash(
-    g: BimatrixGame, s: MixedStrategyPair, payoffs: IntegerPayoffs | None = None
-) -> tuple[bool, Rational, Rational]:
+def is_nash(g: BimatrixGame, s: MixedStrategyPair) -> tuple[bool, Rational, Rational]:
     """Whether s is a Nash equilibrium, plus the realized payoffs (x^T A y, x^T B y).
 
-    Clears x and y of denominators and runs ``_integer_nash_test``; only
-    the two returned payoffs are built as rationals. ``payoffs``, when
-    given, must be ``IntegerPayoffs.of(g)``.
+    Clears A, B, x and y of denominators and runs ``_integer_nash_test``;
+    only the two returned payoffs are built as rationals.
     """
     if len(s.y) != g.n:
         raise ValueError(f"dot of lengths {g.n} and {len(s.y)}")
     if len(s.x) != g.m:
         raise ValueError(f"dot of lengths {len(s.x)} and {g.m}")
-    ip = payoffs if payoffs is not None else IntegerPayoffs.of(g)
+    ip = IntegerPayoffs.of(g)
     x, x_scale = clear_denominators(s.x)
     y, y_scale = clear_denominators(s.y)
     ok, u1, u2 = _integer_nash_test(ip, x, x_scale, y, y_scale)

@@ -2,11 +2,10 @@
 
 Deliberately shares no search machinery with the polyhedron or parametric
 paths, so agreement between the three is meaningful. What it shares with
-them is the rational type, the game and strategy types of ``games``, and,
-in a strict scan only, ``games.is_nash`` with its ``IntegerPayoffs``: the
-check of a candidate on supports of unequal sizes, the one equilibrium test
-the sweep and the label paths also run on what they report. Every other
-candidate is checked by the scan's own best-reply comparisons.
+them is the rational type and the game and strategy types of ``games``.
+Every candidate, in a plain or a strict scan, is checked by the scan's own
+nonnegativity and best-reply comparisons, never by ``games.is_nash``, the
+test that certifies what the sweep and the label paths report.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .games import (
-    BimatrixGame,
-    EquilibriumPoint,
-    IntegerPayoffs,
-    MixedStrategyPair,
-    is_nash,
-)
+from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair
 from .linalg import Rational, rat, vdot
 
 
@@ -29,9 +22,10 @@ class OracleResult:
     """Equilibria found, plus a flag when the search saw signs of degeneracy.
 
     The flag is raised only by a candidate that is nonnegative and has no
-    better reply off its supports, and that also has a free variable in its
-    square indifference system, a zero probability on its support, or an
-    off-support strategy tied with the best reply.
+    better reply off its supports, and that also has supports of unequal
+    sizes, a free variable in its square indifference system, a zero
+    probability on its support, or an off-support strategy tied with the
+    best reply.
     """
 
     equilibria: tuple[EquilibriumPoint, ...]
@@ -69,6 +63,20 @@ def _solve_unique(rows: list[list[Rational]], rhs: list[Rational]):
     return ("many" if len(pivots) < nc else "unique"), tuple(sol)
 
 
+def _indifferent(mat, own, other):
+    """(status, p, u): the other player's probabilities p on ``other``,
+    summing to 1, under which every row of ``mat`` in ``own`` pays the same
+    u, and status "unique" or "many" as ``_solve_unique`` classifies the
+    system; None when it has no solution. The row player's system is
+    (A, s1, s2), the column player's (B^T, s2, s1)."""
+    k = len(other)
+    rows = [[mat[i][j] for j in other] + [-1] for i in own] + [[1] * k + [0]]
+    status, sol = _solve_unique(rows, [0] * len(own) + [1])
+    if status == "none":
+        return None
+    return status, sol[:k], sol[k]
+
+
 def _spread(size: int, support, vals) -> tuple[Rational, ...]:
     """A full mixed strategy from its values on a support."""
     out = [rat(0)] * size
@@ -89,66 +97,40 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
         size_pairs = [(k1, k2) for k1 in range(1, m + 1) for k2 in range(1, n + 1)]
     else:
         size_pairs = [(k, k) for k in range(1, min(m, n) + 1)]
-    # only the unequal sizes of a strict scan call is_nash
-    payoffs = IntegerPayoffs.of(g) if strict else None
+    bt = tuple(zip(*g.B))
     found: dict[tuple, EquilibriumPoint] = {}
     suspect = False
     for k1, k2 in size_pairs:
         for s1 in combinations(range(m), k1):
             for s2 in combinations(range(n), k2):
-                # y and the row value u: rows of s1 indifferent, y sums to 1
-                rows = [
-                    [g.A[i][j] for j in s2] + [-1] for i in s1
-                ] + [[1] * k2 + [0]]
-                st1, sol = _solve_unique(rows, [0] * k1 + [1])
-                if st1 == "none":
+                # y and the row value u make the rows of s1 indifferent, x
+                # and the column value v the columns of s2
+                row = _indifferent(g.A, s1, s2)
+                if row is None:
                     continue
-                yvals, u = sol[:k2], sol[k2]
-                # x and the column value v: columns of s2 indifferent
-                cols = [
-                    [g.B[i][j] for i in s1] + [-1] for j in s2
-                ] + [[1] * k1 + [0]]
-                st2, sol = _solve_unique(cols, [0] * k2 + [1])
-                if st2 == "none":
+                col = _indifferent(bt, s2, s1)
+                if col is None:
                     continue
-                xvals, v = sol[:k1], sol[k1]
-                if "many" in (st1, st2) and k1 != k2:
-                    # unequal sizes are under-determined by construction;
-                    # only a fully verified basic solution means anything,
-                    # and such a hit itself proves degeneracy
-                    if any(p < 0 for p in xvals) or any(p < 0 for p in yvals):
-                        continue
-                    x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
-                    ok, u1, u2 = is_nash(g, MixedStrategyPair(x, y), payoffs)
-                    if ok:
-                        suspect = True
-                        eq = EquilibriumPoint(
-                            MixedStrategyPair(x, y), payoff1=u1, payoff2=u2
-                        )
-                        found.setdefault(eq.key(), eq)
-                    continue
-                if any(p < 0 for p in xvals) or any(p < 0 for p in yvals):
+                (st1, yvals, u), (st2, xvals, v) = row, col
+                if any(p < 0 for p in xvals + yvals):
                     continue
                 x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
                 off_rows = [vdot(g.A[i], y) for i in range(m) if i not in s1]
-                off_cols = [
-                    vdot(x, [g.B[i][j] for i in range(m)])
-                    for j in range(n)
-                    if j not in s2
-                ]
+                off_cols = [vdot(x, bt[j]) for j in range(n) if j not in s2]
                 if any(w > u for w in off_rows) or any(w > v for w in off_cols):
                     continue
-                # the candidate is a best reply pair; free variables in a
-                # square indifference system hint at a continuum of
-                # solutions, and a zero probability at a smaller support
-                if "many" in (st1, st2) or any(p == 0 for p in xvals + yvals):
+                # a best reply pair, so x^T A y = u and x^T B y = v. In a
+                # square system, free variables hint at a continuum of
+                # solutions and a zero probability at a smaller support:
+                # the game is suspect and the candidate is dropped
+                if k1 == k2 and ("many" in (st1, st2) or 0 in xvals + yvals):
                     suspect = True
                     continue
-                if any(w == u for w in off_rows) or any(w == v for w in off_cols):
-                    suspect = True
-                eq = EquilibriumPoint(
-                    MixedStrategyPair(x, y), payoff1=u, payoff2=v
-                )
+                # unequal sizes have free variables by construction, so a hit
+                # there proves degeneracy; a tied off-support strategy hints
+                # at it
+                suspect = suspect or k1 != k2 or u in off_rows or v in off_cols
+                eq = EquilibriumPoint(MixedStrategyPair(x, y), payoff1=u, payoff2=v)
                 found.setdefault(eq.key(), eq)
     ordered = tuple(sorted(found.values(), key=lambda e: e.key()))
     return OracleResult(ordered, suspect)

@@ -32,6 +32,10 @@ sweep is a shadow-vertex walk on each (Gass & Saaty 1955; Borgwardt 1987):
   reaches the end of greater c^T y (alpha2, a feasibility breakpoint),
   where the label that end adds enters. The walk then takes the edge out
   of that end on which c^T y increases and pi1 grows least per unit of xi.
+Both steps are one rule on the points (w^T s, payoff) of a side's vertices,
+(b^T x, pi2) on P and (c^T y, pi1) on Q (_Line.up): the least slope of a
+chord to a neighbour of greater w^T s, ties to the lowest label dropped. On
+P that slope is beta2, and on Q the next edge's pi1 slope.
 A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
 (polytopes.VertexGraph) that the non-degeneracy check returns, and the
 sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
@@ -42,13 +46,14 @@ vertex's crossings and each edge's slope are computed once, and an
 equilibrium is a vertex pair, so only the vertices of equilibria build
 their rationals. A + B is factored on the integer payoffs the check
 cleared (games.factor_rank1). The start is one routine on each side
-(_optimal_face): from the graph's origin, descend the vertex graph of P,
-or of the face of Q that keeps y_l = 0 for every c_l > xi_min, to a vertex
-no neighbour beats, then flood the neighbours of equal cost. The optimal
-vertices of a linear function over a pointed polyhedron span a face whose
-graph is connected (Balinski 1961), so the flood finds all of a tied
-optimum without a scan. The start decodes label sets only to break a tie,
-as sorted label lists do not order like masks. The walks decide in
+(_Line.face), for a cost alpha w^T s + beta payoff: from the graph's
+origin, descend the vertex graph of P, or of the face of Q that keeps
+y_l = 0 for every c_l > xi_min, to a vertex no neighbour beats, then flood
+the neighbours of equal cost. The optimal vertices of a linear function
+over a pointed polyhedron span a face whose graph is connected (Balinski
+1961), so the flood finds all of a tied optimum without a scan. The start
+decodes label sets only to break a tie, as sorted label lists do not order
+like masks. The walks decide in
 integers: a vertex's point (w^T s, payoff) is a triple (s, o, d) over one
 denominator, a crossing or a slope is the chord between two such points as
 a pair (num, den), and crossings, slopes and the start's costs are compared
@@ -234,14 +239,15 @@ def _diff(a: Rational, b: Rational) -> int:
 
 
 class _Line:
-    """The point (w^T s, payoff) of each vertex of one graph, for a weight
-    vector w over its strategies s: (b^T x, pi2) on P, (c^T y, pi1) on Q.
-    A vertex's point is kept as integers (s, o, d), the point (s / d, o / d),
-    read off the vertex's integers (w' . key, scale * den, num, pay_den) with
-    w = w' / scale; only the vertices a walk visits are read. Rationals are
-    built only by ``x``, once per vertex."""
+    """The walker of one side: the point (w^T s, payoff) of each vertex of
+    its graph, for a weight vector w over its strategies s: (b^T x, pi2) on
+    P, (c^T y, pi1) on Q. A vertex's point is kept as integers (s, o, d),
+    the point (s / d, o / d), read off the vertex's integers (w' . key,
+    scale * den, num, pay_den) with w = w' / scale; only the vertices a walk
+    visits are read. Rationals are built only by ``x``, once per vertex."""
 
     def __init__(self, graph: VertexGraph, weights):
+        self.graph = graph
         self.vertices = graph.vertices
         self.w, self.scale = clear_denominators(weights)
         self._ints: dict[int, tuple[int, int, int]] = {}
@@ -274,6 +280,67 @@ class _Line:
             got = self._x[k] = rat(s, d)
         return got
 
+    def up(self, k: int) -> tuple:
+        """The shadow-vertex step out of vertex k: (the least slope of a
+        chord to a neighbour of greater w^T s, the (label dropped, neighbour)
+        of every chord of that slope, minus the greatest slope of a chord to
+        a neighbour of lesser w^T s), each slope as (num, den), den > 0, and
+        None where there is no such neighbour. A ray, or a neighbour of
+        equal w^T s, is no step."""
+        graph = self.graph
+        ray = graph.origin_index
+        up, down = [], []
+        for l, j in graph.near(k).items():
+            if j != ray:
+                num, den = self.chord(k, j)
+                if den > 0:
+                    up.append((num, den, (l, j)))
+                elif den < 0:
+                    down.append((num, -den, None))
+        least, ties = _least(up)
+        return least, ties, _least(down)[0]
+
+    def face(self, alpha: int, beta: int, fixed: int = 0) -> set[int]:
+        """The vertices of least cost alpha w^T s + beta payoff on the face
+        of the graph's polyhedron that keeps the labels of the mask
+        ``fixed``; costs are fractions compared by cross-multiplication.
+
+        The walk starts at the origin, which every vertex beats, descends to
+        a vertex that no neighbour beats, stepping only across labels
+        outside ``fixed``, and floods the neighbours of equal cost. That
+        vertex is optimal, as the cost is linear and a ray of P or Q only
+        raises it; the optimal vertices span a face, whose graph is
+        connected (Balinski 1961), so the flood finds all of them, in
+        whatever order the neighbours come.
+        """
+        graph = self.graph
+        ray = graph.origin_index
+
+        def near(k: int) -> list[tuple[int, int, int]]:
+            out = []
+            for l, j in graph.near(k).items():
+                if j != ray and not fixed >> l & 1:
+                    s, o, d = self.ints(j)
+                    out.append((alpha * s + beta * o, d, j))
+            return out
+
+        best, ties = _least(near(ray))
+        while True:
+            (kn, kd), k = best, ties[0]
+            best, ties = _least(near(k))
+            diff = 1 if best is None else best[0] * kd - kn * best[1]
+            if diff > 0:  # no neighbour ties k: the face is k alone
+                return {k}
+            if diff == 0:
+                break
+        face, todo = {k}, [k]
+        while todo:
+            for num, den, j in near(todo.pop()):
+                if num * kd == kn * den and j not in face:
+                    face.add(j)
+                    todo.append(j)
+        return face
+
 
 def _least(fractions) -> tuple[tuple[int, int] | None, list]:
     """The least num / den of the (num, den, tag) triples, den > 0, as
@@ -289,48 +356,10 @@ def _least(fractions) -> tuple[tuple[int, int] | None, list]:
     return best, tags
 
 
-def _optimal_face(graph: VertexGraph, cost, fixed: int = 0) -> set[int]:
-    """The vertices of least cost on the face of the graph's polyhedron that
-    keeps the labels of the mask ``fixed``; cost(k) is a fraction (num, den),
-    den > 0, compared by cross-multiplication.
-
-    The walk starts at the origin, which every vertex beats, descends to a
-    vertex that no neighbour beats, stepping only across labels outside
-    ``fixed``, and floods the neighbours of equal cost. That vertex is
-    optimal, as the cost is linear and a ray of P or Q only raises it; the
-    optimal vertices span a face, whose graph is connected (Balinski 1961),
-    so the flood finds all of them, in whatever order the neighbours come.
-    """
-    ray = graph.origin_index
-
-    def near(k: int) -> list[tuple[int, int, int]]:
-        return [
-            (*cost(j), j)
-            for l, j in graph.near(k).items()
-            if j != ray and not fixed >> l & 1
-        ]
-
-    best, ties = _least(near(ray))
-    while True:
-        (kn, kd), k = best, ties[0]
-        best, ties = _least(near(k))
-        diff = 1 if best is None else best[0] * kd - kn * best[1]
-        if diff > 0:  # no neighbour ties k: the face is k alone
-            return {k}
-        if diff == 0:
-            break
-    face, todo = {k}, [k]
-    while todo:
-        for num, den, j in near(todo.pop()):
-            if num * kd == kn * den and j not in face:
-                face.add(j)
-                todo.append(j)
-    return face
-
-
 class _Walk:
-    """The two vertex walks of a sweep, over the vertex graphs p of P
-    and q of Q; P vertices and Q vertices are named by their indices. Every
+    """The two vertex walks of a sweep, over the vertex graphs p of P and q
+    of Q, each stepped by its side's ``_Line``; P vertices and Q vertices
+    are named by their indices. Every
     decision is made on integers: each P vertex's crossings and each Q
     edge's slope are computed once, as fractions num / den compared by
     cross-multiplication, and each rational the trace reports is built once;
@@ -362,11 +391,11 @@ class _Walk:
             (k,) = face
         else:
             k = min(face, key=lambda k: sorted(pv[k].labels))
-        _, ups = _least(
-            (num, den, (a, j))
-            for a in self._q_face(xi)
-            for num, den, _, j in self._up_edges(a)
-        )
+        edges = []
+        for a in self._q_face(xi):
+            slope, ties, _ = self.qy.up(a)
+            edges.extend((*slope, (a, j)) for _, j in ties)
+        _, ups = _least(edges)
         if not ups:
             raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
         if len(ups) > 1:
@@ -393,26 +422,20 @@ class _Walk:
 
     def _p_face(self, xi: Rational) -> set[int]:
         """The P vertices of greatest value xi b^T x - pi2 at xi."""
-        px = self.px
+        # minus the value, pi2 - xi b^T x = (xd o - xn s) / (xd d) with
+        # b^T x = s / d and pi2 = o / d; xd is the same for every vertex
         xn, xd = _ints(xi)
-
-        def cost(k: int) -> tuple[int, int]:
-            # minus the value, pi2 - xi b^T x = (xd o - xn s) / (xd d) with
-            # b^T x = s / d and pi2 = o / d; xd is the same for every vertex
-            s, o, d = px.ints(k)
-            return xd * o - xn * s, d
-
-        return _optimal_face(self.p, cost)
+        return self.px.face(-xn, xd)
 
     def _q_face(self, xi: Rational) -> set[int]:
         """The Q vertices of least pi1 on the slice c^T y = xi = xi_min: the
         face where y_j = 0 for every c_j > xi."""
-        m, qy = self.m, self.qy
+        qy, labels = self.qy, self.q.labels
         # c_j = w_j / scale equals xi = xn / xd when w_j xd = xn scale
         xn, xd = _ints(xi)
         at = xn * qy.scale
-        fixed = sum(1 << m + 1 + j for j, v in enumerate(qy.w) if v * xd != at)
-        return _optimal_face(self.q, lambda k: qy.ints(k)[1:], fixed)
+        fixed = sum(1 << labels[j] for j, v in enumerate(qy.w) if v * xd != at)
+        return qy.face(0, 1, fixed)
 
     def _p_bounds(self, k: int) -> tuple:
         """(p_lo, beta2, beta2_row) of P vertex k: the greatest crossing of
@@ -421,28 +444,15 @@ class _Walk:
         the lowest label dropped; None where there is none. The line of
         neighbour j crosses k's where xi is the slope of the chord from k's
         point (b^T x, pi2) to j's, and is steeper when that chord's b^T x
-        increases; a ray, or a parallel line, never crosses k's."""
+        increases, so the crossings are ``px.up(k)``'s chords."""
         got = self._bounds.get(k)
-        if got is not None:
-            return got
-        p, px = self.p, self.px
-        ray = p.origin_index
-        # the crossings with steeper lines, and minus those with shallower
-        up, down = [], []
-        for l, j in p.near(k).items():
-            if j != ray:
-                num, den = px.chord(k, j)
-                if den > 0:
-                    up.append((num, den, l))
-                elif den < 0:
-                    down.append((num, -den, l))
-        hi, rows = _least(up)
-        lo, _ = _least(down)  # p_lo is minus the least of those negated
-        got = self._bounds[k] = (
-            None if lo is None else rat(-lo[0], lo[1]),
-            None if hi is None else rat(*hi),
-            min(rows, default=None),
-        )
+        if got is None:
+            hi, ties, lo = self.px.up(k)
+            got = self._bounds[k] = (
+                None if lo is None else rat(-lo[0], lo[1]),
+                None if hi is None else rat(*hi),
+                min(ties)[0] if ties else None,
+            )
         return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
@@ -496,28 +506,14 @@ class _Walk:
             case=case,
         )
 
-    def _up_edges(self, a: int) -> list[tuple[int, int, int, int]]:
-        """(num, den, label dropped, far end) of each edge out of Q vertex a
-        along which c^T y increases; num / den is the edge's pi1 slope,
-        den > 0."""
-        q, qy = self.q, self.qy
-        out = []
-        ray = q.origin_index
-        for l, j in q.near(a).items():
-            if j != ray:
-                num, den = qy.chord(a, j)
-                if den > 0:
-                    out.append((num, den, l, j))
-        return out
-
     def next_edge(self, hi: int) -> int:
         """The far end of the edge out of Q vertex hi that continues the
         slice: c^T y increases along it and pi1 grows least per unit; ties go
         to the lowest label dropped."""
-        _, ups = _least((num, den, (l, j)) for num, den, l, j in self._up_edges(hi))
-        if not ups:
+        _, ties, _ = self.qy.up(hi)
+        if not ties:
             raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)}")
-        return min(ups)[1]
+        return min(ties)[1]
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ of the entries of A, B, b and c are fractional. For every game the script
 calls ``enumerate_all``, ``equilibria_by_labels``, ``reachability``,
 ``gprime_components``, ``check_nondegenerate`` and ``lh_run`` for every
 label r, and hashes the repr of each result, or the type and message of
-the exception it raises. It prints one line per method: its name, the
-sha256 and the number of calls, then the number of games. Run it with
-another checkout's ``src`` on PYTHONPATH and compare the lines: equal
-hashes mean equal outputs. Pytest does not collect this file.
+the exception it raises. On kt1..kt6 and the first 300 draws it also
+calls ``support_enumeration``, plain and strict. It prints one line per
+method: its name, the sha256 and the number of calls, then the number of
+games. Run it with another checkout's ``src`` on PYTHONPATH and compare
+the lines: equal hashes mean equal outputs. Pytest does not collect this file.
 ``tests/golden/sameness.txt`` holds its output with the ``fractions``
 backend, and CI diffs a fresh run against it there; gmpy2's ``mpq`` prints
 unlike ``Fraction``, so the hashes differ with that backend.
@@ -35,6 +36,12 @@ METHODS = (
     "gprime_components",
     "check_nondegenerate",
 )
+# the oracle's scans, plain and strict, on kt1..kt6 and the first 300 draws
+ORACLE = {
+    "support_enumeration": (),
+    "support_enumeration strict": (True,),
+}
+ORACLE_GAMES = 306
 
 
 def draw(rng: random.Random) -> BimatrixGame:
@@ -78,7 +85,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, default=1200)
     args = ap.parse_args()
-    hashes = {name: hashlib.sha256() for name in (*METHODS, "lh_run")}
+    hashes = {name: hashlib.sha256() for name in (*METHODS, "lh_run", *ORACLE)}
     calls = dict.fromkeys(hashes, 0)
     total = 0
     for g in games(args.seed, args.count):
@@ -89,6 +96,10 @@ def main() -> None:
         for r in range(1, g.m + g.n + 1):
             hashes["lh_run"].update(outcome(rank1nash.lh_run, g, r))
             calls["lh_run"] += 1
+        if total <= ORACLE_GAMES:
+            for name, strict in ORACLE.items():
+                hashes[name].update(outcome(rank1nash.support_enumeration, g, *strict))
+                calls[name] += 1
     for name, h in hashes.items():
         print(f"{name} {h.hexdigest()} {calls[name]}")
     print(f"games {total}")

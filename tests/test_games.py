@@ -115,11 +115,9 @@ def games_and_pairs(draw, payoff=PAYOFF, weight=6):
 )
 def test_is_nash_matches_the_reference(drawn):
     g, pairs = drawn
-    payoffs = IntegerPayoffs.of(g)
     for s in pairs:
         want = _is_nash_reference(g, s)
         assert is_nash(g, s) == want
-        assert is_nash(g, s, payoffs) == want
 
 
 def test_is_nash_length_errors_match_the_reference(demo23):

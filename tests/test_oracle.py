@@ -6,11 +6,76 @@ from itertools import combinations_with_replacement
 
 from rank1nash import (
     BimatrixGame,
+    EquilibriumPoint,
     MixedStrategyPair,
+    OracleResult,
     is_nash,
     rat,
     support_enumeration,
 )
+
+# degenerate games with the strict scan's equilibria, as (x, y, payoff1,
+# payoff2), and the number of them a plain scan also finds; the others lie
+# on supports of unequal sizes, whose indifference systems have free
+# variables
+STRICT = [
+    (
+        ((1, 1), (1, 1)),
+        ((1, 1), (1, 1)),
+        [
+            ("0 1", "0 1", "1", "1"),
+            ("0 1", "1 0", "1", "1"),
+            ("1 0", "0 1", "1", "1"),
+            ("1 0", "1 0", "1", "1"),
+        ],
+        4,
+    ),
+    (
+        ((1, 1, 0), (1, 1, 0)),
+        ((2, 1, 0), (0, 1, 2)),
+        [
+            ("0 1", "0 0 1", "0", "2"),
+            ("1/2 1/2", "0 0 1", "0", "1"),
+            ("1 0", "1 0 0", "1", "2"),
+        ],
+        2,
+    ),
+    (
+        ((2, 0, 2), (1, 2, 1)),
+        ((1, 1, 2), (2, 2, 2)),
+        [
+            ("0 1", "0 1 0", "2", "2"),
+            ("0 1", "2/3 1/3 0", "4/3", "2"),
+            ("1 0", "0 0 1", "2", "2"),
+        ],
+        2,
+    ),
+    (
+        ((1, 1, 1), (1, 1, 1), (1, 1, 2)),
+        ((0, 1, 0), (1, 0, 1), (2, 0, 2)),
+        [
+            ("0 0 1", "0 0 1", "2", "2"),
+            ("0 0 1", "1 0 0", "1", "2"),
+            ("0 1 0", "1 0 0", "1", "1"),
+            ("1/2 1/2 0", "1 0 0", "1", "1/2"),
+            ("2/3 0 1/3", "1 0 0", "1", "2/3"),
+            ("1 0 0", "0 1 0", "1", "1"),
+        ],
+        4,
+    ),
+    (
+        ((2, 2, 0), (0, 0, 0), (2, 0, 0)),
+        ((0, 2, 2), (1, 0, 0), (2, 0, 0)),
+        [
+            ("0 0 1", "1 0 0", "2", "2"),
+            ("1/3 2/3 0", "0 0 1", "0", "2/3"),
+            ("1/2 0 1/2", "0 0 1", "0", "1"),
+            ("1 0 0", "0 0 1", "0", "2"),
+            ("1 0 0", "0 1 0", "2", "2"),
+        ],
+        3,
+    ),
+]
 
 
 def test_demo_game_equilibria(demo23):
@@ -36,9 +101,35 @@ def test_unreachable_game_equilibria(unreach22):
     ]
 
 
+def _strict_games():
+    return [BimatrixGame.from_payoffs(a, b) for a, b, _, _ in STRICT]
+
+
+def test_strict_scan_is_pinned():
+    for g, (_, _, eqs, plain) in zip(_strict_games(), STRICT):
+        want = OracleResult(
+            tuple(
+                EquilibriumPoint(
+                    MixedStrategyPair.from_vectors(x.split(), y.split()),
+                    rat(u1),
+                    rat(u2),
+                )
+                for x, y, u1, u2 in eqs
+            ),
+            degenerate_suspect=True,
+        )
+        assert repr(support_enumeration(g, strict=True)) == repr(want)
+        got = {e.key() for e in support_enumeration(g).equilibria}
+        assert len(got) == plain and got <= {e.key() for e in want.equilibria}
+    # past the all-ones game, each strict scan finds more than a plain one
+    assert all(plain < len(eqs) for _, _, eqs, plain in STRICT[1:])
+
+
 def test_every_result_is_nash(demo23, unreach22, disconnected33):
-    for g in (demo23, unreach22, disconnected33):
-        for e in support_enumeration(g).equilibria:
+    scans = [(g, False) for g in (demo23, unreach22, disconnected33)]
+    scans += [(g, True) for g in _strict_games()]
+    for g, strict in scans:
+        for e in support_enumeration(g, strict).equilibria:
             ok, u1, u2 = is_nash(g, e.strategies)
             assert ok and (u1, u2) == (e.payoff1, e.payoff2)
 
