@@ -86,9 +86,7 @@ def cmd_enumerate(args) -> int:
         b, c = _parse_factor(args.factor)
         fact = RankOneFactorization.for_game(g, b, c)
     trace = enumerate_all(g, fact)
-    table = ()
-    if args.trace and trace.dispatch == "general":
-        table = sweep_table(trace)
+    table = sweep_table(trace) if args.trace else ()
     if args.json:
         obj = {
             "dispatch": trace.dispatch,
@@ -140,7 +138,7 @@ def cmd_enumerate(args) -> int:
     print(f"equilibria: {len(trace.equilibria)}")
     for e in trace.equilibria:
         print(_eq_line(e, with_xi=True))
-    if args.trace and table:
+    if table:
         print("trace:")
         for r in table:
             if r.kind == "point":

@@ -64,12 +64,13 @@ coefficients, besides the points of the equilibria. Each rational holds its
 numerator and denominator in lowest terms, and past the start the loop
 cross-multiplies those (_diff) to pick each interval's ends and breakpoint
 kind, to stop at xi_max and to certify each step; the objective's sign at
-an interval's ends is read off the same integers. A basis is one row mask,
-P label l as bit l and Q label l as bit m+n+l: the loop keeps the masks it
-has visited, and a breakpoint's leaving and entering rows are the lowest
-bits of the masks' two differences. The sweep table reads its binding rows
-off the labels of each interval's P vertex and Q edge ends; no dense
-tableau is ever built.
+an interval's ends is read off the same integers. A basis
+(ParametricBasis) is one row mask, P label l as bit l and Q label l as bit
+m+n+l, checked when built and decoded into label sets only when read: the
+loop keeps the masks it has visited, and a breakpoint's leaving and
+entering rows are the lowest bits of the masks' two differences. The sweep
+table unions the row masks of each interval's basis and Q edge ends and
+decodes each binding set once; no dense tableau is ever built.
 """
 
 from __future__ import annotations
@@ -99,65 +100,53 @@ from .polytopes import (
     VertexGraph,
     _equilibrium,
     _label_set,
-    _mask,
     require_nondegenerate,
 )
 
 
 @dataclass(frozen=True)
 class ParametricBasis:
-    """m P-side labels and n-1 Q-side labels, each within 1..m+n.
-
-    ``mask`` holds the basis's M1 rows, row r as bit r: P label l is bit l
-    and Q label l is bit m+n+l. The labels are checked on their masks.
+    """The M1 rows a basis keeps tight, as one row mask: row r is bit r, so
+    P label l is bit l and Q label l is bit m+n+l. The rows must lie in
+    1..2(m+n), m of them on the P side (1..m+n) and n-1 on the Q side.
+    ``i_labels``, ``j_labels`` and ``rows`` are decoded from the mask on
+    each read.
     """
 
-    i_labels: frozenset[int]
-    j_labels: frozenset[int]
+    mask: int
     m: int
     n: int
 
     def __post_init__(self):
-        # a label below 1 has no bit in a mask
-        if min(self.i_labels | self.j_labels, default=1) < 1:
-            raise ValueError("labels out of range")
-        rows = _row_mask(_mask(self.i_labels), _mask(self.j_labels), self.m, self.n)
-        object.__setattr__(self, "mask", rows)
+        mask, off = self.mask, self.m + self.n
+        # a negative mask has bits past every row
+        if mask & 1 or mask >> 2 * off + 1:
+            raise ValueError("rows out of range")
+        p_side = (mask & (2 << off) - 1).bit_count()
+        if p_side != self.m or mask.bit_count() - p_side != self.n - 1:
+            raise ValueError("basis needs m P-side rows and n-1 Q-side rows")
 
-    @classmethod
-    def _of_masks(cls, i: int, j: int, m: int, n: int) -> "ParametricBasis":
-        """The basis of the P labels of mask i and the Q labels of mask j."""
-        return _record(
-            cls,
-            i_labels=_label_set(i),
-            j_labels=_label_set(j),
-            m=m,
-            n=n,
-            mask=_row_mask(i, j, m, n),
-        )
+    @property
+    def i_labels(self) -> frozenset[int]:
+        """The P labels: the rows 1..m+n."""
+        return _label_set(self.mask & (2 << self.m + self.n) - 1)
+
+    @property
+    def j_labels(self) -> frozenset[int]:
+        """The Q labels: row m+n+l is label l."""
+        return _label_set(self.mask >> self.m + self.n & ~1)
 
     @property
     def rows(self) -> tuple[int, ...]:
         """Global 1-based M1 row indices, ascending."""
         return tuple(sorted(_label_set(self.mask)))
 
-
-def _record(cls, **fields):
-    """An instance of the frozen dataclass cls holding ``fields``, built
-    without the generated ``__init__``, which sets the fields one by one."""
-    obj = cls.__new__(cls)
-    vars(obj).update(fields)
-    return obj
-
-
-def _row_mask(i: int, j: int, m: int, n: int) -> int:
-    """The row mask of the basis of the P label mask i and the Q label mask
-    j; ValueError unless i has m labels and j has n-1, all within 1..m+n."""
-    if (i | j) & 1 or (i | j) >> m + n + 1:
-        raise ValueError("labels out of range")
-    if i.bit_count() != m or j.bit_count() != n - 1:
-        raise ValueError("basis needs m P-labels and n-1 Q-labels")
-    return i | j << m + n
+    def __repr__(self) -> str:
+        # the label sets, not the mask, so that a trace reads as labels
+        return (
+            f"ParametricBasis(i_labels={self.i_labels!r}, "
+            f"j_labels={self.j_labels!r}, m={self.m!r}, n={self.n!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -485,9 +474,8 @@ class _Walk:
         diff = -1 if beta2 is None else _diff(c_hi, beta2)
         case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
         v = self.p.vertices[k]
-        return _record(
-            BasisInterval,
-            basis=ParametricBasis._of_masks(v.mask, shared, m, n),
+        return BasisInterval(
+            basis=ParametricBasis(v.mask | shared << m + n, m, n),
             xi1=xi1,
             xi2=c_hi if diff <= 0 else beta2,
             alpha2=c_hi,
@@ -495,10 +483,8 @@ class _Walk:
             alpha2_row=m + n + added,
             beta2_row=beta2_row,
             # c0 = -at0 - pi2 and c1 = b^T x - slope
-            objective=_record(
-                AffineR,
-                c0=rat(-(an * d + o * ad), ad * d),
-                c1=rat(s * sd - sn * d, d * sd),
+            objective=AffineR(
+                rat(-(an * d + o * ad), ad * d), rat(s * sd - sn * d, d * sd)
             ),
             p_vertex=v,
             q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
@@ -609,8 +595,7 @@ def enumerate_all(
         # bits of the two differences of the row masks
         leaving, entering = rows & ~nxt.basis.mask, nxt.basis.mask & ~rows
         breakpoints.append(
-            _record(
-                BreakpointRecord,
+            BreakpointRecord(
                 xi=iv.xi2,
                 kind=iv.case,
                 leaving=(leaving & -leaving).bit_length() - 1,
@@ -649,10 +634,11 @@ def sweep_table(trace: SweepTrace) -> tuple[TraceRow, ...]:
     Point rows carry the union of binding rows over every basis optimal
     there (adjacent bases both contribute at a breakpoint); interval rows
     carry the rows tight throughout the open interval. The rows are read
-    off labels, not dotted with z: a basis's x is its P vertex, whose labels
-    are its P-side rows, and its (y, pi1) lies on a Q edge, tight on the
-    labels the edge's ends share, plus the label an end adds when xi is
-    that end's c^T y; the interval keeps both ends and their c^T y.
+    off label masks, not dotted with z: a basis's x is its P vertex, whose
+    labels are its P-side rows, and its (y, pi1) lies on a Q edge, tight on
+    the labels the edge's ends share, plus the label an end adds when xi is
+    that end's c^T y; the interval keeps both ends and their c^T y. Each
+    row's binding set is the union of those masks, decoded once.
     """
     ivs = trace.intervals
     if not ivs:
@@ -665,20 +651,20 @@ def sweep_table(trace: SweepTrace) -> tuple[TraceRow, ...]:
                 points.append(v)
 
     def binding_at(xi):
-        rows: set[int] = set()
+        rows = 0
         objs = []
         for iv in ivs:
             if iv.xi1 <= xi <= iv.xi2:
-                rows.update(iv.basis.rows)
+                rows |= iv.basis.mask
                 for w, cy in zip(iv.q_edge, iv.q_xi):
                     if cy == xi:
-                        rows.update(off + l for l in w.labels)
+                        rows |= w.mask << off
                 objs.append(iv.objective.at(xi))
         if not objs or any(o != objs[0] for o in objs):
             raise InternalInvariantError(
                 f"bases optimal at xi = {xi} are missing or disagree"
             )
-        return frozenset(rows), objs[0]
+        return _label_set(rows), objs[0]
 
     out: list[TraceRow] = []
     for idx, xi in enumerate(points):
@@ -688,6 +674,6 @@ def sweep_table(trace: SweepTrace) -> tuple[TraceRow, ...]:
             nxt = points[idx + 1]
             iv = next(v for v in ivs if v.xi1 <= xi and nxt <= v.xi2)
             out.append(
-                TraceRow("interval", None, (xi, nxt), None, frozenset(iv.basis.rows))
+                TraceRow("interval", None, (xi, nxt), None, _label_set(iv.basis.mask))
             )
     return tuple(out)

@@ -197,6 +197,17 @@ def test_lh_single_and_all(unreach_path, capsys):
     assert "unreached: x=(1/5, 4/5) y=(1/5, 4/5) payoffs=(-20, 18)" in out
 
 
+def test_lh_all_text_when_every_equilibrium_is_reached(capsys):
+    assert main(["lh", str(CORPUS / "kt1.game"), "--all"]) == 0
+    assert capsys.readouterr().out == (
+        "r=1: ({1}|{2}) -> ({2}|{2}) -> ({2}|{1})\n"
+        "  terminal: x=(1) y=(1) payoffs=(2, 2)\n"
+        "r=2: ({1}|{2}) -> ({1}|{1}) -> ({2}|{1})\n"
+        "  terminal: x=(1) y=(1) payoffs=(2, 2)\n"
+        "unreached: none\n"
+    )
+
+
 def test_lh_bad_label(unreach_path):
     assert main(["lh", unreach_path, "--r", "9"]) == 4
 

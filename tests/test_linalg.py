@@ -58,6 +58,15 @@ def test_solve_singular_raises():
         solve(((1, 2), (2, 4)), (1, 1))
 
 
+def test_solve_rejects_a_system_that_is_not_square():
+    for rows, rhs in [
+        (((1, 2),), (1,)),  # one row of two entries
+        (((1, 0), (0, 1)), (1,)),  # one right-hand side for two rows
+    ]:
+        with pytest.raises(ValueError, match="n rows of n entries"):
+            solve(rows, rhs)
+
+
 def test_solve_singular_names_the_first_column_without_a_pivot():
     # column 0 pivots on row 0; row 1 is twice row 0, so column 1 finds no
     # pivot in the unused rows, although column 2 would

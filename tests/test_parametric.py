@@ -90,26 +90,35 @@ def test_tableau_default_factor_is_canonical():
 def test_initial_basis_at_left_end(kt2_trace):
     iv = kt2_trace.intervals[0]
     assert iv.basis.rows == (2, 3, 5)
-    assert iv.basis == ParametricBasis(frozenset({2, 3}), frozenset({1}), 2, 2)
+    assert iv.basis == ParametricBasis(0b101100, 2, 2)
     # the same basis is optimal a bit further in
     assert iv.xi1 == 2 and rat(9, 4) <= iv.xi2
 
 
 def test_basis_checks_its_labels():
-    # the range and size checks run on the label masks, and a label below 1,
-    # which no bit stands for, is out of range too
-    basis = ParametricBasis(frozenset({2, 3}), frozenset({1}), 2, 2)
-    assert (basis.mask, basis.rows) == (0b101100, (2, 3, 5))
-    for i, j, message in [
-        ({0, 3}, {1}, "out of range"),
-        ({-1, 3}, {1}, "out of range"),
-        ({2, 5}, {1}, "out of range"),
-        ({2, 3}, {5}, "out of range"),
-        ({2}, {1}, "m P-labels"),
-        ({2, 3}, {1, 4}, "n-1 Q-labels"),
+    # the basis is its row mask, rows 1..8 of a 2x2 game: P label l is row l
+    # and Q label l is row 4 + l; the label sets are decoded on read
+    basis = ParametricBasis(0b101100, 2, 2)
+    assert basis.rows == (2, 3, 5)
+    assert (basis.i_labels, basis.j_labels) == ({2, 3}, {1})
+    assert repr(basis) == (
+        "ParametricBasis(i_labels=frozenset({2, 3}), "
+        "j_labels=frozenset({1}), m=2, n=2)"
+    )
+    # row 4, the last P row, is no Q label
+    edge = ParametricBasis(0b111000, 2, 2)
+    assert (edge.i_labels, edge.j_labels) == ({3, 4}, {1})
+    for mask, message in [
+        (0b101101, "out of range"),  # row 0
+        (1 << 9 | 0b1100, "out of range"),  # row 9, past 2(m+n)
+        (-0b101100, "out of range"),
+        (0b100100, "m P-side rows"),  # one P row
+        (0b111100, "m P-side rows"),  # three P rows
+        (0b1100, "n-1 Q-side rows"),  # no Q row
+        (0b1101100, "n-1 Q-side rows"),  # two Q rows
     ]:
         with pytest.raises(ValueError, match=message):
-            ParametricBasis(frozenset(i), frozenset(j), 2, 2)
+            ParametricBasis(mask, 2, 2)
 
 
 def test_solve_basis_values(kt2_trace):
@@ -213,6 +222,21 @@ def test_sweep_refuses_a_step_whose_interval_misses_the_breakpoint(monkeypatch):
     # first Q edge misses the first breakpoint, xi = 5
     with pytest.raises(Stalled, match="no verifiable pivot at xi = 5"):
         _sweep_stepping_astray(monkeypatch, -1)
+
+
+def test_sweep_stalls_where_no_q_edge_continues_the_slice(monkeypatch):
+    # kt2's second interval ends where the slice reaches a Q vertex at
+    # xi = 6; with every step out of that vertex a ray, no edge of Q on
+    # which c^T y grows leaves it
+    g = generate_kt(2)
+    ivs = enumerate_all(g).intervals
+    assert (ivs[1].xi2, ivs[1].case) == (6, "Feasibility")
+    p, q = require_nondegenerate(g)
+    k = q.at[ivs[1].q_edge[1].mask]
+    q._near[k] = dict.fromkeys(q.near(k), q.origin_index)
+    monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
+    with pytest.raises(Stalled, match="no edge of Q continues the slice past 6"):
+        enumerate_all(g)
 
 
 def _one_point_game(rng, m, n, row_constant):
@@ -467,7 +491,8 @@ def test_integer_decisions_match_rational_arithmetic_on_draws(game):
 
 def test_sweep_decodes_labels_for_the_records_and_ties_only(monkeypatch):
     # the start compares vertices and edges by mask and decodes a label set
-    # only to break a tie; each interval decodes its basis's two label sets
+    # only to break a tie; an interval's basis is its row mask, decoded only
+    # when read
     decoded = []
 
     def counted(mask):
@@ -483,7 +508,7 @@ def test_sweep_decodes_labels_for_the_records_and_ties_only(monkeypatch):
     parametric._Walk(g, f, p, q).start(min(f.c))
     assert not decoded
     tr = enumerate_all(g)
-    assert len(decoded) == 2 * len(tr.intervals) == 40
+    assert len(tr.intervals) == 20 and not decoded
     # a tie in P's optimum at xi_min (draw 218) and between two edges out of
     # Q's start vertex (draw 30) each decode, and still match the full scan
     for seed in (218, 30):
@@ -528,6 +553,26 @@ def test_enumerate_kt2_with_explicit_factor():
         (((rat(1, 2), rat(1, 2)), (rat(1, 2), rat(1, 2))), 3),
         (((rat(1), rat(0)), (rat(1), rat(0))), 2),
     ]
+
+
+def test_sweep_table_of_a_one_point_range_is_empty():
+    # a zero-sum or row-constant game sweeps no interval, so its table has
+    # no row
+    for dispatch in ("zero-sum", "row-constant"):
+        tr = enumerate_all(load_game(str(CORPUS / f"{dispatch}-2x2.game")))
+        assert tr.dispatch == dispatch and not tr.intervals
+        assert sweep_table(tr) == ()
+
+
+def test_sweep_table_refuses_bases_that_disagree(kt2_trace):
+    # the first two bases are both optimal at xi = 5/2, so their objectives
+    # must agree there
+    ivs = kt2_trace.intervals
+    assert (ivs[0].xi2, ivs[1].xi1) == (rat(5, 2), rat(5, 2))
+    flat = replace(ivs[0], objective=AffineR(rat(-1), rat(0)))
+    doctored = replace(kt2_trace, intervals=(flat, *ivs[1:]))
+    with pytest.raises(InternalInvariantError, match="5/2 are missing or disagree"):
+        sweep_table(doctored)
 
 
 def test_sweep_table_golden(kt2_tab):
