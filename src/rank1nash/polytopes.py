@@ -6,41 +6,47 @@ marks x_i = 0 and label m+j marks column j being a best reply; in Q (over
 y_j = 0. A strategy pair is a Nash equilibrium exactly when the two vertex
 label sets cover all of 1..m+n.
 
-Vertices are found on the normalised polytopes P' = {x >= 0 : B'^T x <= 1}
-and Q' = {y >= 0 : A' y <= 1}, where A' and B' are the payoffs cleared of
-denominators and shifted to positive integers. That positive affine map
-keeps every best reply, so each non-zero vertex of P' is a vertex of P with
-the same labels, after scaling x onto the simplex. ``require_nondegenerate``
-clears A and B^T once, into one ``IntegerPayoffs``: both walks shift it,
-and the graphs carry it to every equilibrium check of the call. The walk
-starts at the origin, a simple vertex whose dictionary is the raw integer
-data, and follows ratio-test pivots through every feasible basis, in the
-manner of lrs (Avis & Fukuda 1992; Avis, Rosenberg, Savani & von Stengel
-2010). As in lrs, the walk keeps a dictionary: the integer columns of the d
-cobasic variables and the right-hand side, all scaled by the basis
-determinant det (Bareiss division keeps them integral). The k basic columns
-always read det * e_r, so they are not stored: a pivot turns the leaving
-variable's column into det in the pivot row and minus the entering column
-elsewhere. That pivot is ``linalg._pivot``, the one the package's solves
-and ranks also run.
+Vertices are found on the normalised polytopes P' = {x >= 0 : (B^T + shift)
+x <= 1} and Q' = {y >= 0 : (A + shift) y <= 1}, where the integer shift
+lifts the least payoff into [1, 2). Adding a constant keeps every best
+reply, so each non-zero vertex of P' is a vertex of P with the same labels,
+after scaling x onto the simplex. ``require_nondegenerate`` clears A and B^T
+once, into one ``IntegerPayoffs``: both walks read it, and the graphs carry
+it to every equilibrium check of the call. Each walk clears the rows one at
+a time: row j, X_j + shift <= 1 for X = B^T or A, is multiplied by s_j, the
+least denominator of X_j, so the origin's dictionary is the integer rows
+s_j * (X_j + shift) with the right-hand side s_j. A positive row factor
+changes neither the polytope nor any ratio test, and since a Bareiss entry
+is a minor of that dictionary, its width is the sum of the widths of its
+rows: no row carries the denominators of the others, and an integer game,
+where every s_j is 1, walks the integer payoffs plus shift. The walk starts
+at the origin, a simple vertex, and follows ratio-test pivots through every
+feasible basis, in the manner of lrs (Avis & Fukuda 1992; Avis, Rosenberg,
+Savani & von Stengel 2010). As in lrs, the walk keeps a dictionary: the
+integer columns of the d cobasic variables and the right-hand side, all
+scaled by the basis determinant det (Bareiss division keeps them integral).
+The k basic columns always read det * e_r, so they are not stored: a pivot
+turns the leaving variable's column into det in the pivot row and minus the
+entering column elsewhere. That pivot is ``linalg._pivot``, the one the
+package's solves and ranks also run.
 
-Each vertex is read off the integer dictionary. With A' = scale * A + shift
-(likewise B'), a basis of determinant det puts P' or Q' at z = r / det,
-where the integer vector r holds the right-hand side on the basic z
-variables and 0 elsewhere. At a non-zero vertex some row of A' is tight, so
-the best-reply payoff of the strategy z / sum(z) is
-(det - shift * S) / (scale * S) with S = sum(r): one rational, with no dot
-product. The bases of a degenerate vertex are merged on an integer key, the
-primitive vector r / gcd(r) (r itself when the gcd is 1), so a repeated
-basis costs no rational arithmetic. A vertex's labels are its cobasic
-variables, plus the basic variables at zero. A basis whose basic variables
-are all positive is the only basis of its vertex, so only a basis with a
-basic variable at zero looks its key up among the vertices found before it.
-The labels are kept only as one integer mask, label l as bit l, summed
-through the graph's table of label bits; ``_label_set`` decodes a mask
-into a frozenset in increasing label order. Every lookup by label set is
-a lookup by mask: the check counts the mask's bits, ``VertexGraph.at`` is
-keyed by mask, and a P vertex's partner is the Q vertex at ``full ^ mask``.
+Each vertex is read off the integer dictionary. A basis of determinant det
+puts P' or Q' at z = r / det, where the integer vector r holds the
+right-hand side on the basic z variables and 0 elsewhere. At a non-zero
+vertex some row X_j + shift <= 1 is tight, so the best-reply payoff of the
+strategy z / sum(z) is (det - shift * S) / S with S = sum(r): one rational,
+with no dot product, whatever the rows' factors s_j. The bases of a
+degenerate vertex are merged on an integer key, the primitive vector
+r / gcd(r) (r itself when the gcd is 1), so a repeated basis costs no
+rational arithmetic. A vertex's labels are its cobasic variables, plus the
+basic variables at zero. A basis whose basic variables are all positive is
+the only basis of its vertex, so only a basis with a basic variable at zero
+looks its key up among the vertices found before it. The labels are kept
+only as one integer mask, label l as bit l, summed through the graph's table
+of label bits; ``_label_set`` decodes a mask into a frozenset in increasing
+label order. Every lookup by label set is a lookup by mask: the check counts
+the mask's bits, ``VertexGraph.at`` is keyed by mask, and a P vertex's
+partner is the Q vertex at ``full ^ mask``.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
@@ -179,27 +185,28 @@ def _ratio_test(dic: list[list[int]], col: int) -> list[int]:
     return best
 
 
-def _feasible_bases(mat: list[list[int]], steps: list):
-    """Every feasible basis of {z >= 0 : mat z + s = 1, s >= 0}.
+def _feasible_bases(start: list[list[int]], steps: list):
+    """Every feasible basis of {z >= 0 : mat z + s = rhs, s >= 0}, from
+    ``start``, the origin's dictionary: the rows of [mat | rhs].
 
-    ``mat`` is k x d with positive entries, so the polytope is bounded and
-    the origin (all slacks basic) is a simple vertex. Variables 0..d-1 are
-    z and d..d+k-1 the slacks. Yields the walk's own state for each basis,
-    (basis, cobasis, dic, det), to be read and not changed: ``basis[r]`` is
-    the variable of dictionary row r, ``cobasis[c]`` that of column c, and
-    the basic variable of row r has the value dic[r][-1] / det, where the
-    integer det > 0 is |det| of the basis's columns of [mat | I]. The
-    entering variables are tried in dictionary order, column by column. A
-    tie in the ratio test branches to every tied row, so degenerate vertices
-    are reached through all of their bases. The walk appends to ``steps``,
-    for each basis in the order yielded, the ratio-test steps out of that
-    basis as one flat list of pairs: the variable entering, then the
-    variable leaving.
+    ``mat`` is k x d with positive entries and ``rhs`` is positive, so the
+    polytope is bounded and the origin (all slacks basic) is a simple
+    vertex. Variables 0..d-1 are z and d..d+k-1 the slacks. Yields the
+    walk's own state for each basis, (basis, cobasis, dic, det), to be read
+    and not changed: ``basis[r]`` is the variable of dictionary row r,
+    ``cobasis[c]`` that of column c, and the basic variable of row r has the
+    value dic[r][-1] / det, where the integer det > 0 is |det| of the
+    basis's columns of [mat | I]. The entering variables are tried in
+    dictionary order, column by column. A tie in the ratio test branches to
+    every tied row, so degenerate vertices are reached through all of their
+    bases. The walk appends to ``steps``, for each basis in the order
+    yielded, the ratio-test steps out of that basis as one flat list of
+    pairs: the variable entering, then the variable leaving.
     """
-    k, d = len(mat), len(mat[0])
+    k, d = len(start), len(start[0]) - 1
     mask = ((1 << k) - 1) << d
     seen = {mask}
-    origin = (list(range(d, d + k)), list(range(d)), [row + [1] for row in mat], 1)
+    origin = (list(range(d, d + k)), list(range(d)), start, 1)
     stack = [(origin, None, None, mask)]
     while stack:
         state, r, col, mask = stack.pop()
@@ -239,15 +246,18 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     binding-label mask, sorted by point, and the steps of the walk.
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
-    Q' over y for "Q"; see the module docstring), shifting the game's
-    payoffs as ``payoffs`` clears them, and maps each non-zero vertex z back
-    to the point (z / sum(z), best-reply payoff), read off the integer
-    dictionary and built on first read. Its labels are the cobasic
-    variables plus every basic variable at zero, so extra bindings on
-    degenerate inputs are reported faithfully; ``labels[v]`` is the label
-    of variable v, and its bit is the variable's term of the mask. The
-    origin, where z = 0, becomes the graph's ``origin``: a node with no
-    point, labeled by its cobasis, the d variables of z.
+    Q' over y for "Q"; see the module docstring). Its origin's dictionary
+    has one row per row X_j of X = B^T or A, read off ``payoffs``:
+    s_j * (X_j + shift) with the right-hand side s_j, where s_j is the least
+    denominator of X_j and shift = 1 - floor(min X). Each non-zero vertex z
+    maps back to the point (z / sum(z), best-reply payoff), read off the
+    integer dictionary, with the payoff (det - shift * sum(z)) / sum(z), and
+    built on first read. Its labels are the cobasic variables plus every
+    basic variable at zero, so extra bindings on degenerate inputs are
+    reported faithfully; ``labels[v]`` is the label of variable v, and its
+    bit is the variable's term of the mask. The origin, where z = 0, becomes
+    the graph's ``origin``: a node with no point, labeled by its cobasis,
+    the d variables of z.
     """
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
@@ -256,14 +266,23 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     else:
         ints, scale = payoffs.a, payoffs.a_scale  # m rows, over y
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
-    shift = 1 - min(map(min, ints))  # the least entry becomes 1
-    mat = [[v + shift for v in row] for row in ints]
-    d = len(mat[0])
+    # X is ints / scale; X + shift has its least entry in [1, 2)
+    shift = 1 - min(map(min, ints)) // scale
+    start = []
+    for row in ints:
+        # row j is X_j + shift <= 1 times s_j, the least denominator of X_j
+        common = math.gcd(scale, *row)
+        if common > 1:
+            row = [v // common for v in row]
+        s = scale // common
+        lift = s * shift
+        start.append([v + lift for v in row] + [s])
+    d = len(ints[0])
     bits = [1 << l for l in labels]  # the label bit of each variable
     steps: list[list[int]] = []
     # key -> (key, sum(key), vertex, number of the vertex's first basis)
     found: dict[tuple[int, ...], tuple] = {}
-    for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(mat, steps)):
+    for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(start, steps)):
         z = [0] * d
         tight = []  # the basic variables at zero
         for var, row in zip(basis, dic):
@@ -286,10 +305,10 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
             continue
         # its labels: the cobasic variables, plus the basic variables at zero
         mask = sum(map(bits.__getitem__, cobasis + tight))
-        # some row of mat is tight at z / det, so the best-reply payoff of
-        # the strategy z / total is (det - shift * total) / (scale * total)
+        # some row X_j + shift <= 1 is tight at z / det, so the best-reply
+        # payoff of the strategy z / total is (det - shift * total) / total
         vertex = LabeledVertex._from_integers(
-            key, total // common, det - shift * total, scale * total, mask
+            key, total // common, det - shift * total, total, mask
         )
         found[key] = (key, total // common, vertex, number)
     # distinct keys give distinct strategies, so no two compare equal

@@ -18,6 +18,13 @@ the lines: equal hashes mean equal outputs. Pytest does not collect this file.
 ``tests/golden/sameness.txt`` holds its output with the ``fractions``
 backend, and CI diffs a fresh run against it there; gmpy2's ``mpq`` prints
 unlike ``Fraction``, so the hashes differ with that backend.
+
+A second series, whose lines start with ``wide``, hashes every method,
+the oracle's scans included, on 60 rank-1 draws of m x n games with m
+and n in 2..5, each payoff, b_i and c_j a numerator in +-10**6 over a
+denominator in 1..1,000: the distribution of the benchmark's
+rank1-bigrat workload, where each row of a payoff matrix has its own
+least denominator.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ ORACLE = {
     "support_enumeration strict": (True,),
 }
 ORACLE_GAMES = 306
+WIDE_GAMES = 60
 
 
 def draw(rng: random.Random) -> BimatrixGame:
@@ -63,6 +71,21 @@ def draw(rng: random.Random) -> BimatrixGame:
     return BimatrixGame.from_payoffs(a, bm)
 
 
+def wide_draw(rng: random.Random) -> BimatrixGame:
+    """One rank-1 game of the wide-denominator series."""
+    m, n = rng.randint(2, 5), rng.randint(2, 5)
+
+    def entry():
+        return rat(rng.randint(-(10**6), 10**6), rng.randint(1, 10**3))
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    b = [entry() for _ in range(m)]
+    c = [entry() for _ in range(n)]
+    return BimatrixGame.from_payoffs(
+        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+
+
 def games(seed: int, count: int):
     for d in range(1, 7):
         yield generate_kt(d)
@@ -80,15 +103,13 @@ def outcome(fn, *args) -> bytes:
     return got.encode() + b"\n"
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--count", type=int, default=1200)
-    args = ap.parse_args()
+def report(prefix: str, series, oracle_games: int) -> None:
+    """Print the hash lines of a series of games, each line led by prefix;
+    the oracle runs on its first ``oracle_games`` games."""
     hashes = {name: hashlib.sha256() for name in (*METHODS, "lh_run", *ORACLE)}
     calls = dict.fromkeys(hashes, 0)
     total = 0
-    for g in games(args.seed, args.count):
+    for g in series:
         total += 1
         for name in METHODS:
             hashes[name].update(outcome(getattr(rank1nash, name), g))
@@ -96,13 +117,23 @@ def main() -> None:
         for r in range(1, g.m + g.n + 1):
             hashes["lh_run"].update(outcome(rank1nash.lh_run, g, r))
             calls["lh_run"] += 1
-        if total <= ORACLE_GAMES:
+        if total <= oracle_games:
             for name, strict in ORACLE.items():
                 hashes[name].update(outcome(rank1nash.support_enumeration, g, *strict))
                 calls[name] += 1
     for name, h in hashes.items():
-        print(f"{name} {h.hexdigest()} {calls[name]}")
-    print(f"games {total}")
+        print(f"{prefix}{name} {h.hexdigest()} {calls[name]}")
+    print(f"{prefix}games {total}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--count", type=int, default=1200)
+    args = ap.parse_args()
+    report("", games(args.seed, args.count), ORACLE_GAMES)
+    rng = random.Random(f"wide {args.seed}")
+    report("wide ", (wide_draw(rng) for _ in range(WIDE_GAMES)), WIDE_GAMES)
 
 
 if __name__ == "__main__":

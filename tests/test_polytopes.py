@@ -55,7 +55,7 @@ def _positive_integer_rows(rows):
 def _rhs_bases(mat):
     """(basis, rhs, det) for each basis the walk yields: basis[r] has the
     value rhs[r] / det."""
-    for basis, _, dic, det in _feasible_bases(mat, []):
+    for basis, _, dic, det in _feasible_bases([row + [1] for row in mat], []):
         yield basis, [row[-1] for row in dic], det
 
 
@@ -232,7 +232,8 @@ def test_walk_visits_every_feasible_basis():
                 continue
             if min(z) >= 0:
                 feasible.add(frozenset(cols))
-        assert {frozenset(b) for b, _, _, _ in _feasible_bases(mat, [])} == feasible, mat
+        walk = _feasible_bases([row + [1] for row in mat], [])
+        assert {frozenset(b) for b, _, _, _ in walk} == feasible, mat
 
 
 def test_labels_read_off_the_cobasis():
@@ -255,7 +256,7 @@ def test_labels_read_off_the_cobasis():
         k, d = len(mat), len(mat[0])
         every = set(range(d + k))
         by_key: dict[tuple, list] = {}
-        for basis, cobasis, dic, det in _feasible_bases(mat, []):
+        for basis, cobasis, dic, det in _feasible_bases([row + [1] for row in mat], []):
             zero = [var for var, row in zip(basis, dic) if row[-1] == 0]
             # the old readout: every variable outside the basis, and the
             # basic ones at zero
@@ -383,11 +384,29 @@ def _bigrat_game(rng, m, n):
     )
 
 
+def _row_scale_games():
+    """Fractional games whose rows of A and of B^T are of four kinds: all
+    integers (a row's least denominator 1), a least denominator sharing a
+    factor with the matrix's, all zeros, and one holding the matrix's least
+    entry, fractional or an integer; the second game's entries are all
+    positive."""
+    f = rat
+    a = [[1, -2, 3, 0], [f(1, 2), f(3, 4), f(-1, 4), f(5, 2)], [0, 0, 0, 0],
+         [f(-7, 3), f(1, 6), f(5, 6), f(2, 3)]]
+    bt = [[2, 0, -1, 5], [f(1, 3), f(2, 9), f(-4, 9), 1], [0, 0, 0, 0],
+          [f(-11, 5), f(3, 5), f(1, 5), f(4, 5)]]
+    yield BimatrixGame.from_payoffs(a, [list(col) for col in zip(*bt)])
+    a = [[f(5, 2), f(7, 2), 3], [4, f(11, 4), 6]]
+    b = [[-3, f(1, 2), 2], [0, f(-1, 3), f(5, 6)]]
+    yield BimatrixGame.from_payoffs(a, b)
+
+
 def test_enumerate_vertices_matches_the_eager_reference():
     # points, labels and order, with every point built only when read
     rng = random.Random(5527)
     games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
     games += [generate_kt(d) for d in range(1, 9)]
+    games += _row_scale_games()
     for _ in range(12):
         games.append(_bigrat_game(rng, rng.randint(2, 5), rng.randint(2, 5)))
     for g in games:
@@ -396,6 +415,72 @@ def test_enumerate_vertices_matches_the_eager_reference():
             assert [v.point for v in got] == [v.point for v in want], (g, which)
             assert [v.labels for v in got] == [v.labels for v in want], (g, which)
             assert got == want
+
+
+def _widest(walk) -> int:
+    """The bit length of the widest entry of every dictionary of a walk."""
+    return max(abs(v).bit_length() for _, _, dic, _ in walk for row in dic for v in row)
+
+
+def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
+    # a Bareiss entry is a minor of the origin's dictionary, so its width is
+    # the sum of the widths of its rows: a walk that clears each row of a
+    # fractional game by the row's own least denominator reads integers of
+    # half the width of the reference, which clears the whole matrix by one
+    # scale, on the same 42 pivots over both sides
+    g = _bigrat_game(random.Random(1), 5, 5)
+    pivots = 0
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        return _pivot(*args)
+
+    monkeypatch.setattr(polytopes, "_pivot", counted)
+    widths = []
+    original = polytopes._feasible_bases
+
+    def measured(start, steps):
+        for state in original(start, steps):
+            widths.append(_widest([state]))
+            yield state
+
+    monkeypatch.setattr(polytopes, "_feasible_bases", measured)
+    payoffs = IntegerPayoffs.of(g)
+    for which in ("P", "Q"):
+        polytopes._vertex_graph(payoffs, which)
+    assert (max(widths), pivots) == (337, 42)
+    pivots = 0
+    uniform = max(
+        _widest(original([row + [1] for row in _positive_integer_rows(rows)[0]], []))
+        for rows in (tuple(zip(*g.B)), g.A)
+    )
+    assert (uniform, pivots) == (657, 42)
+
+
+def test_integer_games_walk_the_uniform_dictionaries(monkeypatch):
+    # integer payoffs give every row the least denominator 1 and the shift
+    # that makes the least entry 1, so the walk's dictionaries are the
+    # one-scale reference's, basis by basis
+    walked = []
+    original = polytopes._feasible_bases
+
+    def kept(start, steps):
+        for state in original(start, steps):
+            walked.append(state)
+            yield state
+
+    monkeypatch.setattr(polytopes, "_feasible_bases", kept)
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 9)]
+    for g in games:
+        payoffs = IntegerPayoffs.of(g)
+        assert payoffs.a_scale == payoffs.b_scale == 1, g
+        for which, rows in (("P", tuple(zip(*g.B))), ("Q", g.A)):
+            walked.clear()
+            polytopes._vertex_graph(payoffs, which)
+            mat = _positive_integer_rows(rows)[0]
+            assert walked == list(original([row + [1] for row in mat], [])), (g, which)
 
 
 def test_check_builds_no_vertex_point(monkeypatch):
