@@ -43,7 +43,8 @@ class DegenerateGame(Rank1NashError):
 
 
 class Stalled(Rank1NashError):
-    """No verifiable pivot advances the sweep past the current breakpoint."""
+    """No verifiable pivot advances the sweep past the current breakpoint,
+    or a Lemke-Howson path meets a pair of nodes a second time."""
 
 
 class GameFileError(Rank1NashError):

@@ -10,7 +10,10 @@ one label r from the artificial pair and chase the duplicate label
 alternately over the two sides terminate at equilibria, never back at the
 artificial pair, which is one end of its path; the product graph glues
 those paths over all r, and its components expose equilibria no such path
-can reach.
+can reach. A path meets no pair of nodes twice, so one that does raises
+Stalled: that rule, not a count of the graphs' nodes, bounds a path. The
+paths read a graph node by node, through the first tier of the interface
+``VertexGraph`` names; ``reachability`` and G' read the second tier too.
 
 Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
@@ -86,15 +89,16 @@ def _walk(
     vertex indices. The artificial pair is one end of the path (Lemke &
     Howson 1964; Shapley 1974), so the path cannot return to it, and no
     other completely labeled pair holds an origin: only Q's origin carries
-    the labels P's origin lacks."""
-    full, graphs = p.full, (p, q)
+    the labels P's origin lacks. Nor does the path meet any pair of nodes
+    twice, so a pair met again raises Stalled: the walk is bounded by the
+    pairs it has met, whatever the graphs' sizes or numbering."""
+    full, graphs, seen = p.full, (p, q), set()
     at = [p.origin_index, q.origin_index]
     nodes = [p.origin, q.origin]
     steps = [PathStep(*nodes, None)]
     # r is a label of P's origin, an x label, or else of Q's
     side, drop = (0 if p.origin.mask >> r & 1 else 1), r
-    limit = (len(p.vertices) + 1) * (len(q.vertices) + 1) + 1
-    for _ in range(limit):
+    while True:
         vg = graphs[side]
         at[side] = _drop_label(vg, at[side], drop)
         nodes[side] = vg.node(at[side])
@@ -107,10 +111,12 @@ def _walk(
                 "path pair duplicates labels "
                 f"{sorted(_label_set(dup))}, not exactly one"
             )
+        pair = (at[0], at[1])
+        if pair in seen:
+            raise Stalled(f"node pair {pair} revisited; path is cycling")
+        seen.add(pair)
         drop = dup.bit_length() - 1
         side = 1 - side
-    else:
-        raise Stalled(f"no terminal pair within {limit} pivots")
     if nodes[0] is p.origin or nodes[1] is q.origin:
         raise InternalInvariantError("path ended at an artificial node")
     return tuple(steps), (at[0], at[1])
@@ -194,7 +200,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     """
     p, q = require_nondegenerate(g)
     full = p.full
-    n1, n2 = len(p.vertices), len(q.vertices)
+    n1, n2 = p.origin_index, q.origin_index
     width = n2 + 1
 
     # a dict over the touched pairs only: a 12 x 12 game has millions of

@@ -8,10 +8,12 @@ the equilibria. The sweep walks optimal bases of this LP from xi_min to
 xi_max. A basis fixes x, so its objective is linear in xi and, being
 nonpositive on the basis's interval, vanishes only at an end of it (or on
 all of it, which a non-degenerate game rules out); the equilibria are read
-off the interval ends. When c is constant (zero-sum games, swept with
-b = 0 and c = 0, and row-constant games) the range of xi is one point, and
-the sweep is its start there: the P vertex maximising xi b^T x - pi2 and
-the Q vertex of least pi1, each of which must be unique.
+off the interval ends and reported in the order of their keys
+(``EquilibriumPoint.key``), not of the graphs' node numbers. When c is
+constant (zero-sum games, swept with b = 0 and c = 0, and row-constant
+games) the range of xi is one point, and the sweep is its start there: the
+P vertex maximising xi b^T x - pi2 and the Q vertex of least pi1, each of
+which must be unique.
 
 Constraint rows of M1 (1-based, z = (x, y, pi1, pi2), K = 2(m+n) rows):
 rows 1..m are -x <= 0, rows m+1..m+n are B^T x <= 1 pi2, rows m+n+1..m+n+m
@@ -37,8 +39,9 @@ Both steps are one rule on the points (w^T s, payoff) of a side's vertices,
 chord to a neighbour of greater w^T s, ties to the lowest label dropped. On
 P that slope is beta2, and on Q the next edge's pi1 slope.
 A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
-(polytopes.VertexGraph) that the non-degeneracy check returns, and the
-sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
+(polytopes.VertexGraph) that the non-degeneracy check returns, node by
+node (the first tier of its interface), and the sweep makes no linear
+solve. x and pi2 come from the P vertex; y and pi1
 are interpolated along the Q edge. Once the graphs exist, the sweep's cost
 follows the intervals it crosses, not the vertices: b^T x, c^T y and the
 payoffs are read off the integer keys of the vertices the walks visit, each
@@ -237,7 +240,6 @@ class _Line:
 
     def __init__(self, graph: VertexGraph, weights):
         self.graph = graph
-        self.vertices = graph.vertices
         self.w, self.scale = clear_denominators(weights)
         self._ints: dict[int, tuple[int, int, int]] = {}
         self._x: dict[int, Rational] = {}
@@ -246,7 +248,7 @@ class _Line:
         """(s, o, d) of vertex k, with d > 0."""
         got = self._ints.get(k)
         if got is None:
-            key, den, num, pay_den = self.vertices[k]._integers
+            key, den, num, pay_den = self.graph.vertices[k]._integers
             den *= self.scale
             got = self._ints[k] = (
                 sum(map(mul, self.w, key)) * pay_den, num * den, den * pay_den
@@ -603,8 +605,6 @@ def enumerate_all(
             )
         )
         iv = nxt
-    # the P vertices are sorted by point and each has one partner at most,
-    # so the pairs come in the order of the equilibria's keys
     return SweepTrace(
         g,
         f,
@@ -613,7 +613,7 @@ def enumerate_all(
         hi,
         tuple(intervals),
         tuple(breakpoints),
-        tuple(found[pair] for pair in sorted(found)),
+        tuple(sorted(found.values(), key=EquilibriumPoint.key)),
     )
 
 

@@ -350,6 +350,18 @@ class VertexGraph:
     is the game's ``IntegerPayoffs`` the walk shifted, one object shared by
     the two graphs of a call. The lookups are built on first use and go with
     the graph: nothing is cached between calls.
+
+    Its readers use the interface in two tiers. The sweep, ``lh_run`` and
+    the Lemke-Howson paths read a graph node by node, through
+    ``vertices[k]``, ``node(k)``, ``near(k)``, ``origin``, ``origin_index``,
+    ``labels``, ``full`` and ``payoffs`` alone: they never count the nodes
+    or iterate over them, and their outputs do not depend on the numbering,
+    so a graph that numbers its nodes as it discovers them serves them as
+    well. The check (``require_nondegenerate``), the label method and
+    ``reachability`` (through ``_labeled_equilibria``) and G'
+    (``gprime_components``) also read the whole vertex list, ``at`` and
+    ``edges_of``, and the order of their outputs is the vertices' point
+    order.
     """
 
     vertices: tuple[LabeledVertex, ...]

@@ -14,8 +14,10 @@ from rank1nash import (
     EquilibriumPoint,
     GPrimeReport,
     InternalInvariantError,
+    LabeledVertex,
     MixedStrategyPair,
     ReachabilityReport,
+    Stalled,
     check_nondegenerate,
     enumerate_all,
     enumerate_vertices,
@@ -106,6 +108,38 @@ def test_walk_rejects_a_path_back_to_the_artificial_pair():
     p.near(origin)[1] = origin
     with pytest.raises(InternalInvariantError, match="artificial node"):
         lemke_howson._walk(p, q, 1)
+
+
+class _HandBuilt:
+    """The nodes a path reads of a hand-built graph of a 2 x 2 game: node k
+    carries the labels ``sets[k]`` and reaches node ``moves[k][l]`` by
+    dropping label l; the last node is the origin."""
+
+    full = 0b11110  # labels 1..4
+
+    def __init__(self, sets, moves):
+        self._nodes = [LabeledVertex(None, frozenset(s)) for s in sets]
+        self._moves = moves
+        self.origin_index = len(sets) - 1
+        self.origin = self._nodes[-1]
+
+    def node(self, k):
+        return self._nodes[k]
+
+    def near(self, k):
+        return self._moves[k]
+
+
+def test_walk_rejects_a_pair_met_twice():
+    # a path meets no pair of nodes twice. Dropping label 1, these graphs
+    # lead through the pairs (0, 2), (0, 0), (1, 0), (1, 1), (2, 1), (2, 2)
+    # and back to (0, 2), each missing label 1 and sharing exactly one
+    # label, so the path cycles and must be stopped at the pair met twice
+    p = _HandBuilt([{2, 3}, {3, 4}, {2, 4}, {1, 2}], [{2: 1}, {3: 2}, {4: 0}, {1: 0}])
+    q = _HandBuilt([{2, 4}, {2, 3}, {3, 4}], [{4: 1}, {2: 2}, {3: 0}])
+    with pytest.raises(Stalled) as info:
+        lemke_howson._walk(p, q, 1)
+    assert str(info.value) == "node pair (0, 2) revisited; path is cycling"
 
 
 def test_all_drops_miss_the_mixed_equilibrium(unreach22):

@@ -34,7 +34,9 @@ from rank1nash import (
     gprime_components,
     is_nash,
     lh_run,
+    lemke_howson,
     load_game,
+    parametric,
     polytopes,
     rat,
     reachability,
@@ -867,3 +869,102 @@ def test_one_side_walk_memory_is_bounded():
         tracemalloc.stop()
     assert len(graph.vertices) == 1163
     assert peak < 3 * 2**20, peak
+
+
+class _Vertices:
+    """``vertices[k]`` alone: no len and no iteration. Without ``__iter__ =
+    None``, ``iter`` and ``in`` would fall back on ``__getitem__``."""
+
+    __iter__ = None
+
+    def __init__(self, get):
+        self._get = get
+
+    def __getitem__(self, k):
+        return self._get(k)
+
+
+class _Discovered:
+    """The first tier of an eager ``VertexGraph``'s interface (see its
+    docstring) and nothing else, with the nodes numbered breadth first from
+    the origin, as a graph that discovers its nodes would number them: the
+    origin is node 0, not V, and ``vertices`` cannot report its length."""
+
+    def __init__(self, graph):
+        old = [graph.origin_index]  # the eager number of each node, in order
+        new = {graph.origin_index: 0}
+        for k in old:  # old grows as it is read: breadth first
+            for j in graph.near(k).values():
+                if j not in new:
+                    new[j] = len(old)
+                    old.append(j)
+        self._graph, self._old, self._new = graph, old, new
+        self.origin, self.origin_index = graph.origin, 0
+        self.labels, self.full, self.payoffs = graph.labels, graph.full, graph.payoffs
+        self.vertices = _Vertices(self._vertex)
+
+    def _vertex(self, k):
+        if k <= 0:
+            raise IndexError(f"node {k} is not a vertex")
+        return self._graph.vertices[self._old[k]]
+
+    def node(self, k):
+        return self._graph.node(self._old[k])
+
+    def near(self, k):
+        return {l: self._new[j] for l, j in self._graph.near(self._old[k]).items()}
+
+
+def _sweep_and_paths(g, f=None) -> list:
+    """The repr of ``enumerate_all(g)``, of ``enumerate_all(g, f)`` when f is
+    given, and of ``lh_run(g, r)`` for every label r, or the type and
+    message of what each raised."""
+    calls = [lambda: enumerate_all(g)]
+    if f is not None:
+        calls.append(lambda: enumerate_all(g, f))
+    calls += [lambda r=r: lh_run(g, r) for r in range(1, g.m + g.n + 1)]
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except Exception as exc:  # compared, not swallowed
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _assert_first_tier_suffices(g, f=None) -> bool:
+    """The sweep and the paths give the eager graphs' outputs, or raise
+    their errors, when they read renumbered graphs through the first tier
+    alone; True when g is non-degenerate."""
+    want = _sweep_and_paths(g, f)
+
+    def discovered(game):
+        return tuple(map(_Discovered, polytopes.require_nondegenerate(game)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parametric, "require_nondegenerate", discovered)
+        mp.setattr(lemke_howson, "require_nondegenerate", discovered)
+        got = _sweep_and_paths(g, f)
+    assert got == want, g
+    return check_nondegenerate(g)[0]
+
+
+def test_sweep_and_paths_read_the_first_tier_alone():
+    # the sweep, lh_run and the paths read a graph node by node, so a graph
+    # that numbers its nodes in discovery order and cannot count them gives
+    # the same traces and paths, in the same order; every one of these 24
+    # games is non-degenerate
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    assert sum(map(_assert_first_tier_suffices, games)) == 24
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        rank1_games(st.integers(1, 5), st.integers(1, 5)),
+        rank1_games(st.integers(2, 5), st.integers(2, 5), tied=True),
+    )
+)
+def test_sweep_and_paths_read_the_first_tier_alone_on_draws(game):
+    _assert_first_tier_suffices(*game)
