@@ -5,7 +5,11 @@ paths, so agreement between the three is meaningful. What it shares with
 them is the rational type and the game and strategy types of ``games``.
 Every candidate, in a plain or a strict scan, is checked by the scan's own
 nonnegativity and best-reply comparisons, never by ``games.is_nash``, the
-test that certifies what the sweep and the label paths report.
+test that certifies what the sweep and the label paths report. A support
+pair solves the row player's indifference system and passes its tests
+before the column player's system is solved, so most pairs pay for one
+half only; the order of the tests changes neither the set found nor the
+degeneracy flag (``support_enumeration``).
 """
 
 from __future__ import annotations
@@ -91,6 +95,15 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
     Non-degenerate games only need equal-size supports; ``strict`` widens the
     scan to all size pairs for suspect inputs (solvable candidates there are
     over/under-determined and any hit is itself evidence of degeneracy).
+
+    Each support pair (s1, s2) is dropped at the first test it fails, in
+    this order: the row player's system has no solution; y has a negative
+    entry; a row off s1 pays more than u against y; the column player's
+    system has no solution; x has a negative entry; a column off s2 pays
+    more than v against x. A pair that passes all six is a best reply pair,
+    whichever order they run in, and none of them has a side effect, so the
+    order decides only how many systems are solved: the equilibria, their
+    order and the suspect flag are those of testing both halves together.
     """
     m, n = g.m, g.n
     if strict:
@@ -103,21 +116,28 @@ def support_enumeration(g: BimatrixGame, strict: bool = False) -> OracleResult:
     for k1, k2 in size_pairs:
         for s1 in combinations(range(m), k1):
             for s2 in combinations(range(n), k2):
-                # y and the row value u make the rows of s1 indifferent, x
-                # and the column value v the columns of s2
+                # y and the row value u make the rows of s1 indifferent, and
+                # no row off s1 beats u; only then are x and the column
+                # value v solved for, to make the columns of s2 indifferent
                 row = _indifferent(g.A, s1, s2)
                 if row is None:
+                    continue
+                st1, yvals, u = row
+                if any(p < 0 for p in yvals):
+                    continue
+                y = _spread(n, s2, yvals)
+                off_rows = [vdot(g.A[i], y) for i in range(m) if i not in s1]
+                if any(w > u for w in off_rows):
                     continue
                 col = _indifferent(bt, s2, s1)
                 if col is None:
                     continue
-                (st1, yvals, u), (st2, xvals, v) = row, col
-                if any(p < 0 for p in xvals + yvals):
+                st2, xvals, v = col
+                if any(p < 0 for p in xvals):
                     continue
-                x, y = _spread(m, s1, xvals), _spread(n, s2, yvals)
-                off_rows = [vdot(g.A[i], y) for i in range(m) if i not in s1]
+                x = _spread(m, s1, xvals)
                 off_cols = [vdot(x, bt[j]) for j in range(n) if j not in s2]
-                if any(w > u for w in off_rows) or any(w > v for w in off_cols):
+                if any(w > v for w in off_cols):
                     continue
                 # a best reply pair, so x^T A y = u and x^T B y = v. In a
                 # square system, free variables hint at a continuum of

@@ -10,7 +10,7 @@ of the entries of A, B, b and c are fractional. For every game the script
 calls ``enumerate_all``, ``equilibria_by_labels``, ``reachability``,
 ``gprime_components``, ``check_nondegenerate`` and ``lh_run`` for every
 label r, and hashes the repr of each result, or the type and message of
-the exception it raises. On kt1..kt6 and the first 300 draws it also
+the exception it raises. On kt1..kt6 and the first 450 draws it also
 calls ``support_enumeration``, plain and strict. It prints one line per
 method: its name, the sha256 and the number of calls, then the number of
 games. Run it with another checkout's ``src`` on PYTHONPATH and compare
@@ -43,12 +43,12 @@ METHODS = (
     "gprime_components",
     "check_nondegenerate",
 )
-# the oracle's scans, plain and strict, on kt1..kt6 and the first 300 draws
+# the oracle's scans, plain and strict, on kt1..kt6 and the first 450 draws
 ORACLE = {
     "support_enumeration": (),
     "support_enumeration strict": (True,),
 }
-ORACLE_GAMES = 306
+ORACLE_GAMES = 456
 WIDE_GAMES = 60
 
 

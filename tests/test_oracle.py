@@ -9,10 +9,12 @@ from rank1nash import (
     EquilibriumPoint,
     MixedStrategyPair,
     OracleResult,
+    generate_kt,
     is_nash,
     rat,
     support_enumeration,
 )
+from rank1nash import oracle
 
 # degenerate games with the strict scan's equilibria, as (x, y, payoff1,
 # payoff2), and the number of them a plain scan also finds; the others lie
@@ -183,3 +185,30 @@ def test_strict_mode_agrees_on_nondegenerate(demo23, unreach22):
         b = support_enumeration(g, strict=True)
         assert [e.key() for e in a.equilibria] == [e.key() for e in b.equilibria]
         assert not b.degenerate_suspect
+
+
+def test_column_half_waits_for_the_row_half(monkeypatch, demo23, disconnected33):
+    # a support pair solves the column player's indifference system only
+    # once the row player's has a solution that is nonnegative and has no
+    # better row off its support; pinned as (row, column) solves, plain and
+    # strict. Solving both halves first took 52, 128, 125, 419, 8, 17, 18
+    # and 34 column solves
+    calls = []
+
+    def counted(mat, own, other):
+        calls.append(mat is g.A)
+        return original(mat, own, other)
+
+    original = oracle._indifferent
+    monkeypatch.setattr(oracle, "_indifferent", counted)
+    pins = [
+        (generate_kt(4), (69, 14), (225, 14)),
+        (generate_kt(5), (251, 25), (961, 25)),
+        (demo23, (9, 5), (21, 5)),
+        (disconnected33, (19, 7), (49, 7)),
+    ]
+    for g, plain, strict in pins:
+        for want, scan in ((plain, False), (strict, True)):
+            calls.clear()
+            support_enumeration(g, scan)
+            assert (calls.count(True), calls.count(False)) == want
