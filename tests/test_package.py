@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -42,3 +43,12 @@ def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert rank1nash.__version__ == version
+
+
+def test_console_script_entry_point_runs():
+    # pyproject.toml installs `rank1nash` as a call of this target; read
+    # with a regex, as tomllib is missing before Python 3.11
+    text = (ROOT / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^rank1nash = "([^"]+)"$', text, re.MULTILINE)
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name)(["--help"]) == 0
