@@ -5,6 +5,11 @@ or argument syntax), 4 precondition violation (wrong rank, bad factors, out
 of range indices), 5 internal error (a solver state or result that the
 mathematics rules out on valid input, e.g. a reported equilibrium failing
 the Nash check; a bug to report).
+
+Every game command is a `cmd_x(g, args)` of the loaded game and the parsed
+arguments. It returns its exit code, its JSON object and its text lines;
+one runner loads the game and prints either the object (under `--json`)
+or the lines, so both modes print the same result.
 """
 
 from __future__ import annotations
@@ -79,127 +84,99 @@ def _parse_factor(parts) -> tuple[tuple, tuple]:
     return spec["b"], spec["c"]
 
 
-def cmd_enumerate(args) -> int:
-    g = load_game(args.game)
-    fact = None
+def cmd_enumerate(g, args):
+    given = None
     if args.factor:
         b, c = _parse_factor(args.factor)
-        fact = RankOneFactorization.for_game(g, b, c)
-    trace = enumerate_all(g, fact)
+        given = RankOneFactorization.for_game(g, b, c)
+    trace = enumerate_all(g, given)
     table = sweep_table(trace) if args.trace else ()
-    if args.json:
-        obj = {
-            "dispatch": trace.dispatch,
-            "m": g.m,
-            "n": g.n,
-            "factorization": None
-            if trace.factorization is None
-            else {
-                "b": [str(v) for v in trace.factorization.b],
-                "c": [str(v) for v in trace.factorization.c],
-            },
-            "xi_range": [str(trace.xi_min), str(trace.xi_max)],
-            "equilibria": [_eq_json(e) for e in trace.equilibria],
-        }
-        if args.trace:
-            obj["trace"] = [
-                {
-                    "kind": "point",
-                    "xi": str(r.xi),
-                    "objective": str(r.objective),
-                    "binding": sorted(r.binding),
-                }
+    fac = trace.factorization
+    obj = {
+        "dispatch": trace.dispatch,
+        "m": g.m,
+        "n": g.n,
+        "factorization": None
+        if fac is None
+        else {"b": [str(v) for v in fac.b], "c": [str(v) for v in fac.c]},
+        "xi_range": [str(trace.xi_min), str(trace.xi_max)],
+        "equilibria": [_eq_json(e) for e in trace.equilibria],
+    }
+    lines = [f"dispatch: {trace.dispatch}"]
+    if fac is not None:
+        lines.append(f"factorization: b={_vec(fac.b)} c={_vec(fac.c)}")
+    lines.append(f"xi range: [{trace.xi_min}, {trace.xi_max}]")
+    lines.append(f"equilibria: {len(trace.equilibria)}")
+    lines += [_eq_line(e, with_xi=True) for e in trace.equilibria]
+    if args.trace:
+        obj["trace"] = [
+            dict(
+                {"kind": "point", "xi": str(r.xi), "objective": str(r.objective)}
                 if r.kind == "point"
-                else {
-                    "kind": "interval",
-                    "span": [str(r.span[0]), str(r.span[1])],
-                    "binding": sorted(r.binding),
-                }
-                for r in table
-            ]
-            obj["breakpoints"] = [
-                {
-                    "xi": str(bp.xi),
-                    "kind": bp.kind,
-                    "leaving": bp.leaving,
-                    "entering": bp.entering,
-                }
-                for bp in trace.breakpoints
-            ]
-        print(json.dumps(obj))
-        return 0
-    print(f"dispatch: {trace.dispatch}")
-    if trace.factorization is not None:
-        print(
-            f"factorization: b={_vec(trace.factorization.b)} "
-            f"c={_vec(trace.factorization.c)}"
-        )
-    print(f"xi range: [{trace.xi_min}, {trace.xi_max}]")
-    print(f"equilibria: {len(trace.equilibria)}")
-    for e in trace.equilibria:
-        print(_eq_line(e, with_xi=True))
+                else {"kind": "interval", "span": [str(r.span[0]), str(r.span[1])]},
+                binding=sorted(r.binding),
+            )
+            for r in table
+        ]
+        obj["breakpoints"] = [
+            {
+                "xi": str(bp.xi),
+                "kind": bp.kind,
+                "leaving": bp.leaving,
+                "entering": bp.entering,
+            }
+            for bp in trace.breakpoints
+        ]
     if table:
-        print("trace:")
+        lines.append("trace:")
         for r in table:
-            if r.kind == "point":
-                print(f"xi={r.xi} objective={r.objective} binding={_labels(r.binding)}")
-            else:
-                # every zero of the objective is a point of the table
-                a, b = r.span
-                print(f"({a}, {b}) objective<0 binding={_labels(r.binding)}")
-        for bp in trace.breakpoints:
-            print(
-                f"pivot at xi={bp.xi}: {bp.kind.lower()}, "
-                f"row {bp.leaving} leaves, row {bp.entering} enters"
+            # every zero of the objective is a point of the table
+            head = (
+                f"xi={r.xi} objective={r.objective}"
+                if r.kind == "point"
+                else f"({r.span[0]}, {r.span[1]}) objective<0"
             )
-    return 0
+            lines.append(f"{head} binding={_labels(r.binding)}")
+        lines += [
+            f"pivot at xi={bp.xi}: {bp.kind.lower()}, "
+            f"row {bp.leaving} leaves, row {bp.entering} enters"
+            for bp in trace.breakpoints
+        ]
+    return 0, obj, lines
 
 
-def cmd_oracle(args) -> int:
-    g = load_game(args.game)
+def cmd_oracle(g, args):
     res = support_enumeration(g, strict=args.strict)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "equilibria": [_eq_json(e) for e in res.equilibria],
-                    "degenerate_suspect": res.degenerate_suspect,
-                }
-            )
-        )
-        return 0
-    print(f"equilibria: {len(res.equilibria)}")
-    for e in res.equilibria:
-        print(_eq_line(e))
-    if res.degenerate_suspect:
+    if res.degenerate_suspect and not args.json:
         print("warning: degenerate suspect", file=sys.stderr)
-    return 0
+    obj = {
+        "equilibria": [_eq_json(e) for e in res.equilibria],
+        "degenerate_suspect": res.degenerate_suspect,
+    }
+    lines = [f"equilibria: {len(res.equilibria)}"]
+    return 0, obj, lines + [_eq_line(e) for e in res.equilibria]
 
 
-def cmd_labels(args) -> int:
-    g = load_game(args.game)
+def cmd_labels(g, args):
     p, q = require_nondegenerate(g)
     eqs = [
         (e, p.vertices[i].labels, q.vertices[j].labels)
         for (i, j), e in _labeled_equilibria(p, q).items()
     ]
-    if args.json:
-        out = []
-        for e, lp, lq in eqs:
-            d = _eq_json(e)
-            d["labels_p"] = sorted(lp)
-            d["labels_q"] = sorted(lq)
-            out.append(d)
-        print(json.dumps({"equilibria": out}))
-        return 0
-    print(f"equilibria: {len(eqs)}")
-    for e, lp, lq in eqs:
-        print(_eq_line(e) + f" labels={_labels(lp)}|{_labels(lq)}")
-    return 0
+    obj = {
+        "equilibria": [
+            dict(_eq_json(e), labels_p=sorted(lp), labels_q=sorted(lq))
+            for e, lp, lq in eqs
+        ]
+    }
+    lines = [f"equilibria: {len(eqs)}"] + [
+        _eq_line(e) + f" labels={_labels(lp)}|{_labels(lq)}" for e, lp, lq in eqs
+    ]
+    return 0, obj, lines
 
 
-def _path_steps_str(path) -> str:
-    return " -> ".join(
+def _path_line(path) -> str:
+    return f"r={path.missing}: " + " -> ".join(
         f"({_labels(s.node1.labels)}|{_labels(s.node2.labels)})" for s in path.steps
     )
 
@@ -216,126 +193,84 @@ def _path_json(path) -> dict:
     }
 
 
-def cmd_lh(args) -> int:
-    g = load_game(args.game)
-    if args.all:
-        rep = reachability(g)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "paths": [_path_json(p) for p in rep.paths],
-                        "unreached": [_eq_json(e) for e in rep.unreached],
-                    }
-                )
-            )
-            return 0
-        for p in rep.paths:
-            print(f"r={p.missing}: {_path_steps_str(p)}")
-            print(f"  terminal: {_eq_line(p.terminal)}")
-        if rep.unreached:
-            for e in rep.unreached:
-                print(f"unreached: {_eq_line(e)}")
-        else:
-            print("unreached: none")
-        return 0
-    p = lh_run(g, args.r)
-    if args.json:
-        print(json.dumps(_path_json(p)))
-        return 0
-    print(f"r={p.missing}: {_path_steps_str(p)}")
-    print(f"terminal: {_eq_line(p.terminal)}")
-    return 0
+def cmd_lh(g, args):
+    if not args.all:
+        p = lh_run(g, args.r)
+        return 0, _path_json(p), [_path_line(p), f"terminal: {_eq_line(p.terminal)}"]
+    rep = reachability(g)
+    obj = {
+        "paths": [_path_json(p) for p in rep.paths],
+        "unreached": [_eq_json(e) for e in rep.unreached],
+    }
+    lines = []
+    for p in rep.paths:
+        lines += [_path_line(p), f"  terminal: {_eq_line(p.terminal)}"]
+    unreached = [f"unreached: {_eq_line(e)}" for e in rep.unreached]
+    return 0, obj, lines + (unreached or ["unreached: none"])
 
 
-def cmd_gprime(args) -> int:
-    g = load_game(args.game)
+def cmd_gprime(g, args):
     rep = gprime_components(g)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "components": rep.n_components,
-                    "artificial_component": rep.artificial_component,
-                    "equilibria": [
-                        dict(
-                            _eq_json(e),
-                            component=comp,
-                            with_artificial=comp == rep.artificial_component,
-                        )
-                        for _, comp, e in rep.equilibrium_pairs
-                    ],
-                }
-            )
-        )
-        return 0
-    print(f"components: {rep.n_components}")
-    print(f"artificial pair component: {rep.artificial_component}")
-    for _, comp, e in rep.equilibrium_pairs:
-        tag = "yes" if comp == rep.artificial_component else "no"
-        print(f"{_eq_line(e)} component={comp} with-artificial={tag}")
-    return 0
+    art = rep.artificial_component
+    obj = {
+        "components": rep.n_components,
+        "artificial_component": art,
+        "equilibria": [
+            dict(_eq_json(e), component=comp, with_artificial=comp == art)
+            for _, comp, e in rep.equilibrium_pairs
+        ],
+    }
+    lines = [
+        f"components: {rep.n_components}",
+        f"artificial pair component: {art}",
+    ] + [
+        f"{_eq_line(e)} component={comp} "
+        f"with-artificial={'yes' if comp == art else 'no'}"
+        for _, comp, e in rep.equilibrium_pairs
+    ]
+    return 0, obj, lines
 
 
-def cmd_rank(args) -> int:
-    g = load_game(args.game)
+def cmd_rank(g, args):
     r = game_rank(g)
-    if args.json:
-        print(json.dumps({"m": g.m, "n": g.n, "rank": r}))
-        return 0
-    print(f"rank: {r}")
-    return 0
+    return 0, {"m": g.m, "n": g.n, "rank": r}, [f"rank: {r}"]
 
 
-def cmd_reduce_rank(args) -> int:
-    g = load_game(args.game)
+def cmd_reduce_rank(g, args):
     red = reduce_rank(g)
     rank = game_rank(red.game)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "column": red.column,
-                    "lam": str(red.lam),
-                    "rank": rank,
-                    "game": format_game(red.game),
-                }
-            )
-        )
-        return 0
+    obj = {
+        "column": red.column,
+        "lam": str(red.lam),
+        "rank": rank,
+        "game": format_game(red.game),
+    }
     comment = (
         f"rank reduced from {g.m} to {rank}: "
         f"added {red.lam} to column {red.column + 1} of A"
     )
-    sys.stdout.write(format_game(red.game, comment=comment))
-    return 0
+    return 0, obj, format_game(red.game, comment=comment).splitlines()
 
 
-def cmd_check(args) -> int:
-    g = load_game(args.game)
+def cmd_check(g, args):
     ok, witness = check_nondegenerate(g)
-    if args.json:
-        obj = {"nondegenerate": ok}
-        if not ok:
-            obj["witness"] = {
-                "point": [str(v) for v in witness.point],
-                "labels": sorted(witness.labels),
-            }
-        print(json.dumps(obj))
-        return 0 if ok else 2
     if ok:
-        print("non-degenerate")
-        return 0
-    print(
+        return 0, {"nondegenerate": True}, ["non-degenerate"]
+    obj = {
+        "nondegenerate": False,
+        "witness": {
+            "point": [str(v) for v in witness.point],
+            "labels": sorted(witness.labels),
+        },
+    }
+    line = (
         f"degenerate: vertex {_vec(witness.point)} "
         f"carries labels {_labels(witness.labels)}"
     )
-    return 2
+    return 2, obj, [line]
 
 
 def cmd_generate(args) -> int:
-    if args.d < 1:
-        raise ValueError("--d must be >= 1")
     g = generate_kt(args.d)
     sys.stdout.write(
         format_game(g, comment=f"quadratic-form construction, d = {args.d}")
@@ -350,11 +285,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def game_cmd(name, func, help_):
+    def game_cmd(name, cmd, help_):
+        def run(args) -> int:
+            code, obj, lines = cmd(load_game(args.game), args)
+            print(json.dumps(obj) if args.json else "\n".join(lines))
+            return code
+
         p = sub.add_parser(name, help=help_)
         p.add_argument("game", help="game file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=run)
         return p
 
     p = game_cmd("enumerate", cmd_enumerate, "enumerate all equilibria (rank <= 1)")

@@ -297,6 +297,7 @@ def test_generate_matches_library(capsys):
 
 def test_generate_bad_d(capsys):
     assert main(["generate", "--kt", "--d", "0"]) == 4
+    assert capsys.readouterr().err == "error: d must be >= 1\n"
 
 
 def test_parse_failures(tmp_path, capsys):
