@@ -14,15 +14,17 @@ from .linalg import Rational, rat
 
 # The one spelling of an entry, in ASCII digits: the rational constructors
 # would also take other Unicode digits, underscores, decimals and exponents.
-ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_entry(token: str) -> Rational:
     """The rational an entry spells; ValueError unless it matches ENTRY,
     ZeroDivisionError on a zero denominator."""
-    if ENTRY.fullmatch(token) is None:
+    match = ENTRY.fullmatch(token)
+    if match is None:
         raise ValueError(f"not an integer or fraction: {token!r}")
-    return rat(token)
+    num, den = match.groups()
+    return rat(int(num)) if den is None else rat(int(num), int(den))
 
 
 def parse_game(text: str) -> BimatrixGame:
@@ -56,11 +58,11 @@ def parse_game(text: str) -> BimatrixGame:
                 row.append(parse_entry(p))
             except (ValueError, ZeroDivisionError) as exc:
                 raise GameFileError(f"{label}: bad entry {p!r}") from exc
-        return row
+        return tuple(row)
 
-    a = [parse_row(lines[1 + i], f"A row {i + 1}") for i in range(m)]
-    b = [parse_row(lines[1 + m + i], f"B row {i + 1}") for i in range(m)]
-    return BimatrixGame.from_payoffs(a, b)
+    a = tuple(parse_row(lines[1 + i], f"A row {i + 1}") for i in range(m))
+    b = tuple(parse_row(lines[1 + m + i], f"B row {i + 1}") for i in range(m))
+    return BimatrixGame(m, n, a, b)
 
 
 def load_game(path: str) -> BimatrixGame:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -23,6 +22,7 @@ from .linalg import (
     solve,
     vdot,
 )
+from .record import Record
 
 Matrix = tuple[tuple[Rational, ...], ...]
 
@@ -31,8 +31,7 @@ def _to_matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
     return tuple(tuple(rat(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class BimatrixGame(Record):
     """An m x n bimatrix game with exact rational payoffs A (row), B (column)."""
 
     m: int
@@ -69,8 +68,7 @@ def _require_distribution(ints: Sequence[int], scale: int) -> None:
         raise ValueError("probabilities must sum to 1")
 
 
-@dataclass(frozen=True)
-class MixedStrategyPair:
+class MixedStrategyPair(Record):
     """A pair of mixed strategies; entries nonnegative, each summing to one."""
 
     x: tuple[Rational, ...]
@@ -107,8 +105,7 @@ class MixedStrategyPair:
         return cls(tuple(rat(p) for p in x), tuple(rat(p) for p in y))
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(Record):
     """A Nash equilibrium with its payoffs; source_xi records the sweep
     parameter it was found at, when it came out of the parametric run."""
 
@@ -121,8 +118,7 @@ class EquilibriumPoint:
         return (self.strategies.x, self.strategies.y)
 
 
-@dataclass(frozen=True)
-class RankOneFactorization:
+class RankOneFactorization(Record):
     """Vectors b, c with b * c^T = A + B."""
 
     b: tuple[Rational, ...]
@@ -165,8 +161,7 @@ def best_response_values(
     return p1, p2
 
 
-@dataclass(frozen=True)
-class IntegerPayoffs:
+class IntegerPayoffs(Record):
     """A = a / a_scale and B^T = bt / b_scale, each cleared of denominators
     by one positive integer. ``is_nash`` builds one per check, and
     ``polytopes.require_nondegenerate`` one per call, for its two walks and
@@ -275,8 +270,7 @@ def factor_rank1(
     raise NotRankOne(f"rank(A+B) = {game_rank(g)}, need 1")
 
 
-@dataclass(frozen=True)
-class RankReduction:
+class RankReduction(Record):
     """Result of a one-step rank reduction: lam * 1 was added to A's column."""
 
     game: BimatrixGame
@@ -321,24 +315,21 @@ def reduce_row_constant(g: BimatrixGame, u: Sequence[Rational]) -> BimatrixGame:
     return BimatrixGame(g.m, g.n, g.A, b2)
 
 
-@dataclass(frozen=True)
-class AddToColumnOfA:
+class AddToColumnOfA(Record):
     """Add lam to every entry of A's column (0-based index)."""
 
     column: int
     lam: Rational
 
 
-@dataclass(frozen=True)
-class AddToRowOfB:
+class AddToRowOfB(Record):
     """Add lam to every entry of B's row (0-based index)."""
 
     row: int
     lam: Rational
 
 
-@dataclass(frozen=True)
-class ScaleColumnOfA:
+class ScaleColumnOfA(Record):
     """Multiply A's column by a positive factor (0-based index).
 
     The equilibrium set is preserved only up to a reweighting of y: each
@@ -351,8 +342,7 @@ class ScaleColumnOfA:
     factor: Rational
 
 
-@dataclass(frozen=True)
-class ScaleRowOfB:
+class ScaleRowOfB(Record):
     """Multiply B's row by a positive factor (0-based index).
 
     The equilibrium set is preserved only up to a reweighting of x: each

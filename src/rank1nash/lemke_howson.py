@@ -37,8 +37,6 @@ order) and reads its point only on use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInvariantError, Stalled
 from .games import BimatrixGame, EquilibriumPoint
 from .polytopes import (
@@ -49,17 +47,16 @@ from .polytopes import (
     _labeled_equilibria,
     require_nondegenerate,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(Record):
     node1: LabeledVertex  # a node of P's graph, its origin or a vertex
     node2: LabeledVertex  # a node of Q's graph
     pivoted: int | None  # None on the start pair
 
 
-@dataclass(frozen=True)
-class LHPath:
+class LHPath(Record):
     missing: int
     steps: tuple[PathStep, ...]
     terminal: EquilibriumPoint
@@ -134,8 +131,7 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
     return LHPath(r, steps, _equilibrium(p.payoffs, p.vertices[i], q.vertices[j]))
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
+class ReachabilityReport(Record):
     paths: tuple[LHPath, ...]  # one per label r = 1..m+n, in order
     reached: tuple[EquilibriumPoint, ...]
     unreached: tuple[EquilibriumPoint, ...]
@@ -167,8 +163,7 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
     return ReachabilityReport(tuple(paths), reached, unreached)
 
 
-@dataclass(frozen=True)
-class GPrimeReport:
+class GPrimeReport(Record):
     """Connected components of the union of almost-completely-labeled edges.
 
     Pairs are (index into P's nodes, index into Q's nodes); the artificial

@@ -17,11 +17,11 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from .errors import InternalInvariantError, SingularMatrix
+from .record import Record
 
 try:
     from gmpy2 import mpq as _Q
@@ -51,8 +51,7 @@ def vdot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum((a * b for a, b in zip(u, v)), _Q(0))
 
 
-@dataclass(frozen=True)
-class AffineR:
+class AffineR(Record):
     """Scalar affine function of one parameter: c0 + c1 * xi."""
 
     c0: Rational

@@ -14,15 +14,14 @@ degeneracy flag (``support_enumeration``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .games import BimatrixGame, EquilibriumPoint, MixedStrategyPair
 from .linalg import Rational, rat, vdot
+from .record import Record
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Equilibria found, plus a flag when the search saw signs of degeneracy.
 
     The flag is raised only by a candidate that is nonnegative and has no

@@ -78,7 +78,6 @@ decodes each binding set once; no dense tableau is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -105,10 +104,10 @@ from .polytopes import (
     _label_set,
     require_nondegenerate,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ParametricBasis:
+class ParametricBasis(Record):
     """The M1 rows a basis keeps tight, as one row mask: row r is bit r, so
     P label l is bit l and Q label l is bit m+n+l. The rows must lie in
     1..2(m+n), m of them on the P side (1..m+n) and n-1 on the Q side.
@@ -152,8 +151,7 @@ class ParametricBasis:
         )
 
 
-@dataclass(frozen=True)
-class BasisInterval:
+class BasisInterval(Record):
     """One maximal xi-interval on which a basis stays optimal.
 
     alpha2 is the first xi where primal feasibility breaks: c^T y at the far
@@ -181,7 +179,8 @@ class BasisInterval:
     p_vertex: LabeledVertex
     q_edge: tuple[LabeledVertex, LabeledVertex]
     q_xi: tuple[Rational, Rational]  # c^T y at the ends of q_edge
-    case: str = field(repr=False, compare=False)
+    case: str
+    _hidden = ("case",)
 
 
 def _ints(xi: Rational) -> tuple[int, int]:
@@ -504,16 +503,14 @@ class _Walk:
         return min(ties)[1]
 
 
-@dataclass(frozen=True)
-class BreakpointRecord:
+class BreakpointRecord(Record):
     xi: Rational
     kind: str  # "Feasibility" | "Optimality" | "Both"
     leaving: int  # global 1-based M1 row
     entering: int
 
 
-@dataclass(frozen=True)
-class SweepTrace:
+class SweepTrace(Record):
     """Everything the enumeration saw: one entry per visited basis."""
 
     game: BimatrixGame
@@ -617,8 +614,7 @@ def enumerate_all(
     )
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(Record):
     """One line of the sweep table: a breakpoint or an open interval."""
 
     kind: str  # "point" | "interval"

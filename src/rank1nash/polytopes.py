@@ -79,7 +79,6 @@ vertices and its ``origin``, the walk's first basis, which is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
 from .errors import DegenerateGame, InternalInvariantError
@@ -91,6 +90,7 @@ from .games import (
     _integer_nash_test,
 )
 from .linalg import Rational, _pivot, rat
+from .record import Record
 
 
 def _mask(labels) -> int:
@@ -331,8 +331,7 @@ def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]
     return _vertex_graph(IntegerPayoffs.of(g), which).vertices
 
 
-@dataclass(frozen=True)
-class VertexGraph:
+class VertexGraph(Record):
     """The vertices of P or Q, sorted by point, with the steps of the walk
     that found them.
 
@@ -365,23 +364,18 @@ class VertexGraph:
     """
 
     vertices: tuple[LabeledVertex, ...]
-    origin: LabeledVertex = field(compare=False, repr=False)
-    steps: list[list[int]] = field(compare=False, repr=False)
-    labels: tuple[int, ...] = field(compare=False, repr=False)  # of each variable
-    payoffs: IntegerPayoffs = field(compare=False, repr=False)
-    # the origin's node number, V: a step to it is a ray of P or Q
-    origin_index: int = field(init=False, compare=False, repr=False)
-    _near: dict[int, dict[int, int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    origin: LabeledVertex
+    steps: list[list[int]]
+    labels: tuple[int, ...]  # of each variable
+    payoffs: IntegerPayoffs
+    _hidden = ("origin", "steps", "labels", "payoffs")
 
     def __post_init__(self):
-        object.__setattr__(self, "origin_index", len(self.vertices))
-
-    @property
-    def full(self) -> int:
-        """The mask of every label, 1..m+n."""
-        return _mask(self.labels)
+        # origin_index is the origin's node number, V: a step to it is a
+        # ray of P or Q; full is the mask of every label, 1..m+n
+        self.__dict__.update(
+            origin_index=len(self.vertices), full=_mask(self.labels), _near={}
+        )
 
     def node(self, k: int) -> LabeledVertex:
         """Vertex k, or the origin when k is V."""

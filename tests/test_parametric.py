@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,6 +44,11 @@ from rank1nash.linalg import AffineR, solve, vdot
 from test_differential import rank1_games
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def replace(record, **changes):
+    """A copy of a record with the given fields changed."""
+    return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
 
 
 @pytest.fixture
