@@ -164,8 +164,10 @@ def best_response_values(
 class IntegerPayoffs(Record):
     """A = a / a_scale and B^T = bt / b_scale, each cleared of denominators
     by one positive integer. ``is_nash`` builds one per check, and
-    ``polytopes.require_nondegenerate`` one per call, for its two walks and
-    every equilibrium check of the call. It is never kept beyond the call."""
+    ``polytopes.require_nondegenerate`` one per call, for its walks (one
+    when a == bt and a_scale == b_scale, that is A = B^T, and two
+    otherwise) and every equilibrium check of the call. It is never kept
+    beyond the call."""
 
     a: tuple[tuple[int, ...], ...]
     a_scale: int

@@ -11,7 +11,7 @@ x <= 1} and Q' = {y >= 0 : (A + shift) y <= 1}, where the integer shift
 lifts the least payoff into [1, 2). Adding a constant keeps every best
 reply, so each non-zero vertex of P' is a vertex of P with the same labels,
 after scaling x onto the simplex. ``require_nondegenerate`` clears A and B^T
-once, into one ``IntegerPayoffs``: both walks read it, and the graphs carry
+once, into one ``IntegerPayoffs``: its walks read it, and the graphs carry
 it to every equilibrium check of the call. Each walk clears the rows one at
 a time: row j, X_j + shift <= 1 for X = B^T or A, is multiplied by s_j, the
 least denominator of X_j, so the origin's dictionary is the integer rows
@@ -74,6 +74,15 @@ vertex graph: ``VertexGraph`` reads it node by node, on first use, and
 finds the node a step reaches by its label mask. Its nodes are the
 vertices and its ``origin``, the walk's first basis, which is a
 ``LabeledVertex`` with no point: the origin is not a strategy.
+
+A symmetric game, A = B^T, has one polytope (Nash 1951; von Stengel 2002,
+section 3): P' and Q' have the same rows, so their walks pivot the same
+dictionaries through the same bases and record the same steps, and only the
+labels of the variables differ. x_i carries label i and the slack of row j
+label m+j, where y_i carries m+i and the slack of row j label j. So
+``require_nondegenerate`` walks P' alone and builds Q's graph from it: the
+same vertices in the same order, each mask with its two halves swapped, and
+the same steps. It tests A = B^T on the cleared integers, so exactly.
 """
 
 from __future__ import annotations
@@ -408,22 +417,46 @@ class VertexGraph(Record):
         return got
 
 
+def _checked(graph: VertexGraph, bound: int) -> VertexGraph:
+    """The graph, once none of its vertices exceeds ``bound`` labels;
+    DegenerateGame, with the offending vertex attached, otherwise."""
+    for v in graph.vertices:
+        if v.mask.bit_count() != bound:
+            pt = "(" + ", ".join(str(x) for x in v.point) + ")"
+            raise DegenerateGame(
+                f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
+            )
+    return graph
+
+
+def _mirrored(p: VertexGraph) -> VertexGraph:
+    """Q's graph of a symmetric game, read off P's (see the module
+    docstring): P's vertices, each mask with its two halves swapped, and
+    P's steps."""
+    m = len(p.labels) // 2
+    low = ((1 << m) - 1) << 1  # the bits of labels 1..m
+    vertices = tuple(
+        LabeledVertex._from_integers(
+            *v._integers, (v.mask & low) << m | (v.mask >> m + 1) << 1
+        )
+        for v in p.vertices
+    )
+    labels = p.labels[m:] + p.labels[:m]
+    origin = LabeledVertex(None, frozenset(labels[:m]))
+    return VertexGraph(vertices, origin, p.steps, labels, p.payoffs)
+
+
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
     """The vertex graphs of P and Q, once no P-vertex exceeds m labels and no
     Q-vertex exceeds n; DegenerateGame, with the offending vertex attached,
-    otherwise."""
+    otherwise. When the cleared payoffs give A = B^T exactly, only P' is
+    walked, and Q's graph is P's relabelled (see the module docstring); its
+    vertices carry P's label counts, so they pass when P's do."""
     payoffs = IntegerPayoffs.of(g)
-    graphs = []
-    for which, bound in (("P", g.m), ("Q", g.n)):
-        graph = _vertex_graph(payoffs, which)
-        for v in graph.vertices:
-            if v.mask.bit_count() != bound:
-                pt = "(" + ", ".join(str(x) for x in v.point) + ")"
-                raise DegenerateGame(
-                    f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
-                )
-        graphs.append(graph)
-    return graphs[0], graphs[1]
+    p = _checked(_vertex_graph(payoffs, "P"), g.m)
+    if payoffs.a == payoffs.bt and payoffs.a_scale == payoffs.b_scale:
+        return p, _mirrored(p)
+    return p, _checked(_vertex_graph(payoffs, "Q"), g.n)
 
 
 def check_nondegenerate(

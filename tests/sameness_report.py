@@ -25,6 +25,15 @@ and n in 2..5, each payoff, b_i and c_j a numerator in +-10**6 over a
 denominator in 1..1,000: the distribution of the benchmark's
 rank1-bigrat workload, where each row of a payoff matrix has its own
 least denominator.
+
+A third series, whose lines start with ``sym``, hashes every method on 200
+symmetric draws, B = A^T, of m x m games with m in 1..5, the oracle's scans
+on the first 100. Each draw takes its payoffs from +-2, +-6 or +-27, with
+30% of the entries fractional. Half the draws have kt's form, A = b b^T + K
+with K antisymmetric, so that A + B = 2 b b^T has rank at most 1; the
+others draw A on its own. A symmetric game's two best-reply polytopes are
+one polytope with its labels renamed, and the package walks it once and
+relabels it for Q: this series covers that path, degenerate draws included.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ ORACLE = {
 }
 ORACLE_GAMES = 456
 WIDE_GAMES = 60
+SYM_GAMES = 200
+SYM_ORACLE_GAMES = 100
 
 
 def draw(rng: random.Random) -> BimatrixGame:
@@ -84,6 +95,29 @@ def wide_draw(rng: random.Random) -> BimatrixGame:
     return BimatrixGame.from_payoffs(
         a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
     )
+
+
+def sym_draw(rng: random.Random) -> BimatrixGame:
+    """One symmetric game, B = A^T, of the ``sym`` series."""
+    m = rng.randint(1, 5)
+    bound = rng.choice((2, 6, 27))
+
+    def entry():
+        v = rng.randint(-bound, bound)
+        return rat(v, rng.randint(2, 9)) if rng.random() < 0.3 else rat(v)
+
+    if rng.random() < 0.5:
+        # kt's form: A = b b^T + K with K antisymmetric, so A + B = 2 b b^T
+        b = [entry() for _ in range(m)]
+        k = [[rat(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                k[i][j] = entry()
+                k[j][i] = -k[i][j]
+        a = [[b[i] * b[j] + k[i][j] for j in range(m)] for i in range(m)]
+    else:
+        a = [[entry() for _ in range(m)] for _ in range(m)]
+    return BimatrixGame.from_payoffs(a, [list(col) for col in zip(*a)])
 
 
 def games(seed: int, count: int):
@@ -134,6 +168,8 @@ def main() -> None:
     report("", games(args.seed, args.count), ORACLE_GAMES)
     rng = random.Random(f"wide {args.seed}")
     report("wide ", (wide_draw(rng) for _ in range(WIDE_GAMES)), WIDE_GAMES)
+    rng = random.Random(f"sym {args.seed}")
+    report("sym ", (sym_draw(rng) for _ in range(SYM_GAMES)), SYM_ORACLE_GAMES)
 
 
 if __name__ == "__main__":

@@ -520,7 +520,9 @@ def test_check_builds_no_vertex_point(monkeypatch):
     games.append(random_rank1_game(random.Random(1), 10, 10, -99, 99))
     for g in games:
         check_nondegenerate(g)
-    assert len(graphs) == 2 * len(games)
+    # one walk for each symmetric kt game, whose Q graph is P's relabelled,
+    # and two for each of the other four
+    assert len(graphs) == 8 * 1 + 4 * 2
     assert decoded == 0
     p, q = polytopes.require_nondegenerate(generate_kt(5))
     assert built == 0
@@ -652,8 +654,11 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     # every method reads P and Q from the graphs require_nondegenerate
     # returns, one vertex walk per side, and the sweep table reads the Q
-    # edges its intervals keep
+    # edges its intervals keep; kt3 is symmetric, B^T = A, so its one walk
+    # of P serves both sides
     import rank1nash.cli as cli
+
+    walks = 1 if name == "kt3" else 2
 
     calls = 0
     original = polytopes._vertex_graph
@@ -682,17 +687,18 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     for run in runs:
         calls = 0
         run()
-        assert calls == 2
+        assert calls == walks
     calls = 0
     assert cli.main(["enumerate", path, "--trace"]) == 0
-    assert calls == 2
+    assert calls == walks
     capsys.readouterr()
 
 
 def test_walk_work_on_kt6(monkeypatch):
     # kt6's P and Q each have 42 feasible bases, the origin and 41 vertices,
-    # and the walk reaches the 41 by one pivot each. A call clears A and B^T
-    # of denominators once, for both walks, every equilibrium check and, in
+    # and the walk reaches the 41 by one pivot each. kt6 is symmetric, so a
+    # call walks P alone and relabels it as Q. A call clears A and B^T of
+    # denominators once, for its walks, every equilibrium check and, in
     # enumerate_all, the factorization of A + B
     counts = {"pivot": 0, "clear_rows": 0}
 
@@ -723,7 +729,87 @@ def test_walk_work_on_kt6(monkeypatch):
     for run, clears in runs:
         counts.update(pivot=0, clear_rows=0)
         run(g)
-        assert counts == {"pivot": 2 * 41, "clear_rows": clears}, run
+        assert counts == {"pivot": 41, "clear_rows": clears}, run
+    # a game that is not symmetric walks both sides: V_P + V_Q pivots
+    h = random_rank1_game(random.Random(3), 6, 6)
+    p, q = require_nondegenerate(h)
+    assert (len(p.vertices), len(q.vertices)) == (44, 39)
+    for run, clears in runs:
+        counts.update(pivot=0, clear_rows=0)
+        run(h)
+        assert counts == {"pivot": 44 + 39, "clear_rows": clears}, run
+
+
+def _own_walks(g):
+    """Reference: P's and Q's graphs, each walked on its own and checked for
+    degeneracy, P first, with require_nondegenerate's message."""
+    payoffs = IntegerPayoffs.of(g)
+    graphs = []
+    for which, bound in (("P", g.m), ("Q", g.n)):
+        graphs.append(polytopes._vertex_graph(payoffs, which))
+        for v in graphs[-1].vertices:
+            if len(v.labels) != bound:
+                pt = ", ".join(map(str, v.point))
+                raise DegenerateGame(f"vertex ({pt}) carries labels {sorted(v.labels)}")
+    return graphs
+
+
+def _assert_q_graph_is_q_walk(g):
+    """require_nondegenerate's Q graph of a symmetric game equals Q's own
+    walk, node by node and edge by edge, or both raise the same error."""
+    try:
+        q = require_nondegenerate(g)[1]
+    except DegenerateGame as exc:
+        with pytest.raises(DegenerateGame) as own:
+            _own_walks(g)
+        assert str(exc) == str(own.value)
+        return False
+    walked = _own_walks(g)[1]
+    assert q.vertices == walked.vertices
+    assert [v.mask for v in q.vertices] == [v.mask for v in walked.vertices]
+    assert (q.steps, q.labels, q.origin, q.at) == (
+        walked.steps, walked.labels, walked.origin, walked.at,
+    )
+    for k in range(len(q.vertices) + 1):
+        assert q.near(k) == walked.near(k), k
+    return True
+
+
+def test_symmetric_q_graph_is_q_walk(monkeypatch):
+    # kt is symmetric, B^T = A: one walk of P serves both sides
+    assert all(_assert_q_graph_is_q_walk(generate_kt(d)) for d in range(1, 11))
+    walks = []
+    original = polytopes._vertex_graph
+
+    def kept(payoffs, which):
+        walks.append(which)
+        return original(payoffs, which)
+
+    monkeypatch.setattr(polytopes, "_vertex_graph", kept)
+    g = generate_kt(6)
+    require_nondegenerate(g)
+    assert walks == ["P"]
+    # one entry of B away from symmetric, both sides are walked
+    b = [list(row) for row in g.B]
+    b[0][0] += 1
+    walks.clear()
+    require_nondegenerate(BimatrixGame.from_payoffs(g.A, b))
+    assert walks == ["P", "Q"]
+
+
+@st.composite
+def symmetric_games(draw):
+    # small integers and fractions: many draws are degenerate
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-9, 9, max_denominator=4))
+    a = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    return BimatrixGame.from_payoffs(a, [list(col) for col in zip(*a)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_games())
+def test_symmetric_q_graph_is_q_walk_on_draws(g):
+    _assert_q_graph_is_q_walk(g)
 
 
 def test_memory_stays_flat_over_many_games():
