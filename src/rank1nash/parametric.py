@@ -60,14 +60,21 @@ like masks. The walks decide in
 integers: a vertex's point (w^T s, payoff) is a triple (s, o, d) over one
 denominator, a crossing or a slope is the chord between two such points as
 a pair (num, den), and crossings, slopes and the start's costs are compared
-by cross-multiplication. The rationals built are the values the trace
-reports, each once: per P vertex visited its crossings p_lo and beta2, per
-Q vertex visited its c^T y, and per interval its objective's two
-coefficients, besides the points of the equilibria. Each rational holds its
-numerator and denominator in lowest terms, and past the start the loop
-cross-multiplies those (_diff) to pick each interval's ends and breakpoint
-kind, to stop at xi_max and to certify each step; the objective's sign at
-an interval's ends is read off the same integers. A basis
+by cross-multiplication. Past the start the loop holds each basis as an
+integer span (_Walk.span): its row mask, its interval's ends, its
+breakpoint kind and its objective's two coefficients, each number such a
+pair. It picks each interval's ends and breakpoint kind, stops at xi_max,
+certifies each step, finds the objective's zeros and the Q end each zero
+sits at, all by cross-multiplying those pairs, and checks each mask's row
+counts (_require_rows). The only rationals it builds are those of the
+equilibria: each one's source_xi, the c^T y of its Q vertex, and the
+points of its two vertices; the equilibria are ordered by their vertices'
+integer keys. The trace keeps the spans and builds its interval and
+breakpoint records on the first read of either (SweepTrace.__getattr__),
+with the values they report, each built once: per P vertex visited its
+crossings p_lo and beta2, per Q vertex visited its c^T y, and per interval
+its objective's two coefficients. A caller that reads only the equilibria,
+such as the default ``enumerate`` output, builds no record. A basis
 (ParametricBasis) is one row mask, P label l as bit l and Q label l as bit
 m+n+l, checked when built and decoded into label sets only when read: the
 loop keeps the masks it has visited, and a breakpoint's leaving and
@@ -78,6 +85,7 @@ decodes each binding set once; no dense tableau is ever built.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from operator import mul
 
 from .errors import (
@@ -102,9 +110,27 @@ from .polytopes import (
     VertexGraph,
     _equilibrium,
     _label_set,
+    _point_order,
     require_nondegenerate,
 )
 from .record import Record
+
+
+def _require_rows(mask: int, m: int, n: int) -> None:
+    """ValueError unless the row mask holds rows of 1..2(m+n) only, m of them
+    on the P side (1..m+n) and n-1 on the Q side."""
+    off = m + n
+    # a negative mask has bits past every row
+    if mask & 1 or mask >> 2 * off + 1:
+        raise ValueError("rows out of range")
+    p_side = (mask & (2 << off) - 1).bit_count()
+    if p_side != m or mask.bit_count() - p_side != n - 1:
+        raise ValueError("basis needs m P-side rows and n-1 Q-side rows")
+
+
+def _rows(mask: int) -> tuple[int, ...]:
+    """The rows of a row mask, ascending."""
+    return tuple(sorted(_label_set(mask)))
 
 
 class ParametricBasis(Record):
@@ -120,13 +146,7 @@ class ParametricBasis(Record):
     n: int
 
     def __post_init__(self):
-        mask, off = self.mask, self.m + self.n
-        # a negative mask has bits past every row
-        if mask & 1 or mask >> 2 * off + 1:
-            raise ValueError("rows out of range")
-        p_side = (mask & (2 << off) - 1).bit_count()
-        if p_side != self.m or mask.bit_count() - p_side != self.n - 1:
-            raise ValueError("basis needs m P-side rows and n-1 Q-side rows")
+        _require_rows(self.mask, self.m, self.n)
 
     @property
     def i_labels(self) -> frozenset[int]:
@@ -141,7 +161,7 @@ class ParametricBasis(Record):
     @property
     def rows(self) -> tuple[int, ...]:
         """Global 1-based M1 row indices, ascending."""
-        return tuple(sorted(_label_set(self.mask)))
+        return _rows(self.mask)
 
     def __repr__(self) -> str:
         # the label sets, not the mask, so that a trace reads as labels
@@ -188,54 +208,54 @@ def _ints(xi: Rational) -> tuple[int, int]:
     return xi.numerator, xi.denominator
 
 
-def _objective_zeros(iv: BasisInterval) -> list[Rational]:
-    """The ends of the interval where its objective is 0.
+def _objective_zeros(xi1: tuple, xi2: tuple, c0: tuple, c1: tuple) -> tuple:
+    """The ends of [xi1, xi2] where the objective c0 + c1 xi is 0, every
+    number a pair (num, den) with den > 0.
 
     The objective is affine in xi and nonpositive wherever the basis is
     feasible, so a zero inside the interval means it is 0 on all of it: a
     continuum of equilibria, which only a degenerate game has.
     """
-    (p1, q1), (p2, q2) = _ints(iv.xi1), _ints(iv.xi2)
+    (p1, q1), (p2, q2) = xi1, xi2
     # c0 + c1 xi at xi = p / q has the sign of n0 d1 q + n1 d0 p, with
     # c0 = n0 / d0, c1 = n1 / d1 and every denominator positive
-    (n0, d0), (n1, d1) = _ints(iv.objective.c0), _ints(iv.objective.c1)
+    (n0, d0), (n1, d1) = c0, c1
     u, v = n0 * d1, n1 * d0
     at1, at2 = u * q1 + v * p1, u * q2 + v * p2
     if at1 > 0 or at2 > 0:
         raise InternalInvariantError(
-            f"objective positive at an end of [{iv.xi1}, {iv.xi2}]"
+            f"objective positive at an end of [{rat(*xi1)}, {rat(*xi2)}]"
         )
-    if p1 == p2 and q1 == q2:  # a one-point interval
-        return [] if at1 else [iv.xi1]
+    if p1 * q2 == p2 * q1:  # a one-point interval
+        return () if at1 else (xi1,)
     if at1 == at2 == 0:
         raise DegenerateGame(
             "objective vanishes on a whole interval; equilibria form a continuum"
         )
-    return [iv.xi1] if at1 == 0 else [iv.xi2] if at2 == 0 else []
+    return (xi1,) if at1 == 0 else (xi2,) if at2 == 0 else ()
 
 
-def _q_end(iv: BasisInterval, xi: Rational) -> int:
-    """0 or 1: the end of the interval's Q edge where c^T y = xi. In a
-    non-degenerate game an equilibrium is a pair of vertices, so an
-    objective zero lies at an end of the Q edge."""
-    if xi in iv.q_xi:
-        return iv.q_xi.index(xi)
-    raise InternalInvariantError(f"objective zero at xi = {xi} inside a Q edge")
-
-
-def _diff(a: Rational, b: Rational) -> int:
-    """An integer of the sign of a - b: the numerators and denominators the
-    two rationals hold, in lowest terms, cross-multiplied."""
-    return a.numerator * b.denominator - b.numerator * a.denominator
+def _q_end(q_xi: tuple, xi: tuple) -> int:
+    """0 or 1: the end of a Q edge where c^T y = xi, given c^T y at its two
+    ends, each number a pair (num, den) with den > 0. In a non-degenerate
+    game an equilibrium is a pair of vertices, so an objective zero lies at
+    an end of the Q edge."""
+    num, den = xi
+    for end, (s, d) in enumerate(q_xi):
+        if s * den == num * d:
+            return end
+    raise InternalInvariantError(f"objective zero at xi = {rat(*xi)} inside a Q edge")
 
 
 class _Line:
     """The walker of one side: the point (w^T s, payoff) of each vertex of
     its graph, for a weight vector w over its strategies s: (b^T x, pi2) on
     P, (c^T y, pi1) on Q. A vertex's point is kept as integers (s, o, d),
-    the point (s / d, o / d), read off the vertex's integers (w' . key,
-    scale * den, num, pay_den) with w = w' / scale; only the vertices a walk
-    visits are read. Rationals are built only by ``x``, once per vertex."""
+    the point (s / d, o / d), read off the vertex's integers: its strategy
+    key / den and payoff num / pay_den, where pay_den is den times the gcd
+    of the walk's z, and w = w' / scale, give (w' . key * (pay_den // den),
+    num * scale, scale * pay_den). Only the vertices a walk visits are
+    read. Rationals are built only by ``x``, once per vertex."""
 
     def __init__(self, graph: VertexGraph, weights):
         self.graph = graph
@@ -248,9 +268,11 @@ class _Line:
         got = self._ints.get(k)
         if got is None:
             key, den, num, pay_den = self.graph.vertices[k]._integers
-            den *= self.scale
+            scale = self.scale
             got = self._ints[k] = (
-                sum(map(mul, self.w, key)) * pay_den, num * den, den * pay_den
+                sum(map(mul, self.w, key)) * (pay_den // den),
+                num * scale,
+                scale * pay_den,
             )
         return got
 
@@ -349,12 +371,12 @@ def _least(fractions) -> tuple[tuple[int, int] | None, list]:
 class _Walk:
     """The two vertex walks of a sweep, over the vertex graphs p of P and q
     of Q, each stepped by its side's ``_Line``; P vertices and Q vertices
-    are named by their indices. Every
-    decision is made on integers: each P vertex's crossings and each Q
-    edge's slope are computed once, as fractions num / den compared by
-    cross-multiplication, and each rational the trace reports is built once;
-    the interval ends are compared on the numerators and denominators it
-    holds."""
+    are named by their indices. Every decision is made on integers: each P
+    vertex's crossings and each Q edge's slope and ends are computed once,
+    as fractions num / den compared by cross-multiplication, and each basis
+    is an integer ``span``. ``interval`` builds a span's record and the
+    rationals it reports, each value once: memoised per P vertex, per Q
+    vertex, or built per interval."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
@@ -362,6 +384,7 @@ class _Walk:
         self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
         self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
         self._bounds: dict[int, tuple] = {}
+        self._rats: dict[int, tuple] = {}
         self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
@@ -430,25 +453,26 @@ class _Walk:
     def _p_bounds(self, k: int) -> tuple:
         """(p_lo, beta2, beta2_row) of P vertex k: the greatest crossing of
         its line with a shallower neighbour's line, bounding the interval
-        below, and the least with a steeper one, bounding it above, ties to
-        the lowest label dropped; None where there is none. The line of
-        neighbour j crosses k's where xi is the slope of the chord from k's
-        point (b^T x, pi2) to j's, and is steeper when that chord's b^T x
-        increases, so the crossings are ``px.up(k)``'s chords."""
+        below, and the least with a steeper one, bounding it above, each as
+        (num, den) with den > 0, ties to the lowest label dropped; None
+        where there is none. The line of neighbour j crosses k's where xi is
+        the slope of the chord from k's point (b^T x, pi2) to j's, and is
+        steeper when that chord's b^T x increases, so the crossings are
+        ``px.up(k)``'s chords."""
         got = self._bounds.get(k)
         if got is None:
             hi, ties, lo = self.px.up(k)
             got = self._bounds[k] = (
-                None if lo is None else rat(-lo[0], lo[1]),
-                None if hi is None else rat(*hi),
+                None if lo is None else (-lo[0], lo[1]),
+                hi,
                 min(ties)[0] if ties else None,
             )
         return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
-        hi adds) of the Q edge from lo to hi, the two as (num, den) with
-        den > 0."""
+        hi adds, c^T y at lo and at hi) of the Q edge from lo to hi, each
+        number as (num, den) with den > 0."""
         got = self._edges.get((lo, hi))
         if got is None:
             hi_mask = self.q.vertices[hi].mask
@@ -459,39 +483,92 @@ class _Walk:
             s, o, d = self.qy.ints(lo)
             # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
             at0 = (o * den - s * num, d * den)
-            got = self._edges[lo, hi] = (shared, slope, at0, added)
+            hs, _, hd = self.qy.ints(hi)
+            got = self._edges[lo, hi] = (shared, slope, at0, added, (s, d), (hs, hd))
         return got
 
-    def interval(self, k: int, lo: int, hi: int) -> BasisInterval:
-        """The interval of the basis pairing P vertex k with Q edge (lo, hi):
-        xi1 = max(c^T y at lo, p_lo) and xi2 = min(alpha2, beta2)."""
+    def span(self, k: int, lo: int, hi: int) -> tuple:
+        """The sweep's integer record of the basis pairing P vertex k with Q
+        edge (lo, hi): (k, lo, hi, row mask, xi1, xi2, case, c0, c1), with
+        xi1 = max(c^T y at lo, p_lo), xi2 = min(alpha2, beta2), ``case``
+        the breakpoint at xi2 and c0 + c1 xi the objective, each number as
+        (num, den) with den > 0. xi1 is the very pair of p_lo or of c^T y
+        at lo, so that ``interval`` reads which one it is. ValueError when
+        the mask does not hold m P-side and n-1 Q-side rows."""
         m, n = self.m, self.n
-        p_lo, beta2, beta2_row = self._p_bounds(k)
-        shared, (sn, sd), (an, ad), added = self._q_edge(lo, hi)
+        p_lo, beta2, _ = self._p_bounds(k)
+        shared, (sn, sd), (an, ad), _, c_lo, c_hi = self._q_edge(lo, hi)
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
-        c_lo, c_hi = self.qy.x(lo), self.qy.x(hi)
-        xi1 = p_lo if p_lo is not None and _diff(p_lo, c_lo) > 0 else c_lo
-        # the sign of alpha2 - beta2 names the breakpoint that ends the interval
-        diff = -1 if beta2 is None else _diff(c_hi, beta2)
+        # p_lo > c^T y at lo, and the sign of alpha2 - beta2, which names
+        # the breakpoint that ends the interval, by cross-multiplication
+        above = p_lo is not None and p_lo[0] * c_lo[1] > c_lo[0] * p_lo[1]
+        diff = -1 if beta2 is None else c_hi[0] * beta2[1] - beta2[0] * c_hi[1]
         case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
-        v = self.p.vertices[k]
+        mask = self.p.vertices[k].mask | shared << m + n
+        _require_rows(mask, m, n)
+        return (
+            k,
+            lo,
+            hi,
+            mask,
+            p_lo if above else c_lo,
+            c_hi if diff <= 0 else beta2,
+            case,
+            # c0 = -at0 - pi2 and c1 = b^T x - slope
+            (-(an * d + o * ad), ad * d),
+            (s * sd - sn * d, d * sd),
+        )
+
+    def _p_rats(self, k: int) -> tuple:
+        """p_lo and beta2 of P vertex k as rationals, None where there is
+        none."""
+        got = self._rats.get(k)
+        if got is None:
+            got = self._rats[k] = tuple(
+                None if b is None else rat(*b) for b in self._p_bounds(k)[:2]
+            )
+        return got
+
+    def interval(self, span: tuple) -> BasisInterval:
+        """The record of the basis of a ``span``, its rationals built here,
+        each value once per P vertex, Q vertex or interval."""
+        m, n = self.m, self.n
+        k, lo, hi, mask, xi1, _, case, c0, c1 = span
+        p_lo, beta2 = self._p_rats(k)
+        _, _, _, added, c_lo, _ = self._q_edge(lo, hi)
+        lo_xi, hi_xi = self.qy.x(lo), self.qy.x(hi)
         return BasisInterval(
-            basis=ParametricBasis(v.mask | shared << m + n, m, n),
-            xi1=xi1,
-            xi2=c_hi if diff <= 0 else beta2,
-            alpha2=c_hi,
+            basis=ParametricBasis(mask, m, n),
+            xi1=lo_xi if xi1 is c_lo else p_lo,
+            xi2=beta2 if case == "Optimality" else hi_xi,
+            alpha2=hi_xi,
             beta2=beta2,
             alpha2_row=m + n + added,
-            beta2_row=beta2_row,
-            # c0 = -at0 - pi2 and c1 = b^T x - slope
-            objective=AffineR(
-                rat(-(an * d + o * ad), ad * d), rat(s * sd - sn * d, d * sd)
-            ),
-            p_vertex=v,
+            beta2_row=self._p_bounds(k)[2],
+            objective=AffineR(rat(*c0), rat(*c1)),
+            p_vertex=self.p.vertices[k],
             q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
-            q_xi=(c_lo, c_hi),
+            q_xi=(lo_xi, hi_xi),
             case=case,
         )
+
+    def records(self, spans: list) -> tuple:
+        """(intervals, breakpoints) of the sweep that visited ``spans``."""
+        ivs = tuple(map(self.interval, spans))
+        bps = []
+        for iv, a, b in zip(ivs, spans, spans[1:]):
+            # the least row that leaves and the least that enters: the
+            # lowest bits of the two differences of the row masks
+            leaving, entering = a[3] & ~b[3], b[3] & ~a[3]
+            bps.append(
+                BreakpointRecord(
+                    xi=iv.xi2,
+                    kind=iv.case,
+                    leaving=(leaving & -leaving).bit_length() - 1,
+                    entering=(entering & -entering).bit_length() - 1,
+                )
+            )
+        return ivs, tuple(bps)
 
     def next_edge(self, hi: int) -> int:
         """The far end of the edge out of Q vertex hi that continues the
@@ -511,7 +588,15 @@ class BreakpointRecord(Record):
 
 
 class SweepTrace(Record):
-    """Everything the enumeration saw: one entry per visited basis."""
+    """Everything the enumeration saw: one entry per visited basis.
+
+    The trace ``enumerate_all`` returns from a general sweep keeps the
+    sweep's walk and one integer record per interval (``_Walk.span``), and
+    builds ``intervals`` and ``breakpoints``, with their rationals, on the
+    first read of either; until then the trace holds the walk, and so the
+    two vertex graphs. A caller that reads only the equilibria builds none
+    of them.
+    """
 
     game: BimatrixGame
     factorization: RankOneFactorization | None
@@ -521,6 +606,38 @@ class SweepTrace(Record):
     intervals: tuple[BasisInterval, ...]
     breakpoints: tuple[BreakpointRecord, ...]
     equilibria: tuple[EquilibriumPoint, ...]
+
+    @classmethod
+    def _of_walk(cls, g, f, xi_min, xi_max, walk, spans, equilibria) -> "SweepTrace":
+        """The trace of a general sweep, its records built on first read."""
+        t = cls.__new__(cls)
+        t.__dict__.update(
+            game=g,
+            factorization=f,
+            dispatch="general",
+            xi_min=xi_min,
+            xi_max=xi_max,
+            equilibria=equilibria,
+            _pending=(walk, spans),
+        )
+        return t
+
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set: the deferred records. Two
+        # threads may both build them, and their records are equal; the
+        # walk is let go once they are set
+        d = self.__dict__
+        if name in ("intervals", "breakpoints"):
+            pending = d.get("_pending")
+            if pending is not None:
+                walk, spans = pending
+                d["intervals"], d["breakpoints"] = walk.records(spans)
+                d.pop("_pending", None)
+            if name in d:
+                return d[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
 
 def enumerate_all(
@@ -558,60 +675,46 @@ def enumerate_all(
         return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
     k, q_lo, q_hi = walk.start(lo)
-    iv = walk.interval(k, q_lo, q_hi)
-    intervals: list[BasisInterval] = []
-    breakpoints: list[BreakpointRecord] = []
+    pv, qv = p.vertices, q.vertices
+    hn, hd = _ints(hi)
+    span = walk.span(k, q_lo, q_hi)
     # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
     found: dict[tuple[int, int], EquilibriumPoint] = {}
-    visited: set[int] = set()  # the row masks of the bases
+    spans: dict[int, tuple] = {}  # the span of each basis, by its row mask
     while True:
-        rows = iv.basis.mask
-        if rows in visited:
-            raise Stalled(f"basis {iv.basis.rows} revisited; sweep is cycling")
-        visited.add(rows)
-        intervals.append(iv)
-        for xi in _objective_zeros(iv):
-            end = _q_end(iv, xi)
-            pair = (k, (q_lo, q_hi)[end])
-            if pair not in found:
-                found[pair] = _equilibrium(
-                    p.payoffs, iv.p_vertex, iv.q_edge[end], source_xi=xi
+        _, _, _, rows, xi1, xi2, case, c0, c1 = span
+        if rows in spans:
+            raise Stalled(f"basis {_rows(rows)} revisited; sweep is cycling")
+        spans[rows] = span
+        for xi in _objective_zeros(xi1, xi2, c0, c1):
+            end = (q_lo, q_hi)[_q_end(walk._q_edge(q_lo, q_hi)[4:], xi)]
+            if (k, end) not in found:
+                found[k, end] = _equilibrium(
+                    p.payoffs, pv[k], qv[end], source_xi=walk.qy.x(end)
                 )
-        if _diff(iv.xi2, hi) >= 0:  # xi2 >= xi_max
+        if xi2[0] * hd >= hn * xi2[1]:  # xi2 >= xi_max
             break
         # past a feasibility (or "Both") breakpoint the Q walk steps to the
         # next edge; past an optimality breakpoint the P walk steps across
         # the dropped label
-        if iv.case == "Optimality":
-            k = walk.p.near(k)[iv.beta2_row]
+        if case == "Optimality":
+            k = walk.p.near(k)[walk._p_bounds(k)[2]]
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
-        nxt = walk.interval(k, q_lo, q_hi)
-        # the next basis's own interval certifies the step
-        if _diff(nxt.xi1, iv.xi2) > 0 or _diff(iv.xi2, nxt.xi2) > 0:
-            raise Stalled(f"no verifiable pivot at xi = {iv.xi2}")
-        # the least row that leaves and the least that enters: the lowest
-        # bits of the two differences of the row masks
-        leaving, entering = rows & ~nxt.basis.mask, nxt.basis.mask & ~rows
-        breakpoints.append(
-            BreakpointRecord(
-                xi=iv.xi2,
-                kind=iv.case,
-                leaving=(leaving & -leaving).bit_length() - 1,
-                entering=(entering & -entering).bit_length() - 1,
-            )
+        span = walk.span(k, q_lo, q_hi)
+        # the next basis's own interval certifies the step: it holds xi2
+        (n1, d1), (n2, d2), (xn, xd) = span[4], span[5], xi2
+        if n1 * xd > xn * d1 or xn * d2 > n2 * xd:
+            raise Stalled(f"no verifiable pivot at xi = {rat(xn, xd)}")
+
+    def before(a: tuple, b: tuple) -> int:
+        # EquilibriumPoint.key's order: x, then y, on the vertices' integers
+        return _point_order(pv[a[0]]._integers, pv[b[0]]._integers) or _point_order(
+            qv[a[1]]._integers, qv[b[1]]._integers
         )
-        iv = nxt
-    return SweepTrace(
-        g,
-        f,
-        "general",
-        lo,
-        hi,
-        tuple(intervals),
-        tuple(breakpoints),
-        tuple(sorted(found.values(), key=EquilibriumPoint.key)),
-    )
+
+    eqs = tuple(found[pair] for pair in sorted(found, key=cmp_to_key(before)))
+    return SweepTrace._of_walk(g, f, lo, hi, walk, list(spans.values()), eqs)
 
 
 class TraceRow(Record):

@@ -88,7 +88,7 @@ the same steps. It tests A = B^T on the cleared integers, so exactly.
 from __future__ import annotations
 
 import math
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import (
@@ -116,6 +116,9 @@ def _label_set(mask: int) -> frozenset[int]:
         labels.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(labels)
+
+
+_ZERO = rat(0)  # every zero coordinate of a vertex's point
 
 
 class LabeledVertex:
@@ -158,7 +161,9 @@ class LabeledVertex:
     def point(self) -> tuple[Rational, ...] | None:
         if self._point is None and self._integers is not None:
             key, den, num, pay_den = self._integers
-            self._point = tuple(rat(v, den) for v in key) + (rat(num, pay_den),)
+            self._point = tuple(rat(v, den) if v else _ZERO for v in key) + (
+                rat(num, pay_den) if num else _ZERO,
+            )
         return self._point
 
     def __eq__(self, other):
@@ -390,13 +395,19 @@ class VertexGraph(Record):
         """Vertex k, or the origin when k is V."""
         return self.origin if k == self.origin_index else self.vertices[k]
 
-    @cached_property
-    def at(self) -> dict[int, int]:
-        """The index of each node, keyed by its label mask, with the origin
-        as node V: each vertex has a positive coordinate, so lacks one of
-        the origin's labels."""
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set: ``at``, built on first read
+        # and then kept as a plain attribute of the graph
+        if name != "at":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        # the index of each node, keyed by its label mask, with the origin
+        # as node V: each vertex has a positive coordinate, so lacks one of
+        # the origin's labels
         at = {v.mask: k for k, v in enumerate(self.vertices)}
         at[self.origin.mask] = self.origin_index
+        self.__dict__["at"] = at
         return at
 
     def edges_of(self, k: int):

@@ -23,6 +23,7 @@ from rank1nash import (
     RankOneFactorization,
     ScaleColumnOfA,
     ScaleRowOfB,
+    check_nondegenerate,
     enumerate_all,
     enumerate_vertices,
     equilibria_by_labels,
@@ -242,6 +243,52 @@ def test_criterion_5_disconnected_gprime():
             "mixed equilibrium shares a component with the artificial pair",
         )
     _emit(5, "product graph strands the mixed equilibrium", bad, t0, 5.0)
+
+
+def _stranded_rank1():
+    """A non-degenerate 3x3 game with A + B = b c^T, b = (1, -1, 0) and
+    c = (-269, 52, 217), whose G' strands two of its three equilibria."""
+    return BimatrixGame.from_payoffs(
+        ((-387, -120, -63), (-9, -150, -45), (-117, -108, -72)),
+        ((118, 172, 280), (278, 98, -172), (117, 108, 72)),
+    )
+
+
+def test_criterion_5_stranded_in_rank_1():
+    # the paper's second result holds in rank 1 too: G' strands two mixed
+    # equilibria of this rank-1 game in one component of their own
+    t0 = time.perf_counter()
+    bad: list[str] = []
+    chk = _chk(bad)
+    g = _stranded_rank1()
+    chk(game_rank(g) == 1, f"rank(A + B) is {game_rank(g)}, not 1")
+    chk(check_nondegenerate(g) == (True, None), "the game is degenerate")
+    sweep = _keys(enumerate_all(g).equilibria)
+    chk(
+        sweep == _keys(support_enumeration(g).equilibria)
+        == _keys(equilibria_by_labels(g))
+        and len(sweep) == 3,
+        "sweep, oracle and labels disagree, or find other than 3 equilibria",
+    )
+    stranded = {
+        ((rat(1, 4), 0, rat(3, 4)), (0, rat(3, 7), rat(4, 7))),
+        (
+            (rat(25, 61), rat(6, 61), rat(30, 61)),
+            (rat(1, 388), rat(153, 388), rat(117, 194)),
+        ),
+    }
+    rep = gprime_components(g)
+    comps = {comp for _, comp, e in rep.equilibrium_pairs if e.key() in stranded}
+    chk(len(comps) == 1, f"the two mixed equilibria lie in components {comps}")
+    chk(
+        rep.artificial_component not in comps,
+        "a mixed equilibrium shares a component with the artificial pair",
+    )
+    chk(
+        _keys(reachability(g).unreached) == stranded,
+        "reachability does not list exactly the two mixed equilibria unreached",
+    )
+    _emit(5, "G' strands two equilibria of a rank-1 game", bad, t0, 5.0)
 
 
 def test_criterion_6_oracle_equivalence():

@@ -51,6 +51,17 @@ def replace(record, **changes):
     return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
 
 
+def _fractional_rank1_game(rng, m, n, num=30, den=7):
+    def draw():
+        return rat(rng.randint(-num, num), rng.randint(1, den))
+
+    a = [[draw() for _ in range(n)] for _ in range(m)]
+    b, c = [draw() for _ in range(m)], [draw() for _ in range(n)]
+    return BimatrixGame.from_payoffs(
+        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
+    )
+
+
 @pytest.fixture
 def kt2_tab():
     g = generate_kt(2)
@@ -151,28 +162,46 @@ def test_interval_of_initial_basis(kt2_trace):
     assert iv.objective.at(rat(9, 4)) < 0
 
 
+def _pair(xi) -> tuple[int, int]:
+    """(num, den) of a rational in lowest terms."""
+    return xi.numerator, xi.denominator
+
+
+def _zeros(xi1, xi2, objective) -> list:
+    """The objective's zeros at the ends of [xi1, xi2], through the sweep's
+    integer helper, as rationals."""
+    pairs = parametric._objective_zeros(
+        _pair(xi1), _pair(xi2), _pair(objective.c0), _pair(objective.c1)
+    )
+    return [rat(*xi) for xi in pairs]
+
+
 def test_equilibria_read_at_interval_ends(kt2_trace):
     iv = kt2_trace.intervals[0]
     assert iv.basis.rows == (2, 3, 5)
     # the objective vanishes at xi = 2, the lower end of the Q edge, and
     # the trace's equilibrium there is the P vertex with that end
-    assert parametric._objective_zeros(iv) == [2]
-    assert parametric._q_end(iv, rat(2)) == 0
+    assert _zeros(iv.xi1, iv.xi2, iv.objective) == [2]
+    q_xi = tuple(map(_pair, iv.q_xi))
+    assert parametric._q_end(q_xi, (2, 1)) == 0
+    # a pair need not be in lowest terms
+    assert parametric._q_end(q_xi, (6, 2)) == 1
     eqs = [e for e in kt2_trace.equilibria if e.source_xi == 2]
     assert [e.key() for e in eqs] == [((rat(1), rat(0)), (rat(1), rat(0)))]
     m, n = iv.basis.m, iv.basis.n
     assert eqs[0].key() == (iv.p_vertex.point[:m], iv.q_edge[0].point[:n])
     # an objective that is 0 at both ends is 0 on the whole interval
-    flat = replace(iv, objective=AffineR(rat(0), rat(0)))
+    flat = AffineR(rat(0), rat(0))
     with pytest.raises(DegenerateGame, match="vanishes on a whole interval"):
-        parametric._objective_zeros(flat)
+        _zeros(iv.xi1, iv.xi2, flat)
     # the objective of an optimal basis is never positive
-    rising = replace(iv, objective=AffineR(rat(-4), rat(2)))  # 1 at xi = 5/2
-    with pytest.raises(InternalInvariantError, match="objective positive"):
-        parametric._objective_zeros(rising)
-    # on a zero-length interval one end is both ends
-    point = replace(iv, xi2=iv.xi1, objective=AffineR(rat(0), rat(0)))
-    assert parametric._objective_zeros(point) == [2]
+    rising = AffineR(rat(-4), rat(2))  # 1 at xi = 5/2
+    with pytest.raises(InternalInvariantError, match=r"at an end of \[2, 5/2\]"):
+        _zeros(iv.xi1, iv.xi2, rising)
+    # on a zero-length interval one end is both ends, also when its two
+    # pairs differ
+    assert _zeros(iv.xi1, iv.xi1, flat) == [2]
+    assert parametric._objective_zeros((2, 1), (4, 2), (0, 1), (0, 1)) == ((2, 1),)
 
 
 def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
@@ -180,10 +209,10 @@ def test_objective_zero_inside_a_q_edge_is_an_internal_error(kt2_trace):
     # of the objective must sit at an end of the basis's Q edge
     iv = kt2_trace.intervals[0]
     assert iv.q_xi == (2, 3) and iv.xi2 == rat(5, 2)
-    inside = replace(iv, objective=AffineR(rat(-5), rat(2)))  # 0 at xi = 5/2
-    assert parametric._objective_zeros(inside) == [rat(5, 2)]
+    inside = AffineR(rat(-5), rat(2))  # 0 at xi = 5/2
+    assert _zeros(iv.xi1, iv.xi2, inside) == [rat(5, 2)]
     with pytest.raises(InternalInvariantError, match="inside a Q edge"):
-        parametric._q_end(inside, rat(5, 2))
+        parametric._q_end(tuple(map(_pair, iv.q_xi)), (5, 2))
 
 
 class _Astray(dict):
@@ -333,9 +362,12 @@ def test_label_methods_build_points_of_reported_vertices_only(g, monkeypatch):
 def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
     # the walks compare crossings, slopes and objective signs as integers;
     # past the check the sweep builds a rational only for a value the trace
-    # reports: per interval its objective's c0 and c1, per P vertex visited
-    # its crossings p_lo and beta2 where they exist, per Q vertex visited its
-    # c^T y. On kt6 that is 2 * 20 + 20 + 11.
+    # reports. Before the records are read that is each equilibrium's
+    # source_xi, the c^T y of its Q vertex: 11 on kt6. Reading them adds
+    # per interval its objective's c0 and c1, per P vertex visited its
+    # crossings p_lo and beta2 where they exist, and per Q vertex visited
+    # its c^T y, each once: 2 * 20 + 20 + 11 in all, the 11 Q vertices of
+    # the equilibria among them.
     built = []
     original = parametric.rat
 
@@ -345,10 +377,68 @@ def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
 
     monkeypatch.setattr(parametric, "rat", counted)
     tr = enumerate_all(generate_kt(6))
+    assert len(built) == len(tr.equilibria) == 11
     q_vertices = {w for iv in tr.intervals for w in iv.q_edge}
     p_vertices = {iv.p_vertex for iv in tr.intervals}
     assert (len(tr.intervals), len(p_vertices), len(q_vertices)) == (20, 11, 11)
     assert len(built) == 71
+    tr.breakpoints, sweep_table(tr), repr(tr)
+    assert len(built) == 71
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_kt(6),
+        _fractional_rank1_game(random.Random(3625), 5, 5, 10**6, 10**3),
+    ],
+    ids=["kt6", "fractional-5x5"],
+)
+def test_sweep_builds_its_records_when_read(g, monkeypatch):
+    # a caller that reads only the equilibria gets no interval record, no
+    # breakpoint record and no rational but each equilibrium's source_xi;
+    # the first read of intervals or breakpoints builds each record once,
+    # and reading intervals first, breakpoints first or repr first gives
+    # the same records
+    made = []  # the class of each record built
+    for cls in (parametric.BasisInterval, parametric.BreakpointRecord):
+
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    built = []
+    original = parametric.rat
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(parametric, "rat", counted)
+    traces = []
+    for read in (
+        lambda tr: (tr.intervals, tr.breakpoints),
+        lambda tr: (tr.breakpoints, tr.intervals),
+        repr,
+    ):
+        built.clear()
+        made.clear()
+        tr = enumerate_all(g)
+        assert (len(built), made) == (len(tr.equilibria), [])
+        read(tr)
+        assert made.count(parametric.BasisInterval) == len(tr.intervals) > 1
+        assert made.count(parametric.BreakpointRecord) == len(tr.breakpoints)
+        assert len(made) == 2 * len(tr.intervals) - 1
+        counts = len(built), len(made)
+        tr.intervals, tr.breakpoints, repr(tr)  # a second read builds nothing
+        assert (len(built), len(made)) == counts
+        traces.append(tr)
+    first, second, third = traces
+    assert first == second == third
+    assert repr(first) == repr(second) == repr(third)
+    # the regular constructor keeps the records it is given
+    assert replace(first) == first
 
 
 def _full_scan_start(p, q, f):
@@ -465,7 +555,7 @@ def _assert_integer_decisions(g, f=None) -> int:
         ends = [iv.objective.at(xi) for xi in (iv.xi1, iv.xi2)]
         assert all(v <= 0 for v in ends)
         zeros = {xi for xi, v in zip((iv.xi1, iv.xi2), ends) if v == 0}
-        assert parametric._objective_zeros(iv) == sorted(zeros)
+        assert _zeros(iv.xi1, iv.xi2, iv.objective) == sorted(zeros)
     for bp, iv, nxt in zip(tr.breakpoints, tr.intervals, tr.intervals[1:]):
         rows, nxt_rows = set(iv.basis.rows), set(nxt.basis.rows)
         assert (bp.xi, bp.kind) == (iv.xi2, iv.case)
@@ -914,17 +1004,6 @@ def _dense_pivot(t, iv):
         if r not in rows and (rate := vdot(row, d)) > 0
     ]
     return leave, min(ratios)[1]
-
-
-def _fractional_rank1_game(rng, m, n, num=30, den=7):
-    def draw():
-        return rat(rng.randint(-num, num), rng.randint(1, den))
-
-    a = [[draw() for _ in range(n)] for _ in range(m)]
-    b, c = [draw() for _ in range(m)], [draw() for _ in range(n)]
-    return BimatrixGame.from_payoffs(
-        a, [[b[i] * c[j] - a[i][j] for j in range(n)] for i in range(m)]
-    )
 
 
 def _refactored_sweeps(rng, count, draw):

@@ -460,6 +460,30 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     assert (uniform, pivots) == (657, 42)
 
 
+def test_sweep_lines_scale_each_point_by_its_payoff_denominator(monkeypatch):
+    # the sweep's lines put a vertex's point (w^T s, payoff) over
+    # scale * pay_den, where pay_den, den times the gcd of the walk's z, is
+    # already a multiple of the strategy's denominator den: on the game
+    # above the widest line integer is 291 bits, against 441 with every
+    # integer scaled by den as well, at the same points
+    g = _bigrat_game(random.Random(1), 5, 5)
+    widths = []
+    original = parametric._Line.ints
+
+    def measured(line, k):
+        s, o, d = got = original(line, k)
+        key, den, num, pay_den = line.graph.vertices[k]._integers
+        dw = den * line.scale
+        wide = sum(map(math.prod, zip(line.w, key))) * pay_den, num * dw, dw * pay_den
+        assert s * wide[2] == wide[0] * d and o * wide[2] == wide[1] * d
+        widths.append([max(abs(v).bit_length() for v in t) for t in (got, wide)])
+        return got
+
+    monkeypatch.setattr(parametric._Line, "ints", measured)
+    enumerate_all(g)
+    assert [max(w) for w in zip(*widths)] == [291, 441]
+
+
 def test_integer_games_walk_the_uniform_dictionaries(monkeypatch):
     # integer payoffs give every row the least denominator 1 and the shift
     # that makes the least entry 1, so the walk's dictionaries are the
@@ -526,8 +550,12 @@ def test_check_builds_no_vertex_point(monkeypatch):
     assert decoded == 0
     p, q = polytopes.require_nondegenerate(generate_kt(5))
     assert built == 0
-    assert len(p.vertices[0].point) == 6
-    assert built == 6
+    # the point (0, 0, 0, 0, 1, 50): a rational for each non-zero
+    # coordinate, and every zero coordinate the one shared zero
+    point = p.vertices[0].point
+    assert point == (0, 0, 0, 0, 1, 50)
+    assert built == 2
+    assert all(v is polytopes._ZERO for v in point[:4])
 
 
 def _best_reply_payoff(g, which, strategy):
