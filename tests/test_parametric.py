@@ -508,7 +508,7 @@ def test_start_matches_the_full_scan():
     assert ties[load_game(str(CORPUS / "tied-min-c-2x3.game"))] == (False, True)
     # kt1..kt5 are also corpus games; zero-sum and row-constant games have
     # no first basis
-    assert sum(t is not None for t in ties.values()) == 16
+    assert sum(t is not None for t in ties.values()) == 17
 
 
 @settings(max_examples=80, deadline=None)

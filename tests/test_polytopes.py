@@ -931,7 +931,7 @@ def test_masks_match_label_sets():
     # labels 1..9 over Q's sets of four: label 9 shares a hash slot with
     # label 1, so a set's order depends on the order its labels were added
     games.append(random_rank1_game(random.Random(1), 5, 4))
-    assert len(games) == 24
+    assert len(games) == 25
     assert sum(map(_assert_masks_match_label_sets, games)) > 0
 
 
@@ -1066,11 +1066,11 @@ def _assert_first_tier_suffices(g, f=None) -> bool:
 def test_sweep_and_paths_read_the_first_tier_alone():
     # the sweep, lh_run and the paths read a graph node by node, so a graph
     # that numbers its nodes in discovery order and cannot count them gives
-    # the same traces and paths, in the same order; every one of these 24
+    # the same traces and paths, in the same order; every one of these 25
     # games is non-degenerate
     games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
     games += [generate_kt(d) for d in range(1, 11)]
-    assert sum(map(_assert_first_tier_suffices, games)) == 24
+    assert sum(map(_assert_first_tier_suffices, games)) == 25
 
 
 @settings(max_examples=100, deadline=None)
