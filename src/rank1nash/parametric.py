@@ -63,18 +63,21 @@ a pair (num, den), and crossings, slopes and the start's costs are compared
 by cross-multiplication. Past the start the loop holds each basis as an
 integer span (_Walk.span): its row mask, its interval's ends, its
 breakpoint kind and its objective's two coefficients, each number such a
-pair. It picks each interval's ends and breakpoint kind, stops at xi_max,
-certifies each step, finds the objective's zeros and the Q end each zero
-sits at, all by cross-multiplying those pairs, and checks each mask's row
-counts (_require_rows). The only rationals it builds are those of the
-equilibria: each one's source_xi, the c^T y of its Q vertex, and the
-points of its two vertices; the equilibria are ordered by their vertices'
-integer keys. The trace keeps the spans and builds its interval and
-breakpoint records on the first read of either (SweepTrace.__getattr__),
-with the values they report, each built once: per P vertex visited its
-crossings p_lo and beta2, per Q vertex visited its c^T y, and per interval
-its objective's two coefficients. A caller that reads only the equilibria,
-such as the default ``enumerate`` output, builds no record. A basis
+pair, with the walk's memo tuples of its P vertex and its Q edge, which
+hold the rest of what the interval's record reports: the vertices, the
+crossings, c^T y at the edge's ends and the rows. It picks each interval's
+ends and breakpoint kind, stops at xi_max, certifies each step, finds the
+objective's zeros and the Q end each zero sits at, all by cross-multiplying
+those pairs, and checks each mask's row counts (_require_rows). The only
+rationals it builds are those of the equilibria: each one's source_xi, the
+c^T y of its Q vertex, and the points of its two vertices; the equilibria
+are ordered by their vertices' integer keys. The trace keeps the spans and
+nothing of the walk, so an unread trace holds neither vertex graph. On the
+first read of its intervals or breakpoints (SweepTrace.__getattr__) one
+function (_records) builds both, reading each reported value off the spans
+and building each distinct (num, den) pair as a rational once. A caller
+that reads only the equilibria, such as the default ``enumerate`` output,
+builds no record. A basis
 (ParametricBasis) is one row mask, P label l as bit l and Q label l as bit
 m+n+l, checked when built and decoded into label sets only when read: the
 loop keeps the masks it has visited, and a breakpoint's leaving and
@@ -255,13 +258,12 @@ class _Line:
     key / den and payoff num / pay_den, where pay_den is den times the gcd
     of the walk's z, and w = w' / scale, give (w' . key * (pay_den // den),
     num * scale, scale * pay_den). Only the vertices a walk visits are
-    read. Rationals are built only by ``x``, once per vertex."""
+    read, and no rational is built."""
 
     def __init__(self, graph: VertexGraph, weights):
         self.graph = graph
         self.w, self.scale = clear_denominators(weights)
         self._ints: dict[int, tuple[int, int, int]] = {}
-        self._x: dict[int, Rational] = {}
 
     def ints(self, k: int) -> tuple[int, int, int]:
         """(s, o, d) of vertex k, with d > 0."""
@@ -283,14 +285,6 @@ class _Line:
         sk, ok, dk = self.ints(k)
         sj, oj, dj = self.ints(j)
         return oj * dk - ok * dj, sj * dk - sk * dj
-
-    def x(self, k: int) -> Rational:
-        """w^T s at vertex k."""
-        got = self._x.get(k)
-        if got is None:
-            s, _, d = self.ints(k)
-            got = self._x[k] = rat(s, d)
-        return got
 
     def up(self, k: int) -> tuple:
         """The shadow-vertex step out of vertex k: (the least slope of a
@@ -374,9 +368,10 @@ class _Walk:
     are named by their indices. Every decision is made on integers: each P
     vertex's crossings and each Q edge's slope and ends are computed once,
     as fractions num / den compared by cross-multiplication, and each basis
-    is an integer ``span``. ``interval`` builds a span's record and the
-    rationals it reports, each value once: memoised per P vertex, per Q
-    vertex, or built per interval."""
+    is an integer ``span``, which carries the memo tuples of its P vertex
+    and its Q edge. The walk builds no rational but the c^T y of a vertex
+    it reports stalled at; the records are built from the spans alone
+    (``_records``), so the trace need not keep the walk."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
@@ -384,7 +379,6 @@ class _Walk:
         self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
         self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
         self._bounds: dict[int, tuple] = {}
-        self._rats: dict[int, tuple] = {}
         self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
@@ -451,13 +445,13 @@ class _Walk:
         return qy.face(0, 1, fixed)
 
     def _p_bounds(self, k: int) -> tuple:
-        """(p_lo, beta2, beta2_row) of P vertex k: the greatest crossing of
-        its line with a shallower neighbour's line, bounding the interval
-        below, and the least with a steeper one, bounding it above, each as
-        (num, den) with den > 0, ties to the lowest label dropped; None
-        where there is none. The line of neighbour j crosses k's where xi is
-        the slope of the chord from k's point (b^T x, pi2) to j's, and is
-        steeper when that chord's b^T x increases, so the crossings are
+        """(p_lo, beta2, beta2_row, vertex) of P vertex k: the greatest
+        crossing of its line with a shallower neighbour's line, bounding the
+        interval below, and the least with a steeper one, bounding it above,
+        each as (num, den) with den > 0, ties to the lowest label dropped;
+        None where there is none. The line of neighbour j crosses k's where
+        xi is the slope of the chord from k's point (b^T x, pi2) to j's, and
+        is steeper when that chord's b^T x increases, so the crossings are
         ``px.up(k)``'s chords."""
         got = self._bounds.get(k)
         if got is None:
@@ -466,50 +460,52 @@ class _Walk:
                 None if lo is None else (-lo[0], lo[1]),
                 hi,
                 min(ties)[0] if ties else None,
+                self.p.vertices[k],
             )
         return got
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
-        hi adds, c^T y at lo and at hi) of the Q edge from lo to hi, each
-        number as (num, den) with den > 0."""
+        hi adds, c^T y at lo and at hi, vertex lo, vertex hi) of the Q edge
+        from lo to hi, each number as (num, den) with den > 0."""
         got = self._edges.get((lo, hi))
         if got is None:
-            hi_mask = self.q.vertices[hi].mask
-            shared = self.q.vertices[lo].mask & hi_mask
-            added = (hi_mask ^ shared).bit_length() - 1
+            v_lo, v_hi = self.q.vertices[lo], self.q.vertices[hi]
+            shared = v_lo.mask & v_hi.mask
+            added = (v_hi.mask ^ shared).bit_length() - 1
             # pi1 grows num / den per unit of c^T y, and den > 0
             num, den = slope = self.qy.chord(lo, hi)
             s, o, d = self.qy.ints(lo)
             # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
             at0 = (o * den - s * num, d * den)
             hs, _, hd = self.qy.ints(hi)
-            got = self._edges[lo, hi] = (shared, slope, at0, added, (s, d), (hs, hd))
+            got = self._edges[lo, hi] = (
+                shared, slope, at0, added, (s, d), (hs, hd), v_lo, v_hi
+            )
         return got
 
     def span(self, k: int, lo: int, hi: int) -> tuple:
         """The sweep's integer record of the basis pairing P vertex k with Q
-        edge (lo, hi): (k, lo, hi, row mask, xi1, xi2, case, c0, c1), with
-        xi1 = max(c^T y at lo, p_lo), xi2 = min(alpha2, beta2), ``case``
-        the breakpoint at xi2 and c0 + c1 xi the objective, each number as
-        (num, den) with den > 0. xi1 is the very pair of p_lo or of c^T y
-        at lo, so that ``interval`` reads which one it is. ValueError when
-        the mask does not hold m P-side and n-1 Q-side rows."""
+        edge (lo, hi): (row mask, xi1, xi2, case, c0, c1, P bounds, Q edge),
+        with xi1 = max(c^T y at lo, p_lo), xi2 = min(alpha2, beta2),
+        ``case`` the breakpoint at xi2, c0 + c1 xi the objective, each
+        number as (num, den) with den > 0, and the ``_p_bounds`` and
+        ``_q_edge`` tuples it read, which carry the rest of what the
+        interval's record reports. ValueError when the mask does not hold m
+        P-side and n-1 Q-side rows."""
         m, n = self.m, self.n
-        p_lo, beta2, _ = self._p_bounds(k)
-        shared, (sn, sd), (an, ad), _, c_lo, c_hi = self._q_edge(lo, hi)
+        bounds, edge = self._p_bounds(k), self._q_edge(lo, hi)
+        p_lo, beta2, _, vertex = bounds
+        shared, (sn, sd), (an, ad), _, c_lo, c_hi, _, _ = edge
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
         # p_lo > c^T y at lo, and the sign of alpha2 - beta2, which names
         # the breakpoint that ends the interval, by cross-multiplication
         above = p_lo is not None and p_lo[0] * c_lo[1] > c_lo[0] * p_lo[1]
         diff = -1 if beta2 is None else c_hi[0] * beta2[1] - beta2[0] * c_hi[1]
         case = "Feasibility" if diff < 0 else "Both" if diff == 0 else "Optimality"
-        mask = self.p.vertices[k].mask | shared << m + n
+        mask = vertex.mask | shared << m + n
         _require_rows(mask, m, n)
         return (
-            k,
-            lo,
-            hi,
             mask,
             p_lo if above else c_lo,
             c_hi if diff <= 0 else beta2,
@@ -517,58 +513,9 @@ class _Walk:
             # c0 = -at0 - pi2 and c1 = b^T x - slope
             (-(an * d + o * ad), ad * d),
             (s * sd - sn * d, d * sd),
+            bounds,
+            edge,
         )
-
-    def _p_rats(self, k: int) -> tuple:
-        """p_lo and beta2 of P vertex k as rationals, None where there is
-        none."""
-        got = self._rats.get(k)
-        if got is None:
-            got = self._rats[k] = tuple(
-                None if b is None else rat(*b) for b in self._p_bounds(k)[:2]
-            )
-        return got
-
-    def interval(self, span: tuple) -> BasisInterval:
-        """The record of the basis of a ``span``, its rationals built here,
-        each value once per P vertex, Q vertex or interval."""
-        m, n = self.m, self.n
-        k, lo, hi, mask, xi1, _, case, c0, c1 = span
-        p_lo, beta2 = self._p_rats(k)
-        _, _, _, added, c_lo, _ = self._q_edge(lo, hi)
-        lo_xi, hi_xi = self.qy.x(lo), self.qy.x(hi)
-        return BasisInterval(
-            basis=ParametricBasis(mask, m, n),
-            xi1=lo_xi if xi1 is c_lo else p_lo,
-            xi2=beta2 if case == "Optimality" else hi_xi,
-            alpha2=hi_xi,
-            beta2=beta2,
-            alpha2_row=m + n + added,
-            beta2_row=self._p_bounds(k)[2],
-            objective=AffineR(rat(*c0), rat(*c1)),
-            p_vertex=self.p.vertices[k],
-            q_edge=(self.q.vertices[lo], self.q.vertices[hi]),
-            q_xi=(lo_xi, hi_xi),
-            case=case,
-        )
-
-    def records(self, spans: list) -> tuple:
-        """(intervals, breakpoints) of the sweep that visited ``spans``."""
-        ivs = tuple(map(self.interval, spans))
-        bps = []
-        for iv, a, b in zip(ivs, spans, spans[1:]):
-            # the least row that leaves and the least that enters: the
-            # lowest bits of the two differences of the row masks
-            leaving, entering = a[3] & ~b[3], b[3] & ~a[3]
-            bps.append(
-                BreakpointRecord(
-                    xi=iv.xi2,
-                    kind=iv.case,
-                    leaving=(leaving & -leaving).bit_length() - 1,
-                    entering=(entering & -entering).bit_length() - 1,
-                )
-            )
-        return ivs, tuple(bps)
 
     def next_edge(self, hi: int) -> int:
         """The far end of the edge out of Q vertex hi that continues the
@@ -576,7 +523,8 @@ class _Walk:
         to the lowest label dropped."""
         _, ties, _ = self.qy.up(hi)
         if not ties:
-            raise Stalled(f"no edge of Q continues the slice past {self.qy.x(hi)}")
+            s, _, d = self.qy.ints(hi)
+            raise Stalled(f"no edge of Q continues the slice past {rat(s, d)}")
         return min(ties)[1]
 
 
@@ -587,14 +535,63 @@ class BreakpointRecord(Record):
     entering: int
 
 
+def _records(m: int, n: int, spans: list) -> tuple:
+    """(intervals, breakpoints) of the sweep that visited ``spans``
+    (``_Walk.span``), each distinct (num, den) pair built as a rational
+    once."""
+    rats: dict[tuple[int, int], Rational] = {}
+
+    def r(pair: tuple[int, int]) -> Rational:
+        got = rats.get(pair)
+        if got is None:
+            got = rats[pair] = rat(*pair)
+        return got
+
+    ivs = []
+    for mask, xi1, xi2, case, c0, c1, bounds, edge in spans:
+        _, beta2, beta2_row, vertex = bounds
+        _, _, _, added, c_lo, c_hi, v_lo, v_hi = edge
+        ivs.append(
+            BasisInterval(
+                basis=ParametricBasis(mask, m, n),
+                xi1=r(xi1),
+                xi2=r(xi2),
+                alpha2=r(c_hi),
+                beta2=None if beta2 is None else r(beta2),
+                alpha2_row=m + n + added,
+                beta2_row=beta2_row,
+                objective=AffineR(r(c0), r(c1)),
+                p_vertex=vertex,
+                q_edge=(v_lo, v_hi),
+                q_xi=(r(c_lo), r(c_hi)),
+                case=case,
+            )
+        )
+    bps = []
+    for iv, a, b in zip(ivs, spans, spans[1:]):
+        # the least row that leaves and the least that enters: the lowest
+        # bits of the two differences of the row masks
+        leaving, entering = a[0] & ~b[0], b[0] & ~a[0]
+        bps.append(
+            BreakpointRecord(
+                xi=iv.xi2,
+                kind=iv.case,
+                leaving=(leaving & -leaving).bit_length() - 1,
+                entering=(entering & -entering).bit_length() - 1,
+            )
+        )
+    return tuple(ivs), tuple(bps)
+
+
 class SweepTrace(Record):
     """Everything the enumeration saw: one entry per visited basis.
 
-    The trace ``enumerate_all`` returns from a general sweep keeps the
-    sweep's walk and one integer record per interval (``_Walk.span``), and
-    builds ``intervals`` and ``breakpoints``, with their rationals, on the
-    first read of either; until then the trace holds the walk, and so the
-    two vertex graphs. A caller that reads only the equilibria builds none
+    The trace ``enumerate_all`` returns from a general sweep keeps one
+    integer record per interval (``_Walk.span``), which names the vertices
+    and holds the values its records report, and nothing of the walk or of
+    the vertex graphs. It builds ``intervals`` and ``breakpoints``, with
+    their rationals, on the first read of either (``_records``), and lets
+    the spans go then. A caller that reads only the equilibria builds none
     of them.
     """
 
@@ -608,7 +605,7 @@ class SweepTrace(Record):
     equilibria: tuple[EquilibriumPoint, ...]
 
     @classmethod
-    def _of_walk(cls, g, f, xi_min, xi_max, walk, spans, equilibria) -> "SweepTrace":
+    def _of_spans(cls, g, f, xi_min, xi_max, spans, equilibria) -> "SweepTrace":
         """The trace of a general sweep, its records built on first read."""
         t = cls.__new__(cls)
         t.__dict__.update(
@@ -618,20 +615,19 @@ class SweepTrace(Record):
             xi_min=xi_min,
             xi_max=xi_max,
             equilibria=equilibria,
-            _pending=(walk, spans),
+            _pending=(g.m, g.n, spans),
         )
         return t
 
     def __getattr__(self, name):
         # reached only when ``name`` is not set: the deferred records. Two
         # threads may both build them, and their records are equal; the
-        # walk is let go once they are set
+        # spans are let go once they are set
         d = self.__dict__
         if name in ("intervals", "breakpoints"):
             pending = d.get("_pending")
             if pending is not None:
-                walk, spans = pending
-                d["intervals"], d["breakpoints"] = walk.records(spans)
+                d["intervals"], d["breakpoints"] = _records(*pending)
                 d.pop("_pending", None)
             if name in d:
                 return d[name]
@@ -682,15 +678,16 @@ def enumerate_all(
     found: dict[tuple[int, int], EquilibriumPoint] = {}
     spans: dict[int, tuple] = {}  # the span of each basis, by its row mask
     while True:
-        _, _, _, rows, xi1, xi2, case, c0, c1 = span
+        rows, xi1, xi2, case, c0, c1, bounds, edge = span
         if rows in spans:
             raise Stalled(f"basis {_rows(rows)} revisited; sweep is cycling")
         spans[rows] = span
         for xi in _objective_zeros(xi1, xi2, c0, c1):
-            end = (q_lo, q_hi)[_q_end(walk._q_edge(q_lo, q_hi)[4:], xi)]
-            if (k, end) not in found:
-                found[k, end] = _equilibrium(
-                    p.payoffs, pv[k], qv[end], source_xi=walk.qy.x(end)
+            end = _q_end(edge[4:6], xi)
+            key = k, (q_lo, q_hi)[end]
+            if key not in found:
+                found[key] = _equilibrium(
+                    p.payoffs, pv[k], qv[key[1]], source_xi=rat(*edge[4 + end])
                 )
         if xi2[0] * hd >= hn * xi2[1]:  # xi2 >= xi_max
             break
@@ -698,12 +695,12 @@ def enumerate_all(
         # next edge; past an optimality breakpoint the P walk steps across
         # the dropped label
         if case == "Optimality":
-            k = walk.p.near(k)[walk._p_bounds(k)[2]]
+            k = p.near(k)[bounds[2]]
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
         span = walk.span(k, q_lo, q_hi)
         # the next basis's own interval certifies the step: it holds xi2
-        (n1, d1), (n2, d2), (xn, xd) = span[4], span[5], xi2
+        (n1, d1), (n2, d2), (xn, xd) = span[1], span[2], xi2
         if n1 * xd > xn * d1 or xn * d2 > n2 * xd:
             raise Stalled(f"no verifiable pivot at xi = {rat(xn, xd)}")
 
@@ -714,7 +711,7 @@ def enumerate_all(
         )
 
     eqs = tuple(found[pair] for pair in sorted(found, key=cmp_to_key(before)))
-    return SweepTrace._of_walk(g, f, lo, hi, walk, list(spans.values()), eqs)
+    return SweepTrace._of_spans(g, f, lo, hi, list(spans.values()), eqs)
 
 
 class TraceRow(Record):
@@ -771,7 +768,9 @@ def sweep_table(trace: SweepTrace) -> tuple[TraceRow, ...]:
         out.append(TraceRow("point", xi, None, obj, rows))
         if idx + 1 < len(points):
             nxt = points[idx + 1]
-            iv = next(v for v in ivs if v.xi1 <= xi and nxt <= v.xi2)
+            iv = next((v for v in ivs if v.xi1 <= xi and nxt <= v.xi2), None)
+            if iv is None:
+                raise InternalInvariantError(f"no basis is optimal on ({xi}, {nxt})")
             out.append(
                 TraceRow("interval", None, (xi, nxt), None, _label_set(iv.basis.mask))
             )

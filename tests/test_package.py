@@ -78,6 +78,17 @@ def test_console_script_entry_point_runs():
     assert getattr(importlib.import_module(module), name)(["--help"]) == 0
 
 
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # README's one Python block reads the trace's equilibria and the
+    # oracle's, from the repository root as its game path is relative; it
+    # prints one line per equilibrium of unreachable-2x2
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def _record_samples() -> list[Record]:
     """One instance of each result record of the package, from kt3's runs."""
     g = generate_kt(3)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -363,11 +365,11 @@ def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
     # the walks compare crossings, slopes and objective signs as integers;
     # past the check the sweep builds a rational only for a value the trace
     # reports. Before the records are read that is each equilibrium's
-    # source_xi, the c^T y of its Q vertex: 11 on kt6. Reading them adds
-    # per interval its objective's c0 and c1, per P vertex visited its
-    # crossings p_lo and beta2 where they exist, and per Q vertex visited
-    # its c^T y, each once: 2 * 20 + 20 + 11 in all, the 11 Q vertices of
-    # the equilibria among them.
+    # source_xi, the c^T y of its Q vertex: 11 on kt6. Reading them builds
+    # each distinct (num, den) pair the records report once, from one memo:
+    # the c^T y of the 11 Q vertices visited, the 10 crossings of P lines
+    # that bound an interval, and the 24 distinct objective coefficients
+    # (20 pairs c0 and 4 pairs c1 over the 20 intervals): 11 + 45 in all.
     built = []
     original = parametric.rat
 
@@ -381,9 +383,10 @@ def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
     q_vertices = {w for iv in tr.intervals for w in iv.q_edge}
     p_vertices = {iv.p_vertex for iv in tr.intervals}
     assert (len(tr.intervals), len(p_vertices), len(q_vertices)) == (20, 11, 11)
-    assert len(built) == 71
+    assert len(built) == 56
+    assert len(set(built[11:])) == 45  # no pair built twice
     tr.breakpoints, sweep_table(tr), repr(tr)
-    assert len(built) == 71
+    assert len(built) == 56
 
 
 @pytest.mark.parametrize(
@@ -439,6 +442,38 @@ def test_sweep_builds_its_records_when_read(g, monkeypatch):
     assert repr(first) == repr(second) == repr(third)
     # the regular constructor keeps the records it is given
     assert replace(first) == first
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_kt(6),
+        generate_kt(10),
+        _fractional_rank1_game(random.Random(3625), 5, 5, 10**6, 10**3),
+    ],
+    ids=["kt6", "kt10", "fractional-5x5"],
+)
+def test_unread_trace_holds_no_vertex_graph(g, monkeypatch):
+    # the trace keeps the sweep's integer spans, which carry the vertices
+    # and values its records report, and nothing of the walk: once
+    # enumerate_all returns, both vertex graphs can be collected, and the
+    # records read afterwards are those of a trace read at once
+    refs = []
+    original = parametric.require_nondegenerate
+
+    def kept(game):
+        graphs = original(game)
+        refs.extend(map(weakref.ref, graphs))
+        return graphs
+
+    monkeypatch.setattr(parametric, "require_nondegenerate", kept)
+    tr = enumerate_all(g)
+    gc.collect()
+    assert len(refs) == 2 and [r() for r in refs] == [None, None]
+    now = enumerate_all(g)
+    now.intervals
+    # == and repr read every field, the records among them
+    assert tr == now and repr(tr) == repr(now)
 
 
 def _full_scan_start(p, q, f):
@@ -666,6 +701,17 @@ def test_sweep_table_refuses_bases_that_disagree(kt2_trace):
     flat = replace(ivs[0], objective=AffineR(rat(-1), rat(0)))
     doctored = replace(kt2_trace, intervals=(flat, *ivs[1:]))
     with pytest.raises(InternalInvariantError, match="5/2 are missing or disagree"):
+        sweep_table(doctored)
+
+
+def test_sweep_table_refuses_a_gap_between_intervals():
+    # with kt3's third interval, [6, 7], dropped, each point still has a
+    # basis, but no interval covers the span between 6 and 7
+    tr = enumerate_all(generate_kt(3))
+    ivs = tr.intervals
+    assert (ivs[2].xi1, ivs[2].xi2) == (6, 7)
+    doctored = replace(tr, intervals=ivs[:2] + ivs[3:])
+    with pytest.raises(InternalInvariantError, match=r"optimal on \(6, 7\)"):
         sweep_table(doctored)
 
 
