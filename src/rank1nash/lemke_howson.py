@@ -13,7 +13,10 @@ those paths over all r, and its components expose equilibria no such path
 can reach. A path meets no pair of nodes twice, so one that does raises
 Stalled: that rule, not a count of the graphs' nodes, bounds a path. The
 paths read a graph node by node, through the first tier of the interface
-``VertexGraph`` names; ``reachability`` and G' read the second tier too.
+``VertexGraph`` names: ``node(k)``, ``near(k)``, ``origin_index``,
+``labels``, ``full`` and ``payoffs``. A path reaches the origin as node
+``origin_index``, and tells an origin from a vertex by its index.
+``reachability`` and G' read the second tier too.
 
 Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
@@ -91,10 +94,10 @@ def _walk(
     pairs it has met, whatever the graphs' sizes or numbering."""
     full, graphs, seen = p.full, (p, q), set()
     at = [p.origin_index, q.origin_index]
-    nodes = [p.origin, q.origin]
+    nodes = [p.node(at[0]), q.node(at[1])]
     steps = [PathStep(*nodes, None)]
     # r is a label of P's origin, an x label, or else of Q's
-    side, drop = (0 if p.origin.mask >> r & 1 else 1), r
+    side, drop = (0 if nodes[0].mask >> r & 1 else 1), r
     while True:
         vg = graphs[side]
         at[side] = _drop_label(vg, at[side], drop)
@@ -114,7 +117,7 @@ def _walk(
         seen.add(pair)
         drop = dup.bit_length() - 1
         side = 1 - side
-    if nodes[0] is p.origin or nodes[1] is q.origin:
+    if at[0] == p.origin_index or at[1] == q.origin_index:
         raise InternalInvariantError("path ended at an artificial node")
     return tuple(steps), (at[0], at[1])
 
@@ -128,7 +131,7 @@ def lh_run(g: BimatrixGame, r: int) -> LHPath:
         raise ValueError(f"label {r} out of range")
     p, q = require_nondegenerate(g)
     steps, (i, j) = _walk(p, q, r)
-    return LHPath(r, steps, _equilibrium(p.payoffs, p.vertices[i], q.vertices[j]))
+    return LHPath(r, steps, _equilibrium(p.payoffs, p.node(i), q.node(j)))
 
 
 class ReachabilityReport(Record):

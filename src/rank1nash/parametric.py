@@ -40,15 +40,15 @@ chord to a neighbour of greater w^T s, ties to the lowest label dropped. On
 P that slope is beta2, and on Q the next edge's pi1 slope.
 A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
 (polytopes.VertexGraph) that the non-degeneracy check returns, node by
-node (the first tier of its interface), and the sweep makes no linear
-solve. x and pi2 come from the P vertex; y and pi1
+node through node(k) and near(k) (the first tier of its interface), and
+the sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
 are interpolated along the Q edge. Once the graphs exist, the sweep's cost
 follows the intervals it crosses, not the vertices: b^T x, c^T y and the
 payoffs are read off the integer keys of the vertices the walks visit, each
-vertex's crossings and each edge's slope are computed once, and an
-equilibrium is a vertex pair, so only the vertices of equilibria build
-their rationals. A + B is factored on the integer payoffs the check
-cleared (games.factor_rank1). The start is one routine on each side
+vertex's crossings and each edge's slope are computed once, as neither
+walk returns, and an equilibrium is a vertex pair, so only the vertices of
+equilibria build their rationals. A + B is factored on the integer payoffs
+the check cleared (games.factor_rank1). The start is one routine on each side
 (_Line.face), for a cost alpha w^T s + beta payoff: from the graph's
 origin, descend the vertex graph of P, or of the face of Q that keeps
 y_l = 0 for every c_l > xi_min, to a vertex no neighbour beats, then flood
@@ -63,7 +63,7 @@ a pair (num, den), and crossings, slopes and the start's costs are compared
 by cross-multiplication. Past the start the loop holds each basis as an
 integer span (_Walk.span): its row mask, its interval's ends, its
 breakpoint kind and its objective's two coefficients, each number such a
-pair, with the walk's memo tuples of its P vertex and its Q edge, which
+pair, with the walk's tuples of its P vertex and its Q edge, which
 hold the rest of what the interval's record reports: the vertices, the
 crossings, c^T y at the edge's ends and the rows. It picks each interval's
 ends and breakpoint kind, stops at xi_max, certifies each step, finds the
@@ -71,11 +71,13 @@ objective's zeros and the Q end each zero sits at, all by cross-multiplying
 those pairs, and checks each mask's row counts (_require_rows). The only
 rationals it builds are those of the equilibria: each one's source_xi, the
 c^T y of its Q vertex, and the points of its two vertices; the equilibria
-are ordered by their vertices' integer keys. The trace keeps the spans and
+are ordered by their P vertices' integer keys, as in a non-degenerate game
+no two share x. The trace keeps the spans and
 nothing of the walk, so an unread trace holds neither vertex graph. On the
 first read of its intervals or breakpoints (SweepTrace.__getattr__) one
 function (_records) builds both, reading each reported value off the spans
-and building each distinct (num, den) pair as a rational once. A caller
+and building each distinct (num, den) pair as a rational once; the
+source_xi the loop built are among them. A caller
 that reads only the equilibria, such as the default ``enumerate`` output,
 builds no record. A basis
 (ParametricBasis) is one row mask, P label l as bit l and Q label l as bit
@@ -269,7 +271,7 @@ class _Line:
         """(s, o, d) of vertex k, with d > 0."""
         got = self._ints.get(k)
         if got is None:
-            key, den, num, pay_den = self.graph.vertices[k]._integers
+            key, den, num, pay_den = self.graph.node(k)._integers
             scale = self.scale
             got = self._ints[k] = (
                 sum(map(mul, self.w, key)) * (pay_den // den),
@@ -365,21 +367,22 @@ def _least(fractions) -> tuple[tuple[int, int] | None, list]:
 class _Walk:
     """The two vertex walks of a sweep, over the vertex graphs p of P and q
     of Q, each stepped by its side's ``_Line``; P vertices and Q vertices
-    are named by their indices. Every decision is made on integers: each P
-    vertex's crossings and each Q edge's slope and ends are computed once,
-    as fractions num / den compared by cross-multiplication, and each basis
-    is an integer ``span``, which carries the memo tuples of its P vertex
-    and its Q edge. The walk builds no rational but the c^T y of a vertex
-    it reports stalled at; the records are built from the spans alone
-    (``_records``), so the trace need not keep the walk."""
+    are named by their indices, and read through ``node(k)``. Every
+    decision is made on integers: each P vertex's crossings
+    (``_p_bounds``) and each Q edge's slope and ends (``_q_edge``) are
+    fractions num / den compared by cross-multiplication, computed once
+    without a memo, as neither walk returns: a P step reaches a neighbour
+    of greater b^T x, and a Q step an edge of greater c^T y. Each basis is
+    an integer ``span``, which carries the tuples of its P vertex and its Q
+    edge. The walk builds no rational but the c^T y of a vertex it reports
+    stalled at; the records are built from the spans alone (``_records``),
+    so the trace need not keep the walk."""
 
     def __init__(self, g: BimatrixGame, f: RankOneFactorization, p, q):
         self.m, self.n = g.m, g.n
         self.p, self.q = p, q
         self.px = _Line(p, f.b)  # (b^T x, pi2): slope and offset of a P line
         self.qy = _Line(q, f.c)  # (c^T y, pi1) at a Q vertex
-        self._bounds: dict[int, tuple] = {}
-        self._edges: dict[tuple[int, int], tuple] = {}
 
     def start(self, xi: Rational) -> tuple[int, int, int]:
         """(P vertex, Q edge ends lo, hi) of the first basis, optimal at
@@ -392,12 +395,12 @@ class _Walk:
         raises pi1. Labels are decoded only to break a tie, as sorted label
         lists do not order like masks.
         """
-        pv, qv = self.p.vertices, self.q.vertices
+        p, q = self.p, self.q
         face = self._p_face(xi)
         if len(face) == 1:
             (k,) = face
         else:
-            k = min(face, key=lambda k: sorted(pv[k].labels))
+            k = min(face, key=lambda k: sorted(p.node(k).labels))
         edges = []
         for a in self._q_face(xi):
             slope, ties, _ = self.qy.up(a)
@@ -406,7 +409,7 @@ class _Walk:
         if not ups:
             raise InternalInvariantError(f"no edge of Q meets c^T y = {xi}")
         if len(ups) > 1:
-            ups.sort(key=lambda e: sorted(_label_set(qv[e[0]].mask & qv[e[1]].mask)))
+            ups.sort(key=lambda e: sorted(q.node(e[0]).labels & q.node(e[1]).labels))
         return k, *ups[0]
 
     def one_point(self, xi: Rational) -> tuple[LabeledVertex, LabeledVertex]:
@@ -425,7 +428,7 @@ class _Walk:
                 raise DegenerateGame(
                     f"{which} has {len(face)} payoff-minimizing vertices"
                 )
-        return tuple(graph.vertices[k] for _, graph, (k,) in sides)
+        return tuple(graph.node(k) for _, graph, (k,) in sides)
 
     def _p_face(self, xi: Rational) -> set[int]:
         """The P vertices of greatest value xi b^T x - pi2 at xi."""
@@ -453,48 +456,39 @@ class _Walk:
         xi is the slope of the chord from k's point (b^T x, pi2) to j's, and
         is steeper when that chord's b^T x increases, so the crossings are
         ``px.up(k)``'s chords."""
-        got = self._bounds.get(k)
-        if got is None:
-            hi, ties, lo = self.px.up(k)
-            got = self._bounds[k] = (
-                None if lo is None else (-lo[0], lo[1]),
-                hi,
-                min(ties)[0] if ties else None,
-                self.p.vertices[k],
-            )
-        return got
+        hi, ties, lo = self.px.up(k)
+        return (
+            None if lo is None else (-lo[0], lo[1]),
+            hi,
+            min(ties)[0] if ties else None,
+            self.p.node(k),
+        )
 
     def _q_edge(self, lo: int, hi: int) -> tuple:
         """(the mask of the labels kept, pi1 slope, pi1 at xi = 0, the label
         hi adds, c^T y at lo and at hi, vertex lo, vertex hi) of the Q edge
         from lo to hi, each number as (num, den) with den > 0."""
-        got = self._edges.get((lo, hi))
-        if got is None:
-            v_lo, v_hi = self.q.vertices[lo], self.q.vertices[hi]
-            shared = v_lo.mask & v_hi.mask
-            added = (v_hi.mask ^ shared).bit_length() - 1
-            # pi1 grows num / den per unit of c^T y, and den > 0
-            num, den = slope = self.qy.chord(lo, hi)
-            s, o, d = self.qy.ints(lo)
-            # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
-            at0 = (o * den - s * num, d * den)
-            hs, _, hd = self.qy.ints(hi)
-            got = self._edges[lo, hi] = (
-                shared, slope, at0, added, (s, d), (hs, hd), v_lo, v_hi
-            )
-        return got
+        v_lo, v_hi = self.q.node(lo), self.q.node(hi)
+        shared = v_lo.mask & v_hi.mask
+        added = (v_hi.mask ^ shared).bit_length() - 1
+        # pi1 grows num / den per unit of c^T y, and den > 0
+        num, den = slope = self.qy.chord(lo, hi)
+        s, o, d = self.qy.ints(lo)
+        # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
+        at0 = (o * den - s * num, d * den)
+        hs, _, hd = self.qy.ints(hi)
+        return shared, slope, at0, added, (s, d), (hs, hd), v_lo, v_hi
 
-    def span(self, k: int, lo: int, hi: int) -> tuple:
-        """The sweep's integer record of the basis pairing P vertex k with Q
-        edge (lo, hi): (row mask, xi1, xi2, case, c0, c1, P bounds, Q edge),
+    def span(self, k: int, bounds: tuple, edge: tuple) -> tuple:
+        """The sweep's integer record of the basis pairing P vertex k, whose
+        ``_p_bounds`` tuple is ``bounds``, with the Q edge whose ``_q_edge``
+        tuple is ``edge``: (row mask, xi1, xi2, case, c0, c1, bounds, edge),
         with xi1 = max(c^T y at lo, p_lo), xi2 = min(alpha2, beta2),
         ``case`` the breakpoint at xi2, c0 + c1 xi the objective, each
-        number as (num, den) with den > 0, and the ``_p_bounds`` and
-        ``_q_edge`` tuples it read, which carry the rest of what the
-        interval's record reports. ValueError when the mask does not hold m
-        P-side and n-1 Q-side rows."""
+        number as (num, den) with den > 0; the two tuples carry the rest of
+        what the interval's record reports. ValueError when the mask does
+        not hold m P-side and n-1 Q-side rows."""
         m, n = self.m, self.n
-        bounds, edge = self._p_bounds(k), self._q_edge(lo, hi)
         p_lo, beta2, _, vertex = bounds
         shared, (sn, sd), (an, ad), _, c_lo, c_hi, _, _ = edge
         s, o, d = self.px.ints(k)  # b^T x = s / d, pi2 = o / d
@@ -535,11 +529,10 @@ class BreakpointRecord(Record):
     entering: int
 
 
-def _records(m: int, n: int, spans: list) -> tuple:
+def _records(m: int, n: int, spans: list, rats: dict) -> tuple:
     """(intervals, breakpoints) of the sweep that visited ``spans``
     (``_Walk.span``), each distinct (num, den) pair built as a rational
-    once."""
-    rats: dict[tuple[int, int], Rational] = {}
+    once: ``rats`` holds those the sweep built, and gains the rest."""
 
     def r(pair: tuple[int, int]) -> Rational:
         got = rats.get(pair)
@@ -605,8 +598,9 @@ class SweepTrace(Record):
     equilibria: tuple[EquilibriumPoint, ...]
 
     @classmethod
-    def _of_spans(cls, g, f, xi_min, xi_max, spans, equilibria) -> "SweepTrace":
-        """The trace of a general sweep, its records built on first read."""
+    def _of_spans(cls, g, f, xi_min, xi_max, spans, rats, eqs) -> "SweepTrace":
+        """The trace of a general sweep, its records built on first read,
+        with ``rats`` the rationals the sweep built, by (num, den) pair."""
         t = cls.__new__(cls)
         t.__dict__.update(
             game=g,
@@ -614,8 +608,8 @@ class SweepTrace(Record):
             dispatch="general",
             xi_min=xi_min,
             xi_max=xi_max,
-            equilibria=equilibria,
-            _pending=(g.m, g.n, spans),
+            equilibria=eqs,
+            _pending=(g.m, g.n, spans, rats),
         )
         return t
 
@@ -671,14 +665,20 @@ def enumerate_all(
         return SweepTrace(g, f, dispatch, lo, lo, (), (), (eq,))
 
     k, q_lo, q_hi = walk.start(lo)
-    pv, qv = p.vertices, q.vertices
     hn, hd = _ints(hi)
-    span = walk.span(k, q_lo, q_hi)
+    # a P step reaches a greater b^T x and a Q step an edge of greater c^T y,
+    # so neither walk returns: each vertex's bounds and each edge are read
+    # once, when the walk steps to them
+    bounds, edge = walk._p_bounds(k), walk._q_edge(q_lo, q_hi)
+    span = walk.span(k, bounds, edge)
     # each equilibrium by its (P vertex, Q vertex) pair, first sighting kept
     found: dict[tuple[int, int], EquilibriumPoint] = {}
     spans: dict[int, tuple] = {}  # the span of each basis, by its row mask
+    # each source_xi by the raw (num, den) pair of its Q vertex's c^T y, the
+    # records' memo too
+    rats: dict[tuple[int, int], Rational] = {}
     while True:
-        rows, xi1, xi2, case, c0, c1, bounds, edge = span
+        rows, xi1, xi2, case, c0, c1, _, _ = span
         if rows in spans:
             raise Stalled(f"basis {_rows(rows)} revisited; sweep is cycling")
         spans[rows] = span
@@ -686,8 +686,10 @@ def enumerate_all(
             end = _q_end(edge[4:6], xi)
             key = k, (q_lo, q_hi)[end]
             if key not in found:
+                pair = edge[4 + end]
+                source_xi = rats[pair] = rat(*pair)
                 found[key] = _equilibrium(
-                    p.payoffs, pv[k], qv[key[1]], source_xi=rat(*edge[4 + end])
+                    p.payoffs, bounds[3], edge[6 + end], source_xi=source_xi
                 )
         if xi2[0] * hd >= hn * xi2[1]:  # xi2 >= xi_max
             break
@@ -696,22 +698,23 @@ def enumerate_all(
         # the dropped label
         if case == "Optimality":
             k = p.near(k)[bounds[2]]
+            bounds = walk._p_bounds(k)
         else:
             q_lo, q_hi = q_hi, walk.next_edge(q_hi)
-        span = walk.span(k, q_lo, q_hi)
+            edge = walk._q_edge(q_lo, q_hi)
+        span = walk.span(k, bounds, edge)
         # the next basis's own interval certifies the step: it holds xi2
         (n1, d1), (n2, d2), (xn, xd) = span[1], span[2], xi2
         if n1 * xd > xn * d1 or xn * d2 > n2 * xd:
             raise Stalled(f"no verifiable pivot at xi = {rat(xn, xd)}")
 
     def before(a: tuple, b: tuple) -> int:
-        # EquilibriumPoint.key's order: x, then y, on the vertices' integers
-        return _point_order(pv[a[0]]._integers, pv[b[0]]._integers) or _point_order(
-            qv[a[1]]._integers, qv[b[1]]._integers
-        )
+        # EquilibriumPoint.key's order, on the P vertices' integers: in a
+        # non-degenerate game no two equilibria share x
+        return _point_order(p.node(a[0])._integers, p.node(b[0])._integers)
 
     eqs = tuple(found[pair] for pair in sorted(found, key=cmp_to_key(before)))
-    return SweepTrace._of_spans(g, f, lo, hi, list(spans.values()), eqs)
+    return SweepTrace._of_spans(g, f, lo, hi, list(spans.values()), rats, eqs)
 
 
 class TraceRow(Record):

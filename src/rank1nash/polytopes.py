@@ -365,16 +365,16 @@ class VertexGraph(Record):
     the graph: nothing is cached between calls.
 
     Its readers use the interface in two tiers. The sweep, ``lh_run`` and
-    the Lemke-Howson paths read a graph node by node, through
-    ``vertices[k]``, ``node(k)``, ``near(k)``, ``origin``, ``origin_index``,
-    ``labels``, ``full`` and ``payoffs`` alone: they never count the nodes
-    or iterate over them, and their outputs do not depend on the numbering,
-    so a graph that numbers its nodes as it discovers them serves them as
-    well. The check (``require_nondegenerate``), the label method and
-    ``reachability`` (through ``_labeled_equilibria``) and G'
-    (``gprime_components``) also read the whole vertex list, ``at`` and
-    ``edges_of``, and the order of their outputs is the vertices' point
-    order.
+    the Lemke-Howson paths read a graph node by node, through ``node(k)``,
+    ``near(k)``, ``origin_index``, ``labels``, ``full`` and ``payoffs``
+    alone: they reach every node, the origin included, through ``node(k)``,
+    never count the nodes or iterate over them, and their outputs do not
+    depend on the numbering, so a graph that numbers its nodes as it
+    discovers them serves them as well. The check
+    (``require_nondegenerate``), the label method and ``reachability``
+    (through ``_labeled_equilibria``) and G' (``gprime_components``) also
+    read ``vertices``, ``origin``, ``at`` and ``edges_of``, and the order of
+    their outputs is the vertices' point order.
     """
 
     vertices: tuple[LabeledVertex, ...]
@@ -386,14 +386,12 @@ class VertexGraph(Record):
 
     def __post_init__(self):
         # origin_index is the origin's node number, V: a step to it is a
-        # ray of P or Q; full is the mask of every label, 1..m+n
+        # ray of P or Q; full is the mask of every label, 1..m+n; node(k)
+        # is vertex k, or the origin when k is V, a lookup in one tuple
         self.__dict__.update(
             origin_index=len(self.vertices), full=_mask(self.labels), _near={}
         )
-
-    def node(self, k: int) -> LabeledVertex:
-        """Vertex k, or the origin when k is V."""
-        return self.origin if k == self.origin_index else self.vertices[k]
+        self.__dict__["node"] = (*self.vertices, self.origin).__getitem__
 
     def __getattr__(self, name):
         # reached only when ``name`` is not set: ``at``, built on first read

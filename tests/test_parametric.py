@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 from pathlib import Path
@@ -366,10 +368,11 @@ def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
     # past the check the sweep builds a rational only for a value the trace
     # reports. Before the records are read that is each equilibrium's
     # source_xi, the c^T y of its Q vertex: 11 on kt6. Reading them builds
-    # each distinct (num, den) pair the records report once, from one memo:
-    # the c^T y of the 11 Q vertices visited, the 10 crossings of P lines
-    # that bound an interval, and the 24 distinct objective coefficients
-    # (20 pairs c0 and 4 pairs c1 over the 20 intervals): 11 + 45 in all.
+    # each distinct (num, den) pair the records report once, from one memo
+    # that already holds the source_xi: the 10 crossings of P lines that
+    # bound an interval and the 24 distinct objective coefficients (20 pairs
+    # c0 and 4 pairs c1 over the 20 intervals). The c^T y of the 11 Q
+    # vertices visited are the 11 source_xi, so 11 + 34 = 45 in all.
     built = []
     original = parametric.rat
 
@@ -383,10 +386,10 @@ def test_sweep_builds_rationals_of_reported_values_only(monkeypatch):
     q_vertices = {w for iv in tr.intervals for w in iv.q_edge}
     p_vertices = {iv.p_vertex for iv in tr.intervals}
     assert (len(tr.intervals), len(p_vertices), len(q_vertices)) == (20, 11, 11)
-    assert len(built) == 56
-    assert len(set(built[11:])) == 45  # no pair built twice
+    assert len(built) == 45
+    assert len(set(built)) == 45  # no pair built twice
     tr.breakpoints, sweep_table(tr), repr(tr)
-    assert len(built) == 56
+    assert len(built) == 45
 
 
 @pytest.mark.parametrize(
@@ -474,6 +477,28 @@ def test_unread_trace_holds_no_vertex_graph(g, monkeypatch):
     now.intervals
     # == and repr read every field, the records among them
     assert tr == now and repr(tr) == repr(now)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_kt(6), _fractional_rank1_game(random.Random(3625), 5, 5, 10**6, 10**3)],
+    ids=["kt6", "fractional-5x5"],
+)
+def test_lazy_attributes_survive_copy_and_pickle(g):
+    # copy, deepcopy, pickle and hasattr look up names a trace or a graph
+    # does not set, such as __deepcopy__ and __setstate__, and need the
+    # __getattr__ that builds the records, or a graph's ``at``, on first
+    # read to raise AttributeError for every other name
+    now = enumerate_all(g)
+    now.intervals
+    for copied in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+        tr = copied(enumerate_all(g))
+        assert tr == now and repr(tr) == repr(now)
+    assert not hasattr(enumerate_all(g), "nope")
+    for graph in require_nondegenerate(g):
+        back = pickle.loads(pickle.dumps(graph))
+        assert back.at == graph.at and back.near(0) == graph.near(0)
+        assert not hasattr(graph, "nope")
 
 
 def _full_scan_start(p, q, f):

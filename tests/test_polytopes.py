@@ -985,24 +985,11 @@ def test_one_side_walk_memory_is_bounded():
     assert peak < 3 * 2**20, peak
 
 
-class _Vertices:
-    """``vertices[k]`` alone: no len and no iteration. Without ``__iter__ =
-    None``, ``iter`` and ``in`` would fall back on ``__getitem__``."""
-
-    __iter__ = None
-
-    def __init__(self, get):
-        self._get = get
-
-    def __getitem__(self, k):
-        return self._get(k)
-
-
 class _Discovered:
     """The first tier of an eager ``VertexGraph``'s interface (see its
     docstring) and nothing else, with the nodes numbered breadth first from
     the origin, as a graph that discovers its nodes would number them: the
-    origin is node 0, not V, and ``vertices`` cannot report its length."""
+    origin is node 0, not V, and there is no vertex list to count."""
 
     def __init__(self, graph):
         old = [graph.origin_index]  # the eager number of each node, in order
@@ -1013,14 +1000,8 @@ class _Discovered:
                     new[j] = len(old)
                     old.append(j)
         self._graph, self._old, self._new = graph, old, new
-        self.origin, self.origin_index = graph.origin, 0
+        self.origin_index = 0
         self.labels, self.full, self.payoffs = graph.labels, graph.full, graph.payoffs
-        self.vertices = _Vertices(self._vertex)
-
-    def _vertex(self, k):
-        if k <= 0:
-            raise IndexError(f"node {k} is not a vertex")
-        return self._graph.vertices[self._old[k]]
 
     def node(self, k):
         return self._graph.node(self._old[k])
