@@ -11,7 +11,18 @@ from pathlib import Path
 import pytest
 
 from rank1nash import (
+    DegenerateGame,
+    FactorizationMismatch,
+    GameFileError,
     InternalInvariantError,
+    NonPositiveScale,
+    NotFullRank,
+    NotRankOne,
+    NotRowConstant,
+    Rank1NashError,
+    SingularMatrix,
+    Stalled,
+    cli,
     equilibria_by_labels,
     format_game,
     games,
@@ -156,6 +167,49 @@ def test_failed_equilibrium_check_exits_5(demo_path, unreach_path, monkeypatch, 
     ):
         assert main(args) == 5, args
         assert "InternalInvariantError" in capsys.readouterr().err
+
+
+def _package_errors(cls=Rank1NashError):
+    """Every subclass of cls, however deep."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+PRECONDITIONS = (
+    NotRankOne,
+    NotFullRank,
+    NotRowConstant,
+    NonPositiveScale,
+    FactorizationMismatch,
+)
+INTERNAL = (SingularMatrix, Stalled, InternalInvariantError)
+# each package error's exit code and stderr prefix; ValueError, which no
+# package class is, reads as a violated precondition
+EXIT_CODES = [
+    (DegenerateGame, 2, "degenerate game: "),
+    (GameFileError, 3, "error: "),
+    *((cls, 4, "error: ") for cls in PRECONDITIONS),
+    *((cls, 5, f"internal error: {cls.__name__}: ") for cls in INTERNAL),
+    (ValueError, 4, "error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, rc, prefix", EXIT_CODES, ids=[cls.__name__ for cls, _, _ in EXIT_CODES]
+)
+def test_each_error_class_exits_with_its_code(
+    demo_path, monkeypatch, capsys, cls, rc, prefix
+):
+    # a class added to the package fails here until its code is in the table
+    assert {c for c, _, _ in EXIT_CODES} - {ValueError} == set(_package_errors())
+
+    def fail(g, args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_rank", fail)
+    assert main(["rank", demo_path]) == rc
+    assert capsys.readouterr() == ("", prefix + "boom\n")
 
 
 def test_oracle_and_labels(demo_path, capsys):
