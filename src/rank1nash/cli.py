@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 degenerate game detected, 3 parse error (game file
 or argument syntax), 4 precondition violation (wrong rank, bad factors, out
 of range indices), 5 internal error (a solver state or result that the
 mathematics rules out on valid input, e.g. a reported equilibrium failing
-the Nash check; a bug to report).
+the Nash check; a bug to report). Each error class of the package names its
+code as ``exit_code`` (see ``errors``); `main` returns it and prints the
+message after the code's prefix.
 
 Every game command is a `cmd_x(g, args)` of the loaded game and the parsed
 arguments. It returns its exit code, its JSON object and its text lines;
@@ -18,16 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    DegenerateGame,
-    FactorizationMismatch,
-    GameFileError,
-    NonPositiveScale,
-    NotFullRank,
-    NotRankOne,
-    NotRowConstant,
-    Rank1NashError,
-)
+from .errors import GameFileError, Rank1NashError
 from .gamefile import format_game, load_game, parse_entry
 from .games import (
     RankOneFactorization,
@@ -330,26 +323,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 3
     try:
         return args.func(args)
-    except GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateGame as exc:
-        print(f"degenerate game: {exc}", file=sys.stderr)
-        return 2
-    except (
-        NotRankOne,
-        NotFullRank,
-        NotRowConstant,
-        FactorizationMismatch,
-        NonPositiveScale,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Rank1NashError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+    except (Rank1NashError, ValueError) as exc:
+        # each package error names its code; a ValueError, which the library
+        # raises for an argument out of range, is a violated precondition
+        code = getattr(exc, "exit_code", 4)
+        prefix = {2: "degenerate game", 5: f"internal error: {type(exc).__name__}"}
+        print(f"{prefix.get(code, 'error')}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # pragma: no cover - runs only as python -m rank1nash.cli

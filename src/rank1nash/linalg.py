@@ -26,7 +26,7 @@ from .record import Record
 try:
     from gmpy2 import mpq as _Q
 
-    HAVE_GMPY2 = True
+    HAVE_GMPY2 = True  # pragma: no cover - runs only where gmpy2 is installed
 except ImportError:  # pragma: no cover - exercised only where gmpy2 is absent
     _Q = Fraction
     HAVE_GMPY2 = False

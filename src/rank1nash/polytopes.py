@@ -252,7 +252,9 @@ def _point_order(a: tuple, b: tuple) -> int:
         diff = x * sb - y * sa
         if diff:
             return diff
-    return 0
+    # no caller compares two equal points: the vertices of a graph have
+    # distinct keys, and the sweep orders equilibria of distinct P vertices
+    return 0  # pragma: no cover
 
 
 def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":

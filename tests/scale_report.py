@@ -9,8 +9,9 @@ large random games.
     PYTHONPATH=src python tests/scale_report.py --kt --d 8 --method labels
 
 The check (``require_nondegenerate``: the vertex walk of P and of Q, the
-sort and the label count) runs once on ``conftest.baseline_game(d, seed)``,
-the random rank-1 d x d game with payoffs in -9999..9999. With ``--method``
+sort and the label count; a symmetric game, A = B^T, walks P' alone and
+relabels it for Q) runs once on ``conftest.baseline_game(d, seed)``, the
+random rank-1 d x d game with payoffs in -9999..9999. With ``--method``
 other than ``check`` (labels, lh_all, gprime or enumerate), one cold call of
 that library method follows the check in the same process and is timed on
 its own; it runs its own check, as every public call does. One row prints
@@ -25,8 +26,9 @@ at a time, and prints a Markdown table. Run it with another checkout's
 this file.
 
 With ``--kt`` the game is ``generate_kt(d)`` instead, and ``--seed`` is
-not read. Those games are small, so each time is the median of 5 calls in
-one process, the first of them cold, and the table prints milliseconds;
+not read. Every kt game is symmetric, so its check walks one polytope.
+Those games are small, so each time is the median of 5 calls in one
+process, the first of them cold, and the table prints milliseconds;
 without ``--d`` it runs kt4..kt12.
 """
 

@@ -142,6 +142,34 @@ def test_walk_rejects_a_pair_met_twice():
     assert str(info.value) == "node pair (0, 2) revisited; path is cycling"
 
 
+@pytest.mark.parametrize(
+    "origin_moves, message",
+    [
+        # P's origin carries labels 1 and 2 but has no step across label 1
+        ({}, "pivot on label 1: node 1 lacks it"),
+        # dropping label 1, P's origin steps to a vertex that shares labels 3
+        # and 4 with Q's origin, where a pair on a path shares exactly one
+        ({1: 0}, "path pair duplicates labels [3, 4], not exactly one"),
+    ],
+)
+def test_walk_rejects_a_step_the_graphs_rule_out(origin_moves, message):
+    p = _HandBuilt([{3, 4}, {1, 2}], [{}, origin_moves])
+    q = _HandBuilt([{3, 4}], [{}])
+    with pytest.raises(InternalInvariantError) as info:
+        lemke_howson._walk(p, q, 1)
+    assert str(info.value) == message
+
+
+def test_reachability_rejects_a_terminal_that_is_no_equilibrium(monkeypatch):
+    # every path ends at a completely labeled pair, one of the equilibria
+    # the pair scan lists; with that list emptied, a terminal must raise
+    # rather than be reported
+    monkeypatch.setattr(lemke_howson, "_labeled_equilibria", lambda p, q: {})
+    with pytest.raises(InternalInvariantError) as info:
+        reachability(generate_kt(3))
+    assert str(info.value) == "terminal pair is not a completely labeled pair"
+
+
 def test_all_drops_miss_the_mixed_equilibrium(unreach22):
     rep = reachability(unreach22)
     assert len(rep.paths) == 4

@@ -676,6 +676,32 @@ def test_sweep_decodes_labels_for_the_records_and_ties_only(monkeypatch):
         assert start == _full_scan_start(p, q, f)
 
 
+def test_start_at_the_top_of_the_range_finds_no_q_edge():
+    # the start leaves the slice of Q at xi by an edge on which c^T y grows;
+    # at xi = max(c) no point of Q has a greater c^T y, so no edge leaves
+    # the slice and the start must raise rather than return
+    g = generate_kt(3)
+    f = factor_rank1(g)
+    walk = parametric._Walk(g, f, *require_nondegenerate(g))
+    with pytest.raises(InternalInvariantError) as info:
+        walk.start(max(f.c))
+    assert str(info.value) == "no edge of Q meets c^T y = 12"
+
+
+def test_one_point_refuses_an_optimal_face_of_two_vertices():
+    # the public API cannot reach this raise: with c constant the game is
+    # strategically zero-sum, so a non-degenerate game has one equilibrium,
+    # one optimal vertex a side. Here P's face is patched to two vertices
+    g = generate_kt(3)
+    f = factor_rank1(g)
+    walk = parametric._Walk(g, f, *require_nondegenerate(g))
+    walk._p_face = lambda xi: {0, 1}
+    with pytest.raises(DegenerateGame) as info:
+        walk.one_point(min(f.c))
+    assert str(info.value) == "P has 2 payoff-minimizing vertices"
+    assert info.value.witness is None
+
+
 def test_advance_chain(kt2_trace):
     ivs = kt2_trace.intervals
     assert [iv.basis.rows for iv in ivs] == [(2, 3, 5), (3, 4, 5), (3, 4, 6), (1, 4, 6)]
