@@ -67,10 +67,19 @@ visited, the parent's dictionary and the pivot's row and column, so
 siblings share one dictionary and a dictionary lives only while a child of
 it waits. It hands each basis over as its own state (basis, cobasis,
 dictionary, det) and tries the entering variables in dictionary order. A
-basis is known by its mask, the bits of its variables. The walk also
-records every ratio-test step it takes, and in a non-degenerate game, where
-each basis is one vertex and each step is one edge, that record is the
-vertex graph: ``VertexGraph`` reads it node by node, on first use, and
+basis is known by its mask, the bits of its variables. The walk tests each
+edge once. When a basis whose basic variables are all positive steps to a
+basis not yet visited, entering e and leaving l, the far basis settles the
+reverse step, entering l and leaving e, without a ratio test: raising l
+there retraces the edge, its other basic variables are basic and positive
+at the near end, so they leave only past it, and the test would pick e's
+row alone. A basis whose steps are all settled has no unseen neighbour, so
+it is no parent, and its pivot computes the right-hand side alone, the one
+column a caller reads (``linalg._pivot_rhs``). A basis with a basic
+variable at zero settles nothing, so its steps are tested from both ends.
+The walk records every step out of each basis, and in a non-degenerate
+game, where each basis is one vertex and each step is one edge, that record
+is the vertex graph: ``VertexGraph`` reads it node by node, on first use, and
 finds the node a step reaches by its label mask. Its nodes are the
 vertices and its ``origin``, the walk's first basis, which is a
 ``LabeledVertex`` with no point: the origin is not a strategy.
@@ -98,7 +107,7 @@ from .games import (
     MixedStrategyPair,
     _integer_nash_test,
 )
-from .linalg import Rational, _pivot, rat
+from .linalg import Rational, _pivot, _pivot_rhs, rat
 from .record import Record
 
 
@@ -214,32 +223,62 @@ def _feasible_bases(start: list[list[int]], steps: list):
     dictionary order, column by column. A tie in the ratio test branches to
     every tied row, so degenerate vertices are reached through all of their
     bases. The walk appends to ``steps``, for each basis in the order
-    yielded, the ratio-test steps out of that basis as one flat list of
-    pairs: the variable entering, then the variable leaving.
+    yielded, the steps out of that basis as one flat list of pairs: the
+    variable entering, then the variable leaving.
+
+    In a non-degenerate polytope each edge is ratio-tested once, from the
+    end visited first. ``known`` maps each basis found to its *settled*
+    steps, entering variable to leaving variable, until the basis is
+    visited. When a basis B whose basic variables are all positive steps,
+    e entering and l leaving, to a basis B' not yet visited, B' gets the
+    settled step l entering, e leaving: raising l from B' retraces the edge
+    back to B, where e is 0. Every other basic variable of B' is basic at B
+    too, and positive there, so it reaches 0 only past B, at a ratio
+    strictly above that of e's row, whose entry in l's column is det_B > 0.
+    So the ratio test would pick e's row alone, even where the test from B
+    tied. When B' is visited, it appends its settled steps in column order
+    with the others and ratio-tests only its other columns, as it would
+    without the rule, so the bases, their order, the steps and the
+    branching on ties are unchanged. A settled step leads to a visited
+    basis, so a basis whose d steps are all settled has no unseen neighbour
+    and is never a parent: only its right-hand side is read, and it is
+    pivoted and yielded as that column alone, one entry per row. At a basis
+    with a basic variable at zero the argument fails, so its steps settle
+    nothing, and each is ratio-tested from both ends.
     """
     k, d = len(start), len(start[0]) - 1
     mask = ((1 << k) - 1) << d
-    seen = {mask}
+    # each basis found, by mask: its settled steps until visited, then None
+    known: dict[int, dict[int, int] | None] = {mask: {}}
     origin = (list(range(d, d + k)), list(range(d)), start, 1)
     stack = [(origin, None, None, mask)]
     while stack:
         state, r, col, mask = stack.pop()
+        settled, known[mask] = known[mask], None
         if r is not None:  # pivot the parent's dictionary into this basis
             basis, cobasis, dic, det = state
             nxt, co = basis.copy(), cobasis.copy()
             nxt[r], co[col] = cobasis[col], basis[r]
-            state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
+            pivot = _pivot_rhs if len(settled) == d else _pivot
+            state = (nxt, co, pivot(dic, r, col, det), dic[r][col])
         yield state
         basis, cobasis, dic, det = state
+        positive = all(row[-1] for row in dic)
         out = []
         for col, enter in enumerate(cobasis):
+            if enter in settled:
+                out += enter, settled[enter]
+                continue
             for r in _ratio_test(dic, col):
                 leave = basis[r]
                 out += enter, leave
                 nxt = mask ^ 1 << enter ^ 1 << leave
-                if nxt not in seen:
-                    seen.add(nxt)
+                far = known.get(nxt, False)
+                if far is False:
+                    far = known[nxt] = {}
                     stack.append((state, r, col, nxt))
+                if positive and far is not None:
+                    far[leave] = enter
         steps.append(out)
 
 

@@ -42,8 +42,8 @@ from rank1nash import (
     reachability,
     require_nondegenerate,
 )
-from rank1nash.linalg import _pivot, clear_rows, solve, vdot
-from rank1nash.polytopes import _feasible_bases
+from rank1nash.linalg import _pivot, _pivot_rhs, clear_rows, solve, vdot
+from rank1nash.polytopes import _feasible_bases, _ratio_test
 
 
 def _positive_integer_rows(rows):
@@ -292,6 +292,137 @@ def test_pivot_rejects_inexact_division():
         _pivot([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
 
 
+def test_pivot_rhs_rejects_inexact_division():
+    with pytest.raises(InternalInvariantError):
+        _pivot_rhs([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
+
+
+def _reference_walk(start, steps):
+    """Reference: the walk that ratio-tests every column of every basis and
+    pivots every dictionary whole, keeping the set of the bases seen."""
+    k, d = len(start), len(start[0]) - 1
+    mask = ((1 << k) - 1) << d
+    seen = {mask}
+    origin = (list(range(d, d + k)), list(range(d)), start, 1)
+    stack = [(origin, None, None, mask)]
+    while stack:
+        state, r, col, mask = stack.pop()
+        if r is not None:
+            basis, cobasis, dic, det = state
+            nxt, co = basis.copy(), cobasis.copy()
+            nxt[r], co[col] = cobasis[col], basis[r]
+            state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
+        yield state
+        basis, cobasis, dic, det = state
+        out = []
+        for col, enter in enumerate(cobasis):
+            for r in _ratio_test(dic, col):
+                leave = basis[r]
+                out += enter, leave
+                nxt = mask ^ 1 << enter ^ 1 << leave
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((state, r, col, nxt))
+        steps.append(out)
+
+
+def _assert_walk_is_reference(start):
+    """The walk yields the reference's bases in its order, with the same
+    cobases, right-hand sides and det, and appends the same steps."""
+    walks = []
+    for walk in (_feasible_bases, _reference_walk):
+        steps = []
+        bases = [
+            (basis, cobasis, [row[-1] for row in dic], det)
+            for basis, cobasis, dic, det in walk(start, steps)
+        ]
+        walks.append((bases, steps))
+    assert walks[0] == walks[1], start
+
+
+def _walk_starts(g):
+    """The origin's dictionary of each walk the vertex graphs of g take."""
+    starts = []
+
+    def kept(start, steps):
+        starts.append(start)
+        return _feasible_bases(start, steps)
+
+    payoffs = IntegerPayoffs.of(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_feasible_bases", kept)
+        for which in ("P", "Q"):
+            polytopes._vertex_graph(payoffs, which)
+    return starts
+
+
+def test_walk_matches_the_reference_walk():
+    # a step settled at its far end skips that end's ratio test, and a basis
+    # whose steps are all settled pivots its right-hand side alone; neither
+    # changes a basis, its order, its right-hand side or a step
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    games.append(_bigrat_game(random.Random(1), 5, 5))
+    starts = [start for g in games for start in _walk_starts(g)]
+    starts += [[row + [1] for row in mat] for mat in _tied_matrices()]
+    for start in starts:
+        _assert_walk_is_reference(start)
+
+
+@st.composite
+def integer_games(draw, bound):
+    """Games of 1..5 x 1..5 with integer payoffs in -bound..bound."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-bound, bound)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    return BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_games(2))
+def test_walk_matches_the_reference_walk_on_draws(g):
+    # payoffs in -2..2: many draws are degenerate and tie the ratio test
+    for start in _walk_starts(g):
+        _assert_walk_is_reference(start)
+
+
+def test_steps_out_of_a_degenerate_basis_are_tested_from_both_ends(monkeypatch):
+    # the triangle's corner (1/3, 1/3) lies on all three lines 2x + y = 1,
+    # x + 2y = 1 and 3x + 3y = 2, so each of its three bases has a basic
+    # variable at zero. Such a basis settles nothing at its neighbours, so
+    # each step it ratio-tests is ratio-tested again at the far end: 3 edges
+    # are tested from both ends, and the walk makes 8 ratio tests for its 7
+    # edges, where the reference tests every column of its 6 bases, 12
+    start = [[2, 1, 1], [1, 2, 1], [3, 3, 2]]
+    _assert_walk_is_reference(start)
+    tested = []  # (basis, entering variable) of each ratio test
+    here = {}
+
+    def counted(dic, col):
+        tested.append((here["basis"], here["cobasis"][col]))
+        return _ratio_test(dic, col)
+
+    monkeypatch.setattr(polytopes, "_ratio_test", counted)
+    bases, steps = [], []
+    for basis, cobasis, dic, _ in _feasible_bases(start, steps):
+        here.update(basis=frozenset(basis), cobasis=cobasis)
+        bases.append((here["basis"], all(row[-1] for row in dic)))
+    zero = {basis for basis, positive in bases if not positive}
+    edges, both = set(), set()
+    for (basis, _), out in zip(bases, steps):
+        it = iter(out)
+        for enter, leave in zip(it, it):
+            far = basis - {leave} | {enter}
+            edge = frozenset((basis, far))
+            edges.add(edge)
+            if (basis, enter) in tested and (far, leave) in tested:
+                both.add(edge)
+            elif basis in zero:
+                assert (basis, enter) not in tested, (basis, enter, leave)
+    assert all(edge & zero for edge in both)
+    assert (len(zero), len(tested), len(edges), len(both)) == (3, 8, 7, 3)
+
+
 def _full_tableau_bases(mat):
     """Reference walk over the full fraction-free tableau [mat | I | 1]:
     every pivot recomputes all d + k columns, basic ones included."""
@@ -429,16 +560,20 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     # the sum of the widths of its rows: a walk that clears each row of a
     # fractional game by the row's own least denominator reads integers of
     # half the width of the reference, which clears the whole matrix by one
-    # scale, on the same 42 pivots over both sides
+    # scale, on the same 42 pivots over both sides: 37 whole and 5 of the
+    # right-hand side alone, at the bases whose steps are all settled
     g = _bigrat_game(random.Random(1), 5, 5)
-    pivots = 0
+    pivots = [0, 0]
 
-    def counted(*args):
-        nonlocal pivots
-        pivots += 1
-        return _pivot(*args)
+    def counted(which, fn):
+        def run(*args):
+            pivots[which] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(polytopes, "_pivot", counted)
+        return run
+
+    monkeypatch.setattr(polytopes, "_pivot", counted(0, _pivot))
+    monkeypatch.setattr(polytopes, "_pivot_rhs", counted(1, _pivot_rhs))
     widths = []
     original = polytopes._feasible_bases
 
@@ -451,13 +586,13 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     payoffs = IntegerPayoffs.of(g)
     for which in ("P", "Q"):
         polytopes._vertex_graph(payoffs, which)
-    assert (max(widths), pivots) == (337, 42)
-    pivots = 0
+    assert (max(widths), pivots) == (337, [37, 5])
+    pivots = [0, 0]
     uniform = max(
         _widest(original([row + [1] for row in _positive_integer_rows(rows)[0]], []))
         for rows in (tuple(zip(*g.B)), g.A)
     )
-    assert (uniform, pivots) == (657, 42)
+    assert (uniform, pivots) == (657, [37, 5])
 
 
 def test_sweep_lines_scale_each_point_by_its_payoff_denominator(monkeypatch):
@@ -724,11 +859,14 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
 
 def test_walk_work_on_kt6(monkeypatch):
     # kt6's P and Q each have 42 feasible bases, the origin and 41 vertices,
-    # and the walk reaches the 41 by one pivot each. kt6 is symmetric, so a
-    # call walks P alone and relabels it as Q. A call clears A and B^T of
-    # denominators once, for its walks, every equilibrium check and, in
-    # enumerate_all, the factorization of A + B
-    counts = {"pivot": 0, "clear_rows": 0}
+    # and the walk reaches the 41 by one pivot each: 6 of them have every
+    # step settled, so they pivot only the right-hand side. Each of the 126
+    # edges is ratio-tested once, where testing every column of every basis
+    # takes 42 * 6 = 252 tests. kt6 is symmetric, so a call walks P alone and
+    # relabels it as Q. A call clears A and B^T of denominators once, for
+    # its walks, every equilibrium check and, in enumerate_all, the
+    # factorization of A + B
+    counts = {"pivot": 0, "pivot_rhs": 0, "ratio_test": 0, "clear_rows": 0}
 
     def counted(name, fn):
         def run(*args):
@@ -738,6 +876,8 @@ def test_walk_work_on_kt6(monkeypatch):
         return run
 
     monkeypatch.setattr(polytopes, "_pivot", counted("pivot", _pivot))
+    monkeypatch.setattr(polytopes, "_pivot_rhs", counted("pivot_rhs", _pivot_rhs))
+    monkeypatch.setattr(polytopes, "_ratio_test", counted("ratio_test", _ratio_test))
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rank1nash":
             if getattr(mod, "clear_rows", None) is clear_rows:
@@ -755,17 +895,21 @@ def test_walk_work_on_kt6(monkeypatch):
         (enumerate_all, 2),
     ]
     for run, clears in runs:
-        counts.update(pivot=0, clear_rows=0)
+        counts.update(pivot=0, pivot_rhs=0, ratio_test=0, clear_rows=0)
         run(g)
-        assert counts == {"pivot": 41, "clear_rows": clears}, run
-    # a game that is not symmetric walks both sides: V_P + V_Q pivots
+        want = {"pivot": 35, "pivot_rhs": 6, "ratio_test": 126, "clear_rows": clears}
+        assert counts == want, run
+    # a game that is not symmetric walks both sides: V_P + V_Q = 44 + 39
+    # pivots, 71 whole and 12 of the right-hand side, and
+    # (V_P + 1 + V_Q + 1) * 6 / 2 ratio tests
     h = random_rank1_game(random.Random(3), 6, 6)
     p, q = require_nondegenerate(h)
     assert (len(p.vertices), len(q.vertices)) == (44, 39)
     for run, clears in runs:
-        counts.update(pivot=0, clear_rows=0)
+        counts.update(pivot=0, pivot_rhs=0, ratio_test=0, clear_rows=0)
         run(h)
-        assert counts == {"pivot": 44 + 39, "clear_rows": clears}, run
+        want = {"pivot": 71, "pivot_rhs": 12, "ratio_test": 255, "clear_rows": clears}
+        assert counts == want, run
 
 
 def _own_walks(g):
@@ -941,18 +1085,8 @@ def test_masks_match_label_sets_on_draws(g):
     _assert_masks_match_label_sets(g)
 
 
-@st.composite
-def wide_games(draw):
-    # payoffs in -50..50: most draws are non-degenerate
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    matrix = st.lists(
-        st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=m, max_size=m
-    )
-    return BimatrixGame.from_payoffs(draw(matrix), draw(matrix))
-
-
 @settings(max_examples=60, deadline=None)
-@given(wide_games())
+@given(integer_games(50))  # most draws are non-degenerate
 def test_neighbours_match_the_label_set_index_on_draws(g):
     _assert_neighbours_match_label_sets(g)
 
