@@ -9,10 +9,9 @@ which backend is active.
 ``_pivot`` is the package's one elimination step: the integer pivot of lrs
 (Avis & Fukuda 1992) on a dictionary scaled by its determinant, whose
 divisions are exact as in Bareiss (1968). The vertex walk of ``polytopes``
-runs it, and ``row_reduce`` builds ``solve`` and ``matrix_rank`` on it.
-``_pivot_rhs`` is the same step on the right-hand-side column alone, for a
-walk basis of which nothing else is read. The oracle keeps its own rational
-elimination, so that it stays an independent check.
+runs it, and ``row_reduce`` builds ``solve`` and ``matrix_rank`` on it. The
+oracle keeps its own rational elimination, so that it stays an independent
+check.
 """
 
 from __future__ import annotations
@@ -104,23 +103,6 @@ def _pivot(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
                 new.append(q)
             new[col] = -f
         out.append(new)
-    return out
-
-
-def _pivot_rhs(dic: list[list[int]], r: int, col: int, det: int) -> list[list[int]]:
-    """The right-hand-side column of ``_pivot(dic, r, col, det)`` alone, as
-    rows of one entry, with the same exact-division check."""
-    prow = dic[r]
-    p, b = prow[col], prow[-1]
-    out = []
-    for i, row in enumerate(dic):
-        if i == r:
-            out.append([b])
-            continue
-        q, rem = divmod(p * row[-1] - row[col] * b, det)
-        if rem:
-            raise InternalInvariantError("integer pivot division not exact")
-        out.append([q])
     return out
 
 

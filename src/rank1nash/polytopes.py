@@ -74,8 +74,8 @@ reverse step, entering l and leaving e, without a ratio test: raising l
 there retraces the edge, its other basic variables are basic and positive
 at the near end, so they leave only past it, and the test would pick e's
 row alone. A basis whose steps are all settled has no unseen neighbour, so
-it is no parent, and its pivot computes the right-hand side alone, the one
-column a caller reads (``linalg._pivot_rhs``). A basis with a basic
+it is no parent, and it pivots only the entering column and the
+right-hand side, the one column a caller reads. A basis with a basic
 variable at zero settles nothing, so its steps are tested from both ends.
 The walk records every step out of each basis, and in a non-degenerate
 game, where each basis is one vertex and each step is one edge, that record
@@ -107,7 +107,7 @@ from .games import (
     MixedStrategyPair,
     _integer_nash_test,
 )
-from .linalg import Rational, _pivot, _pivot_rhs, rat
+from .linalg import Rational, _pivot, rat
 from .record import Record
 
 
@@ -241,10 +241,11 @@ def _feasible_bases(start: list[list[int]], steps: list):
     without the rule, so the bases, their order, the steps and the
     branching on ties are unchanged. A settled step leads to a visited
     basis, so a basis whose d steps are all settled has no unseen neighbour
-    and is never a parent: only its right-hand side is read, and it is
-    pivoted and yielded as that column alone, one entry per row. At a basis
-    with a basic variable at zero the argument fails, so its steps settle
-    nothing, and each is ratio-tested from both ends.
+    and is never a parent: only its right-hand side is read, so ``_pivot``
+    runs on the entering column and the right-hand side alone, and the
+    basis is yielded with rows of those two entries. At a basis with a
+    basic variable at zero the argument fails, so its steps settle nothing,
+    and each is ratio-tested from both ends.
     """
     k, d = len(start), len(start[0]) - 1
     mask = ((1 << k) - 1) << d
@@ -259,8 +260,9 @@ def _feasible_bases(start: list[list[int]], steps: list):
             basis, cobasis, dic, det = state
             nxt, co = basis.copy(), cobasis.copy()
             nxt[r], co[col] = cobasis[col], basis[r]
-            pivot = _pivot_rhs if len(settled) == d else _pivot
-            state = (nxt, co, pivot(dic, r, col, det), dic[r][col])
+            if len(settled) == d:  # no parent: pivot [col, rhs] alone
+                dic, col = [[row[col], row[-1]] for row in dic], 0
+            state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
         yield state
         basis, cobasis, dic, det = state
         positive = all(row[-1] for row in dic)

@@ -42,7 +42,7 @@ from rank1nash import (
     reachability,
     require_nondegenerate,
 )
-from rank1nash.linalg import _pivot, _pivot_rhs, clear_rows, solve, vdot
+from rank1nash.linalg import _pivot, clear_rows, solve, vdot
 from rank1nash.polytopes import _feasible_bases, _ratio_test
 
 
@@ -292,11 +292,6 @@ def test_pivot_rejects_inexact_division():
         _pivot([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
 
 
-def test_pivot_rhs_rejects_inexact_division():
-    with pytest.raises(InternalInvariantError):
-        _pivot_rhs([[2, 1, 1], [1, 1, 1]], 0, 0, 3)
-
-
 def _reference_walk(start, steps):
     """Reference: the walk that ratio-tests every column of every basis and
     pivots every dictionary whole, keeping the set of the bases seen."""
@@ -358,7 +353,7 @@ def _walk_starts(g):
 
 def test_walk_matches_the_reference_walk():
     # a step settled at its far end skips that end's ratio test, and a basis
-    # whose steps are all settled pivots its right-hand side alone; neither
+    # whose steps are all settled pivots two columns, [entering, rhs]; neither
     # changes a basis, its order, its right-hand side or a step
     games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
     games += [generate_kt(d) for d in range(1, 11)]
@@ -561,19 +556,16 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     # fractional game by the row's own least denominator reads integers of
     # half the width of the reference, which clears the whole matrix by one
     # scale, on the same 42 pivots over both sides: 37 whole and 5 of the
-    # right-hand side alone, at the bases whose steps are all settled
+    # entering column and right-hand side alone, at the bases whose steps
+    # are all settled
     g = _bigrat_game(random.Random(1), 5, 5)
     pivots = [0, 0]
 
-    def counted(which, fn):
-        def run(*args):
-            pivots[which] += 1
-            return fn(*args)
+    def counted(dic, *args):
+        pivots[len(dic[0]) == 2] += 1
+        return _pivot(dic, *args)
 
-        return run
-
-    monkeypatch.setattr(polytopes, "_pivot", counted(0, _pivot))
-    monkeypatch.setattr(polytopes, "_pivot_rhs", counted(1, _pivot_rhs))
+    monkeypatch.setattr(polytopes, "_pivot", counted)
     widths = []
     original = polytopes._feasible_bases
 
@@ -860,13 +852,14 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
 def test_walk_work_on_kt6(monkeypatch):
     # kt6's P and Q each have 42 feasible bases, the origin and 41 vertices,
     # and the walk reaches the 41 by one pivot each: 6 of them have every
-    # step settled, so they pivot only the right-hand side. Each of the 126
+    # step settled, so they pivot only the two columns [entering, rhs] of
+    # their parent's dictionary. Each of the 126
     # edges is ratio-tested once, where testing every column of every basis
     # takes 42 * 6 = 252 tests. kt6 is symmetric, so a call walks P alone and
     # relabels it as Q. A call clears A and B^T of denominators once, for
     # its walks, every equilibrium check and, in enumerate_all, the
     # factorization of A + B
-    counts = {"pivot": 0, "pivot_rhs": 0, "ratio_test": 0, "clear_rows": 0}
+    counts = {"pivot": 0, "rhs_pivot": 0, "ratio_test": 0, "clear_rows": 0}
 
     def counted(name, fn):
         def run(*args):
@@ -875,8 +868,11 @@ def test_walk_work_on_kt6(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(polytopes, "_pivot", counted("pivot", _pivot))
-    monkeypatch.setattr(polytopes, "_pivot_rhs", counted("pivot_rhs", _pivot_rhs))
+    def pivot(dic, *args):
+        counts["rhs_pivot" if len(dic[0]) == 2 else "pivot"] += 1
+        return _pivot(dic, *args)
+
+    monkeypatch.setattr(polytopes, "_pivot", pivot)
     monkeypatch.setattr(polytopes, "_ratio_test", counted("ratio_test", _ratio_test))
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rank1nash":
@@ -895,20 +891,20 @@ def test_walk_work_on_kt6(monkeypatch):
         (enumerate_all, 2),
     ]
     for run, clears in runs:
-        counts.update(pivot=0, pivot_rhs=0, ratio_test=0, clear_rows=0)
+        counts.update(pivot=0, rhs_pivot=0, ratio_test=0, clear_rows=0)
         run(g)
-        want = {"pivot": 35, "pivot_rhs": 6, "ratio_test": 126, "clear_rows": clears}
+        want = {"pivot": 35, "rhs_pivot": 6, "ratio_test": 126, "clear_rows": clears}
         assert counts == want, run
     # a game that is not symmetric walks both sides: V_P + V_Q = 44 + 39
-    # pivots, 71 whole and 12 of the right-hand side, and
+    # pivots, 71 whole and 12 of two columns, and
     # (V_P + 1 + V_Q + 1) * 6 / 2 ratio tests
     h = random_rank1_game(random.Random(3), 6, 6)
     p, q = require_nondegenerate(h)
     assert (len(p.vertices), len(q.vertices)) == (44, 39)
     for run, clears in runs:
-        counts.update(pivot=0, pivot_rhs=0, ratio_test=0, clear_rows=0)
+        counts.update(pivot=0, rhs_pivot=0, ratio_test=0, clear_rows=0)
         run(h)
-        want = {"pivot": 71, "pivot_rhs": 12, "ratio_test": 255, "clear_rows": clears}
+        want = {"pivot": 71, "rhs_pivot": 12, "ratio_test": 255, "clear_rows": clears}
         assert counts == want, run
 
 
