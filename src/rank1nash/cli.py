@@ -321,6 +321,12 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    # Python 3.10.7 and later refuse int-str conversions past 4,300 digits
+    # by default; the command reads and prints exact numbers of any width,
+    # so it lifts that limit while it runs and then restores the caller's
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (Rank1NashError, ValueError) as exc:
@@ -330,6 +336,9 @@ def main(argv=None) -> int:
         prefix = {2: "degenerate game", 5: f"internal error: {type(exc).__name__}"}
         print(f"{prefix.get(code, 'error')}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,14 @@ def parse_entry(token: str) -> Rational:
 
 
 def parse_game(text: str) -> BimatrixGame:
+    """The game a game file's text spells; GameFileError on any other text.
+
+    An entry may have any number of digits, but Python 3.10.7 and later
+    refuse to convert a string of more than ``sys.get_int_max_str_digits()``
+    digits (4,300 by default) to an int, so a longer entry is a bad entry
+    unless the caller lifts that limit, as ``rank1nash.cli.main`` does while
+    it runs.
+    """
     lines = []
     for raw in text.splitlines():
         body = raw.split("#", 1)[0].strip()
@@ -75,6 +83,12 @@ def load_game(path: str) -> BimatrixGame:
 
 
 def format_game(g: BimatrixGame, comment: str | None = None) -> str:
+    """The game file of g, with ``comment`` as its leading ``#`` lines.
+
+    Writing an integer of more than ``sys.get_int_max_str_digits()`` digits
+    (4,300 by default from Python 3.10.7) raises ValueError unless the
+    caller lifts that limit, as ``rank1nash.cli.main`` does while it runs.
+    """
     out = []
     if comment:
         out.extend(f"# {line}" for line in comment.splitlines())

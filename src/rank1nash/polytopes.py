@@ -38,14 +38,23 @@ strategy z / sum(z) is (det - shift * S) / S with S = sum(r): one rational,
 with no dot product, whatever the rows' factors s_j. The bases of a
 degenerate vertex are merged on an integer key, the primitive vector
 r / gcd(r) (r itself when the gcd is 1), so a repeated basis costs no
-rational arithmetic. A vertex's labels are its cobasic variables, plus the
-basic variables at zero. A basis whose basic variables are all positive is
-the only basis of its vertex, so only a basis with a basic variable at zero
-looks its key up among the vertices found before it. The labels are kept
-only as one integer mask, label l as bit l, summed through the graph's table
-of label bits; ``_label_set`` decodes a mask into a frozenset in increasing
-label order. Every lookup by label set is a lookup by mask: the check counts
-the mask's bits, ``VertexGraph.at`` is keyed by mask, and a P vertex's
+rational arithmetic. A basis whose basic variables are all positive is the
+only basis of its vertex, so only a basis with a basic variable at zero
+looks its key up among the vertices found before it.
+
+The walk and the labels are apart. ``_walk`` reads each vertex once, with
+no side's labels: its integers, and ``zeros``, the mask of its variables
+at zero, variable v as bit v: the cobasic variables, plus the basic
+variables at zero. P' is simple exactly when every vertex has d variables
+at zero, so the non-degeneracy check (``_checked``) counts the bits of
+``zeros`` and builds no graph unless a vertex fails. ``_graph`` labels a
+walk for its side by shifts, in one place: on P variable v carries label
+v + 1, so the label mask is ``zeros << 1``; on Q the n bits of y carry
+the labels m+1..m+n and the m slack bits the labels 1..m, so the two
+parts of ``zeros`` trade places. The labels are kept only as that one
+integer mask, label l as bit l; ``_label_set`` decodes a mask into a
+frozenset in increasing label order. Every lookup by label set is a
+lookup by mask: ``VertexGraph.at`` is keyed by mask, and a P vertex's
 partner is the Q vertex at ``full ^ mask``.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
@@ -53,9 +62,9 @@ key, the key's sum (the denominator of the strategy) and the payoff's
 numerator and denominator, and builds ``point`` on first read. They are
 sorted by cross-multiplication: key a comes before key b when, at the first
 i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
-the order of their strategies a / sum(a), so of their points. A caller that
-reads only label masks, such as the non-degeneracy check, builds no rational
-and no label set at all. Past the walk an equilibrium is a pair of
+the order of their strategies a / sum(a), so of their points. The
+non-degeneracy check reads only the walk's records, so it builds no
+vertex, no rational and no label set at all. Past the walk an equilibrium is a pair of
 vertices: ``_equilibrium`` validates it and runs the Nash test on the two
 keys, which are exactly the integers ``is_nash`` would clear the strategies
 to, and builds only the two points it reports. ``_labeled_equilibria`` is
@@ -79,19 +88,17 @@ right-hand side, the one column a caller reads. A basis with a basic
 variable at zero settles nothing, so its steps are tested from both ends.
 The walk records every step out of each basis, and in a non-degenerate
 game, where each basis is one vertex and each step is one edge, that record
-is the vertex graph: ``VertexGraph`` reads it node by node, on first use, and
-finds the node a step reaches by its label mask. Its nodes are the
+is the vertex graph: ``VertexGraph`` reads it node by node and finds the
+node a step reaches by its label mask, in ``at``. Its nodes are the
 vertices and its ``origin``, the walk's first basis, which is a
 ``LabeledVertex`` with no point: the origin is not a strategy.
 
 A symmetric game, A = B^T, has one polytope (Nash 1951; von Stengel 2002,
 section 3): P' and Q' have the same rows, so their walks pivot the same
-dictionaries through the same bases and record the same steps, and only the
-labels of the variables differ. x_i carries label i and the slack of row j
-label m+j, where y_i carries m+i and the slack of row j label j. So
-``require_nondegenerate`` walks P' alone and builds Q's graph from it: the
-same vertices in the same order, each mask with its two halves swapped, and
-the same steps. It tests A = B^T on the cleared integers, so exactly.
+dictionaries through the same bases and record the same vertices, zeros
+and steps; only the labels of the variables differ. So
+``require_nondegenerate`` walks P' alone and labels that one walk for
+both sides. It tests A = B^T on the cleared integers, so exactly.
 """
 
 from __future__ import annotations
@@ -151,15 +158,14 @@ class LabeledVertex:
         self._integers = None
 
     @classmethod
-    def _from_integers(
-        cls, key: tuple[int, ...], den: int, num: int, pay_den: int, mask: int
-    ) -> "LabeledVertex":
-        """The vertex (key / den, num / pay_den) with the label mask ``mask``;
-        no rational is built yet."""
+    def _from_integers(cls, integers: tuple, mask: int) -> "LabeledVertex":
+        """The vertex (key / den, num / pay_den), from ``integers`` = (key,
+        den, num, pay_den), with the label mask ``mask``; no rational is
+        built yet."""
         v = cls.__new__(cls)
         v.mask = mask
         v._point = None
-        v._integers = (key, den, num, pay_den)
+        v._integers = integers
         return v
 
     @property
@@ -298,31 +304,28 @@ def _point_order(a: tuple, b: tuple) -> int:
     return 0  # pragma: no cover
 
 
-def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
-    """The vertices of P (which="P") or Q, each with its complete
-    binding-label mask, sorted by point, and the steps of the walk.
+def _walk(payoffs: IntegerPayoffs, which: str) -> tuple[list, list[list[int]]]:
+    """The vertices of P' (which="P") or Q' as the walk reads them, sorted
+    by point, with no side's labels, and the steps of the walk.
 
     Walks the feasible bases of the normalised polytope (P' over x for "P",
     Q' over y for "Q"; see the module docstring). Its origin's dictionary
     has one row per row X_j of X = B^T or A, read off ``payoffs``:
     s_j * (X_j + shift) with the right-hand side s_j, where s_j is the least
     denominator of X_j and shift = 1 - floor(min X). Each non-zero vertex z
-    maps back to the point (z / sum(z), best-reply payoff), read off the
-    integer dictionary, with the payoff (det - shift * sum(z)) / sum(z), and
-    built on first read. Its labels are the cobasic variables plus every
-    basic variable at zero, so extra bindings on degenerate inputs are
-    reported faithfully; ``labels[v]`` is the label of variable v, and its
-    bit is the variable's term of the mask. The origin, where z = 0, becomes
-    the graph's ``origin``: a node with no point, labeled by its cobasis,
-    the d variables of z.
+    is one record (integers, zeros, number). ``integers`` is (key, den, num,
+    pay_den): the point (key / den, num / pay_den), with the best-reply
+    payoff (det - shift * sum(z)) / sum(z), read off the integer dictionary.
+    ``zeros`` has bit v set for each variable v at zero: the cobasic
+    variables plus every basic variable at zero, so extra zeros on
+    degenerate inputs are kept. ``number`` is the vertex's first basis. The
+    steps come in the records' order, and last those of the origin, where
+    z = 0, which is no record.
     """
-    m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
         ints, scale = payoffs.bt, payoffs.b_scale  # n rows of B^T, over x
-        labels = tuple(range(1, m + n + 1))  # x_1..x_m, then column slacks
     else:
-        ints, scale = payoffs.a, payoffs.a_scale  # m rows, over y
-        labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
+        ints, scale = payoffs.a, payoffs.a_scale  # m rows of A, over y
     # X is ints / scale; X + shift has its least entry in [1, 2)
     shift = 1 - min(map(min, ints)) // scale
     start = []
@@ -335,10 +338,9 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
         lift = s * shift
         start.append([v + lift for v in row] + [s])
     d = len(ints[0])
-    bits = [1 << l for l in labels]  # the label bit of each variable
+    bits = [1 << v for v in range(d + len(ints))]  # the bit of each variable
     steps: list[list[int]] = []
-    # key -> (key, sum(key), vertex, number of the vertex's first basis)
-    found: dict[tuple[int, ...], tuple] = {}
+    found: dict[tuple[int, ...], tuple] = {}  # key -> the vertex's record
     for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(start, steps)):
         z = [0] * d
         tight = []  # the basic variables at zero
@@ -360,20 +362,41 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
             # may share it, and the first one found stands for them all.
             # When every basic variable is positive, no other basis has it.
             continue
-        # its labels: the cobasic variables, plus the basic variables at zero
-        mask = sum(map(bits.__getitem__, cobasis + tight))
         # some row X_j + shift <= 1 is tight at z / det, so the best-reply
         # payoff of the strategy z / total is (det - shift * total) / total
-        vertex = LabeledVertex._from_integers(
-            key, total // common, det - shift * total, total, mask
-        )
-        found[key] = (key, total // common, vertex, number)
+        integers = (key, total // common, det - shift * total, total)
+        found[key] = (integers, sum(map(bits.__getitem__, cobasis + tight)), number)
     # distinct keys give distinct strategies, so no two compare equal
-    ordered = sorted(found.values(), key=cmp_to_key(_point_order))
+    by_point = cmp_to_key(_point_order)
+    records = sorted(found.values(), key=lambda record: by_point(record[0]))
+    # the origin's basis is the walk's first
+    return records, [steps[record[2]] for record in records] + [steps[0]]
+
+
+def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
+    """The graph of P (which="P") or Q: the records of a walk (see _walk)
+    labelled for that side, and its steps.
+
+    A vertex's label mask follows from its zeros by shifts. On P the
+    variable v carries label v + 1: x_i label i, and the slack of column j
+    label m+j. On Q, y_j carries label m+j and the slack of row i label i,
+    so the n bits of y move up by m + 1 and the m slack bits down by n - 1.
+    The origin, where z = 0, is the graph's ``origin``: a node with no
+    point, labeled by the d variables of z.
+    """
+    records, steps = walk
+    m, n = len(payoffs.a), len(payoffs.bt)
+    if which == "P":
+        labels = tuple(range(1, m + n + 1))  # of x_1..x_m, then the slacks
+        masks = [zeros << 1 for _, zeros, _ in records]
+    else:
+        labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
+        low = (1 << n) - 1  # the bits of y
+        masks = [(zeros & low) << m + 1 | zeros >> n << 1 for _, zeros, _ in records]
     return VertexGraph(
-        tuple(t[2] for t in ordered),
-        LabeledVertex(None, frozenset(labels[:d])),
-        [steps[t[3]] for t in ordered] + [steps[0]],  # the origin's basis is first
+        tuple(map(LabeledVertex._from_integers, [r[0] for r in records], masks)),
+        LabeledVertex(None, frozenset(labels[: m if which == "P" else n])),
+        steps,
         labels,
         payoffs,
     )
@@ -381,11 +404,12 @@ def _vertex_graph(payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
 
 def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]:
     """All vertices of P (which="P") or Q (which="Q"), each with its complete
-    binding-label set, sorted by point: the vertices of the walk (see
-    _vertex_graph)."""
+    binding-label set, sorted by point: the walk's vertices, labelled for
+    that side (see _walk and _graph)."""
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    return _vertex_graph(IntegerPayoffs.of(g), which).vertices
+    payoffs = IntegerPayoffs.of(g)
+    return _graph(_walk(payoffs, which), payoffs, which).vertices
 
 
 class VertexGraph(Record):
@@ -404,8 +428,11 @@ class VertexGraph(Record):
     entering, the label the step drops, and leads to the node whose mask
     lacks that label and has the label of the variable leaving. ``payoffs``
     is the game's ``IntegerPayoffs`` the walk shifted, one object shared by
-    the two graphs of a call. The lookups are built on first use and go with
-    the graph: nothing is cached between calls.
+    the two graphs of a call. ``at``, the index of each node keyed by its
+    label mask, is built with the graph, and ``near`` keeps each node's
+    edges once read: both go with the graph, and nothing is cached between
+    calls. A graph is built only by a method that reads one; the check
+    reads the walk alone.
 
     Its readers use the interface in two tiers. The sweep, ``lh_run`` and
     the Lemke-Howson paths read a graph node by node, through ``node(k)``,
@@ -430,26 +457,18 @@ class VertexGraph(Record):
     def __post_init__(self):
         # origin_index is the origin's node number, V: a step to it is a
         # ray of P or Q; full is the mask of every label, 1..m+n; node(k)
-        # is vertex k, or the origin when k is V, a lookup in one tuple
+        # is vertex k, or the origin when k is V, a lookup in one tuple; at
+        # is the index of each node by its label mask, the origin as node
+        # V: each vertex has a positive coordinate, so lacks one of the
+        # origin's labels
+        nodes = (*self.vertices, self.origin)
         self.__dict__.update(
-            origin_index=len(self.vertices), full=_mask(self.labels), _near={}
+            origin_index=len(self.vertices),
+            full=_mask(self.labels),
+            _near={},
+            node=nodes.__getitem__,
+            at={v.mask: k for k, v in enumerate(nodes)},
         )
-        self.__dict__["node"] = (*self.vertices, self.origin).__getitem__
-
-    def __getattr__(self, name):
-        # reached only when ``name`` is not set: ``at``, built on first read
-        # and then kept as a plain attribute of the graph
-        if name != "at":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        # the index of each node, keyed by its label mask, with the origin
-        # as node V: each vertex has a positive coordinate, so lacks one of
-        # the origin's labels
-        at = {v.mask: k for k, v in enumerate(self.vertices)}
-        at[self.origin.mask] = self.origin_index
-        self.__dict__["at"] = at
-        return at
 
     def edges_of(self, k: int):
         """(label dropped, node reached) for each edge of node k; node V is
@@ -469,46 +488,40 @@ class VertexGraph(Record):
         return got
 
 
-def _checked(graph: VertexGraph, bound: int) -> VertexGraph:
-    """The graph, once none of its vertices exceeds ``bound`` labels;
-    DegenerateGame, with the offending vertex attached, otherwise."""
-    for v in graph.vertices:
-        if v.mask.bit_count() != bound:
+def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
+    """The walk of P (which="P") or Q, once each of its vertices has d
+    variables at zero, d = m on P and n on Q; DegenerateGame otherwise, on
+    the first vertex by point that has more, read off the side's graph and
+    attached."""
+    d = len(payoffs.a) if which == "P" else len(payoffs.bt)
+    for k, (_, zeros, _) in enumerate(walk[0]):
+        if zeros.bit_count() != d:
+            v = _graph(walk, payoffs, which).vertices[k]
             pt = "(" + ", ".join(str(x) for x in v.point) + ")"
             raise DegenerateGame(
                 f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
             )
-    return graph
+    return walk
 
 
-def _mirrored(p: VertexGraph) -> VertexGraph:
-    """Q's graph of a symmetric game, read off P's (see the module
-    docstring): P's vertices, each mask with its two halves swapped, and
-    P's steps."""
-    m = len(p.labels) // 2
-    low = ((1 << m) - 1) << 1  # the bits of labels 1..m
-    vertices = tuple(
-        LabeledVertex._from_integers(
-            *v._integers, (v.mask & low) << m | (v.mask >> m + 1) << 1
-        )
-        for v in p.vertices
-    )
-    labels = p.labels[m:] + p.labels[:m]
-    origin = LabeledVertex(None, frozenset(labels[:m]))
-    return VertexGraph(vertices, origin, p.steps, labels, p.payoffs)
+def _walks(payoffs: IntegerPayoffs) -> tuple[tuple, tuple]:
+    """The walks of P' and Q', each checked. When the cleared payoffs give
+    A = B^T exactly, P' is walked alone and its walk serves Q too (see the
+    module docstring): its vertices have the zero counts Q's check needs
+    when they pass P's."""
+    p = _checked(_walk(payoffs, "P"), payoffs, "P")
+    if payoffs.a == payoffs.bt and payoffs.a_scale == payoffs.b_scale:
+        return p, p
+    return p, _checked(_walk(payoffs, "Q"), payoffs, "Q")
 
 
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
     """The vertex graphs of P and Q, once no P-vertex exceeds m labels and no
     Q-vertex exceeds n; DegenerateGame, with the offending vertex attached,
-    otherwise. When the cleared payoffs give A = B^T exactly, only P' is
-    walked, and Q's graph is P's relabelled (see the module docstring); its
-    vertices carry P's label counts, so they pass when P's do."""
+    otherwise."""
     payoffs = IntegerPayoffs.of(g)
-    p = _checked(_vertex_graph(payoffs, "P"), g.m)
-    if payoffs.a == payoffs.bt and payoffs.a_scale == payoffs.b_scale:
-        return p, _mirrored(p)
-    return p, _checked(_vertex_graph(payoffs, "Q"), g.n)
+    p, q = _walks(payoffs)
+    return _graph(p, payoffs, "P"), _graph(q, payoffs, "Q")
 
 
 def check_nondegenerate(
@@ -516,10 +529,11 @@ def check_nondegenerate(
 ) -> tuple[bool, LabeledVertex | None]:
     """True when no P-vertex exceeds m labels and no Q-vertex exceeds n.
 
-    On failure the offending vertex is returned as witness.
+    On failure the offending vertex is returned as witness. The check reads
+    the walks alone and builds a vertex only for the witness.
     """
     try:
-        require_nondegenerate(g)
+        _walks(IntegerPayoffs.of(g))
     except DegenerateGame as exc:
         return False, exc.witness
     return True, None

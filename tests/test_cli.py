@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -373,3 +375,59 @@ def test_non_utf8_game_exits_3(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "enumerate" in capsys.readouterr().out
+
+
+def test_entry_of_5000_digits(tmp_path, capsys):
+    # Python refuses int-str conversions past 4,300 digits by default; the
+    # CLI lifts that limit for its run and gives the caller's back
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(20)
+    entry = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=4999))
+    path = tmp_path / "wide.game"
+    path.write_text(f"1 1\n{entry}\n-{entry}\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "non-degenerate\n"
+    assert main(["labels", str(path), "--json"]) == 0
+    (eq,) = json.loads(capsys.readouterr().out)["equilibria"]
+    assert (eq["payoff1"], eq["payoff2"]) == (entry, f"-{entry}")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _wide_strs(*values) -> list[str]:
+    """The str of each value, however wide, with Python's int-str digit
+    limit lifted for these conversions alone."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_zero_sum_game_of_3000_digit_entries(tmp_path, capsys):
+    # A = ((a, -b), (-c, d)), B = -A with a..d > 0 of 3,000 digits: the one
+    # equilibrium is completely mixed, x1 = (c+d)/s and y1 = (b+d)/s with
+    # value (ad - bc)/s, s = a+b+c+d; every command prints it exactly
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(3000)
+    a, b, c, d = (rng.randrange(10**2999, 10**3000) for _ in range(4))
+    path = tmp_path / "zero-sum.game"
+    path.write_text(f"2 2\n{a} {-b}\n{-c} {d}\n{-a} {b}\n{c} {-d}\n")
+    s = a + b + c + d
+    x1, y1, value = Fraction(c + d, s), Fraction(b + d, s), Fraction(a * d - b * c, s)
+    x = _wide_strs(x1, 1 - x1)
+    y = _wide_strs(y1, 1 - y1)
+    want = dict(zip(["payoff1", "payoff2"], _wide_strs(value, -value)), x=x, y=y)
+
+    def shown(eq):
+        return {key: eq[key] for key in want}
+
+    for command in ("check", "enumerate", "labels", "oracle", "gprime"):
+        assert main([command, str(path), "--json"]) == 0, command
+        out = json.loads(capsys.readouterr().out)
+        assert [shown(eq) for eq in out.get("equilibria", [want])] == [want], command
+    assert main(["lh", str(path), "--all", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["unreached"] == [] and len(out["paths"]) == 4
+    assert all(shown(path["terminal"]) == want for path in out["paths"])
+    assert sys.get_int_max_str_digits() == limit

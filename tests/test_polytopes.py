@@ -336,7 +336,7 @@ def _assert_walk_is_reference(start):
 
 
 def _walk_starts(g):
-    """The origin's dictionary of each walk the vertex graphs of g take."""
+    """The origin's dictionary of each of g's two walks."""
     starts = []
 
     def kept(start, steps):
@@ -347,7 +347,7 @@ def _walk_starts(g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytopes, "_feasible_bases", kept)
         for which in ("P", "Q"):
-            polytopes._vertex_graph(payoffs, which)
+            polytopes._walk(payoffs, which)
     return starts
 
 
@@ -577,7 +577,7 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     monkeypatch.setattr(polytopes, "_feasible_bases", measured)
     payoffs = IntegerPayoffs.of(g)
     for which in ("P", "Q"):
-        polytopes._vertex_graph(payoffs, which)
+        polytopes._walk(payoffs, which)
     assert (max(widths), pivots) == (337, [37, 5])
     pivots = [0, 0]
     uniform = max(
@@ -631,13 +631,14 @@ def test_integer_games_walk_the_uniform_dictionaries(monkeypatch):
         assert payoffs.a_scale == payoffs.b_scale == 1, g
         for which, rows in (("P", tuple(zip(*g.B))), ("Q", g.A)):
             walked.clear()
-            polytopes._vertex_graph(payoffs, which)
+            polytopes._walk(payoffs, which)
             mat = _positive_integer_rows(rows)[0]
             assert walked == list(original([row + [1] for row in mat], [])), (g, which)
 
 
 def test_check_builds_no_vertex_point(monkeypatch):
-    # the check reads label sets only; a point is built when it is read
+    # the check reads the walks' records alone: it builds no vertex, so no
+    # point and no label set, on a non-degenerate game
     built = 0
     original = polytopes.rat
 
@@ -647,7 +648,6 @@ def test_check_builds_no_vertex_point(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(polytopes, "rat", counted)
-    # nor a label set: the check counts the bits of each vertex's mask
     decoded = 0
     original_decode = polytopes._label_set
 
@@ -657,25 +657,43 @@ def test_check_builds_no_vertex_point(monkeypatch):
         return original_decode(mask)
 
     monkeypatch.setattr(polytopes, "_label_set", counted_decode)
-    graphs = []
-    original_graph = polytopes._vertex_graph
+    vertices = 0
+    original_init = LabeledVertex.__init__
+    original_from = LabeledVertex._from_integers.__func__
+
+    def counted_init(vertex, *args):
+        nonlocal vertices
+        vertices += 1
+        original_init(vertex, *args)
+
+    def counted_from(cls, *args):
+        nonlocal vertices
+        vertices += 1
+        return original_from(cls, *args)
+
+    monkeypatch.setattr(LabeledVertex, "__init__", counted_init)
+    monkeypatch.setattr(LabeledVertex, "_from_integers", classmethod(counted_from))
+    walks = []
+    original_walk = polytopes._walk
 
     def kept(payoffs, which):
-        graphs.append(original_graph(payoffs, which))
-        return graphs[-1]
+        walks.append(which)
+        return original_walk(payoffs, which)
 
-    monkeypatch.setattr(polytopes, "_vertex_graph", kept)
+    monkeypatch.setattr(polytopes, "_walk", kept)
     rng = random.Random(5531)
     games = [generate_kt(d) for d in range(1, 9)]
     games += [_bigrat_game(rng, 5, 5) for _ in range(3)]
     games.append(random_rank1_game(random.Random(1), 10, 10, -99, 99))
     for g in games:
-        check_nondegenerate(g)
-    # one walk for each symmetric kt game, whose Q graph is P's relabelled,
-    # and two for each of the other four
-    assert len(graphs) == 8 * 1 + 4 * 2
-    assert decoded == 0
+        assert check_nondegenerate(g) == (True, None)
+    # one walk for each symmetric kt game, which serves both sides, and two
+    # for each of the other four
+    assert len(walks) == 8 * 1 + 4 * 2
+    assert (vertices, decoded, built) == (0, 0, 0)
+    # the graphs build their vertices, and still no point
     p, q = polytopes.require_nondegenerate(generate_kt(5))
+    assert vertices == len(p.vertices) + len(q.vertices) + 2
     assert built == 0
     # the point (0, 0, 0, 0, 1, 50): a rational for each non-zero
     # coordinate, and every zero coordinate the one shared zero
@@ -683,6 +701,26 @@ def test_check_builds_no_vertex_point(monkeypatch):
     assert point == (0, 0, 0, 0, 1, 50)
     assert built == 2
     assert all(v is polytopes._ZERO for v in point[:4])
+    # a degenerate game's witness is still the first vertex by point with
+    # more labels than its side's dimension, P's before Q's; payoffs in
+    # -2..2 make most draws degenerate, on either side
+    rng = random.Random(5537)
+    sides = set()
+    for _ in range(60):
+        g = random_game(rng, rng.randint(1, 4), rng.randint(1, 4), -2, 2)
+        offenders = [
+            (which, v)
+            for which, size in (("P", g.m), ("Q", g.n))
+            for v in enumerate_vertices(g, which)
+            if len(v.labels) > size
+        ]
+        ok, witness = check_nondegenerate(g)
+        assert ok == (not offenders), g
+        if offenders:
+            which, want = offenders[0]
+            assert witness == want and witness.labels == want.labels, g
+            sides.add(which)
+    assert sides == {"P", "Q"}
 
 
 def _best_reply_payoff(g, which, strategy):
@@ -816,17 +854,17 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     walks = 1 if name == "kt3" else 2
 
     calls = 0
-    original = polytopes._vertex_graph
+    original = polytopes._walk
 
-    def counted(g, which):
+    def counted(payoffs, which):
         nonlocal calls
         calls += 1
-        return original(g, which)
+        return original(payoffs, which)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rank1nash":
-            if getattr(mod, "_vertex_graph", None) is original:
-                monkeypatch.setattr(mod, "_vertex_graph", counted)
+            if getattr(mod, "_walk", None) is original:
+                monkeypatch.setattr(mod, "_walk", counted)
 
     path = str(CORPUS / f"{name}.game")
     g = load_game(path)
@@ -909,12 +947,13 @@ def test_walk_work_on_kt6(monkeypatch):
 
 
 def _own_walks(g):
-    """Reference: P's and Q's graphs, each walked on its own and checked for
-    degeneracy, P first, with require_nondegenerate's message."""
+    """Reference: P's and Q's graphs, each walked on its own, labelled for
+    its side and checked for degeneracy, P first, with
+    require_nondegenerate's message."""
     payoffs = IntegerPayoffs.of(g)
     graphs = []
     for which, bound in (("P", g.m), ("Q", g.n)):
-        graphs.append(polytopes._vertex_graph(payoffs, which))
+        graphs.append(polytopes._graph(polytopes._walk(payoffs, which), payoffs, which))
         for v in graphs[-1].vertices:
             if len(v.labels) != bound:
                 pt = ", ".join(map(str, v.point))
@@ -923,8 +962,9 @@ def _own_walks(g):
 
 
 def _assert_q_graph_is_q_walk(g):
-    """require_nondegenerate's Q graph of a symmetric game equals Q's own
-    walk, node by node and edge by edge, or both raise the same error."""
+    """require_nondegenerate's Q graph of a symmetric game, P's walk
+    labelled for Q, equals Q's own walk labelled for Q, node by node and
+    edge by edge, or both raise the same error."""
     try:
         q = require_nondegenerate(g)[1]
     except DegenerateGame as exc:
@@ -947,13 +987,13 @@ def test_symmetric_q_graph_is_q_walk(monkeypatch):
     # kt is symmetric, B^T = A: one walk of P serves both sides
     assert all(_assert_q_graph_is_q_walk(generate_kt(d)) for d in range(1, 11))
     walks = []
-    original = polytopes._vertex_graph
+    original = polytopes._walk
 
     def kept(payoffs, which):
         walks.append(which)
         return original(payoffs, which)
 
-    monkeypatch.setattr(polytopes, "_vertex_graph", kept)
+    monkeypatch.setattr(polytopes, "_walk", kept)
     g = generate_kt(6)
     require_nondegenerate(g)
     assert walks == ["P"]
@@ -1050,7 +1090,7 @@ def _assert_masks_match_label_sets(g) -> int:
     payoffs = IntegerPayoffs.of(g)
     extra = 0
     for which, size in (("P", g.m), ("Q", g.n)):
-        graph = polytopes._vertex_graph(payoffs, which)
+        graph = polytopes._graph(polytopes._walk(payoffs, which), payoffs, which)
         for k, v in enumerate(graph.vertices):
             bits = {l for l in range(v.mask.bit_length()) if v.mask >> l & 1}
             assert v.labels == bits, (g, which, v)
@@ -1087,6 +1127,46 @@ def test_neighbours_match_the_label_set_index_on_draws(g):
     _assert_neighbours_match_label_sets(g)
 
 
+def _assert_masks_follow_from_zeros(g):
+    """Each side's walk labelled for that side: every vertex's mask is the
+    sum of 1 << label over its record's zero variables, each variable's
+    label named here, on P x_i label i and column j's slack m+j, on Q y_j
+    label m+j and row i's slack i; and the origin carries the labels of
+    the d variables of z."""
+    m, n = g.m, g.n
+    names = {
+        "P": list(range(1, m + n + 1)),
+        "Q": list(range(m + 1, m + n + 1)) + list(range(1, m + 1)),
+    }
+    payoffs = IntegerPayoffs.of(g)
+    for which, d in (("P", m), ("Q", n)):
+        walk = polytopes._walk(payoffs, which)
+        graph = polytopes._graph(walk, payoffs, which)
+        assert len(graph.vertices) == len(walk[0]) and graph.steps is walk[1]
+        for (integers, zeros, _), v in zip(walk[0], graph.vertices):
+            assert 0 < zeros < 1 << m + n, (g, which, zeros)
+            zero = [var for var in range(m + n) if zeros >> var & 1]
+            assert v.mask == sum(1 << names[which][var] for var in zero), (g, which)
+            assert v._integers is integers
+        assert graph.origin.labels == set(names[which][:d])
+
+
+def test_masks_follow_from_zeros_by_shifts():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 9)]
+    for g in games:
+        _assert_masks_follow_from_zeros(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_games().filter(lambda g: g.m != g.n))
+def test_masks_follow_from_zeros_by_shifts_on_draws(g):
+    # the shift on Q moves y's n bits and the m slack bits by different
+    # amounts, so it differs from a swap of halves only when m != n; payoffs
+    # in halves from -2 to 2 make many draws degenerate
+    _assert_masks_follow_from_zeros(g)
+
+
 def test_scale_guard_on_a_12x12_game():
     # a random 12x12 game, seed 2 of tests/scale_report.py: the check sorts
     # 9,333 vertices by cross-multiplication, and the sweep agrees with the
@@ -1107,7 +1187,8 @@ def test_one_side_walk_memory_is_bounded():
     gc.collect()
     tracemalloc.start()
     try:
-        graph = polytopes._vertex_graph(IntegerPayoffs.of(g), "P")
+        payoffs = IntegerPayoffs.of(g)
+        graph = polytopes._graph(polytopes._walk(payoffs, "P"), payoffs, "P")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
