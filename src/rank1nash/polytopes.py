@@ -440,11 +440,12 @@ class VertexGraph(Record):
     alone: they reach every node, the origin included, through ``node(k)``,
     never count the nodes or iterate over them, and their outputs do not
     depend on the numbering, so a graph that numbers its nodes as it
-    discovers them serves them as well. The check
-    (``require_nondegenerate``), the label method and ``reachability``
-    (through ``_labeled_equilibria``) and G' (``gprime_components``) also
-    read ``vertices``, ``origin``, ``at`` and ``edges_of``, and the order of
-    their outputs is the vertices' point order.
+    discovers them serves them as well. The label method and
+    ``reachability`` (through ``_labeled_equilibria``) and G'
+    (``gprime_components``) also read ``vertices``, ``origin``, ``at`` and
+    ``edges_of``, and the order of their outputs is the vertices' point
+    order, as is the order in which the check meets a degenerate game's
+    witness.
     """
 
     vertices: tuple[LabeledVertex, ...]
