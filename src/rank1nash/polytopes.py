@@ -46,16 +46,22 @@ The walk and the labels are apart. ``_walk`` reads each vertex once, with
 no side's labels: its integers, and ``zeros``, the mask of its variables
 at zero, variable v as bit v: the cobasic variables, plus the basic
 variables at zero. P' is simple exactly when every vertex has d variables
-at zero, so the non-degeneracy check (``_checked``) counts the bits of
-``zeros`` and builds no graph unless a vertex fails. ``_graph`` labels a
-walk for its side by shifts, in one place: on P variable v carries label
-v + 1, so the label mask is ``zeros << 1``; on Q the n bits of y carry
-the labels m+1..m+n and the m slack bits the labels 1..m, so the two
-parts of ``zeros`` trade places. The labels are kept only as that one
-integer mask, label l as bit l; ``_label_set`` decodes a mask into a
-frozenset in increasing label order. Every lookup by label set is a
-lookup by mask: ``VertexGraph.at`` is keyed by mask, and a P vertex's
-partner is the Q vertex at ``full ^ mask``.
+at zero, that is when no feasible basis has a basic variable at zero, as
+every basis of a vertex with more zeros has one (the lrs argument; Avis,
+Rosenberg, Savani & von Stengel 2010). So the non-degeneracy check makes
+the zero test on each basis's right-hand side inside the walk, and reads
+out only a basis that has a zero: on a non-degenerate game it reads out
+no vertex. ``_checked`` is the one place that decides: it counts the bits
+of each record's ``zeros`` and raises on the first offender by point,
+built from that record alone. ``_label_mask`` labels a vertex for its
+side by shifts, in one place, for ``_graph`` and the check's witness: on
+P variable v carries label v + 1, so the label mask is ``zeros << 1``; on
+Q the n bits of y carry the labels m+1..m+n and the m slack bits the
+labels 1..m, so the two parts of ``zeros`` trade places. The labels are
+kept only as that one integer mask, label l as bit l; ``_label_set``
+decodes a mask into a frozenset in increasing label order. Every lookup
+by label set is a lookup by mask: ``VertexGraph.at`` is keyed by mask,
+and a P vertex's partner is the Q vertex at ``full ^ mask``.
 
 Vertices stay in integers until a caller reads a rational. Each keeps its
 key, the key's sum (the denominator of the strategy) and the payoff's
@@ -63,13 +69,14 @@ numerator and denominator, and builds ``point`` on first read. They are
 sorted by cross-multiplication: key a comes before key b when, at the first
 i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
 the order of their strategies a / sum(a), so of their points. The
-non-degeneracy check reads only the walk's records, so it builds no
-vertex, no rational and no label set at all. Past the walk an equilibrium is a pair of
-vertices: ``_equilibrium`` validates it and runs the Nash test on the two
-keys, which are exactly the integers ``is_nash`` would clear the strategies
-to, and builds only the two points it reports. ``_labeled_equilibria`` is
-the one readout of every completely labeled pair, for ``labels``,
-``reachability`` and ``gprime``.
+non-degeneracy check reads only the records of the offending bases, so on
+a non-degenerate game it builds no key, no record, no vertex, no rational
+and no label set, and sorts nothing. Past the walk an equilibrium is a
+pair of vertices: ``_equilibrium`` validates it and runs the Nash test on
+the two keys, which are exactly the integers ``is_nash`` would clear the
+strategies to, and builds only the two points it reports.
+``_labeled_equilibria`` is the one readout of every completely labeled
+pair, for ``labels``, ``reachability`` and ``gprime``.
 
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
@@ -304,7 +311,9 @@ def _point_order(a: tuple, b: tuple) -> int:
     return 0  # pragma: no cover
 
 
-def _walk(payoffs: IntegerPayoffs, which: str) -> tuple[list, list[list[int]]]:
+def _walk(
+    payoffs: IntegerPayoffs, which: str, *, offenders_only: bool = False
+) -> tuple[list, list[list[int]]]:
     """The vertices of P' (which="P") or Q' as the walk reads them, sorted
     by point, with no side's labels, and the steps of the walk.
 
@@ -321,6 +330,13 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> tuple[list, list[list[int]]]:
     degenerate inputs are kept. ``number`` is the vertex's first basis. The
     steps come in the records' order, and last those of the origin, where
     z = 0, which is no record.
+
+    With ``offenders_only`` the walk reads out only the bases with a basic
+    variable at zero, so its records are the vertices with more than d
+    variables at zero, each still read at its first basis: every basis of
+    such a vertex has a basic variable at zero, and a basis whose basic
+    variables are all positive is the one basis of a vertex with d zeros.
+    The non-degeneracy check reads no other record.
     """
     if which == "P":
         ints, scale = payoffs.bt, payoffs.b_scale  # n rows of B^T, over x
@@ -342,6 +358,8 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> tuple[list, list[list[int]]]:
     steps: list[list[int]] = []
     found: dict[tuple[int, ...], tuple] = {}  # key -> the vertex's record
     for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(start, steps)):
+        if offenders_only and all(row[-1] for row in dic):
+            continue  # its vertex has d variables at zero
         z = [0] * d
         tight = []  # the basic variables at zero
         for var, row in zip(basis, dic):
@@ -373,26 +391,31 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> tuple[list, list[list[int]]]:
     return records, [steps[record[2]] for record in records] + [steps[0]]
 
 
+def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
+    """The label mask of a vertex of P (which="P") or Q of an m x n game
+    whose variables at zero are the bits of ``zeros`` (see _walk), by
+    shifts. On P the variable v carries label v + 1: x_i label i, and the
+    slack of column j label m+j. On Q, y_j carries label m+j and the slack
+    of row i label i, so the n bits of y move up by m + 1 and the m slack
+    bits down by n - 1."""
+    if which == "P":
+        return zeros << 1
+    return (zeros & (1 << n) - 1) << m + 1 | zeros >> n << 1
+
+
 def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     """The graph of P (which="P") or Q: the records of a walk (see _walk)
-    labelled for that side, and its steps.
-
-    A vertex's label mask follows from its zeros by shifts. On P the
-    variable v carries label v + 1: x_i label i, and the slack of column j
-    label m+j. On Q, y_j carries label m+j and the slack of row i label i,
-    so the n bits of y move up by m + 1 and the m slack bits down by n - 1.
-    The origin, where z = 0, is the graph's ``origin``: a node with no
-    point, labeled by the d variables of z.
+    labelled for that side by ``_label_mask``, and its steps. The origin,
+    where z = 0, is the graph's ``origin``: a node with no point, labeled
+    by the d variables of z.
     """
     records, steps = walk
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
         labels = tuple(range(1, m + n + 1))  # of x_1..x_m, then the slacks
-        masks = [zeros << 1 for _, zeros, _ in records]
     else:
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
-        low = (1 << n) - 1  # the bits of y
-        masks = [(zeros & low) << m + 1 | zeros >> n << 1 for _, zeros, _ in records]
+    masks = [_label_mask(zeros, m, n, which) for _, zeros, _ in records]
     return VertexGraph(
         tuple(map(LabeledVertex._from_integers, [r[0] for r in records], masks)),
         LabeledVertex(None, frozenset(labels[: m if which == "P" else n])),
@@ -492,12 +515,13 @@ class VertexGraph(Record):
 def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
     """The walk of P (which="P") or Q, once each of its vertices has d
     variables at zero, d = m on P and n on Q; DegenerateGame otherwise, on
-    the first vertex by point that has more, read off the side's graph and
+    the first vertex by point that has more, built from its record and
     attached."""
-    d = len(payoffs.a) if which == "P" else len(payoffs.bt)
-    for k, (_, zeros, _) in enumerate(walk[0]):
+    m, n = len(payoffs.a), len(payoffs.bt)
+    d = m if which == "P" else n
+    for integers, zeros, _ in walk[0]:
         if zeros.bit_count() != d:
-            v = _graph(walk, payoffs, which).vertices[k]
+            v = LabeledVertex._from_integers(integers, _label_mask(zeros, m, n, which))
             pt = "(" + ", ".join(str(x) for x in v.point) + ")"
             raise DegenerateGame(
                 f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
@@ -505,15 +529,20 @@ def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
     return walk
 
 
-def _walks(payoffs: IntegerPayoffs) -> tuple[tuple, tuple]:
+def _walks(
+    payoffs: IntegerPayoffs, *, offenders_only: bool = False
+) -> tuple[tuple, tuple]:
     """The walks of P' and Q', each checked. When the cleared payoffs give
     A = B^T exactly, P' is walked alone and its walk serves Q too (see the
     module docstring): its vertices have the zero counts Q's check needs
-    when they pass P's."""
-    p = _checked(_walk(payoffs, "P"), payoffs, "P")
+    when they pass P's. With ``offenders_only`` each walk records only the
+    vertices with too many zeros (see _walk): enough for the check, which
+    then finds the same witness, and for no graph."""
+    p = _checked(_walk(payoffs, "P", offenders_only=offenders_only), payoffs, "P")
     if payoffs.a == payoffs.bt and payoffs.a_scale == payoffs.b_scale:
         return p, p
-    return p, _checked(_walk(payoffs, "Q"), payoffs, "Q")
+    q = _walk(payoffs, "Q", offenders_only=offenders_only)
+    return p, _checked(q, payoffs, "Q")
 
 
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
@@ -530,11 +559,16 @@ def check_nondegenerate(
 ) -> tuple[bool, LabeledVertex | None]:
     """True when no P-vertex exceeds m labels and no Q-vertex exceeds n.
 
-    On failure the offending vertex is returned as witness. The check reads
-    the walks alone and builds a vertex only for the witness.
+    On failure the offending vertex is returned as witness: the first by
+    point with too many labels, P's before Q's. The check decides on each
+    basis's right-hand side, inside the walks: a vertex has too many labels
+    exactly when its bases have a basic variable at zero, so only such a
+    basis is read out, and a non-degenerate game reads out no vertex, sorts
+    nothing and builds no ``LabeledVertex``. The witness is built from its
+    record alone.
     """
     try:
-        _walks(IntegerPayoffs.of(g))
+        _walks(IntegerPayoffs.of(g), offenders_only=True)
     except DegenerateGame as exc:
         return False, exc.witness
     return True, None

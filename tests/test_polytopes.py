@@ -676,9 +676,9 @@ def test_check_builds_no_vertex_point(monkeypatch):
     walks = []
     original_walk = polytopes._walk
 
-    def kept(payoffs, which):
+    def kept(payoffs, which, **options):
         walks.append(which)
-        return original_walk(payoffs, which)
+        return original_walk(payoffs, which, **options)
 
     monkeypatch.setattr(polytopes, "_walk", kept)
     rng = random.Random(5531)
@@ -721,6 +721,89 @@ def test_check_builds_no_vertex_point(monkeypatch):
             assert witness == want and witness.labels == want.labels, g
             sides.add(which)
     assert sides == {"P", "Q"}
+
+
+def _full_readout_check(payoffs):
+    """Reference: the check on the full readout, ``_checked`` over every
+    record of each side's own walk, P first: (verdict, witness, message)."""
+    try:
+        for which in ("P", "Q"):
+            polytopes._checked(polytopes._walk(payoffs, which), payoffs, which)
+    except DegenerateGame as exc:
+        return False, exc.witness, str(exc)
+    return True, None, None
+
+
+def _assert_check_decides_on_the_zero_test(g) -> bool:
+    """check_nondegenerate gives the full readout's verdict, witness and
+    message, and each side's check walk records exactly the full walk's
+    offenders, the vertices with more than d variables at zero, each at the
+    same first basis. Returns the verdict."""
+    payoffs = IntegerPayoffs.of(g)
+    ok, want, message = _full_readout_check(payoffs)
+    got = check_nondegenerate(g)
+    if ok:
+        assert got == (True, None), g
+    else:
+        assert got[0] is False, g
+        witness = got[1]
+        assert (witness.point, witness.labels) == (want.point, want.labels), g
+        assert repr(witness) == repr(want)
+        with pytest.raises(DegenerateGame) as raised:
+            polytopes._walks(payoffs, offenders_only=True)
+        assert str(raised.value) == message
+    for which, d in (("P", g.m), ("Q", g.n)):
+        records = polytopes._walk(payoffs, which, offenders_only=True)[0]
+        full = polytopes._walk(payoffs, which)[0]
+        assert records == [r for r in full if r[1].bit_count() > d], (g, which)
+    return ok
+
+
+def test_check_decides_on_the_zero_test():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    # small entries tie the ratio test: A = B, so P walks the transpose
+    games += [BimatrixGame.from_payoffs(mat, mat) for mat in _tied_matrices()]
+    games.append(_bigrat_game(random.Random(5903), 5, 5))
+    rng = random.Random(5911)
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if m == n and rng.random() < 0.3:
+            b = [list(col) for col in zip(*a)]  # symmetric
+        games.append(BimatrixGame.from_payoffs(a, b))
+    assert len(games) == 15 + 10 + 60 + 1 + 150
+    verdicts = [_assert_check_decides_on_the_zero_test(g) for g in games]
+    assert 0 < verdicts.count(False) < len(verdicts)
+    # a non-degenerate game: the check's walks read out no vertex at all
+    for g in (generate_kt(6), baseline_game(10, 1)):
+        payoffs = IntegerPayoffs.of(g)
+        for which in ("P", "Q"):
+            assert polytopes._walk(payoffs, which, offenders_only=True)[0] == []
+    # a degenerate draw: every record of the check's walk is an offender
+    g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
+    records = polytopes._walk(IntegerPayoffs.of(g), "P", offenders_only=True)[0]
+    assert records and all(zeros.bit_count() > g.m for _, zeros, _ in records)
+
+
+@st.composite
+def check_games(draw):
+    """Games of 1..5 x 1..5 with integer payoffs in -3..3, a square draw
+    symmetric one time in three: many are degenerate."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    a = draw(matrix)
+    if m == n and draw(st.integers(0, 2)) == 0:
+        return BimatrixGame.from_payoffs(a, [list(col) for col in zip(*a)])
+    return BimatrixGame.from_payoffs(a, draw(matrix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(check_games())
+def test_check_decides_on_the_zero_test_on_draws(g):
+    _assert_check_decides_on_the_zero_test(g)
 
 
 def _best_reply_payoff(g, which, strategy):
@@ -856,10 +939,10 @@ def test_one_enumeration_per_side_per_call(name, monkeypatch, capsys):
     calls = 0
     original = polytopes._walk
 
-    def counted(payoffs, which):
+    def counted(payoffs, which, **options):
         nonlocal calls
         calls += 1
-        return original(payoffs, which)
+        return original(payoffs, which, **options)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "rank1nash":
@@ -989,9 +1072,9 @@ def test_symmetric_q_graph_is_q_walk(monkeypatch):
     walks = []
     original = polytopes._walk
 
-    def kept(payoffs, which):
+    def kept(payoffs, which, **options):
         walks.append(which)
-        return original(payoffs, which)
+        return original(payoffs, which, **options)
 
     monkeypatch.setattr(polytopes, "_walk", kept)
     g = generate_kt(6)
