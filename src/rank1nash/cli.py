@@ -153,7 +153,7 @@ def cmd_oracle(g, args):
 def cmd_labels(g, args):
     p, q = require_nondegenerate(g)
     eqs = [
-        (e, p.vertices[i].labels, q.vertices[j].labels)
+        (e, p.node(i).labels, q.node(j).labels)
         for (i, j), e in _labeled_equilibria(p, q).items()
     ]
     obj = {

@@ -4,13 +4,13 @@ Both walk the vertex graphs that ``require_nondegenerate`` returns, which
 each public call builds once; nothing is cached. Each side has one more
 node, the artificial one: the graph's ``origin``, the origin of the
 normalised polytope, a ``LabeledVertex`` with no point that carries the x
-labels 1..m on P and the y labels m+1..m+n on Q. It is node V, after the V
-vertices, and its edges run to the pure strategies. Paths that drop
-one label r from the artificial pair and chase the duplicate label
-alternately over the two sides terminate at equilibria, never back at the
-artificial pair, which is one end of its path; the product graph glues
-those paths over all r, and its components expose equilibria no such path
-can reach. A path meets no pair of nodes twice, so one that does raises
+labels 1..m on P and the y labels m+1..m+n on Q. It is the walk's first
+node, ``origin_index``, and its edges run to the pure strategies. Paths
+that drop one label r from the artificial pair and chase the duplicate
+label alternately over the two sides terminate at equilibria, never back
+at the artificial pair, which is one end of its path; the product graph
+glues those paths over all r, and its components expose equilibria no
+such path can reach. A path meets no pair of nodes twice, so one that does raises
 Stalled: that rule, not a count of the graphs' nodes, bounds a path. The
 paths read a graph node by node, through the first tier of the interface
 ``VertexGraph`` names: ``node(k)``, ``near(k)``, ``origin_index``,
@@ -24,17 +24,19 @@ steps from a node by dropping a label, which reads the pivot the walk
 recorded for it, and G' takes every edge from that record. It also gives
 each node a label set of its own, kept only as an integer mask (label l
 is bit l): a path finds its duplicate label as the one bit two masks
-share, and G' finds the partners of an edge on the other side by looking
-up a mask in ``VertexGraph.at``, which holds the origin too, never by
-scanning the other graph. G' joins pairs (i, j) as the integers
-i * (V_Q + 1) + j and builds no label set. Past the walk an
-equilibrium is a pair of vertex indices: ``reachability`` and
-``gprime_components`` take the completely labeled (P vertex, Q vertex)
-pairs, each verified once on the vertices' integers, from
-``polytopes._labeled_equilibria``, and ``reachability`` matches every path
-terminal to one of those by its pair of indices. ``lh_run`` verifies its
-single terminal itself. A path's nodes are the graphs' own vertices and
-origins, so a path builds no node: each decodes its labels (in increasing
+share. G' prints pair indices, so it numbers each side's nodes itself, by
+point: the V vertices in the order of ``VertexGraph.vertices``, then the
+origin as V, in a dict keyed by label mask. It finds the partners of an
+edge on the other side by looking up masks in that dict, never by
+scanning the other graph, joins pairs (i, j) as the integers
+i * (V_Q + 1) + j and builds no label set. Past the walk an equilibrium is
+a pair of node numbers: ``reachability`` and ``gprime_components`` take
+the completely labeled (P vertex, Q vertex) pairs, each verified once on
+the vertices' integers, from ``polytopes._labeled_equilibria``, and
+``reachability`` matches every path terminal to one of those by its pair
+of node numbers. ``lh_run`` verifies its single terminal itself. A path's
+nodes are the graphs' own nodes, each read out on its first read, so a
+path builds no node of its own: each decodes its labels (in increasing
 order) and reads its point only on use.
 """
 
@@ -74,12 +76,18 @@ def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
 
 
 def _edges(vg: VertexGraph):
-    """Each edge of vg once, as (a, b, the mask of the labels it keeps) with
-    a < b."""
-    for a, v in enumerate(vg.vertices):
-        for l, b in vg.edges_of(a):
+    """Each edge of vg once, as the label masks of its two nodes."""
+    for a in range(len(vg.steps)):
+        mask = vg.node(a).mask
+        for _, b in vg.edges_of(a):
             if b > a:
-                yield a, b, v.mask ^ 1 << l
+                yield mask, vg.node(b).mask
+
+
+def _numbered(vg: VertexGraph) -> dict[int, int]:
+    """G′'s number of each node of vg, by label mask: the V vertices in
+    point order, then the origin as V."""
+    return {v.mask: k for k, v in enumerate((*vg.vertices, vg.origin))}
 
 
 def _walk(
@@ -169,12 +177,12 @@ def reachability(g: BimatrixGame) -> ReachabilityReport:
 class GPrimeReport(Record):
     """Connected components of the union of almost-completely-labeled edges.
 
-    Pairs are (index into P's nodes, index into Q's nodes); the artificial
-    node is index V on each side, after the V vertices, so the artificial
-    pair is the greatest pair. The components are numbered
-    0..n_components-1 in the order of their least pairs.
-    ``equilibrium_pairs`` maps completely labeled non-artificial pairs to
-    equilibria and their component number.
+    Pairs are (index into P's nodes, index into Q's nodes), each side's
+    nodes numbered by point: the V vertices in point order, then the
+    artificial node as V, so the artificial pair is the greatest pair. The
+    components are numbered 0..n_components-1 in the order of their least
+    pairs. ``equilibrium_pairs`` maps completely labeled non-artificial
+    pairs to equilibria and their component number.
     """
 
     n_components: int
@@ -189,7 +197,8 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     An edge (a, b) of P joins the pairs (a, j) and (b, j) that miss exactly
     one label, and likewise an edge of Q. Non-degeneracy gives every P
     node m labels and every Q node n labels, each set carried by one node.
-    So if the edge keeps the labels S, its partners j are the Q nodes
+    So if the edge keeps the labels S, those its two ends share, its
+    partners j are the Q nodes
     labeled (full - S) - {l}, one mask lookup for each l in full - S. Only
     the pairs these edges touch enter the union-find, each pair (i, j) as
     the integer i * (V_Q + 1) + j, whose order is that of the pairs; every
@@ -198,7 +207,8 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     """
     p, q = require_nondegenerate(g)
     full = p.full
-    n1, n2 = p.origin_index, q.origin_index
+    at_p, at_q = _numbered(p), _numbered(q)
+    n1, n2 = len(p.vertices), len(q.vertices)
     width = n2 + 1
 
     # a dict over the touched pairs only: a 12 x 12 game has millions of
@@ -226,11 +236,14 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             if k is not None:
                 yield k
 
-    for a, b, shared in _edges(p):
-        for j in partners(shared, q.at):
+    # an edge keeps the labels its two nodes share
+    for u, v in _edges(p):
+        a, b = at_p[u], at_p[v]
+        for j in partners(u & v, at_q):
             union(a * width + j, b * width + j)
-    for a, b, shared in _edges(q):
-        for i in partners(shared, p.at):
+    for u, v in _edges(q):
+        a, b = at_q[u], at_q[v]
+        for i in partners(u & v, at_p):
             union(i * width + a, i * width + b)
 
     # touched pairs in increasing order, so each root is first met at its
@@ -247,14 +260,14 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             number[root] = x - skipped
     # every completely labeled pair, the artificial one too, is touched: an
     # edge of its P node keeps all but one of the labels its Q node lacks
-    eq_pairs = tuple(
-        (pair, number[find(pair[0] * width + pair[1])], eq)
-        for pair, eq in _labeled_equilibria(p, q).items()
-    )
+    eq_pairs = []
+    for (i, j), eq in _labeled_equilibria(p, q).items():
+        pair = (at_p[p.node(i).mask], at_q[q.node(j).mask])
+        eq_pairs.append((pair, number[find(pair[0] * width + pair[1])], eq))
     # each union of two touched components takes one off the count
     return GPrimeReport(
         (n1 + 1) * width - len(parent) + len(number),
         (n1, n2),
         number[find(n1 * width + n2)],
-        eq_pairs,
+        tuple(eq_pairs),
     )

@@ -42,62 +42,70 @@ rational arithmetic. A basis whose basic variables are all positive is the
 only basis of its vertex, so only a basis with a basic variable at zero
 looks its key up among the vertices found before it.
 
-The walk and the labels are apart. ``_walk`` reads each vertex once, with
-no side's labels: its integers, and ``zeros``, the mask of its variables
-at zero, variable v as bit v: the cobasic variables, plus the basic
-variables at zero. P' is simple exactly when every vertex has d variables
-at zero, that is when no feasible basis has a basic variable at zero, as
+The walk and the labels are apart, and a vertex is read out only where an
+output reads it. P' is simple exactly when every vertex has d variables at
+zero, that is when no feasible basis has a basic variable at zero, as
 every basis of a vertex with more zeros has one (the lrs argument; Avis,
-Rosenberg, Savani & von Stengel 2010). So the non-degeneracy check makes
-the zero test on each basis's right-hand side inside the walk, and reads
-out only a basis that has a zero: on a non-degenerate game it reads out
-no vertex. ``_checked`` is the one place that decides: it counts the bits
-of each record's ``zeros`` and raises on the first offender by point,
-built from that record alone. ``_label_mask`` labels a vertex for its
-side by shifts, in one place, for ``_graph`` and the check's witness: on
-P variable v carries label v + 1, so the label mask is ``zeros << 1``; on
-Q the n bits of y carry the labels m+1..m+n and the m slack bits the
-labels 1..m, so the two parts of ``zeros`` trade places. The labels are
-kept only as that one integer mask, label l as bit l; ``_label_set``
-decodes a mask into a frozenset in increasing label order. Every lookup
-by label set is a lookup by mask: ``VertexGraph.at`` is keyed by mask,
-and a P vertex's partner is the Q vertex at ``full ^ mask``.
+Rosenberg, Savani & von Stengel 2010). ``_feasible_bases`` makes that zero
+test on each basis's right-hand side and hands it over with the basis.
+``_walk`` keeps, for each basis that passes, a node record: the basis's
+mask, variables, right-hand side and det, with no side's labels, and a
+map from the mask to the node's number, in walk order. It reads out only a
+basis that fails, at the first basis of its vertex: the vertex's integers,
+and ``zeros``, the mask of its variables at zero, variable v as bit v: the
+cobasic variables, plus the basic variables at zero. ``_checked`` is the
+one place that decides: it raises on the least of those offenders by
+point, built from its record alone, so on a non-degenerate game the check
+reads out no vertex. ``_label_mask`` labels a vertex for its side by
+shifts, in one place: on P variable v carries label v + 1, so the label
+mask is ``zeros << 1``; on Q the n bits of y carry the labels m+1..m+n and
+the m slack bits the labels 1..m, so the two parts of ``zeros`` trade
+places. A node's variables at zero are its cobasis, so its label mask
+follows from its basis's mask alone, and ``_zeros_of`` undoes the shift.
+The labels are kept only as that one integer mask, label l as bit l;
+``_label_set`` decodes a mask into a frozenset in increasing label order.
+Every lookup by label set is a lookup by mask: ``VertexGraph.find`` turns
+a label mask into a basis mask and reads the walk's map, and a P vertex's
+partner is the Q node at ``full ^ mask``.
 
-Vertices stay in integers until a caller reads a rational. Each keeps its
-key, the key's sum (the denominator of the strategy) and the payoff's
-numerator and denominator, and builds ``point`` on first read. They are
-sorted by cross-multiplication: key a comes before key b when, at the first
-i where a_i * sum(b) != b_i * sum(a), a_i * sum(b) < b_i * sum(a). That is
-the order of their strategies a / sum(a), so of their points. The
-non-degeneracy check reads only the records of the offending bases, so on
-a non-degenerate game it builds no key, no record, no vertex, no rational
-and no label set, and sorts nothing. Past the walk an equilibrium is a
-pair of vertices: ``_equilibrium`` validates it and runs the Nash test on
-the two keys, which are exactly the integers ``is_nash`` would clear the
-strategies to, and builds only the two points it reports.
-``_labeled_equilibria`` is the one readout of every completely labeled
-pair, for ``labels``, ``reachability`` and ``gprime``.
+Vertices stay in integers until a caller reads a rational. A node is read
+out on its first read, ``VertexGraph.node(k)``: its key, the key's sum (the
+denominator of the strategy) and the payoff's numerator and denominator,
+and its label mask; the vertex builds ``point`` on first read. Only an
+output that names the point order sorts, by cross-multiplication: key a
+comes before key b when, at the first i where a_i * sum(b) != b_i *
+sum(a), a_i * sum(b) < b_i * sum(a). That is the order of their strategies
+a / sum(a), so of their points. ``VertexGraph.vertices``, every vertex
+sorted so, is built on its first read, by ``enumerate_vertices`` and G';
+the label method sorts only its equilibria, and the check only its
+offenders. Past the walk an equilibrium is a pair of vertices:
+``_equilibrium`` validates it and runs the Nash test on the two keys,
+which are exactly the integers ``is_nash`` would clear the strategies to,
+and builds only the two points it reports. ``_labeled_equilibria`` is the
+one readout of every completely labeled pair, for ``labels``,
+``reachability`` and ``gprime``, and reads out only the pairs' vertices.
 
 The walk pivots on pop: its stack keeps, for each basis found but not yet
 visited, the parent's dictionary and the pivot's row and column, so
 siblings share one dictionary and a dictionary lives only while a child of
 it waits. It hands each basis over as its own state (basis, cobasis,
-dictionary, det) and tries the entering variables in dictionary order. A
-basis is known by its mask, the bits of its variables. The walk tests each
-edge once. When a basis whose basic variables are all positive steps to a
-basis not yet visited, entering e and leaving l, the far basis settles the
-reverse step, entering l and leaving e, without a ratio test: raising l
-there retraces the edge, its other basic variables are basic and positive
-at the near end, so they leave only past it, and the test would pick e's
-row alone. A basis whose steps are all settled has no unseen neighbour, so
-it is no parent, and it pivots only the entering column and the
-right-hand side, the one column a caller reads. A basis with a basic
-variable at zero settles nothing, so its steps are tested from both ends.
-The walk records every step out of each basis, and in a non-degenerate
-game, where each basis is one vertex and each step is one edge, that record
-is the vertex graph: ``VertexGraph`` reads it node by node and finds the
-node a step reaches by its label mask, in ``at``. Its nodes are the
-vertices and its ``origin``, the walk's first basis, which is a
+dictionary, det), with its right-hand side, mask and zero test, and tries
+the entering variables in dictionary order. A basis is known by its mask,
+the bits of its variables. The walk tests each edge once. When a basis
+whose basic variables are all positive steps to a basis not yet visited,
+entering e and leaving l, the far basis settles the reverse step, entering
+l and leaving e, without a ratio test: raising l there retraces the edge,
+its other basic variables are basic and positive at the near end, so they
+leave only past it, and the test would pick e's row alone. A basis whose
+steps are all settled has no unseen neighbour, so it is no parent, and it
+pivots only the entering column and the right-hand side, the one column a
+caller reads. A basis with a basic variable at zero settles nothing, so
+its steps are tested from both ends. The walk records every step out of
+each basis, and in a non-degenerate game, where each basis is one vertex
+and each step is one edge, that record is the vertex graph:
+``VertexGraph`` reads it node by node and finds the node a step reaches in
+the walk's map, by the basis mask the step leads to. Its nodes are the
+vertices and its ``origin``, the walk's first basis, node 0, which is a
 ``LabeledVertex`` with no point: the origin is not a strategy.
 
 A symmetric game, A = B^T, has one polytope (Nash 1951; von Stengel 2002,
@@ -227,12 +235,15 @@ def _feasible_bases(start: list[list[int]], steps: list):
 
     ``mat`` is k x d with positive entries and ``rhs`` is positive, so the
     polytope is bounded and the origin (all slacks basic) is a simple
-    vertex. Variables 0..d-1 are z and d..d+k-1 the slacks. Yields the
-    walk's own state for each basis, (basis, cobasis, dic, det), to be read
-    and not changed: ``basis[r]`` is the variable of dictionary row r,
-    ``cobasis[c]`` that of column c, and the basic variable of row r has the
-    value dic[r][-1] / det, where the integer det > 0 is |det| of the
-    basis's columns of [mat | I]. The entering variables are tried in
+    vertex. Variables 0..d-1 are z and d..d+k-1 the slacks. Yields, for
+    each basis, the walk's own state (basis, cobasis, dic, det), to be read
+    and not changed, then its right-hand side ``rhs``, its mask (variable v
+    as bit v, over the basic variables) and ``positive``, its zero test:
+    ``basis[r]`` is the variable of dictionary row r, ``cobasis[c]`` that of
+    column c, and the basic variable of row r has the value rhs[r] / det,
+    where rhs[r] = dic[r][-1] and the integer det > 0 is |det| of the
+    basis's columns of [mat | I]; ``positive`` is whether every basic
+    variable is positive. The entering variables are tried in
     dictionary order, column by column. A tie in the ratio test branches to
     every tied row, so degenerate vertices are reached through all of their
     bases. The walk appends to ``steps``, for each basis in the order
@@ -256,7 +267,7 @@ def _feasible_bases(start: list[list[int]], steps: list):
     basis, so a basis whose d steps are all settled has no unseen neighbour
     and is never a parent: only its right-hand side is read, so ``_pivot``
     runs on the entering column and the right-hand side alone, and the
-    basis is yielded with rows of those two entries. At a basis with a
+    basis's state holds rows of those two entries. At a basis with a
     basic variable at zero the argument fails, so its steps settle nothing,
     and each is ratio-tested from both ends.
     """
@@ -276,9 +287,10 @@ def _feasible_bases(start: list[list[int]], steps: list):
             if len(settled) == d:  # no parent: pivot [col, rhs] alone
                 dic, col = [[row[col], row[-1]] for row in dic], 0
             state = (nxt, co, _pivot(dic, r, col, det), dic[r][col])
-        yield state
         basis, cobasis, dic, det = state
-        positive = all(row[-1] for row in dic)
+        rhs = [row[-1] for row in dic]
+        positive = all(rhs)
+        yield state, rhs, mask, positive
         out = []
         for col, enter in enumerate(cobasis):
             if enter in settled:
@@ -306,37 +318,56 @@ def _point_order(a: tuple, b: tuple) -> int:
         diff = x * sb - y * sa
         if diff:
             return diff
-    # no caller compares two equal points: the vertices of a graph have
+    # no caller compares two equal points: the vertices of a walk have
     # distinct keys, and the sweep orders equilibria of distinct P vertices
     return 0  # pragma: no cover
 
 
-def _walk(
-    payoffs: IntegerPayoffs, which: str, *, offenders_only: bool = False
-) -> tuple[list, list[list[int]]]:
-    """The vertices of P' (which="P") or Q' as the walk reads them, sorted
-    by point, with no side's labels, and the steps of the walk.
+_by_point = cmp_to_key(_point_order)
 
-    Walks the feasible bases of the normalised polytope (P' over x for "P",
-    Q' over y for "Q"; see the module docstring). Its origin's dictionary
-    has one row per row X_j of X = B^T or A, read off ``payoffs``:
-    s_j * (X_j + shift) with the right-hand side s_j, where s_j is the least
-    denominator of X_j and shift = 1 - floor(min X). Each non-zero vertex z
-    is one record (integers, zeros, number). ``integers`` is (key, den, num,
-    pay_den): the point (key / den, num / pay_den), with the best-reply
-    payoff (det - shift * sum(z)) / sum(z), read off the integer dictionary.
-    ``zeros`` has bit v set for each variable v at zero: the cobasic
-    variables plus every basic variable at zero, so extra zeros on
-    degenerate inputs are kept. ``number`` is the vertex's first basis. The
-    steps come in the records' order, and last those of the origin, where
-    z = 0, which is no record.
 
-    With ``offenders_only`` the walk reads out only the bases with a basic
-    variable at zero, so its records are the vertices with more than d
-    variables at zero, each still read at its first basis: every basis of
-    such a vertex has a basic variable at zero, and a basis whose basic
-    variables are all positive is the one basis of a vertex with d zeros.
-    The non-degeneracy check reads no other record.
+def _integers(basis: list, rhs: list, det: int, d: int, shift: int) -> tuple:
+    """(key, den, num, pay_den) of the non-zero vertex of a basis (see
+    _walk): its point (key / den, num / pay_den), read off the basis's
+    variables, right-hand side and det."""
+    z = [0] * d
+    for var, value in zip(basis, rhs):
+        if var < d:
+            z[var] = value
+    total = sum(z)
+    # the vertex's direction as a primitive integer vector: the bases of a
+    # degenerate vertex all give the same key
+    common = math.gcd(*z)
+    key = tuple(z) if common == 1 else tuple(v // common for v in z)
+    # some row X_j + shift <= 1 is tight at z / det, so the best-reply
+    # payoff of the strategy z / total is (det - shift * total) / total
+    return key, total // common, det - shift * total, total
+
+
+def _walk(payoffs: IntegerPayoffs, which: str) -> tuple:
+    """The walk of the feasible bases of P' (which="P") or Q', with no
+    side's labels, as (nodes, index, steps, offenders, shift): a node
+    record for each basis whose basic variables are all positive, and the
+    readout of each vertex with a basic variable at zero.
+
+    Walks the normalised polytope (P' over x for "P", Q' over y for "Q";
+    see the module docstring). Its origin's dictionary has one row per row
+    X_j of X = B^T or A, read off ``payoffs``: s_j * (X_j + shift) with the
+    right-hand side s_j, where s_j is the least denominator of X_j and
+    shift = 1 - floor(min X). A basis with no basic variable at zero is
+    the one basis of a vertex with d variables at zero, its cobasis; its
+    node record is (mask, basis, rhs, det), the basis's mask, variables,
+    right-hand side and det, as ``_feasible_bases`` hands them over, and
+    ``index`` maps the mask to the node's number, in walk order: the
+    origin, the walk's first basis, is node 0. ``_integers`` reads a node
+    out. Every basis of a vertex with more than d variables at zero has a
+    basic variable at zero, and such a vertex is read out at its first
+    basis only, as the record (integers, zeros): ``integers`` as
+    ``_integers`` gives them, and ``zeros`` with bit v set for each
+    variable v at zero, the cobasic variables plus the basic ones at zero;
+    ``offenders`` lists those records. ``steps`` holds the steps out of
+    every basis, in walk order, so in a walk with no offender, those of
+    node k are ``steps[k]``.
     """
     if which == "P":
         ints, scale = payoffs.bt, payoffs.b_scale  # n rows of B^T, over x
@@ -354,41 +385,26 @@ def _walk(
         lift = s * shift
         start.append([v + lift for v in row] + [s])
     d = len(ints[0])
-    bits = [1 << v for v in range(d + len(ints))]  # the bit of each variable
+    every = (1 << d + len(ints)) - 1  # the bit of each variable
     steps: list[list[int]] = []
-    found: dict[tuple[int, ...], tuple] = {}  # key -> the vertex's record
-    for number, (basis, cobasis, dic, det) in enumerate(_feasible_bases(start, steps)):
-        if offenders_only and all(row[-1] for row in dic):
-            continue  # its vertex has d variables at zero
-        z = [0] * d
-        tight = []  # the basic variables at zero
-        for var, row in zip(basis, dic):
-            value = row[-1]
-            if not value:
-                tight.append(var)
-            elif var < d:
-                z[var] = value
-        total = sum(z)
-        if total == 0:
-            continue  # the origin: no strategy
-        # the vertex's direction as a primitive integer vector: the bases of
-        # a degenerate vertex all give the same key
-        common = math.gcd(*z)
-        key = tuple(z) if common == 1 else tuple(v // common for v in z)
-        if tight and key in found:
-            # a vertex with more zeros than cobasic variables: other bases
-            # may share it, and the first one found stands for them all.
-            # When every basic variable is positive, no other basis has it.
+    nodes: list[tuple] = []
+    index: dict[int, int] = {}
+    found: dict[tuple[int, ...], tuple] = {}  # key -> the offender's record
+    for (basis, _, _, det), rhs, mask, positive in _feasible_bases(start, steps):
+        if positive:
+            index[mask] = len(nodes)
+            nodes.append((mask, basis, rhs, det))
             continue
-        # some row X_j + shift <= 1 is tight at z / det, so the best-reply
-        # payoff of the strategy z / total is (det - shift * total) / total
-        integers = (key, total // common, det - shift * total, total)
-        found[key] = (integers, sum(map(bits.__getitem__, cobasis + tight)), number)
-    # distinct keys give distinct strategies, so no two compare equal
-    by_point = cmp_to_key(_point_order)
-    records = sorted(found.values(), key=lambda record: by_point(record[0]))
-    # the origin's basis is the walk's first
-    return records, [steps[record[2]] for record in records] + [steps[0]]
+        # a vertex with more zeros than cobasic variables: other bases may
+        # share it, and the first one found stands for them all
+        integers = _integers(basis, rhs, det, d, shift)
+        if integers[0] not in found:
+            zeros = every ^ mask
+            for var, value in zip(basis, rhs):
+                if not value:
+                    zeros |= 1 << var
+            found[integers[0]] = (integers, zeros)
+    return nodes, index, steps, list(found.values()), shift
 
 
 def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
@@ -403,26 +419,45 @@ def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
     return (zeros & (1 << n) - 1) << m + 1 | zeros >> n << 1
 
 
+def _zeros_of(mask: int, m: int, n: int, which: str) -> int:
+    """The variables at zero of the vertex of P (which="P") or Q whose label
+    mask, over the labels 1..m+n, is ``mask``: ``_label_mask`` undone."""
+    if which == "P":
+        return mask >> 1
+    return mask >> m + 1 | (mask >> 1 & (1 << m) - 1) << n
+
+
 def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
-    """The graph of P (which="P") or Q: the records of a walk (see _walk)
-    labelled for that side by ``_label_mask``, and its steps. The origin,
-    where z = 0, is the graph's ``origin``: a node with no point, labeled
-    by the d variables of z.
-    """
-    records, steps = walk
+    """The graph of P (which="P") or Q: a walk (see _walk) labelled for that
+    side by ``_label_mask``. Its origin, where z = 0, is node 0: a node
+    with no point, labeled by the d variables of z. No other node is read
+    out yet."""
+    nodes, index, steps, offenders, shift = walk
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
         labels = tuple(range(1, m + n + 1))  # of x_1..x_m, then the slacks
     else:
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
-    masks = [_label_mask(zeros, m, n, which) for _, zeros, _ in records]
-    return VertexGraph(
-        tuple(map(LabeledVertex._from_integers, [r[0] for r in records], masks)),
-        LabeledVertex(None, frozenset(labels[: m if which == "P" else n])),
-        steps,
-        labels,
-        payoffs,
+    origin = LabeledVertex(None, frozenset(labels[: m if which == "P" else n]))
+    graph = VertexGraph.__new__(VertexGraph)
+    graph.__dict__.update(
+        origin=origin,
+        steps=steps,
+        labels=labels,
+        payoffs=payoffs,
+        origin_index=0,
+        full=_mask(labels),
+        _nodes=nodes,
+        _index=index,
+        _offenders=offenders,
+        _shift=shift,
+        _shape=(m, n, which),
+        _d=m if which == "P" else n,
+        _every=(1 << m + n) - 1,
+        _read=[origin] + [None] * (len(nodes) - 1),
+        _near={},
     )
+    return graph
 
 
 def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]:
@@ -436,39 +471,36 @@ def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]
 
 
 class VertexGraph(Record):
-    """The vertices of P or Q, sorted by point, with the steps of the walk
-    that found them.
+    """The graph of P or Q, node by node, as the vertex walk found it.
 
     ``require_nondegenerate`` returns one per side of a non-degenerate game,
     and every method reads vertices, edges and label masks from these. The
-    nodes of the graph are the V vertices and ``origin``, node V
-    (``origin_index``): the origin of the normalised polytope, a
-    ``LabeledVertex`` with no point that carries the x labels 1..m on P and
-    the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind. In a
-    non-degenerate game each node is one basis of the walk, whose cobasis
-    carries the node's labels, and ``steps[k]`` holds the walk's steps out
-    of node k's basis: each is one edge, keyed by the label of the variable
-    entering, the label the step drops, and leads to the node whose mask
-    lacks that label and has the label of the variable leaving. ``payoffs``
-    is the game's ``IntegerPayoffs`` the walk shifted, one object shared by
-    the two graphs of a call. ``at``, the index of each node keyed by its
-    label mask, is built with the graph, and ``near`` keeps each node's
-    edges once read: both go with the graph, and nothing is cached between
-    calls. A graph is built only by a method that reads one; the check
-    reads the walk alone.
+    nodes are numbered in walk order, each one basis of the walk, whose
+    cobasis carries the node's labels. Node 0 (``origin_index``) is the
+    walk's first basis, ``origin``: the origin of the normalised polytope,
+    a ``LabeledVertex`` with no point that carries the x labels 1..m on P
+    and the y labels m+1..m+n on Q. ``node(k)`` is node k of either kind,
+    built on its first read from the walk's record and the same object
+    after that. ``steps[k]`` holds the walk's steps out of node k's basis:
+    each is one edge, keyed by the label of the variable entering, the
+    label the step drops. ``near(k)`` finds the node each step reaches in
+    the walk's own map from basis mask to node, and keeps node k's edges
+    once read. ``payoffs`` is the game's ``IntegerPayoffs`` the walk
+    shifted, one object shared by the two graphs of a call. A graph is
+    built only by a method that reads one, and nothing is cached between
+    calls.
 
     Its readers use the interface in two tiers. The sweep, ``lh_run`` and
     the Lemke-Howson paths read a graph node by node, through ``node(k)``,
     ``near(k)``, ``origin_index``, ``labels``, ``full`` and ``payoffs``
-    alone: they reach every node, the origin included, through ``node(k)``,
-    never count the nodes or iterate over them, and their outputs do not
-    depend on the numbering, so a graph that numbers its nodes as it
-    discovers them serves them as well. The label method and
+    alone: they never count the nodes or iterate over them, and their
+    outputs do not depend on the numbering. The label method and
     ``reachability`` (through ``_labeled_equilibria``) and G'
-    (``gprime_components``) also read ``vertices``, ``origin``, ``at`` and
-    ``edges_of``, and the order of their outputs is the vertices' point
-    order, as is the order in which the check meets a degenerate game's
-    witness.
+    (``gprime_components``) also read ``steps``, ``origin``,
+    ``label_mask(k)``, ``find(mask)`` and ``edges_of``; those read no node
+    out. ``vertices``, the vertices sorted by point, is built on its first
+    read, by G' and ``enumerate_vertices``; the graph prints and compares
+    as it.
     """
 
     vertices: tuple[LabeledVertex, ...]
@@ -478,30 +510,53 @@ class VertexGraph(Record):
     payoffs: IntegerPayoffs
     _hidden = ("origin", "steps", "labels", "payoffs")
 
-    def __post_init__(self):
-        # origin_index is the origin's node number, V: a step to it is a
-        # ray of P or Q; full is the mask of every label, 1..m+n; node(k)
-        # is vertex k, or the origin when k is V, a lookup in one tuple; at
-        # is the index of each node by its label mask, the origin as node
-        # V: each vertex has a positive coordinate, so lacks one of the
-        # origin's labels
-        nodes = (*self.vertices, self.origin)
-        self.__dict__.update(
-            origin_index=len(self.vertices),
-            full=_mask(self.labels),
-            _near={},
-            node=nodes.__getitem__,
-            at={v.mask: k for k, v in enumerate(nodes)},
-        )
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set: the vertices, read out and
+        # sorted on first read; on the degenerate walk enumerate_vertices
+        # labels, the offenders' records are vertices too
+        if name != "vertices":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        d = self.__dict__
+        m, n, which = d["_shape"]
+        found = [self.node(k) for k in range(1, len(d["_nodes"]))]
+        for integers, zeros in d["_offenders"]:
+            mask = _label_mask(zeros, m, n, which)
+            found.append(LabeledVertex._from_integers(integers, mask))
+        found.sort(key=lambda v: _by_point(v._integers))
+        d["vertices"] = vertices = tuple(found)
+        return vertices
+
+    def node(self, k: int) -> LabeledVertex:
+        """Node k, read out of the walk's record on the first call for k."""
+        v = self._read[k]
+        if v is None:
+            _, basis, rhs, det = self._nodes[k]
+            integers = _integers(basis, rhs, det, self._d, self._shift)
+            v = self._read[k] = LabeledVertex._from_integers(
+                integers, self.label_mask(k)
+            )
+        return v
+
+    def label_mask(self, k: int) -> int:
+        """The label mask of node k, by shifts of its basis's mask, without
+        reading the node out."""
+        return _label_mask(self._every ^ self._nodes[k][0], *self._shape)
+
+    def find(self, mask: int) -> int | None:
+        """The node whose label mask is ``mask``, over the labels 1..m+n, or
+        None: the walk's map read at the basis of the cobasis those labels
+        name."""
+        return self._index.get(self._every ^ _zeros_of(mask, *self._shape))
 
     def edges_of(self, k: int):
-        """(label dropped, node reached) for each edge of node k; node V is
-        the origin, and a step to it is a ray of P or Q."""
+        """(label dropped, node reached) for each edge of node k; a step to
+        node 0 is a ray of P or Q."""
         it = iter(self.steps[k])
-        mask, at, labels = self.node(k).mask, self.at, self.labels
+        mask, index, labels = self._nodes[k][0], self._index, self.labels
         for enter, leave in zip(it, it):
-            drop = labels[enter]
-            yield drop, at[mask ^ 1 << drop ^ 1 << labels[leave]]
+            yield labels[enter], index[mask ^ 1 << enter ^ 1 << leave]
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read
@@ -513,36 +568,31 @@ class VertexGraph(Record):
 
 
 def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
-    """The walk of P (which="P") or Q, once each of its vertices has d
-    variables at zero, d = m on P and n on Q; DegenerateGame otherwise, on
-    the first vertex by point that has more, built from its record and
-    attached."""
-    m, n = len(payoffs.a), len(payoffs.bt)
-    d = m if which == "P" else n
-    for integers, zeros, _ in walk[0]:
-        if zeros.bit_count() != d:
-            v = LabeledVertex._from_integers(integers, _label_mask(zeros, m, n, which))
-            pt = "(" + ", ".join(str(x) for x in v.point) + ")"
-            raise DegenerateGame(
-                f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
-            )
+    """The walk of P (which="P") or Q, once no basis of it has a basic
+    variable at zero, so that every vertex has d variables at zero, d = m
+    on P and n on Q; DegenerateGame otherwise, on the first vertex by point
+    that has more, built from its record and attached."""
+    offenders = walk[3]
+    if offenders:
+        m, n = len(payoffs.a), len(payoffs.bt)
+        integers, zeros = min(offenders, key=lambda r: _by_point(r[0]))
+        v = LabeledVertex._from_integers(integers, _label_mask(zeros, m, n, which))
+        pt = "(" + ", ".join(str(x) for x in v.point) + ")"
+        raise DegenerateGame(
+            f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
+        )
     return walk
 
 
-def _walks(
-    payoffs: IntegerPayoffs, *, offenders_only: bool = False
-) -> tuple[tuple, tuple]:
+def _walks(payoffs: IntegerPayoffs) -> tuple[tuple, tuple]:
     """The walks of P' and Q', each checked. When the cleared payoffs give
     A = B^T exactly, P' is walked alone and its walk serves Q too (see the
-    module docstring): its vertices have the zero counts Q's check needs
-    when they pass P's. With ``offenders_only`` each walk records only the
-    vertices with too many zeros (see _walk): enough for the check, which
-    then finds the same witness, and for no graph."""
-    p = _checked(_walk(payoffs, "P", offenders_only=offenders_only), payoffs, "P")
+    module docstring): it has no offender for Q's check when it has none
+    for P's."""
+    p = _checked(_walk(payoffs, "P"), payoffs, "P")
     if payoffs.a == payoffs.bt and payoffs.a_scale == payoffs.b_scale:
         return p, p
-    q = _walk(payoffs, "Q", offenders_only=offenders_only)
-    return p, _checked(q, payoffs, "Q")
+    return p, _checked(_walk(payoffs, "Q"), payoffs, "Q")
 
 
 def require_nondegenerate(g: BimatrixGame) -> tuple[VertexGraph, VertexGraph]:
@@ -561,14 +611,14 @@ def check_nondegenerate(
 
     On failure the offending vertex is returned as witness: the first by
     point with too many labels, P's before Q's. The check decides on each
-    basis's right-hand side, inside the walks: a vertex has too many labels
-    exactly when its bases have a basic variable at zero, so only such a
-    basis is read out, and a non-degenerate game reads out no vertex, sorts
-    nothing and builds no ``LabeledVertex``. The witness is built from its
-    record alone.
+    basis's zero test, inside the walks ``require_nondegenerate`` runs: a
+    vertex has too many labels exactly when its bases have a basic
+    variable at zero, so only such a basis is read out, and a
+    non-degenerate game reads out no vertex, sorts nothing and builds no
+    ``LabeledVertex``. The witness is built from its record alone.
     """
     try:
-        _walks(IntegerPayoffs.of(g), offenders_only=True)
+        _walks(IntegerPayoffs.of(g))
     except DegenerateGame as exc:
         return False, exc.witness
     return True, None
@@ -603,19 +653,21 @@ def _equilibrium(
 def _labeled_equilibria(
     p: VertexGraph, q: VertexGraph
 ) -> dict[tuple[int, int], EquilibriumPoint]:
-    """The equilibrium of each completely labeled pair (i, j), checked once:
-    P vertex i and the Q vertex j labeled by the labels i lacks, found at
-    the mask ``full ^ mask``. That mask is never Q's origin's, as only P's
-    origin carries all of 1..m. The pairs come in the order of the P
-    vertices, which are sorted by point and each have at most one partner,
-    so the equilibria come sorted by key."""
-    full, at = p.full, q.at
-    out = {}
-    for i, vp in enumerate(p.vertices):
-        j = at.get(full ^ vp.mask)
+    """The equilibrium of each completely labeled pair (i, j) of node
+    numbers, checked once: P vertex i and the Q node j labeled by the labels
+    i lacks, found at the mask ``full ^ label_mask(i)``. That node is never
+    Q's origin, as only P's origin, node 0, carries all of 1..m. Each P
+    vertex has at most one partner, and the pairs come sorted by their P
+    vertices' points, so the equilibria come sorted by key. Only the
+    vertices of a pair are read out."""
+    full = p.full
+    pairs = []
+    for i in range(1, len(p.steps)):
+        j = q.find(full ^ p.label_mask(i))
         if j is not None:
-            out[i, j] = _equilibrium(p.payoffs, vp, q.vertices[j])
-    return out
+            pairs.append((i, j))
+    pairs.sort(key=lambda pair: _by_point(p.node(pair[0])._integers))
+    return {(i, j): _equilibrium(p.payoffs, p.node(i), q.node(j)) for i, j in pairs}
 
 
 def equilibria_by_labels(g: BimatrixGame) -> tuple[EquilibriumPoint, ...]:

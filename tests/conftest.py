@@ -53,13 +53,20 @@ def baseline_game(d: int, seed: int) -> BimatrixGame:
     return BimatrixGame.from_payoffs(a, bm)
 
 
+def vertex_nodes(graph) -> dict:
+    """The vertices of a vertex graph by node number: every node but the
+    origin, in the graph's numbering."""
+    count = len(graph.steps)
+    return {k: graph.node(k) for k in range(count) if k != graph.origin_index}
+
+
 def label_set_edges(graph) -> dict[frozenset[int], tuple[int, ...]]:
     """Reference edge index of a vertex graph of a non-degenerate game: each
-    edge, keyed by the labels it keeps, as the indices of its one or two
-    vertices. An edge with one vertex runs to the origin of the normalised
-    polytope."""
+    edge, keyed by the labels it keeps, as the node numbers of its one or
+    two vertices. An edge with one vertex runs to the origin of the
+    normalised polytope."""
     index: dict[frozenset[int], tuple[int, ...]] = {}
-    for k, v in enumerate(graph.vertices):
+    for k, v in vertex_nodes(graph).items():
         for l in v.labels:
             key = v.labels - {l}
             index[key] = index.get(key, ()) + (k,)

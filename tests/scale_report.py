@@ -9,11 +9,13 @@ large random games.
     PYTHONPATH=src python tests/scale_report.py --kt --d 8 --method labels
 
 The "check" column times ``require_nondegenerate``: the vertex walk of P
-and of Q with every vertex read out, the sort, the zero count and the two
-graphs (a symmetric game, A = B^T, walks P' alone and relabels it for Q).
-That is the check every method runs, not the ``check`` command, whose
-``check_nondegenerate`` reads out only the bases with a basic variable at
-zero. It runs once on ``conftest.baseline_game(d, seed)``, the
+and of Q, which keeps a node record for each basis and reads out only a
+basis with a basic variable at zero, and the two graphs (a symmetric
+game, A = B^T, walks P' alone and relabels it for Q). That is the check
+every method runs; the ``check`` command's ``check_nondegenerate`` runs
+the same walks and builds no graph. The vertex counts are read after the
+timer stops, off each graph's ``vertices``, which reads out and sorts
+every node. It runs once on ``conftest.baseline_game(d, seed)``, the
 random rank-1 d x d game with payoffs in -9999..9999. With ``--method``
 other than ``check`` (labels, lh_all, gprime or enumerate), one cold call of
 that library method follows the check in the same process and is timed on

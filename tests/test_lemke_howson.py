@@ -40,14 +40,15 @@ def test_graph_shapes(unreach22):
     p, q = require_nondegenerate(unreach22)
     # three polyhedron vertices on each side
     assert len(p.vertices) == 3 and len(q.vertices) == 3
-    # a step to node V runs to the artificial node, the origin, which has no
-    # point and carries the x labels on P and the y labels on Q
+    # a step to node origin_index runs to the artificial node, the origin,
+    # which has no point and carries the x labels on P and the y labels on Q
     for graph, artificial in ((p, {1, 2}), (q, {3, 4})):
-        origin = len(graph.vertices)
+        origin = graph.origin_index
         assert graph.node(origin) is graph.origin
         assert graph.origin.point is None and graph.origin.labels == artificial
         lone = 0
-        for k, v in enumerate(graph.vertices):
+        for v in graph.vertices:
+            k = graph.find(v.mask)
             assert graph.node(k) is v
             for l in v.labels:
                 j = graph.near(k)[l]
@@ -104,7 +105,7 @@ def test_walk_rejects_a_path_back_to_the_artificial_pair():
     # graphs whose origin steps across label 1 back to itself must trip the
     # check rather than report a terminal
     p, q = require_nondegenerate(generate_kt(1))
-    origin = len(p.vertices)
+    origin = p.origin_index
     p.near(origin)[1] = origin
     with pytest.raises(InternalInvariantError, match="artificial node"):
         lemke_howson._walk(p, q, 1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import label_set_edges, random_rank1_game
+from conftest import label_set_edges, random_rank1_game, vertex_nodes
 from dense_lp import (
     AffineRVector,
     binding_rows,
@@ -240,8 +240,8 @@ def _sweep_stepping_astray(monkeypatch, to):
     ivs = enumerate_all(g).intervals
     assert ivs[0].case == "Optimality"
     p, q = require_nondegenerate(g)
-    k = p.at[ivs[0].p_vertex.mask]
-    p._near[k] = _Astray(p.near(k), ivs[0].beta2_row, p.at[ivs[to].p_vertex.mask])
+    k = p.find(ivs[0].p_vertex.mask)
+    p._near[k] = _Astray(p.near(k), ivs[0].beta2_row, p.find(ivs[to].p_vertex.mask))
     monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
     return enumerate_all(g)
 
@@ -269,7 +269,7 @@ def test_sweep_stalls_where_no_q_edge_continues_the_slice(monkeypatch):
     ivs = enumerate_all(g).intervals
     assert (ivs[1].xi2, ivs[1].case) == (6, "Feasibility")
     p, q = require_nondegenerate(g)
-    k = q.at[ivs[1].q_edge[1].mask]
+    k = q.find(ivs[1].q_edge[1].mask)
     q._near[k] = dict.fromkeys(q.near(k), q.origin_index)
     monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
     with pytest.raises(Stalled, match="no edge of Q continues the slice past 6"):
@@ -487,8 +487,9 @@ def test_unread_trace_holds_no_vertex_graph(g, monkeypatch):
 def test_lazy_attributes_survive_copy_and_pickle(g):
     # copy, deepcopy, pickle and hasattr look up names a trace or a graph
     # does not set, such as __deepcopy__ and __setstate__, and need the
-    # __getattr__ that builds the records, or a graph's ``at``, on first
-    # read to raise AttributeError for every other name
+    # __getattr__ that builds the records, or a graph's ``vertices``, on
+    # first read to raise AttributeError for every other name; a graph
+    # copied before its vertices are read reads them out of its own walk
     now = enumerate_all(g)
     now.intervals
     for copied in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
@@ -497,7 +498,7 @@ def test_lazy_attributes_survive_copy_and_pickle(g):
     assert not hasattr(enumerate_all(g), "nope")
     for graph in require_nondegenerate(g):
         back = pickle.loads(pickle.dumps(graph))
-        assert back.at == graph.at and back.near(0) == graph.near(0)
+        assert back.vertices == graph.vertices and back.near(0) == graph.near(0)
         assert not hasattr(graph, "nope")
 
 
@@ -506,10 +507,10 @@ def _full_scan_start(p, q, f):
     value at xi_min, ties to sorted labels, and every Q edge straddling
     xi_min for the least pi1 there, then the least slope, then sorted labels."""
     m, n, xi = len(f.b), len(f.c), min(f.c)
-    pv, qv = p.vertices, q.vertices
-    cy = [vdot(f.c, w.point[:n]) for w in qv]
+    pv, qv = vertex_nodes(p), vertex_nodes(q)
+    cy = {j: vdot(f.c, w.point[:n]) for j, w in qv.items()}
     k = min(
-        range(len(pv)),
+        pv,
         key=lambda k: (
             pv[k].point[m] - xi * vdot(f.b, pv[k].point[:m]),
             sorted(pv[k].labels),
@@ -593,13 +594,13 @@ def _assert_integer_decisions(g, f=None) -> int:
     b, m = tr.factorization.b if tr.factorization else None, g.m
     for iv in tr.intervals:
         # the P vertex's crossings with its neighbours' lines, as rationals
-        k = p.vertices.index(iv.p_vertex)
+        k = p.find(iv.p_vertex.mask)
         x = iv.p_vertex.point
         below, above = [], []
         for j in p.near(k).values():
             if j == p.origin_index:
                 continue
-            y = p.vertices[j].point
+            y = p.node(j).point
             rise = vdot(b, y[:m]) - vdot(b, x[:m])
             if rise:
                 (above if rise > 0 else below).append((y[m] - x[m]) / rise)

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import baseline_game, label_set_edges, random_game, random_rank1_game
+from conftest import (
+    baseline_game,
+    label_set_edges,
+    random_game,
+    random_rank1_game,
+    vertex_nodes,
+)
 from dense_lp import polyhedron_rows
 from test_differential import rank1_games
 from rank1nash import (
@@ -57,8 +63,9 @@ def _positive_integer_rows(rows):
 def _rhs_bases(mat):
     """(basis, rhs, det) for each basis the walk yields: basis[r] has the
     value rhs[r] / det."""
-    for basis, _, dic, det in _feasible_bases([row + [1] for row in mat], []):
-        yield basis, [row[-1] for row in dic], det
+    walk = _feasible_bases([row + [1] for row in mat], [])
+    for (basis, _, _, det), rhs, _, _ in walk:
+        yield basis, rhs, det
 
 
 def _subset_scan(g, which):
@@ -235,7 +242,7 @@ def test_walk_visits_every_feasible_basis():
             if min(z) >= 0:
                 feasible.add(frozenset(cols))
         walk = _feasible_bases([row + [1] for row in mat], [])
-        assert {frozenset(b) for b, _, _, _ in walk} == feasible, mat
+        assert {frozenset(b) for (b, _, _, _), *_ in walk} == feasible, mat
 
 
 def test_labels_read_off_the_cobasis():
@@ -258,7 +265,8 @@ def test_labels_read_off_the_cobasis():
         k, d = len(mat), len(mat[0])
         every = set(range(d + k))
         by_key: dict[tuple, list] = {}
-        for basis, cobasis, dic, det in _feasible_bases([row + [1] for row in mat], []):
+        walk = _feasible_bases([row + [1] for row in mat], [])
+        for (basis, cobasis, dic, _), *_ in walk:
             zero = [var for var, row in zip(basis, dic) if row[-1] == 0]
             # the old readout: every variable outside the basis, and the
             # basic ones at zero
@@ -321,11 +329,117 @@ def _reference_walk(start, steps):
         steps.append(out)
 
 
+def _states(walk):
+    """The state of each basis ``_feasible_bases`` yields, once the
+    right-hand side, mask and zero test it hands over with the state are
+    checked against the state itself."""
+    for state, rhs, mask, positive in walk:
+        basis, _, dic, _ = state
+        assert rhs == [row[-1] for row in dic]
+        assert mask == sum(1 << var for var in basis)
+        assert positive == all(value > 0 for value in rhs)
+        yield state
+
+
+def _strategy(integers) -> tuple:
+    """The strategy key / den of a vertex's integers (key, den, num,
+    pay_den), as rationals."""
+    key, den = integers[:2]
+    return tuple(rat(v, den) for v in key)
+
+
+def _eager_walk(payoffs, which):
+    """Reference: the earlier full readout of the walk of P' (which="P") or
+    Q', over ``_reference_walk``, as (records, steps). Each non-zero vertex
+    is one record (integers, zeros, number), read at its first basis, with
+    ``zeros`` its variables at zero and ``number`` that basis; the records
+    are sorted by point, and the steps come in their order, the origin's
+    last."""
+    ints, scale = (payoffs.bt, payoffs.b_scale) if which == "P" else (
+        payoffs.a, payoffs.a_scale
+    )
+    shift = 1 - min(map(min, ints)) // scale
+    start = []
+    for row in ints:
+        common = math.gcd(scale, *row)
+        s = scale // common
+        start.append([v // common + s * shift for v in row] + [s])
+    d = len(ints[0])
+    steps, found = [], {}
+    for number, (basis, cobasis, dic, det) in enumerate(_reference_walk(start, steps)):
+        z, tight = [0] * d, []
+        for var, row in zip(basis, dic):
+            if not row[-1]:
+                tight.append(var)
+            elif var < d:
+                z[var] = row[-1]
+        total = sum(z)
+        if total == 0:
+            continue
+        common = math.gcd(*z)
+        key = tuple(v // common for v in z)
+        if key not in found:
+            integers = (key, total // common, det - shift * total, total)
+            found[key] = (integers, sum(1 << v for v in cobasis + tight), number)
+    records = sorted(found.values(), key=lambda r: _strategy(r[0]))
+    return records, [steps[r[2]] for r in records] + [steps[0]]
+
+
+class _EagerGraph:
+    """Reference: the earlier eager vertex graph of a walk of ``_eager_walk``
+    labelled for P or Q: every vertex built at once and sorted by point,
+    the origin as node V after the V vertices, and ``at``, the node of each
+    label mask, built over every node."""
+
+    def __init__(self, walk, payoffs, which):
+        records, self.steps = walk
+        m, n = len(payoffs.a), len(payoffs.bt)
+        if which == "P":
+            self.labels = tuple(range(1, m + n + 1))
+        else:
+            self.labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
+        self.vertices = tuple(
+            LabeledVertex._from_integers(
+                integers,
+                sum(1 << self.labels[v] for v in range(m + n) if zeros >> v & 1),
+            )
+            for integers, zeros, _ in records
+        )
+        d = m if which == "P" else n
+        self.origin = LabeledVertex(None, frozenset(self.labels[:d]))
+        self.nodes = (*self.vertices, self.origin)
+        self.at = {v.mask: k for k, v in enumerate(self.nodes)}
+
+    def near(self, k):
+        it, mask, labels = iter(self.steps[k]), self.nodes[k].mask, self.labels
+        return {
+            labels[enter]: self.at[mask ^ 1 << labels[enter] ^ 1 << labels[leave]]
+            for enter, leave in zip(it, it)
+        }
+
+
+def _eager_check(payoffs, m, n):
+    """Reference: the earlier check, on the eager graph of each side's own
+    walk, P first: DegenerateGame on the first vertex by point with more
+    labels than its side's dimension; the two graphs otherwise."""
+    graphs = []
+    for which, d in (("P", m), ("Q", n)):
+        graph = _EagerGraph(_eager_walk(payoffs, which), payoffs, which)
+        for v in graph.vertices:
+            if len(v.labels) != d:
+                pt = "(" + ", ".join(str(x) for x in v.point) + ")"
+                raise DegenerateGame(
+                    f"vertex {pt} carries labels {sorted(v.labels)}", witness=v
+                )
+        graphs.append(graph)
+    return graphs
+
+
 def _assert_walk_is_reference(start):
     """The walk yields the reference's bases in its order, with the same
     cobases, right-hand sides and det, and appends the same steps."""
     walks = []
-    for walk in (_feasible_bases, _reference_walk):
+    for walk in (lambda *a: _states(_feasible_bases(*a)), _reference_walk):
         steps = []
         bases = [
             (basis, cobasis, [row[-1] for row in dic], det)
@@ -399,9 +513,9 @@ def test_steps_out_of_a_degenerate_basis_are_tested_from_both_ends(monkeypatch):
 
     monkeypatch.setattr(polytopes, "_ratio_test", counted)
     bases, steps = [], []
-    for basis, cobasis, dic, _ in _feasible_bases(start, steps):
+    for (basis, cobasis, _, _), _, _, positive in _feasible_bases(start, steps):
         here.update(basis=frozenset(basis), cobasis=cobasis)
-        bases.append((here["basis"], all(row[-1] for row in dic)))
+        bases.append((here["basis"], positive))
     zero = {basis for basis, positive in bases if not positive}
     edges, both = set(), set()
     for (basis, _), out in zip(bases, steps):
@@ -547,7 +661,9 @@ def test_enumerate_vertices_matches_the_eager_reference():
 
 def _widest(walk) -> int:
     """The bit length of the widest entry of every dictionary of a walk."""
-    return max(abs(v).bit_length() for _, _, dic, _ in walk for row in dic for v in row)
+    return max(
+        abs(v).bit_length() for (_, _, dic, _), *_ in walk for row in dic for v in row
+    )
 
 
 def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
@@ -570,9 +686,9 @@ def test_each_row_is_cleared_by_its_own_denominator(monkeypatch):
     original = polytopes._feasible_bases
 
     def measured(start, steps):
-        for state in original(start, steps):
-            widths.append(_widest([state]))
-            yield state
+        for item in original(start, steps):
+            widths.append(_widest([item]))
+            yield item
 
     monkeypatch.setattr(polytopes, "_feasible_bases", measured)
     payoffs = IntegerPayoffs.of(g)
@@ -599,7 +715,7 @@ def test_sweep_lines_scale_each_point_by_its_payoff_denominator(monkeypatch):
 
     def measured(line, k):
         s, o, d = got = original(line, k)
-        key, den, num, pay_den = line.graph.vertices[k]._integers
+        key, den, num, pay_den = line.graph.node(k)._integers
         dw = den * line.scale
         wide = sum(map(math.prod, zip(line.w, key))) * pay_den, num * dw, dw * pay_den
         assert s * wide[2] == wide[0] * d and o * wide[2] == wide[1] * d
@@ -691,9 +807,17 @@ def test_check_builds_no_vertex_point(monkeypatch):
     # for each of the other four
     assert len(walks) == 8 * 1 + 4 * 2
     assert (vertices, decoded, built) == (0, 0, 0)
-    # the graphs build their vertices, and still no point
+    # the graphs build their origins alone; reading the vertices builds each
+    # once, and still no point
     p, q = polytopes.require_nondegenerate(generate_kt(5))
-    assert vertices == len(p.vertices) + len(q.vertices) + 2
+    assert vertices == 2
+    counts = len(p.vertices) + len(q.vertices)
+    assert vertices == 2 + counts
+    # the vertices are the nodes: reading every node builds no other
+    for graph in (p, q):
+        nodes = {id(graph.node(k)) for k in range(1, len(graph.steps))}
+        assert nodes == {id(v) for v in graph.vertices}
+    assert vertices == 2 + counts
     assert built == 0
     # the point (0, 0, 0, 0, 1, 50): a rational for each non-zero
     # coordinate, and every zero coordinate the one shared zero
@@ -723,12 +847,11 @@ def test_check_builds_no_vertex_point(monkeypatch):
     assert sides == {"P", "Q"}
 
 
-def _full_readout_check(payoffs):
-    """Reference: the check on the full readout, ``_checked`` over every
-    record of each side's own walk, P first: (verdict, witness, message)."""
+def _full_readout_check(payoffs, m, n):
+    """Reference: the check on the eager full readout of each side's own
+    walk, P first: (verdict, witness, message)."""
     try:
-        for which in ("P", "Q"):
-            polytopes._checked(polytopes._walk(payoffs, which), payoffs, which)
+        _eager_check(payoffs, m, n)
     except DegenerateGame as exc:
         return False, exc.witness, str(exc)
     return True, None, None
@@ -736,11 +859,11 @@ def _full_readout_check(payoffs):
 
 def _assert_check_decides_on_the_zero_test(g) -> bool:
     """check_nondegenerate gives the full readout's verdict, witness and
-    message, and each side's check walk records exactly the full walk's
-    offenders, the vertices with more than d variables at zero, each at the
-    same first basis. Returns the verdict."""
+    message, and each side's walk reads out exactly the full readout's
+    offenders, the vertices with more than d variables at zero, with the
+    same records. Returns the verdict."""
     payoffs = IntegerPayoffs.of(g)
-    ok, want, message = _full_readout_check(payoffs)
+    ok, want, message = _full_readout_check(payoffs, g.m, g.n)
     got = check_nondegenerate(g)
     if ok:
         assert got == (True, None), g
@@ -750,12 +873,13 @@ def _assert_check_decides_on_the_zero_test(g) -> bool:
         assert (witness.point, witness.labels) == (want.point, want.labels), g
         assert repr(witness) == repr(want)
         with pytest.raises(DegenerateGame) as raised:
-            polytopes._walks(payoffs, offenders_only=True)
+            polytopes._walks(payoffs)
         assert str(raised.value) == message
     for which, d in (("P", g.m), ("Q", g.n)):
-        records = polytopes._walk(payoffs, which, offenders_only=True)[0]
-        full = polytopes._walk(payoffs, which)[0]
-        assert records == [r for r in full if r[1].bit_count() > d], (g, which)
+        offenders = polytopes._walk(payoffs, which)[3]
+        full = _eager_walk(payoffs, which)[0]
+        want = [r[:2] for r in full if r[1].bit_count() > d]
+        assert sorted(offenders, key=lambda r: _strategy(r[0])) == want, (g, which)
     return ok
 
 
@@ -776,15 +900,17 @@ def test_check_decides_on_the_zero_test():
     assert len(games) == 15 + 10 + 60 + 1 + 150
     verdicts = [_assert_check_decides_on_the_zero_test(g) for g in games]
     assert 0 < verdicts.count(False) < len(verdicts)
-    # a non-degenerate game: the check's walks read out no vertex at all
+    # a non-degenerate game: the walks read out no vertex at all, and keep
+    # one node record per basis
     for g in (generate_kt(6), baseline_game(10, 1)):
         payoffs = IntegerPayoffs.of(g)
         for which in ("P", "Q"):
-            assert polytopes._walk(payoffs, which, offenders_only=True)[0] == []
-    # a degenerate draw: every record of the check's walk is an offender
+            nodes, index, steps, offenders, _ = polytopes._walk(payoffs, which)
+            assert offenders == [] and len(nodes) == len(index) == len(steps)
+    # a degenerate draw: every readout of the walk is an offender
     g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
-    records = polytopes._walk(IntegerPayoffs.of(g), "P", offenders_only=True)[0]
-    assert records and all(zeros.bit_count() > g.m for _, zeros, _ in records)
+    offenders = polytopes._walk(IntegerPayoffs.of(g), "P")[3]
+    assert offenders and all(zeros.bit_count() > g.m for _, zeros in offenders)
 
 
 @st.composite
@@ -804,6 +930,104 @@ def check_games(draw):
 @given(check_games())
 def test_check_decides_on_the_zero_test_on_draws(g):
     _assert_check_decides_on_the_zero_test(g)
+
+
+
+def _assert_graphs_match_the_eager_reference(g) -> bool:
+    """require_nondegenerate's graphs, numbered in walk order and read out
+    node by node, against the earlier eager graphs of each side's own walk:
+    the same (point, mask) nodes and origin, the same edges as (point,
+    label dropped, point), the same ``vertices``, and lookups by mask that
+    agree with the nodes; on a degenerate game, the same message and
+    witness. Returns whether g is non-degenerate."""
+    payoffs = IntegerPayoffs.of(g)
+    try:
+        want = _eager_check(payoffs, g.m, g.n)
+    except DegenerateGame as exc:
+        with pytest.raises(DegenerateGame) as raised:
+            require_nondegenerate(g)
+        assert str(raised.value) == str(exc), g
+        assert repr(raised.value.witness) == repr(exc.witness), g
+        return False
+    for got, ref in zip(require_nondegenerate(g), want):
+        nodes = vertex_nodes(got)
+        assert len(nodes) == len(ref.vertices), g
+        assert {(v.point, v.mask) for v in nodes.values()} == {
+            (v.point, v.mask) for v in ref.vertices
+        }, g
+        assert got.node(got.origin_index) is got.origin
+        assert (got.origin.point, got.origin.mask) == (None, ref.origin.mask)
+        point = {k: v.point for k, v in nodes.items()}
+        point[got.origin_index] = None
+        edges = {
+            (point[k], l, point[j]) for k in point for l, j in got.near(k).items()
+        }
+        ref_points = [v.point for v in ref.nodes]
+        ref_edges = {
+            (ref_points[k], l, ref_points[j])
+            for k in range(len(ref.nodes))
+            for l, j in ref.near(k).items()
+        }
+        assert edges == ref_edges, g
+        assert got.vertices == ref.vertices
+        assert [v.labels for v in got.vertices] == [v.labels for v in ref.vertices]
+        for k in point:
+            assert got.label_mask(k) == got.node(k).mask
+            assert got.find(got.label_mask(k)) == k
+    return True
+
+
+def test_graphs_match_the_eager_reference():
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    # small entries tie the ratio test: A = B, so P walks the transpose
+    games += [BimatrixGame.from_payoffs(mat, mat) for mat in _tied_matrices()]
+    games.append(_bigrat_game(random.Random(1), 5, 5))
+    assert len(games) == 15 + 10 + 60 + 1
+    verdicts = [_assert_graphs_match_the_eager_reference(g) for g in games]
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(check_games())
+def test_graphs_match_the_eager_reference_on_draws(g):
+    _assert_graphs_match_the_eager_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g, reads",
+    [(generate_kt(6), 62), (baseline_game(10, 1), 301)],
+    ids=["kt6", "10x10"],
+)
+def test_methods_read_out_only_the_vertices_they_read(g, reads, monkeypatch, capsys):
+    # a graph reads a vertex out of the walk's record on the vertex's first
+    # read: the check reads out none, the label method the two vertices of
+    # each equilibrium, and the sweep the vertices its walks visit, far
+    # fewer than the graphs hold
+    built = []
+    original = LabeledVertex._from_integers.__func__
+
+    def counted(cls, integers, mask):
+        built.append(integers)
+        return original(cls, integers, mask)
+
+    monkeypatch.setattr(LabeledVertex, "_from_integers", classmethod(counted))
+    assert check_nondegenerate(g) == (True, None) and built == []
+    eqs = equilibria_by_labels(g)
+    assert len(built) == 2 * len(eqs)
+    built.clear()
+    enumerate_all(g)
+    assert len(built) == reads
+    p, q = require_nondegenerate(g)
+    assert reads < len(p.vertices) + len(q.vertices)
+    # the labels command reads each pair's label sets off the same nodes
+    built.clear()
+    import rank1nash.cli as cli
+
+    monkeypatch.setattr(cli, "load_game", lambda path: g)
+    assert cli.main(["labels", "game"]) == 0
+    assert len(built) == 2 * len(eqs)
+    capsys.readouterr()
 
 
 def _best_reply_payoff(g, which, strategy):
@@ -1058,11 +1282,12 @@ def _assert_q_graph_is_q_walk(g):
     walked = _own_walks(g)[1]
     assert q.vertices == walked.vertices
     assert [v.mask for v in q.vertices] == [v.mask for v in walked.vertices]
-    assert (q.steps, q.labels, q.origin, q.at) == (
-        walked.steps, walked.labels, walked.origin, walked.at,
-    )
-    for k in range(len(q.vertices) + 1):
+    assert (q.steps, q.labels, q.origin) == (walked.steps, walked.labels, walked.origin)
+    for k in range(len(q.steps)):
+        assert q.node(k) == walked.node(k), k
         assert q.near(k) == walked.near(k), k
+        assert q.label_mask(k) == walked.label_mask(k) == q.node(k).mask, k
+        assert q.find(q.label_mask(k)) == k
     return True
 
 
@@ -1140,19 +1365,19 @@ def _assert_neighbours_match_label_sets(g):
         (q, range(g.m + 1, g.m + g.n + 1), g.n),
     ):
         index = label_set_edges(graph)
-        for k, v in enumerate(graph.vertices):
+        for k, v in vertex_nodes(graph).items():
             for l in v.labels:
                 far = next((j for j in index[v.labels - {l}] if j != k), None)
                 # no other vertex keeps the labels: the step runs to the origin
-                want = graph.origin if far is None else graph.vertices[far]
+                want = graph.origin if far is None else graph.node(far)
                 assert graph.node(graph.near(k)[l]) is want
-        origin = len(graph.vertices)
+        origin = graph.origin_index
         assert graph.node(origin) is graph.origin
         assert graph.origin.point is None and graph.origin.labels == set(labels)
         pure = [graph.near(origin)[l] for l in labels]
         assert sorted(pure) == sorted(e[0] for e in index.values() if len(e) == 1)
         for i, j in enumerate(pure):
-            assert graph.vertices[j].point[:size] == tuple(int(t == i) for t in range(size))
+            assert graph.node(j).point[:size] == tuple(int(t == i) for t in range(size))
     return True
 
 
@@ -1167,22 +1392,27 @@ def _assert_masks_match_label_sets(g) -> int:
     included: its label mask and its label set name the same labels, the
     set iterates in the order of a set built from its sorted labels, a
     vertex made from its point and label set gets the same mask, and the
-    graph's lookup by mask finds it. Returns the number of vertices with
-    more labels than the side's dimension: those with a basic variable at
-    zero. The lookup by mask finds the origin too, as node V."""
+    graph's lookup by mask finds it, unless it has more labels than the
+    side's dimension: such a vertex, one with a basic variable at zero, is
+    no node. Returns the number of those. The lookup by mask finds the
+    origin too, as node ``origin_index``."""
     payoffs = IntegerPayoffs.of(g)
     extra = 0
     for which, size in (("P", g.m), ("Q", g.n)):
         graph = polytopes._graph(polytopes._walk(payoffs, which), payoffs, which)
-        for k, v in enumerate(graph.vertices):
+        for v in graph.vertices:
             bits = {l for l in range(v.mask.bit_length()) if v.mask >> l & 1}
             assert v.labels == bits, (g, which, v)
             assert repr(v.labels) == repr(frozenset(sorted(v.labels))), (g, which, v)
             assert v.mask.bit_count() == len(v.labels)
             assert LabeledVertex(v.point, v.labels).mask == v.mask
-            assert graph.at[v.mask] == k
-            extra += len(v.labels) > size
-        assert graph.at[graph.origin.mask] == len(graph.vertices)
+            k = graph.find(v.mask)
+            if len(v.labels) > size:
+                assert k is None
+                extra += 1
+            else:
+                assert graph.node(k) is v and graph.label_mask(k) == v.mask
+        assert graph.find(graph.origin.mask) == graph.origin_index
     return extra
 
 
@@ -1222,15 +1452,22 @@ def _assert_masks_follow_from_zeros(g):
         "Q": list(range(m + 1, m + n + 1)) + list(range(1, m + 1)),
     }
     payoffs = IntegerPayoffs.of(g)
+    every = (1 << m + n) - 1
     for which, d in (("P", m), ("Q", n)):
         walk = polytopes._walk(payoffs, which)
+        nodes, _, steps, offenders, _ = walk
         graph = polytopes._graph(walk, payoffs, which)
-        assert len(graph.vertices) == len(walk[0]) and graph.steps is walk[1]
-        for (integers, zeros, _), v in zip(walk[0], graph.vertices):
+        assert len(graph.vertices) == len(nodes) - 1 + len(offenders)
+        assert graph.steps is steps
+        # a node's variables at zero are its cobasis; an offender keeps them
+        records = [(graph.node(k), every ^ nodes[k][0]) for k in range(1, len(nodes))]
+        for integers, zeros in offenders:
+            (v,) = [v for v in graph.vertices if v._integers is integers]
+            records.append((v, zeros))
+        for v, zeros in records:
             assert 0 < zeros < 1 << m + n, (g, which, zeros)
             zero = [var for var in range(m + n) if zeros >> var & 1]
             assert v.mask == sum(1 << names[which][var] for var in zero), (g, which)
-            assert v._integers is integers
         assert graph.origin.labels == set(names[which][:d])
 
 
@@ -1272,10 +1509,11 @@ def test_one_side_walk_memory_is_bounded():
     try:
         payoffs = IntegerPayoffs.of(g)
         graph = polytopes._graph(polytopes._walk(payoffs, "P"), payoffs, "P")
+        vertices = graph.vertices
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(graph.vertices) == 1163
+    assert len(vertices) == 1163
     assert peak < 3 * 2**20, peak
 
 
