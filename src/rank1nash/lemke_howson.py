@@ -10,13 +10,13 @@ that drop one label r from the artificial pair and chase the duplicate
 label alternately over the two sides terminate at equilibria, never back
 at the artificial pair, which is one end of its path; the product graph
 glues those paths over all r, and its components expose equilibria no
-such path can reach. A path meets no pair of nodes twice, so one that does raises
-Stalled: that rule, not a count of the graphs' nodes, bounds a path. The
-paths read a graph node by node, through the first tier of the interface
-``VertexGraph`` names: ``node(k)``, ``near(k)``, ``origin_index``,
-``labels``, ``full`` and ``payoffs``. A path reaches the origin as node
-``origin_index``, and tells an origin from a vertex by its index.
-``reachability`` and G' read the second tier too.
+such path can reach. A path meets no pair of nodes twice, so one that
+does raises Stalled: that rule, not a count of the graphs' nodes, bounds a
+path. The paths read a graph node by node, through the first tier of the
+interface ``VertexGraph`` names: ``node(k)``, ``near(k)``,
+``origin_index``, ``labels``, ``full`` and ``payoffs``. A path reaches the
+origin as node ``origin_index``, and tells an origin from a vertex by its
+index. ``reachability`` and G' read the second tier too.
 
 Non-degeneracy, which every function here requires, makes each node one
 basis of the vertex walk and each edge one of the walk's pivots. A path
@@ -75,19 +75,22 @@ def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
     return j
 
 
-def _edges(vg: VertexGraph):
-    """Each edge of vg once, as the label masks of its two nodes."""
-    for a in range(len(vg.steps)):
-        mask = vg.node(a).mask
-        for _, b in vg.edges_of(a):
-            if b > a:
-                yield mask, vg.node(b).mask
+def _numbered(vg: VertexGraph) -> tuple[dict[int, int], list[int]]:
+    """G′'s numbering of the nodes of vg, the V vertices in point order,
+    then the origin as V: (the number of each label mask, the number of
+    each node of the walk)."""
+    at = {v.mask: k for k, v in enumerate((*vg.vertices, vg.origin))}
+    return at, [at[vg.node(k).mask] for k in range(len(vg.steps))]
 
 
-def _numbered(vg: VertexGraph) -> dict[int, int]:
-    """G′'s number of each node of vg, by label mask: the V vertices in
-    point order, then the origin as V."""
-    return {v.mask: k for k, v in enumerate((*vg.vertices, vg.origin))}
+def _edges(vg: VertexGraph, number: list[int]):
+    """Each edge of vg once, as (a, b, the mask of the labels it keeps),
+    its ends numbered by ``number``."""
+    for k in range(len(vg.steps)):
+        mask = vg.node(k).mask
+        for l, j in vg.edges_of(k):
+            if j > k:
+                yield number[k], number[j], mask ^ 1 << l
 
 
 def _walk(
@@ -197,8 +200,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     An edge (a, b) of P joins the pairs (a, j) and (b, j) that miss exactly
     one label, and likewise an edge of Q. Non-degeneracy gives every P
     node m labels and every Q node n labels, each set carried by one node.
-    So if the edge keeps the labels S, those its two ends share, its
-    partners j are the Q nodes
+    So if the edge keeps the labels S, its partners j are the Q nodes
     labeled (full - S) - {l}, one mask lookup for each l in full - S. Only
     the pairs these edges touch enter the union-find, each pair (i, j) as
     the integer i * (V_Q + 1) + j, whose order is that of the pairs; every
@@ -207,7 +209,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     """
     p, q = require_nondegenerate(g)
     full = p.full
-    at_p, at_q = _numbered(p), _numbered(q)
+    (at_p, number_p), (at_q, number_q) = _numbered(p), _numbered(q)
     n1, n2 = len(p.vertices), len(q.vertices)
     width = n2 + 1
 
@@ -236,14 +238,11 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             if k is not None:
                 yield k
 
-    # an edge keeps the labels its two nodes share
-    for u, v in _edges(p):
-        a, b = at_p[u], at_p[v]
-        for j in partners(u & v, at_q):
+    for a, b, shared in _edges(p, number_p):
+        for j in partners(shared, at_q):
             union(a * width + j, b * width + j)
-    for u, v in _edges(q):
-        a, b = at_q[u], at_q[v]
-        for i in partners(u & v, at_p):
+    for a, b, shared in _edges(q, number_q):
+        for i in partners(shared, at_p):
             union(i * width + a, i * width + b)
 
     # touched pairs in increasing order, so each root is first met at its
@@ -262,7 +261,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     # edge of its P node keeps all but one of the labels its Q node lacks
     eq_pairs = []
     for (i, j), eq in _labeled_equilibria(p, q).items():
-        pair = (at_p[p.node(i).mask], at_q[q.node(j).mask])
+        pair = (number_p[i], number_q[j])
         eq_pairs.append((pair, number[find(pair[0] * width + pair[1])], eq))
     # each union of two touched components takes one off the count
     return GPrimeReport(

@@ -446,7 +446,7 @@ def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
         labels=labels,
         payoffs=payoffs,
         origin_index=0,
-        full=_mask(labels),
+        full=(1 << m + n + 1) - 2,  # labels 1..m+n
         _nodes=nodes,
         _index=index,
         _offenders=offenders,
@@ -495,12 +495,12 @@ class VertexGraph(Record):
     ``near(k)``, ``origin_index``, ``labels``, ``full`` and ``payoffs``
     alone: they never count the nodes or iterate over them, and their
     outputs do not depend on the numbering. The label method and
-    ``reachability`` (through ``_labeled_equilibria``) and G'
-    (``gprime_components``) also read ``steps``, ``origin``,
-    ``label_mask(k)``, ``find(mask)`` and ``edges_of``; those read no node
-    out. ``vertices``, the vertices sorted by point, is built on its first
-    read, by G' and ``enumerate_vertices``; the graph prints and compares
-    as it.
+    ``reachability``, through ``_labeled_equilibria``, also read ``steps``
+    for the node count, ``label_mask(k)`` and ``find(mask)``, which read no
+    node out. G' (``gprime_components``) reads ``vertices``, ``origin`` and
+    ``edges_of`` too, and numbers the nodes by point itself. ``vertices``,
+    the vertices sorted by point, is built on its first read, by G' and
+    ``enumerate_vertices``; the graph prints and compares as it.
     """
 
     vertices: tuple[LabeledVertex, ...]
