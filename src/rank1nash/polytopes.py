@@ -113,7 +113,8 @@ section 3): P' and Q' have the same rows, so their walks pivot the same
 dictionaries through the same bases and record the same vertices, zeros
 and steps; only the labels of the variables differ. So
 ``require_nondegenerate`` walks P' alone and labels that one walk for
-both sides. It tests A = B^T on the cleared integers, so exactly.
+both sides, whose graphs share its readout and its sort by point. It
+tests A = B^T on the cleared integers, so exactly.
 """
 
 from __future__ import annotations
@@ -344,11 +345,46 @@ def _integers(basis: list, rhs: list, det: int, d: int, shift: int) -> tuple:
     return key, total // common, det - shift * total, total
 
 
-def _walk(payoffs: IntegerPayoffs, which: str) -> tuple:
+class _Walk:
+    """A walk of P' or Q' (see _walk): its ``nodes``, ``index``, ``steps``,
+    ``offenders``, ``shift`` and d, the number of z variables. It reads
+    each node out once, on the first read by any graph labelled from it,
+    and sorts the nodes by point once: a symmetric game's two graphs share
+    one walk."""
+
+    __slots__ = (
+        "nodes", "index", "steps", "offenders", "shift", "d", "_read", "_order"
+    )
+
+    def __init__(self, nodes, index, steps, offenders, shift, d):
+        self.nodes, self.index, self.steps = nodes, index, steps
+        self.offenders, self.shift, self.d = offenders, shift, d
+        self._read: list[tuple | None] = [None] * len(nodes)
+        self._order: list[int] | None = None
+
+    def integers(self, k: int) -> tuple:
+        """The integers (see _integers) of node k's vertex, read on the
+        first call for k."""
+        got = self._read[k]
+        if got is None:
+            _, basis, rhs, det = self.nodes[k]
+            got = self._read[k] = _integers(basis, rhs, det, self.d, self.shift)
+        return got
+
+    def order(self) -> list[int]:
+        """The numbers of the nodes but the origin, node 0, sorted by the
+        points of their vertices; sorted on the first call."""
+        if self._order is None:
+            rest = range(1, len(self.nodes))
+            self._order = sorted(rest, key=lambda k: _by_point(self.integers(k)))
+        return self._order
+
+
+def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
     """The walk of the feasible bases of P' (which="P") or Q', with no
-    side's labels, as (nodes, index, steps, offenders, shift): a node
-    record for each basis whose basic variables are all positive, and the
-    readout of each vertex with a basic variable at zero.
+    side's labels: a node record for each basis whose basic variables are
+    all positive, and the readout of each vertex with a basic variable at
+    zero.
 
     Walks the normalised polytope (P' over x for "P", Q' over y for "Q";
     see the module docstring). Its origin's dictionary has one row per row
@@ -359,8 +395,8 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> tuple:
     node record is (mask, basis, rhs, det), the basis's mask, variables,
     right-hand side and det, as ``_feasible_bases`` hands them over, and
     ``index`` maps the mask to the node's number, in walk order: the
-    origin, the walk's first basis, is node 0. ``_integers`` reads a node
-    out. Every basis of a vertex with more than d variables at zero has a
+    origin, the walk's first basis, is node 0. ``_Walk.integers`` reads a
+    node out. Every basis of a vertex with more than d variables at zero has a
     basic variable at zero, and such a vertex is read out at its first
     basis only, as the record (integers, zeros): ``integers`` as
     ``_integers`` gives them, and ``zeros`` with bit v set for each
@@ -404,7 +440,7 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> tuple:
                 if not value:
                     zeros |= 1 << var
             found[integers[0]] = (integers, zeros)
-    return nodes, index, steps, list(found.values()), shift
+    return _Walk(nodes, index, steps, list(found.values()), shift, d)
 
 
 def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
@@ -427,12 +463,11 @@ def _zeros_of(mask: int, m: int, n: int, which: str) -> int:
     return mask >> m + 1 | (mask >> 1 & (1 << m) - 1) << n
 
 
-def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
+def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     """The graph of P (which="P") or Q: a walk (see _walk) labelled for that
     side by ``_label_mask``. Its origin, where z = 0, is node 0: a node
     with no point, labeled by the d variables of z. No other node is read
     out yet."""
-    nodes, index, steps, offenders, shift = walk
     m, n = len(payoffs.a), len(payoffs.bt)
     if which == "P":
         labels = tuple(range(1, m + n + 1))  # of x_1..x_m, then the slacks
@@ -442,19 +477,15 @@ def _graph(walk: tuple, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     graph = VertexGraph.__new__(VertexGraph)
     graph.__dict__.update(
         origin=origin,
-        steps=steps,
+        steps=walk.steps,
         labels=labels,
         payoffs=payoffs,
         origin_index=0,
         full=(1 << m + n + 1) - 2,  # labels 1..m+n
-        _nodes=nodes,
-        _index=index,
-        _offenders=offenders,
-        _shift=shift,
+        _walk=walk,
         _shape=(m, n, which),
-        _d=m if which == "P" else n,
         _every=(1 << m + n) - 1,
-        _read=[origin] + [None] * (len(nodes) - 1),
+        _built=[origin] + [None] * (len(walk.nodes) - 1),
         _near={},
     )
     return graph
@@ -519,22 +550,23 @@ class VertexGraph(Record):
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         d = self.__dict__
-        m, n, which = d["_shape"]
-        found = [self.node(k) for k in range(1, len(d["_nodes"]))]
-        for integers, zeros in d["_offenders"]:
-            mask = _label_mask(zeros, m, n, which)
-            found.append(LabeledVertex._from_integers(integers, mask))
-        found.sort(key=lambda v: _by_point(v._integers))
+        walk = d["_walk"]
+        found = [self.node(k) for k in walk.order()]
+        if walk.offenders:
+            m, n, which = d["_shape"]
+            for integers, zeros in walk.offenders:
+                mask = _label_mask(zeros, m, n, which)
+                found.append(LabeledVertex._from_integers(integers, mask))
+            found.sort(key=lambda v: _by_point(v._integers))
         d["vertices"] = vertices = tuple(found)
         return vertices
 
     def node(self, k: int) -> LabeledVertex:
         """Node k, read out of the walk's record on the first call for k."""
-        v = self._read[k]
+        v = self._built[k]
         if v is None:
-            _, basis, rhs, det = self._nodes[k]
-            integers = _integers(basis, rhs, det, self._d, self._shift)
-            v = self._read[k] = LabeledVertex._from_integers(
+            integers = self._walk.integers(k)
+            v = self._built[k] = LabeledVertex._from_integers(
                 integers, self.label_mask(k)
             )
         return v
@@ -542,19 +574,20 @@ class VertexGraph(Record):
     def label_mask(self, k: int) -> int:
         """The label mask of node k, by shifts of its basis's mask, without
         reading the node out."""
-        return _label_mask(self._every ^ self._nodes[k][0], *self._shape)
+        return _label_mask(self._every ^ self._walk.nodes[k][0], *self._shape)
 
     def find(self, mask: int) -> int | None:
         """The node whose label mask is ``mask``, over the labels 1..m+n, or
         None: the walk's map read at the basis of the cobasis those labels
         name."""
-        return self._index.get(self._every ^ _zeros_of(mask, *self._shape))
+        return self._walk.index.get(self._every ^ _zeros_of(mask, *self._shape))
 
     def edges_of(self, k: int):
         """(label dropped, node reached) for each edge of node k; a step to
         node 0 is a ray of P or Q."""
         it = iter(self.steps[k])
-        mask, index, labels = self._nodes[k][0], self._index, self.labels
+        walk, labels = self._walk, self.labels
+        mask, index = walk.nodes[k][0], walk.index
         for enter, leave in zip(it, it):
             yield labels[enter], index[mask ^ 1 << enter ^ 1 << leave]
 
@@ -567,12 +600,12 @@ class VertexGraph(Record):
         return got
 
 
-def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
+def _checked(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> _Walk:
     """The walk of P (which="P") or Q, once no basis of it has a basic
     variable at zero, so that every vertex has d variables at zero, d = m
     on P and n on Q; DegenerateGame otherwise, on the first vertex by point
     that has more, built from its record and attached."""
-    offenders = walk[3]
+    offenders = walk.offenders
     if offenders:
         m, n = len(payoffs.a), len(payoffs.bt)
         integers, zeros = min(offenders, key=lambda r: _by_point(r[0]))
@@ -584,7 +617,7 @@ def _checked(walk: tuple, payoffs: IntegerPayoffs, which: str) -> tuple:
     return walk
 
 
-def _walks(payoffs: IntegerPayoffs) -> tuple[tuple, tuple]:
+def _walks(payoffs: IntegerPayoffs) -> tuple[_Walk, _Walk]:
     """The walks of P' and Q', each checked. When the cleared payoffs give
     A = B^T exactly, P' is walked alone and its walk serves Q too (see the
     module docstring): it has no offender for Q's check when it has none

@@ -876,7 +876,7 @@ def _assert_check_decides_on_the_zero_test(g) -> bool:
             polytopes._walks(payoffs)
         assert str(raised.value) == message
     for which, d in (("P", g.m), ("Q", g.n)):
-        offenders = polytopes._walk(payoffs, which)[3]
+        offenders = polytopes._walk(payoffs, which).offenders
         full = _eager_walk(payoffs, which)[0]
         want = [r[:2] for r in full if r[1].bit_count() > d]
         assert sorted(offenders, key=lambda r: _strategy(r[0])) == want, (g, which)
@@ -905,11 +905,12 @@ def test_check_decides_on_the_zero_test():
     for g in (generate_kt(6), baseline_game(10, 1)):
         payoffs = IntegerPayoffs.of(g)
         for which in ("P", "Q"):
-            nodes, index, steps, offenders, _ = polytopes._walk(payoffs, which)
-            assert offenders == [] and len(nodes) == len(index) == len(steps)
+            walk = polytopes._walk(payoffs, which)
+            assert walk.offenders == []
+            assert len(walk.nodes) == len(walk.index) == len(walk.steps)
     # a degenerate draw: every readout of the walk is an offender
     g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
-    offenders = polytopes._walk(IntegerPayoffs.of(g), "P")[3]
+    offenders = polytopes._walk(IntegerPayoffs.of(g), "P").offenders
     assert offenders and all(zeros.bit_count() > g.m for _, zeros in offenders)
 
 
@@ -1455,7 +1456,7 @@ def _assert_masks_follow_from_zeros(g):
     every = (1 << m + n) - 1
     for which, d in (("P", m), ("Q", n)):
         walk = polytopes._walk(payoffs, which)
-        nodes, _, steps, offenders, _ = walk
+        nodes, steps, offenders = walk.nodes, walk.steps, walk.offenders
         graph = polytopes._graph(walk, payoffs, which)
         assert len(graph.vertices) == len(nodes) - 1 + len(offenders)
         assert graph.steps is steps
