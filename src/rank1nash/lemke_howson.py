@@ -75,22 +75,26 @@ def _drop_label(vg: VertexGraph, k: int, drop: int) -> int:
     return j
 
 
-def _numbered(vg: VertexGraph) -> tuple[dict[int, int], list[int]]:
-    """G′'s numbering of the nodes of vg, the V vertices in point order,
-    then the origin as V: (the number of each label mask, the number of
-    each node of the walk)."""
-    at = {v.mask: k for k, v in enumerate((*vg.vertices, vg.origin))}
-    return at, [at[vg.node(k).mask] for k in range(len(vg.steps))]
+def _numbered(vg: VertexGraph) -> dict[int, int]:
+    """G′'s number of each node of vg, by label mask: the V vertices in
+    point order, then the origin as V."""
+    return {v.mask: k for k, v in enumerate((*vg.vertices, vg.origin))}
 
 
-def _edges(vg: VertexGraph, number: list[int]):
+def _edges(vg: VertexGraph, at: dict[int, int]):
     """Each edge of vg once, as (a, b, the mask of the labels it keeps),
-    its ends numbered by ``number``."""
-    for k in range(len(vg.steps)):
+    its ends numbered by ``at``. A step out of a node drops the label of
+    the variable entering, and its far end gains that of the variable
+    leaving."""
+    labels = vg.labels
+    for k, out in enumerate(vg.steps):
         mask = vg.node(k).mask
-        for l, j in vg.edges_of(k):
-            if j > k:
-                yield number[k], number[j], mask ^ 1 << l
+        a, it = at[mask], iter(out)
+        for enter, leave in zip(it, it):
+            drop = labels[enter]
+            b = at[mask ^ 1 << drop ^ 1 << labels[leave]]
+            if b > a:
+                yield a, b, mask ^ 1 << drop
 
 
 def _walk(
@@ -209,7 +213,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     """
     p, q = require_nondegenerate(g)
     full = p.full
-    (at_p, number_p), (at_q, number_q) = _numbered(p), _numbered(q)
+    at_p, at_q = _numbered(p), _numbered(q)
     n1, n2 = len(p.vertices), len(q.vertices)
     width = n2 + 1
 
@@ -238,10 +242,10 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
             if k is not None:
                 yield k
 
-    for a, b, shared in _edges(p, number_p):
+    for a, b, shared in _edges(p, at_p):
         for j in partners(shared, at_q):
             union(a * width + j, b * width + j)
-    for a, b, shared in _edges(q, number_q):
+    for a, b, shared in _edges(q, at_q):
         for i in partners(shared, at_p):
             union(i * width + a, i * width + b)
 
@@ -261,7 +265,7 @@ def gprime_components(g: BimatrixGame) -> GPrimeReport:
     # edge of its P node keeps all but one of the labels its Q node lacks
     eq_pairs = []
     for (i, j), eq in _labeled_equilibria(p, q).items():
-        pair = (number_p[i], number_q[j])
+        pair = (at_p[p.node(i).mask], at_q[q.node(j).mask])
         eq_pairs.append((pair, number[find(pair[0] * width + pair[1])], eq))
     # each union of two touched components takes one off the count
     return GPrimeReport(

@@ -61,12 +61,13 @@ shifts, in one place: on P variable v carries label v + 1, so the label
 mask is ``zeros << 1``; on Q the n bits of y carry the labels m+1..m+n and
 the m slack bits the labels 1..m, so the two parts of ``zeros`` trade
 places. A node's variables at zero are its cobasis, so its label mask
-follows from its basis's mask alone, and ``_zeros_of`` undoes the shift.
-The labels are kept only as that one integer mask, label l as bit l;
-``_label_set`` decodes a mask into a frozenset in increasing label order.
-Every lookup by label set is a lookup by mask: ``VertexGraph.find`` turns
-a label mask into a basis mask and reads the walk's map, and a P vertex's
-partner is the Q node at ``full ^ mask``.
+follows from its basis's mask alone. The labels are kept only as that one
+integer mask, label l as bit l; ``_label_set`` decodes a mask into a
+frozenset in increasing label order. Every lookup by label set is a
+lookup by mask: a P node lacks the labels of its basic variables, so its
+partner is the Q node whose variables at zero are those basic variables
+with the two parts of the mask swapped, read in Q's walk map by its basis
+mask, and G' keys its own numbering of the nodes by label mask.
 
 Vertices stay in integers until a caller reads a rational. A node is read
 out on its first read, ``VertexGraph.node(k)``: its key, the key's sum (the
@@ -455,14 +456,6 @@ def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
     return (zeros & (1 << n) - 1) << m + 1 | zeros >> n << 1
 
 
-def _zeros_of(mask: int, m: int, n: int, which: str) -> int:
-    """The variables at zero of the vertex of P (which="P") or Q whose label
-    mask, over the labels 1..m+n, is ``mask``: ``_label_mask`` undone."""
-    if which == "P":
-        return mask >> 1
-    return mask >> m + 1 | (mask >> 1 & (1 << m) - 1) << n
-
-
 def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     """The graph of P (which="P") or Q: a walk (see _walk) labelled for that
     side by ``_label_mask``. Its origin, where z = 0, is node 0: a node
@@ -526,12 +519,13 @@ class VertexGraph(Record):
     ``near(k)``, ``origin_index``, ``labels``, ``full`` and ``payoffs``
     alone: they never count the nodes or iterate over them, and their
     outputs do not depend on the numbering. The label method and
-    ``reachability``, through ``_labeled_equilibria``, also read ``steps``
-    for the node count, ``label_mask(k)`` and ``find(mask)``, which read no
-    node out. G' (``gprime_components``) reads ``vertices``, ``origin`` and
-    ``edges_of`` too, and numbers the nodes by point itself. ``vertices``,
-    the vertices sorted by point, is built on its first read, by G' and
-    ``enumerate_vertices``; the graph prints and compares as it.
+    ``reachability`` pair the nodes of the two walks in
+    ``_labeled_equilibria``, by basis mask, and read out only the pairs'
+    vertices. G' (``gprime_components``) also reads ``vertices``,
+    ``origin`` and ``steps``, and numbers the nodes by point itself.
+    ``vertices``, the vertices sorted by point, is built on its first
+    read, by G' and ``enumerate_vertices``; the graph prints and compares
+    as it.
     """
 
     vertices: tuple[LabeledVertex, ...]
@@ -565,38 +559,24 @@ class VertexGraph(Record):
         """Node k, read out of the walk's record on the first call for k."""
         v = self._built[k]
         if v is None:
-            integers = self._walk.integers(k)
-            v = self._built[k] = LabeledVertex._from_integers(
-                integers, self.label_mask(k)
-            )
+            walk = self._walk
+            # a node's variables at zero are its cobasis
+            mask = _label_mask(self._every ^ walk.nodes[k][0], *self._shape)
+            v = self._built[k] = LabeledVertex._from_integers(walk.integers(k), mask)
         return v
-
-    def label_mask(self, k: int) -> int:
-        """The label mask of node k, by shifts of its basis's mask, without
-        reading the node out."""
-        return _label_mask(self._every ^ self._walk.nodes[k][0], *self._shape)
-
-    def find(self, mask: int) -> int | None:
-        """The node whose label mask is ``mask``, over the labels 1..m+n, or
-        None: the walk's map read at the basis of the cobasis those labels
-        name."""
-        return self._walk.index.get(self._every ^ _zeros_of(mask, *self._shape))
-
-    def edges_of(self, k: int):
-        """(label dropped, node reached) for each edge of node k; a step to
-        node 0 is a ray of P or Q."""
-        it = iter(self.steps[k])
-        walk, labels = self._walk, self.labels
-        mask, index = walk.nodes[k][0], walk.index
-        for enter, leave in zip(it, it):
-            yield labels[enter], index[mask ^ 1 << enter ^ 1 << leave]
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read
-        off the walk's steps on the first call for node k."""
+        off the walk's steps on the first call for node k: a step to node 0
+        is a ray of P or Q."""
         got = self._near.get(k)
         if got is None:
-            got = self._near[k] = dict(self.edges_of(k))
+            it, walk, labels = iter(self.steps[k]), self._walk, self.labels
+            mask, index = walk.nodes[k][0], walk.index
+            got = self._near[k] = {
+                labels[enter]: index[mask ^ 1 << enter ^ 1 << leave]
+                for enter, leave in zip(it, it)
+            }
         return got
 
 
@@ -688,15 +668,22 @@ def _labeled_equilibria(
 ) -> dict[tuple[int, int], EquilibriumPoint]:
     """The equilibrium of each completely labeled pair (i, j) of node
     numbers, checked once: P vertex i and the Q node j labeled by the labels
-    i lacks, found at the mask ``full ^ label_mask(i)``. That node is never
-    Q's origin, as only P's origin, node 0, carries all of 1..m. Each P
-    vertex has at most one partner, and the pairs come sorted by their P
-    vertices' points, so the equilibria come sorted by key. Only the
-    vertices of a pair are read out."""
-    full = p.full
+    i lacks. Those are the labels of i's basic variables: x_i basic lacks
+    label i and column j's slack label m+j, which on Q are carried by row
+    i's slack and by y_j. So j is the Q node whose variables at zero are
+    i's basic variables with the two parts of the mask swapped, found in
+    Q's walk map by its basis mask. It is never Q's origin, as only P's
+    origin, node 0, carries all of 1..m. Each P vertex has at most one
+    partner, and the pairs come sorted by their P vertices' points, so the
+    equilibria come sorted by key. Only the vertices of a pair are read
+    out."""
+    m, n, _ = p._shape
+    nodes, index = p._walk.nodes, q._walk.index
+    every, low = p._every, (1 << m) - 1
     pairs = []
-    for i in range(1, len(p.steps)):
-        j = q.find(full ^ p.label_mask(i))
+    for i in range(1, len(nodes)):
+        basis = nodes[i][0]
+        j = index.get(every ^ (basis >> m | (basis & low) << n))
         if j is not None:
             pairs.append((i, j))
     pairs.sort(key=lambda pair: _by_point(p.node(pair[0])._integers))

@@ -60,6 +60,15 @@ def vertex_nodes(graph) -> dict:
     return {k: graph.node(k) for k in range(count) if k != graph.origin_index}
 
 
+def node_at(graph, mask: int):
+    """The number of the node of a vertex graph whose label mask is
+    ``mask``, or None, by a scan of every node: every basis of the walk
+    with no basic variable at zero, which on a degenerate walk are fewer
+    than its steps."""
+    count = len(graph._walk.nodes)
+    return next((k for k in range(count) if graph.node(k).mask == mask), None)
+
+
 def label_set_edges(graph) -> dict[frozenset[int], tuple[int, ...]]:
     """Reference edge index of a vertex graph of a non-degenerate game: each
     edge, keyed by the labels it keeps, as the node numbers of its one or

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_game, random_rank1_game
+from conftest import node_at, random_game, random_rank1_game
 from rank1nash import (
     BimatrixGame,
     DegenerateGame,
@@ -48,7 +48,7 @@ def test_graph_shapes(unreach22):
         assert graph.origin.point is None and graph.origin.labels == artificial
         lone = 0
         for v in graph.vertices:
-            k = graph.find(v.mask)
+            k = node_at(graph, v.mask)
             assert graph.node(k) is v
             for l in v.labels:
                 j = graph.near(k)[l]

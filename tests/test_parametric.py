@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import label_set_edges, random_rank1_game, vertex_nodes
+from conftest import label_set_edges, node_at, random_rank1_game, vertex_nodes
 from dense_lp import (
     AffineRVector,
     binding_rows,
@@ -240,8 +240,8 @@ def _sweep_stepping_astray(monkeypatch, to):
     ivs = enumerate_all(g).intervals
     assert ivs[0].case == "Optimality"
     p, q = require_nondegenerate(g)
-    k = p.find(ivs[0].p_vertex.mask)
-    p._near[k] = _Astray(p.near(k), ivs[0].beta2_row, p.find(ivs[to].p_vertex.mask))
+    k = node_at(p, ivs[0].p_vertex.mask)
+    p._near[k] = _Astray(p.near(k), ivs[0].beta2_row, node_at(p, ivs[to].p_vertex.mask))
     monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
     return enumerate_all(g)
 
@@ -269,7 +269,7 @@ def test_sweep_stalls_where_no_q_edge_continues_the_slice(monkeypatch):
     ivs = enumerate_all(g).intervals
     assert (ivs[1].xi2, ivs[1].case) == (6, "Feasibility")
     p, q = require_nondegenerate(g)
-    k = q.find(ivs[1].q_edge[1].mask)
+    k = node_at(q, ivs[1].q_edge[1].mask)
     q._near[k] = dict.fromkeys(q.near(k), q.origin_index)
     monkeypatch.setattr(parametric, "require_nondegenerate", lambda game: (p, q))
     with pytest.raises(Stalled, match="no edge of Q continues the slice past 6"):
@@ -594,7 +594,7 @@ def _assert_integer_decisions(g, f=None) -> int:
     b, m = tr.factorization.b if tr.factorization else None, g.m
     for iv in tr.intervals:
         # the P vertex's crossings with its neighbours' lines, as rationals
-        k = p.find(iv.p_vertex.mask)
+        k = node_at(p, iv.p_vertex.mask)
         x = iv.p_vertex.point
         below, above = [], []
         for j in p.near(k).values():

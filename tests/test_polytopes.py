@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     baseline_game,
     label_set_edges,
+    node_at,
     random_game,
     random_rank1_game,
     vertex_nodes,
@@ -938,9 +939,9 @@ def _assert_graphs_match_the_eager_reference(g) -> bool:
     """require_nondegenerate's graphs, numbered in walk order and read out
     node by node, against the earlier eager graphs of each side's own walk:
     the same (point, mask) nodes and origin, the same edges as (point,
-    label dropped, point), the same ``vertices``, and lookups by mask that
-    agree with the nodes; on a degenerate game, the same message and
-    witness. Returns whether g is non-degenerate."""
+    label dropped, point), the same ``vertices``, and each label mask on one
+    node; on a degenerate game, the same message and witness. Returns
+    whether g is non-degenerate."""
     payoffs = IntegerPayoffs.of(g)
     try:
         want = _eager_check(payoffs, g.m, g.n)
@@ -972,9 +973,8 @@ def _assert_graphs_match_the_eager_reference(g) -> bool:
         assert edges == ref_edges, g
         assert got.vertices == ref.vertices
         assert [v.labels for v in got.vertices] == [v.labels for v in ref.vertices]
-        for k in point:
-            assert got.label_mask(k) == got.node(k).mask
-            assert got.find(got.label_mask(k)) == k
+        # each label set is carried by one node
+        assert len({got.node(k).mask for k in point}) == len(point)
     return True
 
 
@@ -1287,8 +1287,7 @@ def _assert_q_graph_is_q_walk(g):
     for k in range(len(q.steps)):
         assert q.node(k) == walked.node(k), k
         assert q.near(k) == walked.near(k), k
-        assert q.label_mask(k) == walked.label_mask(k) == q.node(k).mask, k
-        assert q.find(q.label_mask(k)) == k
+        assert q.node(k).mask == walked.node(k).mask, k
     return True
 
 
@@ -1393,10 +1392,10 @@ def _assert_masks_match_label_sets(g) -> int:
     included: its label mask and its label set name the same labels, the
     set iterates in the order of a set built from its sorted labels, a
     vertex made from its point and label set gets the same mask, and the
-    graph's lookup by mask finds it, unless it has more labels than the
-    side's dimension: such a vertex, one with a basic variable at zero, is
-    no node. Returns the number of those. The lookup by mask finds the
-    origin too, as node ``origin_index``."""
+    graph's node with its mask is that vertex, unless it has more labels
+    than the side's dimension: such a vertex, one with a basic variable at
+    zero, is no node. Returns the number of those. The origin is the node
+    ``origin_index`` with its mask."""
     payoffs = IntegerPayoffs.of(g)
     extra = 0
     for which, size in (("P", g.m), ("Q", g.n)):
@@ -1407,13 +1406,13 @@ def _assert_masks_match_label_sets(g) -> int:
             assert repr(v.labels) == repr(frozenset(sorted(v.labels))), (g, which, v)
             assert v.mask.bit_count() == len(v.labels)
             assert LabeledVertex(v.point, v.labels).mask == v.mask
-            k = graph.find(v.mask)
+            k = node_at(graph, v.mask)
             if len(v.labels) > size:
                 assert k is None
                 extra += 1
             else:
-                assert graph.node(k) is v and graph.label_mask(k) == v.mask
-        assert graph.find(graph.origin.mask) == graph.origin_index
+                assert graph.node(k) is v
+        assert node_at(graph, graph.origin.mask) == graph.origin_index
     return extra
 
 
