@@ -48,10 +48,10 @@ zero, that is when no feasible basis has a basic variable at zero, as
 every basis of a vertex with more zeros has one (the lrs argument; Avis,
 Rosenberg, Savani & von Stengel 2010). ``_feasible_bases`` makes that zero
 test on each basis's right-hand side and hands it over with the basis.
-``_walk`` keeps, for each basis that passes, a node record: the basis's
-mask, variables, right-hand side and det, with no side's labels, and a
-map from the mask to the node's number, in walk order. It reads out only a
-basis that fails, at the first basis of its vertex: the vertex's integers,
+``_walk`` keeps, for each basis that passes, a node: its basis mask, a
+map from the mask to the node's number, in walk order, and a record of the
+basis's variables, right-hand side and det, with no side's labels, until
+the node is read out. It reads out only a basis that fails, at the first basis of its vertex: the vertex's integers,
 and ``zeros``, the mask of its variables at zero, variable v as bit v: the
 cobasic variables, plus the basic variables at zero. ``_checked`` is the
 one place that decides: it raises on the least of those offenders by
@@ -347,20 +347,22 @@ def _integers(basis: list, rhs: list, det: int, d: int, shift: int) -> tuple:
 
 
 class _Walk:
-    """A walk of P' or Q' (see _walk): its ``nodes``, ``index``, ``steps``,
+    """A walk of P' or Q' (see _walk): its ``masks``, ``index``, ``steps``,
     ``offenders``, ``shift`` and d, the number of z variables. It reads
     each node out once, on the first read by any graph labelled from it,
-    and sorts the nodes by point once: a symmetric game's two graphs share
-    one walk."""
+    and then drops the node's record; it sorts the nodes by point once: a
+    symmetric game's two graphs share one walk."""
 
     __slots__ = (
-        "nodes", "index", "steps", "offenders", "shift", "d", "_read", "_order"
+        "masks", "index", "steps", "offenders", "shift", "d",
+        "_records", "_read", "_order",
     )
 
-    def __init__(self, nodes, index, steps, offenders, shift, d):
-        self.nodes, self.index, self.steps = nodes, index, steps
+    def __init__(self, masks, records, index, steps, offenders, shift, d):
+        self.masks, self.index, self.steps = masks, index, steps
         self.offenders, self.shift, self.d = offenders, shift, d
-        self._read: list[tuple | None] = [None] * len(nodes)
+        self._records: list[tuple | None] = records
+        self._read: list[tuple | None] = [None] * len(masks)
         self._order: list[int] | None = None
 
     def integers(self, k: int) -> tuple:
@@ -368,7 +370,8 @@ class _Walk:
         first call for k."""
         got = self._read[k]
         if got is None:
-            _, basis, rhs, det = self.nodes[k]
+            basis, rhs, det = self._records[k]
+            self._records[k] = None  # read out: the integers stand for it
             got = self._read[k] = _integers(basis, rhs, det, self.d, self.shift)
         return got
 
@@ -376,7 +379,7 @@ class _Walk:
         """The numbers of the nodes but the origin, node 0, sorted by the
         points of their vertices; sorted on the first call."""
         if self._order is None:
-            rest = range(1, len(self.nodes))
+            rest = range(1, len(self.masks))
             self._order = sorted(rest, key=lambda k: _by_point(self.integers(k)))
         return self._order
 
@@ -392,12 +395,13 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
     X_j of X = B^T or A, read off ``payoffs``: s_j * (X_j + shift) with the
     right-hand side s_j, where s_j is the least denominator of X_j and
     shift = 1 - floor(min X). A basis with no basic variable at zero is
-    the one basis of a vertex with d variables at zero, its cobasis; its
-    node record is (mask, basis, rhs, det), the basis's mask, variables,
-    right-hand side and det, as ``_feasible_bases`` hands them over, and
-    ``index`` maps the mask to the node's number, in walk order: the
-    origin, the walk's first basis, is node 0. ``_Walk.integers`` reads a
-    node out. Every basis of a vertex with more than d variables at zero has a
+    the one basis of a vertex with d variables at zero, its cobasis; it is
+    a node, numbered in walk order: the origin, the walk's first basis, is
+    node 0. ``masks`` holds each node's basis mask and ``index`` maps the
+    mask back to the node's number; the node's record is (basis, rhs,
+    det), the basis's variables, right-hand side and det, as
+    ``_feasible_bases`` hands them over, kept until ``_Walk.integers``
+    reads the node out. Every basis of a vertex with more than d variables at zero has a
     basic variable at zero, and such a vertex is read out at its first
     basis only, as the record (integers, zeros): ``integers`` as
     ``_integers`` gives them, and ``zeros`` with bit v set for each
@@ -424,13 +428,15 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
     d = len(ints[0])
     every = (1 << d + len(ints)) - 1  # the bit of each variable
     steps: list[list[int]] = []
-    nodes: list[tuple] = []
+    masks: list[int] = []
+    records: list[tuple | None] = []
     index: dict[int, int] = {}
     found: dict[tuple[int, ...], tuple] = {}  # key -> the offender's record
     for (basis, _, _, det), rhs, mask, positive in _feasible_bases(start, steps):
         if positive:
-            index[mask] = len(nodes)
-            nodes.append((mask, basis, rhs, det))
+            index[mask] = len(masks)
+            masks.append(mask)
+            records.append((basis, rhs, det))
             continue
         # a vertex with more zeros than cobasic variables: other bases may
         # share it, and the first one found stands for them all
@@ -441,7 +447,7 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
                 if not value:
                     zeros |= 1 << var
             found[integers[0]] = (integers, zeros)
-    return _Walk(nodes, index, steps, list(found.values()), shift, d)
+    return _Walk(masks, records, index, steps, list(found.values()), shift, d)
 
 
 def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
@@ -478,7 +484,7 @@ def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
         _walk=walk,
         _shape=(m, n, which),
         _every=(1 << m + n) - 1,
-        _built=[origin] + [None] * (len(walk.nodes) - 1),
+        _built=[origin] + [None] * (len(walk.masks) - 1),
         _near={},
     )
     return graph
@@ -561,7 +567,7 @@ class VertexGraph(Record):
         if v is None:
             walk = self._walk
             # a node's variables at zero are its cobasis
-            mask = _label_mask(self._every ^ walk.nodes[k][0], *self._shape)
+            mask = _label_mask(self._every ^ walk.masks[k], *self._shape)
             v = self._built[k] = LabeledVertex._from_integers(walk.integers(k), mask)
         return v
 
@@ -572,7 +578,7 @@ class VertexGraph(Record):
         got = self._near.get(k)
         if got is None:
             it, walk, labels = iter(self.steps[k]), self._walk, self.labels
-            mask, index = walk.nodes[k][0], walk.index
+            mask, index = walk.masks[k], walk.index
             got = self._near[k] = {
                 labels[enter]: index[mask ^ 1 << enter ^ 1 << leave]
                 for enter, leave in zip(it, it)
@@ -678,11 +684,11 @@ def _labeled_equilibria(
     equilibria come sorted by key. Only the vertices of a pair are read
     out."""
     m, n, _ = p._shape
-    nodes, index = p._walk.nodes, q._walk.index
+    masks, index = p._walk.masks, q._walk.index
     every, low = p._every, (1 << m) - 1
     pairs = []
-    for i in range(1, len(nodes)):
-        basis = nodes[i][0]
+    for i in range(1, len(masks)):
+        basis = masks[i]
         j = index.get(every ^ (basis >> m | (basis & low) << n))
         if j is not None:
             pairs.append((i, j))

@@ -65,7 +65,7 @@ def node_at(graph, mask: int):
     ``mask``, or None, by a scan of every node: every basis of the walk
     with no basic variable at zero, which on a degenerate walk are fewer
     than its steps."""
-    count = len(graph._walk.nodes)
+    count = len(graph._walk.masks)
     return next((k for k in range(count) if graph.node(k).mask == mask), None)
 
 

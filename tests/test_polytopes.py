@@ -908,7 +908,11 @@ def test_check_decides_on_the_zero_test():
         for which in ("P", "Q"):
             walk = polytopes._walk(payoffs, which)
             assert walk.offenders == []
-            assert len(walk.nodes) == len(walk.index) == len(walk.steps)
+            assert len(walk.masks) == len(walk.index) == len(walk.steps)
+            # sorting reads every node but the origin out, and each drops
+            # its record
+            walk.order()
+            assert walk._records[1:] == [None] * (len(walk.masks) - 1)
     # a degenerate draw: every readout of the walk is an offender
     g = BimatrixGame.from_payoffs(((1, 1), (1, 1)), ((1, 1), (1, 1)))
     offenders = polytopes._walk(IntegerPayoffs.of(g), "P").offenders
@@ -1455,12 +1459,12 @@ def _assert_masks_follow_from_zeros(g):
     every = (1 << m + n) - 1
     for which, d in (("P", m), ("Q", n)):
         walk = polytopes._walk(payoffs, which)
-        nodes, steps, offenders = walk.nodes, walk.steps, walk.offenders
+        masks, steps, offenders = walk.masks, walk.steps, walk.offenders
         graph = polytopes._graph(walk, payoffs, which)
-        assert len(graph.vertices) == len(nodes) - 1 + len(offenders)
+        assert len(graph.vertices) == len(masks) - 1 + len(offenders)
         assert graph.steps is steps
         # a node's variables at zero are its cobasis; an offender keeps them
-        records = [(graph.node(k), every ^ nodes[k][0]) for k in range(1, len(nodes))]
+        records = [(graph.node(k), every ^ masks[k]) for k in range(1, len(masks))]
         for integers, zeros in offenders:
             (v,) = [v for v in graph.vertices if v._integers is integers]
             records.append((v, zeros))
