@@ -51,9 +51,10 @@ test on each basis's right-hand side and hands it over with the basis.
 ``_walk`` keeps, for each basis that passes, a node: its basis mask, a
 map from the mask to the node's number, in walk order, and a record of the
 basis's variables, right-hand side and det, with no side's labels, until
-the node is read out. It reads out only a basis that fails, at the first basis of its vertex: the vertex's integers,
-and ``zeros``, the mask of its variables at zero, variable v as bit v: the
-cobasic variables, plus the basic variables at zero. ``_checked`` is the
+the node is read out. It reads out only a basis that fails, at the first
+basis of its vertex: the vertex's integers, and ``zeros``, the mask of its
+variables at zero, variable v as bit v: the cobasic variables, plus the
+basic variables at zero. ``_checked`` is the
 one place that decides: it raises on the least of those offenders by
 point, built from its record alone, so on a non-degenerate game the check
 reads out no vertex. ``_label_mask`` labels a vertex for its side by

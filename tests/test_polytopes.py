@@ -938,7 +938,6 @@ def test_check_decides_on_the_zero_test_on_draws(g):
     _assert_check_decides_on_the_zero_test(g)
 
 
-
 def _assert_graphs_match_the_eager_reference(g) -> bool:
     """require_nondegenerate's graphs, numbered in walk order and read out
     node by node, against the earlier eager graphs of each side's own walk:
