@@ -93,10 +93,7 @@ class MixedStrategyPair(Record):
         denominator: the integers ``__post_init__`` would clear them to."""
         _require_distribution(x_ints, x_scale)
         _require_distribution(y_ints, y_scale)
-        s = cls.__new__(cls)
-        object.__setattr__(s, "x", x)
-        object.__setattr__(s, "y", y)
-        return s
+        return cls._of(x=x, y=y)
 
     @classmethod
     def from_vectors(

@@ -73,15 +73,15 @@ rationals it builds are those of the equilibria: each one's source_xi, the
 c^T y of its Q vertex, and the points of its two vertices; the equilibria
 are ordered by their P vertices' integer keys, as in a non-degenerate game
 no two share x. The trace keeps the spans and
-nothing of the walk, so an unread trace holds neither vertex graph. On the
-first read of its intervals or breakpoints (SweepTrace.__getattr__) one
-function (_records) builds both, reading each reported value off the spans
-and building each distinct (num, den) pair as a rational once; the
-source_xi the loop built are among them. A caller
+nothing of the walk, so an unread trace holds neither vertex graph. Its
+intervals and breakpoints are fields it defers (record.Record): on the
+first read of either, one function (_records) builds both, reading each
+reported value off the spans and building each distinct (num, den) pair
+as a rational once; the source_xi the loop built are among them. A caller
 that reads only the equilibria, such as the default ``enumerate`` output,
-builds no record. A basis
-(ParametricBasis) is one row mask, P label l as bit l and Q label l as bit
-m+n+l, checked when built and decoded into label sets only when read: the
+builds no record. A basis (ParametricBasis) is one row mask, P label l as
+bit l and Q label l as bit m+n+l, checked once, when the loop builds its
+span (_require_rows), and decoded into label sets only when read: the
 loop keeps the masks it has visited, and a breakpoint's leaving and
 entering rows are the lowest bits of the masks' two differences. The sweep
 table unions the row masks of each interval's basis and Q edge ends and
@@ -90,7 +90,6 @@ decodes each binding set once; no dense tableau is ever built.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from operator import mul
 
 from .errors import (
@@ -113,9 +112,9 @@ from .linalg import (
 from .polytopes import (
     LabeledVertex,
     VertexGraph,
+    _by_point,
     _equilibrium,
     _label_set,
-    _point_order,
     require_nondegenerate,
 )
 from .record import Record
@@ -546,7 +545,7 @@ def _records(m: int, n: int, spans: list, rats: dict) -> tuple:
         _, _, _, added, c_lo, c_hi, v_lo, v_hi = edge
         ivs.append(
             BasisInterval(
-                basis=ParametricBasis(mask, m, n),
+                basis=ParametricBasis._of(mask=mask, m=m, n=n),
                 xi1=r(xi1),
                 xi2=r(xi2),
                 alpha2=r(c_hi),
@@ -597,37 +596,18 @@ class SweepTrace(Record):
     breakpoints: tuple[BreakpointRecord, ...]
     equilibria: tuple[EquilibriumPoint, ...]
 
-    @classmethod
-    def _of_spans(cls, g, f, xi_min, xi_max, spans, rats, eqs) -> "SweepTrace":
-        """The trace of a general sweep, its records built on first read,
-        with ``rats`` the rationals the sweep built, by (num, den) pair."""
-        t = cls.__new__(cls)
-        t.__dict__.update(
-            game=g,
-            factorization=f,
-            dispatch="general",
-            xi_min=xi_min,
-            xi_max=xi_max,
-            equilibria=eqs,
-            _pending=(g.m, g.n, spans, rats),
-        )
-        return t
-
-    def __getattr__(self, name):
-        # reached only when ``name`` is not set: the deferred records. Two
-        # threads may both build them, and their records are equal; the
-        # spans are let go once they are set
+    def _read_records(self) -> None:
+        # the records of a general sweep, from ``_pending``: (m, n, spans,
+        # rats), with ``rats`` the rationals the sweep built, by (num, den)
+        # pair. Two threads may both build them, and their records are
+        # equal; the spans are let go once both fields are set
         d = self.__dict__
-        if name in ("intervals", "breakpoints"):
-            pending = d.get("_pending")
-            if pending is not None:
-                d["intervals"], d["breakpoints"] = _records(*pending)
-                d.pop("_pending", None)
-            if name in d:
-                return d[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+        pending = d.get("_pending")
+        if pending is not None:
+            d["intervals"], d["breakpoints"] = _records(*pending)
+            d.pop("_pending", None)
+
+    _deferred = {"intervals": _read_records, "breakpoints": _read_records}
 
 
 def enumerate_all(
@@ -708,13 +688,18 @@ def enumerate_all(
         if n1 * xd > xn * d1 or xn * d2 > n2 * xd:
             raise Stalled(f"no verifiable pivot at xi = {rat(xn, xd)}")
 
-    def before(a: tuple, b: tuple) -> int:
-        # EquilibriumPoint.key's order, on the P vertices' integers: in a
-        # non-degenerate game no two equilibria share x
-        return _point_order(p.node(a[0])._integers, p.node(b[0])._integers)
-
-    eqs = tuple(found[pair] for pair in sorted(found, key=cmp_to_key(before)))
-    return SweepTrace._of_spans(g, f, lo, hi, list(spans.values()), rats, eqs)
+    # EquilibriumPoint.key's order, on the P vertices' integers: in a
+    # non-degenerate game no two equilibria share x
+    order = sorted(found, key=lambda pair: _by_point(p.node(pair[0])._integers))
+    return SweepTrace._of(
+        game=g,
+        factorization=f,
+        dispatch="general",
+        xi_min=lo,
+        xi_max=hi,
+        equilibria=tuple(found[pair] for pair in order),
+        _pending=(g.m, g.n, list(spans.values()), rats),
+    )
 
 
 class TraceRow(Record):

@@ -474,8 +474,7 @@ def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
     else:
         labels = tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1))
     origin = LabeledVertex(None, frozenset(labels[: m if which == "P" else n]))
-    graph = VertexGraph.__new__(VertexGraph)
-    graph.__dict__.update(
+    return VertexGraph._of(
         origin=origin,
         steps=walk.steps,
         labels=labels,
@@ -488,7 +487,6 @@ def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
         _built=[origin] + [None] * (len(walk.masks) - 1),
         _near={},
     )
-    return graph
 
 
 def enumerate_vertices(g: BimatrixGame, which: str) -> tuple[LabeledVertex, ...]:
@@ -542,25 +540,21 @@ class VertexGraph(Record):
     payoffs: IntegerPayoffs
     _hidden = ("origin", "steps", "labels", "payoffs")
 
-    def __getattr__(self, name):
-        # reached only when ``name`` is not set: the vertices, read out and
-        # sorted on first read; on the degenerate walk enumerate_vertices
-        # labels, the offenders' records are vertices too
-        if name != "vertices":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        d = self.__dict__
-        walk = d["_walk"]
+    def _read_vertices(self) -> None:
+        # the vertices, read out and sorted on first read; on the degenerate
+        # walk enumerate_vertices labels, the offenders' records are
+        # vertices too
+        walk = self._walk
         found = [self.node(k) for k in walk.order()]
         if walk.offenders:
-            m, n, which = d["_shape"]
+            m, n, which = self._shape
             for integers, zeros in walk.offenders:
                 mask = _label_mask(zeros, m, n, which)
                 found.append(LabeledVertex._from_integers(integers, mask))
             found.sort(key=lambda v: _by_point(v._integers))
-        d["vertices"] = vertices = tuple(found)
-        return vertices
+        self.__dict__["vertices"] = tuple(found)
+
+    _deferred = {"vertices": _read_vertices}
 
     def node(self, k: int) -> LabeledVertex:
         """Node k, read out of the walk's record on the first call for k."""

@@ -8,6 +8,14 @@ fields a class does not list in ``_hidden``, and refuse assignment and
 deletion. The standard library's generator of such classes would import
 ``inspect`` and compile six methods per class, which made up most of the
 package's import time.
+
+Two hooks serve the records the package builds itself. ``_of(**fields)``
+builds a record from values already checked, without ``__post_init__``.
+A field the class names in ``_deferred``, a dict from the field's name to
+a method, is built on its first read: ``__getattr__``, reached only when
+a name is not set, calls that method, which sets the field (and may set
+others with it), and raises the usual AttributeError for any other name,
+so ``hasattr``, ``copy`` and ``pickle`` see a plain object.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ class Record:
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()  # left out of ==, hash and repr
     _shown: tuple[str, ...] = ()
+    _deferred: dict = {}  # a field built on its first read -> its builder
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -31,6 +40,23 @@ class Record:
             lines.append(" self.__post_init__()")
         exec("\n".join(lines), defaults)
         cls.__init__ = defaults["__init__"]
+
+    @classmethod
+    def _of(cls, **fields):
+        """A record of the given values, set as they are: no check runs."""
+        r = cls.__new__(cls)
+        r.__dict__.update(fields)
+        return r
+
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set
+        build = self._deferred.get(name)
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        build(self)
+        return self.__dict__[name]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._shown])

@@ -4,8 +4,10 @@ and what importing it loads."""
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -143,6 +145,11 @@ def test_records_build_compare_hash_print_and_refuse_changes():
             with pytest.raises(AttributeError):
                 delattr(r, f)
         assert {f: getattr(r, f) for f in fields} == values
+        # every record inherits Record.__getattr__: a copy and a pickle round
+        # trip give the record back, and a name no class sets is missing
+        for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(copied) is cls and copied == r and repr(copied) == repr(r)
+        assert not hasattr(r, "nope")
 
 
 @pytest.mark.parametrize("module", ["rank1nash", "rank1nash.cli"])

@@ -30,6 +30,7 @@ from rank1nash import (
     ParametricBasis,
     RankOneFactorization,
     Stalled,
+    check_nondegenerate,
     enumerate_all,
     equilibria_by_labels,
     factor_rank1,
@@ -486,10 +487,11 @@ def test_unread_trace_holds_no_vertex_graph(g, monkeypatch):
 )
 def test_lazy_attributes_survive_copy_and_pickle(g):
     # copy, deepcopy, pickle and hasattr look up names a trace or a graph
-    # does not set, such as __deepcopy__ and __setstate__, and need the
-    # __getattr__ that builds the records, or a graph's ``vertices``, on
-    # first read to raise AttributeError for every other name; a graph
-    # copied before its vertices are read reads them out of its own walk
+    # does not set, such as __deepcopy__ and __setstate__, and need
+    # Record's __getattr__, which builds a deferred field (the records, or
+    # a graph's ``vertices``) on first read, to raise AttributeError for
+    # every other name; a graph copied before its vertices are read reads
+    # them out of its own walk
     now = enumerate_all(g)
     now.intervals
     for copied in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
@@ -675,6 +677,20 @@ def test_sweep_decodes_labels_for_the_records_and_ties_only(monkeypatch):
         start = parametric._Walk(g, f, p, q).start(min(f.c))
         assert decoded
         assert start == _full_scan_start(p, q, f)
+
+
+def test_a_tied_start_face_is_not_degeneracy():
+    # P's start face at xi_min = 0 holds two vertices, labels {1, 4} and
+    # {2, 4}, in a game that passes the non-degeneracy check: a tie in the
+    # start's flood is a tie of the objective, not a degenerate vertex
+    g = BimatrixGame.from_payoffs([[0, -1], [1, 1]], [[0, 1], [-1, 1]])
+    assert check_nondegenerate(g) == (True, None)
+    f = factor_rank1(g)
+    p, q = require_nondegenerate(g)
+    face = parametric._Walk(g, f, p, q)._p_face(min(f.c))
+    assert sorted(sorted(p.node(k).labels) for k in face) == [[1, 4], [2, 4]]
+    keys = {e.key() for e in enumerate_all(g).equilibria}
+    assert keys == {e.key() for e in support_enumeration(g).equilibria}
 
 
 def test_start_at_the_top_of_the_range_finds_no_q_edge():
