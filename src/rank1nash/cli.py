@@ -42,12 +42,12 @@ def _labels(ls) -> str:
     return "{" + ",".join(str(l) for l in sorted(ls)) + "}"
 
 
-def _eq_line(e, with_xi: bool = False) -> str:
+def _eq_line(e) -> str:
     s = (
         f"x={_vec(e.strategies.x)} y={_vec(e.strategies.y)} "
         f"payoffs=({e.payoff1}, {e.payoff2})"
     )
-    if with_xi and e.source_xi is not None:
+    if e.source_xi is not None:
         s += f" xi={e.source_xi}"
     return s
 
@@ -100,7 +100,7 @@ def cmd_enumerate(g, args):
         lines.append(f"factorization: b={_vec(fac.b)} c={_vec(fac.c)}")
     lines.append(f"xi range: [{trace.xi_min}, {trace.xi_max}]")
     lines.append(f"equilibria: {len(trace.equilibria)}")
-    lines += [_eq_line(e, with_xi=True) for e in trace.equilibria]
+    lines += [_eq_line(e) for e in trace.equilibria]
     if args.trace:
         obj["trace"] = [
             dict(

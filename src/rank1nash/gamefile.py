@@ -12,8 +12,8 @@ from .errors import GameFileError
 from .games import BimatrixGame
 from .linalg import Rational, rat
 
-# The one spelling of an entry, in ASCII digits: the rational constructors
-# would also take other Unicode digits, underscores, decimals and exponents.
+# The one spelling of an entry, in ASCII digits: int and Fraction would
+# also take other Unicode digits, underscores, decimals and exponents.
 ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 

@@ -1,10 +1,8 @@
 """Exact linear algebra: rationals, the integer pivot, solves, rank, and the
 scalar affine function that is a sweep interval's objective.
 
-Rationals are ``gmpy2.mpq`` when gmpy2 is importable and
-``fractions.Fraction`` otherwise; both expose ``numerator``/``denominator``
-and interoperate with ints, so the rest of the package never needs to know
-which backend is active.
+Every rational of the package is a ``fractions.Fraction``: ``rat`` and
+``Rational`` name that one type.
 
 ``_pivot`` is the package's one elimination step: the integer pivot of lrs
 (Avis & Fukuda 1992) on a dictionary scaled by its determinant, whose
@@ -18,37 +16,26 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, SingularMatrix
 from .record import Record
 
-try:
-    from gmpy2 import mpq as _Q
+# bench/worker.py reads this to name the rational backend in its record;
+# Fraction is the only one.
+HAVE_GMPY2 = False
 
-    HAVE_GMPY2 = True  # pragma: no cover - runs only where gmpy2 is installed
-except ImportError:  # pragma: no cover - exercised only where gmpy2 is absent
-    _Q = Fraction
-    HAVE_GMPY2 = False
+Rational = Fraction
 
-# gmpy2.mpq or fractions.Fraction depending on the active backend.
-Rational = Any
-
-
-def rat(value: Rational | str = 0, den: int | None = None) -> Rational:
-    """Build a rational from an int, a string like ``-3`` or ``5/7``, or a
-    pair of ints (numerator, denominator), each in one construction."""
-    if den is not None:
-        return _Q(value, den)
-    if isinstance(value, str):
-        return _Q(value.strip())
-    return _Q(value)
+# A rational from an int, a Fraction, a string like ``-3`` or `` 5/7 ``, or
+# a pair of ints (numerator, denominator).
+rat = Fraction
 
 
 def vdot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     if len(u) != len(v):
         raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), _Q(0))
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 class AffineR(Record):
@@ -64,11 +51,11 @@ class AffineR(Record):
 def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """(ints, scale): scale is the lcm of the denominators, and value i is
     ints[i] / scale."""
-    dens = [int(v.denominator) for v in values]
+    dens = [v.denominator for v in values]
     scale = math.lcm(*dens)
     if scale == 1:
-        return [int(v.numerator) for v in values], 1
-    return [int(v.numerator) * (scale // d) for v, d in zip(values, dens)], scale
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // d) for v, d in zip(values, dens)], scale
 
 
 def clear_rows(

@@ -15,9 +15,8 @@ calls ``support_enumeration``, plain and strict. It prints one line per
 method: its name, the sha256 and the number of calls, then the number of
 games. Run it with another checkout's ``src`` on PYTHONPATH and compare
 the lines: equal hashes mean equal outputs. Pytest does not collect this file.
-``tests/golden/sameness.txt`` holds its output with the ``fractions``
-backend, and CI diffs a fresh run against it there; gmpy2's ``mpq`` prints
-unlike ``Fraction``, so the hashes differ with that backend.
+``tests/golden/sameness.txt`` holds its output, and CI diffs a fresh run
+against it.
 
 A second series, whose lines start with ``wide``, hashes every method,
 the oracle's scans included, on 60 rank-1 draws of m x n games with m

@@ -6,11 +6,13 @@ from __future__ import annotations
 import ast
 import copy
 import importlib
+import numbers
 import os
 import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,14 @@ from rank1nash import (
     AddToRowOfB,
     BimatrixGame,
     IntegerPayoffs,
+    LabeledVertex,
     ScaleColumnOfA,
     ScaleRowOfB,
     enumerate_all,
+    enumerate_vertices,
     generate_kt,
     gprime_components,
+    parse_game,
     rat,
     reachability,
     reduce_rank,
@@ -150,6 +155,32 @@ def test_records_build_compare_hash_print_and_refuse_changes():
         for copied in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert type(copied) is cls and copied == r and repr(copied) == repr(r)
         assert not hasattr(r, "nope")
+
+
+def test_every_number_a_result_reports_is_an_int_or_a_fraction():
+    # Fraction is the package's one rational type: no float, and no other
+    # rational or integer type, reaches a result
+    kinds = []
+
+    def walk(value):
+        if isinstance(value, Record):
+            for f in value._fields:
+                walk(getattr(value, f))
+        elif isinstance(value, LabeledVertex):
+            walk(value.point)
+        elif isinstance(value, (tuple, list, frozenset)):
+            for v in value:
+                walk(v)
+        elif isinstance(value, numbers.Number) and not isinstance(value, bool):
+            kinds.append(type(value))
+
+    walk(_record_samples())
+    walk(enumerate_vertices(generate_kt(3), "P"))
+    assert set(kinds) == {int, Fraction}
+    built = [rat(3), rat("-5/7"), rat(1, 2), rat(Fraction(2, 3))]
+    built += parse_game("1 2\n1 2/3\n0 -1\n").A[0]
+    built += BimatrixGame.from_payoffs([[1, 0]], [[rat(1, 2), 2]]).B[0]
+    assert [type(v) for v in built] == [Fraction] * len(built)
 
 
 @pytest.mark.parametrize("module", ["rank1nash", "rank1nash.cli"])
