@@ -14,7 +14,8 @@ such path can reach. A path meets no pair of nodes twice, so one that
 does raises Stalled: that rule, not a count of the graphs' nodes, bounds a
 path. The paths read a graph node by node, through the first tier of the
 interface ``VertexGraph`` names: ``node(k)``, ``near(k)``,
-``origin_index``, ``labels``, ``full`` and ``payoffs``. A path reaches the
+``origin_index``, ``labels``, ``full`` and ``payoffs``; its one other
+member, ``weigh(k, w)``, only the sweep reads. A path reaches the
 origin as node ``origin_index``, and tells an origin from a vertex by its
 index. ``reachability`` and G' read the second tier too.
 

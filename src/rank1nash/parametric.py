@@ -40,11 +40,13 @@ chord to a neighbour of greater w^T s, ties to the lowest label dropped. On
 P that slope is beta2, and on Q the next edge's pi1 slope.
 A basis pairs a P vertex with a Q edge, so both walks read the vertex graphs
 (polytopes.VertexGraph) that the non-degeneracy check returns, node by
-node through node(k) and near(k) (the first tier of its interface), and
-the sweep makes no linear solve. x and pi2 come from the P vertex; y and pi1
-are interpolated along the Q edge. Once the graphs exist, the sweep's cost
-follows the intervals it crosses, not the vertices: b^T x, c^T y and the
-payoffs are read off the integer keys of the vertices the walks visit, each
+node through node(k), near(k) and weigh(k, w) (the first tier of its
+interface), and the sweep makes no linear solve. x and pi2 come from the P
+vertex; y and pi1 are interpolated along the Q edge. Once the graphs
+exist, the sweep's cost follows the intervals it crosses, not the
+vertices: b^T x, c^T y and the payoffs of a vertex and of each neighbour it
+compares are weighed off the walk's record of the vertex's basis
+(weigh(k, w)), so only the vertices the walks visit are read out, each
 vertex's crossings and each edge's slope are computed once, as neither
 walk returns, and an equilibrium is a vertex pair, so only the vertices of
 equilibria build their rationals. A + B is factored on the integer payoffs
@@ -89,8 +91,6 @@ decodes each binding set once; no dense tableau is ever built.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import (
     DegenerateGame,
@@ -255,11 +255,14 @@ class _Line:
     """The walker of one side: the point (w^T s, payoff) of each vertex of
     its graph, for a weight vector w over its strategies s: (b^T x, pi2) on
     P, (c^T y, pi1) on Q. A vertex's point is kept as integers (s, o, d),
-    the point (s / d, o / d), read off the vertex's integers: its strategy
-    key / den and payoff num / pay_den, where pay_den is den times the gcd
-    of the walk's z, and w = w' / scale, give (w' . key * (pay_den // den),
-    num * scale, scale * pay_den). Only the vertices a walk visits are
-    read, and no rational is built."""
+    the point (s / d, o / d): with w = w' / scale and the vertex z / det of
+    the walk, ``graph.weigh`` gives w' . z, det - shift * sum(z) and sum(z),
+    and the payoff is (det - shift * sum(z)) / sum(z), so (s, o, d) is
+    (w' . z, (det - shift * sum(z)) * scale, sum(z) * scale). A neighbour
+    is weighed off the walk's record of its basis, so no vertex is read
+    out to be weighed: ``node(k)`` is read only for the vertices the walks
+    visit, those of the start's ties and those of equilibria. No rational
+    is built."""
 
     def __init__(self, graph: VertexGraph, weights):
         self.graph = graph
@@ -270,42 +273,39 @@ class _Line:
         """(s, o, d) of vertex k, with d > 0."""
         got = self._ints.get(k)
         if got is None:
-            key, den, num, pay_den = self.graph.node(k)._integers
+            dot, num, total = self.graph.weigh(k, self.w)
             scale = self.scale
-            got = self._ints[k] = (
-                sum(map(mul, self.w, key)) * (pay_den // den),
-                num * scale,
-                scale * pay_den,
-            )
+            got = self._ints[k] = dot, num * scale, total * scale
         return got
-
-    def chord(self, k: int, j: int) -> tuple[int, int]:
-        """(num, den): the slope num / den of the chord from the point of
-        vertex k to that of vertex j, the payoff's change over w^T s's; den
-        has the sign of w^T s's change, and is 0 when it does not change."""
-        sk, ok, dk = self.ints(k)
-        sj, oj, dj = self.ints(j)
-        return oj * dk - ok * dj, sj * dk - sk * dj
 
     def up(self, k: int) -> tuple:
         """The shadow-vertex step out of vertex k: (the least slope of a
         chord to a neighbour of greater w^T s, the (label dropped, neighbour)
         of every chord of that slope, minus the greatest slope of a chord to
         a neighbour of lesser w^T s), each slope as (num, den), den > 0, and
-        None where there is no such neighbour. A ray, or a neighbour of
-        equal w^T s, is no step."""
+        None where there is no such neighbour; ties keep the first slope
+        met, in the order of ``near(k)``. A ray, or a neighbour of equal
+        w^T s, is no step. The slope of the chord from k's point to j's is
+        the payoff's change over w^T s's, and the change in w^T s has the
+        sign of the pair's den."""
         graph = self.graph
         ray = graph.origin_index
-        up, down = [], []
+        sk, ok, dk = self.ints(k)
+        least = lo = None
+        ties = []
         for l, j in graph.near(k).items():
             if j != ray:
-                num, den = self.chord(k, j)
+                sj, oj, dj = self.ints(j)
+                num, den = oj * dk - ok * dj, sj * dk - sk * dj
                 if den > 0:
-                    up.append((num, den, (l, j)))
-                elif den < 0:
-                    down.append((num, -den, None))
-        least, ties = _least(up)
-        return least, ties, _least(down)[0]
+                    diff = 1 if least is None else least[0] * den - num * least[1]
+                    if diff > 0:
+                        least, ties = (num, den), [(l, j)]
+                    elif diff == 0:
+                        ties.append((l, j))
+                elif den < 0 and (lo is None or lo[0] * -den > num * lo[1]):
+                    lo = num, -den
+        return least, ties, lo
 
     def face(self, alpha: int, beta: int, fixed: int = 0) -> set[int]:
         """The vertices of least cost alpha w^T s + beta payoff on the face
@@ -314,32 +314,39 @@ class _Line:
 
         The walk starts at the origin, which every vertex beats, descends to
         a vertex that no neighbour beats, stepping only across labels
-        outside ``fixed``, and floods the neighbours of equal cost. That
-        vertex is optimal, as the cost is linear and a ray of P or Q only
-        raises it; the optimal vertices span a face, whose graph is
-        connected (Balinski 1961), so the flood finds all of them, in
-        whatever order the neighbours come.
+        outside ``fixed`` to the first neighbour of least cost, and floods
+        the neighbours of equal cost. That vertex is optimal, as the cost is
+        linear and a ray of P or Q only raises it; the optimal vertices span
+        a face, whose graph is connected (Balinski 1961), so the flood finds
+        all of them, in whatever order the neighbours come.
         """
         graph = self.graph
         ray = graph.origin_index
 
-        def near(k: int) -> list[tuple[int, int, int]]:
-            out = []
+        def near(k: int):
+            # each neighbour j of k across a label outside ``fixed``, with
+            # its cost num / den, as (num, den, j)
             for l, j in graph.near(k).items():
                 if j != ray and not fixed >> l & 1:
                     s, o, d = self.ints(j)
-                    out.append((alpha * s + beta * o, d, j))
-            return out
+                    yield alpha * s + beta * o, d, j
 
-        best, ties = _least(near(ray))
+        def least(k: int) -> tuple | None:
+            best = None
+            for cost in near(k):
+                if best is None or best[0] * cost[1] > cost[0] * best[1]:
+                    best = cost
+            return best
+
+        kn, kd, k = least(ray)
         while True:
-            (kn, kd), k = best, ties[0]
-            best, ties = _least(near(k))
+            best = least(k)
             diff = 1 if best is None else best[0] * kd - kn * best[1]
             if diff > 0:  # no neighbour ties k: the face is k alone
                 return {k}
             if diff == 0:
                 break
+            kn, kd, k = best
         face, todo = {k}, [k]
         while todo:
             for num, den, j in near(todo.pop()):
@@ -366,7 +373,8 @@ def _least(fractions) -> tuple[tuple[int, int] | None, list]:
 class _Walk:
     """The two vertex walks of a sweep, over the vertex graphs p of P and q
     of Q, each stepped by its side's ``_Line``; P vertices and Q vertices
-    are named by their indices, and read through ``node(k)``. Every
+    are named by their indices, weighed through ``weigh(k, w)`` and read
+    through ``node(k)``. Every
     decision is made on integers: each P vertex's crossings
     (``_p_bounds``) and each Q edge's slope and ends (``_q_edge``) are
     fractions num / den compared by cross-multiplication, computed once
@@ -470,12 +478,12 @@ class _Walk:
         v_lo, v_hi = self.q.node(lo), self.q.node(hi)
         shared = v_lo.mask & v_hi.mask
         added = (v_hi.mask ^ shared).bit_length() - 1
-        # pi1 grows num / den per unit of c^T y, and den > 0
-        num, den = slope = self.qy.chord(lo, hi)
         s, o, d = self.qy.ints(lo)
+        hs, ho, hd = self.qy.ints(hi)
+        # pi1 grows num / den per unit of c^T y, and den > 0
+        num, den = slope = ho * d - o * hd, hs * d - s * hd
         # pi1 - c^T y * slope at lo: o / d - (s / d) (num / den)
         at0 = (o * den - s * num, d * den)
-        hs, _, hd = self.qy.ints(hi)
         return shared, slope, at0, added, (s, d), (hs, hd), v_lo, v_hi
 
     def span(self, k: int, bounds: tuple, edge: tuple) -> tuple:

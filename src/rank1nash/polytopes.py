@@ -73,7 +73,10 @@ mask, and G' keys its own numbering of the nodes by label mask.
 Vertices stay in integers until a caller reads a rational. A node is read
 out on its first read, ``VertexGraph.node(k)``: its key, the key's sum (the
 denominator of the strategy) and the payoff's numerator and denominator,
-and its label mask; the vertex builds ``point`` on first read. Only an
+and its label mask; the vertex builds ``point`` on first read.
+``VertexGraph.weigh(k, w)`` reads no node out: it gives a node's weighed
+strategy and payoff over sum(z) off the node's record, so the sweep weighs
+the neighbours it compares without reading them out. Only an
 output that names the point order sorts, by cross-multiplication: key a
 comes before key b when, at the first i where a_i * sum(b) != b_i *
 sum(a), a_i * sum(b) < b_i * sum(a). That is the order of their strategies
@@ -123,6 +126,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
+from operator import mul
 
 from .errors import DegenerateGame, InternalInvariantError
 from .games import (
@@ -376,6 +380,23 @@ class _Walk:
             got = self._read[k] = _integers(basis, rhs, det, self.d, self.shift)
         return got
 
+    def weigh(self, k: int, w) -> tuple[int, int, int]:
+        """(w . z, det - shift * sum(z), sum(z)) for node k's vertex z / det
+        and integer weights w over z: the integers ``_integers`` gives, with
+        z weighed, read off the node's record, or off its integers once it
+        is read out, and reading nothing out."""
+        got = self._read[k]
+        if got is not None:
+            key, den, num, total = got
+            return sum(map(mul, w, key)) * (total // den), num, total
+        basis, rhs, det = self._records[k]
+        d, dot, total = self.d, 0, 0
+        for var, value in zip(basis, rhs):
+            if var < d:
+                dot += w[var] * value
+                total += value
+        return dot, det - self.shift * total, total
+
     def order(self) -> list[int]:
         """The numbers of the nodes but the origin, node 0, sorted by the
         points of their vertices; sorted on the first call."""
@@ -521,9 +542,11 @@ class VertexGraph(Record):
 
     Its readers use the interface in two tiers. The sweep, ``lh_run`` and
     the Lemke-Howson paths read a graph node by node, through ``node(k)``,
-    ``near(k)``, ``origin_index``, ``labels``, ``full`` and ``payoffs``
-    alone: they never count the nodes or iterate over them, and their
-    outputs do not depend on the numbering. The label method and
+    ``near(k)``, ``weigh(k, w)``, ``origin_index``, ``labels``, ``full``
+    and ``payoffs`` alone: they never count the nodes or iterate over
+    them, and their outputs do not depend on the numbering. ``weigh(k,
+    w)``, which the sweep alone reads, gives integers ``node(k)`` would
+    give, weighed, and reads nothing out. The label method and
     ``reachability`` pair the nodes of the two walks in
     ``_labeled_equilibria``, by basis mask, and read out only the pairs'
     vertices. G' (``gprime_components``) also reads ``vertices``,
@@ -565,6 +588,13 @@ class VertexGraph(Record):
             mask = _label_mask(self._every ^ walk.masks[k], *self._shape)
             v = self._built[k] = LabeledVertex._from_integers(walk.integers(k), mask)
         return v
+
+    def weigh(self, k: int, w) -> tuple[int, int, int]:
+        """(w . z, det - shift * sum(z), sum(z)) of node k, a vertex z / det
+        of the walk, for integer weights w over its strategy: its weighed
+        strategy and payoff over sum(z), read off the walk's record with no
+        readout (``_Walk.weigh``)."""
+        return self._walk.weigh(k, w)
 
     def near(self, k: int) -> dict[int, int]:
         """The node reached from node k by dropping each of its labels, read

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -199,3 +200,75 @@ def test_sweep_matches_oracle_and_labels_on_zero_sum_and_row_constant():
         assert _agree(*game, tally) in (None, "zero-sum", "row-constant")
 
     _run(check, "zero-sum and row-constant")
+
+
+@st.composite
+def permuted_games(draw, games):
+    """(game, rows, cols): a drawn game with a permutation of its rows and
+    one of its columns."""
+    g, _ = draw(games)
+    rows = draw(st.permutations(range(g.m)))
+    return g, rows, draw(st.permutations(range(g.n)))
+
+
+def _permuted(g, rows, cols) -> BimatrixGame:
+    """The game whose row i is g's row rows[i] and whose column j is g's
+    column cols[j]."""
+
+    def pick(mat):
+        return [[mat[r][c] for c in cols] for r in rows]
+
+    return BimatrixGame.from_payoffs(pick(g.A), pick(g.B))
+
+
+def _unpermuted(e, rows, cols) -> tuple:
+    """An equilibrium of ``_permuted(g, rows, cols)`` as g's: its key and
+    payoffs, with the probability of the permuted game's row i put on g's
+    row rows[i], and likewise for the columns."""
+    x, y = [None] * len(rows), [None] * len(cols)
+    for i, r in enumerate(rows):
+        x[r] = e.strategies.x[i]
+    for j, c in enumerate(cols):
+        y[c] = e.strategies.y[j]
+    return (tuple(x), tuple(y)), e.payoff1, e.payoff2
+
+
+def test_a_permuted_game_has_the_permuted_equilibria():
+    # renaming the strategies renames the equilibria: the sweep, labels and
+    # the oracle map a permuted game's equilibria onto the original's.
+    # Ties in the sweep's start break by sorted labels, so a permuted game
+    # may start from another basis: sets are compared, not traces
+    methods = {
+        "sweep": lambda g: enumerate_all(g).equilibria,
+        "labels": equilibria_by_labels,
+        "oracle": lambda g: support_enumeration(g).equilibria,
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        permuted_games(
+            st.one_of(
+                rank1_games(st.integers(1, 5), st.integers(1, 5)),
+                rank1_games(st.integers(2, 5), st.integers(2, 5), tied=True),
+                one_point_games(st.integers(1, 4)),
+            )
+        )
+    )
+    def check(tally, case):
+        g, rows, cols = case
+        h = _permuted(g, rows, cols)
+        tally["drawn"] += 1
+        try:
+            want = {(e.key(), e.payoff1, e.payoff2) for e in enumerate_all(g).equilibria}
+        except DegenerateGame:
+            tally["degenerate"] += 1
+            event("degenerate draw skipped")
+            # a permutation keeps the labels of every vertex, so degeneracy
+            with pytest.raises(DegenerateGame):
+                enumerate_all(h)
+            return
+        for name, method in methods.items():
+            assert {_unpermuted(e, rows, cols) for e in method(h)} == want, name
+            assert {(e.key(), e.payoff1, e.payoff2) for e in method(g)} == want, name
+
+    _run(check, "permuted")

@@ -32,11 +32,13 @@ from rank1nash import (
     InternalInvariantError,
     LabeledVertex,
     MixedStrategyPair,
+    NotRankOne,
     SingularMatrix,
     check_nondegenerate,
     enumerate_all,
     enumerate_vertices,
     equilibria_by_labels,
+    factor_rank1,
     generate_kt,
     gprime_components,
     is_nash,
@@ -49,7 +51,7 @@ from rank1nash import (
     reachability,
     require_nondegenerate,
 )
-from rank1nash.linalg import _pivot, clear_rows, solve, vdot
+from rank1nash.linalg import _pivot, clear_denominators, clear_rows, solve, vdot
 from rank1nash.polytopes import _feasible_bases, _ratio_test
 
 
@@ -1000,14 +1002,17 @@ def test_graphs_match_the_eager_reference_on_draws(g):
 
 @pytest.mark.parametrize(
     "g, reads",
-    [(generate_kt(6), 62), (baseline_game(10, 1), 301)],
+    [(generate_kt(6), 22), (baseline_game(10, 1), 46)],
     ids=["kt6", "10x10"],
 )
 def test_methods_read_out_only_the_vertices_they_read(g, reads, monkeypatch, capsys):
     # a graph reads a vertex out of the walk's record on the vertex's first
     # read: the check reads out none, the label method the two vertices of
-    # each equilibrium, and the sweep the vertices its walks visit, far
-    # fewer than the graphs hold
+    # each equilibrium, and the sweep the vertices its walks visit and
+    # those of its equilibria, far fewer than the graphs hold: it weighs
+    # each neighbour it compares off the walk's record (VertexGraph.weigh),
+    # so kt6's 20 intervals read out 22 vertices and the 10x10 game's 44
+    # read out 46
     built = []
     original = LabeledVertex._from_integers.__func__
 
@@ -1032,6 +1037,63 @@ def test_methods_read_out_only_the_vertices_they_read(g, reads, monkeypatch, cap
     assert cli.main(["labels", "game"]) == 0
     assert len(built) == 2 * len(eqs)
     capsys.readouterr()
+
+
+def _assert_weigh_is_the_readout_weighed(g, f=None) -> int:
+    """Every node but the origin of both graphs of g, weighed with the
+    cleared b and c of f (factor_rank1's when f is None, and B's first
+    column and A's first row on a game that is not rank 1), gives the same
+    integers before ``node(k)`` reads it out, off its record, and after,
+    off its readout, and they are (w . key * (pay_den // den), num,
+    pay_den) of that readout; returns the number of nodes weighed. A
+    degenerate game's graphs are its own walks, labelled for each side."""
+    try:
+        graphs = require_nondegenerate(g)
+    except DegenerateGame:
+        payoffs = IntegerPayoffs.of(g)
+        graphs = [polytopes._graph(polytopes._walk(payoffs, w), payoffs, w) for w in "PQ"]
+    try:
+        f = f or factor_rank1(g)
+        weights = f.b, f.c
+    except NotRankOne:
+        weights = [row[0] for row in g.B], g.A[0]
+    sides = [(graph, clear_denominators(w)[0]) for graph, w in zip(graphs, weights)]
+    # every node is weighed before any is read out, as a symmetric game's
+    # two graphs share one walk
+    before = []
+    for graph, w in sides:
+        for k in range(1, len(graph._walk.masks)):
+            assert graph._walk._read[k] is None
+            before.append(graph.weigh(k, w))
+    after, want = [], []
+    for graph, w in sides:
+        for k in range(1, len(graph._walk.masks)):
+            key, den, num, pay_den = graph.node(k)._integers
+            assert graph._walk._records[k] is None  # read out: weighed off _read
+            after.append(graph.weigh(k, w))
+            want.append((sum(map(math.prod, zip(w, key))) * (pay_den // den), num, pay_den))
+    assert before == after == want, g
+    return len(want)
+
+
+def test_weigh_reads_the_record_as_the_readout():
+    # the sweep weighs the neighbours it compares off the walk's records,
+    # reading none out, and gets the integers the readout gives, before and
+    # after a node is read out
+    games = [load_game(str(path)) for path in sorted(CORPUS.glob("*.game"))]
+    games += [generate_kt(d) for d in range(1, 11)]
+    assert sum(map(_assert_weigh_is_the_readout_weighed, games)) == 1289
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        rank1_games(st.integers(1, 5), st.integers(1, 5)),
+        check_games().map(lambda g: (g, None)),
+    )
+)
+def test_weigh_reads_the_record_as_the_readout_on_draws(game):
+    _assert_weigh_is_the_readout_weighed(*game)
 
 
 def _best_reply_payoff(g, which, strategy):
@@ -1543,6 +1605,9 @@ class _Discovered:
 
     def near(self, k):
         return {l: self._new[j] for l, j in self._graph.near(self._old[k]).items()}
+
+    def weigh(self, k, w):
+        return self._graph.weigh(self._old[k], w)
 
 
 def _sweep_and_paths(g, f=None) -> list:
