@@ -13,6 +13,8 @@ provided for cross-checking, along with label-dropping path analysis
 same vertex graphs.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     DegenerateGame,
     FactorizationMismatch,
@@ -49,32 +51,58 @@ from .games import (
     transform,
 )
 from .gamefile import format_game, load_game, parse_game
-from .polytopes import (
-    LabeledVertex,
-    VertexGraph,
-    check_nondegenerate,
-    enumerate_vertices,
-    equilibria_by_labels,
-    require_nondegenerate,
-)
-from .oracle import OracleResult, support_enumeration
-from .lemke_howson import (
-    GPrimeReport,
-    LHPath,
-    ReachabilityReport,
-    gprime_components,
-    lh_run,
-    reachability,
-)
-from .parametric import (
-    BasisInterval,
-    BreakpointRecord,
-    ParametricBasis,
-    SweepTrace,
-    TraceRow,
-    enumerate_all,
-    sweep_table,
-)
+
+# the solvers' names, by the module each comes from: a solver module is
+# imported on the first read of one of its names, or of the module itself
+# (PEP 562), so that importing the package, and each CLI command, compiles
+# only the solvers it runs
+_SOLVERS = {
+    "polytopes": (
+        "LabeledVertex",
+        "VertexGraph",
+        "check_nondegenerate",
+        "enumerate_vertices",
+        "equilibria_by_labels",
+        "require_nondegenerate",
+    ),
+    "oracle": ("OracleResult", "support_enumeration"),
+    "lemke_howson": (
+        "GPrimeReport",
+        "LHPath",
+        "ReachabilityReport",
+        "gprime_components",
+        "lh_run",
+        "reachability",
+    ),
+    "parametric": (
+        "BasisInterval",
+        "BreakpointRecord",
+        "ParametricBasis",
+        "SweepTrace",
+        "TraceRow",
+        "enumerate_all",
+        "sweep_table",
+    ),
+}
+_HOME = {name: module for module, names in _SOLVERS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A solver module, or a name of one, imported on its first read and
+    then kept in the package's namespace."""
+    home = _HOME.get(name, name)
+    if home not in _SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{home}")
+    if name != home:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOLVERS, *_HOME})
+
 
 __version__ = "0.1.0"
 

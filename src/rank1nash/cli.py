@@ -11,7 +11,8 @@ message after the code's prefix.
 Every game command is a `cmd_x(g, args)` of the loaded game and the parsed
 arguments. It returns its exit code, its JSON object and its text lines;
 one runner loads the game and prints either the object (under `--json`)
-or the lines, so both modes print the same result.
+or the lines, so both modes print the same result. A command imports the
+solver it runs in its own body, so each compiles only that solver.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .games import (
     generate_kt,
     reduce_rank,
 )
-from .lemke_howson import lh_run, reachability, gprime_components
-from .oracle import support_enumeration
-from .parametric import enumerate_all, sweep_table
-from .polytopes import _labeled_equilibria, check_nondegenerate, require_nondegenerate
 
 
 def _vec(v) -> str:
@@ -78,6 +75,8 @@ def _parse_factor(parts) -> tuple[tuple, tuple]:
 
 
 def cmd_enumerate(g, args):
+    from .parametric import enumerate_all, sweep_table
+
     given = None
     if args.factor:
         b, c = _parse_factor(args.factor)
@@ -139,6 +138,8 @@ def cmd_enumerate(g, args):
 
 
 def cmd_oracle(g, args):
+    from .oracle import support_enumeration
+
     res = support_enumeration(g, strict=args.strict)
     if res.degenerate_suspect and not args.json:
         print("warning: degenerate suspect", file=sys.stderr)
@@ -151,6 +152,8 @@ def cmd_oracle(g, args):
 
 
 def cmd_labels(g, args):
+    from .polytopes import _labeled_equilibria, require_nondegenerate
+
     p, q = require_nondegenerate(g)
     eqs = [
         (e, p.node(i).labels, q.node(j).labels)
@@ -187,6 +190,8 @@ def _path_json(path) -> dict:
 
 
 def cmd_lh(g, args):
+    from .lemke_howson import lh_run, reachability
+
     if not args.all:
         p = lh_run(g, args.r)
         return 0, _path_json(p), [_path_line(p), f"terminal: {_eq_line(p.terminal)}"]
@@ -203,6 +208,8 @@ def cmd_lh(g, args):
 
 
 def cmd_gprime(g, args):
+    from .lemke_howson import gprime_components
+
     rep = gprime_components(g)
     art = rep.artificial_component
     obj = {
@@ -246,6 +253,8 @@ def cmd_reduce_rank(g, args):
 
 
 def cmd_check(g, args):
+    from .polytopes import check_nondegenerate
+
     ok, witness = check_nondegenerate(g)
     if ok:
         return 0, {"nondegenerate": True}, ["non-degenerate"]

@@ -71,9 +71,10 @@ with the two parts of the mask swapped, read in Q's walk map by its basis
 mask, and G' keys its own numbering of the nodes by label mask.
 
 Vertices stay in integers until a caller reads a rational. A node is read
-out on its first read, ``VertexGraph.node(k)``: its key, the key's sum (the
-denominator of the strategy) and the payoff's numerator and denominator,
-and its label mask; the vertex builds ``point`` on first read.
+out on its first read, ``VertexGraph.node(k)``, by ``_vertex``, which also
+reads out the offenders: its key, the key's sum (the denominator of the
+strategy) and the payoff's numerator and denominator, and its label mask;
+the vertex builds ``point`` on first read.
 ``VertexGraph.weigh(k, w)`` reads no node out: it gives a node's weighed
 strategy and payoff over sum(z) off the node's record, so the sweep weighs
 the neighbours it compares without reading them out. Only an
@@ -406,32 +407,12 @@ class _Walk:
         return self._order
 
 
-def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
-    """The walk of the feasible bases of P' (which="P") or Q', with no
-    side's labels: a node record for each basis whose basic variables are
-    all positive, and the readout of each vertex with a basic variable at
-    zero.
-
-    Walks the normalised polytope (P' over x for "P", Q' over y for "Q";
-    see the module docstring). Its origin's dictionary has one row per row
-    X_j of X = B^T or A, read off ``payoffs``: s_j * (X_j + shift) with the
-    right-hand side s_j, where s_j is the least denominator of X_j and
-    shift = 1 - floor(min X). A basis with no basic variable at zero is
-    the one basis of a vertex with d variables at zero, its cobasis; it is
-    a node, numbered in walk order: the origin, the walk's first basis, is
-    node 0. ``masks`` holds each node's basis mask and ``index`` maps the
-    mask back to the node's number; the node's record is (basis, rhs,
-    det), the basis's variables, right-hand side and det, as
-    ``_feasible_bases`` hands them over, kept until ``_Walk.integers``
-    reads the node out. Every basis of a vertex with more than d variables at zero has a
-    basic variable at zero, and such a vertex is read out at its first
-    basis only, as the record (integers, zeros): ``integers`` as
-    ``_integers`` gives them, and ``zeros`` with bit v set for each
-    variable v at zero, the cobasic variables plus the basic ones at zero;
-    ``offenders`` lists those records. ``steps`` holds the steps out of
-    every basis, in walk order, so in a walk with no offender, those of
-    node k are ``steps[k]``.
-    """
+def _origin(payoffs: IntegerPayoffs, which: str) -> tuple[list, int, int]:
+    """(start, shift, d) of P' (which="P") or Q' (see the module docstring):
+    the origin's dictionary, the shift and d, the number of z variables.
+    ``start`` has one row per row X_j of X = B^T or A, read off
+    ``payoffs``: s_j * (X_j + shift) with the right-hand side s_j, where
+    s_j is the least denominator of X_j and shift = 1 - floor(min X)."""
     if which == "P":
         ints, scale = payoffs.bt, payoffs.b_scale  # n rows of B^T, over x
     else:
@@ -447,8 +428,34 @@ def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
         s = scale // common
         lift = s * shift
         start.append([v + lift for v in row] + [s])
-    d = len(ints[0])
-    every = (1 << d + len(ints)) - 1  # the bit of each variable
+    return start, shift, len(ints[0])
+
+
+def _walk(payoffs: IntegerPayoffs, which: str) -> _Walk:
+    """The walk of the feasible bases of P' (which="P") or Q', with no
+    side's labels: a node record for each basis whose basic variables are
+    all positive, and the readout of each vertex with a basic variable at
+    zero.
+
+    Walks the normalised polytope (P' over x for "P", Q' over y for "Q")
+    from the origin's dictionary that ``_origin`` reads off ``payoffs``. A
+    basis with no basic variable at zero is the one basis of a vertex with
+    d variables at zero, its cobasis; it is a node, numbered in walk order:
+    the origin, the walk's first basis, is node 0. ``masks`` holds each
+    node's basis mask and ``index`` maps the mask back to the node's
+    number; the node's record is (basis, rhs, det), the basis's variables,
+    right-hand side and det, as ``_feasible_bases`` hands them over, kept
+    until ``_Walk.integers`` reads the node out. Every basis of a vertex
+    with more than d variables at zero has a basic variable at zero, and
+    such a vertex is read out at its first basis only, as the record
+    (integers, zeros): ``integers`` as ``_integers`` gives them, and
+    ``zeros`` with bit v set for each variable v at zero, the cobasic
+    variables plus the basic ones at zero; ``offenders`` lists those
+    records. ``steps`` holds the steps out of every basis, in walk order,
+    so in a walk with no offender, those of node k are ``steps[k]``.
+    """
+    start, shift, d = _origin(payoffs, which)
+    every = (1 << d + len(start)) - 1  # the bit of each variable
     steps: list[list[int]] = []
     masks: list[int] = []
     records: list[tuple | None] = []
@@ -482,6 +489,14 @@ def _label_mask(zeros: int, m: int, n: int, which: str) -> int:
     if which == "P":
         return zeros << 1
     return (zeros & (1 << n) - 1) << m + 1 | zeros >> n << 1
+
+
+def _vertex(integers: tuple, zeros: int, shape: tuple) -> LabeledVertex:
+    """The vertex of ``integers``, as ``_integers`` reads them off a basis's
+    record, whose variables at zero are the bits of ``zeros``, labelled by
+    ``_label_mask`` for the side of ``shape`` = (m, n, which): the one
+    readout of a node, an offender and a witness."""
+    return LabeledVertex._from_integers(integers, _label_mask(zeros, *shape))
 
 
 def _graph(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> "VertexGraph":
@@ -570,10 +585,7 @@ class VertexGraph(Record):
         walk = self._walk
         found = [self.node(k) for k in walk.order()]
         if walk.offenders:
-            m, n, which = self._shape
-            for integers, zeros in walk.offenders:
-                mask = _label_mask(zeros, m, n, which)
-                found.append(LabeledVertex._from_integers(integers, mask))
+            found += [_vertex(*record, self._shape) for record in walk.offenders]
             found.sort(key=lambda v: _by_point(v._integers))
         self.__dict__["vertices"] = tuple(found)
 
@@ -585,8 +597,8 @@ class VertexGraph(Record):
         if v is None:
             walk = self._walk
             # a node's variables at zero are its cobasis
-            mask = _label_mask(self._every ^ walk.masks[k], *self._shape)
-            v = self._built[k] = LabeledVertex._from_integers(walk.integers(k), mask)
+            zeros = self._every ^ walk.masks[k]
+            v = self._built[k] = _vertex(walk.integers(k), zeros, self._shape)
         return v
 
     def weigh(self, k: int, w) -> tuple[int, int, int]:
@@ -618,9 +630,8 @@ def _checked(walk: _Walk, payoffs: IntegerPayoffs, which: str) -> _Walk:
     that has more, built from its record and attached."""
     offenders = walk.offenders
     if offenders:
-        m, n = len(payoffs.a), len(payoffs.bt)
-        integers, zeros = min(offenders, key=lambda r: _by_point(r[0]))
-        v = LabeledVertex._from_integers(integers, _label_mask(zeros, m, n, which))
+        shape = len(payoffs.a), len(payoffs.bt), which
+        v = _vertex(*min(offenders, key=lambda r: _by_point(r[0])), shape)
         pt = "(" + ", ".join(str(x) for x in v.point) + ")"
         raise DegenerateGame(
             f"vertex {pt} carries labels {sorted(v.labels)}", witness=v

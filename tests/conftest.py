@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,37 @@ def baseline_game(d: int, seed: int) -> BimatrixGame:
     a = [[rng.randint(-9999, 9999) for _ in range(d)] for _ in range(d)]
     bm = [[b[i] * c[j] - a[i][j] for j in range(d)] for i in range(d)]
     return BimatrixGame.from_payoffs(a, bm)
+
+
+SOLVERS = ("lemke_howson", "oracle", "parametric", "polytopes")
+
+
+def solvers_after(code: str) -> list[str]:
+    """The solver modules of the package, of ``SOLVERS``, that running
+    ``code`` in a fresh interpreter on the package's source leaves in
+    ``sys.modules``, sorted; the run must exit with 0."""
+    loaded = f"[n for n in {SOLVERS!r} if 'rank1nash.' + n in sys.modules]"
+    probe = f"import sys\nprint('solvers:', *{loaded})"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{probe}"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.splitlines()[-1].split()[1:]
+
+
+def cli_code(argv: list[str]) -> str:
+    """Python that runs the CLI on ``argv``, its output dropped, and exits
+    with the command's code unless that is 0: for ``solvers_after``."""
+    return (
+        "import contextlib, io\n"
+        "from rank1nash.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "if code:\n"
+        "    raise SystemExit(code)"
+    )
 
 
 def vertex_nodes(graph) -> dict:

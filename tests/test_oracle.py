@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from rank1nash import (
     BimatrixGame,
@@ -15,6 +16,8 @@ from rank1nash import (
     support_enumeration,
 )
 from rank1nash import oracle
+
+from conftest import cli_code, solvers_after
 
 # degenerate games with the strict scan's equilibria, as (x, y, payoff1,
 # payoff2), and the number of them a plain scan also finds; the others lie
@@ -212,3 +215,18 @@ def test_column_half_waits_for_the_row_half(monkeypatch, demo23, disconnected33)
             calls.clear()
             support_enumeration(g, scan)
             assert (calls.count(True), calls.count(False)) == want
+
+
+def test_oracle_runs_no_other_solver():
+    # in a fresh interpreter, the library call and the CLI command each
+    # leave polytopes, parametric and lemke_howson unloaded, so the oracle
+    # reaches no vertex walk through games, linalg or the package root,
+    # which a scan of oracle.py alone would not see
+    path = Path(__file__).resolve().parent.parent / "corpus" / "kt4.game"
+    library = (
+        "from rank1nash import generate_kt, support_enumeration\n"
+        "if len(support_enumeration(generate_kt(4)).equilibria) != 7:\n"
+        "    raise SystemExit('kt4 has seven equilibria')"
+    )
+    command = cli_code(["oracle", str(path)])
+    assert solvers_after(library) == solvers_after(command) == ["oracle"]

@@ -40,6 +40,8 @@ from rank1nash import (
 )
 from rank1nash.record import Record
 
+from conftest import SOLVERS, cli_code, solvers_after
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -56,8 +58,9 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_every_imported_public_name_is_exported():
-    # the package root's imports are its re-exports, so a public name it
-    # imports and leaves out of __all__ is a half-removed export
+    # the package root's imports and its table of the solvers' names are its
+    # re-exports, so a public name either holds and __all__ leaves out is a
+    # half-removed export; every name of the table is its module's own
     tree = ast.parse(Path(rank1nash.__file__).read_text())
     bound = {
         alias.asname or alias.name.split(".")[0]
@@ -66,8 +69,33 @@ def test_every_imported_public_name_is_exported():
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
+    bound |= rank1nash._HOME.keys()
     public = {n for n in bound if not n.startswith("_")}
     assert sorted(public - set(rank1nash.__all__)) == []
+    assert sorted(rank1nash._SOLVERS) == list(SOLVERS)
+    for module, names in rank1nash._SOLVERS.items():
+        home = importlib.import_module(f"rank1nash.{module}")
+        assert [n for n in names if n not in vars(home)] == []
+
+
+def test_solvers_load_on_first_read(monkeypatch):
+    # the package root's __getattr__ (PEP 562) imports a solver module on
+    # the first read of one of its names, or of the module, and keeps the
+    # value in the package's namespace; it is called here directly, as the
+    # test modules read every name before
+    for module, names in rank1nash._SOLVERS.items():
+        home = importlib.import_module(f"rank1nash.{module}")
+        assert rank1nash.__getattr__(module) is home
+        for name in names:
+            assert rank1nash.__getattr__(name) is getattr(home, name)
+    monkeypatch.delitem(vars(rank1nash), "enumerate_all")
+    assert "enumerate_all" in dir(rank1nash)
+    assert rank1nash.enumerate_all is enumerate_all
+    assert vars(rank1nash)["enumerate_all"] is enumerate_all
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        rank1nash.__getattr__("nope")
+    assert not hasattr(rank1nash, "nope")
+    assert {*rank1nash.__all__, *rank1nash._SOLVERS} <= {*dir(rank1nash)}
 
 
 def test_version_matches_pyproject():
@@ -186,8 +214,10 @@ def test_every_number_a_result_reports_is_an_int_or_a_fraction():
 @pytest.mark.parametrize("module", ["rank1nash", "rank1nash.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # each loads in a fresh interpreter; both modules cost start-up time on
-    # every CLI command
-    loaded = "sorted({'dataclasses', 'inspect'} & {*sys.modules})"
+    # every CLI command, as would a solver the command does not run, so
+    # neither import loads a solver either
+    unwanted = {"dataclasses", "inspect", *(f"rank1nash.{n}" for n in SOLVERS)}
+    loaded = f"sorted({unwanted!r} & {{*sys.modules}})"
     code = f"import sys, {module}; print({loaded})"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
@@ -195,3 +225,30 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout == "[]\n"
+
+
+KT4 = str(ROOT / "corpus" / "kt4.game")
+
+
+# each command of the CLI, and the solver modules it leaves loaded
+COMMAND_SOLVERS = [
+    (["check", KT4], ["polytopes"]),
+    (["labels", KT4], ["polytopes"]),
+    (["enumerate", KT4], ["parametric", "polytopes"]),
+    (["lh", KT4, "--all"], ["lemke_howson", "polytopes"]),
+    (["gprime", KT4], ["lemke_howson", "polytopes"]),
+    (["oracle", KT4], ["oracle"]),
+    (["rank", KT4], []),
+    (["reduce-rank", str(ROOT / "corpus" / "disconnected-3x3.game")], []),
+    (["generate", "--kt", "--d", "3"], []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", COMMAND_SOLVERS, ids=[argv[0] for argv, _ in COMMAND_SOLVERS]
+)
+def test_each_command_loads_only_the_solvers_it_runs(argv, loaded):
+    # in a fresh interpreter: each command imports its solver in its own
+    # body, and the solver imports the modules it builds on; rank,
+    # reduce-rank and generate run none
+    assert solvers_after(cli_code(argv)) == loaded
